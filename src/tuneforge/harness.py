@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -29,7 +30,8 @@ OUTCOME_TIMEOUT = "timeout"
 OUTCOME_DEGRADED = "degraded"
 
 # Fraction of the default-config baseline below which an ok run is re-tagged
-# as degraded (mirrors the ">50% throughput loss" severity rule).
+# as degraded and a sweep level falls outside the safe range (mirrors the
+# ">50% throughput loss" severity rule).
 DEGRADATION_FRACTION = 0.5
 
 
@@ -104,9 +106,10 @@ class MeasurementLog:
     """Append-only sequence of measurements plus campaign metadata.
 
     (config hash, workload, repetition) triples are unique; re-appending an
-    existing key is rejected. Persists as one JSON record per line under a
-    single JSON header line, so a crashed campaign can be resumed by reading
-    whatever prefix made it to disk.
+    existing key is rejected. Records are indexed by (config hash, workload),
+    so reading one cell does not scan the log. Persists as one JSON record per
+    line under a single JSON header line, so a crashed campaign can be resumed
+    by reading whatever prefix made it to disk.
     """
 
     def __init__(self, seed: int, space_hash: str, campaign_id: str = "",
@@ -117,6 +120,7 @@ class MeasurementLog:
         self.meta = dict(meta or {})
         self._records: list[Measurement] = []
         self._keys: set[tuple[str, str, int]] = set()
+        self._cells: dict[tuple[str, str], list[Measurement]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -134,12 +138,14 @@ class MeasurementLog:
             raise ParameterError(f"duplicate measurement key {k}")
         self._keys.add(k)
         self._records.append(m)
+        self._cells.setdefault(k[:2], []).append(m)
 
     def has(self, config: Configuration, workload_id: str, repetition: int) -> bool:
         return (config.config_hash(), workload_id, repetition) in self._keys
 
-    def ok_records(self) -> list[Measurement]:
-        return [m for m in self._records if m.outcome == OUTCOME_OK]
+    def cell(self, config: Configuration, workload_id: str) -> tuple[Measurement, ...]:
+        """Every record of one (configuration, workload), in append order."""
+        return tuple(self._cells.get((config.config_hash(), workload_id), ()))
 
     def header(self) -> dict:
         return {"seed": self.seed, "space_hash": self.space_hash,
@@ -226,7 +232,8 @@ def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSp
     """Execute one benchmark repetition and wrap the outcome.
 
     Adapter crashes and timeouts become crash/timeout outcomes with the
-    diagnostic attached; they never abort the caller.
+    diagnostic attached, and a metric that is not finite (NaN or infinite)
+    becomes a crash; they never abort the caller.
     """
     result = validate_configuration(adapter.space, config)
     if not result.ok:
@@ -234,8 +241,10 @@ def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSp
     run_seed = mix_seed(seed, config, workload.id, repetition)
     start = time.perf_counter()
     try:
-        value = adapter.measure(config, workload, run_seed)
-        outcome, metric, diag = OUTCOME_OK, float(value), None
+        value = float(adapter.measure(config, workload, run_seed))
+        if not math.isfinite(value):
+            raise CrashError(f"non-finite metric {value}")
+        outcome, metric, diag = OUTCOME_OK, value, None
     except CrashError as e:
         outcome, metric, diag = OUTCOME_CRASH, None, e.diagnostic
     except TimeoutError as e:

@@ -301,21 +301,13 @@ def table_from_log(log: MeasurementLog, pair: tuple[str, str], levels_a: list[An
     a clean table for either stage.
     """
     a, b = pair
-    index: dict[str, list[float]] = {}
-    for m in log:
-        if m.workload_id != workload_id or m.outcome != OUTCOME_OK:
-            continue
-        if m.repetition >= repetitions:
-            continue
-        if set(m.config.assignments) != {a, b}:
-            continue
-        index.setdefault(m.config.config_hash(), []).append(m.metric_value)
     cells = []
     for va in levels_a:
         row = []
         for vb in levels_b:
-            key = Configuration({a: va, b: vb}).config_hash()
-            row.append(sorted(index.get(key, [])))
+            cell = log.cell(Configuration({a: va, b: vb}), workload_id)
+            row.append(sorted(m.metric_value for m in cell
+                              if m.outcome == OUTCOME_OK and m.repetition < repetitions))
         cells.append(row)
     return FactorialTable(pair=pair, levels_a=levels_a, levels_b=levels_b,
                           cells=cells, workload_id=workload_id)

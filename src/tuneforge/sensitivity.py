@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
-from .harness import (OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT,
+from .harness import (DEGRADATION_FRACTION, OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT,
                       MeasurementLog, PlanEntry)
 from .space import Configuration, ParameterSpace, WorkloadSpec, level_grid
 
 DEFAULT_TAU_S = 0.05      # aggregate-CV selection threshold
 DEFAULT_FLAT_TOL = 0.02   # below this range/baseline ratio a curve is flat
 DEFAULT_STEP_FRAC = 0.6   # single-gap share of total range that marks a step
-SAFE_FRACTION = 0.5       # levels below this share of baseline are unsafe
 
 SHAPE_LABELS = ("monotonic-up", "monotonic-down", "non-monotonic", "step-function", "flat")
 
@@ -351,7 +350,7 @@ def extract_safe_range(sweep: SweepResult, baseline_mean: float,
         if counts.get(OUTCOME_CRASH, 0) or counts.get(OUTCOME_TIMEOUT, 0):
             return False
         mean = sweep.mean(i)
-        return mean is not None and mean >= SAFE_FRACTION * baseline_mean
+        return mean is not None and mean >= DEGRADATION_FRACTION * baseline_mean
 
     anchor = _default_level_index(sweep, space)
     if not passes(anchor):

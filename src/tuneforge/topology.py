@@ -14,8 +14,7 @@ from itertools import product
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
-from .harness import (OUTCOME_OK, Adapter, MeasurementLog, PlanEntry,
-                      mean_ok_metric, run_plan)
+from .harness import Adapter, MeasurementLog, PlanEntry, mean_ok_metric, run_plan
 from .interaction import InteractionReport, stage_b_levels
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
@@ -257,15 +256,11 @@ def plan_joint_search(component: list[str], report: SensitivityReport,
 
 def _grid_means(log: MeasurementLog, configs: list[Configuration],
                 workload_id: str) -> dict[str, float]:
-    by_hash: dict[str, list[float]] = {}
-    for m in log:
-        if m.workload_id == workload_id and m.outcome == OUTCOME_OK:
-            by_hash.setdefault(m.config.config_hash(), []).append(m.metric_value)
     means = {}
     for c in configs:
-        vals = by_hash.get(c.config_hash())
-        if vals:
-            means[c.config_hash()] = sum(vals) / len(vals)
+        mean = mean_ok_metric(log.cell(c, workload_id))
+        if mean is not None:
+            means[c.config_hash()] = mean
     return means
 
 
@@ -293,11 +288,9 @@ def measure_baselines(adapter: Adapter, workloads: list[WorkloadSpec],
     log = run_plan(adapter, plan, parallelism=parallelism, seed=seed)
     means = {}
     for w in workloads:
-        vals = [m.metric_value for m in log
-                if m.workload_id == w.id and m.outcome == OUTCOME_OK]
-        if not vals:
+        means[w.id] = mean_ok_metric(log.cell(adapter.space.defaults(), w.id))
+        if means[w.id] is None:
             raise AnalysisError(f"baseline measurement failed on workload {w.id}")
-        means[w.id] = sum(vals) / len(vals)
     return means, log
 
 
@@ -364,7 +357,7 @@ def independent_baseline(adapter: Adapter, component: list[str],
     # reuse those measurements instead of re-appending their keys.
     combo_log = run_plan(adapter, combo_plan, parallelism=parallelism, seed=seed,
                          existing=log)
-    metric = mean_ok_metric(m for m in combo_log if m.config == combo)
+    metric = mean_ok_metric(combo_log.cell(combo, workload.id))
     if metric is None:
         raise AnalysisError(f"independent combination failed on workload {workload.id}")
     for m in combo_log:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
+from tuneforge.harness import Measurement, MeasurementLog
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
 
 
@@ -108,6 +109,49 @@ def cv_oracle(log, param, workload_id):
     level_means = [sum(v) / len(v) for v in by_level.values()]
     base = sum(baseline) / len(baseline)
     return (max(level_means) - min(level_means)) / base
+
+
+# ---------------------------------------------------------------------------
+# Random measurement logs for checking indexed lookups against full scans.
+# ---------------------------------------------------------------------------
+
+INDEX_PARAMS = ("a", "b", "c", "d")
+INDEX_LEVELS = (0.0, 0.25, 0.75, 1.0)
+
+
+def random_log(rng, records=300):
+    """A log mixing every record shape the screen and joint logs hold.
+
+    2-3 workloads, repetitions 0-3, ok/degraded/crash/timeout outcomes and
+    configurations of 0-3 assignments over a small level set, so pairs
+    overlap and most cells hold several records. Returns (log, workload ids).
+    """
+    workloads = [f"w{i}" for i in range(rng.randint(2, 3))]
+    log = MeasurementLog(seed=0, space_hash="x")
+    for _ in range(records):
+        names = rng.sample(INDEX_PARAMS, rng.randint(0, 3))
+        config = Configuration({n: rng.choice(INDEX_LEVELS) for n in names})
+        workload, rep = rng.choice(workloads), rng.randint(0, 3)
+        if log.has(config, workload, rep):
+            continue
+        outcome = rng.choice(("ok", "ok", "ok", "degraded", "crash", "timeout"))
+        metric = rng.uniform(1.0, 1000.0) if outcome in ("ok", "degraded") else None
+        log.append(Measurement(config, workload, rep, metric, outcome))
+    return log, workloads
+
+
+class ScanFreeLog(MeasurementLog):
+    """A log that fails on any full scan, so readers must use the index."""
+
+    def __iter__(self):
+        raise AssertionError("full scan of the measurement log")
+
+
+def scan_free_copy(log):
+    copy = ScanFreeLog(seed=log.seed, space_hash=log.space_hash)
+    for m in log.records:
+        copy.append(m)
+    return copy
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,15 @@ def flat_adapter(space, base=1000.0, sigma=0.0, **kwargs):
     return SimulatorAdapter(space, SimulatorModel(base_rate=base, sigma=sigma, **kwargs))
 
 
+def assert_index_matches(log):
+    """Each (config, workload) cell holds exactly the log's records for it, in order."""
+    cells = {}
+    for m in log:
+        cells.setdefault((m.config.canonical(), m.workload_id), []).append(m)
+    for records in cells.values():
+        assert log.cell(records[0].config, records[0].workload_id) == tuple(records)
+
+
 class TestSeeds:
     def test_splitmix_is_stable(self):
         # fixed values so a refactor cannot silently change every log
@@ -177,6 +186,25 @@ class TestRunPlan:
         log = run_plan(adapter, plan, seed=0)
         assert [m.outcome for m in log] == ["ok", "crash", "ok"]
 
+    def test_non_finite_metric_is_crash_without_aborting(self):
+        # e.g. a shell benchmark printing "METRIC nan" or "METRIC inf"
+        values = {0.1: 5.0, 0.2: math.nan, 0.3: math.inf, 0.4: -math.inf, 0.5: 7.0}
+
+        class StubAdapter:
+            space = self.space
+            max_concurrency = 1
+
+            def measure(self, config, workload, seed):
+                return values[config.assignments["p"]]
+
+        plan = [(Configuration({"p": v}), self.w, 0) for v in values]
+        log = run_plan(StubAdapter(), plan, seed=0)
+        assert [m.outcome for m in log] == ["ok", "crash", "crash", "crash", "ok"]
+        assert [m.metric_value for m in log] == [5.0, None, None, None, 7.0]
+        assert [m.diagnostic for m in log] == [
+            None, "non-finite metric nan", "non-finite metric inf",
+            "non-finite metric -inf", None]
+
 
 class TestCrashRecovery:
     def setup_method(self):
@@ -212,9 +240,23 @@ class TestCrashRecovery:
             fh.write('{"config": {"p": 0.9}, "workl')  # killed mid-write
         recovered = MeasurementLog.load(journal)
         assert len(recovered) == 4
+        assert_index_matches(recovered)
+        assert recovered.cell(Configuration({"p": 0.9}), "w0") == ()
         # and the resumed run completes the plan without tripping on the tear
         full = run_plan(adapter, self.plan, seed=0, existing=recovered)
         assert len(full) == 10
+
+    def test_index_holds_records_carried_from_existing_and_journal(self, tmp_path):
+        adapter = flat_adapter(self.space, sigma=0.02)
+        journal = str(tmp_path / "log.jsonl")
+        plan = [(c, w, rep) for c, w, _ in self.plan for rep in range(2)]
+        existing = run_plan(adapter, plan[:6], seed=2)
+        run_plan(adapter, plan[6:12], seed=2, journal=journal)
+        full = run_plan(adapter, plan, seed=2, existing=existing, journal=journal)
+        assert len(full) == len(plan)
+        assert_index_matches(full)
+        assert [m.to_json() for m in full.cell(self.plan[0][0], "w0")] == \
+            [m.to_json() for m in existing.cell(self.plan[0][0], "w0")]
 
     def test_completed_journal_untouched_on_noop_rerun(self, tmp_path):
         adapter = flat_adapter(self.space)
@@ -244,6 +286,10 @@ class TestMeasurementLog:
         log.append(m)
         with pytest.raises(ParameterError):
             log.append(m)
+        with pytest.raises(ParameterError):
+            log.append(Measurement(Configuration({"p": 1}), "w0", 0, 2.0, "ok"))
+        assert len(log) == 1
+        assert log.cell(Configuration({"p": 1}), "w0") == (m,)
 
 
 class TestShellAdapter:

@@ -1,11 +1,13 @@
 """Two-stage interaction screening against hand computations and oracles."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from helpers import anova_oracle, one_workload, unit_space
+from helpers import (INDEX_LEVELS, INDEX_PARAMS, anova_oracle, one_workload, random_log,
+                     scan_free_copy, unit_space)
 from tuneforge.errors import AnalysisError
 from tuneforge.harness import run_plan
 from tuneforge.interaction import (FactorialTable, InteractionRecord,
@@ -14,6 +16,7 @@ from tuneforge.interaction import (FactorialTable, InteractionRecord,
                                    stage_a_int_pct, stage_a_verdict, table_from_log,
                                    two_way_anova)
 from tuneforge.simulator import Coupling, Response, SimulatorAdapter, SimulatorModel
+from tuneforge.space import Configuration
 
 
 def table_2x2(means, reps=1):
@@ -257,3 +260,58 @@ class TestFinalize:
                                 stage_a_int_pct=1.0, stage_a_verdict="independent")
         finalize_records([rec], ScreenThresholds())
         assert rec.q_value is None and not rec.confirmed
+
+
+def full_scan_table_cells(log, pair, levels_a, levels_b, workload_id, repetitions):
+    """Reference table assembly: one full pass over the log per table."""
+    a, b = pair
+    index = {}
+    for m in log:
+        if m.workload_id != workload_id or m.outcome != "ok":
+            continue
+        if m.repetition >= repetitions:
+            continue
+        if set(m.config.assignments) != {a, b}:
+            continue
+        index.setdefault(m.config.config_hash(), []).append(m.metric_value)
+    cells = []
+    for va in levels_a:
+        row = []
+        for vb in levels_b:
+            key = Configuration({a: va, b: vb}).config_hash()
+            row.append(sorted(index.get(key, [])))
+        cells.append(row)
+    return cells
+
+
+# Stage A corners (1 rep), the stage-B grid (3 reps), and a grid with a level
+# (0.5) that no record carries, so some cells are empty.
+TABLE_SHAPES = (([0.0, 1.0], [0.0, 1.0], 1),
+                (list(INDEX_LEVELS), list(INDEX_LEVELS), 3),
+                (list(INDEX_LEVELS), [0.0, 0.5, 1.0], 3))
+
+
+class TestTableFromLogIndex:
+    def test_matches_full_scan_reference(self):
+        multi_value_cells = 0
+        for seed in range(25):
+            log, workloads = random_log(random.Random(seed))
+            for pair in plan_pairs(list(INDEX_PARAMS)):
+                for w in workloads:
+                    for levels_a, levels_b, reps in TABLE_SHAPES:
+                        table = table_from_log(log, pair, levels_a, levels_b, w,
+                                               repetitions=reps)
+                        expected = full_scan_table_cells(log, pair, levels_a, levels_b,
+                                                         w, reps)
+                        assert table.cells == expected
+                        multi_value_cells += sum(len(c) > 1 for row in expected for c in row)
+        assert multi_value_cells > 0
+
+    def test_reads_no_full_scan(self):
+        log, workloads = random_log(random.Random(1))
+        guarded = scan_free_copy(log)
+        for levels_a, levels_b, reps in TABLE_SHAPES:
+            table = table_from_log(guarded, ("a", "b"), levels_a, levels_b, workloads[0],
+                                   repetitions=reps)
+            assert table.cells == table_from_log(log, ("a", "b"), levels_a, levels_b,
+                                                 workloads[0], repetitions=reps).cells

@@ -1,14 +1,17 @@
 """Correlation graph decomposition and component-wise joint optimization."""
 
+import random
+from collections import Counter
+
 import pytest
 
-from helpers import global_grid_argmax, one_workload, unit_space
+from helpers import global_grid_argmax, one_workload, random_log, scan_free_copy, unit_space
 from tuneforge.errors import AnalysisError, ParameterError
 from tuneforge.interaction import InteractionRecord, InteractionReport, ScreenThresholds
 from tuneforge.sensitivity import SafeRange, SensitivityProfile, SensitivityReport
 from tuneforge.simulator import Coupling, Response, SimulatorAdapter, SimulatorModel
 from tuneforge.space import Configuration
-from tuneforge.topology import (CorrelationGraph, UnionFind, build_graph,
+from tuneforge.topology import (CorrelationGraph, UnionFind, _grid_means, build_graph,
                                 independent_baseline, measure_baselines,
                                 optimize_component, plan_joint_search)
 
@@ -253,3 +256,44 @@ class TestDecompositionOptimality:
         grid = {n: levels for n in ("a1", "a2", "a3", "b1", "b2")}
         expected, _ = global_grid_argmax(model, space, grid)  # 4^5 = 1024 points
         assert Configuration(combined) == expected
+
+
+def full_scan_grid_means(log, configs, workload_id):
+    """Reference grid means: one full pass over the log, summing in log order."""
+    by_hash = {}
+    for m in log:
+        if m.workload_id == workload_id and m.outcome == "ok":
+            by_hash.setdefault(m.config.config_hash(), []).append(m.metric_value)
+    means = {}
+    for c in configs:
+        vals = by_hash.get(c.config_hash())
+        if vals:
+            means[c.config_hash()] = sum(vals) / len(vals)
+    return means
+
+
+class TestGridMeansIndex:
+    def logged_configs(self, log):
+        """Every configuration in the log, plus one that no record carries."""
+        configs = {m.config.canonical(): m.config for m in log}
+        return list(configs.values()) + [Configuration({"a": 0.5})]
+
+    def test_matches_full_scan_reference(self):
+        multi_record_means = 0
+        for seed in range(25):
+            log, workloads = random_log(random.Random(seed))
+            configs = self.logged_configs(log)
+            for w in workloads:
+                expected = full_scan_grid_means(log, configs, w)
+                assert _grid_means(log, configs, w) == expected
+            ok_counts = Counter((m.config.canonical(), m.workload_id)
+                                for m in log if m.outcome == "ok")
+            multi_record_means += sum(n > 1 for n in ok_counts.values())
+        assert multi_record_means > 0
+
+    def test_reads_no_full_scan(self):
+        log, workloads = random_log(random.Random(1))
+        configs = self.logged_configs(log)
+        guarded = scan_free_copy(log)
+        for w in workloads:
+            assert _grid_means(guarded, configs, w) == _grid_means(log, configs, w)
