@@ -26,6 +26,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Any
@@ -52,6 +54,16 @@ ACTION_BRANCH = "branch"
 TARGET_END = "end"
 TARGET_ABORT = "abort"
 
+# Document hashes memoized by content: sha256 of the compact sorted-key JSON
+# -> sha256(serialize())[:16]. The compact and the canonical indented text
+# carry the same tokens in the same order and differ only in whitespace that
+# the nesting fixes, so the canonical text, and with it the hash, is a
+# function of the compact text. The compact encoding runs in C, the indented
+# one in pure Python. Only digests are kept, never document text.
+_HASH_MEMO_SIZE = 32
+_hash_memo: OrderedDict[bytes, str] = OrderedDict()
+_hash_memo_lock = threading.Lock()
+
 
 @dataclass
 class Step:
@@ -77,6 +89,10 @@ class Step:
     right: Any = None
     cond: str | None = None        # branch
     target: int | None = None
+
+    def compare_text(self) -> str:
+        """The predicate a compare step evaluates."""
+        return f"{self.left} {self.op} {_rhs_text(self.right)}"
 
     def declared_signal(self) -> str | None:
         if self.action in (ACTION_BENCHMARK, ACTION_COMPUTE, ACTION_COMPARE):
@@ -128,7 +144,7 @@ class Skill:
             if step.action == ACTION_COMPUTE and step.expr:
                 out.append(step.expr)
             if step.action == ACTION_COMPARE:
-                out.append(f"{step.left} {step.op} {_rhs_text(step.right)}")
+                out.append(step.compare_text())
         return out
 
     def to_json(self) -> dict:
@@ -216,7 +232,23 @@ class ProceduralDocument:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
     def document_hash(self) -> str:
-        return hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
+        """sha256(serialize())[:16], memoized by the document's content.
+
+        The memo key is taken from the content on every call, so a document
+        edited in place gets the hash of its new content.
+        """
+        key = hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode()).digest()
+        with _hash_memo_lock:
+            digest = _hash_memo.get(key)
+            if digest is not None:
+                _hash_memo.move_to_end(key)
+                return digest
+        digest = hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
+        with _hash_memo_lock:
+            _hash_memo[key] = digest
+            if len(_hash_memo) > _HASH_MEMO_SIZE:
+                _hash_memo.popitem(last=False)
+        return digest
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -369,6 +401,10 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     optima_by_key = {(tuple(o.component), o.workload_id): o for o in optima}
 
     sig = signal_name
+    # One spec object per parameter, shared by every template that pins it at
+    # its current best level; compiled templates are read-only.
+    best_level_spec = {name: {"$grid": [name, f"best_{sig(name)}_idx"]}
+                       for name in top_names}
     provenance: dict[str, dict] = {}
     skills: list[Skill] = []
 
@@ -577,7 +613,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
             template: dict[str, Any] = dict(member_values)
             for other in top_names:
                 if other not in member_values:
-                    template[other] = {"$grid": [other, f"best_{sig(other)}_idx"]}
+                    template[other] = best_level_spec[other]
             return template
 
         proc = _Proc()
@@ -643,8 +679,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
 
     # ---- candidate assembly and cross-workload verification ------------
     cand = _Proc()
-    candidate_template = {name: {"$grid": [name, f"best_{sig(name)}_idx"]}
-                          for name in top_names}
+    candidate_template = dict(best_level_spec)
     cand.add(Step(action=ACTION_BENCHMARK, template=candidate_template, workload_id=w0.id,
                   repetitions=policy.online_repetitions, out="cand_metric", adopt=True))
     better = "max" if direction == "maximize" else "min"

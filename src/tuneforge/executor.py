@@ -153,6 +153,11 @@ class SessionRunner:
         return event
 
     def _eval_predicate(self, text: str, skill: Skill) -> tuple[bool, dict]:
+        """Evaluate one predicate; an evaluation error aborts the session.
+
+        A validated document can still read a declared signal that was never
+        set, e.g. when a branch skipped the step that computes it.
+        """
         parsed = expr_mod.parse(text)
         env: dict[str, Any] = {}
         for symbol in sorted(parsed.symbols()):
@@ -160,7 +165,10 @@ class SessionRunner:
                 env[symbol] = self.session.signals[symbol]
             elif symbol in skill.reference_data:
                 env[symbol] = skill.reference_data[symbol]
-        verdict = evaluate_predicate(text, self.session.signals, skill.reference_data)
+        try:
+            verdict = evaluate_predicate(text, self.session.signals, skill.reference_data)
+        except ExpressionError as e:
+            raise _Abort(f"{skill.id}: predicate {text!r} failed: {e}")
         return verdict, {"expr": text, "env": env, "verdict": verdict}
 
     # -- step execution --------------------------------------------------
@@ -283,7 +291,7 @@ class SessionRunner:
                 self._event(skill.id, ACTION_COMPUTE, step=i,
                             inputs={"expr": step.expr}, outputs={step.out: value})
             elif step.action == ACTION_COMPARE:
-                text = f"{step.left} {step.op} {_literal_or_signal(step.right)}"
+                text = step.compare_text()
                 verdict, record = self._eval_predicate(text, skill)
                 outputs = {}
                 if step.out:
@@ -394,12 +402,6 @@ class SessionRunner:
                     outputs={"status": STATUS_CONVERGED,
                              "final_config": config.assignments,
                              "final_metric": metric})
-
-
-def _literal_or_signal(right: Any) -> str:
-    if isinstance(right, dict) and "$signal" in right:
-        return right["$signal"]
-    return repr(float(right))
 
 
 def run_session(doc: ProceduralDocument, adapter: Adapter, budget: int, seed: int,

@@ -10,6 +10,7 @@ short-circuit, "defined(x) and x > 0" is a safe guarded reference.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Any, Mapping
 
@@ -21,6 +22,11 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op><=|>=|==|!=|[<>=+\-*/(),])
   | (?P<ws>\s+)
 """, re.VERBOSE)
+
+# Parsed expressions are memoized by text. One compiled document holds about
+# 500-900 distinct predicate texts; the bound sits well above that, so an
+# in-order validation pass over a whole document never evicts its own entries.
+_PARSE_CACHE_SIZE = 2048
 
 _FUNCTIONS = {"abs", "min", "max", "defined"}
 _KEYWORDS = {"and", "or", "not"}
@@ -42,17 +48,25 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class Expr:
-    """A parsed expression: evaluatable, and statically inspectable."""
+    """A parsed expression: evaluatable, and statically inspectable.
+
+    Instances are shared between callers through the parse cache, so they
+    are never mutated after construction.
+    """
 
     def __init__(self, text: str, ast: tuple):
         self.text = text
         self._ast = ast
+        self._symbols = self._collect_symbols()
 
     def __repr__(self):
         return f"Expr({self.text!r})"
 
-    def symbols(self) -> set[str]:
+    def symbols(self) -> frozenset[str]:
         """Every symbol the expression references, defined() arguments included."""
+        return self._symbols
+
+    def _collect_symbols(self) -> frozenset[str]:
         out: set[str] = set()
 
         def walk(node):
@@ -69,7 +83,7 @@ class Expr:
                     walk(a)
 
         walk(self._ast)
-        return out
+        return frozenset(out)
 
     def evaluate(self, signals: Mapping[str, Any], reference: Mapping[str, Any]) -> float:
         """Evaluate against the signal store, then reference data.
@@ -253,9 +267,17 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string; raises ExpressionError on malformed input."""
+    """Parse an expression string; raises ExpressionError on malformed input.
+
+    Repeated texts return the same cached Expr; errors are never cached.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
+    return _parse_text(text)
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_text(text: str) -> Expr:
     return Expr(text, _Parser(text).parse())
 
 

@@ -1,6 +1,9 @@
 """Document compilation, validation, serialization, and knowledge export."""
 
+import copy
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -8,7 +11,9 @@ from helpers import run_small_pipeline
 from tuneforge.docgen import (CompilePolicy, KnowledgeExport, ProceduralDocument,
                               Skill, Step, compile_document, compile_warnings,
                               export_knowledge, render_text, validate_document)
-from tuneforge.errors import CompileError, ParameterError
+from tuneforge import docgen
+from tuneforge.errors import CompileError, DocumentError, ParameterError
+from tuneforge.executor import run_session
 from tuneforge.space import WorkloadSpec
 
 
@@ -40,6 +45,17 @@ class TestCompile:
         loaded = ProceduralDocument.load(str(path))
         assert loaded.to_json() == doc.to_json()
         assert loaded.serialize() == doc.serialize()
+        assert loaded.document_hash() == doc.document_hash()
+
+    def test_templates_share_one_grid_spec_per_parameter(self, pipeline):
+        uses: dict[str, list[int]] = {}
+        for skill in pipeline["doc"].skills:
+            for step in skill.procedure:
+                for spec in (step.template or {}).values():
+                    if isinstance(spec, dict) and "$grid" in spec:
+                        uses.setdefault(spec["$grid"][0], []).append(id(spec))
+        assert max(len(ids) for ids in uses.values()) > 1
+        assert all(len(set(ids)) == 1 for ids in uses.values())
 
     def test_compile_is_byte_deterministic(self, pipeline):
         p = pipeline
@@ -163,6 +179,88 @@ class TestValidate:
         doc.skills[0].decision_criteria = [("1", "nowhere")]
         doc.skills[0].postconditions = ["ghost > 1"]
         assert len(validate_document(doc)) >= 2
+
+
+def _random_value(rng, depth=0):
+    kinds = ["int", "float", "bool", "str"] + (["list", "dict"] if depth < 2 else [])
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "float":
+        return rng.choice([1.0, 0.5, -2.25, rng.random()])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "str":
+        return rng.choice(["a", "b c", "x\"y", "1"])
+    if kind == "list":
+        return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {f"k{i}": _random_value(rng, depth + 1) for i in range(rng.randint(0, 3))}
+
+
+def _random_document(rng):
+    skills = [Skill(id="root", kind="orchestration",
+                    procedure=[Step(action="compute", expr="1", out="x")],
+                    decision_criteria=[("1", "end")])]
+    for i in range(rng.randint(0, 3)):
+        skills.append(Skill(
+            id=f"s{i}", kind="per-parameter",
+            procedure=[Step(action="benchmark", template={"p": _random_value(rng)},
+                            workload_id="w0", repetitions=rng.randint(1, 3), out=f"m{i}")],
+            postconditions=[f"m{i} > {rng.randint(0, 9)}"]))
+    for skill in skills:
+        skill.reference_data = {f"r{j}": _random_value(rng) for j in range(rng.randint(0, 4))}
+        skill.reference_data["nested"] = {"a": [1.0, {"b": 2}]}
+        skill.reference_data["one"] = 1.0
+    return ProceduralDocument(
+        fingerprint={"space_hash": "h", "campaign_id": f"c{rng.randint(0, 10**6)}"},
+        root="root", skills=skills, workloads=[WorkloadSpec(id="w0")],
+        primary_workload="w0", grids={"p": [0.0, rng.random(), 1.0]},
+        safe_ranges={}, provenance={}, policy={})
+
+
+class TestDocumentHashMemo:
+    @staticmethod
+    def fresh_hash(doc):
+        return hashlib.sha256(doc.serialize().encode()).hexdigest()[:16]
+
+    def check(self, doc):
+        digest = doc.document_hash()
+        assert digest == self.fresh_hash(doc)
+        return digest
+
+    def test_hash_follows_in_place_edits(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            doc = _random_document(rng)
+            original = self.check(doc)
+            skill = rng.choice(doc.skills)
+
+            skill.reference_data["nested"]["a"][1]["b"] = 3
+            self.check(doc)
+
+            seen = set()
+            for value in (1.0, 1, True):
+                skill.reference_data["one"] = value
+                seen.add(self.check(doc))
+            assert len(seen) == 3
+
+            skill.procedure.append(Step(action="compute", expr="2", out="y"))
+            self.check(doc)
+
+            skill.procedure.pop()
+            skill.reference_data["one"] = 1.0
+            skill.reference_data["nested"]["a"][1]["b"] = 2
+            assert self.check(doc) == original
+        assert len(docgen._hash_memo) <= docgen._HASH_MEMO_SIZE
+        assert all(isinstance(k, bytes) and len(k) == 32 and len(v) == 16
+                   for k, v in docgen._hash_memo.items())
+
+    def test_invalid_edit_after_a_session_is_still_rejected(self, pipeline):
+        doc = copy.deepcopy(pipeline["doc"])
+        assert run_session(doc, pipeline["adapter"], budget=30, seed=3).status == "converged"
+        doc.skills[0].decision_criteria = [("1", "missing")]
+        with pytest.raises(DocumentError):
+            run_session(doc, pipeline["adapter"], budget=30, seed=3)
 
 
 class TestWarnings:

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (global_grid_argmax, run_small_pipeline, shifted_small_model,
                      small_model, unit_space)
+from tuneforge import expr as expr_mod
 from tuneforge.docgen import ProceduralDocument, Skill, Step
 from tuneforge.errors import DocumentError, ExpressionError
 from tuneforge.executor import (evaluate_predicate, replay_session,
@@ -165,6 +166,22 @@ class TestReplay:
             replay_session(session.trace_header(), session.trace, edited)
 
 
+class TestWarmPath:
+    def test_second_session_reuses_document_hash_and_parses(self, pipeline, monkeypatch):
+        doc, adapter = pipeline["doc"], pipeline["adapter"]
+        first = run_session(doc, adapter, budget=30, seed=101)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the warm path re-serialized or re-parsed")
+
+        monkeypatch.setattr(ProceduralDocument, "serialize", refuse)
+        monkeypatch.setattr(expr_mod, "_Parser", refuse)
+        second = run_session(doc, adapter, budget=30, seed=101)
+        assert first.status == second.status == "converged"
+        assert second.trace_header() == first.trace_header()
+        assert [e.to_json() for e in second.trace] == [e.to_json() for e in first.trace]
+
+
 class TestAnomalyFloor:
     def test_selected_set_below_floor_aborts_before_benchmarking(self, pipeline):
         from tuneforge.docgen import CompilePolicy, compile_document
@@ -262,3 +279,37 @@ class TestErrorPaths:
         session = run_session(doc, pipeline["adapter"], budget=30, seed=1)
         assert session.status == "aborted"
         assert "safe" in session.diagnostic or "invalid" in session.diagnostic
+
+    @pytest.mark.parametrize("site", ["branch", "decision", "postcondition", "convergence"])
+    def test_predicate_on_unset_signal_aborts_with_diagnostic(self, pipeline, site):
+        # `x` is declared by a compute step that an always-true branch skips,
+        # so the document validates but `x` is never set when read.
+        def skipped_x():
+            return [Step(action="branch", cond="1", target=2),
+                    Step(action="compute", expr="1", out="x")]
+
+        orch = Skill(id="root", kind="orchestration", procedure=skipped_x(),
+                     decision_criteria=[("1", "end")])
+        skills = [orch]
+        if site == "branch":
+            orch.procedure.append(Step(action="branch", cond="x > 0", target=3))
+        elif site == "decision":
+            orch.decision_criteria = [("x > 0", "end")]
+        elif site == "postcondition":
+            orch.procedure = []
+            orch.decision_criteria = [("1", "child")]
+            skills.append(Skill(id="child", kind="per-parameter", procedure=skipped_x(),
+                                decision_criteria=[("1", "end")],
+                                postconditions=["x > 0"]))
+        else:
+            orch.postconditions = ["x > 0"]
+        doc = ProceduralDocument(
+            fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
+            skills=skills, workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
+            grids={}, safe_ranges={}, provenance={}, policy={})
+        session = run_session(doc, pipeline["adapter"], budget=5, seed=0)
+        assert session.status == "aborted"
+        assert "predicate 'x > 0' failed" in session.diagnostic
+        assert "unresolved symbol 'x'" in session.diagnostic
+        assert session.trace[-1].outputs == {"status": "aborted",
+                                             "diagnostic": session.diagnostic}

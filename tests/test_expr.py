@@ -2,6 +2,7 @@
 
 import pytest
 
+from tuneforge import expr as expr_mod
 from tuneforge.errors import ExpressionError
 from tuneforge.expr import evaluate, evaluate_predicate, parse
 
@@ -70,9 +71,27 @@ class TestParsing:
         with pytest.raises(ExpressionError):
             parse(bad)
 
+    def test_malformed_text_raises_on_every_call(self):
+        for bad in ("1 +", "foo(1)", "a $ b"):
+            for _ in range(3):
+                with pytest.raises(ExpressionError):
+                    parse(bad)
+        assert expr_mod._parse_text.cache_info().currsize == 0
+
+    def test_repeated_text_returns_the_cached_expression(self):
+        text = "a >= 0.5 and defined(c)"
+        assert parse(text) is parse(text)
+
     def test_symbols_collects_everything_including_defined_args(self):
         e = parse("defined(flag) and cv > tau_s * 2 + max(x, 0)")
         assert e.symbols() == {"flag", "cv", "tau_s", "x"}
+
+    def test_symbols_cannot_be_mutated(self):
+        symbols = parse("a + b").symbols()
+        assert isinstance(symbols, frozenset)
+        with pytest.raises(AttributeError):
+            symbols.add("c")
+        assert parse("a + b").symbols() == {"a", "b"}
 
     def test_numeric_literal_forms(self):
         assert evaluate("1e3 + .5 + 2.", {}, {}) == 1002.5
