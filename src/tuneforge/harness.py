@@ -15,6 +15,7 @@ import math
 import os
 import shlex
 import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -90,13 +91,18 @@ class Measurement:
         return d
 
     @classmethod
-    def from_json(cls, d: dict) -> "Measurement":
+    def from_json(cls, d: dict, configs: dict[str, Configuration] | None = None) -> "Measurement":
+        """Rebuild a record; with ``configs`` (canonical form -> Configuration),
+        records with equal configurations share one object."""
+        config = Configuration(d["config"])
+        if configs is not None:
+            config = configs.setdefault(config.canonical(), config)
         return cls(
-            config=Configuration(d["config"]),
-            workload_id=d["workload_id"],
+            config=config,
+            workload_id=sys.intern(d["workload_id"]),
             repetition=int(d["repetition"]),
             metric_value=d["metric_value"],
-            outcome=d["outcome"],
+            outcome=sys.intern(d["outcome"]),
             wall_time=float(d.get("wall_time", 0.0)),
             diagnostic=d.get("diagnostic"),
         )
@@ -159,7 +165,13 @@ class MeasurementLog:
 
     @classmethod
     def load(cls, path: str) -> "MeasurementLog":
-        """Read a log, tolerating a truncated trailing line (killed writer)."""
+        """Read a log, tolerating a truncated trailing line (killed writer).
+
+        Records with equal configurations share one Configuration, and
+        workload ids and outcomes are interned, so a loaded log holds each
+        distinct configuration once.
+        """
+        configs: dict[str, Configuration] = {}
         with open(path, encoding="utf-8") as fh:
             header = json.loads(fh.readline())
             log = cls(seed=header["seed"], space_hash=header["space_hash"],
@@ -169,7 +181,7 @@ class MeasurementLog:
                 if not line:
                     continue
                 try:
-                    record = Measurement.from_json(json.loads(line))
+                    record = Measurement.from_json(json.loads(line), configs)
                 except (json.JSONDecodeError, KeyError):
                     break  # interrupted mid-write; everything before it is good
                 log.append(record)

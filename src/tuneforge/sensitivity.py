@@ -122,6 +122,7 @@ class SensitivityReport:
     baseline_means: dict[str, float]
     profiles: list[SensitivityProfile]
     excluded_runs: int = 0
+    excluded: dict[str, str] = field(default_factory=dict)  # parameter -> why it has no profile
 
     def profile(self, name: str) -> SensitivityProfile:
         for p in self.profiles:
@@ -145,7 +146,7 @@ class SensitivityReport:
         return out
 
     def to_json(self) -> dict:
-        return {
+        d = {
             "schema_version": 1,
             "campaign_id": self.campaign_id,
             "space_hash": self.space_hash,
@@ -154,6 +155,9 @@ class SensitivityReport:
             "excluded_runs": self.excluded_runs,
             "profiles": [p.to_json() for p in self.profiles],
         }
+        if self.excluded:
+            d["excluded"] = self.excluded
+        return d
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -169,6 +173,7 @@ class SensitivityReport:
             baseline_means=dict(d["baseline_means"]),
             profiles=[SensitivityProfile.from_json(p) for p in d["profiles"]],
             excluded_runs=int(d.get("excluded_runs", 0)),
+            excluded=dict(d.get("excluded", {})),
         )
 
     @classmethod
@@ -398,6 +403,49 @@ def select_top_k(profiles: list[SensitivityProfile], tau_s: float) -> list[Sensi
     return sorted(chosen, key=lambda p: (-p.aggregate_cv, p.parameter))
 
 
+def _profile_parameter(param: str, sweeps: dict, baseline_means: dict[str, float],
+                       space: ParameterSpace, workloads: list[WorkloadSpec],
+                       flat_tol: float, step_frac: float) -> SensitivityProfile | None:
+    """One parameter's profile across workloads; None when it was never swept.
+
+    Raises AnalysisError when the parameter cannot be profiled, e.g. when it
+    is unsafe at its default level.
+    """
+    cvs: dict[str, float] = {}
+    warnings: list[str] = []
+    best_level: dict[str, Any] = {}
+    safe: SafeRange | None = None
+    agg_wid = None
+    for w in workloads:
+        sweep = sweeps.get((param, w.id))
+        if sweep is None:
+            continue
+        base = baseline_means[w.id]
+        cvs[w.id] = compute_cv(sweep, base)
+        usable = sweep.usable()
+        if len(usable) < 3:
+            warnings.append(f"{w.id}: only {len(usable)} usable levels")
+        means = {i: sweep.mean(i) for i in usable}
+        best_i = (max if w.direction == "maximize" else min)(means, key=lambda i: means[i])
+        best_level[w.id] = sweep.levels[best_i]
+        rng = extract_safe_range(sweep, base, space)
+        safe = rng if safe is None else _intersect_ranges(safe, rng, space, param)
+        if agg_wid is None or cvs[w.id] > cvs[agg_wid]:
+            agg_wid = w.id
+    if not cvs or safe is None:
+        return None
+    agg_sweep = sweeps[(param, agg_wid)]
+    return SensitivityProfile(
+        parameter=param,
+        cv_per_workload=cvs,
+        aggregate_cv=max(cvs.values()),
+        shape=classify_shape(agg_sweep, baseline_means[agg_wid], flat_tol, step_frac),
+        safe_range=safe,
+        best_level=best_level,
+        warnings=warnings,
+    )
+
+
 def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
                         workloads: list[WorkloadSpec],
                         tau_s: float = DEFAULT_TAU_S,
@@ -417,42 +465,17 @@ def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
 
     params = sorted({param for (param, _) in sweeps})
     profiles: list[SensitivityProfile] = []
+    excluded: dict[str, str] = {}
     excluded_runs = sum(1 for m in log if m.outcome != OUTCOME_OK)
     for param in params:
-        cvs: dict[str, float] = {}
-        warnings: list[str] = []
-        best_level: dict[str, Any] = {}
-        safe: SafeRange | None = None
-        agg_wid = None
-        for w in workloads:
-            sweep = sweeps.get((param, w.id))
-            if sweep is None:
-                continue
-            base = baseline_means[w.id]
-            cvs[w.id] = compute_cv(sweep, base)
-            usable = sweep.usable()
-            if len(usable) < 3:
-                warnings.append(f"{w.id}: only {len(usable)} usable levels")
-            means = {i: sweep.mean(i) for i in usable}
-            best_i = (max if w.direction == "maximize" else min)(means, key=lambda i: means[i])
-            best_level[w.id] = sweep.levels[best_i]
-            rng = extract_safe_range(sweep, base, space)
-            safe = rng if safe is None else _intersect_ranges(safe, rng, space, param)
-            if agg_wid is None or cvs[w.id] > cvs[agg_wid]:
-                agg_wid = w.id
-        if not cvs or safe is None:
+        try:
+            profile = _profile_parameter(param, sweeps, baseline_means, space, workloads,
+                                         flat_tol, step_frac)
+        except AnalysisError as e:
+            excluded[param] = str(e)  # one bad parameter must not sink the stage
             continue
-        agg_sweep = sweeps[(param, agg_wid)]
-        shape = classify_shape(agg_sweep, baseline_means[agg_wid], flat_tol, step_frac)
-        profiles.append(SensitivityProfile(
-            parameter=param,
-            cv_per_workload=cvs,
-            aggregate_cv=max(cvs.values()),
-            shape=shape,
-            safe_range=safe,
-            best_level=best_level,
-            warnings=warnings,
-        ))
+        if profile is not None:
+            profiles.append(profile)
 
     profiles.sort(key=lambda p: (-p.aggregate_cv, p.parameter))
     selected = {p.parameter for p in select_top_k(profiles, tau_s)}
@@ -467,4 +490,6 @@ def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
         baseline_means=baseline_means,
         profiles=profiles,
         excluded_runs=excluded_runs,
+        excluded=excluded,
     )
+

@@ -14,7 +14,8 @@ can be checked against hand-evaluated values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import numpy as np
 import yaml
@@ -115,48 +116,108 @@ class CrashRegion:
         return self.lo < v <= self.hi
 
 
-@dataclass
+# Fallback for parameters the model leaves unplanted.
+_FLAT = Response()
+
+
+class _WorkloadTable:
+    """One model compiled against one space and one workload.
+
+    ``defaults`` maps every parameter to its normalized default; ``terms``
+    holds the non-flat responses in space order and ``couplings`` the
+    couplings whose members are both in the space, in declaration order, each
+    with its multiplier at the defaults. Skipping the flat factors is exact:
+    ``x * 1.0 == x`` for every float.
+    """
+
+    __slots__ = ("space", "position", "defaults", "terms", "couplings")
+
+    def __init__(self, model: "SimulatorModel", space: ParameterSpace, workload_id: str):
+        self.space = space
+        self.position = {spec.name: i for i, spec in enumerate(space)}
+        self.defaults = {spec.name: spec.domain.normalize(spec.default) for spec in space}
+        self.terms = []
+        for spec in space:
+            response = model.response_for(spec.name, workload_id)
+            if response.shape != "flat":
+                self.terms.append((spec.name, response,
+                                   response.multiplier(self.defaults[spec.name])))
+        self.couplings = [(c, c.multiplier(self.defaults[c.a], self.defaults[c.b]))
+                          for c in model.couplings
+                          if c.a in self.defaults and c.b in self.defaults]
+
+    def order(self, name: str) -> int:
+        """Space position; names outside the space sort last, as resolve() puts them."""
+        return self.position.get(name, len(self.position))
+
+
+@dataclass(frozen=True)
 class SimulatorModel:
     """Planted ground-truth model for one parameter space.
 
     ``overrides`` substitutes per-workload response functions, letting
     sensitivities differ across workloads. With sigma = 0 evaluation is
     deterministic; with all shapes flat it returns base_rate exactly.
+
+    The model is immutable (its mappings are read-only), so it compiles itself
+    lazily into one table per (space, workload) and evaluates a configuration
+    in time proportional to its assignments, the non-flat responses and the
+    couplings rather than to the size of the space.
     """
 
     base_rate: float
-    responses: dict[str, Response] = field(default_factory=dict)
-    couplings: list[Coupling] = field(default_factory=list)
-    crashes: dict[str, CrashRegion] = field(default_factory=dict)
+    responses: Mapping[str, Response] = field(default_factory=dict)
+    couplings: tuple[Coupling, ...] = ()
+    crashes: Mapping[str, CrashRegion] = field(default_factory=dict)
     sigma: float = 0.0
-    overrides: dict[str, dict[str, Response]] = field(default_factory=dict)
+    overrides: Mapping[str, Mapping[str, Response]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.base_rate <= 0:
             raise ParameterError("base_rate must be positive")
         if self.sigma < 0:
             raise ParameterError("sigma must be >= 0")
+        object.__setattr__(self, "responses", MappingProxyType(dict(self.responses)))
+        object.__setattr__(self, "couplings", tuple(self.couplings))
+        object.__setattr__(self, "crashes", MappingProxyType(dict(self.crashes)))
+        object.__setattr__(self, "overrides", MappingProxyType(
+            {w: MappingProxyType(dict(m)) for w, m in self.overrides.items()}))
+        object.__setattr__(self, "_tables", {})  # workload id -> _WorkloadTable
 
     def response_for(self, param: str, workload_id: str) -> Response:
         over = self.overrides.get(workload_id, {})
         if param in over:
             return over[param]
-        return self.responses.get(param, Response())
+        return self.responses.get(param, _FLAT)
+
+    def _table(self, space: ParameterSpace, workload_id: str) -> _WorkloadTable:
+        # No lock: threads racing here build equal tables, and each caller
+        # evaluates with the table it got, never one re-read for another space.
+        table = self._tables.get(workload_id)
+        if table is None or table.space is not space:
+            table = self._tables[workload_id] = _WorkloadTable(self, space, workload_id)
+        return table
 
     def true_metric(self, space: ParameterSpace, config: Configuration, workload_id: str) -> float:
         """Noise-free metric; raises CrashError inside a planted crash region."""
+        table = self._table(space, workload_id)
         resolved = space.resolve(config)
-        norms = {name: space.get(name).domain.normalize(value)
-                 for name, value in resolved.items()}
+        assigned = config.assignments
+        norms = {name: space.get(name).domain.normalize(assigned[name])
+                 for name in sorted(assigned, key=table.order)}
         for name, region in self.crashes.items():
             if name in resolved and region.contains(resolved[name]):
                 raise CrashError(f"planted crash region hit: {name}={resolved[name]!r}")
         metric = self.base_rate
-        for name in resolved:
-            metric *= self.response_for(name, workload_id).multiplier(norms[name])
-        for c in self.couplings:
-            if c.a in norms and c.b in norms:
-                metric *= c.multiplier(norms[c.a], norms[c.b])
+        for name, response, at_default in table.terms:
+            n = norms.get(name)
+            metric *= at_default if n is None else response.multiplier(n)
+        defaults = table.defaults
+        for c, at_default in table.couplings:
+            if c.a in norms or c.b in norms:
+                metric *= c.multiplier(norms.get(c.a, defaults[c.a]), norms.get(c.b, defaults[c.b]))
+            else:
+                metric *= at_default
         return metric
 
     def to_json(self) -> dict:

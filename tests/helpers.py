@@ -176,6 +176,37 @@ def global_grid_argmax(model, space, grid, workload_id="w0", maximize=True):
 
 
 # ---------------------------------------------------------------------------
+# The simulator's metric as it was before models were compiled per workload:
+# every parameter normalized, every response looked up and multiplied in.
+# ---------------------------------------------------------------------------
+
+def reference_true_metric(model, space, config, workload_id):
+    """Noise-free metric by the uncompiled formula; raises as true_metric does."""
+    from tuneforge.errors import CrashError
+    from tuneforge.simulator import Response
+
+    def response_for(param):
+        over = model.overrides.get(workload_id, {})
+        if param in over:
+            return over[param]
+        return model.responses.get(param, Response())
+
+    resolved = space.resolve(config)
+    norms = {name: space.get(name).domain.normalize(value)
+             for name, value in resolved.items()}
+    for name, region in model.crashes.items():
+        if name in resolved and region.contains(resolved[name]):
+            raise CrashError(f"planted crash region hit: {name}={resolved[name]!r}")
+    metric = model.base_rate
+    for name in resolved:
+        metric *= response_for(name).multiplier(norms[name])
+    for c in model.couplings:
+        if c.a in norms and c.b in norms:
+            metric *= c.multiplier(norms[c.a], norms[c.b])
+    return metric
+
+
+# ---------------------------------------------------------------------------
 # A small planted campaign shared by docgen/executor/CLI tests: one strong
 # 2-parameter coupling, two sensitive isolates, two flat parameters.
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import math
 import os
+import random
 import stat
+import sys
 
 import pytest
 
-from helpers import one_workload, unit_space
+from helpers import one_workload, random_log, unit_space
 from tuneforge.errors import ParameterError
 from tuneforge.harness import (Measurement, MeasurementLog, ShellAdapter,
                                mix_seed, run_experiment, run_plan, splitmix64)
@@ -290,6 +292,25 @@ class TestMeasurementLog:
             log.append(Measurement(Configuration({"p": 1}), "w0", 0, 2.0, "ok"))
         assert len(log) == 1
         assert log.cell(Configuration({"p": 1}), "w0") == (m,)
+
+
+    def test_load_shares_equal_configurations_and_saves_identically(self, tmp_path):
+        log, _ = random_log(random.Random(5), records=400)
+        for value in (1, 1.0, True):  # equal under ==, distinct canonical forms
+            log.append(Measurement(Configuration({"a": value}), "w0", 9, 1.0, "ok"))
+        path, again = tmp_path / "log.jsonl", tmp_path / "again.jsonl"
+        log.save(str(path))
+        loaded = MeasurementLog.load(str(path))
+        loaded.save(str(again))
+        assert again.read_bytes() == path.read_bytes()
+        first: dict[str, Configuration] = {}
+        for m in loaded:
+            shared = first.setdefault(m.config.canonical(), m.config)
+            assert m.config is shared
+            assert m.workload_id is sys.intern(m.workload_id)
+            assert m.outcome is sys.intern(m.outcome)
+        assert len({id(m.config) for m in loaded}) == len(first) < len(loaded)
+        assert_index_matches(loaded)
 
 
 class TestShellAdapter:

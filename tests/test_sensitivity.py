@@ -5,8 +5,8 @@ import pytest
 from helpers import cv_oracle, one_workload, unit_space
 from tuneforge.errors import AnalysisError, ParameterError
 from tuneforge.harness import run_plan
-from tuneforge.sensitivity import (SensitivityProfile, SafeRange, SweepResult,
-                                   analyze_sensitivity, classify_shape, compute_cv,
+from tuneforge.sensitivity import (SensitivityProfile, SensitivityReport, SafeRange,
+                                   SweepResult, analyze_sensitivity, classify_shape, compute_cv,
                                    extract_safe_range, plan_sweep, select_top_k)
 from tuneforge.simulator import (CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel)
@@ -159,6 +159,36 @@ class TestExtractSafeRange:
         report = analyze_sensitivity(log, space, one_workload())
         safe = report.profile("p").safe_range
         assert safe.hi == 7.5  # grid [0, 2.5, 5, 7.5, 10]; 10 crashed
+
+
+class TestUnsafeDefaultExclusion:
+    def test_parameter_unsafe_at_default_is_excluded_not_fatal(self):
+        # grid [0, 2.5, 5, 7.5, 10]: the level nearest the default (2.5) crashes
+        space = ParameterSpace((
+            ParameterSpec(name="p", domain=Domain("continuous", 0.0, 10.0), default=2.0),
+            ParameterSpec(name="q", domain=Domain("continuous", 0.0, 1.0), default=0.0)))
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, responses={"q": Response(shape="linear-up", strength=0.4)},
+            crashes={"p": CrashRegion(2.2, 3.0)}))
+        plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=2)
+        log = run_plan(adapter, plan, seed=0)
+        report = analyze_sensitivity(log, space, one_workload())
+        assert [p.parameter for p in report.profiles] == ["q"]
+        assert report.profile("q").selected
+        assert report.excluded == {"p": "p: unsafe at default level 2.5 on workload w0"}
+        data = report.to_json()
+        assert data["excluded"] == report.excluded
+        assert SensitivityReport.from_json(data).excluded == report.excluded
+
+    def test_report_without_exclusions_omits_the_field(self):
+        space = unit_space(["p"])
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, responses={"p": Response(shape="linear-up", strength=0.4)}))
+        plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=1)
+        report = analyze_sensitivity(run_plan(adapter, plan, seed=0), space, one_workload())
+        assert report.excluded == {}
+        assert "excluded" not in report.to_json()
+        assert SensitivityReport.from_json(report.to_json()).excluded == {}
 
 
 class TestSelectTopK:
