@@ -10,7 +10,6 @@ correlation screen, joint optimization.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from .interaction import (InteractionRecord, InteractionReport, ScreenThresholds
                           choose_pair_levels, finalize_records, plan_pair_table,
                           plan_pairs, screen_pair, stage_a_int_pct, stage_a_verdict,
                           table_from_log)
+from .jsonfile import JsonArtifact
 from .sensitivity import (SensitivityReport, analyze_sensitivity, plan_sweep)
 from .space import ParameterSpace, WorkloadSpec
 from .topology import (CorrelationGraph, OptimaReport, build_graph,
@@ -44,7 +44,7 @@ REFERENCE_BUDGET_SHAPE = {"sensitivity": 57, "screen": 32, "joint": 11}
 
 
 @dataclass
-class CampaignState:
+class CampaignState(JsonArtifact):
     stage: str
     seed: int
     space_hash: str
@@ -89,8 +89,7 @@ class Campaign:
         space_hash = self.space.space_hash()
         campaign_id = f"c{self.seed:016x}-{space_hash[:8]}"
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                state = CampaignState.from_json(json.load(fh))
+            state = CampaignState.load(path)
             if state.space_hash != space_hash:
                 raise ParameterError(
                     f"campaign directory was created for space {state.space_hash}, "
@@ -101,14 +100,11 @@ class Campaign:
             return state
         state = CampaignState(stage="planned", seed=self.seed,
                               space_hash=space_hash, campaign_id=campaign_id)
-        self._save_state(state)
+        state.save(path)
         return state
 
-    def _save_state(self, state: CampaignState | None = None) -> None:
-        state = state or self.state
-        with open(self.path(STATE_FILE), "w", encoding="utf-8") as fh:
-            json.dump(state.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    def _save_state(self) -> None:
+        self.state.save(self.path(STATE_FILE))
 
     def require_stage(self, minimum: str, command: str) -> None:
         if self.state.stage_index() < STAGES.index(minimum):

@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from .campaign import Campaign, DOCUMENT_FILE
-from .docgen import (CompilePolicy, ProceduralDocument, compile_warnings,
-                     export_knowledge, render_text)
+from .docgen import (EXPORT_FORMAT, CompilePolicy, ProceduralDocument,
+                     compile_warnings, export_knowledge, render_text)
 from .errors import (AdapterError, AnalysisError, CompileError, DocumentError,
                      ParameterError, TuneforgeError)
 from .executor import STATUS_CONVERGED
@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="mode 2: emit the knowledge-injection file")
     _add_common(p)
-    p.add_argument("--profile", default="optimizer-json", dest="format_profile")
     p.add_argument("--out", default=None, help="output path (default: campaign dir)")
 
     p = sub.add_parser("status", help="show campaign stage and budget accounting")
@@ -175,8 +174,8 @@ def run_command(args: argparse.Namespace) -> int:
     if args.command == "export":
         campaign.require_stage("compiled", "export")
         doc = ProceduralDocument.load(campaign.path(DOCUMENT_FILE))
-        export = export_knowledge(doc, args.format_profile)
-        out = args.out or campaign.path(f"export_{args.format_profile}.json")
+        export = export_knowledge(doc)
+        out = args.out or campaign.path(f"export_{EXPORT_FORMAT}.json")
         export.save(out)
         print(f"wrote {out} ({len(export.top_k)} parameters, "
               f"{len(export.interactions)} interaction annotations)")

@@ -1,7 +1,7 @@
 """Compilation of profiling artifacts into an executable procedural document.
 
 The document is a DAG of skills. Each skill carries preconditions, an ordered
-procedure of steps (benchmark / measure / compute / compare / branch),
+procedure of steps (benchmark / compute / branch),
 decision criteria routing to the next skill, postconditions, and the
 reference data that anchors its decisions. The compiler emits:
 
@@ -28,13 +28,14 @@ import json
 import re
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Any
 
 from . import expr as expr_mod
-from .errors import CompileError, DocumentError, ParameterError
+from .errors import CompileError, DocumentError
 from .interaction import InteractionReport, stage_b_levels
+from .jsonfile import JsonArtifact
 from .sensitivity import SafeRange, SensitivityReport
 from .space import ParameterSpace, WorkloadSpec
 from .topology import CorrelationGraph, JointOptimum
@@ -46,13 +47,13 @@ KIND_PER_COMPONENT = "per-component"
 KIND_ORCHESTRATION = "orchestration"
 
 ACTION_BENCHMARK = "benchmark"
-ACTION_MEASURE = "measure"
 ACTION_COMPUTE = "compute"
-ACTION_COMPARE = "compare"
 ACTION_BRANCH = "branch"
+STEP_ACTIONS = (ACTION_BENCHMARK, ACTION_COMPUTE, ACTION_BRANCH)
 
 TARGET_END = "end"
-TARGET_ABORT = "abort"
+
+EXPORT_FORMAT = "optimizer-json"
 
 # Document hashes memoized by content: sha256 of the compact sorted-key JSON
 # -> sha256(serialize())[:16]. The compact and the canonical indented text
@@ -67,44 +68,35 @@ _hash_memo_lock = threading.Lock()
 
 @dataclass
 class Step:
-    """One procedure action. Fields not used by the action kind stay None.
+    """One procedure action, one of STEP_ACTIONS. Fields the action does not
+    use stay None.
 
-    benchmark: template maps parameter -> literal, {"$signal": name}, or
-    {"$grid": [param, index-signal]}; the mean ok metric lands in `out`.
+    benchmark: run `template` on `workload_id` `repetitions` times; the mean
+    ok metric lands in `out`, and with `adopt` the configuration competes for
+    the incumbent. A template maps parameter -> literal value or
+    {"$grid": [param, index-signal]}, the level of param's document grid at
+    the signal's current index. No ok repetition aborts the session.
+    compute: evaluate `expr` into `out`.
     branch: jump to step index `target` (== len(procedure) exits the skill)
     when `cond` is true.
     """
 
     action: str
-    template: dict[str, Any] | None = None
+    template: dict[str, Any] | None = None     # benchmark
     workload_id: str | None = None
     repetitions: int | None = None
-    out: str | None = None
+    out: str | None = None                     # benchmark, compute
     adopt: bool = False
-    on_error: int | None = None
-    name: str | None = None        # measure
-    expr: str | None = None        # compute
-    left: str | None = None        # compare
-    op: str | None = None
-    right: Any = None
-    cond: str | None = None        # branch
+    expr: str | None = None                    # compute
+    cond: str | None = None                    # branch
     target: int | None = None
 
-    def compare_text(self) -> str:
-        """The predicate a compare step evaluates."""
-        return f"{self.left} {self.op} {_rhs_text(self.right)}"
-
     def declared_signal(self) -> str | None:
-        if self.action in (ACTION_BENCHMARK, ACTION_COMPUTE, ACTION_COMPARE):
-            return self.out
-        if self.action == ACTION_MEASURE:
-            return self.name
-        return None
+        return self.out if self.action in (ACTION_BENCHMARK, ACTION_COMPUTE) else None
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {"action": self.action}
-        for key in ("template", "workload_id", "repetitions", "out", "name",
-                    "expr", "left", "op", "right", "cond", "target", "on_error"):
+        for key in ("template", "workload_id", "repetitions", "out", "expr", "cond", "target"):
             value = getattr(self, key)
             if value is not None:
                 d[key] = value
@@ -114,12 +106,10 @@ class Step:
 
     @classmethod
     def from_json(cls, d: dict) -> "Step":
-        return cls(action=d["action"], template=d.get("template"),
-                   workload_id=d.get("workload_id"), repetitions=d.get("repetitions"),
-                   out=d.get("out"), adopt=bool(d.get("adopt", False)),
-                   on_error=d.get("on_error"), name=d.get("name"), expr=d.get("expr"),
-                   left=d.get("left"), op=d.get("op"), right=d.get("right"),
-                   cond=d.get("cond"), target=d.get("target"))
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DocumentError(f"{d.get('action')!r} step has unknown keys {unknown}")
+        return cls(**{**d, "adopt": bool(d.get("adopt", False))})
 
 
 @dataclass
@@ -143,8 +133,6 @@ class Skill:
                 out.append(step.cond)
             if step.action == ACTION_COMPUTE and step.expr:
                 out.append(step.expr)
-            if step.action == ACTION_COMPARE:
-                out.append(step.compare_text())
         return out
 
     def to_json(self) -> dict:
@@ -171,20 +159,14 @@ class Skill:
                    adaptation_target=d.get("adaptation_target"))
 
 
-def _rhs_text(right: Any) -> str:
-    if isinstance(right, dict) and "$signal" in right:
-        return right["$signal"]
-    return repr(float(right))
-
-
 @dataclass
-class ProceduralDocument:
+class ProceduralDocument(JsonArtifact):
     fingerprint: dict[str, str]          # {"space_hash", "campaign_id"}
     root: str
     skills: list[Skill]
     workloads: list[WorkloadSpec]
     primary_workload: str
-    grids: dict[str, list[Any]]          # per-parameter probe levels
+    grids: dict[str, list[Any]]          # per-parameter grid levels
     safe_ranges: dict[str, dict]         # per-parameter SafeRange json
     provenance: dict[str, dict]          # "skill.key" -> {"campaign", "operation"}
     policy: dict[str, Any]
@@ -227,10 +209,6 @@ class ProceduralDocument:
             "skills": [s.to_json() for s in self.skills],
         }
 
-    def serialize(self) -> str:
-        """Canonical text form: sorted keys, stable floats, trailing newline."""
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
-
     def document_hash(self) -> str:
         """sha256(serialize())[:16], memoized by the document's content.
 
@@ -250,10 +228,6 @@ class ProceduralDocument:
                 _hash_memo.popitem(last=False)
         return digest
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.serialize())
-
     @classmethod
     def from_json(cls, d: dict) -> "ProceduralDocument":
         if d.get("schema_version") != SCHEMA_VERSION:
@@ -269,11 +243,6 @@ class ProceduralDocument:
             provenance=dict(d.get("provenance", {})),
             policy=dict(d.get("policy", {})),
         )
-
-    @classmethod
-    def load(cls, path: str) -> "ProceduralDocument":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -755,10 +724,11 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
     """Exhaustive structural validation; returns all violations, not the first.
 
     Checks: unique ids, a unique orchestration skill that is the root, every
-    decision/adaptation target resolves, branch targets in range, signal
-    declarations unique within a skill, predicate symbols closed over
-    reference data plus declared signals, acyclicity, reachability from the
-    root, and provenance completeness for reference data.
+    step action in STEP_ACTIONS, every decision/adaptation target resolves,
+    branch targets in range, benchmark workloads declared, predicate symbols
+    closed over reference data plus declared signals, acyclicity,
+    reachability from the root, and provenance completeness for reference
+    data.
     """
     violations: list[str] = []
     ids = [s.id for s in doc.skills]
@@ -776,13 +746,11 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
 
     declared: set[str] = set()
     for skill in doc.skills:
-        seen: set[str] = set()
         for i, step in enumerate(skill.procedure):
+            if step.action not in STEP_ACTIONS:
+                violations.append(f"{skill.id}: step {i} has unknown action {step.action!r}")
             sig_name = step.declared_signal()
             if sig_name:
-                if sig_name in seen and step.action == ACTION_MEASURE:
-                    violations.append(f"{skill.id}: duplicate signal {sig_name!r}")
-                seen.add(sig_name)
                 declared.add(sig_name)
             if step.action == ACTION_BRANCH:
                 if step.target is None or not 0 <= step.target <= len(skill.procedure):
@@ -797,7 +765,7 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
 
     for skill in doc.skills:
         for _, target in skill.decision_criteria:
-            if target not in (TARGET_END, TARGET_ABORT) and target not in by_id:
+            if target != TARGET_END and target not in by_id:
                 violations.append(f"{skill.id}: unresolved skill id {target!r}")
         if skill.adaptation_target is not None and skill.adaptation_target not in by_id:
             violations.append(
@@ -858,10 +826,9 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
 
 
 @dataclass
-class KnowledgeExport:
+class KnowledgeExport(JsonArtifact):
     """Mode-2 knowledge-injection payload for external tuners."""
 
-    format_profile: str
     top_k: list[dict]
     safe_ranges: dict[str, dict]
     interactions: list[dict]
@@ -870,44 +837,27 @@ class KnowledgeExport:
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
-            "format_profile": self.format_profile,
+            "format_profile": EXPORT_FORMAT,
             "fingerprint": self.fingerprint,
             "top_k": self.top_k,
             "safe_ranges": self.safe_ranges,
             "interactions": self.interactions,
         }
 
-    def serialize(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.serialize())
-
     @classmethod
     def from_json(cls, d: dict) -> "KnowledgeExport":
-        return cls(format_profile=d["format_profile"], top_k=list(d["top_k"]),
-                   safe_ranges=dict(d["safe_ranges"]), interactions=list(d["interactions"]),
-                   fingerprint=dict(d["fingerprint"]))
-
-    @classmethod
-    def load(cls, path: str) -> "KnowledgeExport":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        if d.get("format_profile") != EXPORT_FORMAT:
+            raise DocumentError(f"unsupported export format {d.get('format_profile')!r}")
+        return cls(top_k=list(d["top_k"]), safe_ranges=dict(d["safe_ranges"]),
+                   interactions=list(d["interactions"]), fingerprint=dict(d["fingerprint"]))
 
 
-EXPORT_PROFILES = ("optimizer-json", "prompt-text")
-
-
-def export_knowledge(doc: ProceduralDocument, format_profile: str = "optimizer-json") -> KnowledgeExport:
+def export_knowledge(doc: ProceduralDocument) -> KnowledgeExport:
     """Extract the advisory payload: top-k list, safe ranges, interactions.
 
     Values are copied bit-identically from the document's reference data;
     nothing is recomputed.
     """
-    if format_profile not in EXPORT_PROFILES:
-        raise ParameterError(
-            f"unknown export format profile {format_profile!r}; choose from {EXPORT_PROFILES}")
     top_k = []
     for skill in doc.skills:
         if skill.kind != KIND_PER_PARAMETER or not skill.id.startswith("verify_"):
@@ -936,9 +886,8 @@ def export_knowledge(doc: ProceduralDocument, format_profile: str = "optimizer-j
                     "eta_squared": value,
                     "component": cid,
                 })
-    return KnowledgeExport(format_profile=format_profile, top_k=top_k,
-                           safe_ranges=safe_ranges, interactions=interactions,
-                           fingerprint=dict(doc.fingerprint))
+    return KnowledgeExport(top_k=top_k, safe_ranges=safe_ranges,
+                           interactions=interactions, fingerprint=dict(doc.fingerprint))
 
 
 def _param_of_verify_skill(doc: ProceduralDocument, skill: Skill) -> str:

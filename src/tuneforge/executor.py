@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from . import expr as expr_mod
-from .docgen import (ACTION_BENCHMARK, ACTION_BRANCH, ACTION_COMPARE,
-                     ACTION_COMPUTE, ACTION_MEASURE, TARGET_ABORT, TARGET_END,
+from .docgen import (ACTION_BENCHMARK, ACTION_BRANCH, ACTION_COMPUTE, TARGET_END,
                      ProceduralDocument, Skill, Step, validate_document)
 from .errors import DocumentError, ExpressionError, ParameterError
 from .harness import OUTCOME_OK, Adapter, run_experiment
@@ -176,12 +175,7 @@ class SessionRunner:
     def _resolve_template(self, template: dict[str, Any], skill: Skill) -> Configuration:
         resolved: dict[str, Any] = {}
         for param, spec in template.items():
-            if isinstance(spec, dict) and "$signal" in spec:
-                name = spec["$signal"]
-                if name not in self.session.signals:
-                    raise _Abort(f"{skill.id}: template references unset signal {name!r}")
-                resolved[param] = self.session.signals[name]
-            elif isinstance(spec, dict) and "$grid" in spec:
+            if isinstance(spec, dict) and "$grid" in spec:
                 grid_param, signal = spec["$grid"]
                 if signal not in self.session.signals:
                     raise _Abort(f"{skill.id}: template references unset signal {signal!r}")
@@ -197,7 +191,11 @@ class SessionRunner:
         return Configuration(resolved)
 
     def _check_safe(self, config: Configuration, skill: Skill) -> None:
-        """Hard containment check: never benchmark outside documented safe ranges."""
+        """Hard containment check: never benchmark outside the space's domains
+        or the documented safe ranges."""
+        result = validate_configuration(self.adapter.space, config)
+        if not result.ok:
+            raise _Abort(f"{skill.id}: invalid configuration: " + "; ".join(result.violations))
         for param, value in config.assignments.items():
             safe = self.doc.safe_range_of(param)
             if safe is None:
@@ -208,12 +206,9 @@ class SessionRunner:
             elif not (float(safe.lo) <= float(value) <= float(safe.hi)):
                 raise _Abort(
                     f"{skill.id}: {param}={value!r} outside safe range [{safe.lo}, {safe.hi}]")
-        result = validate_configuration(self.adapter.space, config)
-        if not result.ok:
-            raise _Abort(f"{skill.id}: invalid configuration: " + "; ".join(result.violations))
 
-    def _run_benchmark(self, skill: Skill, index: int, step: Step) -> int | None:
-        """Execute one benchmark step; returns an error-branch target or None."""
+    def _run_benchmark(self, skill: Skill, index: int, step: Step) -> None:
+        """Execute one benchmark step; no ok repetition aborts the session."""
         if self.session.trials_used + 1 > self.session.trial_budget:
             raise _Abort("trial budget exhausted")
         config = self._resolve_template(step.template or {}, skill)
@@ -240,11 +235,8 @@ class SessionRunner:
                             "repetitions": reps},
                     outputs=outputs)
         if not metrics:
-            if step.on_error is not None:
-                return step.on_error
             raise _Abort(f"{skill.id}: step {index} benchmark produced no ok repetition "
                          f"({outcomes})")
-        return None
 
     def _adopt(self, config: Configuration, metric: float, workload: WorkloadSpec) -> None:
         if workload.id != self.doc.primary_workload:
@@ -269,18 +261,7 @@ class SessionRunner:
         while i < len(steps):
             step = steps[i]
             if step.action == ACTION_BENCHMARK:
-                jump = self._run_benchmark(skill, i, step)
-                if jump is not None:
-                    i = jump
-                    continue
-            elif step.action == ACTION_MEASURE:
-                probe = getattr(self.adapter, "probe", None)
-                if probe is None:
-                    raise _Abort(f"{skill.id}: adapter exposes no signal probe for {step.name!r}")
-                value = probe(step.name)
-                self.session.signals[step.name] = value
-                self._event(skill.id, ACTION_MEASURE, step=i,
-                            inputs={"name": step.name}, outputs={step.name: value})
+                self._run_benchmark(skill, i, step)
             elif step.action == ACTION_COMPUTE:
                 try:
                     value = expr_mod.evaluate(step.expr, self.session.signals,
@@ -290,16 +271,7 @@ class SessionRunner:
                 self.session.signals[step.out] = value
                 self._event(skill.id, ACTION_COMPUTE, step=i,
                             inputs={"expr": step.expr}, outputs={step.out: value})
-            elif step.action == ACTION_COMPARE:
-                text = step.compare_text()
-                verdict, record = self._eval_predicate(text, skill)
-                outputs = {}
-                if step.out:
-                    self.session.signals[step.out] = 1.0 if verdict else 0.0
-                    outputs[step.out] = self.session.signals[step.out]
-                self._event(skill.id, ACTION_COMPARE, step=i,
-                            inputs={"expr": text}, outputs=outputs, predicates=[record])
-            elif step.action == ACTION_BRANCH:
+            else:  # ACTION_BRANCH; validation admits no other action
                 verdict, record = self._eval_predicate(step.cond, skill)
                 self._event(skill.id, ACTION_BRANCH, step=i,
                             inputs={"cond": step.cond, "target": step.target},
@@ -307,8 +279,6 @@ class SessionRunner:
                 if verdict:
                     i = step.target
                     continue
-            else:
-                raise _Abort(f"{skill.id}: unknown action {step.action!r}")
             i += 1
 
         if skill.id != self.doc.root and skill.postconditions:
@@ -358,8 +328,6 @@ class SessionRunner:
                 current = self.doc.root
                 while True:
                     target = self._run_skill(self.skills[current])
-                    if target == TARGET_ABORT:
-                        raise _Abort(f"{current}: decision criteria routed to abort")
                     if target == TARGET_END:
                         break
                     if target not in self.skills:

@@ -11,7 +11,6 @@ are those with eta^2 above threshold and corrected q below threshold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -19,6 +18,7 @@ from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, MeasurementLog, PlanEntry
+from .jsonfile import JsonArtifact
 from .sensitivity import SafeRange, SensitivityReport
 from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, snap_to_domain
 from .stats import benjamini_hochberg, f_upper_tail_p
@@ -158,7 +158,7 @@ class InteractionRecord:
 
 
 @dataclass
-class InteractionReport:
+class InteractionReport(JsonArtifact):
     campaign_id: str
     space_hash: str
     thresholds: ScreenThresholds
@@ -194,11 +194,6 @@ class InteractionReport:
             "records": [r.to_json() for r in self.records],
         }
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_json(cls, d: dict) -> "InteractionReport":
         t = d["thresholds"]
@@ -212,11 +207,6 @@ class InteractionReport:
                 stage_b_reps=t.get("stage_b_reps", 3)),
             records=[InteractionRecord.from_json(r) for r in d["records"]],
         )
-
-    @classmethod
-    def load(cls, path: str) -> "InteractionReport":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def plan_pairs(top_k: list[str]) -> list[tuple[str, str]]:

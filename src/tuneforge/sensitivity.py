@@ -12,7 +12,6 @@ interaction stage screens.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -20,6 +19,7 @@ from typing import Any
 from .errors import AnalysisError, ParameterError
 from .harness import (DEGRADATION_FRACTION, OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT,
                       MeasurementLog, PlanEntry)
+from .jsonfile import JsonArtifact
 from .space import Configuration, ParameterSpace, WorkloadSpec, level_grid
 
 DEFAULT_TAU_S = 0.05      # aggregate-CV selection threshold
@@ -113,7 +113,7 @@ class SensitivityProfile:
 
 
 @dataclass
-class SensitivityReport:
+class SensitivityReport(JsonArtifact):
     """Stage-1 output: one record per swept parameter, plus campaign identity."""
 
     campaign_id: str
@@ -159,11 +159,6 @@ class SensitivityReport:
             d["excluded"] = self.excluded
         return d
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_json(cls, d: dict) -> "SensitivityReport":
         return cls(
@@ -175,11 +170,6 @@ class SensitivityReport:
             excluded_runs=int(d.get("excluded_runs", 0)),
             excluded=dict(d.get("excluded", {})),
         )
-
-    @classmethod
-    def load(cls, path: str) -> "SensitivityReport":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def plan_sweep(space: ParameterSpace, workloads: list[WorkloadSpec],

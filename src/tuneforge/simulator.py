@@ -274,10 +274,3 @@ class SimulatorAdapter:
             return truth
         rng = np.random.Generator(np.random.PCG64(seed))
         return truth * float(np.exp(self.model.sigma * rng.standard_normal()))
-
-    def probe(self, name: str) -> float:
-        """Named read-only signals for measure steps."""
-        probes = {"base_rate": self.model.base_rate, "sigma": self.model.sigma}
-        if name not in probes:
-            raise ParameterError(f"simulator exposes no probe named {name!r}")
-        return probes[name]

@@ -8,7 +8,6 @@ over its members' stage-B levels, with everything else pinned at defaults.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Any
@@ -16,6 +15,7 @@ from typing import Any
 from .errors import AnalysisError, ParameterError
 from .harness import Adapter, MeasurementLog, PlanEntry, mean_ok_metric, run_plan
 from .interaction import InteractionReport, stage_b_levels
+from .jsonfile import JsonArtifact
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
@@ -186,7 +186,7 @@ class JointOptimum:
 
 
 @dataclass
-class OptimaReport:
+class OptimaReport(JsonArtifact):
     campaign_id: str
     space_hash: str
     graph: CorrelationGraph
@@ -211,11 +211,6 @@ class OptimaReport:
             "runs_used": self.runs_used,
         }
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_json(cls, d: dict) -> "OptimaReport":
         return cls(campaign_id=d["campaign_id"], space_hash=d["space_hash"],
@@ -223,11 +218,6 @@ class OptimaReport:
                    optima=[JointOptimum.from_json(o) for o in d["optima"]],
                    baseline_means=dict(d["baseline_means"]),
                    runs_used=int(d.get("runs_used", 0)))
-
-    @classmethod
-    def load(cls, path: str) -> "OptimaReport":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def plan_joint_search(component: list[str], report: SensitivityReport,

@@ -1,9 +1,12 @@
 """Campaign pipeline across multiple workloads and edge paths."""
 
+import os
+
 import pytest
 
 from helpers import one_workload, unit_space
-from tuneforge.campaign import Campaign
+from tuneforge.campaign import STATE_FILE, Campaign
+from tuneforge.docgen import export_knowledge
 from tuneforge.errors import ParameterError
 from tuneforge.executor import run_session
 from tuneforge.interaction import (PairLevels, ScreenThresholds,
@@ -113,6 +116,43 @@ class TestCampaignGuards:
         campaign.profile(adapter, levels_per_param=4, repetitions=1)
         report = campaign.screen(adapter)
         assert report.records == []
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("failure", ["unserializable", "rename"])
+    @pytest.mark.parametrize("artifact", ["state", "sensitivity", "interaction", "optima",
+                                          "document", "export"])
+    def test_failed_save_leaves_previous_file_intact(self, two_workload_setup, tmp_path,
+                                                     monkeypatch, artifact, failure):
+        setup = two_workload_setup
+        if artifact == "state":
+            campaign = Campaign(str(tmp_path), setup["space"], setup["workloads"], seed=5)
+            obj, path, save = campaign.state, campaign.path(STATE_FILE), campaign._save_state
+        else:
+            obj = {"sensitivity": setup["sens"], "interaction": setup["inter"],
+                   "optima": setup["optima"], "document": setup["doc"],
+                   "export": export_knowledge(setup["doc"])}[artifact]
+            path = str(tmp_path / f"{artifact}.json")
+
+            def save():
+                obj.save(path)
+            save()
+        with open(path, "rb") as fh:
+            before = fh.read()
+        if failure == "unserializable":
+            monkeypatch.setattr(type(obj), "to_json",
+                                lambda self: {"ok": 1, "unserializable": object()})
+            expected = TypeError
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+            monkeypatch.setattr(os, "replace", refuse)
+            expected = OSError
+        with pytest.raises(expected):
+            save()
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
 class TestEnumParameters:

@@ -12,7 +12,7 @@ from tuneforge.docgen import (CompilePolicy, KnowledgeExport, ProceduralDocument
                               Skill, Step, compile_document, compile_warnings,
                               export_knowledge, render_text, validate_document)
 from tuneforge import docgen
-from tuneforge.errors import CompileError, DocumentError, ParameterError
+from tuneforge.errors import CompileError, DocumentError
 from tuneforge.executor import run_session
 from tuneforge.space import WorkloadSpec
 
@@ -174,6 +174,24 @@ class TestValidate:
         violations = validate_document(doc)
         assert any("provenance" in v for v in violations)
 
+    @pytest.mark.parametrize("action", ["frobnicate", "measure", "compare"])
+    def test_step_outside_the_vocabulary_rejected(self, action):
+        doc = self.minimal_doc()
+        doc.skills[0].procedure.append(Step(action=action, out="x"))
+        assert f"root: step 1 has unknown action {action!r}" in validate_document(doc)
+
+    def test_abort_target_is_an_unresolved_skill_id(self):
+        doc = self.minimal_doc()
+        doc.skills[0].decision_criteria = [("done < 1", "abort"), ("1", "end")]
+        assert "root: unresolved skill id 'abort'" in validate_document(doc)
+
+    @pytest.mark.parametrize("key", ["on_error", "name", "left", "op", "right", "retries"])
+    def test_step_key_outside_the_vocabulary_rejected_at_load(self, key):
+        d = Step(action="benchmark", template={}, workload_id="w0", out="m").to_json()
+        d[key] = 2
+        with pytest.raises(DocumentError, match=key):
+            Step.from_json(d)
+
     def test_violation_list_is_exhaustive_not_first_failure(self):
         doc = self.minimal_doc()
         doc.skills[0].decision_criteria = [("1", "nowhere")]
@@ -274,7 +292,7 @@ class TestWarnings:
 class TestExport:
     def test_export_counts_and_round_trip(self, pipeline, tmp_path):
         doc = pipeline["doc"]
-        export = export_knowledge(doc, "optimizer-json")
+        export = export_knowledge(doc)
         top_k = pipeline["sensitivity"].top_k()
         assert len(export.top_k) == len(top_k)
         assert len(export.safe_ranges) == len(top_k)
@@ -311,10 +329,6 @@ class TestExport:
         export = export_knowledge(doc)
         assert export.interactions == []
         assert "interactions" in export.to_json()
-
-    def test_unknown_profile_rejected(self, pipeline):
-        with pytest.raises(ParameterError):
-            export_knowledge(pipeline["doc"], "weird-format")
 
     def test_export_is_json_parseable(self, pipeline, tmp_path):
         path = tmp_path / "e.json"

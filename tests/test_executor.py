@@ -53,6 +53,12 @@ class TestBasicSessions:
         with pytest.raises(DocumentError):
             run_session(doc, pipeline["adapter"], budget=5, seed=0)
 
+    def test_unknown_action_rejected_before_any_benchmark(self, pipeline):
+        doc = copy.deepcopy(pipeline["doc"])
+        doc.skill("verify_candidate").procedure.append(Step(action="frobnicate"))
+        with pytest.raises(DocumentError, match="unknown action 'frobnicate'"):
+            run_session(doc, pipeline["adapter"], budget=30, seed=0)
+
     def test_budget_safety_hard_bound(self, pipeline):
         doc = pipeline["doc"]
         adapter = pipeline["adapter"]
@@ -196,23 +202,6 @@ class TestAnomalyFloor:
         assert "top_k_count" in session.diagnostic
 
 
-class TestMeasureAction:
-    def test_measure_reads_adapter_probe(self, pipeline):
-        orch = Skill(
-            id="root", kind="orchestration",
-            procedure=[Step(action="measure", name="base_rate"),
-                       Step(action="compute", expr="base_rate > 0", out="probed")],
-            decision_criteria=[("1", "end")],
-            postconditions=["probed >= 1"])
-        doc = ProceduralDocument(
-            fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
-            skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
-            grids={}, safe_ranges={}, provenance={}, policy={})
-        session = run_session(doc, pipeline["adapter"], budget=1, seed=0)
-        assert session.status == "converged"
-        assert session.signals["base_rate"] == 1000.0
-
-
 class TestStepResolverHook:
     def test_external_resolver_can_override_routing(self, pipeline):
         doc = pipeline["doc"]
@@ -230,43 +219,50 @@ class TestStepResolverHook:
 
 
 class TestErrorPaths:
-    def test_benchmark_error_branch_taken_when_declared(self):
-        # a crash region sits inside the documented safe range; the declared
-        # on_error target routes past the failing step instead of aborting
+    def test_benchmark_without_ok_repetition_aborts(self):
+        # a crash region sits inside the documented safe range
         from tuneforge.simulator import CrashRegion, SimulatorModel
         space = unit_space(["p"])
         model = SimulatorModel(base_rate=100.0, crashes={"p": CrashRegion(0.4, 0.6)})
-        adapter = SimulatorAdapter(space, model)
         orch = Skill(
             id="root", kind="orchestration",
-            procedure=[
-                Step(action="benchmark", template={"p": 0.5}, workload_id="w0",
-                     repetitions=2, out="bad_metric", on_error=2),
-                Step(action="compute", expr="bad_metric", out="chosen"),
-                Step(action="compute", expr="1", out="fallback_done"),
-            ],
-            decision_criteria=[("1", "end")],
-            postconditions=["fallback_done >= 1"])
+            procedure=[Step(action="benchmark", template={"p": 0.5}, workload_id="w0",
+                            repetitions=2, out="bad_metric")],
+            decision_criteria=[("1", "end")])
         doc = ProceduralDocument(
             fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
             skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
             grids={"p": [0.0, 0.5, 1.0]},
             safe_ranges={"p": {"lo": 0.0, "hi": 1.0}}, provenance={}, policy={})
-        session = run_session(doc, adapter, budget=5, seed=0)
-        assert session.status == "converged"
-        assert "chosen" not in session.signals       # the skipped compute never ran
-        assert session.signals["fallback_done"] == 1.0
-        benchmark = [e for e in session.trace if e.action == "benchmark"][0]
-        assert benchmark.outputs["outcomes"] == ["crash", "crash"]
+        session = run_session(doc, SimulatorAdapter(space, model), budget=5, seed=0)
+        assert session.status == "aborted"
+        assert session.diagnostic == \
+            "root: step 0 benchmark produced no ok repetition (['crash', 'crash'])"
+        benchmarks = [e for e in session.trace if e.action == "benchmark"]
+        assert [e.outputs for e in benchmarks] == [{"outcomes": ["crash", "crash"]}]
+        assert "bad_metric" not in session.signals
 
     def test_unknown_workload_or_missing_signal_aborts_cleanly(self, pipeline):
         doc = copy.deepcopy(pipeline["doc"])
         # inject a template reference to an unset signal into the candidate skill
         cand = doc.skill("verify_candidate")
-        cand.procedure[0].template["pc"] = {"$signal": "never_set"}
+        cand.procedure[0].template["pc"] = {"$grid": ["pc", "never_set"]}
         session = run_session(doc, pipeline["adapter"], budget=30, seed=1)
         assert session.status == "aborted"
         assert "never_set" in session.diagnostic
+
+    @pytest.mark.parametrize("literal", ["abc", {"x": 1}, {"$signal": "pc"}])
+    def test_bad_template_literal_aborts_as_invalid_configuration(self, pipeline, literal):
+        doc = copy.deepcopy(pipeline["doc"])
+        verify = doc.skill("verify_pc")
+        step = next(s for s in verify.procedure if s.action == "benchmark")
+        step.template = {"pc": literal}
+        session = run_session(doc, pipeline["adapter"], budget=30, seed=1)
+        assert session.status == "aborted"
+        assert session.diagnostic == \
+            f"verify_pc: invalid configuration: pc={literal!r} out of range continuous[0.0, 1.0]"
+        assert session.trace[-1].outputs == {"status": "aborted",
+                                             "diagnostic": session.diagnostic}
 
     def test_benchmark_outside_safe_range_aborts(self, pipeline):
         doc = copy.deepcopy(pipeline["doc"])
