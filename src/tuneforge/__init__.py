@@ -11,7 +11,8 @@ from .docgen import (CompilePolicy, KnowledgeExport, ProceduralDocument, Skill,
                      Step, compile_document, export_knowledge, validate_document)
 from .errors import (AdapterError, AnalysisError, CompileError, CrashError,
                      DocumentError, ExpressionError, ParameterError, TuneforgeError)
-from .executor import TuningSession, evaluate_predicate, replay_session, run_session
+from .executor import TuningSession, replay_session, run_session
+from .expr import evaluate_predicate
 from .harness import Measurement, MeasurementLog, ShellAdapter, run_experiment, run_plan
 from .interaction import (AnovaDecomposition, FactorialTable, InteractionRecord,
                           InteractionReport, ScreenThresholds, eta_squared,

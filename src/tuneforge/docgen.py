@@ -17,6 +17,12 @@ reference data that anchors its decisions. The compiler emits:
 * a unique orchestration root that initializes signals, measures the
   baseline, and owns the convergence postcondition.
 
+Template values are literals. A joint or candidate benchmark step sets
+`pin_best` instead of restating the other selected parameters: the
+interpreter runs each grid parameter the template does not name at its level
+under the index signal `best_index_signal(param)`, which the root
+initializes and the re-sweep and joint skills update.
+
 Compilation is a pure function of its inputs; serialization is canonical
 (sorted keys), so identical campaigns produce byte-identical documents.
 """
@@ -26,8 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Any
@@ -40,7 +44,7 @@ from .sensitivity import SafeRange, SensitivityReport
 from .space import ParameterSpace, WorkloadSpec
 from .topology import CorrelationGraph, JointOptimum
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 KIND_PER_PARAMETER = "per-parameter"
 KIND_PER_COMPONENT = "per-component"
@@ -55,15 +59,11 @@ TARGET_END = "end"
 
 EXPORT_FORMAT = "optimizer-json"
 
-# Document hashes memoized by content: sha256 of the compact sorted-key JSON
-# -> sha256(serialize())[:16]. The compact and the canonical indented text
-# carry the same tokens in the same order and differ only in whitespace that
-# the nesting fixes, so the canonical text, and with it the hash, is a
-# function of the compact text. The compact encoding runs in C, the indented
-# one in pure Python. Only digests are kept, never document text.
-_HASH_MEMO_SIZE = 32
-_hash_memo: OrderedDict[bytes, str] = OrderedDict()
-_hash_memo_lock = threading.Lock()
+
+def _require(d: dict, keys: tuple[str, ...], what: str) -> None:
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise DocumentError(f"{what} is missing required key {missing[0]!r}")
 
 
 @dataclass
@@ -73,9 +73,10 @@ class Step:
 
     benchmark: run `template` on `workload_id` `repetitions` times; the mean
     ok metric lands in `out`, and with `adopt` the configuration competes for
-    the incumbent. A template maps parameter -> literal value or
-    {"$grid": [param, index-signal]}, the level of param's document grid at
-    the signal's current index. No ok repetition aborts the session.
+    the incumbent. A template maps parameter -> literal value. With
+    `pin_best`, every parameter of the document's grids that the template
+    does not name is set to its grid level at index signal
+    `best_index_signal(param)`. No ok repetition aborts the session.
     compute: evaluate `expr` into `out`.
     branch: jump to step index `target` (== len(procedure) exits the skill)
     when `cond` is true.
@@ -87,6 +88,7 @@ class Step:
     repetitions: int | None = None
     out: str | None = None                     # benchmark, compute
     adopt: bool = False
+    pin_best: bool = False
     expr: str | None = None                    # compute
     cond: str | None = None                    # branch
     target: int | None = None
@@ -102,6 +104,8 @@ class Step:
                 d[key] = value
         if self.adopt:
             d["adopt"] = True
+        if self.pin_best:
+            d["pin_best"] = True
         return d
 
     @classmethod
@@ -109,7 +113,9 @@ class Step:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise DocumentError(f"{d.get('action')!r} step has unknown keys {unknown}")
-        return cls(**{**d, "adopt": bool(d.get("adopt", False))})
+        _require(d, ("action",), "step")
+        return cls(**{**d, "adopt": bool(d.get("adopt", False)),
+                      "pin_best": bool(d.get("pin_best", False))})
 
 
 @dataclass
@@ -150,6 +156,7 @@ class Skill:
 
     @classmethod
     def from_json(cls, d: dict) -> "Skill":
+        _require(d, ("id", "kind"), "skill")
         return cls(id=d["id"], kind=d["kind"], title=d.get("title", ""),
                    preconditions=list(d.get("preconditions", [])),
                    procedure=[Step.from_json(s) for s in d.get("procedure", [])],
@@ -210,28 +217,15 @@ class ProceduralDocument(JsonArtifact):
         }
 
     def document_hash(self) -> str:
-        """sha256(serialize())[:16], memoized by the document's content.
-
-        The memo key is taken from the content on every call, so a document
-        edited in place gets the hash of its new content.
-        """
-        key = hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode()).digest()
-        with _hash_memo_lock:
-            digest = _hash_memo.get(key)
-            if digest is not None:
-                _hash_memo.move_to_end(key)
-                return digest
-        digest = hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
-        with _hash_memo_lock:
-            _hash_memo[key] = digest
-            if len(_hash_memo) > _HASH_MEMO_SIZE:
-                _hash_memo.popitem(last=False)
-        return digest
+        """First 16 hex digits of the sha256 of the compact sorted-key JSON."""
+        return hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()[:16]
 
     @classmethod
     def from_json(cls, d: dict) -> "ProceduralDocument":
         if d.get("schema_version") != SCHEMA_VERSION:
             raise DocumentError(f"unsupported document schema_version {d.get('schema_version')!r}")
+        _require(d, ("fingerprint", "root", "skills", "workloads", "primary_workload",
+                     "grids", "safe_ranges"), "document")
         return cls(
             fingerprint=dict(d["fingerprint"]),
             root=d["root"],
@@ -275,6 +269,11 @@ def signal_name(raw: str) -> str:
     if not s or not re.match(r"[A-Za-z_]", s[0]):
         s = "p_" + s
     return s
+
+
+def best_index_signal(param: str) -> str:
+    """The signal holding the index of `param`'s current best grid level."""
+    return f"best_{signal_name(param)}_idx"
 
 
 class _Proc:
@@ -370,10 +369,6 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     optima_by_key = {(tuple(o.component), o.workload_id): o for o in optima}
 
     sig = signal_name
-    # One spec object per parameter, shared by every template that pins it at
-    # its current best level; compiled templates are read-only.
-    best_level_spec = {name: {"$grid": [name, f"best_{sig(name)}_idx"]}
-                       for name in top_names}
     provenance: dict[str, dict] = {}
     skills: list[Skill] = []
 
@@ -400,7 +395,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         prof = profiles.profile(name)
         best = prof.best_level.get(w0.id, grids[name][0])
         init_pairs.append((str(_grid_index_of(grids[name], best, space.get(name))),
-                           f"best_{s}_idx"))
+                           best_index_signal(name)))
     for cid in comp_ids:
         init_pairs.append(("0", f"done_{cid}"))
     init_pairs.append(("0", "baseline_done"))
@@ -528,13 +523,13 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         rs.add(Step(action=ACTION_COMPUTE, expr=f"({span}) / baseline_mean", out=f"{s}_cv_obs"))
         cmp_op = "<=" if direction == "maximize" else ">="
         rs.add(Step(action=ACTION_COMPUTE, expr=metric_sigs[0], out=f"{s}_rs_best"))
-        rs.add(Step(action=ACTION_COMPUTE, expr="0", out=f"best_{s}_idx"))
+        rs.add(Step(action=ACTION_COMPUTE, expr="0", out=best_index_signal(name)))
         rs_labels = {}
         for i in range(1, len(metric_sigs)):
             label = f"rs_skip_{i}"
             rs.branch_to_label(f"{metric_sigs[i]} {cmp_op} {s}_rs_best", label)
             rs.add(Step(action=ACTION_COMPUTE, expr=metric_sigs[i], out=f"{s}_rs_best"))
-            rs.add(Step(action=ACTION_COMPUTE, expr=str(i), out=f"best_{s}_idx"))
+            rs.add(Step(action=ACTION_COMPUTE, expr=str(i), out=best_index_signal(name)))
             rs_labels[label] = rs.here()
         rs.add(Step(action=ACTION_COMPUTE, expr="1", out=f"{s}_verify_ok"))
         rs.add(Step(action=ACTION_COMPUTE, expr="1", out=f"adapted_{s}"))
@@ -575,22 +570,15 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
             ref[key] = e.eta_squared
             prov(cid, key, "interaction.two_way_anova")
 
-        def pinned(member_values: dict[str, Any]) -> dict[str, Any]:
-            """Component assignments plus every other selected parameter pinned
-            at its current best level (signal-resolved), per the orchestration
-            skill's joint-search convention."""
-            template: dict[str, Any] = dict(member_values)
-            for other in top_names:
-                if other not in member_values:
-                    template[other] = best_level_spec[other]
-            return template
-
         proc = _Proc()
         proc.branch_to_label(f"done_{cid} >= 1", "exit")
         proc.branch_to_label("eta2_max <= joint_threshold", "mark_done")
-        doc_best_template = pinned({m: opt.best_config.assignments[m] for m in members})
+        # Joint and candidate benchmarks pin every other selected parameter at
+        # its current best level.
+        doc_best_template = {m: opt.best_config.assignments[m] for m in members}
         proc.add(Step(action=ACTION_BENCHMARK, template=doc_best_template, workload_id=w0.id,
-                      repetitions=policy.online_repetitions, out=f"{cid}_doc_metric", adopt=True))
+                      repetitions=policy.online_repetitions, out=f"{cid}_doc_metric",
+                      adopt=True, pin_best=True))
         proc.add(Step(action=ACTION_COMPUTE,
                       expr=_gain_expr(f"{cid}_doc_metric", "baseline_mean", direction),
                       out=f"{cid}_doc_gain"))
@@ -607,30 +595,30 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         metric_sigs = []
         for j, (_, template) in enumerate(cells):
             out = f"{cid}_cell_{j}"
-            proc.add(Step(action=ACTION_BENCHMARK, template=pinned(template),
+            proc.add(Step(action=ACTION_BENCHMARK, template=template,
                           workload_id=w0.id, repetitions=policy.online_repetitions,
-                          out=out, adopt=True))
+                          out=out, adopt=True, pin_best=True))
             metric_sigs.append(out)
         cmp_op = "<=" if direction == "maximize" else ">="
         proc.add(Step(action=ACTION_COMPUTE, expr=metric_sigs[0], out=f"{cid}_grid_best"))
         labels2: dict[str, int] = {}
         for k, m in enumerate(members):
             proc.add(Step(action=ACTION_COMPUTE, expr=str(cells[0][0][k]),
-                          out=f"best_{sig(m)}_idx"))
+                          out=best_index_signal(m)))
         for j in range(1, len(cells)):
             label = f"cell_skip_{j}"
             proc.branch_to_label(f"{metric_sigs[j]} {cmp_op} {cid}_grid_best", label)
             proc.add(Step(action=ACTION_COMPUTE, expr=metric_sigs[j], out=f"{cid}_grid_best"))
             for k, m in enumerate(members):
                 proc.add(Step(action=ACTION_COMPUTE, expr=str(cells[j][0][k]),
-                              out=f"best_{sig(m)}_idx"))
+                              out=best_index_signal(m)))
             labels2[label] = proc.here()
         proc.branch_to_label("1", "mark_done")
 
         labels2["accept_doc"] = proc.here()
         for k, m in enumerate(members):
             idx = _grid_index_of(grids[m], opt.best_config.assignments[m], space.get(m))
-            proc.add(Step(action=ACTION_COMPUTE, expr=str(idx), out=f"best_{sig(m)}_idx"))
+            proc.add(Step(action=ACTION_COMPUTE, expr=str(idx), out=best_index_signal(m)))
         labels2["mark_done"] = proc.here()
         proc.add(Step(action=ACTION_COMPUTE, expr="1", out=f"done_{cid}"))
         labels2["exit"] = proc.here()
@@ -648,9 +636,9 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
 
     # ---- candidate assembly and cross-workload verification ------------
     cand = _Proc()
-    candidate_template = dict(best_level_spec)
-    cand.add(Step(action=ACTION_BENCHMARK, template=candidate_template, workload_id=w0.id,
-                  repetitions=policy.online_repetitions, out="cand_metric", adopt=True))
+    cand.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w0.id,
+                  repetitions=policy.online_repetitions, out="cand_metric", adopt=True,
+                  pin_best=True))
     better = "max" if direction == "maximize" else "min"
     cand.add(Step(action=ACTION_COMPUTE, expr=f"{better}(cand_metric, incumbent_best)",
                   out="tf_new_best"))
@@ -665,9 +653,9 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         ws = sig(w.id)
         cand.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w.id,
                       repetitions=policy.online_repetitions, out=f"baseline_{ws}"))
-        cand.add(Step(action=ACTION_BENCHMARK, template=dict(candidate_template),
-                      workload_id=w.id, repetitions=policy.online_repetitions,
-                      out=f"cand_metric_{ws}"))
+        cand.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w.id,
+                      repetitions=policy.online_repetitions, out=f"cand_metric_{ws}",
+                      pin_best=True))
         cand.add(Step(action=ACTION_COMPUTE, expr=f"cand_metric_{ws} / baseline_{ws}",
                       out=f"cand_ratio_{ws}"))
         if w.direction == "maximize":
@@ -726,7 +714,8 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
     Checks: unique ids, a unique orchestration skill that is the root, every
     step action in STEP_ACTIONS, every decision/adaptation target resolves,
     branch targets in range, benchmark workloads declared, predicate symbols
-    closed over reference data plus declared signals, acyclicity,
+    closed over reference data plus declared signals, the index signals a
+    `pin_best` step reads declared, acyclicity,
     reachability from the root, and provenance completeness for reference
     data.
     """
@@ -763,6 +752,8 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
                         f"{skill.id}: benchmark at step {i} names unknown workload "
                         f"{step.workload_id!r}")
 
+    undeclared_pins = {p: best_index_signal(p) for p in doc.grids
+                       if best_index_signal(p) not in declared}
     for skill in doc.skills:
         for _, target in skill.decision_criteria:
             if target != TARGET_END and target not in by_id:
@@ -770,6 +761,11 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
         if skill.adaptation_target is not None and skill.adaptation_target not in by_id:
             violations.append(
                 f"{skill.id}: unresolved adaptation target {skill.adaptation_target!r}")
+        for i, step in enumerate(skill.procedure):
+            if step.pin_best:
+                violations.extend(f"{skill.id}: step {i} pins {param!r} by undeclared "
+                                  f"signal {signal!r}" for param, signal in undeclared_pins.items()
+                                  if param not in (step.template or {}))
         for text in skill.predicates():
             try:
                 parsed = expr_mod.parse(text)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from . import expr as expr_mod
 from .docgen import (ACTION_BENCHMARK, ACTION_BRANCH, ACTION_COMPUTE, TARGET_END,
-                     ProceduralDocument, Skill, Step, validate_document)
+                     ProceduralDocument, Skill, Step, best_index_signal, validate_document)
 from .errors import DocumentError, ExpressionError, ParameterError
 from .harness import OUTCOME_OK, Adapter, run_experiment
 from .space import Configuration, WorkloadSpec, validate_configuration
@@ -29,12 +29,6 @@ from .space import Configuration, WorkloadSpec, validate_configuration
 STATUS_RUNNING = "running"
 STATUS_CONVERGED = "converged"
 STATUS_ABORTED = "aborted"
-
-
-def evaluate_predicate(text: str, signal_store: Mapping[str, Any],
-                       reference_data: Mapping[str, Any]) -> bool:
-    """Total, deterministic predicate evaluation; unknown symbols raise."""
-    return expr_mod.evaluate_predicate(text, signal_store, reference_data)
 
 
 @dataclass
@@ -165,29 +159,29 @@ class SessionRunner:
             elif symbol in skill.reference_data:
                 env[symbol] = skill.reference_data[symbol]
         try:
-            verdict = evaluate_predicate(text, self.session.signals, skill.reference_data)
+            verdict = expr_mod.evaluate_predicate(text, self.session.signals,
+                                                  skill.reference_data)
         except ExpressionError as e:
             raise _Abort(f"{skill.id}: predicate {text!r} failed: {e}")
         return verdict, {"expr": text, "env": env, "verdict": verdict}
 
     # -- step execution --------------------------------------------------
 
-    def _resolve_template(self, template: dict[str, Any], skill: Skill) -> Configuration:
-        resolved: dict[str, Any] = {}
-        for param, spec in template.items():
-            if isinstance(spec, dict) and "$grid" in spec:
-                grid_param, signal = spec["$grid"]
+    def _resolve_template(self, step: Step, skill: Skill) -> Configuration:
+        """The step's literal template; with `pin_best`, every other grid
+        parameter at the level its best-index signal names."""
+        resolved = dict(step.template or {})
+        if step.pin_best:
+            for param, grid in self.doc.grids.items():
+                if param in resolved:
+                    continue
+                signal = best_index_signal(param)
                 if signal not in self.session.signals:
                     raise _Abort(f"{skill.id}: template references unset signal {signal!r}")
-                grid = self.doc.grids.get(grid_param)
-                if grid is None:
-                    raise _Abort(f"{skill.id}: no grid for parameter {grid_param!r}")
                 idx = int(round(float(self.session.signals[signal])))
                 if not 0 <= idx < len(grid):
-                    raise _Abort(f"{skill.id}: grid index {idx} out of range for {grid_param!r}")
+                    raise _Abort(f"{skill.id}: grid index {idx} out of range for {param!r}")
                 resolved[param] = grid[idx]
-            else:
-                resolved[param] = spec
         return Configuration(resolved)
 
     def _check_safe(self, config: Configuration, skill: Skill) -> None:
@@ -211,7 +205,7 @@ class SessionRunner:
         """Execute one benchmark step; no ok repetition aborts the session."""
         if self.session.trials_used + 1 > self.session.trial_budget:
             raise _Abort("trial budget exhausted")
-        config = self._resolve_template(step.template or {}, skill)
+        config = self._resolve_template(step, skill)
         self._check_safe(config, skill)
         workload = self.workloads[step.workload_id]
         reps = step.repetitions or 1
@@ -404,7 +398,7 @@ def replay_session(header: dict, events: list[TraceEvent],
     for event in events:
         for pred in event.predicates:
             try:
-                verdict = evaluate_predicate(pred["expr"], pred.get("env", {}), {})
+                verdict = expr_mod.evaluate_predicate(pred["expr"], pred.get("env", {}), {})
             except ExpressionError:
                 verdict = None
             if verdict is not bool(pred["verdict"]):
@@ -412,8 +406,3 @@ def replay_session(header: dict, events: list[TraceEvent],
                                    "expr": pred["expr"], "recorded": pred["verdict"],
                                    "replayed": verdict})
     return ReplayResult(ok=not mismatches, mismatches=mismatches)
-
-
-def replay_trace_file(path: str, doc: ProceduralDocument) -> ReplayResult:
-    header, events = load_trace(path)
-    return replay_session(header, events, doc)

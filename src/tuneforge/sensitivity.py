@@ -133,18 +133,6 @@ class SensitivityReport(JsonArtifact):
     def top_k(self) -> list[SensitivityProfile]:
         return [p for p in self.profiles if p.selected]
 
-    def cumulative_cv_share(self) -> list[float]:
-        """Running share of the total aggregate CV mass, in rank order."""
-        ranked = sorted(self.profiles, key=lambda p: p.rank)
-        total = sum(p.aggregate_cv for p in ranked)
-        if total <= 0:
-            return [0.0] * len(ranked)
-        acc, out = 0.0, []
-        for p in ranked:
-            acc += p.aggregate_cv
-            out.append(acc / total)
-        return out
-
     def to_json(self) -> dict:
         d = {
             "schema_version": 1,

@@ -236,11 +236,6 @@ class Configuration:
                 self, "_hash", hashlib.sha256(self.canonical().encode()).hexdigest()[:16])
         return self._hash
 
-    def with_assignment(self, name: str, value: Any) -> "Configuration":
-        merged = dict(self.assignments)
-        merged[name] = value
-        return Configuration(merged)
-
     def is_default(self) -> bool:
         return not self.assignments
 

@@ -76,12 +76,6 @@ class CorrelationGraph:
     edges: list[GraphEdge]
     components: list[list[str]]
 
-    def component_of(self, name: str) -> list[str]:
-        for comp in self.components:
-            if name in comp:
-                return comp
-        raise ParameterError(f"{name!r} is not a graph node")
-
     def multi_components(self) -> list[list[str]]:
         return [c for c in self.components if len(c) > 1]
 
@@ -193,12 +187,6 @@ class OptimaReport(JsonArtifact):
     optima: list[JointOptimum]
     baseline_means: dict[str, float]
     runs_used: int = 0
-
-    def optimum_for(self, component: list[str], workload_id: str) -> JointOptimum | None:
-        for o in self.optima:
-            if o.component == component and o.workload_id == workload_id:
-                return o
-        return None
 
     def to_json(self) -> dict:
         return {

@@ -5,16 +5,14 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from tuneforge import docgen, expr  # noqa: E402
+from tuneforge import expr  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
-def cold_memos():
-    """Empty the parse cache and the document-hash memo before every test.
+def cold_parse_cache():
+    """Empty the parse cache before every test.
 
     Every test then runs the cold path, so test order cannot hide a cold-path
-    defect; only tests that warm the memos themselves cover the warm path.
+    defect; only tests that warm the cache themselves cover the warm path.
     """
     expr._parse_text.cache_clear()
-    with docgen._hash_memo_lock:
-        docgen._hash_memo.clear()

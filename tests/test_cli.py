@@ -133,6 +133,21 @@ class TestFullPipeline:
         assert run_cli(decls, campaign, "tune", "--budget", "2") == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_tune_on_document_missing_a_key_exits_with_analysis_code(self, decls, capsys):
+        campaign = str(decls["dir"] / "no_root")
+        for cmd in (["profile"], ["screen"], ["joint"], ["compile"]):
+            assert run_cli(decls, campaign, *cmd) == 0
+        path = os.path.join(campaign, DOCUMENT_FILE)
+        with open(path) as fh:
+            doc = json.load(fh)
+        del doc["root"]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "tune") == 2
+        err = capsys.readouterr().err
+        assert "analysis error" in err and "'root'" in err
+
     def test_lock_file_released_after_command(self, decls):
         campaign = str(decls["dir"] / "locked")
         assert run_cli(decls, campaign, "profile") == 0

@@ -11,7 +11,6 @@ from helpers import run_small_pipeline
 from tuneforge.docgen import (CompilePolicy, KnowledgeExport, ProceduralDocument,
                               Skill, Step, compile_document, compile_warnings,
                               export_knowledge, render_text, validate_document)
-from tuneforge import docgen
 from tuneforge.errors import CompileError, DocumentError
 from tuneforge.executor import run_session
 from tuneforge.space import WorkloadSpec
@@ -47,15 +46,26 @@ class TestCompile:
         assert loaded.serialize() == doc.serialize()
         assert loaded.document_hash() == doc.document_hash()
 
-    def test_templates_share_one_grid_spec_per_parameter(self, pipeline):
-        uses: dict[str, list[int]] = {}
-        for skill in pipeline["doc"].skills:
+    def test_no_template_value_is_a_dict(self, pipeline):
+        doc = pipeline["doc"]
+        for skill in doc.skills:
             for step in skill.procedure:
-                for spec in (step.template or {}).values():
-                    if isinstance(spec, dict) and "$grid" in spec:
-                        uses.setdefault(spec["$grid"][0], []).append(id(spec))
-        assert max(len(ids) for ids in uses.values()) > 1
-        assert all(len(set(ids)) == 1 for ids in uses.values())
+                assert not any(isinstance(v, dict) for v in (step.template or {}).values())
+        assert "$grid" not in doc.serialize()
+
+    def test_pin_best_marks_joint_and_candidate_benchmarks_only(self, pipeline):
+        doc = pipeline["doc"]
+        benchmarks = [(skill, step) for skill in doc.skills for step in skill.procedure
+                      if step.action == "benchmark"]
+        for skill, step in benchmarks:
+            pinned = skill.id.startswith("joint_") or step.out.startswith("cand_metric")
+            assert step.pin_best is pinned, (skill.id, step.out)
+            if skill.id == "verify_candidate":
+                assert step.template == {}
+        assert any(step.pin_best for _, step in benchmarks)
+        # like `adopt`, the flag is written only when it is set
+        serialized = [s.to_json() for skill in doc.skills for s in skill.procedure]
+        assert all(d.get("pin_best", True) is True for d in serialized)
 
     def test_compile_is_byte_deterministic(self, pipeline):
         p = pipeline
@@ -192,6 +202,16 @@ class TestValidate:
         with pytest.raises(DocumentError, match=key):
             Step.from_json(d)
 
+    def test_pin_best_reads_only_declared_signals(self):
+        doc = self.minimal_doc()
+        doc.grids = {"p": [0.0, 1.0], "q-1": [0.0, 1.0]}
+        doc.skills[0].procedure += [
+            Step(action="compute", expr="1", out="best_p_idx"),
+            Step(action="benchmark", template={"p": 0.0}, workload_id="w0", out="m",
+                 pin_best=True)]
+        assert validate_document(doc) == [
+            "root: step 2 pins 'q-1' by undeclared signal 'best_q_1_idx'"]
+
     def test_violation_list_is_exhaustive_not_first_failure(self):
         doc = self.minimal_doc()
         doc.skills[0].decision_criteria = [("1", "nowhere")]
@@ -236,10 +256,36 @@ def _random_document(rng):
         safe_ranges={}, provenance={}, policy={})
 
 
+class TestLoad:
+    @pytest.mark.parametrize("path", [
+        ("root",), ("skills",), ("workloads",), ("grids",),
+        ("skills", 1, "id"), ("skills", 0, "procedure", 0, "action")],
+        ids=["root", "skills", "workloads", "grids", "skill-id", "step-action"])
+    def test_missing_required_key_is_a_document_error(self, pipeline, path):
+        d = json.loads(pipeline["doc"].serialize())
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(DocumentError, match=f"'{path[-1]}'"):
+            ProceduralDocument.from_json(d)
+
+    def test_step_without_action_is_a_document_error(self):
+        with pytest.raises(DocumentError, match="'action'"):
+            Step.from_json({"template": {}})
+
+    def test_schema_1_document_refused(self, pipeline):
+        d = json.loads(pipeline["doc"].serialize())
+        d["schema_version"] = 1
+        with pytest.raises(DocumentError, match="schema_version 1"):
+            ProceduralDocument.from_json(d)
+
+
 class TestDocumentHashMemo:
     @staticmethod
     def fresh_hash(doc):
-        return hashlib.sha256(doc.serialize().encode()).hexdigest()[:16]
+        compact = json.dumps(doc.to_json(), sort_keys=True)
+        return hashlib.sha256(compact.encode()).hexdigest()[:16]
 
     def check(self, doc):
         digest = doc.document_hash()
@@ -269,9 +315,6 @@ class TestDocumentHashMemo:
             skill.reference_data["one"] = 1.0
             skill.reference_data["nested"]["a"][1]["b"] = 2
             assert self.check(doc) == original
-        assert len(docgen._hash_memo) <= docgen._HASH_MEMO_SIZE
-        assert all(isinstance(k, bytes) and len(k) == 32 and len(v) == 16
-                   for k, v in docgen._hash_memo.items())
 
     def test_invalid_edit_after_a_session_is_still_rejected(self, pipeline):
         doc = copy.deepcopy(pipeline["doc"])

@@ -10,8 +10,8 @@ from helpers import (global_grid_argmax, run_small_pipeline, shifted_small_model
 from tuneforge import expr as expr_mod
 from tuneforge.docgen import ProceduralDocument, Skill, Step
 from tuneforge.errors import DocumentError, ExpressionError
-from tuneforge.executor import (evaluate_predicate, replay_session,
-                                replay_trace_file, run_session)
+from tuneforge.executor import load_trace, replay_session, run_session
+from tuneforge.expr import evaluate_predicate
 from tuneforge.simulator import SimulatorAdapter
 from tuneforge.space import Configuration, WorkloadSpec
 
@@ -141,7 +141,7 @@ class TestReplay:
         session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
         path = tmp_path / "trace.jsonl"
         session.save_trace(str(path))
-        result = replay_trace_file(str(path), doc)
+        result = replay_session(*load_trace(str(path)), doc)
         assert result.ok and result.mismatches == []
 
     def test_flipped_verdict_detected_at_that_event(self, pipeline):
@@ -244,14 +244,57 @@ class TestErrorPaths:
 
     def test_unknown_workload_or_missing_signal_aborts_cleanly(self, pipeline):
         doc = copy.deepcopy(pipeline["doc"])
-        # inject a template reference to an unset signal into the candidate skill
-        cand = doc.skill("verify_candidate")
-        cand.procedure[0].template["pc"] = {"$grid": ["pc", "never_set"]}
+        # Drop the root's init of best_pc_idx. Only the re-sweep, which a
+        # matched session never runs, still sets it, so the document validates
+        # and the first pinned step (joint_c1 pins its non-member pc) reads an
+        # unset signal.
+        orch = doc.skill(doc.root)
+        init = next(i for i, s in enumerate(orch.procedure) if s.out == "best_pc_idx")
+        orch.procedure[init] = Step(action="compute", expr="0", out="pc_init_removed")
         session = run_session(doc, pipeline["adapter"], budget=30, seed=1)
         assert session.status == "aborted"
-        assert "never_set" in session.diagnostic
+        assert session.diagnostic == "joint_c1: template references unset signal 'best_pc_idx'"
+        assert session.trace[-1].outputs == {"status": "aborted",
+                                             "diagnostic": session.diagnostic}
 
-    @pytest.mark.parametrize("literal", ["abc", {"x": 1}, {"$signal": "pc"}])
+    @staticmethod
+    def run_pinned(p_index):
+        """One pin_best benchmark of {"q": 1.0} with best_p_idx = p_index."""
+        from tuneforge.simulator import SimulatorModel
+        orch = Skill(
+            id="root", kind="orchestration",
+            procedure=[Step(action="compute", expr=p_index, out="best_p_idx"),
+                       Step(action="compute", expr="0", out="best_q_idx"),
+                       Step(action="benchmark", template={"q": 1.0}, workload_id="w0",
+                            repetitions=1, out="m", pin_best=True)],
+            decision_criteria=[("1", "end")])
+        doc = ProceduralDocument(
+            fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
+            skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
+            grids={"p": [0.0, 0.5, 1.0], "q": [0.0, 1.0]},
+            safe_ranges={"p": {"lo": 0.0, "hi": 1.0}, "q": {"lo": 0.0, "hi": 1.0}},
+            provenance={}, policy={})
+        adapter = SimulatorAdapter(unit_space(["p", "q"]), SimulatorModel(base_rate=100.0))
+        return run_session(doc, adapter, budget=5, seed=0)
+
+    def test_pin_best_sets_unnamed_grid_parameters_at_their_best_index(self):
+        session = self.run_pinned("1")
+        assert session.status == "converged"
+        assert [c.assignments for c, _ in session.benchmarked_configs()] == \
+            [{"q": 1.0, "p": 0.5}]
+
+    @pytest.mark.parametrize("index", ["3", "-1"])
+    def test_pinned_index_out_of_range_aborts(self, index):
+        session = self.run_pinned(index)
+        assert session.status == "aborted"
+        assert session.diagnostic == f"root: grid index {index} out of range for 'p'"
+        assert session.trace[-1].outputs == {"status": "aborted",
+                                             "diagnostic": session.diagnostic}
+
+    # A dict is never a template value: the former {"$grid": [param, signal]}
+    # form, well-formed or truncated, is an invalid literal like any other.
+    @pytest.mark.parametrize("literal", ["abc", {"x": 1}, {"$signal": "pc"}, {"$grid": ["pc"]},
+                                         {"$grid": ["pc", "best_pc_idx"]}])
     def test_bad_template_literal_aborts_as_invalid_configuration(self, pipeline, literal):
         doc = copy.deepcopy(pipeline["doc"])
         verify = doc.skill("verify_pc")

@@ -157,8 +157,3 @@ class TestConfiguration:
         a = Configuration({"x": 1, "y": 2})
         b = Configuration({"y": 2, "x": 1})
         assert a == b and a.config_hash() == b.config_hash()
-
-    def test_with_assignment_does_not_mutate(self):
-        a = Configuration({"x": 1})
-        b = a.with_assignment("y", 2)
-        assert "y" not in a.assignments and b.assignments["y"] == 2

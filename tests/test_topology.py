@@ -81,7 +81,7 @@ class TestBuildGraph:
         assert flattened == sorted(nodes)  # disjoint cover, no repeats
         assert all(0.15 < e.eta_squared <= 1.0 for e in g.edges)
         for e in g.edges:
-            assert g.component_of(e.a) is g.component_of(e.b)
+            assert any(e.a in comp and e.b in comp for comp in g.components)
 
     def test_edge_weight_is_max_over_confirming_workloads(self):
         records = [
