@@ -7,16 +7,16 @@ optimization components, and compiles the findings into an executable DAG of
 tuning skills that a deterministic interpreter can run against a deployment.
 """
 
-from .docgen import (CompilePolicy, KnowledgeExport, ProceduralDocument, Skill,
-                     Step, compile_document, export_knowledge, validate_document)
+from .docgen import (KnowledgeExport, ProceduralDocument, Skill, Step, compile_document,
+                     export_knowledge, validate_document)
 from .errors import (AdapterError, AnalysisError, CompileError, CrashError,
                      DocumentError, ExpressionError, ParameterError, TuneforgeError)
 from .executor import TuningSession, replay_session, run_session
 from .expr import evaluate_predicate
 from .harness import Measurement, MeasurementLog, ShellAdapter, run_experiment, run_plan
 from .interaction import (AnovaDecomposition, FactorialTable, InteractionRecord,
-                          InteractionReport, ScreenThresholds, eta_squared,
-                          plan_pairs, stage_a_int_pct, two_way_anova)
+                          InteractionReport, eta_squared, plan_pairs, stage_a_int_pct,
+                          two_way_anova)
 from .sensitivity import (SensitivityProfile, SensitivityReport, SweepResult,
                           analyze_sensitivity, classify_shape, compute_cv,
                           extract_safe_range, plan_sweep, select_top_k)

@@ -14,16 +14,16 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .docgen import CompilePolicy, ProceduralDocument, compile_document
+from .docgen import ProceduralDocument, compile_document
 from .errors import AnalysisError, ParameterError
 from .executor import TuningSession, run_session
 from .harness import Adapter, MeasurementLog, PlanEntry, run_plan
-from .interaction import (InteractionRecord, InteractionReport, ScreenThresholds,
-                          choose_pair_levels, finalize_records, plan_pair_table,
-                          plan_pairs, screen_pair, stage_a_int_pct, stage_a_verdict,
-                          table_from_log)
+from .interaction import (STAGE_B_REPS, VERDICT_INDEPENDENT, InteractionRecord,
+                          InteractionReport, choose_pair_levels, finalize_records,
+                          plan_pair_table, plan_pairs, screen_pair, stage_a_int_pct,
+                          stage_a_verdict, table_from_log)
 from .jsonfile import JsonArtifact
-from .sensitivity import (SensitivityReport, analyze_sensitivity, plan_sweep)
+from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
 from .space import ParameterSpace, WorkloadSpec
 from .topology import (CorrelationGraph, OptimaReport, build_graph,
                        measure_baselines, optimize_component, plan_joint_search)
@@ -144,7 +144,7 @@ class Campaign:
     # -- stage 1: sensitivity sweep ---------------------------------------
 
     def profile(self, adapter: Adapter, levels_per_param: int = 5, repetitions: int = 3,
-                tau_s: float = 0.05, parallelism: int = 1) -> SensitivityReport:
+                tau_s: float = DEFAULT_TAU_S, parallelism: int = 1) -> SensitivityReport:
         plan = plan_sweep(self.space, self.workloads, levels_per_param, repetitions)
         existing = self._load_log(SWEEP_LOG)
         fresh = len(plan) if existing is None else sum(
@@ -163,10 +163,8 @@ class Campaign:
 
     # -- stage 2: interaction screen --------------------------------------
 
-    def screen(self, adapter: Adapter, thresholds: ScreenThresholds | None = None,
-               parallelism: int = 1) -> InteractionReport:
+    def screen(self, adapter: Adapter, parallelism: int = 1) -> InteractionReport:
         self.require_stage("sweep-done", "screen")
-        thresholds = thresholds or ScreenThresholds()
         report = SensitivityReport.load(self.path(SENSITIVITY_REPORT))
         top_names = [p.parameter for p in report.top_k()]
 
@@ -197,8 +195,7 @@ class Campaign:
 
         if len(top_names) < 2:
             interaction = InteractionReport(campaign_id=report.campaign_id,
-                                            space_hash=report.space_hash,
-                                            thresholds=thresholds, records=[])
+                                            space_hash=report.space_hash, records=[])
             interaction.save(self.path(INTERACTION_REPORT))
             self.state.budgets["screen"] = 0
             self.state.runs_used["screen"] = 0
@@ -210,7 +207,7 @@ class Campaign:
         unsafe: dict[tuple[str, str], bool] = {}
         for pair in pairs:
             try:
-                levels[pair] = choose_pair_levels(pair, report, self.space, thresholds)
+                levels[pair] = choose_pair_levels(pair, report, self.space)
             except AnalysisError:
                 unsafe[pair] = True
 
@@ -231,7 +228,7 @@ class Campaign:
                    .is_balanced(1) for w in self.workloads):
                 try:
                     levels[pair] = choose_pair_levels(pair, report, self.space,
-                                                      thresholds, interior=True)
+                                                      interior=True)
                     extend(plan_pair_table(pair, levels[pair].stage_a[0],
                                            levels[pair].stage_a[1], self.workloads, 1))
                     retried.add(pair)
@@ -251,13 +248,12 @@ class Campaign:
                 table = table_from_log(log, pair, pl.stage_a[0], pl.stage_a[1], w.id)
                 if not table.is_balanced(1):
                     continue
-                verdict = stage_a_verdict(stage_a_int_pct(table), thresholds)
-                if verdict != "independent":
+                if stage_a_verdict(stage_a_int_pct(table)) != VERDICT_INDEPENDENT:
                     needs_b = True
             if needs_b:
                 advancing.append(pair)
                 extend(plan_pair_table(pair, pl.stage_b[0], pl.stage_b[1],
-                                       self.workloads, thresholds.stage_b_reps))
+                                       self.workloads, STAGE_B_REPS))
         if advancing:
             log = run()
 
@@ -268,15 +264,12 @@ class Campaign:
                         pair=pair, workload_id=w.id, stage_a_int_pct=None,
                         stage_a_verdict=None, unsafe_to_screen=True))
                 continue
-            records.extend(screen_pair(
-                log, log if pair in advancing else None, pair, self.workloads,
-                levels[pair], thresholds))
-        finalize_records(records, thresholds)
+            records.extend(screen_pair(log, pair, self.workloads, levels[pair]))
+        finalize_records(records)
 
         log.save(self.path(SCREEN_LOG))
         interaction = InteractionReport(campaign_id=report.campaign_id,
-                                        space_hash=report.space_hash,
-                                        thresholds=thresholds, records=records)
+                                        space_hash=report.space_hash, records=records)
         interaction.save(self.path(INTERACTION_REPORT))
         self.state.budgets["screen"] = len(plan)
         self.state.runs_used["screen"] = executed
@@ -285,8 +278,8 @@ class Campaign:
 
     # -- stage 3: joint optimization --------------------------------------
 
-    def joint(self, adapter: Adapter, repetitions: int = 3, levels: int = 4,
-              parallelism: int = 1, component_cap: int = 5) -> OptimaReport:
+    def joint(self, adapter: Adapter, repetitions: int = 3,
+              parallelism: int = 1) -> OptimaReport:
         self.require_stage("screen-done", "joint")
         sens = SensitivityReport.load(self.path(SENSITIVITY_REPORT))
         inter = InteractionReport.load(self.path(INTERACTION_REPORT))
@@ -304,8 +297,7 @@ class Campaign:
         joint_keys = {m.key() for m in joint_records}
         for component in graph.multi_components():
             plan = plan_joint_search(component, sens, self.space, self.workloads,
-                                     levels=levels, repetitions=repetitions,
-                                     component_cap=component_cap)
+                                     repetitions=repetitions)
             planned += plan.budget
             cached = screen_log
             fresh = plan.budget if cached is None else sum(
@@ -336,13 +328,13 @@ class Campaign:
 
     # -- stage 4: document compilation ------------------------------------
 
-    def compile(self, policy: CompilePolicy | None = None) -> ProceduralDocument:
+    def compile(self) -> ProceduralDocument:
         self.require_stage("joint-done", "compile")
         sens = SensitivityReport.load(self.path(SENSITIVITY_REPORT))
         inter = InteractionReport.load(self.path(INTERACTION_REPORT))
         optima_report = OptimaReport.load(self.path(OPTIMA_REPORT))
         doc = compile_document(sens, inter, optima_report.graph, optima_report.optima,
-                               self.space, self.workloads, policy or CompilePolicy())
+                               self.space, self.workloads)
         doc.save(self.path(DOCUMENT_FILE))
         self._advance("compiled")
         return doc

@@ -10,13 +10,13 @@ import argparse
 import sys
 
 from .campaign import Campaign, DOCUMENT_FILE
-from .docgen import (EXPORT_FORMAT, CompilePolicy, ProceduralDocument,
-                     compile_warnings, export_knowledge, render_text)
+from .docgen import (EXPORT_FORMAT, ProceduralDocument, compile_warnings, export_knowledge,
+                     render_text)
 from .errors import (AdapterError, AnalysisError, CompileError, DocumentError,
                      ParameterError, TuneforgeError)
 from .executor import STATUS_CONVERGED
 from .harness import ShellAdapter
-from .interaction import ScreenThresholds
+from .sensitivity import DEFAULT_TAU_S
 from .simulator import SimulatorAdapter, SimulatorModel
 from .space import load_space, load_workloads
 
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_adapter(p)
     p.add_argument("--levels", type=int, default=5, help="levels per parameter (3-9)")
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument("--tau-s", type=float, default=0.05, dest="tau_s")
+    p.add_argument("--tau-s", type=float, default=DEFAULT_TAU_S, dest="tau_s")
 
     p = sub.add_parser("screen", help="stage 2: pairwise interaction screening")
     _add_common(p)
@@ -121,8 +121,7 @@ def run_command(args: argparse.Namespace) -> int:
     if args.command == "screen":
         adapter = make_adapter(args.adapter, space)
         with campaign.lock():
-            report = campaign.screen(adapter, ScreenThresholds(),
-                                     parallelism=args.parallelism)
+            report = campaign.screen(adapter, parallelism=args.parallelism)
         confirmed = report.confirmed_pairs()
         print(f"screened {len({r.pair for r in report.records})} pairs; "
               f"{len(confirmed)} confirmed")
@@ -147,7 +146,7 @@ def run_command(args: argparse.Namespace) -> int:
 
     if args.command == "compile":
         with campaign.lock():
-            doc = campaign.compile(CompilePolicy())
+            doc = campaign.compile()
         for warning in compile_warnings(doc):
             print(f"warning: {warning}", file=sys.stderr)
         print(f"compiled {len(doc.skills)} skills into {campaign.path(DOCUMENT_FILE)}")

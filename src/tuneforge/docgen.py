@@ -37,8 +37,8 @@ from itertools import product
 from typing import Any
 
 from . import expr as expr_mod
-from .errors import CompileError, DocumentError
-from .interaction import InteractionReport, stage_b_levels
+from .errors import CompileError, DocumentError, ParameterError
+from .interaction import ETA2_MIN, GRID_LEVELS, InteractionReport, stage_b_levels
 from .jsonfile import JsonArtifact
 from .sensitivity import SafeRange, SensitivityReport
 from .space import ParameterSpace, WorkloadSpec
@@ -59,6 +59,13 @@ TARGET_END = "end"
 
 EXPORT_FORMAT = "optimizer-json"
 
+CV_TOLERANCE = 0.5           # +-50% band on the re-measured CV
+CONVERGENCE_RATIO = 0.01     # pass-over-pass incumbent change for convergence
+ONLINE_REPETITIONS = 3       # repetitions of every benchmark step
+ACCEPT_FRACTION = 0.5        # share of documented improvement that accepts
+MIN_TOP_K = 1                # anomaly threshold on the selected set size
+CROSS_WORKLOAD_FLOOR = 0.5   # candidate must keep half the baseline elsewhere
+
 
 def _require(d: dict, keys: tuple[str, ...], what: str) -> None:
     missing = [key for key in keys if key not in d]
@@ -78,8 +85,8 @@ class Step:
     does not name is set to its grid level at index signal
     `best_index_signal(param)`. No ok repetition aborts the session.
     compute: evaluate `expr` into `out`.
-    branch: jump to step index `target` (== len(procedure) exits the skill)
-    when `cond` is true.
+    branch: jump forward to step index `target` (== len(procedure) exits the
+    skill) when `cond` is true.
     """
 
     action: str
@@ -135,9 +142,9 @@ class Skill:
         out = list(self.preconditions) + list(self.postconditions)
         out.extend(cond for cond, _ in self.decision_criteria)
         for step in self.procedure:
-            if step.action == ACTION_BRANCH and step.cond:
+            if step.action == ACTION_BRANCH:
                 out.append(step.cond)
-            if step.action == ACTION_COMPUTE and step.expr:
+            if step.action == ACTION_COMPUTE:
                 out.append(step.expr)
         return out
 
@@ -222,45 +229,26 @@ class ProceduralDocument(JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "ProceduralDocument":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise DocumentError(f"unsupported document schema_version {d.get('schema_version')!r}")
-        _require(d, ("fingerprint", "root", "skills", "workloads", "primary_workload",
-                     "grids", "safe_ranges"), "document")
-        return cls(
-            fingerprint=dict(d["fingerprint"]),
-            root=d["root"],
-            skills=[Skill.from_json(s) for s in d["skills"]],
-            workloads=[WorkloadSpec.from_json(w) for w in d["workloads"]],
-            primary_workload=d["primary_workload"],
-            grids={k: list(v) for k, v in d["grids"].items()},
-            safe_ranges=dict(d["safe_ranges"]),
-            provenance=dict(d.get("provenance", {})),
-            policy=dict(d.get("policy", {})),
-        )
-
-
-@dataclass(frozen=True)
-class CompilePolicy:
-    """Artifact-level knobs for document generation."""
-
-    cv_tolerance: float = 0.5          # +-50% band on the re-measured CV
-    convergence_ratio: float = 0.01    # pass-over-pass incumbent change for convergence
-    online_repetitions: int = 3
-    accept_fraction: float = 0.5       # share of documented improvement that accepts
-    grid_levels: int = 4
-    min_top_k: int = 1                 # anomaly threshold on the selected set size
-    cross_workload_floor: float = 0.5  # candidate must keep half the baseline elsewhere
-
-    def to_json(self) -> dict:
-        return {
-            "cv_tolerance": self.cv_tolerance,
-            "convergence_ratio": self.convergence_ratio,
-            "online_repetitions": self.online_repetitions,
-            "accept_fraction": self.accept_fraction,
-            "grid_levels": self.grid_levels,
-            "min_top_k": self.min_top_k,
-            "cross_workload_floor": self.cross_workload_floor,
-        }
+        """Load a document; any malformed part raises DocumentError."""
+        try:
+            if d.get("schema_version") != SCHEMA_VERSION:
+                raise DocumentError(
+                    f"unsupported document schema_version {d.get('schema_version')!r}")
+            _require(d, ("fingerprint", "root", "skills", "workloads", "primary_workload",
+                         "grids", "safe_ranges"), "document")
+            return cls(
+                fingerprint=dict(d["fingerprint"]),
+                root=d["root"],
+                skills=[Skill.from_json(s) for s in d["skills"]],
+                workloads=[WorkloadSpec.from_json(w) for w in d["workloads"]],
+                primary_workload=d["primary_workload"],
+                grids={k: list(v) for k, v in d["grids"].items()},
+                safe_ranges=dict(d["safe_ranges"]),
+                provenance=dict(d.get("provenance", {})),
+                policy=dict(d.get("policy", {})),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as e:
+            raise DocumentError(f"malformed document: {type(e).__name__}: {e}") from e
 
 
 def signal_name(raw: str) -> str:
@@ -330,15 +318,13 @@ def _grid_index_of(grid: list[Any], value: Any, spec: "ParameterSpec | None" = N
 
 def compile_document(profiles: SensitivityReport, records: InteractionReport,
                      graph: CorrelationGraph, optima: list[JointOptimum],
-                     space: ParameterSpace, workloads: list[WorkloadSpec],
-                     policy: CompilePolicy | None = None) -> ProceduralDocument:
+                     space: ParameterSpace, workloads: list[WorkloadSpec]) -> ProceduralDocument:
     """Compile profiling outputs into a validated procedural document.
 
     All inputs must come from the same campaign (matching fingerprints).
     Raises CompileError on inconsistent inputs or if the generated skill
     graph fails validation.
     """
-    policy = policy or CompilePolicy()
     if not workloads:
         raise CompileError("at least one workload is required")
     if records.campaign_id != profiles.campaign_id or records.space_hash != profiles.space_hash:
@@ -362,8 +348,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         safe_ranges[p.parameter] = p.safe_range.to_json()
     for name in top_names:
         prof = profiles.profile(name)
-        grids[name] = stage_b_levels(space.get(name), prof.safe_range,
-                                     policy.grid_levels, factorial=False)
+        grids[name] = stage_b_levels(space.get(name), prof.safe_range, factorial=False)
 
     multi = graph.multi_components() if graph.nodes else []
     optima_by_key = {(tuple(o.component), o.workload_id): o for o in optima}
@@ -407,7 +392,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     orch.add(Step(action=ACTION_COMPUTE, expr="pass_count + 1", out="pass_count"))
     orch.branch_to_label("baseline_done >= 1", "skip_baseline")
     orch.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w0.id,
-                  repetitions=policy.online_repetitions, out="baseline_mean", adopt=True))
+                  repetitions=ONLINE_REPETITIONS, out="baseline_mean", adopt=True))
     orch.add(Step(action=ACTION_COMPUTE, expr="baseline_mean", out="incumbent_best"))
     orch.add(Step(action=ACTION_COMPUTE, expr="0", out="pass_gain"))
     orch.add(Step(action=ACTION_COMPUTE, expr="1", out="baseline_done"))
@@ -420,14 +405,14 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         title="Tune the system by verified profile, joint search, and candidate check",
         # A selected set below the anomaly floor cannot be repaired online;
         # failing the precondition aborts immediately with a named diagnostic.
-        preconditions=[f"top_k_count >= {policy.min_top_k}"],
+        preconditions=[f"top_k_count >= {MIN_TOP_K}"],
         procedure=orch.resolve(labels),
         decision_criteria=[("1", first_target)],
-        postconditions=[f"pass_count >= 1 and abs(pass_gain) <= {policy.convergence_ratio}"],
+        postconditions=[f"pass_count >= 1 and abs(pass_gain) <= {CONVERGENCE_RATIO}"],
         reference_data={
             "top_k_count": len(top_names),
             "tau_s": profiles.tau_s,
-            "convergence_ratio": policy.convergence_ratio,
+            "convergence_ratio": CONVERGENCE_RATIO,
         },
     )
     prov(orchestration.id, "top_k_count", "sensitivity.select_top_k")
@@ -446,9 +431,9 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         proc = _Proc()
         proc.branch_to_label(f"verify_done_{s} >= 1", "exit")
         proc.add(Step(action=ACTION_BENCHMARK, template={name: grid[0]}, workload_id=w0.id,
-                      repetitions=policy.online_repetitions, out=f"{s}_lo_metric"))
+                      repetitions=ONLINE_REPETITIONS, out=f"{s}_lo_metric"))
         proc.add(Step(action=ACTION_BENCHMARK, template={name: grid[-1]}, workload_id=w0.id,
-                      repetitions=policy.online_repetitions, out=f"{s}_hi_metric"))
+                      repetitions=ONLINE_REPETITIONS, out=f"{s}_hi_metric"))
         proc.add(Step(action=ACTION_COMPUTE,
                       expr=f"(max({s}_lo_metric, {s}_hi_metric) - min({s}_lo_metric, {s}_hi_metric))"
                            f" / baseline_mean",
@@ -479,8 +464,8 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         ref: dict[str, Any] = {
             "cv": cv_ref,
             "aggregate_cv": prof.aggregate_cv,
-            "cv_tolerance": policy.cv_tolerance,
-            "safety_floor": policy.cross_workload_floor,
+            "cv_tolerance": CV_TOLERANCE,
+            "safety_floor": CROSS_WORKLOAD_FLOOR,
             "rank": prof.rank,
             "shape": prof.shape,
             "safe_lo": prof.safe_range.lo,
@@ -517,7 +502,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         for i, level in enumerate(grid):
             out = f"{s}_rs_m{i}"
             rs.add(Step(action=ACTION_BENCHMARK, template={name: level}, workload_id=w0.id,
-                        repetitions=policy.online_repetitions, out=out, adopt=True))
+                        repetitions=ONLINE_REPETITIONS, out=out, adopt=True))
             metric_sigs.append(out)
         span = f"max({', '.join(metric_sigs)}) - min({', '.join(metric_sigs)})"
         rs.add(Step(action=ACTION_COMPUTE, expr=f"({span}) / baseline_mean", out=f"{s}_cv_obs"))
@@ -557,9 +542,9 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
 
         ref = {
             "eta2_max": eta_max,
-            "joint_threshold": records.thresholds.eta2_min,
+            "joint_threshold": ETA2_MIN,
             "expected_improvement": opt.improvement_vs_default,
-            "accept_fraction": policy.accept_fraction,
+            "accept_fraction": ACCEPT_FRACTION,
         }
         prov(cid, "eta2_max", "interaction.two_way_anova")
         prov(cid, "joint_threshold", "interaction.thresholds")
@@ -577,7 +562,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         # its current best level.
         doc_best_template = {m: opt.best_config.assignments[m] for m in members}
         proc.add(Step(action=ACTION_BENCHMARK, template=doc_best_template, workload_id=w0.id,
-                      repetitions=policy.online_repetitions, out=f"{cid}_doc_metric",
+                      repetitions=ONLINE_REPETITIONS, out=f"{cid}_doc_metric",
                       adopt=True, pin_best=True))
         proc.add(Step(action=ACTION_COMPUTE,
                       expr=_gain_expr(f"{cid}_doc_metric", "baseline_mean", direction),
@@ -596,7 +581,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         for j, (_, template) in enumerate(cells):
             out = f"{cid}_cell_{j}"
             proc.add(Step(action=ACTION_BENCHMARK, template=template,
-                          workload_id=w0.id, repetitions=policy.online_repetitions,
+                          workload_id=w0.id, repetitions=ONLINE_REPETITIONS,
                           out=out, adopt=True, pin_best=True))
             metric_sigs.append(out)
         cmp_op = "<=" if direction == "maximize" else ">="
@@ -637,7 +622,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     # ---- candidate assembly and cross-workload verification ------------
     cand = _Proc()
     cand.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w0.id,
-                  repetitions=policy.online_repetitions, out="cand_metric", adopt=True,
+                  repetitions=ONLINE_REPETITIONS, out="cand_metric", adopt=True,
                   pin_best=True))
     better = "max" if direction == "maximize" else "min"
     cand.add(Step(action=ACTION_COMPUTE, expr=f"{better}(cand_metric, incumbent_best)",
@@ -652,9 +637,9 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     for w in workloads[1:]:
         ws = sig(w.id)
         cand.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w.id,
-                      repetitions=policy.online_repetitions, out=f"baseline_{ws}"))
+                      repetitions=ONLINE_REPETITIONS, out=f"baseline_{ws}"))
         cand.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w.id,
-                      repetitions=policy.online_repetitions, out=f"cand_metric_{ws}",
+                      repetitions=ONLINE_REPETITIONS, out=f"cand_metric_{ws}",
                       pin_best=True))
         cand.add(Step(action=ACTION_COMPUTE, expr=f"cand_metric_{ws} / baseline_{ws}",
                       out=f"cand_ratio_{ws}"))
@@ -672,7 +657,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         procedure=cand.resolve(cand_labels),
         decision_criteria=[("1", TARGET_END)],
         postconditions=["crosscheck_done >= 1"] + cross_post,
-        reference_data={"cross_floor": policy.cross_workload_floor},
+        reference_data={"cross_floor": CROSS_WORKLOAD_FLOOR},
     )
     prov(candidate_id, "cross_floor", "docgen.policy")
     skills.append(candidate)
@@ -686,7 +671,10 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         grids=grids,
         safe_ranges=safe_ranges,
         provenance=provenance,
-        policy=policy.to_json(),
+        policy={"cv_tolerance": CV_TOLERANCE, "convergence_ratio": CONVERGENCE_RATIO,
+                "online_repetitions": ONLINE_REPETITIONS, "accept_fraction": ACCEPT_FRACTION,
+                "grid_levels": GRID_LEVELS, "min_top_k": MIN_TOP_K,
+                "cross_workload_floor": CROSS_WORKLOAD_FLOOR},
     )
     violations = validate_document(doc)
     if violations:
@@ -708,18 +696,73 @@ def compile_warnings(doc: ProceduralDocument) -> list[str]:
     return warnings
 
 
+_NONE = type(None)
+# The fields each action reads, and the exact types it can use. `expr` and
+# `cond` need no entry: the predicate check parses them.
+_STEP_FIELD_TYPES = {
+    ACTION_BENCHMARK: (("template", (dict, _NONE)), ("workload_id", (str,)),
+                       ("repetitions", (int, _NONE)), ("out", (str, _NONE))),
+    ACTION_COMPUTE: (("out", (str, _NONE)),),
+    ACTION_BRANCH: (("target", (int, _NONE)),),
+}
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _safe_range_ok(d: Any) -> bool:
+    if not isinstance(d, dict):
+        return False
+    if "values" in d:
+        return isinstance(d["values"], list) and bool(d["values"])
+    return _is_real(d.get("lo")) and _is_real(d.get("hi"))
+
+
+def _type_violations(doc: ProceduralDocument) -> list[str]:
+    """Values of a type that the other checks and the interpreter cannot use."""
+    violations = [f"{key} {value!r} is not a string"
+                  for key, value in (("root", doc.root), ("primary workload", doc.primary_workload))
+                  if not isinstance(value, str)]
+    violations.extend(f"safe range of {param!r} is malformed: {d!r}"
+                      for param, d in doc.safe_ranges.items() if not _safe_range_ok(d))
+    for skill in doc.skills:
+        if not isinstance(skill.id, str):
+            violations.append(f"skill id {skill.id!r} is not a string")
+        targets = [target for _, target in skill.decision_criteria]
+        if skill.adaptation_target is not None:
+            targets.append(skill.adaptation_target)
+        violations.extend(f"{skill.id}: target {target!r} is not a string"
+                          for target in targets if not isinstance(target, str))
+        for i, step in enumerate(skill.procedure):
+            fields_read = _STEP_FIELD_TYPES.get(step.action, ()) if type(step.action) is str else ()
+            for key, kinds in fields_read:
+                value = getattr(step, key)
+                if type(value) not in kinds:
+                    violations.append(f"{skill.id}: step {i} {key} {value!r} is not "
+                                      f"{kinds[0].__name__}")
+    return violations
+
+
 def validate_document(doc: ProceduralDocument) -> list[str]:
     """Exhaustive structural validation; returns all violations, not the first.
 
-    Checks: unique ids, a unique orchestration skill that is the root, every
+    Checks: field types (when one is wrong, only the type violations are
+    returned, since every other check relies on them), well-formed safe
+    ranges, unique ids, a unique orchestration skill that is the root, every
     step action in STEP_ACTIONS, every decision/adaptation target resolves,
-    branch targets in range, benchmark workloads declared, predicate symbols
-    closed over reference data plus declared signals, the index signals a
-    `pin_best` step reads declared, acyclicity,
-    reachability from the root, and provenance completeness for reference
-    data.
+    branch targets forward and in range, the primary and every benchmark
+    workload declared, predicate symbols closed over reference data plus
+    declared signals, the index signals a `pin_best` step reads declared,
+    acyclicity, reachability from the root, and provenance completeness for
+    reference data.
     """
-    violations: list[str] = []
+    violations = _type_violations(doc)
+    if violations:
+        return violations
+    workload_ids = {w.id for w in doc.workloads}
+    if doc.primary_workload not in workload_ids:
+        violations.append(f"primary workload {doc.primary_workload!r} is not declared")
     ids = [s.id for s in doc.skills]
     if len(set(ids)) != len(ids):
         violations.append("duplicate skill ids")
@@ -742,12 +785,12 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
             if sig_name:
                 declared.add(sig_name)
             if step.action == ACTION_BRANCH:
-                if step.target is None or not 0 <= step.target <= len(skill.procedure):
+                if step.target is None or not i < step.target <= len(skill.procedure):
                     violations.append(
                         f"{skill.id}: branch at step {i} targets {step.target!r}, "
-                        f"out of range [0, {len(skill.procedure)}]")
+                        f"out of range [{i + 1}, {len(skill.procedure)}]")
             if step.action == ACTION_BENCHMARK:
-                if step.workload_id not in {w.id for w in doc.workloads}:
+                if step.workload_id not in workload_ids:
                     violations.append(
                         f"{skill.id}: benchmark at step {i} names unknown workload "
                         f"{step.workload_id!r}")

@@ -16,6 +16,7 @@ routing; the shipped default is pure first-match.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -178,7 +179,9 @@ class SessionRunner:
                 signal = best_index_signal(param)
                 if signal not in self.session.signals:
                     raise _Abort(f"{skill.id}: template references unset signal {signal!r}")
-                idx = int(round(float(self.session.signals[signal])))
+                idx = float(self.session.signals[signal])
+                if math.isfinite(idx):
+                    idx = int(round(idx))
                 if not 0 <= idx < len(grid):
                     raise _Abort(f"{skill.id}: grid index {idx} out of range for {param!r}")
                 resolved[param] = grid[idx]
@@ -197,7 +200,8 @@ class SessionRunner:
             if safe.values is not None:
                 if value not in safe.values:
                     raise _Abort(f"{skill.id}: {param}={value!r} outside safe set {safe.values}")
-            elif not (float(safe.lo) <= float(value) <= float(safe.hi)):
+            elif not (isinstance(value, (int, float))
+                      and float(safe.lo) <= float(value) <= float(safe.hi)):
                 raise _Abort(
                     f"{skill.id}: {param}={value!r} outside safe range [{safe.lo}, {safe.hi}]")
 

@@ -297,7 +297,6 @@ class _Journal:
 def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
              seed: int = 0, existing: MeasurementLog | None = None,
              log_meta: dict | None = None,
-             space_hash: str | None = None,
              journal: str | None = None) -> MeasurementLog:
     """Execute a plan, one Measurement per entry, in plan order.
 
@@ -316,9 +315,7 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
         raise ParameterError("parallelism must be >= 1")
     parallelism = min(parallelism, getattr(adapter, "max_concurrency", parallelism) or parallelism)
 
-    log = MeasurementLog(seed=seed,
-                         space_hash=space_hash or adapter.space.space_hash(),
-                         meta=log_meta)
+    log = MeasurementLog(seed=seed, space_hash=adapter.space.space_hash(), meta=log_meta)
     carried: dict[tuple[str, str, int], Measurement] = {}
     if existing is not None:
         if existing.seed != seed:

@@ -27,15 +27,15 @@ VERDICT_ADVANCE = "advance"
 VERDICT_INDEPENDENT = "independent"
 VERDICT_UNDETERMINED = "undetermined"
 
-
-@dataclass(frozen=True)
-class ScreenThresholds:
-    advance_pct: float = 15.0
-    independent_pct: float = 5.0
-    eta2_min: float = 0.15
-    q_max: float = 0.05
-    stage_b_levels: int = 4
-    stage_b_reps: int = 3
+ADVANCE_PCT = 15.0      # stage-A Int% above which a pair advances
+INDEPENDENT_PCT = 5.0   # stage-A Int% below which a pair is independent
+ETA2_MIN = 0.15         # eta^2 a confirmed interaction must exceed
+Q_MAX = 0.05            # BH q a confirmed interaction must stay below
+STAGE_B_REPS = 3        # repetitions per stage-B cell
+# Levels per parameter of every grid: the stage-B tables, the joint grid
+# search and the document grids. One value, so the joint stage and the
+# compiled document reuse the screen's cells.
+GRID_LEVELS = 4
 
 
 @dataclass
@@ -161,7 +161,6 @@ class InteractionRecord:
 class InteractionReport(JsonArtifact):
     campaign_id: str
     space_hash: str
-    thresholds: ScreenThresholds
     records: list[InteractionRecord]
 
     def confirmed_pairs(self) -> dict[tuple[str, str], float]:
@@ -183,28 +182,17 @@ class InteractionReport(JsonArtifact):
             "schema_version": 1,
             "campaign_id": self.campaign_id,
             "space_hash": self.space_hash,
-            "thresholds": {
-                "advance_pct": self.thresholds.advance_pct,
-                "independent_pct": self.thresholds.independent_pct,
-                "eta2_min": self.thresholds.eta2_min,
-                "q_max": self.thresholds.q_max,
-                "stage_b_levels": self.thresholds.stage_b_levels,
-                "stage_b_reps": self.thresholds.stage_b_reps,
-            },
+            "thresholds": {"advance_pct": ADVANCE_PCT, "independent_pct": INDEPENDENT_PCT,
+                           "eta2_min": ETA2_MIN, "q_max": Q_MAX,
+                           "stage_b_levels": GRID_LEVELS, "stage_b_reps": STAGE_B_REPS},
             "records": [r.to_json() for r in self.records],
         }
 
     @classmethod
     def from_json(cls, d: dict) -> "InteractionReport":
-        t = d["thresholds"]
         return cls(
             campaign_id=d["campaign_id"],
             space_hash=d["space_hash"],
-            thresholds=ScreenThresholds(
-                advance_pct=t["advance_pct"], independent_pct=t["independent_pct"],
-                eta2_min=t["eta2_min"], q_max=t["q_max"],
-                stage_b_levels=t.get("stage_b_levels", 4),
-                stage_b_reps=t.get("stage_b_reps", 3)),
             records=[InteractionRecord.from_json(r) for r in d["records"]],
         )
 
@@ -245,16 +233,17 @@ def stage_a_levels(spec: ParameterSpec, safe: SafeRange, interior: bool = False)
     return _span_points(spec, safe, fracs)
 
 
-def stage_b_levels(spec: ParameterSpec, safe: SafeRange, count: int = 4,
-                   interior: bool = False, factorial: bool = True) -> list[Any]:
-    """`count` probe points spread across the safe range.
+def stage_b_levels(spec: ParameterSpec, safe: SafeRange, interior: bool = False,
+                   factorial: bool = True) -> list[Any]:
+    """`GRID_LEVELS` probe points spread across the safe range.
 
-    With ``factorial=True`` (ANOVA tables), domains too coarse for `count`
-    distinct values fall back to 2 (the extremes), keeping the factorial
-    shape in {2, 4}. Grid consumers (joint search, document grids) pass
-    ``factorial=False`` and keep every distinct level, e.g. all 3 values of
-    a ternary enum.
+    With ``factorial=True`` (ANOVA tables), domains too coarse for
+    `GRID_LEVELS` distinct values fall back to 2 (the extremes), keeping the
+    factorial shape in {2, GRID_LEVELS}. Grid consumers (joint search,
+    document grids) pass ``factorial=False`` and keep every distinct level,
+    e.g. all 3 values of a ternary enum.
     """
+    count = GRID_LEVELS
     if interior:
         fracs = [(2 * k + 1) / (2 * count) for k in range(count)]
     else:
@@ -321,10 +310,10 @@ def stage_a_int_pct(table: FactorialTable) -> float:
     return 100.0 * numerator / denominator
 
 
-def stage_a_verdict(int_pct: float, thresholds: ScreenThresholds) -> str:
-    if int_pct > thresholds.advance_pct:
+def stage_a_verdict(int_pct: float) -> str:
+    if int_pct > ADVANCE_PCT:
         return VERDICT_ADVANCE
-    if int_pct < thresholds.independent_pct:
+    if int_pct < INDEPENDENT_PCT:
         return VERDICT_INDEPENDENT
     return VERDICT_UNDETERMINED
 
@@ -395,18 +384,19 @@ def partial_eta_squared(decomp: AnovaDecomposition) -> float:
     return decomp.ss_interaction / denom
 
 
-def screen_pair(stage_a_log: MeasurementLog, stage_b_log: MeasurementLog | None,
-                pair: tuple[str, str], workloads: list[WorkloadSpec],
-                levels: "PairLevels", thresholds: ScreenThresholds) -> list[InteractionRecord]:
+def screen_pair(log: MeasurementLog, pair: tuple[str, str], workloads: list[WorkloadSpec],
+                levels: "PairLevels") -> list[InteractionRecord]:
     """Both screening stages for one pair, one record per workload.
 
-    Stage B statistics are attached only where the stage-A verdict advanced
-    (undetermined verdicts advance too, favoring recall). Confirmation is
-    decided later, after BH correction across the whole campaign.
+    ``log`` holds the pair's stage-A corners and, where any workload
+    advanced, its stage-B table. Stage B statistics are attached only where
+    the stage-A verdict advanced (undetermined verdicts advance too,
+    favoring recall). Confirmation is decided later, after BH correction
+    across the whole campaign.
     """
     records = []
     for w in workloads:
-        table_a = table_from_log(stage_a_log, pair, levels.stage_a[0], levels.stage_a[1],
+        table_a = table_from_log(log, pair, levels.stage_a[0], levels.stage_a[1],
                                  w.id, repetitions=1)
         if not table_a.is_balanced(1):
             records.append(InteractionRecord(pair=pair, workload_id=w.id,
@@ -414,18 +404,16 @@ def screen_pair(stage_a_log: MeasurementLog, stage_b_log: MeasurementLog | None,
                                              unsafe_to_screen=True))
             continue
         int_pct = stage_a_int_pct(table_a)
-        verdict = stage_a_verdict(int_pct, thresholds)
+        verdict = stage_a_verdict(int_pct)
         rec = InteractionRecord(pair=pair, workload_id=w.id,
                                 stage_a_int_pct=int_pct, stage_a_verdict=verdict)
         if verdict != VERDICT_INDEPENDENT:
-            if stage_b_log is None:
-                raise AnalysisError(f"{pair}: stage B log required for advancing pair")
-            table_b = table_from_log(stage_b_log, pair, levels.stage_b[0], levels.stage_b[1],
-                                     w.id, repetitions=thresholds.stage_b_reps)
-            if not table_b.is_balanced(thresholds.stage_b_reps):
+            table_b = table_from_log(log, pair, levels.stage_b[0], levels.stage_b[1],
+                                     w.id, repetitions=STAGE_B_REPS)
+            if not table_b.is_balanced(STAGE_B_REPS):
                 rec.unsafe_to_screen = True
             else:
-                decomp = two_way_anova(table_b, thresholds.stage_b_reps)
+                decomp = two_way_anova(table_b, STAGE_B_REPS)
                 rec.eta_squared = eta_squared(decomp)
                 rec.partial_eta_squared = partial_eta_squared(decomp)
                 rec.p_value = decomp.p_value
@@ -434,16 +422,15 @@ def screen_pair(stage_a_log: MeasurementLog, stage_b_log: MeasurementLog | None,
     return records
 
 
-def finalize_records(records: list[InteractionRecord],
-                     thresholds: ScreenThresholds) -> list[InteractionRecord]:
+def finalize_records(records: list[InteractionRecord]) -> list[InteractionRecord]:
     """Apply BH-FDR across every tested (pair, workload) and set confirmations."""
     tested = [r for r in records if r.p_value is not None]
     qs = benjamini_hochberg([r.p_value for r in tested])
     for rec, q in zip(tested, qs):
         rec.q_value = q
         rec.confirmed = (rec.eta_squared is not None
-                         and rec.eta_squared > thresholds.eta2_min
-                         and q < thresholds.q_max)
+                         and rec.eta_squared > ETA2_MIN
+                         and q < Q_MAX)
     return records
 
 
@@ -456,16 +443,14 @@ class PairLevels:
 
 
 def choose_pair_levels(pair: tuple[str, str], report: SensitivityReport,
-                       space: ParameterSpace, thresholds: ScreenThresholds,
-                       interior: bool = False) -> PairLevels:
+                       space: ParameterSpace, interior: bool = False) -> PairLevels:
     """Factor levels for both stages from the pair's sensitivity safe ranges."""
     per_param = []
     for name in pair:
         profile = report.profile(name)
         spec = space.get(name)
         a_levels = stage_a_levels(spec, profile.safe_range, interior=interior)
-        b_levels = stage_b_levels(spec, profile.safe_range, thresholds.stage_b_levels,
-                                  interior=interior)
+        b_levels = stage_b_levels(spec, profile.safe_range, interior=interior)
         if len(a_levels) < 2 or len(b_levels) < 2:
             raise AnalysisError(
                 f"{name}: safe range too narrow to screen (collapsed to one level)")

@@ -23,8 +23,8 @@ from .jsonfile import JsonArtifact
 from .space import Configuration, ParameterSpace, WorkloadSpec, level_grid
 
 DEFAULT_TAU_S = 0.05      # aggregate-CV selection threshold
-DEFAULT_FLAT_TOL = 0.02   # below this range/baseline ratio a curve is flat
-DEFAULT_STEP_FRAC = 0.6   # single-gap share of total range that marks a step
+FLAT_TOL = 0.02           # below this range/baseline ratio a curve is flat
+STEP_FRAC = 0.6           # single-gap share of total range that marks a step
 
 SHAPE_LABELS = ("monotonic-up", "monotonic-down", "non-monotonic", "step-function", "flat")
 
@@ -249,11 +249,11 @@ def compute_cv(sweep: SweepResult, baseline_mean: float) -> float:
     return (max(means) - min(means)) / baseline_mean
 
 
-def _pooled_noise_tol(sweep: SweepResult, baseline_mean: float, flat_tol: float) -> float:
+def _pooled_noise_tol(sweep: SweepResult, baseline_mean: float) -> float:
     """Reversal tolerance: one pooled standard error of the level means.
 
     With single-repetition sweeps (no within-level variance available) the
-    tolerance falls back to flat_tol * baseline.
+    tolerance falls back to FLAT_TOL * baseline.
     """
     ss, dof, ns = 0.0, 0, []
     for i in sweep.usable():
@@ -264,15 +264,13 @@ def _pooled_noise_tol(sweep: SweepResult, baseline_mean: float, flat_tol: float)
             ss += sum((x - mean) ** 2 for x in v)
             dof += len(v) - 1
     if dof == 0:
-        return flat_tol * baseline_mean
+        return FLAT_TOL * baseline_mean
     pooled_sd = math.sqrt(ss / dof)
     mean_n = sum(ns) / len(ns)
     return pooled_sd / math.sqrt(mean_n)
 
 
-def classify_shape(sweep: SweepResult, baseline_mean: float,
-                   flat_tol: float = DEFAULT_FLAT_TOL,
-                   step_frac: float = DEFAULT_STEP_FRAC) -> str:
+def classify_shape(sweep: SweepResult, baseline_mean: float) -> str:
     """Label the response curve.
 
     Precedence: flat, then step-function, then monotonic (within one pooled
@@ -287,13 +285,13 @@ def classify_shape(sweep: SweepResult, baseline_mean: float,
     rng = max(means) - min(means)
     if baseline_mean <= 0:
         raise AnalysisError(f"{sweep.parameter}: baseline mean must be positive")
-    if rng / baseline_mean <= flat_tol:
+    if rng / baseline_mean <= FLAT_TOL:
         return "flat"
     gaps = [abs(means[i + 1] - means[i]) for i in range(len(means) - 1)]
-    big = [g for g in gaps if g >= step_frac * rng]
+    big = [g for g in gaps if g >= STEP_FRAC * rng]
     if len(big) == 1:
         return "step-function"
-    tol = _pooled_noise_tol(sweep, baseline_mean, flat_tol)
+    tol = _pooled_noise_tol(sweep, baseline_mean)
     diffs = [means[i + 1] - means[i] for i in range(len(means) - 1)]
     if means[-1] >= means[0] and all(d >= -tol for d in diffs):
         return "monotonic-up"
@@ -382,8 +380,8 @@ def select_top_k(profiles: list[SensitivityProfile], tau_s: float) -> list[Sensi
 
 
 def _profile_parameter(param: str, sweeps: dict, baseline_means: dict[str, float],
-                       space: ParameterSpace, workloads: list[WorkloadSpec],
-                       flat_tol: float, step_frac: float) -> SensitivityProfile | None:
+                       space: ParameterSpace,
+                       workloads: list[WorkloadSpec]) -> SensitivityProfile | None:
     """One parameter's profile across workloads; None when it was never swept.
 
     Raises AnalysisError when the parameter cannot be profiled, e.g. when it
@@ -417,7 +415,7 @@ def _profile_parameter(param: str, sweeps: dict, baseline_means: dict[str, float
         parameter=param,
         cv_per_workload=cvs,
         aggregate_cv=max(cvs.values()),
-        shape=classify_shape(agg_sweep, baseline_means[agg_wid], flat_tol, step_frac),
+        shape=classify_shape(agg_sweep, baseline_means[agg_wid]),
         safe_range=safe,
         best_level=best_level,
         warnings=warnings,
@@ -426,9 +424,7 @@ def _profile_parameter(param: str, sweeps: dict, baseline_means: dict[str, float
 
 def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
                         workloads: list[WorkloadSpec],
-                        tau_s: float = DEFAULT_TAU_S,
-                        flat_tol: float = DEFAULT_FLAT_TOL,
-                        step_frac: float = DEFAULT_STEP_FRAC) -> SensitivityReport:
+                        tau_s: float = DEFAULT_TAU_S) -> SensitivityReport:
     """Full stage-1 analysis of a sweep log into a SensitivityReport.
 
     Per-parameter CVs are computed per workload and aggregated by max; the
@@ -447,8 +443,7 @@ def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
     excluded_runs = sum(1 for m in log if m.outcome != OUTCOME_OK)
     for param in params:
         try:
-            profile = _profile_parameter(param, sweeps, baseline_means, space, workloads,
-                                         flat_tol, step_frac)
+            profile = _profile_parameter(param, sweeps, baseline_means, space, workloads)
         except AnalysisError as e:
             excluded[param] = str(e)  # one bad parameter must not sink the stage
             continue

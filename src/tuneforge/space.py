@@ -255,8 +255,8 @@ class WorkloadSpec:
     direction: str = "maximize"  # "maximize" | "minimize"
 
     def __post_init__(self):
-        if not self.id:
-            raise ParameterError("workload id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ParameterError("workload id must be a non-empty string")
         if self.direction not in ("maximize", "minimize"):
             raise ParameterError(f"direction must be maximize or minimize, got {self.direction!r}")
 

@@ -19,7 +19,7 @@ from .jsonfile import JsonArtifact
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
-DEFAULT_COMPONENT_CAP = 5
+COMPONENT_CAP = 5
 
 
 class UnionFind:
@@ -210,24 +210,22 @@ class OptimaReport(JsonArtifact):
 
 def plan_joint_search(component: list[str], report: SensitivityReport,
                       space: ParameterSpace, workloads: list[WorkloadSpec],
-                      levels: int = 4, repetitions: int = 3,
-                      component_cap: int = DEFAULT_COMPONENT_CAP) -> JointSearchPlan:
+                      repetitions: int = 3) -> JointSearchPlan:
     """Grid plan over a component, reusing the stage-B level choice.
 
-    Components above the cap signal a profiling anomaly and are rejected
-    rather than searched (the budget grows as levels^size).
+    Components above COMPONENT_CAP signal a profiling anomaly and are
+    rejected rather than searched (the budget grows as GRID_LEVELS^size).
     """
     if len(component) < 2:
         raise ParameterError("joint search needs a component of at least 2 parameters")
-    if len(component) > component_cap:
+    if len(component) > COMPONENT_CAP:
         raise AnalysisError(
-            f"component {component} exceeds the size cap {component_cap}; "
+            f"component {component} exceeds the size cap {COMPONENT_CAP}; "
             "decompose it manually before joint search")
     grid = {}
     for name in component:
         profile = report.profile(name)
-        grid[name] = stage_b_levels(space.get(name), profile.safe_range, levels,
-                                    factorial=False)
+        grid[name] = stage_b_levels(space.get(name), profile.safe_range, factorial=False)
     return JointSearchPlan(component=sorted(component), grid=grid,
                            repetitions=repetitions, workloads=list(workloads))
 
@@ -300,7 +298,6 @@ def optimize_component(adapter: Adapter, plan: JointSearchPlan, seed: int,
 def independent_baseline(adapter: Adapter, component: list[str],
                          report: SensitivityReport, space: ParameterSpace,
                          workload: WorkloadSpec, repetitions: int, seed: int,
-                         levels: int = 4,
                          parallelism: int = 1) -> tuple[Configuration, float, MeasurementLog]:
     """Tune each member in isolation, then measure the combined configuration.
 
@@ -316,7 +313,7 @@ def independent_baseline(adapter: Adapter, component: list[str],
     for name in sorted(component):
         profile = report.profile(name)
         per_param_levels[name] = stage_b_levels(space.get(name), profile.safe_range,
-                                                levels, factorial=False)
+                                                factorial=False)
         for v in per_param_levels[name]:
             for rep in range(repetitions):
                 plan.append((Configuration({name: v}), workload, rep))

@@ -244,7 +244,6 @@ def shifted_small_model(sigma=0.005):
 def run_small_pipeline(directory, seed=42, compile_doc=True):
     """Profile + screen + joint (+ compile) the small planted campaign."""
     from tuneforge.campaign import Campaign
-    from tuneforge.interaction import ScreenThresholds
     from tuneforge.simulator import SimulatorAdapter
 
     space = unit_space(SMALL_NAMES)
@@ -253,7 +252,7 @@ def run_small_pipeline(directory, seed=42, compile_doc=True):
     adapter = SimulatorAdapter(space, model)
     campaign = Campaign(str(directory), space, workloads, seed=seed)
     sens = campaign.profile(adapter, levels_per_param=5, repetitions=3, tau_s=0.05)
-    inter = campaign.screen(adapter, ScreenThresholds())
+    inter = campaign.screen(adapter)
     optima = campaign.joint(adapter, repetitions=3)
     doc = campaign.compile() if compile_doc else None
     return {

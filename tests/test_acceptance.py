@@ -18,10 +18,9 @@ from helpers import (anova_oracle, global_grid_argmax, one_workload,
                      run_small_pipeline, shifted_small_model, small_model,
                      unit_space, SMALL_NAMES)
 from tuneforge.campaign import Campaign, DOCUMENT_FILE, SENSITIVITY_REPORT
-from tuneforge.docgen import CompilePolicy, ProceduralDocument, compile_document, validate_document
+from tuneforge.docgen import ProceduralDocument, compile_document, validate_document
 from tuneforge.executor import run_session
-from tuneforge.interaction import (FactorialTable, ScreenThresholds, eta_squared,
-                                   stage_a_int_pct, two_way_anova)
+from tuneforge.interaction import FactorialTable, eta_squared, stage_a_int_pct, two_way_anova
 from tuneforge.simulator import (Coupling, Response, SimulatorAdapter, SimulatorModel)
 from tuneforge.space import Configuration, WorkloadSpec
 from tuneforge.stats import benjamini_hochberg, f_upper_tail_p
@@ -66,7 +65,7 @@ def pg_scale(tmp_path_factory):
     adapter = SimulatorAdapter(space, model)
     campaign = Campaign(str(tmp_path_factory.mktemp("accept_pg")), space, workloads, seed=7)
     campaign.profile(adapter, levels_per_param=6, repetitions=3, tau_s=0.05)
-    campaign.screen(adapter, ScreenThresholds())
+    campaign.screen(adapter)
     campaign.joint(adapter, repetitions=3)
     return {"campaign": campaign, "strong": strong, "names": names}
 
@@ -174,7 +173,7 @@ class TestCriterion5PlantedRecovery:
         selected = {p.parameter for p in report.top_k()}
         assert selected == set(sensitive)  # precision = recall = 1.0
 
-        inter = campaign.screen(adapter, ScreenThresholds())
+        inter = campaign.screen(adapter)
         confirmed = set(inter.confirmed_pairs())
         planted = {("q00", "q05"), ("q05", "q11"), ("q11", "q17")}
         assert confirmed == planted  # all 3 confirmed, zero false confirmations
@@ -205,8 +204,7 @@ class TestCriterion6JointVsIndependent:
         report = SensitivityReport(campaign_id="c", space_hash="h", tau_s=0.05,
                                    baseline_means={"w0": 1000.0}, profiles=profiles)
         baselines, _ = measure_baselines(adapter, workloads, 3, seed=0)
-        plan = plan_joint_search(["a", "b"], report, space, workloads,
-                                 levels=4, repetitions=3)
+        plan = plan_joint_search(["a", "b"], report, space, workloads, repetitions=3)
         optima, _ = optimize_component(adapter, plan, 0, baselines)
         joint = optima[0]
         combo, indep_metric, _ = independent_baseline(
@@ -251,8 +249,7 @@ class TestCriterion7DecompositionOptimality:
         baselines, _ = measure_baselines(adapter, workloads, 1, seed=0)
         combined = {}
         for comp in (["a1", "a2", "a3"], ["b1", "b2"]):
-            plan = plan_joint_search(comp, report, space, workloads,
-                                     levels=4, repetitions=1)
+            plan = plan_joint_search(comp, report, space, workloads, repetitions=1)
             optima, _ = optimize_component(adapter, plan, 0, baselines)
             combined.update(optima[0].best_config.assignments)
         levels = [0.0, 1 / 3, 2 / 3, 1.0]
@@ -274,7 +271,7 @@ class TestCriterion8DocumentIntegrity:
         assert loaded.to_json() == doc.to_json()
         doc2 = compile_document(small["sensitivity"], small["interaction"],
                                 small["optima"].graph, small["optima"].optima,
-                                small["space"], small["workloads"], CompilePolicy())
+                                small["space"], small["workloads"])
         assert doc2.serialize() == doc.serialize()  # byte-deterministic compile
         announce(8, "document validates, round-trips, compiles byte-identically",
                  started, 5.0)

@@ -9,8 +9,7 @@ from tuneforge.campaign import STATE_FILE, Campaign
 from tuneforge.docgen import export_knowledge
 from tuneforge.errors import ParameterError
 from tuneforge.executor import run_session
-from tuneforge.interaction import (PairLevels, ScreenThresholds,
-                                   choose_pair_levels, screen_pair)
+from tuneforge.interaction import PairLevels, choose_pair_levels, screen_pair
 from tuneforge.harness import MeasurementLog
 from tuneforge.simulator import (Coupling, Response, SimulatorAdapter, SimulatorModel)
 from tuneforge.space import WorkloadSpec
@@ -35,7 +34,7 @@ def two_workload_setup(tmp_path_factory):
     adapter = SimulatorAdapter(space, model)
     campaign = Campaign(str(tmp_path_factory.mktemp("two_w")), space, workloads, seed=5)
     sens = campaign.profile(adapter, levels_per_param=5, repetitions=3)
-    inter = campaign.screen(adapter, ScreenThresholds())
+    inter = campaign.screen(adapter)
     optima = campaign.joint(adapter, repetitions=3)
     doc = campaign.compile()
     return {"campaign": campaign, "space": space, "workloads": workloads,
@@ -192,16 +191,14 @@ class TestUnsafeToScreen:
         empty = MeasurementLog(seed=0, space_hash="x")
         levels = PairLevels(stage_a=([0.0, 1.0], [0.0, 1.0]),
                             stage_b=([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
-        records = screen_pair(empty, None, ("px", "py"), one_workload(), levels,
-                              ScreenThresholds())
+        records = screen_pair(empty, ("px", "py"), one_workload(), levels)
         assert len(records) == 1
         assert records[0].unsafe_to_screen
         assert records[0].stage_a_verdict is None
 
     def test_interior_levels_avoid_safe_range_endpoints(self, two_workload_setup):
         setup = two_workload_setup
-        pl = choose_pair_levels(("px", "py"), setup["sens"], setup["space"],
-                                ScreenThresholds(), interior=True)
+        pl = choose_pair_levels(("px", "py"), setup["sens"], setup["space"], interior=True)
         safe = setup["sens"].profile("px").safe_range
         for v in pl.stage_a[0]:
             assert float(safe.lo) < v < float(safe.hi)

@@ -148,6 +148,21 @@ class TestFullPipeline:
         err = capsys.readouterr().err
         assert "analysis error" in err and "'root'" in err
 
+    def test_tune_on_malformed_document_exits_with_analysis_code(self, decls, capsys):
+        campaign = str(decls["dir"] / "bad_direction")
+        for cmd in (["profile"], ["screen"], ["joint"], ["compile"]):
+            assert run_cli(decls, campaign, *cmd) == 0
+        path = os.path.join(campaign, DOCUMENT_FILE)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["workloads"][0]["direction"] = "up"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "tune") == 2
+        err = capsys.readouterr().err
+        assert "analysis error: malformed document" in err and "'up'" in err
+
     def test_lock_file_released_after_command(self, decls):
         campaign = str(decls["dir"] / "locked")
         assert run_cli(decls, campaign, "profile") == 0

@@ -8,9 +8,9 @@ import random
 import pytest
 
 from helpers import run_small_pipeline
-from tuneforge.docgen import (CompilePolicy, KnowledgeExport, ProceduralDocument,
-                              Skill, Step, compile_document, compile_warnings,
-                              export_knowledge, render_text, validate_document)
+from tuneforge.docgen import (KnowledgeExport, ProceduralDocument, Skill, Step,
+                              compile_document, compile_warnings, export_knowledge,
+                              render_text, validate_document)
 from tuneforge.errors import CompileError, DocumentError
 from tuneforge.executor import run_session
 from tuneforge.space import WorkloadSpec
@@ -71,7 +71,7 @@ class TestCompile:
         p = pipeline
         doc2 = compile_document(p["sensitivity"], p["interaction"],
                                 p["optima"].graph, p["optima"].optima,
-                                p["space"], p["workloads"], CompilePolicy())
+                                p["space"], p["workloads"])
         assert doc2.serialize() == p["doc"].serialize()
 
     def test_mismatched_fingerprints_rejected(self, pipeline):

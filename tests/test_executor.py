@@ -190,16 +190,19 @@ class TestWarmPath:
 
 class TestAnomalyFloor:
     def test_selected_set_below_floor_aborts_before_benchmarking(self, pipeline):
-        from tuneforge.docgen import CompilePolicy, compile_document
+        from tuneforge.docgen import compile_document
+        from tuneforge.topology import CorrelationGraph
         p = pipeline
-        policy = CompilePolicy(min_top_k=10)  # more than the 4 selected here
-        doc = compile_document(p["sensitivity"], p["interaction"],
-                               p["optima"].graph, p["optima"].optima,
-                               p["space"], p["workloads"], policy)
+        sens = copy.deepcopy(p["sensitivity"])
+        for profile in sens.profiles:
+            profile.selected = False
+        doc = compile_document(sens, p["interaction"],
+                               CorrelationGraph(nodes=[], edges=[], components=[]), [],
+                               p["space"], p["workloads"])
         session = run_session(doc, p["adapter"], budget=30, seed=0)
         assert session.status == "aborted"
         assert session.trials_used == 0
-        assert "top_k_count" in session.diagnostic
+        assert session.diagnostic == "orchestrate: precondition failed: top_k_count >= 1"
 
 
 class TestStepResolverHook:

@@ -11,7 +11,7 @@ from helpers import (INDEX_LEVELS, INDEX_PARAMS, anova_oracle, one_workload, ran
 from tuneforge.errors import AnalysisError
 from tuneforge.harness import run_plan
 from tuneforge.interaction import (FactorialTable, InteractionRecord,
-                                   ScreenThresholds, eta_squared, finalize_records,
+                                   eta_squared, finalize_records,
                                    partial_eta_squared, plan_pair_table, plan_pairs,
                                    stage_a_int_pct, stage_a_verdict, table_from_log,
                                    two_way_anova)
@@ -66,19 +66,18 @@ class TestStageA:
     def test_additive_means_give_zero(self):
         # 40 - 30 - 20 + 10 = 0
         assert stage_a_int_pct(table_2x2([10, 20, 30, 40])) == pytest.approx(0.0, abs=1e-9)
-        assert stage_a_verdict(0.0, ScreenThresholds()) == "independent"
+        assert stage_a_verdict(0.0) == "independent"
 
     def test_hand_computed_eighty_percent(self):
         # |200 - 100 - 100 + 100| / (500/4) = 80%
         pct = stage_a_int_pct(table_2x2([100, 100, 100, 200]))
         assert pct == pytest.approx(80.0)
-        assert stage_a_verdict(pct, ScreenThresholds()) == "advance"
+        assert stage_a_verdict(pct) == "advance"
 
     def test_undetermined_band(self):
-        t = ScreenThresholds()
-        assert stage_a_verdict(10.0, t) == "undetermined"
-        assert stage_a_verdict(4.99, t) == "independent"
-        assert stage_a_verdict(15.01, t) == "advance"
+        assert stage_a_verdict(10.0) == "undetermined"
+        assert stage_a_verdict(4.99) == "independent"
+        assert stage_a_verdict(15.01) == "advance"
 
     def test_planted_coupling_matches_hand_evaluated_model(self):
         # y(na, nb) = 1000 * (1 + 0.5 * na * nb): multiplicative coupling 1.5
@@ -232,7 +231,7 @@ class TestPlantedRecall:
         adapter = SimulatorAdapter(space, model)
         campaign = Campaign(str(tmp_path / "recall"), space, one_workload(), seed=6)
         campaign.profile(adapter, levels_per_param=4, repetitions=3, tau_s=0.05)
-        report = campaign.screen(adapter, ScreenThresholds())
+        report = campaign.screen(adapter)
 
         advancing = {r.pair for r in report.records
                      if r.stage_a_verdict in ("advance", "undetermined")}
@@ -249,7 +248,7 @@ class TestFinalize:
         records = [self.make_record(("a", "b"), p=0.001, eta=0.4),
                    self.make_record(("a", "c"), p=0.2, eta=0.4),
                    self.make_record(("b", "c"), p=0.001, eta=0.05)]
-        finalize_records(records, ScreenThresholds())
+        finalize_records(records)
         assert records[0].confirmed           # small q, big eta
         assert not records[1].confirmed       # q too large
         assert not records[2].confirmed       # eta too small
@@ -258,7 +257,7 @@ class TestFinalize:
     def test_untested_records_keep_no_q(self):
         rec = InteractionRecord(pair=("a", "b"), workload_id="w0",
                                 stage_a_int_pct=1.0, stage_a_verdict="independent")
-        finalize_records([rec], ScreenThresholds())
+        finalize_records([rec])
         assert rec.q_value is None and not rec.confirmed
 
 

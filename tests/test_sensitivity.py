@@ -96,7 +96,7 @@ class TestComputeCv:
 
 class TestClassifyShape:
     def test_flat_below_tolerance(self):
-        assert classify_shape(sweep_of([100, 101, 100]), 100.0, flat_tol=0.02) == "flat"
+        assert classify_shape(sweep_of([100, 101, 100]), 100.0) == "flat"
 
     def test_monotonic_up(self):
         assert classify_shape(sweep_of([100, 110, 125, 140]), 100.0) == "monotonic-up"
@@ -106,16 +106,14 @@ class TestClassifyShape:
 
     def test_step_function_beats_monotone_label(self):
         # single gap of 59 out of a 61-wide range dominates
-        assert classify_shape(sweep_of([100, 101, 160, 161]), 100.0,
-                              step_frac=0.8) == "step-function"
+        assert classify_shape(sweep_of([100, 101, 160, 161]), 100.0) == "step-function"
 
     def test_non_monotonic_interior_optimum(self):
         assert classify_shape(sweep_of([100, 130, 120, 90]), 100.0) == "non-monotonic"
 
     def test_small_reversal_within_noise_still_monotone(self):
-        # r=1 tolerance is flat_tol * baseline = 2.0; the 1-unit dip is noise
-        assert classify_shape(sweep_of([100, 110, 109, 120]), 100.0,
-                              flat_tol=0.02) == "monotonic-up"
+        # r=1 tolerance is FLAT_TOL * baseline = 2.0; the 1-unit dip is noise
+        assert classify_shape(sweep_of([100, 110, 109, 120]), 100.0) == "monotonic-up"
 
     def test_two_usable_levels_fall_back_to_flat(self):
         assert classify_shape(sweep_of([100, None, 150]), 100.0) == "flat"

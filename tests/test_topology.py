@@ -7,7 +7,7 @@ import pytest
 
 from helpers import global_grid_argmax, one_workload, random_log, scan_free_copy, unit_space
 from tuneforge.errors import AnalysisError, ParameterError
-from tuneforge.interaction import InteractionRecord, InteractionReport, ScreenThresholds
+from tuneforge.interaction import InteractionRecord, InteractionReport
 from tuneforge.sensitivity import SafeRange, SensitivityProfile, SensitivityReport
 from tuneforge.simulator import Coupling, Response, SimulatorAdapter, SimulatorModel
 from tuneforge.space import Configuration
@@ -24,8 +24,7 @@ def make_report(confirmed_pairs, nodes):
                                          stage_a_int_pct=50.0, stage_a_verdict="advance",
                                          eta_squared=eta, p_value=0.001, q_value=0.001,
                                          confirmed=True))
-    return InteractionReport(campaign_id="c0", space_hash="h0",
-                             thresholds=ScreenThresholds(), records=records)
+    return InteractionReport(campaign_id="c0", space_hash="h0", records=records)
 
 
 def sens_report(names, safe=(0.0, 1.0), best=1.0):
@@ -89,8 +88,7 @@ class TestBuildGraph:
                               stage_a_verdict="advance", eta_squared=e, p_value=0.001,
                               q_value=0.001, confirmed=True)
             for w, e in (("w0", 0.25), ("w1", 0.45))]
-        report = InteractionReport(campaign_id="c0", space_hash="h0",
-                                   thresholds=ScreenThresholds(), records=records)
+        report = InteractionReport(campaign_id="c0", space_hash="h0", records=records)
         g = build_graph(["a", "b"], report)
         assert len(g.edges) == 1
         edge = g.edges[0]
@@ -106,20 +104,14 @@ class TestPlanJointSearch:
     def test_three_parameter_component_budget_192(self):
         report = sens_report(["a", "b", "c"])
         plan = plan_joint_search(["a", "b", "c"], report, unit_space(["a", "b", "c"]),
-                                 one_workload(), levels=4, repetitions=3)
+                                 one_workload(), repetitions=3)
         assert plan.budget == 192  # 4^3 * 3 * 1
 
     def test_two_parameter_budget_48(self):
         report = sens_report(["a", "b"])
         plan = plan_joint_search(["a", "b"], report, unit_space(["a", "b"]),
-                                 one_workload(), levels=4, repetitions=3)
+                                 one_workload(), repetitions=3)
         assert plan.budget == 48
-
-    def test_minimal_grid(self):
-        report = sens_report(["a", "b"])
-        plan = plan_joint_search(["a", "b"], report, unit_space(["a", "b"]),
-                                 one_workload(), levels=2, repetitions=1)
-        assert plan.budget == 4
 
     def test_component_cap_guards_blowup(self):
         names = list("abcdef")
@@ -134,7 +126,7 @@ class TestPlanJointSearch:
     def test_grid_points_respect_safe_ranges(self):
         report = sens_report(["a", "b"], safe=(0.25, 0.75))
         plan = plan_joint_search(["a", "b"], report, unit_space(["a", "b"]),
-                                 one_workload(), levels=4)
+                                 one_workload())
         for levels in plan.grid.values():
             assert min(levels) == 0.25 and max(levels) == 0.75
 
@@ -149,7 +141,7 @@ class TestOptimizeComponent:
         adapter = SimulatorAdapter(self.space, model)
         baselines, _ = measure_baselines(adapter, self.workloads, 3, seed)
         plan = plan_joint_search(["a", "b"], self.report, self.space, self.workloads,
-                                 levels=4, repetitions=3)
+                                 repetitions=3)
         optima, log = optimize_component(adapter, plan, seed, baselines)
         return optima[0], adapter, baselines
 
@@ -210,7 +202,7 @@ class TestOptimizeComponent:
         model = SimulatorModel(base_rate=10.0, crashes={"a": CrashRegion(-0.1, 1.1)})
         adapter = SimulatorAdapter(self.space, model)
         plan = plan_joint_search(["a", "b"], self.report, self.space, self.workloads,
-                                 levels=2, repetitions=1)
+                                 repetitions=1)
         with pytest.raises(AnalysisError):
             optimize_component(adapter, plan, 0, {"w0": 10.0})
 
@@ -247,8 +239,7 @@ class TestDecompositionOptimality:
 
         combined: dict = {}
         for comp in (["a1", "a2", "a3"], ["b1", "b2"]):
-            plan = plan_joint_search(comp, report, space, workloads,
-                                     levels=4, repetitions=1)
+            plan = plan_joint_search(comp, report, space, workloads, repetitions=1)
             optima, _ = optimize_component(adapter, plan, 0, baselines)
             combined.update(optima[0].best_config.assignments)
 
