@@ -8,10 +8,12 @@ reference data that anchors its decisions. The compiler emits:
 * one per-parameter skill per selected parameter, re-measuring it at the two
   safe-range extremes and checking the documented CV and response direction;
 * one adaptation (re-sweep) skill per selected parameter, the target of the
-  verification skill's postcondition-violation edge;
+  verification skill's postcondition-violation edge, which benchmarks every
+  grid level and adopts the first best one in a single argmax/argmin step;
 * one per-component skill per multi-parameter correlation component, which
   first tries the documented joint optimum and falls back to a full grid
-  re-search compiled as explicit benchmark + running-argbest steps;
+  re-search: one benchmark step per cell, one argmax/argmin step naming the
+  first best cell, and one pick step per member adopting that cell's level;
 * one candidate skill assembling the per-parameter best levels into the final
   configuration and verifying it across workloads;
 * a unique orchestration root that initializes signals, measures the
@@ -185,6 +187,7 @@ class ProceduralDocument(JsonArtifact):
     provenance: dict[str, dict]          # "skill.key" -> {"campaign", "operation"}
     policy: dict[str, Any]
     schema_version: int = SCHEMA_VERSION
+    load_error = DocumentError
 
     def skill(self, skill_id: str) -> Skill:
         for s in self.skills:
@@ -334,6 +337,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     w0 = workloads[0]
     campaign = profiles.campaign_id
     direction = w0.direction
+    argbest = "argmax" if direction == "maximize" else "argmin"
 
     top = [p for p in profiles.profiles if p.selected]
     top_sorted = sorted(top, key=lambda p: p.rank)
@@ -376,7 +380,6 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     for name in top_names:
         s = sig(name)
         init_pairs.append(("0", f"verify_done_{s}"))
-        init_pairs.append(("0", f"adapted_{s}"))
         prof = profiles.profile(name)
         best = prof.best_level.get(w0.id, grids[name][0])
         init_pairs.append((str(_grid_index_of(grids[name], best, space.get(name))),
@@ -497,31 +500,20 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         skills.append(verify)
 
         # Adaptation: sweep the documented grid afresh and adopt its argbest.
-        rs = _Proc()
-        metric_sigs = []
-        for i, level in enumerate(grid):
-            out = f"{s}_rs_m{i}"
-            rs.add(Step(action=ACTION_BENCHMARK, template={name: level}, workload_id=w0.id,
-                        repetitions=ONLINE_REPETITIONS, out=out, adopt=True))
-            metric_sigs.append(out)
-        span = f"max({', '.join(metric_sigs)}) - min({', '.join(metric_sigs)})"
-        rs.add(Step(action=ACTION_COMPUTE, expr=f"({span}) / baseline_mean", out=f"{s}_cv_obs"))
-        cmp_op = "<=" if direction == "maximize" else ">="
-        rs.add(Step(action=ACTION_COMPUTE, expr=metric_sigs[0], out=f"{s}_rs_best"))
-        rs.add(Step(action=ACTION_COMPUTE, expr="0", out=best_index_signal(name)))
-        rs_labels = {}
-        for i in range(1, len(metric_sigs)):
-            label = f"rs_skip_{i}"
-            rs.branch_to_label(f"{metric_sigs[i]} {cmp_op} {s}_rs_best", label)
-            rs.add(Step(action=ACTION_COMPUTE, expr=metric_sigs[i], out=f"{s}_rs_best"))
-            rs.add(Step(action=ACTION_COMPUTE, expr=str(i), out=best_index_signal(name)))
-            rs_labels[label] = rs.here()
-        rs.add(Step(action=ACTION_COMPUTE, expr="1", out=f"{s}_verify_ok"))
-        rs.add(Step(action=ACTION_COMPUTE, expr="1", out=f"adapted_{s}"))
+        metrics = ", ".join(f"{s}_rs_m{i}" for i in range(len(grid)))
+        rs = [Step(action=ACTION_BENCHMARK, template={name: level}, workload_id=w0.id,
+                   repetitions=ONLINE_REPETITIONS, out=f"{s}_rs_m{i}", adopt=True)
+              for i, level in enumerate(grid)]
+        rs.append(Step(action=ACTION_COMPUTE,
+                       expr=f"(max({metrics}) - min({metrics})) / baseline_mean",
+                       out=f"{s}_cv_obs"))
+        rs.append(Step(action=ACTION_COMPUTE, expr=f"{argbest}({metrics})",
+                       out=best_index_signal(name)))
+        rs.append(Step(action=ACTION_COMPUTE, expr="1", out=f"{s}_verify_ok"))
         resweep = Skill(
             id=resweep_id, kind=KIND_PER_PARAMETER,
             title=f"Re-sweep {name} after a failed verification",
-            procedure=rs.resolve(rs_labels),
+            procedure=rs,
             decision_criteria=[("1", next_of[verify_id])],
             postconditions=[f"{s}_verify_ok >= 1"],
             reference_data={"rank": prof.rank},
@@ -571,37 +563,23 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
             f"{cid}_doc_gain >= expected_improvement * accept_fraction", "accept_doc")
 
         # Full grid re-search, cells in lexicographic configuration order.
-        level_lists = [grids[m] for m in members]
-        cells = []
-        for combo in product(*(range(len(l)) for l in level_lists)):
-            template = {m: level_lists[k][combo[k]] for k, m in enumerate(members)}
-            cells.append((combo, template))
-        cells.sort(key=lambda item: json.dumps(item[1], sort_keys=True))
-        metric_sigs = []
+        combos = product(*(range(len(grids[m])) for m in members))
+        cells = [(combo, {m: grids[m][i] for m, i in zip(members, combo)}) for combo in combos]
+        cells.sort(key=lambda cell: json.dumps(cell[1], sort_keys=True))
         for j, (_, template) in enumerate(cells):
-            out = f"{cid}_cell_{j}"
             proc.add(Step(action=ACTION_BENCHMARK, template=template,
                           workload_id=w0.id, repetitions=ONLINE_REPETITIONS,
-                          out=out, adopt=True, pin_best=True))
-            metric_sigs.append(out)
-        cmp_op = "<=" if direction == "maximize" else ">="
-        proc.add(Step(action=ACTION_COMPUTE, expr=metric_sigs[0], out=f"{cid}_grid_best"))
-        labels2: dict[str, int] = {}
+                          out=f"{cid}_cell_{j}", adopt=True, pin_best=True))
+        metrics = ", ".join(f"{cid}_cell_{j}" for j in range(len(cells)))
+        proc.add(Step(action=ACTION_COMPUTE, expr=f"{argbest}({metrics})", out=f"{cid}_best_cell"))
         for k, m in enumerate(members):
-            proc.add(Step(action=ACTION_COMPUTE, expr=str(cells[0][0][k]),
+            levels = ", ".join(str(combo[k]) for combo, _ in cells)
+            proc.add(Step(action=ACTION_COMPUTE, expr=f"pick({cid}_best_cell, {levels})",
                           out=best_index_signal(m)))
-        for j in range(1, len(cells)):
-            label = f"cell_skip_{j}"
-            proc.branch_to_label(f"{metric_sigs[j]} {cmp_op} {cid}_grid_best", label)
-            proc.add(Step(action=ACTION_COMPUTE, expr=metric_sigs[j], out=f"{cid}_grid_best"))
-            for k, m in enumerate(members):
-                proc.add(Step(action=ACTION_COMPUTE, expr=str(cells[j][0][k]),
-                              out=best_index_signal(m)))
-            labels2[label] = proc.here()
         proc.branch_to_label("1", "mark_done")
 
-        labels2["accept_doc"] = proc.here()
-        for k, m in enumerate(members):
+        labels2 = {"accept_doc": proc.here()}
+        for m in members:
             idx = _grid_index_of(grids[m], opt.best_config.assignments[m], space.get(m))
             proc.add(Step(action=ACTION_COMPUTE, expr=str(idx), out=best_index_signal(m)))
         labels2["mark_done"] = proc.here()
@@ -872,6 +850,7 @@ class KnowledgeExport(JsonArtifact):
     safe_ranges: dict[str, dict]
     interactions: list[dict]
     fingerprint: dict[str, str]
+    load_error = DocumentError
 
     def to_json(self) -> dict:
         return {

@@ -2,9 +2,10 @@
 
 Supports numeric literals, symbols (runtime signals and reference data),
 arithmetic (+ - * /), comparisons (< <= = == != >= >), boolean and/or/not,
-and the functions abs/min/max plus defined(symbol). Comparisons and boolean
-operators yield 1.0 / 0.0. Unknown symbols raise, never silently evaluate
-false; defined() tests for a signal's presence, and because and/or
+and the functions abs/min/max, argmax/argmin (the index of the first best
+argument), pick(i, v0, ...) (the value v_i) and defined(symbol). Comparisons
+and boolean operators yield 1.0 / 0.0. Unknown symbols raise, never silently
+evaluate false; defined() tests for a signal's presence, and because and/or
 short-circuit, "defined(x) and x > 0" is a safe guarded reference.
 """
 
@@ -24,11 +25,12 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 # Parsed expressions are memoized by text. One compiled document holds about
-# 500-900 distinct predicate texts; the bound sits well above that, so an
+# 150-300 distinct predicate texts; the bound sits well above that, so an
 # in-order validation pass over a whole document never evicts its own entries.
 _PARSE_CACHE_SIZE = 2048
 
-_FUNCTIONS = {"abs", "min", "max", "defined"}
+# Function name -> fewest arguments; abs() and defined() take exactly one.
+_FUNCTIONS = {"abs": 1, "min": 1, "max": 1, "argmax": 1, "argmin": 1, "pick": 2, "defined": 1}
 _KEYWORDS = {"and", "or", "not"}
 
 
@@ -123,6 +125,14 @@ class Expr:
                     return min(args)
                 if fn == "max":
                     return max(args)
+                if fn in ("argmax", "argmin"):
+                    return float(args.index(max(args) if fn == "argmax" else min(args)))
+                if fn == "pick":
+                    i = args[0]
+                    if not (i.is_integer() and 0 <= i < len(args) - 1):
+                        raise ExpressionError(f"pick() index {i!r} is not an integer in "
+                                              f"[0, {len(args) - 2}] in {self.text!r}")
+                    return args[int(i) + 1]
                 raise ExpressionError(f"unknown function {fn!r}")
             op, lhs, rhs = node[1], node[2], node[3]
             if op == "and":
@@ -257,10 +267,8 @@ class _Parser:
                     if len(args) != 1 or args[0][0] != "sym":
                         raise ExpressionError("defined() takes exactly one symbol argument")
                     return ("defined", args[0][1])
-                if tok == "abs" and len(args) != 1:
-                    raise ExpressionError("abs() takes exactly one argument")
-                if tok in ("min", "max") and not args:
-                    raise ExpressionError(f"{tok}() needs at least one argument")
+                if len(args) < _FUNCTIONS[tok] or (tok == "abs" and len(args) > 1):
+                    raise ExpressionError(f"wrong number of arguments to {tok}() in {self.text!r}")
                 return ("call", tok, args)
             return ("sym", tok)
         raise ExpressionError(f"unexpected token {tok!r} in {self.text!r}")

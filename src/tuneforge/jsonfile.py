@@ -11,6 +11,8 @@ import json
 import os
 from typing import Any
 
+from .errors import AnalysisError
+
 
 def canonical_json(obj: Any) -> str:
     """Sorted keys, two-space indent, trailing newline."""
@@ -40,6 +42,9 @@ def write_json(path: str, obj: Any) -> None:
 class JsonArtifact:
     """``save``/``load``/``serialize`` for a class with ``to_json``/``from_json``."""
 
+    # Raised by ``load`` for a file that is not JSON.
+    load_error = AnalysisError
+
     def serialize(self) -> str:
         """The exact text ``save`` writes."""
         return canonical_json(self.to_json())
@@ -50,4 +55,8 @@ class JsonArtifact:
     @classmethod
     def load(cls, path: str):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as e:
+                raise cls.load_error(f"{path} is not valid JSON: {e}") from e
+        return cls.from_json(d)

@@ -241,13 +241,13 @@ def shifted_small_model(sigma=0.005):
         couplings=[Coupling("pa", "pb", 1.5)])
 
 
-def run_small_pipeline(directory, seed=42, compile_doc=True):
+def run_small_pipeline(directory, seed=42, compile_doc=True, direction="maximize"):
     """Profile + screen + joint (+ compile) the small planted campaign."""
     from tuneforge.campaign import Campaign
     from tuneforge.simulator import SimulatorAdapter
 
     space = unit_space(SMALL_NAMES)
-    workloads = one_workload()
+    workloads = one_workload(direction)
     model = small_model()
     adapter = SimulatorAdapter(space, model)
     campaign = Campaign(str(directory), space, workloads, seed=seed)

@@ -1,13 +1,17 @@
 """Campaign pipeline across multiple workloads and edge paths."""
 
 import os
+import re
 
 import pytest
 
 from helpers import one_workload, unit_space
-from tuneforge.campaign import STATE_FILE, Campaign
-from tuneforge.docgen import export_knowledge
-from tuneforge.errors import ParameterError
+from tuneforge.campaign import STATE_FILE, Campaign, CampaignState
+from tuneforge.docgen import KnowledgeExport, ProceduralDocument, export_knowledge
+from tuneforge.errors import AnalysisError, DocumentError, ParameterError
+from tuneforge.interaction import InteractionReport
+from tuneforge.sensitivity import SensitivityReport
+from tuneforge.topology import OptimaReport
 from tuneforge.executor import run_session
 from tuneforge.interaction import PairLevels, choose_pair_levels, screen_pair
 from tuneforge.harness import MeasurementLog
@@ -152,6 +156,17 @@ class TestAtomicWrites:
         with open(path, "rb") as fh:
             assert fh.read() == before
         assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+
+    @pytest.mark.parametrize("cls, error", [
+        (CampaignState, AnalysisError), (SensitivityReport, AnalysisError),
+        (InteractionReport, AnalysisError), (OptimaReport, AnalysisError),
+        (ProceduralDocument, DocumentError), (KnowledgeExport, DocumentError)])
+    def test_truncated_file_is_an_error_naming_it(self, tmp_path, cls, error):
+        path = tmp_path / "artifact.json"
+        path.write_text('{"schema_version": 2, "fing')
+        with pytest.raises(error, match=re.escape(f"{path} is not valid JSON")):
+            cls.load(str(path))
 
 
 class TestEnumParameters:

@@ -163,6 +163,24 @@ class TestFullPipeline:
         err = capsys.readouterr().err
         assert "analysis error: malformed document" in err and "'up'" in err
 
+    @pytest.mark.parametrize("command", ["tune", "export"])
+    def test_truncated_document_exits_with_analysis_code(self, decls, capsys, command):
+        campaign = str(decls["dir"] / f"truncated_{command}")
+        for cmd in (["profile"], ["screen"], ["joint"], ["compile"]):
+            assert run_cli(decls, campaign, *cmd) == 0
+        path = os.path.join(campaign, DOCUMENT_FILE)
+        with open(path) as fh:
+            head = fh.read(300)
+        with open(path, "w") as fh:
+            fh.write(head)
+        capsys.readouterr()
+        assert run_cli(decls, campaign, command) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("analysis error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"analysis error: {path} is not valid JSON: ")
+
     def test_lock_file_released_after_command(self, decls):
         campaign = str(decls["dir"] / "locked")
         assert run_cli(decls, campaign, "profile") == 0

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -66,6 +67,32 @@ class TestCompile:
         # like `adopt`, the flag is written only when it is set
         serialized = [s.to_json() for skill in doc.skills for s in skill.procedure]
         assert all(d.get("pin_best", True) is True for d in serialized)
+
+    def test_argbest_is_one_compute_step_not_a_ladder(self, pipeline):
+        doc = pipeline["doc"]
+        for skill in doc.skills:
+            steps = skill.procedure
+            if skill.id.startswith("resweep_"):
+                (param,) = steps[0].template
+                n = len(doc.grids[param])
+                assert [s.action for s in steps] == ["benchmark"] * n + ["compute"] * 3
+                assert steps[n + 1].expr == \
+                    f"argmax({', '.join(f'{param}_rs_m{i}' for i in range(n))})"
+                assert steps[n + 1].out == f"best_{param}_idx"
+            elif skill.id.startswith("joint_"):
+                first = next(i for i, s in enumerate(steps) if s.out == f"{skill.id}_cell_0")
+                members = sorted(steps[first].template)
+                n = math.prod(len(doc.grids[m]) for m in members)
+                research = steps[first:first + n + 1 + len(members)]
+                assert [s.action for s in research] == \
+                    ["benchmark"] * n + ["compute"] * (1 + len(members))
+                assert research[n].expr == \
+                    f"argmax({', '.join(f'{skill.id}_cell_{j}' for j in range(n))})"
+                assert [s.out for s in research[n:]] == \
+                    [f"{skill.id}_best_cell"] + [f"best_{m}_idx" for m in members]
+                assert all(s.expr.startswith(f"pick({skill.id}_best_cell, ")
+                           for s in research[n + 1:])
+        assert "adapted_" not in doc.serialize()
 
     def test_compile_is_byte_deterministic(self, pipeline):
         p = pipeline

@@ -355,3 +355,83 @@ class TestErrorPaths:
         assert "unresolved symbol 'x'" in session.diagnostic
         assert session.trace[-1].outputs == {"status": "aborted",
                                              "diagnostic": session.diagnostic}
+
+
+@pytest.fixture(scope="module", params=["maximize", "minimize"])
+def forced_doc(request, tmp_path_factory):
+    """The small pipeline's document with the joint re-search forced: no
+    measured gain reaches the documented improvement."""
+    p = run_small_pipeline(tmp_path_factory.mktemp("campaign"), direction=request.param)
+    doc = copy.deepcopy(p["doc"])
+    doc.skill("joint_c1").reference_data["expected_improvement"] = 1e9
+    return {"doc": doc, "space": p["space"], "maximize": request.param == "maximize"}
+
+
+def _skill_runs(trace):
+    """(skill id, events) for each run of consecutive events of one skill."""
+    runs = []
+    for event in trace:
+        if runs and runs[-1][0] == event.skill:
+            runs[-1][1].append(event)
+        else:
+            runs.append((event.skill, [event]))
+    return runs
+
+
+def _metric(event):
+    return next(v for k, v in event.outputs.items() if k != "outcomes")
+
+
+def _last_set(events, signal):
+    values = [e.outputs[signal] for e in events if e.action == "compute" and signal in e.outputs]
+    return values[-1]
+
+
+class TestArgbestSkills:
+    """The re-sweep and joint re-search adopt the first best level by the
+    primary workload's direction: a later cell wins only if strictly better."""
+
+    @staticmethod
+    def adopted(forced, model):
+        """(expected, adopted) best-index pairs of every re-sweep and re-search."""
+        doc = forced["doc"]
+        session = run_session(doc, SimulatorAdapter(forced["space"], model), budget=200, seed=11)
+        assert session.status == "converged"
+
+        def first_best(values):
+            return values.index(max(values) if forced["maximize"] else min(values))
+
+        pairs = {}
+        for skill_id, events in _skill_runs(session.trace):
+            benchmarks = [e for e in events if e.action == "benchmark"]
+            if skill_id.startswith("resweep_"):
+                (param,) = benchmarks[0].inputs["config"]
+                grid = doc.grids[param]
+                levels = [grid.index(e.inputs["config"][param]) for e in benchmarks]
+                best = levels[first_best([_metric(e) for e in benchmarks])]
+                pairs[skill_id] = (best, _last_set(events, f"best_{param}_idx"))
+            elif skill_id == "joint_c1":
+                steps = doc.skill(skill_id).procedure
+                cells = [e for e in benchmarks
+                         if steps[e.step].out.startswith("joint_c1_cell_")]
+                if not cells:
+                    continue
+                assert len(cells) == 16
+                template = steps[cells[first_best([_metric(e) for e in cells])].step].template
+                for member, level in template.items():
+                    pairs[f"{skill_id}:{member}"] = (doc.grids[member].index(level),
+                                                     _last_set(events, f"best_{member}_idx"))
+        return pairs
+
+    def test_shifted_model_adopts_the_first_best_cell(self, forced_doc):
+        pairs = self.adopted(forced_doc, shifted_small_model())
+        assert {"resweep_pc", "resweep_pd", "joint_c1:pa", "joint_c1:pb"} <= set(pairs)
+        for name, (expected, adopted) in pairs.items():
+            assert adopted == expected, name
+
+    def test_all_tie_adopts_the_first_cell(self, forced_doc):
+        from tuneforge.simulator import SimulatorModel
+        pairs = self.adopted(forced_doc, SimulatorModel(base_rate=1000.0))
+        assert set(pairs) == {"resweep_pa", "resweep_pb", "resweep_pc", "resweep_pd",
+                              "joint_c1:pa", "joint_c1:pb"}
+        assert all(pair == (0, 0) for pair in pairs.values()), pairs

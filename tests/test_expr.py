@@ -35,6 +35,20 @@ class TestEvaluation:
         assert evaluate("abs(0 - 3)", {}, {}) == 3.0
         assert evaluate("max(1, 5, 3)", {}, {}) == 5.0
         assert evaluate("min(x, 2)", {"x": 7}, {}) == 2.0
+        assert evaluate("argmax(1, 5, 3)", {}, {}) == 1.0
+        assert evaluate("argmin(x, 2, 9)", {"x": 7}, {}) == 1.0
+        assert evaluate("pick(2, 10, 20, 30)", {}, {}) == 30.0
+        assert evaluate("pick(i, 10, 20)", {"i": 0}, {}) == 10.0
+        # ties resolve to the first index: a later argument wins only if strictly better
+        assert evaluate("argmax(1, 5, 5, 3, 5)", {}, {}) == 1.0
+        assert evaluate("argmin(4, 2, 9, 2)", {}, {}) == 1.0
+        assert evaluate("argmax(7, 7, 7)", {}, {}) == 0.0
+        assert evaluate("argmin(x)", {"x": 3}, {}) == 0.0
+
+    @pytest.mark.parametrize("index", ["1e999", "-1", "1.5", "2", "1e999 - 1e999"])
+    def test_pick_index_outside_the_values_raises(self, index):
+        with pytest.raises(ExpressionError, match="pick"):
+            evaluate(f"pick({index}, 10, 20)", {}, {})
 
     def test_defined_guards_absent_symbols(self):
         assert evaluate_predicate("defined(flag)", {"flag": 0.0}, {}) is True
@@ -65,7 +79,7 @@ class TestEvaluation:
 class TestParsing:
     @pytest.mark.parametrize("bad", [
         "", "   ", "1 +", "foo(1)", "(1", "defined(1)", "defined(a, b)",
-        "a >", "and a", "1 2", "a $ b",
+        "a >", "and a", "1 2", "a $ b", "argmax()", "argmin()", "pick()", "pick(1)",
     ])
     def test_malformed_expressions_raise(self, bad):
         with pytest.raises(ExpressionError):
@@ -85,6 +99,8 @@ class TestParsing:
     def test_symbols_collects_everything_including_defined_args(self):
         e = parse("defined(flag) and cv > tau_s * 2 + max(x, 0)")
         assert e.symbols() == {"flag", "cv", "tau_s", "x"}
+        e = parse("pick(argmax(a, b), c, 2) + argmin(d, 1)")
+        assert e.symbols() == {"a", "b", "c", "d"}
 
     def test_symbols_cannot_be_mutated(self):
         symbols = parse("a + b").symbols()

@@ -122,6 +122,23 @@ def test_non_finite_pinned_index_aborts(pipeline):
     assert session.diagnostic == "joint_c1: grid index inf out of range for 'pc'"
 
 
+# joint_c1 re-searches its grid once no measured gain can reach the documented
+# improvement; a best cell that names no cell aborts at the first pick step.
+@pytest.mark.parametrize("best_cell, shown", [("1e999", "inf"), ("-1", "-1.0"), ("1.5", "1.5"),
+                                              ("99", "99.0")])
+def test_best_cell_outside_the_grid_aborts(pipeline, best_cell, shown):
+    joint = next(i for i, s in enumerate(pipeline["json"]["skills"]) if s["id"] == "joint_c1")
+    steps = pipeline["json"]["skills"][joint]["procedure"]
+    argbest = next(i for i, step in enumerate(steps) if step.get("out") == "joint_c1_best_cell")
+    d = mutated(pipeline["json"], ("skills", joint, "reference_data", "expected_improvement"), 1e9)
+    d = mutated(d, ("skills", joint, "procedure", argbest, "expr"), best_cell)
+    session = run_session(ProceduralDocument.from_json(d), pipeline["adapter"], budget=30, seed=0)
+    assert session.status == "aborted"
+    assert session.diagnostic.startswith(
+        f"joint_c1: step {argbest + 1} compute failed: pick() index {shown} is not an integer "
+        "in [0, 15]")
+
+
 def test_enum_value_against_a_numeric_safe_range_aborts():
     space = ParameterSpace((ParameterSpec(name="mode", domain=Domain("enum", values=("a", "b")),
                                           default="a"),))
