@@ -10,8 +10,9 @@ correlation screen, joint optimization.
 
 from __future__ import annotations
 
+import fcntl
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 from .docgen import ProceduralDocument, compile_document
@@ -119,21 +120,33 @@ class Campaign:
 
     @contextmanager
     def lock(self):
-        """One process owns a campaign directory at a time."""
+        """One process owns a campaign directory at a time.
+
+        The owner holds an exclusive ``flock`` on the lock file, which the
+        kernel releases however the owner ends, so a file left behind by a
+        process that is gone is simply locked again. The file holds the
+        owner's PID for diagnostics only.
+        """
         path = self.path(LOCK_FILE)
+        fd = os.open(path, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ParameterError(
-                f"campaign directory {self.directory} is locked by another process "
-                f"(remove {path} if that process is gone)")
-        try:
-            os.write(fd, str(os.getpid()).encode())
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # The previous owner may have removed the file between our open
+            # and our flock; a lock on a removed file guards nothing.
+            if os.fstat(fd).st_ino != os.stat(path).st_ino:
+                raise BlockingIOError
+        except (BlockingIOError, FileNotFoundError):
             os.close(fd)
+            raise ParameterError(
+                f"campaign directory {self.directory} is locked by another process") from None
+        try:
+            os.ftruncate(fd, 0)
+            os.write(fd, str(os.getpid()).encode())
             yield
         finally:
-            if os.path.exists(path):
+            with suppress(FileNotFoundError):
                 os.remove(path)
+            os.close(fd)
 
     def _load_log(self, name: str) -> MeasurementLog | None:
         path = self.path(name)
@@ -153,7 +166,8 @@ class Campaign:
                        existing=existing, log_meta={"stage": "sweep"},
                        journal=self.path(SWEEP_LOG))
         log.save(self.path(SWEEP_LOG))
-        report = analyze_sensitivity(log, self.space, self.workloads, tau_s=tau_s)
+        report = analyze_sensitivity(log, self.space, self.workloads, levels_per_param,
+                                     tau_s=tau_s)
         report.save(self.path(SENSITIVITY_REPORT))
         self.state.budgets["sensitivity"] = len(plan)
         self.state.runs_used["sensitivity"] = \
@@ -237,23 +251,20 @@ class Campaign:
         if retried:
             log = run()
 
-        # Stage A verdicts decide which (pair, workload) tables stage B needs.
-        advancing: list[tuple[str, str]] = []
+        # Stage A verdicts decide which (pair, workload) tables stage B needs:
+        # exactly those screen_pair analyses.
+        advancing = False
         for pair in pairs:
             if pair in unsafe or pair not in levels:
                 continue
             pl = levels[pair]
-            needs_b = False
             for w in self.workloads:
                 table = table_from_log(log, pair, pl.stage_a[0], pl.stage_a[1], w.id)
-                if not table.is_balanced(1):
-                    continue
-                if stage_a_verdict(stage_a_int_pct(table)) != VERDICT_INDEPENDENT:
-                    needs_b = True
-            if needs_b:
-                advancing.append(pair)
-                extend(plan_pair_table(pair, pl.stage_b[0], pl.stage_b[1],
-                                       self.workloads, STAGE_B_REPS))
+                if table.is_balanced(1) and \
+                        stage_a_verdict(stage_a_int_pct(table)) != VERDICT_INDEPENDENT:
+                    advancing = True
+                    extend(plan_pair_table(pair, pl.stage_b[0], pl.stage_b[1],
+                                           [w], STAGE_B_REPS))
         if advancing:
             log = run()
 

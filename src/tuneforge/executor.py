@@ -389,15 +389,20 @@ class ReplayResult:
 
 def replay_session(header: dict, events: list[TraceEvent],
                    doc: ProceduralDocument) -> ReplayResult:
-    """Re-evaluate every recorded predicate from its recorded environment.
+    """Re-evaluate every recorded predicate and compute step, in trace order.
 
-    Rejects traces whose fingerprint or document hash does not match the
-    document. A mismatch on any verdict marks the trace as tampered or
-    nondeterministic.
+    Predicates are evaluated in their recorded environment. Signals are
+    rebuilt from the benchmark and compute outputs as recorded, and each
+    compute step's expression, read from the document, must give its recorded
+    output again. Rejects traces whose fingerprint or document hash does not
+    match the document. A mismatch on any verdict or computed value marks the
+    trace as tampered or nondeterministic.
     """
     if header.get("fingerprint") != doc.fingerprint or \
             header.get("document_hash") != doc.document_hash():
         raise DocumentError("trace fingerprint does not match this document")
+    skills = {s.id: s for s in doc.skills}
+    signals: dict[str, Any] = {}
     mismatches = []
     for event in events:
         for pred in event.predicates:
@@ -409,4 +414,27 @@ def replay_session(header: dict, events: list[TraceEvent],
                 mismatches.append({"seq": event.seq, "skill": event.skill,
                                    "expr": pred["expr"], "recorded": pred["verdict"],
                                    "replayed": verdict})
+        if event.action not in (ACTION_BENCHMARK, ACTION_COMPUTE):
+            continue
+        skill = skills.get(event.skill)
+        procedure = skill.procedure if skill is not None else []
+        step = procedure[event.step] \
+            if isinstance(event.step, int) and 0 <= event.step < len(procedure) else None
+        if step is None or step.action != event.action:
+            mismatches.append({"seq": event.seq, "skill": event.skill, "expr": None,
+                               "recorded": event.action, "replayed": None})
+            continue
+        if event.action == ACTION_BENCHMARK:
+            if step.out in event.outputs:
+                signals[step.out] = event.outputs[step.out]
+            continue
+        recorded = event.outputs.get(step.out)
+        try:
+            replayed = expr_mod.evaluate(step.expr, signals, skill.reference_data)
+        except ExpressionError:
+            replayed = None
+        if replayed != recorded:
+            mismatches.append({"seq": event.seq, "skill": event.skill, "expr": step.expr,
+                               "recorded": recorded, "replayed": replayed})
+        signals[step.out] = recorded
     return ReplayResult(ok=not mismatches, mismatches=mismatches)

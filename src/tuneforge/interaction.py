@@ -388,8 +388,8 @@ def screen_pair(log: MeasurementLog, pair: tuple[str, str], workloads: list[Work
                 levels: "PairLevels") -> list[InteractionRecord]:
     """Both screening stages for one pair, one record per workload.
 
-    ``log`` holds the pair's stage-A corners and, where any workload
-    advanced, its stage-B table. Stage B statistics are attached only where
+    ``log`` holds the pair's stage-A corners and, for each workload whose
+    stage-A verdict advanced, its stage-B table. Stage B statistics are attached only where
     the stage-A verdict advanced (undetermined verdicts advance too,
     favoring recall). Confirmation is decided later, after BH correction
     across the whole campaign.

@@ -18,9 +18,9 @@ from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import (DEGRADATION_FRACTION, OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT,
-                      MeasurementLog, PlanEntry)
+                      Measurement, MeasurementLog, PlanEntry)
 from .jsonfile import JsonArtifact
-from .space import Configuration, ParameterSpace, WorkloadSpec, level_grid
+from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, level_grid
 
 DEFAULT_TAU_S = 0.05      # aggregate-CV selection threshold
 FLAT_TOL = 0.02           # below this range/baseline ratio a curve is flat
@@ -38,6 +38,7 @@ class SweepResult:
     levels: list[Any]
     values: list[list[float]]          # ok metric values per level
     excluded: list[dict[str, int]]     # per-level crash/timeout/degraded counts
+    default_index: int | None = None   # the default's level, when it is a grid level
 
     def mean(self, i: int) -> float | None:
         v = self.values[i]
@@ -160,12 +161,29 @@ class SensitivityReport(JsonArtifact):
         )
 
 
+def sweep_levels(spec: ParameterSpec, levels_per_param: int) -> tuple[list[Any], int | None]:
+    """A parameter's sweep grid and the index of its default on it.
+
+    Enum and boolean grids are capped at the domain's cardinality, and no
+    grid has fewer than 2 levels. The index is None when the default is not a
+    grid level. Planning and analysis both decide the default level here.
+    """
+    count = levels_per_param
+    if spec.domain.kind in ("enum", "boolean"):
+        count = min(count, len(spec.domain.ordered_values))
+    grid = level_grid(spec, max(2, count))
+    return grid, next((i for i, v in enumerate(grid) if v == spec.default), None)
+
+
 def plan_sweep(space: ParameterSpace, workloads: list[WorkloadSpec],
                levels_per_param: int, repetitions: int) -> list[PlanEntry]:
     """One-at-a-time sweep plan: every entry varies exactly one parameter.
 
-    Size is sum_i L_i * r * W plus one all-defaults baseline per workload and
-    repetition (the CV denominator).
+    The plan opens with one all-defaults baseline per workload and repetition
+    (the CV denominator). That baseline also measures each parameter's
+    default level, so a grid level equal to the default is not planned again:
+    the size is sum_i (L_i - 1) * r * W + r * W when every default is on its
+    grid. An off-grid default adds no level.
     """
     if not 3 <= levels_per_param <= 9:
         raise ParameterError(f"levels_per_param must be in [3, 9], got {levels_per_param}")
@@ -179,10 +197,10 @@ def plan_sweep(space: ParameterSpace, workloads: list[WorkloadSpec],
         for rep in range(repetitions):
             plan.append((default, w, rep))
     for spec in space:
-        count = min(levels_per_param, len(spec.domain.ordered_values)) \
-            if spec.domain.kind in ("enum", "boolean") else levels_per_param
-        count = max(2, count)
-        for value in level_grid(spec, count):
+        grid, default_idx = sweep_levels(spec, levels_per_param)
+        for i, value in enumerate(grid):
+            if i == default_idx:
+                continue
             config = Configuration({spec.name: value})
             for w in workloads:
                 for rep in range(repetitions):
@@ -191,29 +209,47 @@ def plan_sweep(space: ParameterSpace, workloads: list[WorkloadSpec],
 
 
 def build_sweep_results(log: MeasurementLog, space: ParameterSpace,
-                        workloads: list[WorkloadSpec]) -> tuple[dict, dict[str, float]]:
+                        workloads: list[WorkloadSpec],
+                        levels_per_param: int) -> tuple[dict, dict[str, float]]:
     """Group a sweep log into SweepResults and per-workload baseline means.
 
     Levels are recovered from the recorded configurations (each sweep config
     assigns exactly one parameter), so analysis replayed from a persisted log
-    equals analysis of the live run.
+    equals analysis of the live run. Where a parameter's default is a grid
+    level, that level of every swept (parameter, workload) pair is the
+    workload's ok all-defaults records; a record assigning the default
+    explicitly (as logs of older plans hold) is not read. The baseline's
+    crash and timeout runs count against no parameter, as they never did
+    against the CV denominator: one transient failure of the configuration
+    every sweep shares must not make every parameter unsafe at its default.
+    A workload whose baseline has no ok run has no baseline mean, which
+    analysis refuses.
     """
     workload_ids = {w.id for w in workloads}
+    default_level: dict[str, Any] = {}
+    for spec in space:
+        grid, default_idx = sweep_levels(spec, levels_per_param)
+        if default_idx is not None:
+            default_level[spec.name] = grid[default_idx]
     per_level: dict[tuple[str, str], dict[Any, list]] = {}
-    baselines: dict[str, list[float]] = {w.id: [] for w in workloads}
+    baselines: dict[str, list[Measurement]] = {w.id: [] for w in workloads}
     for m in log:
         if m.workload_id not in workload_ids:
             continue
         if m.config.is_default():
             if m.outcome == OUTCOME_OK:
-                baselines[m.workload_id].append(m.metric_value)
+                baselines[m.workload_id].append(m)
             continue
         if len(m.config.assignments) != 1:
             continue  # not a one-at-a-time entry
         (param, value), = m.config.assignments.items()
         per_level.setdefault((param, m.workload_id), {}).setdefault(value, []).append(m)
 
-    baseline_means = {w: sum(v) / len(v) for w, v in baselines.items() if v}
+    for (param, wid), by_value in per_level.items():
+        if param in default_level:
+            by_value[default_level[param]] = baselines[wid]  # replaces explicit records
+    baseline_means = {w: sum(m.metric_value for m in ms) / len(ms)
+                      for w, ms in baselines.items() if ms}
 
     def level_sort_key(param: str, value: Any):
         dom = space.get(param).domain
@@ -233,8 +269,10 @@ def build_sweep_results(log: MeasurementLog, space: ParameterSpace,
                 if m.outcome != OUTCOME_OK:
                     counts[m.outcome] = counts.get(m.outcome, 0) + 1
             excluded.append(counts)
-        sweeps[(param, wid)] = SweepResult(parameter=param, workload_id=wid,
-                                           levels=levels, values=values, excluded=excluded)
+        sweeps[(param, wid)] = SweepResult(
+            parameter=param, workload_id=wid, levels=levels, values=values,
+            excluded=excluded, default_index=levels.index(default_level[param])
+            if param in default_level else None)
     return sweeps, baseline_means
 
 
@@ -301,7 +339,10 @@ def classify_shape(sweep: SweepResult, baseline_mean: float) -> str:
 
 
 def _default_level_index(sweep: SweepResult, space: ParameterSpace) -> int:
-    """Grid level closest to the parameter's default (ties pick the lower)."""
+    """The default's level; for an off-grid default, the closest level (ties
+    pick the lower)."""
+    if sweep.default_index is not None:
+        return sweep.default_index
     spec = space.get(sweep.parameter)
     dom = spec.domain
     if dom.kind in ("enum", "boolean"):
@@ -423,16 +464,19 @@ def _profile_parameter(param: str, sweeps: dict, baseline_means: dict[str, float
 
 
 def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
-                        workloads: list[WorkloadSpec],
+                        workloads: list[WorkloadSpec], levels_per_param: int,
                         tau_s: float = DEFAULT_TAU_S) -> SensitivityReport:
     """Full stage-1 analysis of a sweep log into a SensitivityReport.
+
+    ``levels_per_param`` is the one the sweep was planned with; it says which
+    grid level the all-defaults baseline stands for.
 
     Per-parameter CVs are computed per workload and aggregated by max; the
     shape label and per-workload best levels come from the sweeps; safe
     ranges are intersected across workloads so every downstream probe is safe
     everywhere.
     """
-    sweeps, baseline_means = build_sweep_results(log, space, workloads)
+    sweeps, baseline_means = build_sweep_results(log, space, workloads, levels_per_param)
     for w in workloads:
         if w.id not in baseline_means:
             raise AnalysisError(f"no usable baseline measurements for workload {w.id!r}")

@@ -96,7 +96,11 @@ def anova_oracle(cells):
 # ---------------------------------------------------------------------------
 
 def cv_oracle(log, param, workload_id):
-    """(max level mean - min level mean) / baseline mean, straight from records."""
+    """(max level mean - min level mean) / baseline mean, straight from records.
+
+    The parameter's default is a grid level, and the all-defaults baseline
+    records are that level's measurements.
+    """
     by_level = {}
     baseline = []
     for m in log:
@@ -106,8 +110,8 @@ def cv_oracle(log, param, workload_id):
             baseline.append(m.metric_value)
         elif list(m.config.assignments) == [param]:
             by_level.setdefault(m.config.assignments[param], []).append(m.metric_value)
-    level_means = [sum(v) / len(v) for v in by_level.values()]
     base = sum(baseline) / len(baseline)
+    level_means = [sum(v) / len(v) for v in by_level.values()] + [base]
     return (max(level_means) - min(level_means)) / base
 
 

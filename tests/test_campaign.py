@@ -6,7 +6,9 @@ import re
 import pytest
 
 from helpers import one_workload, unit_space
-from tuneforge.campaign import STATE_FILE, Campaign, CampaignState
+from tuneforge import campaign as campaign_mod
+from tuneforge.campaign import (LOCK_FILE, SCREEN_LOG, SENSITIVITY_REPORT, STATE_FILE,
+                                SWEEP_LOG, Campaign, CampaignState)
 from tuneforge.docgen import KnowledgeExport, ProceduralDocument, export_knowledge
 from tuneforge.errors import AnalysisError, DocumentError, ParameterError
 from tuneforge.interaction import InteractionReport
@@ -14,9 +16,10 @@ from tuneforge.sensitivity import SensitivityReport
 from tuneforge.topology import OptimaReport
 from tuneforge.executor import run_session
 from tuneforge.interaction import PairLevels, choose_pair_levels, screen_pair
-from tuneforge.harness import MeasurementLog
+from tuneforge.harness import MeasurementLog, run_plan
+from tuneforge.sensitivity import plan_sweep
 from tuneforge.simulator import (Coupling, Response, SimulatorAdapter, SimulatorModel)
-from tuneforge.space import WorkloadSpec
+from tuneforge.space import Configuration, WorkloadSpec, level_grid
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +220,121 @@ class TestUnsafeToScreen:
         safe = setup["sens"].profile("px").safe_range
         for v in pl.stage_a[0]:
             assert float(safe.lo) < v < float(safe.hi)
+
+
+class PerWorkloadAdapter:
+    """One simulator model per workload id behind one adapter."""
+
+    def __init__(self, space, models):
+        self.space = space
+        self.max_concurrency = 1
+        self._adapters = {w: SimulatorAdapter(space, m) for w, m in models.items()}
+
+    def measure(self, config, workload, seed):
+        return self._adapters[workload.id].measure(config, workload, seed)
+
+
+class TestStageBPlan:
+    def test_no_stage_b_cell_where_stage_a_was_independent(self, tmp_path):
+        # pa x pb couples on w_on only. On w_off the pair's one interaction is
+        # the product of its main effects (Int% about 3), so it is independent.
+        space = unit_space(["pa", "pb", "pc"])
+        workloads = [WorkloadSpec(id="w_on"), WorkloadSpec(id="w_off")]
+        responses = {n: Response(shape="linear-up", strength=0.2) for n in ("pa", "pb", "pc")}
+        adapter = PerWorkloadAdapter(space, {
+            "w_on": SimulatorModel(base_rate=1000.0, sigma=0.002, responses=responses,
+                                   couplings=[Coupling("pa", "pb", 1.5)]),
+            "w_off": SimulatorModel(base_rate=1000.0, sigma=0.002, responses=responses)})
+        campaign = Campaign(str(tmp_path / "b"), space, workloads, seed=3)
+        campaign.profile(adapter, levels_per_param=5, repetitions=2)
+        inter = campaign.screen(adapter)
+        verdicts = {(r.pair, r.workload_id): r.stage_a_verdict for r in inter.records}
+        assert verdicts[(("pa", "pb"), "w_on")] == "advance"
+        assert verdicts[(("pa", "pb"), "w_off")] == "independent"
+        assert ("pa", "pb") in inter.confirmed_pairs()
+        log = MeasurementLog.load(campaign.path(SCREEN_LOG))
+        for (pair, wid), verdict in verdicts.items():
+            records = [m for m in log if m.workload_id == wid
+                       and tuple(sorted(m.config.assignments)) == pair]
+            if verdict == "independent":
+                # the 2x2 stage-A corners at one repetition, nothing else
+                assert len(records) == 4 and all(m.repetition == 0 for m in records)
+            else:
+                assert any(m.repetition == 2 for m in records)
+
+
+def full_grid_sweep_plan(space, workloads, levels_per_param, repetitions):
+    """The sweep plan of earlier versions: every grid level, the default's too."""
+    plan = [(Configuration({}), w, rep) for w in workloads for rep in range(repetitions)]
+    for spec in space:
+        for value in level_grid(spec, levels_per_param):
+            plan += [(Configuration({spec.name: value}), w, rep)
+                     for w in workloads for rep in range(repetitions)]
+    return plan
+
+
+class TestSweepResume:
+    def test_full_grid_log_resumes_with_no_fresh_runs_and_the_same_report(self, tmp_path):
+        space = unit_space(["pa", "pb", "pc"])
+        workloads = [WorkloadSpec(id="w_a"), WorkloadSpec(id="w_b", direction="minimize")]
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=500.0, sigma=0.01,
+            responses={"pa": Response(shape="linear-up", strength=0.3),
+                       "pb": Response(shape="quadratic-peak", strength=0.2, peak=0.6)}))
+        old_plan = full_grid_sweep_plan(space, workloads, 5, 2)
+        assert len(old_plan) == len(plan_sweep(space, workloads, 5, 2)) + 3 * 2 * 2
+
+        resumed = Campaign(str(tmp_path / "resumed"), space, workloads, seed=11)
+        run_plan(adapter, old_plan, seed=11).save(resumed.path(SWEEP_LOG))
+        resumed.profile(adapter, levels_per_param=5, repetitions=2)
+        assert resumed.state.runs_used["sensitivity"] == 0
+
+        fresh = Campaign(str(tmp_path / "fresh"), space, workloads, seed=11)
+        fresh.profile(adapter, levels_per_param=5, repetitions=2)
+        assert fresh.state.runs_used["sensitivity"] == len(old_plan) - 12
+        with open(resumed.path(SENSITIVITY_REPORT), "rb") as a, \
+                open(fresh.path(SENSITIVITY_REPORT), "rb") as b:
+            assert a.read() == b.read()
+
+
+class TestLock:
+    def test_unlocked_lock_file_is_taken(self, tmp_path):
+        # a file left behind by an owner that is gone holds no flock
+        campaign = Campaign(str(tmp_path), unit_space(["p"]), one_workload(), seed=0)
+        path = campaign.path(LOCK_FILE)
+        with open(path, "w") as fh:
+            fh.write("123")
+        with campaign.lock():
+            with open(path) as fh:
+                assert fh.read() == str(os.getpid())
+        assert not os.path.exists(path)
+
+    def test_held_lock_is_refused_and_kept(self, tmp_path):
+        a = Campaign(str(tmp_path), unit_space(["p"]), one_workload(), seed=0)
+        b = Campaign(str(tmp_path), unit_space(["p"]), one_workload(), seed=0)
+        path = a.path(LOCK_FILE)
+        with a.lock():
+            with pytest.raises(ParameterError, match="locked by another process"):
+                with b.lock():
+                    pass
+            with open(path) as fh:
+                assert fh.read() == str(os.getpid())
+        assert not os.path.exists(path)
+
+    def test_lock_on_a_removed_file_is_refused(self, tmp_path, monkeypatch):
+        campaign = Campaign(str(tmp_path), unit_space(["p"]), one_workload(), seed=0)
+        path = campaign.path(LOCK_FILE)
+        real_flock = campaign_mod.fcntl.flock
+
+        def flock(fd, op):
+            # the previous owner releases, and a third process locks a new
+            # file, between this process's open and its flock
+            os.remove(path)
+            open(path, "w").close()
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(campaign_mod.fcntl, "flock", flock)
+        with pytest.raises(ParameterError, match="locked by another process"):
+            with campaign.lock():
+                pass
+        assert os.path.exists(path)

@@ -1,5 +1,6 @@
 """CLI: stage gating, full pipeline, determinism of emitted artifacts."""
 
+import fcntl
 import json
 import os
 
@@ -83,8 +84,9 @@ class TestFullPipeline:
         assert "compiled" in status_out and "reference 57%" in status_out
 
     def test_profile_run_count_arithmetic(self, tmp_path):
-        # 20 parameters x 5 levels x 3 reps x 2 workloads = 600 sweep entries,
-        # plus one all-defaults baseline per workload and repetition
+        # 20 parameters x 4 non-default levels x 3 reps x 2 workloads = 480
+        # sweep entries, plus one all-defaults baseline per workload and
+        # repetition, which is also every parameter's default level
         space_doc = {
             "schema_version": 1,
             "parameters": [
@@ -104,7 +106,7 @@ class TestFullPipeline:
                      "--repetitions", "3"]) == 0
         with open(os.path.join(campaign, "state.json")) as fh:
             state = json.load(fh)
-        assert state["runs_used"]["sensitivity"] == 600 + 2 * 3
+        assert state["runs_used"]["sensitivity"] == 480 + 2 * 3
 
     def test_report_lists_parameters_in_descending_cv(self, decls, capsys):
         campaign = str(decls["dir"] / "ordered")
@@ -186,11 +188,12 @@ class TestFullPipeline:
         assert run_cli(decls, campaign, "profile") == 0
         assert not os.path.exists(os.path.join(campaign, ".lock"))
 
-    def test_stale_lock_is_a_usage_error(self, decls):
-        campaign = str(decls["dir"] / "stale")
+    def test_live_lock_is_a_usage_error(self, decls):
+        campaign = str(decls["dir"] / "live")
         os.makedirs(campaign, exist_ok=True)
-        open(os.path.join(campaign, ".lock"), "w").write("123")
-        assert run_cli(decls, campaign, "profile") == 1
+        with open(os.path.join(campaign, ".lock"), "w") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            assert run_cli(decls, campaign, "profile") == 1
 
 
 class TestDeterminism:

@@ -155,6 +155,31 @@ class TestReplay:
         assert not result.ok
         assert result.mismatches[0]["seq"] == victim.seq
 
+    def test_tampered_argbest_output_detected_at_that_event(self, pipeline):
+        doc = pipeline["doc"]
+        adapter = SimulatorAdapter(pipeline["space"], shifted_small_model())
+        session = run_session(doc, adapter, budget=120, seed=11)
+        assert replay_session(session.trace_header(), session.trace, doc).ok
+        events = copy.deepcopy(session.trace)
+        victim = next(e for e in events if e.skill == "resweep_pc"
+                      and e.action == "compute" and "best_pc_idx" in e.outputs)
+        recorded = victim.outputs["best_pc_idx"]
+        victim.outputs["best_pc_idx"] = (recorded + 1) % len(doc.grids["pc"])
+        result = replay_session(session.trace_header(), events, doc)
+        assert not result.ok
+        assert result.mismatches[0]["seq"] == victim.seq
+        assert result.mismatches[0]["replayed"] == recorded
+
+    def test_event_naming_no_document_step_is_a_mismatch(self, pipeline):
+        doc = pipeline["doc"]
+        session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
+        events = copy.deepcopy(session.trace)
+        victim = next(e for e in events if e.action == "compute")
+        victim.step = 10_000
+        result = replay_session(session.trace_header(), events, doc)
+        assert not result.ok
+        assert result.mismatches[0]["seq"] == victim.seq
+
     def test_fingerprint_mismatch_rejected(self, pipeline):
         doc = pipeline["doc"]
         session = run_session(doc, pipeline["adapter"], budget=30, seed=13)

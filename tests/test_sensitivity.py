@@ -4,14 +4,26 @@ import pytest
 
 from helpers import cv_oracle, one_workload, unit_space
 from tuneforge.errors import AnalysisError, ParameterError
-from tuneforge.harness import run_plan
+from tuneforge.harness import Measurement, MeasurementLog, run_plan
 from tuneforge.sensitivity import (SensitivityProfile, SensitivityReport, SafeRange,
-                                   SweepResult, analyze_sensitivity, classify_shape, compute_cv,
-                                   extract_safe_range, plan_sweep, select_top_k)
+                                   SweepResult, analyze_sensitivity, build_sweep_results,
+                                   classify_shape, compute_cv, extract_safe_range, plan_sweep,
+                                   select_top_k, sweep_levels)
 from tuneforge.simulator import (CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel)
-from tuneforge.space import (Domain, ParameterSpace, ParameterSpec,
+from tuneforge.space import (Configuration, Domain, ParameterSpace, ParameterSpec,
                              WorkloadSpec)
+
+
+def mixed_space():
+    """One parameter of each domain kind, defaults on the grid but for `off`."""
+    return ParameterSpace((
+        ParameterSpec(name="cont", domain=Domain("continuous", 0.0, 1.0), default=0.5),
+        ParameterSpec(name="int", domain=Domain("integer", 1, 9), default=1),
+        ParameterSpec(name="mode", domain=Domain("enum", values=("a", "b", "c")), default="b"),
+        ParameterSpec(name="flag", domain=Domain("boolean"), default=False),
+        ParameterSpec(name="off", domain=Domain("continuous", 0.0, 1.0), default=0.3),
+    ))
 
 
 def sweep_of(means, parameter="p", workload="w0", reps=1, excluded=None):
@@ -29,24 +41,57 @@ class TestPlanSweep:
         plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=3)
         sweep_entries = [e for e in plan if not e[0].is_default()]
         baseline_entries = [e for e in plan if e[0].is_default()]
-        assert len(sweep_entries) == 9
+        assert len(sweep_entries) == 6
         assert len(baseline_entries) == 3
 
     def test_full_study_scale_arithmetic(self):
-        # 116 parameters x 6 levels x 3 reps x 3 workloads ~ 6,297 runs
+        # 116 parameters x 5 non-default levels x 3 reps x 3 workloads, plus
+        # the baseline, which is also every parameter's sixth (default) level
         space = unit_space([f"p{i:03d}" for i in range(116)])
         workloads = [WorkloadSpec(id=w) for w in ("w1", "w2", "w3")]
         plan = plan_sweep(space, workloads, levels_per_param=6, repetitions=3)
         sweep_entries = [e for e in plan if not e[0].is_default()]
-        assert len(sweep_entries) == 116 * 6 * 3 * 3
-        assert abs(len(plan) - 6297) / 6297 < 0.01
+        assert len(sweep_entries) == 116 * 5 * 3 * 3
+        assert len(plan) == 5229
+        log = run_plan(SimulatorAdapter(space, SimulatorModel(base_rate=100.0)), plan, seed=0)
+        sweeps, _ = build_sweep_results(log, space, workloads, 6)
+        assert len(sweeps) == 116 * 3
+        for sweep in sweeps.values():
+            assert len(sweep.levels) == 6
+            assert [len(v) for v in sweep.values] == [3] * 6
 
     def test_each_entry_varies_exactly_one_coordinate(self):
         space = unit_space(["p", "q"])
         plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=1)
         sweep_entries = [e for e in plan if not e[0].is_default()]
-        assert len(sweep_entries) == 6
+        assert len(sweep_entries) == 4
         assert all(len(c.assignments) == 1 for c, _, _ in sweep_entries)
+
+    def test_no_entry_assigns_a_parameter_its_default(self):
+        space = mixed_space()
+        plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=2)
+        for config, _, _ in plan:
+            for name, value in config.assignments.items():
+                assert value != space.get(name).default, (name, value)
+
+    def test_off_grid_default_adds_no_level(self):
+        space = mixed_space()
+        plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=1)
+        planned = {}
+        for config, _, _ in plan:
+            for name, value in config.assignments.items():
+                planned.setdefault(name, set()).add(value)
+        assert sweep_levels(space.get("off"), 5) == ([0.0, 0.25, 0.5, 0.75, 1.0], None)
+        assert planned["off"] == {0.0, 0.25, 0.5, 0.75, 1.0}
+        log = run_plan(SimulatorAdapter(space, SimulatorModel(base_rate=100.0)), plan, seed=0)
+        sweeps, _ = build_sweep_results(log, space, one_workload(), 5)
+        assert sweeps[("off", "w0")].levels == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert sweeps[("off", "w0")].default_index is None
+        # On-grid defaults: one level fewer planned, the full grid analysed.
+        assert len(planned["cont"]) == 4 and len(sweeps[("cont", "w0")].levels) == 5
+        assert len(planned["flag"]) == 1 and sweeps[("flag", "w0")].levels == [False, True]
+        assert planned["mode"] == {"a", "c"}
+        assert sweeps[("mode", "w0")].levels == ["a", "b", "c"]
 
     def test_preconditions(self):
         space = unit_space(["p"])
@@ -54,6 +99,68 @@ class TestPlanSweep:
             plan_sweep(space, one_workload(), levels_per_param=2, repetitions=1)
         with pytest.raises(ParameterError):
             plan_sweep(space, [], levels_per_param=3, repetitions=1)
+
+
+class TestDefaultLevel:
+    def test_default_level_is_the_baseline_records(self):
+        space = unit_space(["p"])  # grid [0, 0.5, 1], default 0.0
+        log = MeasurementLog(seed=0, space_hash="x")
+        base = Configuration({})
+        log.append(Measurement(base, "w0", 0, 100.0, "ok"))
+        log.append(Measurement(base, "w0", 1, None, "crash"))
+        log.append(Measurement(base, "w0", 2, 104.0, "ok"))
+        for rep, (mid, hi) in enumerate([(110.0, 120.0), (112.0, 118.0), (111.0, 121.0)]):
+            log.append(Measurement(Configuration({"p": 0.5}), "w0", rep, mid, "ok"))
+            log.append(Measurement(Configuration({"p": 1.0}), "w0", rep, hi, "ok"))
+        # an explicit default-level record, as logs of earlier plans hold
+        log.append(Measurement(Configuration({"p": 0.0}), "w0", 0, 999.0, "ok"))
+        sweeps, baseline_means = build_sweep_results(log, space, one_workload(), 3)
+        sweep = sweeps[("p", "w0")]
+        assert sweep.levels == [0.0, 0.5, 1.0]
+        assert sweep.values[0] == [100.0, 104.0]
+        assert sweep.excluded == [{}, {}, {}]  # the baseline's crash counts against no one
+        assert sweep.default_index == 0
+        assert baseline_means == {"w0": 102.0}
+
+    def test_baseline_failure_excludes_no_parameter(self):
+        space = unit_space(["p", "q"])  # grids [0, 0.5, 1], defaults 0.0
+        log = MeasurementLog(seed=0, space_hash="x")
+        base = Configuration({})
+        log.append(Measurement(base, "w0", 0, 100.0, "ok"))
+        log.append(Measurement(base, "w0", 1, None, "timeout"))
+        log.append(Measurement(base, "w0", 2, 100.0, "ok"))
+        for rep in range(3):
+            log.append(Measurement(Configuration({"p": 0.5}), "w0", rep, 110.0, "ok"))
+            log.append(Measurement(Configuration({"p": 1.0}), "w0", rep, 120.0, "ok"))
+            log.append(Measurement(Configuration({"q": 0.5}), "w0", rep, 101.0, "ok"))
+        log.append(Measurement(Configuration({"q": 1.0}), "w0", 0, None, "crash"))
+        log.append(Measurement(Configuration({"q": 1.0}), "w0", 1, 102.0, "ok"))
+        log.append(Measurement(Configuration({"q": 1.0}), "w0", 2, 102.0, "ok"))
+        report = analyze_sensitivity(log, space, one_workload(), 3)
+        assert report.excluded == {}
+        assert report.excluded_runs == 2
+        assert report.profile("p").safe_range.to_json() == {"lo": 0.0, "hi": 1.0}
+        assert report.profile("q").safe_range.to_json() == {"lo": 0.0, "hi": 0.5}
+
+    def test_every_swept_pair_reads_its_workloads_baseline(self):
+        space = mixed_space()
+        workloads = [WorkloadSpec(id="wa"), WorkloadSpec(id="wb")]
+        model = SimulatorModel(base_rate=100.0, sigma=0.05, responses={
+            "cont": Response(shape="linear-up", strength=0.3),
+            "mode": Response(shape="quadratic-peak", strength=0.2, peak=0.5)})
+        plan = plan_sweep(space, workloads, levels_per_param=5, repetitions=3)
+        log = run_plan(SimulatorAdapter(space, model), plan, seed=6)
+        sweeps, _ = build_sweep_results(log, space, workloads, 5)
+        assert len(sweeps) == 5 * 2
+        for (param, wid), sweep in sweeps.items():
+            spec = space.get(param)
+            baseline = [m.metric_value for m in log.cell(Configuration({}), wid)]
+            grid, default_idx = sweep_levels(spec, 5)
+            assert sweep.levels == grid
+            if default_idx is not None:
+                assert sweep.values[default_idx] == baseline
+            else:
+                assert baseline not in sweep.values
 
 
 class TestComputeCv:
@@ -71,7 +178,7 @@ class TestComputeCv:
             base_rate=1000.0, responses={"p": Response(shape="linear-up", strength=0.2)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=1)
         log = run_plan(adapter, plan, seed=0)
-        report = analyze_sensitivity(log, space, one_workload())
+        report = analyze_sensitivity(log, space, one_workload(), 5)
         assert report.profile("p").aggregate_cv == pytest.approx(0.2 / 1.1, rel=1e-9)
 
     def test_oracle_equivalence_from_raw_log(self):
@@ -82,7 +189,7 @@ class TestComputeCv:
                        "q": Response(shape="quadratic-peak", strength=0.15, peak=0.3)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=3)
         log = run_plan(adapter, plan, seed=4)
-        report = analyze_sensitivity(log, space, one_workload())
+        report = analyze_sensitivity(log, space, one_workload(), 5)
         for param in ("p", "q"):
             assert report.profile(param).cv_per_workload["w0"] == pytest.approx(
                 cv_oracle(log, param, "w0"), rel=1e-12)
@@ -154,7 +261,7 @@ class TestExtractSafeRange:
             base_rate=100.0, crashes={"p": CrashRegion(8.0, 10.0)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=2)
         log = run_plan(adapter, plan, seed=0)
-        report = analyze_sensitivity(log, space, one_workload())
+        report = analyze_sensitivity(log, space, one_workload(), 5)
         safe = report.profile("p").safe_range
         assert safe.hi == 7.5  # grid [0, 2.5, 5, 7.5, 10]; 10 crashed
 
@@ -170,7 +277,7 @@ class TestUnsafeDefaultExclusion:
             crashes={"p": CrashRegion(2.2, 3.0)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=2)
         log = run_plan(adapter, plan, seed=0)
-        report = analyze_sensitivity(log, space, one_workload())
+        report = analyze_sensitivity(log, space, one_workload(), 5)
         assert [p.parameter for p in report.profiles] == ["q"]
         assert report.profile("q").selected
         assert report.excluded == {"p": "p: unsafe at default level 2.5 on workload w0"}
@@ -183,7 +290,7 @@ class TestUnsafeDefaultExclusion:
         adapter = SimulatorAdapter(space, SimulatorModel(
             base_rate=100.0, responses={"p": Response(shape="linear-up", strength=0.4)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=1)
-        report = analyze_sensitivity(run_plan(adapter, plan, seed=0), space, one_workload())
+        report = analyze_sensitivity(run_plan(adapter, plan, seed=0), space, one_workload(), 3)
         assert report.excluded == {}
         assert "excluded" not in report.to_json()
         assert SensitivityReport.from_json(report.to_json()).excluded == {}
@@ -217,7 +324,7 @@ class TestSelectTopK:
             base_rate=1000.0, sigma=0.01, responses=responses))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=3)
         log = run_plan(adapter, plan, parallelism=8, seed=13)
-        report = analyze_sensitivity(log, space, one_workload(), tau_s=0.05)
+        report = analyze_sensitivity(log, space, one_workload(), 5, tau_s=0.05)
         selected = {p.parameter for p in report.top_k()}
         assert selected == {"p00", "p05", "p11", "p17"}  # precision = recall = 1
 
@@ -234,7 +341,7 @@ class TestSelectTopK:
                 base_rate=base, responses=responses))
             plan = plan_sweep(space, workloads, levels_per_param=5, repetitions=1)
             log = run_plan(adapter, plan, seed=2)
-            reports.append(analyze_sensitivity(log, space, workloads))
+            reports.append(analyze_sensitivity(log, space, workloads, 5))
         for a, b in zip(reports[0].profiles, reports[1].profiles):
             assert a.parameter == b.parameter
             assert a.aggregate_cv == pytest.approx(b.aggregate_cv, rel=1e-12)
@@ -255,8 +362,8 @@ class TestLogReplay:
         live.save(str(path))
         from tuneforge.harness import MeasurementLog
         replayed = MeasurementLog.load(str(path))
-        a = analyze_sensitivity(live, space, one_workload())
-        b = analyze_sensitivity(replayed, space, one_workload())
+        a = analyze_sensitivity(live, space, one_workload(), 5)
+        b = analyze_sensitivity(replayed, space, one_workload(), 5)
         assert a.to_json() == b.to_json()
 
 
@@ -267,7 +374,7 @@ class TestReport:
             base_rate=100.0, responses={"p": Response(shape="linear-up", strength=0.4)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=1)
         log = run_plan(adapter, plan, seed=0)
-        report = analyze_sensitivity(log, space, one_workload())
+        report = analyze_sensitivity(log, space, one_workload(), 3)
         path = tmp_path / "report.json"
         report.save(str(path))
         from tuneforge.sensitivity import SensitivityReport
