@@ -26,8 +26,8 @@ from .interaction import (STAGE_B_REPS, VERDICT_INDEPENDENT, InteractionRecord,
 from .jsonfile import JsonArtifact
 from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
 from .space import ParameterSpace, WorkloadSpec
-from .topology import (CorrelationGraph, OptimaReport, build_graph,
-                       measure_baselines, optimize_component, plan_joint_search)
+from .topology import (CorrelationGraph, OptimaReport, build_graph, measure_baselines,
+                       optimize_component, plan_joint_search, rejection_reason)
 
 STAGES = ("planned", "sweep-done", "screen-done", "joint-done", "compiled")
 
@@ -303,10 +303,14 @@ class Campaign:
                                                 self.seed, parallelism)
         planned = len(base_log)
         executed = len(base_log)
-        optima = []
+        optima, rejected = [], []
         joint_records = list(base_log.records)
         joint_keys = {m.key() for m in joint_records}
         for component in graph.multi_components():
+            reason = rejection_reason(component)
+            if reason is not None:
+                rejected.append({"component": component, "reason": reason})
+                continue
             plan = plan_joint_search(component, sens, self.space, self.workloads,
                                      repetitions=repetitions)
             planned += plan.budget
@@ -330,7 +334,7 @@ class Campaign:
 
         result = OptimaReport(campaign_id=sens.campaign_id, space_hash=sens.space_hash,
                               graph=graph, optima=optima, baseline_means=baselines,
-                              runs_used=executed)
+                              runs_used=executed, rejected=rejected)
         result.save(self.path(OPTIMA_REPORT))
         self.state.budgets["joint"] = planned
         self.state.runs_used["joint"] = executed

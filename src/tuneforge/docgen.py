@@ -27,6 +27,13 @@ initializes and the re-sweep and joint skills update.
 
 Compilation is a pure function of its inputs; serialization is canonical
 (sorted keys), so identical campaigns produce byte-identical documents.
+
+A compiled or loaded document is immutable: steps, skills and the document
+are frozen, their sequences are tuples and their mappings read-only, nested
+values included. What a document derives from its content (its hash, its
+validation violations, its parsed safe ranges) is computed on first use and
+kept on the object, so running many sessions on one document validates and
+hashes it once.
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import product
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from . import expr as expr_mod
 from .errors import CompileError, DocumentError, ParameterError
@@ -44,7 +53,7 @@ from .interaction import ETA2_MIN, GRID_LEVELS, InteractionReport, stage_b_level
 from .jsonfile import JsonArtifact
 from .sensitivity import SafeRange, SensitivityReport
 from .space import ParameterSpace, WorkloadSpec
-from .topology import CorrelationGraph, JointOptimum
+from .topology import CorrelationGraph, JointOptimum, rejection_reason
 
 SCHEMA_VERSION = 2
 
@@ -75,7 +84,35 @@ def _require(d: dict, keys: tuple[str, ...], what: str) -> None:
         raise DocumentError(f"{what} is missing required key {missing[0]!r}")
 
 
-@dataclass
+_CONTAINERS = (dict, MappingProxyType, list, tuple)
+
+
+def freeze(value: Any) -> Any:
+    """A read-only copy of a JSON value: mappings become read-only proxies and
+    lists tuples, at every depth."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return MappingProxyType({k: freeze(v) if isinstance(v, _CONTAINERS) else v
+                                 for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple([freeze(v) if isinstance(v, _CONTAINERS) else v for v in value])
+    return value
+
+
+def thaw(value: Any) -> Any:
+    """The plain JSON value (dicts and lists) of a frozen one."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return {k: thaw(v) if isinstance(v, _CONTAINERS) else v for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [thaw(v) if isinstance(v, _CONTAINERS) else v for v in value]
+    return value
+
+
+def _freeze_fields(obj: Any, names: tuple[str, ...]) -> None:
+    for name in names:
+        object.__setattr__(obj, name, freeze(getattr(obj, name)))
+
+
+@dataclass(frozen=True)
 class Step:
     """One procedure action, one of STEP_ACTIONS. Fields the action does not
     use stay None.
@@ -92,7 +129,7 @@ class Step:
     """
 
     action: str
-    template: dict[str, Any] | None = None     # benchmark
+    template: Mapping[str, Any] | None = None  # benchmark
     workload_id: str | None = None
     repetitions: int | None = None
     out: str | None = None                     # benchmark, compute
@@ -102,6 +139,9 @@ class Step:
     cond: str | None = None                    # branch
     target: int | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "template", freeze(self.template))
+
     def declared_signal(self) -> str | None:
         return self.out if self.action in (ACTION_BENCHMARK, ACTION_COMPUTE) else None
 
@@ -110,7 +150,7 @@ class Step:
         for key in ("template", "workload_id", "repetitions", "out", "expr", "cond", "target"):
             value = getattr(self, key)
             if value is not None:
-                d[key] = value
+                d[key] = thaw(value)
         if self.adopt:
             d["adopt"] = True
         if self.pin_best:
@@ -119,7 +159,7 @@ class Step:
 
     @classmethod
     def from_json(cls, d: dict) -> "Step":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        unknown = sorted(set(d) - _STEP_KEYS)
         if unknown:
             raise DocumentError(f"{d.get('action')!r} step has unknown keys {unknown}")
         _require(d, ("action",), "step")
@@ -127,17 +167,24 @@ class Step:
                       "pin_best": bool(d.get("pin_best", False))})
 
 
-@dataclass
+_STEP_KEYS = frozenset(f.name for f in fields(Step))
+
+
+@dataclass(frozen=True)
 class Skill:
     id: str
     kind: str
-    preconditions: list[str] = field(default_factory=list)
-    procedure: list[Step] = field(default_factory=list)
-    decision_criteria: list[tuple[str, str]] = field(default_factory=list)
-    postconditions: list[str] = field(default_factory=list)
-    reference_data: dict[str, Any] = field(default_factory=dict)
+    preconditions: tuple[str, ...] = ()
+    procedure: tuple[Step, ...] = ()
+    decision_criteria: tuple[tuple[str, str], ...] = ()
+    postconditions: tuple[str, ...] = ()
+    reference_data: Mapping[str, Any] = field(default_factory=dict)
     adaptation_target: str | None = None
     title: str = ""
+
+    def __post_init__(self):
+        _freeze_fields(self, ("preconditions", "procedure", "decision_criteria",
+                              "postconditions", "reference_data"))
 
     def predicates(self) -> list[str]:
         """Every expression this skill can evaluate at runtime."""
@@ -155,11 +202,11 @@ class Skill:
             "id": self.id,
             "kind": self.kind,
             "title": self.title,
-            "preconditions": self.preconditions,
+            "preconditions": thaw(self.preconditions),
             "procedure": [s.to_json() for s in self.procedure],
             "decision_criteria": [[c, t] for c, t in self.decision_criteria],
-            "postconditions": self.postconditions,
-            "reference_data": self.reference_data,
+            "postconditions": thaw(self.postconditions),
+            "reference_data": thaw(self.reference_data),
             "adaptation_target": self.adaptation_target,
         }
 
@@ -175,19 +222,23 @@ class Skill:
                    adaptation_target=d.get("adaptation_target"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProceduralDocument(JsonArtifact):
-    fingerprint: dict[str, str]          # {"space_hash", "campaign_id"}
+    fingerprint: Mapping[str, str]          # {"space_hash", "campaign_id"}
     root: str
-    skills: list[Skill]
-    workloads: list[WorkloadSpec]
+    skills: tuple[Skill, ...]
+    workloads: tuple[WorkloadSpec, ...]
     primary_workload: str
-    grids: dict[str, list[Any]]          # per-parameter grid levels
-    safe_ranges: dict[str, dict]         # per-parameter SafeRange json
-    provenance: dict[str, dict]          # "skill.key" -> {"campaign", "operation"}
-    policy: dict[str, Any]
+    grids: Mapping[str, tuple[Any, ...]]    # per-parameter grid levels
+    safe_ranges: Mapping[str, Mapping]      # per-parameter SafeRange json
+    provenance: Mapping[str, Mapping]       # "skill.key" -> {"campaign", "operation"}
+    policy: Mapping[str, Any]
     schema_version: int = SCHEMA_VERSION
     load_error = DocumentError
+
+    def __post_init__(self):
+        _freeze_fields(self, ("fingerprint", "skills", "workloads", "grids", "safe_ranges",
+                              "provenance", "policy"))
 
     def skill(self, skill_id: str) -> Skill:
         for s in self.skills:
@@ -207,28 +258,45 @@ class ProceduralDocument(JsonArtifact):
                 out.append((s.id, s.adaptation_target))
         return sorted(set(out))
 
+    @cached_property
+    def _parsed_safe_ranges(self) -> dict[str, SafeRange]:
+        return {param: SafeRange.from_json(d) for param, d in self.safe_ranges.items() if d}
+
     def safe_range_of(self, param: str) -> SafeRange | None:
-        d = self.safe_ranges.get(param)
-        return SafeRange.from_json(d) if d else None
+        """The documented safe range of `param`; the document must be valid."""
+        return self._parsed_safe_ranges.get(param)
 
     def to_json(self) -> dict:
         return {
             "schema_version": self.schema_version,
-            "fingerprint": self.fingerprint,
+            "fingerprint": thaw(self.fingerprint),
             "root": self.root,
             "primary_workload": self.primary_workload,
             "workloads": [w.to_json() for w in self.workloads],
-            "grids": self.grids,
-            "safe_ranges": self.safe_ranges,
-            "policy": self.policy,
-            "provenance": self.provenance,
+            "grids": thaw(self.grids),
+            "safe_ranges": thaw(self.safe_ranges),
+            "policy": thaw(self.policy),
+            "provenance": thaw(self.provenance),
             "edges": [[a, b] for a, b in self.edges()],
             "skills": [s.to_json() for s in self.skills],
         }
 
     def document_hash(self) -> str:
-        """First 16 hex digits of the sha256 of the compact sorted-key JSON."""
+        """First 16 hex digits of the sha256 of the compact sorted-key JSON.
+
+        This computes the digest; `hash` keeps it.
+        """
         return hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+
+    @cached_property
+    def hash(self) -> str:
+        """`document_hash()`, computed on first use and kept."""
+        return self.document_hash()
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """`validate_document`'s findings, computed on first use and kept."""
+        return tuple(validate_document(self))
 
     @classmethod
     def from_json(cls, d: dict) -> "ProceduralDocument":
@@ -290,7 +358,7 @@ class _Proc:
         for idx, label in self._holes:
             if label not in labels:
                 raise CompileError(f"unresolved procedure label {label!r}")
-            self.steps[idx].target = labels[label]
+            self.steps[idx] = replace(self.steps[idx], target=labels[label])
         return self.steps
 
 
@@ -354,7 +422,9 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         prof = profiles.profile(name)
         grids[name] = stage_b_levels(space.get(name), prof.safe_range, factorial=False)
 
-    multi = graph.multi_components() if graph.nodes else []
+    # A rejected component has no joint optimum; its members are verified
+    # and re-swept one by one.
+    multi = [c for c in graph.multi_components() if rejection_reason(c) is None]
     optima_by_key = {(tuple(o.component), o.workload_id): o for o in optima}
 
     sig = signal_name
@@ -452,12 +522,16 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
             proc.add(Step(action=ACTION_COMPUTE,
                           expr=f"min({s}_lo_metric, {s}_hi_metric) >= baseline_mean * safety_floor",
                           out=f"{s}_cv_ok"))
-        if prof.shape == "monotonic-up":
-            shape_expr = f"{s}_hi_metric >= {s}_lo_metric"
-        elif prof.shape == "monotonic-down":
-            shape_expr = f"{s}_hi_metric <= {s}_lo_metric"
-        else:
+        rises = {"monotonic-up": True, "monotonic-down": False}.get(prof.shape)
+        best = prof.best_level.get(w0.id)
+        if not directional and len(grid) > 1 and best in (grid[0], grid[-1]):
+            # The label comes from one noisy sweep; a documented best level at
+            # an end of the safe range still implies which end is better.
+            rises = (best == grid[-1]) == (direction == "maximize")
+        if rises is None:
             shape_expr = "1"
+        else:
+            shape_expr = f"{s}_hi_metric {'>=' if rises else '<='} {s}_lo_metric"
         proc.add(Step(action=ACTION_COMPUTE, expr=shape_expr, out=f"{s}_shape_ok"))
         proc.add(Step(action=ACTION_COMPUTE, expr=f"{s}_cv_ok and {s}_shape_ok",
                       out=f"{s}_verify_ok"))
@@ -654,9 +728,8 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
                 "grid_levels": GRID_LEVELS, "min_top_k": MIN_TOP_K,
                 "cross_workload_floor": CROSS_WORKLOAD_FLOOR},
     )
-    violations = validate_document(doc)
-    if violations:
-        raise CompileError("compiled document failed validation: " + "; ".join(violations))
+    if doc.violations:
+        raise CompileError("compiled document failed validation: " + "; ".join(doc.violations))
     return doc
 
 
@@ -678,7 +751,7 @@ _NONE = type(None)
 # The fields each action reads, and the exact types it can use. `expr` and
 # `cond` need no entry: the predicate check parses them.
 _STEP_FIELD_TYPES = {
-    ACTION_BENCHMARK: (("template", (dict, _NONE)), ("workload_id", (str,)),
+    ACTION_BENCHMARK: (("template", (MappingProxyType, _NONE)), ("workload_id", (str,)),
                        ("repetitions", (int, _NONE)), ("out", (str, _NONE))),
     ACTION_COMPUTE: (("out", (str, _NONE)),),
     ACTION_BRANCH: (("target", (int, _NONE)),),
@@ -690,10 +763,10 @@ def _is_real(value: Any) -> bool:
 
 
 def _safe_range_ok(d: Any) -> bool:
-    if not isinstance(d, dict):
+    if not isinstance(d, MappingProxyType):
         return False
     if "values" in d:
-        return isinstance(d["values"], list) and bool(d["values"])
+        return isinstance(d["values"], tuple) and bool(d["values"])
     return _is_real(d.get("lo")) and _is_real(d.get("hi"))
 
 
@@ -717,7 +790,7 @@ def _type_violations(doc: ProceduralDocument) -> list[str]:
             for key, kinds in fields_read:
                 value = getattr(step, key)
                 if type(value) not in kinds:
-                    violations.append(f"{skill.id}: step {i} {key} {value!r} is not "
+                    violations.append(f"{skill.id}: step {i} {key} {thaw(value)!r} is not "
                                       f"{kinds[0].__name__}")
     return violations
 
@@ -888,7 +961,7 @@ def export_knowledge(doc: ProceduralDocument) -> KnowledgeExport:
             "shape": skill.reference_data["shape"],
         })
     top_k.sort(key=lambda d: d["rank"])
-    safe_ranges = {entry["name"]: doc.safe_ranges[entry["name"]] for entry in top_k}
+    safe_ranges = {entry["name"]: thaw(doc.safe_ranges[entry["name"]]) for entry in top_k}
 
     interactions = []
     components = {s.id: s for s in doc.skills if s.kind == KIND_PER_COMPONENT
@@ -905,7 +978,7 @@ def export_knowledge(doc: ProceduralDocument) -> KnowledgeExport:
                     "component": cid,
                 })
     return KnowledgeExport(top_k=top_k, safe_ranges=safe_ranges,
-                           interactions=interactions, fingerprint=dict(doc.fingerprint))
+                           interactions=interactions, fingerprint=thaw(doc.fingerprint))
 
 
 def _param_of_verify_skill(doc: ProceduralDocument, skill: Skill) -> str:

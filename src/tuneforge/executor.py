@@ -22,7 +22,10 @@ from typing import Any, Callable
 
 from . import expr as expr_mod
 from .docgen import (ACTION_BENCHMARK, ACTION_BRANCH, ACTION_COMPUTE, TARGET_END,
-                     ProceduralDocument, Skill, Step, best_index_signal, validate_document)
+                     ProceduralDocument, Skill, Step, best_index_signal, thaw)
+# Bound here as well, where perfbench/tracing.py times the session path's
+# validation; a document validates through `ProceduralDocument.violations`.
+from .docgen import validate_document  # noqa: F401
 from .errors import DocumentError, ExpressionError, ParameterError
 from .harness import OUTCOME_OK, Adapter, run_experiment
 from .space import Configuration, WorkloadSpec, validate_configuration
@@ -113,9 +116,8 @@ class SessionRunner:
                  step_resolver: Callable[[Skill, dict], str | None] | None = None):
         if budget < 1:
             raise ParameterError("trial budget must be >= 1")
-        violations = validate_document(doc)
-        if violations:
-            raise DocumentError("document rejected: " + "; ".join(violations))
+        if doc.violations:
+            raise DocumentError("document rejected: " + "; ".join(doc.violations))
         self.doc = doc
         self.adapter = adapter
         self.seed = seed
@@ -125,7 +127,7 @@ class SessionRunner:
         self.direction = self.workloads[doc.primary_workload].direction
         self.session = TuningSession(
             fingerprint=dict(doc.fingerprint),
-            document_hash=doc.document_hash(),
+            document_hash=doc.hash,
             adapter_id=type(adapter).__name__,
             trial_budget=budget,
             seed=seed,
@@ -171,7 +173,7 @@ class SessionRunner:
     def _resolve_template(self, step: Step, skill: Skill) -> Configuration:
         """The step's literal template; with `pin_best`, every other grid
         parameter at the level its best-index signal names."""
-        resolved = dict(step.template or {})
+        resolved = thaw(step.template) or {}
         if step.pin_best:
             for param, grid in self.doc.grids.items():
                 if param in resolved:
@@ -399,7 +401,7 @@ def replay_session(header: dict, events: list[TraceEvent],
     trace as tampered or nondeterministic.
     """
     if header.get("fingerprint") != doc.fingerprint or \
-            header.get("document_hash") != doc.document_hash():
+            header.get("document_hash") != doc.hash:
         raise DocumentError("trace fingerprint does not match this document")
     skills = {s.id: s for s in doc.skills}
     signals: dict[str, Any] = {}

@@ -52,7 +52,7 @@ class SweepResult:
         return [i for i, v in enumerate(self.values) if v]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SafeRange:
     """Contiguous safe span; numeric domains use (lo, hi), enums a value list."""
 

@@ -8,7 +8,7 @@ over its members' stage-B levels, with everything else pinned at defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Any
 
@@ -187,9 +187,11 @@ class OptimaReport(JsonArtifact):
     optima: list[JointOptimum]
     baseline_means: dict[str, float]
     runs_used: int = 0
+    # {"component", "reason"} of each component rejected rather than searched
+    rejected: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
+        d = {
             "schema_version": 1,
             "campaign_id": self.campaign_id,
             "space_hash": self.space_hash,
@@ -198,6 +200,9 @@ class OptimaReport(JsonArtifact):
             "baseline_means": self.baseline_means,
             "runs_used": self.runs_used,
         }
+        if self.rejected:  # written only when a component was rejected
+            d["rejected"] = self.rejected
+        return d
 
     @classmethod
     def from_json(cls, d: dict) -> "OptimaReport":
@@ -205,7 +210,20 @@ class OptimaReport(JsonArtifact):
                    graph=CorrelationGraph.from_json(d["graph"]),
                    optima=[JointOptimum.from_json(o) for o in d["optima"]],
                    baseline_means=dict(d["baseline_means"]),
-                   runs_used=int(d.get("runs_used", 0)))
+                   runs_used=int(d.get("runs_used", 0)),
+                   rejected=[dict(r) for r in d.get("rejected", [])])
+
+
+def rejection_reason(component: list[str]) -> str | None:
+    """Why a component is rejected rather than searched, or None.
+
+    A component above COMPONENT_CAP signals a profiling anomaly (the grid
+    budget grows as GRID_LEVELS^size).
+    """
+    if len(component) > COMPONENT_CAP:
+        return (f"component {component} exceeds the size cap {COMPONENT_CAP}; "
+                "decompose it manually before joint search")
+    return None
 
 
 def plan_joint_search(component: list[str], report: SensitivityReport,
@@ -213,15 +231,13 @@ def plan_joint_search(component: list[str], report: SensitivityReport,
                       repetitions: int = 3) -> JointSearchPlan:
     """Grid plan over a component, reusing the stage-B level choice.
 
-    Components above COMPONENT_CAP signal a profiling anomaly and are
-    rejected rather than searched (the budget grows as GRID_LEVELS^size).
+    A component with a `rejection_reason` raises AnalysisError.
     """
     if len(component) < 2:
         raise ParameterError("joint search needs a component of at least 2 parameters")
-    if len(component) > COMPONENT_CAP:
-        raise AnalysisError(
-            f"component {component} exceeds the size cap {COMPONENT_CAP}; "
-            "decompose it manually before joint search")
+    reason = rejection_reason(component)
+    if reason is not None:
+        raise AnalysisError(reason)
     grid = {}
     for name in component:
         profile = report.profile(name)

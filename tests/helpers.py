@@ -7,9 +7,11 @@ so agreement is meaningful.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import product
 
+from tuneforge.docgen import ProceduralDocument
 from tuneforge.harness import Measurement, MeasurementLog
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
 
@@ -243,6 +245,22 @@ def shifted_small_model(sigma=0.005):
             "pd": Response(shape="linear-up", strength=0.15),
         },
         couplings=[Coupling("pa", "pb", 1.5)])
+
+
+def edit_document(doc, edit):
+    """``doc`` with ``edit`` applied to a plain copy of its JSON, loaded back.
+
+    A compiled or loaded document is immutable, so a test changes one the way
+    a user would: in its JSON. ``edit`` mutates the dict it is given.
+    """
+    d = json.loads(doc.serialize())
+    edit(d)
+    return ProceduralDocument.from_json(d)
+
+
+def skill_json(d, skill_id):
+    """The skill ``skill_id`` of a document's JSON."""
+    return next(s for s in d["skills"] if s["id"] == skill_id)
 
 
 def run_small_pipeline(directory, seed=42, compile_doc=True, direction="maximize"):

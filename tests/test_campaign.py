@@ -196,7 +196,7 @@ class TestEnumParameters:
         campaign.screen(adapter)
         campaign.joint(adapter, repetitions=1)
         doc = campaign.compile()
-        assert doc.grids["mode"] == ["a", "b", "c"]
+        assert doc.grids["mode"] == ("a", "b", "c")
         session = run_session(doc, adapter, budget=40, seed=4)
         assert session.status == "converged"
         assert session.final_config.assignments["mode"] == "b"
@@ -338,3 +338,30 @@ class TestLock:
             with campaign.lock():
                 pass
         assert os.path.exists(path)
+
+
+class TestOversizedComponent:
+    def test_component_over_the_cap_is_recorded_and_skipped(self, tmp_path, monkeypatch):
+        # With the cap at 1 the small campaign's {pa, pb} component is over it.
+        from helpers import run_small_pipeline
+        from tuneforge import topology
+        monkeypatch.setattr(topology, "COMPONENT_CAP", 1)
+        p = run_small_pipeline(tmp_path)
+        reason = ("component ['pa', 'pb'] exceeds the size cap 1; "
+                  "decompose it manually before joint search")
+        assert p["optima"].graph.multi_components() == [["pa", "pb"]]
+        assert p["optima"].optima == []
+        assert p["optima"].rejected == [{"component": ["pa", "pb"], "reason": reason}]
+        loaded = OptimaReport.load(str(tmp_path / campaign_mod.OPTIMA_REPORT))
+        assert loaded.rejected == p["optima"].rejected
+        assert loaded.serialize() == p["optima"].serialize()
+
+        doc = p["doc"]
+        assert not [s for s in doc.skills if s.id.startswith("joint_")]
+        assert {"verify_pa", "verify_pb"} <= {s.id for s in doc.skills}
+        assert run_session(doc, p["adapter"], budget=60, seed=1).status == "converged"
+
+    def test_report_without_rejections_has_no_rejected_key(self, tmp_path):
+        from helpers import run_small_pipeline
+        p = run_small_pipeline(tmp_path, compile_doc=False)
+        assert "rejected" not in p["optima"].to_json()

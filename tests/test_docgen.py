@@ -4,16 +4,23 @@ import copy
 import hashlib
 import json
 import math
+import operator
+import os
 import random
+import sys
+import types
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from helpers import run_small_pipeline
+from helpers import edit_document, run_small_pipeline, shifted_small_model, skill_json
+from tuneforge.campaign import Campaign
 from tuneforge.docgen import (KnowledgeExport, ProceduralDocument, Skill, Step,
                               compile_document, compile_warnings, export_knowledge,
-                              render_text, validate_document)
+                              render_text, thaw, validate_document)
 from tuneforge.errors import CompileError, DocumentError
 from tuneforge.executor import run_session
+from tuneforge.simulator import SimulatorAdapter
 from tuneforge.space import WorkloadSpec
 
 
@@ -103,7 +110,6 @@ class TestCompile:
 
     def test_mismatched_fingerprints_rejected(self, pipeline):
         p = pipeline
-        import copy
         bad = copy.deepcopy(p["interaction"])
         bad.campaign_id = "someone-else"
         with pytest.raises(CompileError):
@@ -134,7 +140,6 @@ class TestCompile:
         # strip all confirmed pairs: no per-component skills, orchestration
         # routes straight through verification to the candidate
         p = pipeline
-        import copy
         inter = copy.deepcopy(p["interaction"])
         for r in inter.records:
             r.confirmed = False
@@ -149,6 +154,78 @@ class TestCompile:
         text = render_text(pipeline["doc"])
         for skill in pipeline["doc"].skills:
             assert skill.id in text
+
+
+def _load_perfbench_workloads():
+    """perfbench/workloads.py, executed without importing it (nothing is
+    written beside it)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        with open(path, encoding="utf-8") as fh:
+            exec(compile(fh.read(), path, "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+class TestDirectionCheck:
+    """A verify skill checks the response direction its documented best level
+    implies, also when the noisy shape label is not monotonic."""
+
+    @staticmethod
+    def shape_expr(doc, param):
+        return next(s.expr for s in doc.skill(f"verify_{param}").procedure
+                    if s.out == f"{param}_shape_ok")
+
+    def test_best_level_at_an_end_implies_the_direction(self, pipeline):
+        p = pipeline
+        sens = copy.deepcopy(p["sensitivity"])
+        for name in ("pc", "pd"):
+            sens.profile(name).shape = "non-monotonic"
+        doc = compile_document(sens, p["interaction"], p["optima"].graph, p["optima"].optima,
+                               p["space"], p["workloads"])
+        # pc rises on w0 (best level 1.0), pd falls (best level 0.0)
+        assert self.shape_expr(doc, "pc") == "pc_hi_metric >= pc_lo_metric"
+        assert self.shape_expr(doc, "pd") == "pd_hi_metric <= pd_lo_metric"
+        session = run_session(doc, SimulatorAdapter(p["space"], shifted_small_model()),
+                              budget=120, seed=11)
+        adaptations = {e.skill for e in session.trace if e.action == "adaptation"}
+        assert {"verify_pc", "verify_pd"} <= adaptations
+
+    def test_interior_best_level_checks_no_direction(self, pipeline):
+        p = pipeline
+        sens = copy.deepcopy(p["sensitivity"])
+        profile = sens.profile("pc")
+        profile.shape = "non-monotonic"
+        profile.best_level["w0"] = 0.5
+        doc = compile_document(sens, p["interaction"], p["optima"].graph, p["optima"].optima,
+                               p["space"], p["workloads"])
+        assert self.shape_expr(doc, "pc") == "1"
+
+    def test_noise_labelled_isolates_of_planted_116_adapt(self, tmp_path):
+        # Campaign seed 903003 labels the two isolates that the shifted model
+        # reverses, p007 and p010, non-monotonic; both have their w_read best
+        # level at 1.0.
+        bench = _load_perfbench_workloads()
+        w = bench.declare_and_load(bench.planted_116(), str(tmp_path))
+        campaign = Campaign(str(tmp_path / "campaign"), w.space, w.workloads, 903003)
+        adapter = SimulatorAdapter(w.space, w.model)
+        sens = campaign.profile(adapter, levels_per_param=w.levels_per_param, repetitions=3,
+                                tau_s=0.05)
+        for name in ("p007", "p010"):
+            assert sens.profile(name).shape == "non-monotonic"
+            assert sens.profile(name).best_level["w_read"] == 1.0
+        campaign.screen(adapter)
+        campaign.joint(adapter, repetitions=3)
+        doc = campaign.compile()
+        shifted = SimulatorAdapter(w.space, w.shifted)
+        for seed in (1, 2):
+            session = run_session(doc, shifted, budget=120, seed=seed)
+            assert session.status == "converged"
+            adaptations = {e.skill for e in session.trace if e.action == "adaptation"}
+            assert {"verify_p007", "verify_p010"} <= adaptations
 
 
 class TestValidate:
@@ -166,60 +243,61 @@ class TestValidate:
     def test_minimal_document_valid(self):
         assert validate_document(self.minimal_doc()) == []
 
+    def edited(self, edit):
+        return edit_document(self.minimal_doc(), edit)
+
     def test_branch_to_missing_skill(self):
-        doc = self.minimal_doc()
-        doc.skills[0].decision_criteria = [("1", "nowhere")]
+        doc = self.edited(lambda d: d["skills"][0].update(decision_criteria=[["1", "nowhere"]]))
         violations = validate_document(doc)
         assert any("unresolved skill id 'nowhere'" in v for v in violations)
 
     def test_predicate_with_undeclared_symbol(self):
-        doc = self.minimal_doc()
-        doc.skills[0].postconditions = ["ghost_signal > 1"]
+        doc = self.edited(lambda d: d["skills"][0].update(postconditions=["ghost_signal > 1"]))
         violations = validate_document(doc)
         assert any("ghost_signal" in v for v in violations)
 
     def test_branch_target_out_of_range(self):
-        doc = self.minimal_doc()
-        doc.skills[0].procedure.append(Step(action="branch", cond="1", target=99))
+        step = Step(action="branch", cond="1", target=99).to_json()
+        doc = self.edited(lambda d: d["skills"][0]["procedure"].append(step))
         violations = validate_document(doc)
         assert any("out of range" in v for v in violations)
 
     def test_cycle_detected_and_reported(self):
-        doc = self.minimal_doc()
         a = Skill(id="a", kind="per-parameter", decision_criteria=[("1", "b")])
         b = Skill(id="b", kind="per-parameter", decision_criteria=[("1", "a")])
-        doc.skills[0].decision_criteria = [("1", "a")]
-        doc.skills.extend([a, b])
-        violations = validate_document(doc)
+
+        def edit(d):
+            d["skills"][0]["decision_criteria"] = [["1", "a"]]
+            d["skills"] += [a.to_json(), b.to_json()]
+        violations = validate_document(self.edited(edit))
         assert any("cycle" in v for v in violations)
 
     def test_unreachable_skill_flagged(self):
-        doc = self.minimal_doc()
-        doc.skills.append(Skill(id="island", kind="per-parameter"))
+        island = Skill(id="island", kind="per-parameter").to_json()
+        doc = self.edited(lambda d: d["skills"].append(island))
         violations = validate_document(doc)
         assert any("unreachable" in v for v in violations)
 
     def test_two_orchestration_skills_rejected(self):
-        doc = self.minimal_doc()
-        doc.skills.append(Skill(id="root2", kind="orchestration"))
+        root2 = Skill(id="root2", kind="orchestration").to_json()
+        doc = self.edited(lambda d: d["skills"].append(root2))
         violations = validate_document(doc)
         assert any("exactly one orchestration" in v for v in violations)
 
     def test_missing_provenance_flagged(self):
-        doc = self.minimal_doc()
-        doc.skills[0].reference_data = {"tau": 0.05}
+        doc = self.edited(lambda d: d["skills"][0].update(reference_data={"tau": 0.05}))
         violations = validate_document(doc)
         assert any("provenance" in v for v in violations)
 
     @pytest.mark.parametrize("action", ["frobnicate", "measure", "compare"])
     def test_step_outside_the_vocabulary_rejected(self, action):
-        doc = self.minimal_doc()
-        doc.skills[0].procedure.append(Step(action=action, out="x"))
+        step = Step(action=action, out="x").to_json()
+        doc = self.edited(lambda d: d["skills"][0]["procedure"].append(step))
         assert f"root: step 1 has unknown action {action!r}" in validate_document(doc)
 
     def test_abort_target_is_an_unresolved_skill_id(self):
-        doc = self.minimal_doc()
-        doc.skills[0].decision_criteria = [("done < 1", "abort"), ("1", "end")]
+        doc = self.edited(lambda d: d["skills"][0].update(
+            decision_criteria=[["done < 1", "abort"], ["1", "end"]]))
         assert "root: unresolved skill id 'abort'" in validate_document(doc)
 
     @pytest.mark.parametrize("key", ["on_error", "name", "left", "op", "right", "retries"])
@@ -230,19 +308,19 @@ class TestValidate:
             Step.from_json(d)
 
     def test_pin_best_reads_only_declared_signals(self):
-        doc = self.minimal_doc()
-        doc.grids = {"p": [0.0, 1.0], "q-1": [0.0, 1.0]}
-        doc.skills[0].procedure += [
-            Step(action="compute", expr="1", out="best_p_idx"),
-            Step(action="benchmark", template={"p": 0.0}, workload_id="w0", out="m",
-                 pin_best=True)]
-        assert validate_document(doc) == [
+        steps = [Step(action="compute", expr="1", out="best_p_idx"),
+                 Step(action="benchmark", template={"p": 0.0}, workload_id="w0", out="m",
+                      pin_best=True)]
+
+        def edit(d):
+            d["grids"] = {"p": [0.0, 1.0], "q-1": [0.0, 1.0]}
+            d["skills"][0]["procedure"] += [s.to_json() for s in steps]
+        assert validate_document(self.edited(edit)) == [
             "root: step 2 pins 'q-1' by undeclared signal 'best_q_1_idx'"]
 
     def test_violation_list_is_exhaustive_not_first_failure(self):
-        doc = self.minimal_doc()
-        doc.skills[0].decision_criteria = [("1", "nowhere")]
-        doc.skills[0].postconditions = ["ghost > 1"]
+        doc = self.edited(lambda d: d["skills"][0].update(
+            decision_criteria=[["1", "nowhere"]], postconditions=["ghost > 1"]))
         assert len(validate_document(doc)) >= 2
 
 
@@ -263,19 +341,19 @@ def _random_value(rng, depth=0):
 
 
 def _random_document(rng):
+    def reference_data():
+        data = {f"r{j}": _random_value(rng) for j in range(rng.randint(0, 4))}
+        return {**data, "nested": {"a": [1.0, {"b": 2}]}, "one": 1.0}
+
     skills = [Skill(id="root", kind="orchestration",
                     procedure=[Step(action="compute", expr="1", out="x")],
-                    decision_criteria=[("1", "end")])]
+                    decision_criteria=[("1", "end")], reference_data=reference_data())]
     for i in range(rng.randint(0, 3)):
         skills.append(Skill(
             id=f"s{i}", kind="per-parameter",
             procedure=[Step(action="benchmark", template={"p": _random_value(rng)},
                             workload_id="w0", repetitions=rng.randint(1, 3), out=f"m{i}")],
-            postconditions=[f"m{i} > {rng.randint(0, 9)}"]))
-    for skill in skills:
-        skill.reference_data = {f"r{j}": _random_value(rng) for j in range(rng.randint(0, 4))}
-        skill.reference_data["nested"] = {"a": [1.0, {"b": 2}]}
-        skill.reference_data["one"] = 1.0
+            postconditions=[f"m{i} > {rng.randint(0, 9)}"], reference_data=reference_data()))
     return ProceduralDocument(
         fingerprint={"space_hash": "h", "campaign_id": f"c{rng.randint(0, 10**6)}"},
         root="root", skills=skills, workloads=[WorkloadSpec(id="w0")],
@@ -314,48 +392,81 @@ class TestDocumentHashMemo:
         compact = json.dumps(doc.to_json(), sort_keys=True)
         return hashlib.sha256(compact.encode()).hexdigest()[:16]
 
-    def check(self, doc):
-        digest = doc.document_hash()
-        assert digest == self.fresh_hash(doc)
-        return digest
-
-    def test_hash_follows_in_place_edits(self):
+    def test_hash_is_the_sha256_of_the_compact_json(self):
         rng = random.Random(20261018)
         for _ in range(40):
             doc = _random_document(rng)
-            original = self.check(doc)
-            skill = rng.choice(doc.skills)
+            assert doc.hash == doc.document_hash() == self.fresh_hash(doc)
 
-            skill.reference_data["nested"]["a"][1]["b"] = 3
-            self.check(doc)
-
-            seen = set()
-            for value in (1.0, 1, True):
-                skill.reference_data["one"] = value
-                seen.add(self.check(doc))
-            assert len(seen) == 3
-
-            skill.procedure.append(Step(action="compute", expr="2", out="y"))
-            self.check(doc)
-
-            skill.procedure.pop()
-            skill.reference_data["one"] = 1.0
-            skill.reference_data["nested"]["a"][1]["b"] = 2
-            assert self.check(doc) == original
+    def test_int_float_and_bool_hash_differently(self):
+        doc = _random_document(random.Random(7))
+        seen = {edit_document(doc, lambda d: d["skills"][0]["reference_data"].update(one=value)).hash
+                for value in (1.0, 1, True)}
+        assert doc.hash in seen
+        assert len(seen) == 3
 
     def test_invalid_edit_after_a_session_is_still_rejected(self, pipeline):
-        doc = copy.deepcopy(pipeline["doc"])
+        doc = pipeline["doc"]
         assert run_session(doc, pipeline["adapter"], budget=30, seed=3).status == "converged"
-        doc.skills[0].decision_criteria = [("1", "missing")]
+        with pytest.raises(FrozenInstanceError):
+            doc.skills[0].decision_criteria = (("1", "missing"),)
+        edited = edit_document(doc, lambda d: d["skills"][0].update(
+            decision_criteria=[["1", "missing"]]))
         with pytest.raises(DocumentError):
-            run_session(doc, pipeline["adapter"], budget=30, seed=3)
+            run_session(edited, pipeline["adapter"], budget=30, seed=3)
+
+
+IN_PLACE_EDITS = {
+    "step-field": lambda doc: setattr(doc.skill("verify_pc").procedure[1], "repetitions", 9),
+    "skill-procedure": lambda doc: doc.skill("verify_pc").procedure.append(Step(action="compute")),
+    "reference-data": lambda doc: operator.setitem(doc.skill("verify_pc").reference_data, "cv", 1),
+    "template-entry": lambda doc: operator.setitem(
+        doc.skill("verify_pc").procedure[1].template, "pc", 0.5),
+    "grids-list": lambda doc: operator.setitem(doc.grids["pc"], 0, 0.5),
+    "safe-ranges": lambda doc: operator.setitem(doc.safe_ranges, "pc", {"lo": 0, "hi": 1}),
+    "safe-range-bound": lambda doc: operator.setitem(doc.safe_ranges["pc"], "lo", 0.5),
+    "document-field": lambda doc: setattr(doc, "root", "verify_pc"),
+}
+
+
+class TestImmutable:
+    @pytest.fixture(params=["compiled", "loaded"])
+    def doc(self, request, pipeline, tmp_path):
+        if request.param == "compiled":
+            return pipeline["doc"]
+        path = str(tmp_path / "doc.json")
+        pipeline["doc"].save(path)
+        return ProceduralDocument.load(path)
+
+    @pytest.mark.parametrize("edit", IN_PLACE_EDITS.values(), ids=IN_PLACE_EDITS.keys())
+    def test_in_place_edit_raises(self, doc, edit):
+        before = doc.serialize()
+        with pytest.raises((AttributeError, TypeError)):
+            edit(doc)
+        assert doc.serialize() == before
+
+    def test_nested_reference_data_value_is_read_only(self, pipeline):
+        nested = {"a": [1.0, {"b": 2}]}
+        loaded = edit_document(pipeline["doc"], lambda d: skill_json(
+            d, "verify_pc")["reference_data"].update(nested=nested))
+        constructed = _random_document(random.Random(3))
+        for doc, skill_id in ((loaded, "verify_pc"), (constructed, "root")):
+            with pytest.raises(TypeError):
+                doc.skill(skill_id).reference_data["nested"]["a"][1]["b"] = 3
+            assert doc.skill(skill_id).reference_data["nested"]["a"][1]["b"] == 2
+
+    def test_results_are_kept_on_the_document(self, pipeline):
+        doc = pipeline["doc"]
+        assert doc.violations == ()
+        assert doc.hash is doc.hash == doc.document_hash()
+        assert doc.safe_range_of("pc") is doc.safe_range_of("pc")
+        assert doc.safe_range_of("pc").to_json() == thaw(doc.safe_ranges["pc"])
 
 
 class TestWarnings:
     def test_unreachable_criterion_after_catchall(self, pipeline):
-        import copy
-        doc = copy.deepcopy(pipeline["doc"])
-        doc.skills[1].decision_criteria = [("1", "end"), ("1", "end")]
+        doc = edit_document(pipeline["doc"], lambda d: d["skills"][1].update(
+            decision_criteria=[["1", "end"], ["1", "end"]]))
         assert compile_warnings(doc)
 
 
@@ -387,7 +498,6 @@ class TestExport:
             assert ann["eta_squared"] == skill.reference_data[f"eta2_{a}_{b}"]
 
     def test_no_interactions_yields_empty_array_present(self, pipeline):
-        import copy
         p = pipeline
         inter = copy.deepcopy(p["interaction"])
         for r in inter.records:

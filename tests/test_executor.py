@@ -5,10 +5,12 @@ import json
 
 import pytest
 
-from helpers import (global_grid_argmax, run_small_pipeline, shifted_small_model,
-                     small_model, unit_space)
+from helpers import (edit_document, global_grid_argmax, run_small_pipeline, shifted_small_model,
+                     skill_json, small_model, unit_space)
+from tuneforge import docgen
+from tuneforge import executor
 from tuneforge import expr as expr_mod
-from tuneforge.docgen import ProceduralDocument, Skill, Step
+from tuneforge.docgen import ProceduralDocument, Skill, Step, compile_document
 from tuneforge.errors import DocumentError, ExpressionError
 from tuneforge.executor import load_trace, replay_session, run_session
 from tuneforge.expr import evaluate_predicate
@@ -48,14 +50,15 @@ class TestBasicSessions:
         assert session.final_config == Configuration({})
 
     def test_invalid_document_rejected_before_any_benchmark(self, pipeline):
-        doc = empty_doc()
-        doc.skills[0].decision_criteria = [("1", "missing")]
+        doc = edit_document(empty_doc(), lambda d: d["skills"][0].update(
+            decision_criteria=[["1", "missing"]]))
         with pytest.raises(DocumentError):
             run_session(doc, pipeline["adapter"], budget=5, seed=0)
 
     def test_unknown_action_rejected_before_any_benchmark(self, pipeline):
-        doc = copy.deepcopy(pipeline["doc"])
-        doc.skill("verify_candidate").procedure.append(Step(action="frobnicate"))
+        step = Step(action="frobnicate").to_json()
+        doc = edit_document(pipeline["doc"], lambda d: skill_json(
+            d, "verify_candidate")["procedure"].append(step))
         with pytest.raises(DocumentError, match="unknown action 'frobnicate'"):
             run_session(doc, pipeline["adapter"], budget=30, seed=0)
 
@@ -190,9 +193,7 @@ class TestReplay:
     def test_edited_document_rejected_by_hash(self, pipeline):
         doc = pipeline["doc"]
         session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
-        edited = ProceduralDocument.from_json(
-            json.loads(doc.serialize()))
-        edited.skills[1].reference_data["cv"] = 0.999
+        edited = edit_document(doc, lambda d: d["skills"][1]["reference_data"].update(cv=0.999))
         with pytest.raises(DocumentError):
             replay_session(session.trace_header(), session.trace, edited)
 
@@ -211,6 +212,32 @@ class TestWarmPath:
         assert first.status == second.status == "converged"
         assert second.trace_header() == first.trace_header()
         assert [e.to_json() for e in second.trace] == [e.to_json() for e in first.trace]
+
+
+class TestDocumentIsCheckedOnce:
+    def test_twenty_sessions_validate_and_hash_the_document_once(self, pipeline, monkeypatch):
+        expected_hash = pipeline["doc"].document_hash()
+        calls = {"validate": 0, "encode": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        validate = counted("validate", docgen.validate_document)
+        monkeypatch.setattr(docgen, "validate_document", validate)
+        monkeypatch.setattr(executor, "validate_document", validate)
+        monkeypatch.setattr(ProceduralDocument, "to_json",
+                            counted("encode", ProceduralDocument.to_json))
+        p = pipeline
+        doc = compile_document(p["sensitivity"], p["interaction"], p["optima"].graph,
+                               p["optima"].optima, p["space"], p["workloads"])
+        sessions = [run_session(doc, p["adapter"], budget=30, seed=seed) for seed in range(20)]
+        assert all(s.status == "converged" for s in sessions)
+        assert {s.document_hash for s in sessions} == {expected_hash}
+        assert calls["validate"] <= 1
+        assert calls["encode"] <= 1
 
 
 class TestAnomalyFloor:
@@ -271,14 +298,15 @@ class TestErrorPaths:
         assert "bad_metric" not in session.signals
 
     def test_unknown_workload_or_missing_signal_aborts_cleanly(self, pipeline):
-        doc = copy.deepcopy(pipeline["doc"])
         # Drop the root's init of best_pc_idx. Only the re-sweep, which a
         # matched session never runs, still sets it, so the document validates
         # and the first pinned step (joint_c1 pins its non-member pc) reads an
         # unset signal.
-        orch = doc.skill(doc.root)
-        init = next(i for i, s in enumerate(orch.procedure) if s.out == "best_pc_idx")
-        orch.procedure[init] = Step(action="compute", expr="0", out="pc_init_removed")
+        def edit(d):
+            init = next(s for s in skill_json(d, d["root"])["procedure"]
+                        if s.get("out") == "best_pc_idx")
+            init.update(expr="0", out="pc_init_removed")
+        doc = edit_document(pipeline["doc"], edit)
         session = run_session(doc, pipeline["adapter"], budget=30, seed=1)
         assert session.status == "aborted"
         assert session.diagnostic == "joint_c1: template references unset signal 'best_pc_idx'"
@@ -324,10 +352,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize("literal", ["abc", {"x": 1}, {"$signal": "pc"}, {"$grid": ["pc"]},
                                          {"$grid": ["pc", "best_pc_idx"]}])
     def test_bad_template_literal_aborts_as_invalid_configuration(self, pipeline, literal):
-        doc = copy.deepcopy(pipeline["doc"])
-        verify = doc.skill("verify_pc")
-        step = next(s for s in verify.procedure if s.action == "benchmark")
-        step.template = {"pc": literal}
+        def edit(d):
+            step = next(s for s in skill_json(d, "verify_pc")["procedure"]
+                        if s["action"] == "benchmark")
+            step["template"] = {"pc": literal}
+        doc = edit_document(pipeline["doc"], edit)
         session = run_session(doc, pipeline["adapter"], budget=30, seed=1)
         assert session.status == "aborted"
         assert session.diagnostic == \
@@ -336,12 +365,11 @@ class TestErrorPaths:
                                              "diagnostic": session.diagnostic}
 
     def test_benchmark_outside_safe_range_aborts(self, pipeline):
-        doc = copy.deepcopy(pipeline["doc"])
-        verify = doc.skill("verify_pc")
-        for step in verify.procedure:
-            if step.action == "benchmark":
-                step.template = {"pc": 0.9e9}
-                break
+        def edit(d):
+            step = next(s for s in skill_json(d, "verify_pc")["procedure"]
+                        if s["action"] == "benchmark")
+            step["template"] = {"pc": 0.9e9}
+        doc = edit_document(pipeline["doc"], edit)
         # keep document structurally valid: the huge literal is legal JSON
         session = run_session(doc, pipeline["adapter"], budget=30, seed=1)
         assert session.status == "aborted"
@@ -351,25 +379,21 @@ class TestErrorPaths:
     def test_predicate_on_unset_signal_aborts_with_diagnostic(self, pipeline, site):
         # `x` is declared by a compute step that an always-true branch skips,
         # so the document validates but `x` is never set when read.
-        def skipped_x():
-            return [Step(action="branch", cond="1", target=2),
-                    Step(action="compute", expr="1", out="x")]
-
-        orch = Skill(id="root", kind="orchestration", procedure=skipped_x(),
-                     decision_criteria=[("1", "end")])
-        skills = [orch]
+        skipped_x = [Step(action="branch", cond="1", target=2),
+                     Step(action="compute", expr="1", out="x")]
+        root = {"procedure": skipped_x, "decision_criteria": [("1", "end")]}
+        children = []
         if site == "branch":
-            orch.procedure.append(Step(action="branch", cond="x > 0", target=3))
+            root["procedure"] = skipped_x + [Step(action="branch", cond="x > 0", target=3)]
         elif site == "decision":
-            orch.decision_criteria = [("x > 0", "end")]
+            root["decision_criteria"] = [("x > 0", "end")]
         elif site == "postcondition":
-            orch.procedure = []
-            orch.decision_criteria = [("1", "child")]
-            skills.append(Skill(id="child", kind="per-parameter", procedure=skipped_x(),
-                                decision_criteria=[("1", "end")],
-                                postconditions=["x > 0"]))
+            root = {"decision_criteria": [("1", "child")]}
+            children = [Skill(id="child", kind="per-parameter", procedure=skipped_x,
+                              decision_criteria=[("1", "end")], postconditions=["x > 0"])]
         else:
-            orch.postconditions = ["x > 0"]
+            root["postconditions"] = ["x > 0"]
+        skills = [Skill(id="root", kind="orchestration", **root)] + children
         doc = ProceduralDocument(
             fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
             skills=skills, workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
@@ -387,8 +411,8 @@ def forced_doc(request, tmp_path_factory):
     """The small pipeline's document with the joint re-search forced: no
     measured gain reaches the documented improvement."""
     p = run_small_pipeline(tmp_path_factory.mktemp("campaign"), direction=request.param)
-    doc = copy.deepcopy(p["doc"])
-    doc.skill("joint_c1").reference_data["expected_improvement"] = 1e9
+    doc = edit_document(p["doc"], lambda d: skill_json(d, "joint_c1")["reference_data"].update(
+        expected_improvement=1e9))
     return {"doc": doc, "space": p["space"], "maximize": request.param == "maximize"}
 
 
