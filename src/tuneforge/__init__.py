@@ -13,7 +13,8 @@ from .errors import (AdapterError, AnalysisError, CompileError, CrashError,
                      DocumentError, ExpressionError, ParameterError, TuneforgeError)
 from .executor import TuningSession, replay_session, run_session
 from .expr import evaluate_predicate
-from .harness import Measurement, MeasurementLog, ShellAdapter, run_experiment, run_plan
+from .harness import (CampaignStore, Measurement, MeasurementLog, ShellAdapter, run_experiment,
+                      run_plan)
 from .interaction import (AnovaDecomposition, FactorialTable, InteractionRecord,
                           InteractionReport, eta_squared, plan_pairs, stage_a_int_pct,
                           two_way_anova)

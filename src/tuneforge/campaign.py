@@ -1,11 +1,14 @@
 """Stage-gated profiling campaigns over a single on-disk directory.
 
 A campaign directory owns all state: the declaration files' hashes, stage
-progress, measurement logs, analysis reports, the compiled document, and
-tuning traces. Stages advance monotonically (sweep, screen, joint, compile)
-and each stage resumes from whatever measurements already reached disk.
-Budget accounting mirrors the three-stage cost staging: sensitivity scan,
-correlation screen, joint optimization.
+progress, measurement journals, analysis reports, the compiled document, and
+tuning traces. Stages advance monotonically (sweep, screen, joint, compile).
+Each measuring stage appends its fresh runs to its own journal, and one
+``CampaignStore`` per ``Campaign`` object reads every journal at most once and
+answers each stage's plans from all of them: a stage resumes from whatever
+measurements already reached disk, and the joint stage takes the sweep's
+all-defaults runs as its baseline. Budget accounting mirrors the three-stage
+cost staging: sensitivity scan, correlation screen, joint optimization.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from .docgen import ProceduralDocument, compile_document
 from .errors import AnalysisError, ParameterError
 from .executor import TuningSession, run_session
-from .harness import Adapter, MeasurementLog, PlanEntry, run_plan
+from .harness import Adapter, CampaignStore, MeasurementLog, PlanEntry, run_plan
 from .interaction import (STAGE_B_REPS, VERDICT_INDEPENDENT, InteractionRecord,
                           InteractionReport, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, screen_pair, stage_a_int_pct,
@@ -79,6 +82,9 @@ class Campaign:
         self.seed = seed
         os.makedirs(directory, exist_ok=True)
         self.state = self._load_or_init_state()
+        self.store = CampaignStore(seed, self.state.space_hash, {
+            "sweep": self.path(SWEEP_LOG), "screen": self.path(SCREEN_LOG),
+            "joint": self.path(JOINT_LOG)})
 
     # -- state ----------------------------------------------------------
 
@@ -148,30 +154,21 @@ class Campaign:
                 os.remove(path)
             os.close(fd)
 
-    def _load_log(self, name: str) -> MeasurementLog | None:
-        path = self.path(name)
-        if os.path.exists(path):
-            return MeasurementLog.load(path)
-        return None
-
     # -- stage 1: sensitivity sweep ---------------------------------------
 
     def profile(self, adapter: Adapter, levels_per_param: int = 5, repetitions: int = 3,
                 tau_s: float = DEFAULT_TAU_S, parallelism: int = 1) -> SensitivityReport:
         plan = plan_sweep(self.space, self.workloads, levels_per_param, repetitions)
-        existing = self._load_log(SWEEP_LOG)
-        fresh = len(plan) if existing is None else sum(
-            1 for c, w, rep in plan if not existing.has(c, w.id, rep))
+        self.store.begin("sweep")
+        appended = self.store.appended
         log = run_plan(adapter, plan, parallelism=parallelism, seed=self.seed,
-                       existing=existing, log_meta={"stage": "sweep"},
-                       journal=self.path(SWEEP_LOG))
-        log.save(self.path(SWEEP_LOG))
+                       store=self.store)
         report = analyze_sensitivity(log, self.space, self.workloads, levels_per_param,
                                      tau_s=tau_s)
         report.save(self.path(SENSITIVITY_REPORT))
         self.state.budgets["sensitivity"] = len(plan)
         self.state.runs_used["sensitivity"] = \
-            self.state.runs_used.get("sensitivity", 0) + fresh
+            self.state.runs_used.get("sensitivity", 0) + self.store.appended - appended
         self._advance("sweep-done")
         return report
 
@@ -193,19 +190,18 @@ class Campaign:
                     seen_keys.add(key)
                     plan.append((c, w, rep))
 
-        log = self._load_log(SCREEN_LOG)
-        executed = 0
+        self.store.begin("screen")
+        appended = self.store.appended
 
-        def run() -> MeasurementLog:
-            """Execute whatever part of the accumulated plan is still missing."""
-            nonlocal log, executed
-            prior = log
-            executed += len(plan) if prior is None else sum(
-                1 for c, w, rep in plan if not prior.has(c, w.id, rep))
+        log: MeasurementLog | None = None
+
+        def run() -> None:
+            """Execute whatever part of the accumulated plan is still missing;
+            ``log`` becomes the view of the whole plan."""
+            nonlocal log
+            log = None  # the store holds every record; drop the old view first
             log = run_plan(adapter, plan, parallelism=parallelism, seed=self.seed,
-                           existing=prior, log_meta={"stage": "screen"},
-                           journal=self.path(SCREEN_LOG))
-            return log
+                           store=self.store)
 
         if len(top_names) < 2:
             interaction = InteractionReport(campaign_id=report.campaign_id,
@@ -230,7 +226,7 @@ class Campaign:
             if pair in levels:
                 extend(plan_pair_table(pair, levels[pair].stage_a[0],
                                        levels[pair].stage_a[1], self.workloads, 1))
-        log = run()
+        run()
 
         # Retry unbalanced pairs once on interior levels.
         retried: set[tuple[str, str]] = set()
@@ -249,7 +245,7 @@ class Campaign:
                 except AnalysisError:
                     unsafe[pair] = True
         if retried:
-            log = run()
+            run()
 
         # Stage A verdicts decide which (pair, workload) tables stage B needs:
         # exactly those screen_pair analyses.
@@ -266,7 +262,7 @@ class Campaign:
                     extend(plan_pair_table(pair, pl.stage_b[0], pl.stage_b[1],
                                            [w], STAGE_B_REPS))
         if advancing:
-            log = run()
+            run()
 
         for pair in pairs:
             if pair in unsafe or pair not in levels:
@@ -278,12 +274,11 @@ class Campaign:
             records.extend(screen_pair(log, pair, self.workloads, levels[pair]))
         finalize_records(records)
 
-        log.save(self.path(SCREEN_LOG))
         interaction = InteractionReport(campaign_id=report.campaign_id,
                                         space_hash=report.space_hash, records=records)
         interaction.save(self.path(INTERACTION_REPORT))
         self.state.budgets["screen"] = len(plan)
-        self.state.runs_used["screen"] = executed
+        self.state.runs_used["screen"] = self.store.appended - appended
         self._advance("screen-done")
         return interaction
 
@@ -298,14 +293,12 @@ class Campaign:
         graph = build_graph(top_names, inter) if top_names else \
             CorrelationGraph(nodes=[], edges=[], components=[])
 
-        screen_log = self._load_log(SCREEN_LOG)
+        self.store.begin("joint")
+        appended = self.store.appended
         baselines, base_log = measure_baselines(adapter, self.workloads, repetitions,
-                                                self.seed, parallelism)
+                                                self.seed, parallelism, store=self.store)
         planned = len(base_log)
-        executed = len(base_log)
         optima, rejected = [], []
-        joint_records = list(base_log.records)
-        joint_keys = {m.key() for m in joint_records}
         for component in graph.multi_components():
             reason = rejection_reason(component)
             if reason is not None:
@@ -314,23 +307,10 @@ class Campaign:
             plan = plan_joint_search(component, sens, self.space, self.workloads,
                                      repetitions=repetitions)
             planned += plan.budget
-            cached = screen_log
-            fresh = plan.budget if cached is None else sum(
-                1 for c, w, rep in plan.entries() if not cached.has(c, w.id, rep))
-            executed += fresh
-            comp_optima, comp_log = optimize_component(
-                adapter, plan, self.seed, baselines, parallelism, cached=cached)
+            comp_optima, _ = optimize_component(adapter, plan, self.seed, baselines,
+                                                parallelism, store=self.store)
             optima.extend(comp_optima)
-            for m in comp_log:
-                if m.key() not in joint_keys:
-                    joint_keys.add(m.key())
-                    joint_records.append(m)
-
-        joint_log = MeasurementLog(seed=self.seed, space_hash=self.state.space_hash,
-                                   meta={"stage": "joint"})
-        for m in joint_records:
-            joint_log.append(m)
-        joint_log.save(self.path(JOINT_LOG))
+        executed = self.store.appended - appended
 
         result = OptimaReport(campaign_id=sens.campaign_id, space_hash=sens.space_hash,
                               graph=graph, optima=optima, baseline_means=baselines,

@@ -1,10 +1,10 @@
 """Benchmark execution harness.
 
 Runs experiment plans against a system-under-test through a pluggable adapter
-and records outcomes in an append-only, line-delimited measurement log. Every
-run's randomness derives from a 64-bit mix of (campaign seed, configuration
-hash, workload id, repetition), so logs are reproducible regardless of worker
-scheduling.
+and records outcomes in append-only, line-delimited journals that one
+``CampaignStore`` per campaign indexes. Every run's randomness derives from a
+64-bit mix of (campaign seed, configuration hash, workload id, repetition), so
+measurements are reproducible regardless of worker scheduling.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Protocol
 
 from .errors import AdapterError, CrashError, ParameterError
@@ -55,7 +55,7 @@ def mix_seed(campaign_seed: int, config: Configuration, workload_id: str, repeti
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     """One benchmark observation."""
 
@@ -66,6 +66,8 @@ class Measurement:
     outcome: str
     wall_time: float = 0.0
     diagnostic: str | None = None
+    # One key tuple per record, shared by every index that holds the record.
+    _key: tuple[str, str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.outcome == OUTCOME_OK:
@@ -73,9 +75,11 @@ class Measurement:
                 raise ParameterError("ok outcome requires a finite metric_value")
         if self.outcome == OUTCOME_CRASH and self.metric_value is not None:
             raise ParameterError("crash outcome must not carry a metric_value")
+        object.__setattr__(self, "_key",
+                           (self.config.config_hash(), self.workload_id, self.repetition))
 
     def key(self) -> tuple[str, str, int]:
-        return (self.config.config_hash(), self.workload_id, self.repetition)
+        return self._key
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {
@@ -114,8 +118,7 @@ class MeasurementLog:
     (config hash, workload, repetition) triples are unique; re-appending an
     existing key is rejected. Records are indexed by (config hash, workload),
     so reading one cell does not scan the log. Persists as one JSON record per
-    line under a single JSON header line, so a crashed campaign can be resumed
-    by reading whatever prefix made it to disk.
+    line under a single JSON header line, the journal format.
     """
 
     def __init__(self, seed: int, space_hash: str, campaign_id: str = "",
@@ -165,27 +168,198 @@ class MeasurementLog:
 
     @classmethod
     def load(cls, path: str) -> "MeasurementLog":
-        """Read a log, tolerating a truncated trailing line (killed writer).
+        """Read a log, tolerating torn and corrupt lines (see ``read_journal``).
 
         Records with equal configurations share one Configuration, and
         workload ids and outcomes are interned, so a loaded log holds each
-        distinct configuration once.
+        distinct configuration once. A repeated key keeps its first record.
         """
-        configs: dict[str, Configuration] = {}
-        with open(path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            log = cls(seed=header["seed"], space_hash=header["space_hash"],
-                      campaign_id=header.get("campaign_id", ""), meta=header.get("meta"))
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = Measurement.from_json(json.loads(line), configs)
-                except (json.JSONDecodeError, KeyError):
-                    break  # interrupted mid-write; everything before it is good
-                log.append(record)
+        header, records, _ = read_journal(path, 0, {})
+        if header is None:
+            raise ParameterError(f"{path} has no measurement log header")
+        log = cls(seed=header["seed"], space_hash=header["space_hash"],
+                  campaign_id=header.get("campaign_id", ""), meta=header.get("meta"))
+        for m in records:
+            if m.key() not in log._keys:
+                log.append(m)
         return log
+
+
+def read_journal(path: str, start: int, configs: dict[str, Configuration]
+                 ) -> tuple[dict | None, list[Measurement], int]:
+    """Parse the complete lines of a journal from byte offset ``start``.
+
+    Returns the header (parsed only when ``start`` is 0; None when the file
+    is empty or its first line is torn or not a header), the records, and the
+    offset just past the last complete line. A last line without its newline
+    is a write torn by a killed writer and is left unread; a complete line
+    that does not parse is skipped. A journal without a valid header holds no
+    records. ``configs`` (canonical form -> Configuration) is shared across
+    calls so equal configurations are one object.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    lines = data[:end].splitlines()
+    header = None
+    if start == 0:
+        try:
+            header = json.loads(lines[0]) if lines else None
+        except ValueError:
+            pass
+        if not (isinstance(header, dict) and isinstance(header.get("seed"), int)
+                and "space_hash" in header):
+            return None, [], end
+        lines = lines[1:]
+    records = []
+    for line in lines:
+        try:
+            records.append(Measurement.from_json(json.loads(line), configs))
+        except (ValueError, KeyError, TypeError, ParameterError):
+            continue  # a corrupt line; the lines around it are good
+    return header, records, start + end
+
+
+class CampaignStore:
+    """Every measurement of one campaign, read from its stage journals once.
+
+    Each stage appends its fresh runs to its own journal, one flushed line
+    per run as it completes; no journal is ever rewritten. The store reads
+    each journal once, later only the bytes another process appended since
+    (``refresh``), and answers ``has``/``get``/``cell`` across all stages
+    under one (config hash, workload, repetition) identity, the first record
+    of a key winning. It keeps one dict entry per record and no cell lists,
+    since the plans' own logs hold those. Journals hold raw outcomes:
+    degraded tagging is a view of one plan, built by ``run_plan``.
+    """
+
+    def __init__(self, seed: int, space_hash: str, journals: dict[str, str]):
+        self.seed = seed
+        self.space_hash = space_hash
+        self.journals = dict(journals)           # stage name -> journal path
+        self.appended = 0                        # fresh runs this store journaled
+        self._stage: str | None = None
+        self._fh = None
+        self._write_lock = threading.Lock()
+        self._reset()
+
+    def _reset(self) -> None:
+        self._records: dict[tuple[str, str, int], Measurement] = {}
+        self._reps = 0                            # one past the highest repetition
+        self._configs: dict[str, Configuration] = {}
+        self._offset = dict.fromkeys(self.journals, 0)   # bytes read or written
+        self._headed = dict.fromkeys(self.journals, False)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def get(self, key: tuple[str, str, int]) -> Measurement | None:
+        return self._records.get(key)
+
+    def has(self, config: Configuration, workload_id: str, repetition: int) -> bool:
+        return (config.config_hash(), workload_id, repetition) in self._records
+
+    def cell(self, config: Configuration, workload_id: str) -> tuple[Measurement, ...]:
+        """Every record of one (configuration, workload), in repetition order."""
+        h = config.config_hash()
+        found = (self._records.get((h, workload_id, rep)) for rep in range(self._reps))
+        return tuple(m for m in found if m is not None)
+
+    def _index(self, m: Measurement) -> None:
+        self._records.setdefault(m.key(), m)
+        self._reps = max(self._reps, m.repetition + 1)
+
+    def begin(self, stage: str) -> None:
+        """Send the fresh runs of the following plans to ``stage``'s journal."""
+        if stage not in self.journals:
+            raise ParameterError(f"no journal for stage {stage!r}")
+        self._stage = stage
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Index whatever reached a journal since this store last read or wrote it.
+
+        A journal that grew had records appended by another process, so only
+        its tail is read. One that shrank was rewritten or removed, so the
+        whole index is read again.
+        """
+        sizes = {}
+        for stage, path in self.journals.items():
+            try:
+                sizes[stage] = os.path.getsize(path)
+            except FileNotFoundError:
+                sizes[stage] = 0
+        if any(sizes[s] < self._offset[s] for s in self.journals):
+            self._reset()
+        for stage, path in self.journals.items():
+            if sizes[stage] != self._offset[stage]:
+                self._read(stage, path)
+
+    def _read(self, stage: str, path: str) -> None:
+        start = self._offset[stage]
+        header, records, end = read_journal(path, start, self._configs)
+        if start == 0 and header is not None:
+            if header["seed"] != self.seed:
+                raise ParameterError(
+                    f"journal {path} was recorded with seed {header['seed']}, not {self.seed}")
+            self._headed[stage] = True
+        self._offset[stage] = end
+        for m in records:
+            self._index(m)
+
+    def append(self, m: Measurement) -> None:
+        """Journal one fresh run of the current stage as one flushed line.
+
+        Safe to call from worker threads. The record enters the index only
+        through ``commit``.
+        """
+        line = (json.dumps(m.to_json(), sort_keys=True) + "\n").encode()
+        with self._write_lock:
+            if self._fh is None:
+                self._fh = self._open()
+            self._fh.write(line)
+            self._fh.flush()
+            self._offset[self._stage] += len(line)
+            self.appended += 1
+
+    def _open(self):
+        """Open the current journal for appending, cutting any torn tail first.
+
+        Everything past the store's offset is a torn last line (``refresh``
+        read every complete one), so it is cut before the next record could
+        be glued onto it. A journal without a valid header starts over.
+        """
+        if self._stage is None:
+            raise ParameterError("no stage begun: call begin() before running a plan")
+        stage = self._stage
+        fh = open(self.journals[stage], "ab")
+        try:
+            if not self._headed[stage]:
+                fh.truncate(0)
+                header = MeasurementLog(self.seed, self.space_hash,
+                                        meta={"stage": stage}).header()
+                text = (json.dumps(header, sort_keys=True) + "\n").encode()
+                fh.write(text)
+                fh.flush()
+                self._offset[stage] = len(text)
+                self._headed[stage] = True
+            elif os.fstat(fh.fileno()).st_size > self._offset[stage]:
+                fh.truncate(self._offset[stage])
+        except BaseException:
+            fh.close()
+            raise
+        return fh
+
+    def commit(self, records: Iterable[Measurement]) -> None:
+        """Index a plan's fresh records, in plan order, and close the journal."""
+        try:
+            for m in records:
+                self._index(m)
+        finally:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 class Adapter(Protocol):
@@ -208,7 +382,8 @@ class ShellAdapter:
 
     The configuration arrives as environment variables (one per resolved
     parameter, plus TF_WORKLOAD / TF_SEED); the command must print a line
-    ``METRIC <float>``. Nonzero exit status counts as a crash.
+    ``METRIC <float>``. Nonzero exit status counts as a crash; a missing or
+    unparseable metric line breaks the contract and raises AdapterError.
     """
 
     def __init__(self, space: ParameterSpace, command: str, timeout_s: float = 300.0):
@@ -245,7 +420,9 @@ def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSp
 
     Adapter crashes and timeouts become crash/timeout outcomes with the
     diagnostic attached, and a metric that is not finite (NaN or infinite)
-    becomes a crash; they never abort the caller.
+    becomes a crash; they never abort the caller. An AdapterError means the
+    adapter broke its contract rather than the system crashing, so it is
+    raised: recording it would poison every later resume.
     """
     result = validate_configuration(adapter.space, config)
     if not result.ok:
@@ -261,6 +438,8 @@ def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSp
         outcome, metric, diag = OUTCOME_CRASH, None, e.diagnostic
     except TimeoutError as e:
         outcome, metric, diag = OUTCOME_TIMEOUT, None, str(e)
+    except AdapterError:
+        raise
     except Exception as e:  # adapter I/O failure counts as a crash, not an abort
         outcome, metric, diag = OUTCOME_CRASH, None, f"{type(e).__name__}: {e}"
     wall = time.perf_counter() - start
@@ -271,42 +450,21 @@ def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSp
 PlanEntry = tuple[Configuration, WorkloadSpec, int]
 
 
-class _Journal:
-    """Crash-safe incremental record writer: one flushed line per measurement.
-
-    A plan interrupted mid-flight leaves a loadable prefix on disk; the next
-    run carries those records instead of re-measuring them.
-    """
-
-    def __init__(self, path: str, header: dict, fresh: bool):
-        self._lock = threading.Lock()
-        self._fh = open(path, "a", encoding="utf-8")
-        if fresh:
-            self._fh.write(json.dumps(header, sort_keys=True) + "\n")
-            self._fh.flush()
-
-    def write(self, m: Measurement) -> None:
-        with self._lock:
-            self._fh.write(json.dumps(m.to_json(), sort_keys=True) + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
-             seed: int = 0, existing: MeasurementLog | None = None,
-             log_meta: dict | None = None,
-             journal: str | None = None) -> MeasurementLog:
+             seed: int = 0, store: CampaignStore | None = None) -> MeasurementLog:
     """Execute a plan, one Measurement per entry, in plan order.
 
-    Entries already present in ``existing`` (or in the on-disk ``journal``
-    from an interrupted run) are carried over unmeasured: resume semantics
-    and cached-cell reuse. When ``journal`` is given, every fresh measurement
-    is appended and flushed as it completes, so a crash loses at most the
-    in-flight entries. The resulting log content is a pure function of
-    (plan, adapter, seed): records are keyed by plan entry, never by worker
-    arrival order.
+    With a ``store``, entries it already holds, from any stage and from this
+    process or an interrupted earlier one, are carried over unmeasured. Each
+    fresh measurement is appended to the store's current journal as it
+    completes, so a crash loses at most the in-flight entries; the store
+    indexes the fresh records in plan order once the plan ends, also when it
+    ends in an exception. An AdapterError aborts the plan.
+
+    The returned log holds exactly the plan's records, in plan order, with
+    ok runs far below the plan's own all-defaults baseline re-tagged as
+    degraded. Its content is a pure function of (plan, adapter, seed), never
+    of worker arrival order.
     """
     keys = [(c.config_hash(), w.id, rep) for c, w, rep in plan]
     if len(set(keys)) != len(keys):
@@ -315,54 +473,35 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
         raise ParameterError("parallelism must be >= 1")
     parallelism = min(parallelism, getattr(adapter, "max_concurrency", parallelism) or parallelism)
 
-    log = MeasurementLog(seed=seed, space_hash=adapter.space.space_hash(), meta=log_meta)
-    carried: dict[tuple[str, str, int], Measurement] = {}
-    if existing is not None:
-        if existing.seed != seed:
-            raise ParameterError(
-                f"resume log was recorded with seed {existing.seed}, not {seed}")
-        carried = {m.key(): m for m in existing}
-    journal_exists = journal is not None and os.path.exists(journal)
-    if journal_exists:
-        for m in MeasurementLog.load(journal):
-            carried.setdefault(m.key(), m)
-
-    todo: list[tuple[int, PlanEntry]] = []
     results: list[Measurement | None] = [None] * len(plan)
-    for i, (config, workload, rep) in enumerate(plan):
-        prior = carried.get(keys[i])
-        if prior is not None:
-            results[i] = prior
-        else:
-            todo.append((i, (config, workload, rep)))
+    if store is not None:
+        if store.seed != seed:
+            raise ParameterError(f"the store holds seed {store.seed}'s runs, not seed {seed}'s")
+        store.refresh()
+        results = [store.get(k) for k in keys]
+    todo = [i for i, m in enumerate(results) if m is None]
 
-    writer = None
-    if journal is not None and todo:
-        writer = _Journal(journal, log.header(), fresh=not journal_exists)
-
-    def work(item: tuple[int, PlanEntry]) -> tuple[int, Measurement]:
-        i, (config, workload, rep) = item
+    def work(i: int) -> None:
+        config, workload, rep = plan[i]
         m = run_experiment(adapter, config, workload, rep, seed)
-        if writer is not None:
-            writer.write(m)
-        return i, m
+        if store is not None:
+            store.append(m)
+        results[i] = m
 
     try:
-        if todo:
-            if parallelism == 1:
-                for item in todo:
-                    i, m = work(item)
-                    results[i] = m
-            else:
-                with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                    for i, m in pool.map(work, todo):
-                        results[i] = m
+        if parallelism == 1:
+            for i in todo:
+                work(i)
+        elif todo:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                for _ in pool.map(work, todo):
+                    pass
     finally:
-        if writer is not None:
-            writer.close()
+        if store is not None:
+            store.commit(results[i] for i in todo if results[i] is not None)
 
-    tagged = _tag_degraded([m for m in results if m is not None], plan)
-    for m in tagged:
+    log = MeasurementLog(seed=seed, space_hash=adapter.space.space_hash())
+    for m in _tag_degraded(results, plan):
         log.append(m)
     return log
 

@@ -127,10 +127,11 @@ class _WorkloadTable:
     holds the non-flat responses in space order and ``couplings`` the
     couplings whose members are both in the space, in declaration order, each
     with its multiplier at the defaults. Skipping the flat factors is exact:
-    ``x * 1.0 == x`` for every float.
+    ``x * 1.0 == x`` for every float. ``crash_defaults`` holds the declared
+    default of each crash-region parameter in the space.
     """
 
-    __slots__ = ("space", "position", "defaults", "terms", "couplings")
+    __slots__ = ("space", "position", "defaults", "terms", "couplings", "crash_defaults")
 
     def __init__(self, model: "SimulatorModel", space: ParameterSpace, workload_id: str):
         self.space = space
@@ -145,6 +146,8 @@ class _WorkloadTable:
         self.couplings = [(c, c.multiplier(self.defaults[c.a], self.defaults[c.b]))
                           for c in model.couplings
                           if c.a in self.defaults and c.b in self.defaults]
+        self.crash_defaults = {name: space.get(name).default
+                               for name in model.crashes if name in self.position}
 
     def order(self, name: str) -> int:
         """Space position; names outside the space sort last, as resolve() puts them."""
@@ -201,13 +204,19 @@ class SimulatorModel:
     def true_metric(self, space: ParameterSpace, config: Configuration, workload_id: str) -> float:
         """Noise-free metric; raises CrashError inside a planted crash region."""
         table = self._table(space, workload_id)
-        resolved = space.resolve(config)
         assigned = config.assignments
         norms = {name: space.get(name).domain.normalize(assigned[name])
                  for name in sorted(assigned, key=table.order)}
         for name, region in self.crashes.items():
-            if name in resolved and region.contains(resolved[name]):
-                raise CrashError(f"planted crash region hit: {name}={resolved[name]!r}")
+            # The value resolve() would give: assigned, else the default.
+            if name in assigned:
+                value = assigned[name]
+            elif name in table.crash_defaults:
+                value = table.crash_defaults[name]
+            else:
+                continue
+            if region.contains(value):
+                raise CrashError(f"planted crash region hit: {name}={value!r}")
         metric = self.base_rate
         for name, response, at_default in table.terms:
             n = norms.get(name)

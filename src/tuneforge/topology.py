@@ -13,7 +13,8 @@ from itertools import product
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
-from .harness import Adapter, MeasurementLog, PlanEntry, mean_ok_metric, run_plan
+from .harness import (Adapter, CampaignStore, MeasurementLog, PlanEntry, mean_ok_metric,
+                      run_plan)
 from .interaction import InteractionReport, stage_b_levels
 from .jsonfile import JsonArtifact
 from .sensitivity import SensitivityReport
@@ -272,12 +273,17 @@ def _pick_best(configs: list[Configuration], means: dict[str, float],
 
 
 def measure_baselines(adapter: Adapter, workloads: list[WorkloadSpec],
-                      repetitions: int, seed: int,
-                      parallelism: int = 1) -> tuple[dict[str, float], MeasurementLog]:
-    """Mean all-defaults metric per workload, measured in this session."""
+                      repetitions: int, seed: int, parallelism: int = 1,
+                      store: CampaignStore | None = None
+                      ) -> tuple[dict[str, float], MeasurementLog]:
+    """Mean all-defaults metric per workload.
+
+    With a ``store``, the all-defaults runs it already holds (a campaign's
+    sweep measured them under the same keys) answer the plan unmeasured.
+    """
     plan: list[PlanEntry] = [(adapter.space.defaults(), w, rep)
                              for w in workloads for rep in range(repetitions)]
-    log = run_plan(adapter, plan, parallelism=parallelism, seed=seed)
+    log = run_plan(adapter, plan, parallelism=parallelism, seed=seed, store=store)
     means = {}
     for w in workloads:
         means[w.id] = mean_ok_metric(log.cell(adapter.space.defaults(), w.id))
@@ -287,16 +293,15 @@ def measure_baselines(adapter: Adapter, workloads: list[WorkloadSpec],
 
 
 def optimize_component(adapter: Adapter, plan: JointSearchPlan, seed: int,
-                       baseline_means: dict[str, float],
-                       parallelism: int = 1,
-                       cached: MeasurementLog | None = None) -> tuple[list[JointOptimum], MeasurementLog]:
+                       baseline_means: dict[str, float], parallelism: int = 1,
+                       store: CampaignStore | None = None
+                       ) -> tuple[list[JointOptimum], MeasurementLog]:
     """Run the grid and return the per-workload optima.
 
-    Cells already present in ``cached`` (e.g. stage-B measurements of a
+    With a ``store``, cells it already holds (e.g. stage-B measurements of a
     2-parameter component) are reused instead of re-measured.
     """
-    log = run_plan(adapter, plan.entries(), parallelism=parallelism, seed=seed,
-                   existing=cached)
+    log = run_plan(adapter, plan.entries(), parallelism=parallelism, seed=seed, store=store)
     configs = plan.grid_configs()
     optima = []
     for w in plan.workloads:
@@ -343,15 +348,13 @@ def independent_baseline(adapter: Adapter, component: list[str],
         combined[name] = best_config.assignments[name]
 
     combo = Configuration(combined)
-    combo_plan: list[PlanEntry] = [(combo, workload, rep) for rep in range(repetitions)]
     # A one-parameter component's combination coincides with a sweep config;
     # reuse those measurements instead of re-appending their keys.
-    combo_log = run_plan(adapter, combo_plan, parallelism=parallelism, seed=seed,
-                         existing=log)
-    metric = mean_ok_metric(combo_log.cell(combo, workload.id))
+    combo_plan: list[PlanEntry] = [(combo, workload, rep) for rep in range(repetitions)
+                                   if not log.has(combo, workload.id, rep)]
+    for m in run_plan(adapter, combo_plan, parallelism=parallelism, seed=seed):
+        log.append(m)
+    metric = mean_ok_metric(log.cell(combo, workload.id))
     if metric is None:
         raise AnalysisError(f"independent combination failed on workload {workload.id}")
-    for m in combo_log:
-        if not log.has(m.config, m.workload_id, m.repetition):
-            log.append(m)
     return combo, metric, log

@@ -365,3 +365,159 @@ class TestOversizedComponent:
         from helpers import run_small_pipeline
         p = run_small_pipeline(tmp_path, compile_doc=False)
         assert "rejected" not in p["optima"].to_json()
+
+
+class InterruptingAdapter:
+    """Measures through ``inner`` and raises KeyboardInterrupt, as a kill
+    would, once ``limit`` measurements have completed; records every key."""
+
+    def __init__(self, inner, limit=None):
+        self.space = inner.space
+        self.max_concurrency = 1
+        self.inner = inner
+        self.limit = limit
+        self.keys = []
+
+    def measure(self, config, workload, seed):
+        if self.limit is not None and len(self.keys) == self.limit:
+            raise KeyboardInterrupt
+        value = self.inner.measure(config, workload, seed)
+        self.keys.append((config.canonical(), workload.id, seed))
+        return value
+
+
+def small_campaign(directory, seed=42):
+    """A campaign whose joint stage searches the 3-member chain pa-pb-pc, so
+    most of its grid is not in the screen's stage-B cells."""
+    from helpers import SMALL_NAMES
+    space = unit_space(SMALL_NAMES)
+    model = SimulatorModel(
+        base_rate=1000.0, sigma=0.005,
+        responses={"pa": Response(shape="linear-up", strength=0.12),
+                   "pb": Response(shape="linear-up", strength=0.10),
+                   "pc": Response(shape="linear-up", strength=0.20),
+                   "pd": Response(shape="linear-down", strength=0.15)},
+        couplings=[Coupling("pa", "pb", 1.5), Coupling("pb", "pc", 1.5)])
+    return (Campaign(str(directory), space, one_workload(), seed=seed),
+            SimulatorAdapter(space, model))
+
+
+def run_stage(campaign, stage, adapter):
+    if stage == "profile":
+        return campaign.profile(adapter, levels_per_param=5, repetitions=3, tau_s=0.05)
+    if stage == "screen":
+        return campaign.screen(adapter)
+    if stage == "joint":
+        return campaign.joint(adapter, repetitions=3)
+    return campaign.compile()
+
+
+STAGE_NAMES = ("profile", "screen", "joint", "compile")
+JOURNALS = (SWEEP_LOG, SCREEN_LOG, campaign_mod.JOINT_LOG)
+
+
+class TestCampaignStore:
+    def test_fresh_campaign_reads_no_log_and_only_appends(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("load", "save"):
+            monkeypatch.setattr(MeasurementLog, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        campaign, adapter = small_campaign(tmp_path)
+
+        def journal_bytes():
+            return {n: open(campaign.path(n), "rb").read()
+                    if os.path.exists(campaign.path(n)) else b"" for n in JOURNALS}
+
+        for stage in STAGE_NAMES:
+            before = journal_bytes()
+            run_stage(campaign, stage, adapter)
+            after = journal_bytes()
+            for name in JOURNALS:
+                assert after[name].startswith(before[name]), (stage, name)
+        assert calls == []
+        monkeypatch.undo()
+        joint = MeasurementLog.load(campaign.path(campaign_mod.JOINT_LOG))
+        assert joint.meta == {"stage": "joint"}
+        assert len(joint) == campaign.state.runs_used["joint"] > 0
+        assert not [m for m in joint if m.config.is_default()]
+
+    def test_joint_baseline_is_the_sweeps_and_measures_nothing(self, tmp_path):
+        campaign, adapter = small_campaign(tmp_path)
+        for stage in ("profile", "screen"):
+            run_stage(campaign, stage, adapter)
+        counting = InterruptingAdapter(adapter)
+        optima = campaign.joint(counting, repetitions=3)
+        assert not [k for k in counting.keys if k[0] == "{}"]
+        assert optima.baseline_means == \
+            SensitivityReport.load(campaign.path(SENSITIVITY_REPORT)).baseline_means
+        assert optima.graph.multi_components() == [["pa", "pb", "pc"]]
+        assert optima.runs_used == len(counting.keys) == campaign.state.runs_used["joint"] > 0
+        assert campaign.state.budgets["joint"] == 3 + 4 ** 3 * 3  # baseline and grid
+
+    def test_resume_through_a_new_campaign_parses_each_journal_once(self, tmp_path,
+                                                                     monkeypatch):
+        from tuneforge import harness
+        campaign, adapter = small_campaign(tmp_path)
+        for stage in STAGE_NAMES:
+            run_stage(campaign, stage, adapter)
+        reads = []
+        real = harness.read_journal
+
+        def counting(path, start, configs):
+            reads.append(os.path.basename(path))
+            return real(path, start, configs)
+
+        monkeypatch.setattr(harness, "read_journal", counting)
+        resumed, _ = small_campaign(tmp_path)
+        counting_adapter = InterruptingAdapter(adapter)
+        for stage in STAGE_NAMES:
+            run_stage(resumed, stage, counting_adapter)
+        assert counting_adapter.keys == []
+        assert sorted(reads) == sorted(JOURNALS)
+
+    def test_interrupted_joint_stage_resumes_without_measuring_a_key_twice(self, tmp_path):
+        reference, adapter = small_campaign(tmp_path / "reference")
+        for stage in STAGE_NAMES:
+            run_stage(reference, stage, adapter)
+        campaign, _ = small_campaign(tmp_path / "interrupted")
+        for stage in ("profile", "screen"):
+            run_stage(campaign, stage, adapter)
+        first = InterruptingAdapter(adapter, limit=5)
+        with pytest.raises(KeyboardInterrupt):
+            campaign.joint(first, repetitions=3)
+        resumed, _ = small_campaign(tmp_path / "interrupted")
+        second = InterruptingAdapter(adapter)
+        optima = resumed.joint(second, repetitions=3)
+        assert len(first.keys) == 5 and second.keys
+        assert not set(first.keys) & set(second.keys)
+        assert len(first.keys) + len(second.keys) == reference.state.runs_used["joint"]
+        assert [o.to_json() for o in optima.optima] == \
+            [o.to_json() for o in OptimaReport.load(
+                reference.path(campaign_mod.OPTIMA_REPORT)).optima]
+
+
+class TestJournalRepair:
+    """Journals left damaged by a killed writer resume without losing runs."""
+
+    def test_torn_sweep_journal_loses_no_later_record(self, tmp_path):
+        campaign, adapter = small_campaign(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(campaign, "profile", InterruptingAdapter(adapter, limit=4))
+        with open(campaign.path(SWEEP_LOG), "a", encoding="utf-8") as fh:
+            fh.write('{"config": {"pa": 0.9}, "workl')  # killed mid-write
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(small_campaign(tmp_path)[0], "profile",
+                      InterruptingAdapter(adapter, limit=4))
+        resumed, _ = small_campaign(tmp_path)
+        rest = InterruptingAdapter(adapter)
+        run_stage(resumed, "profile", rest)
+        assert len(rest.keys) == resumed.state.budgets["sensitivity"] - 8
+
+    def test_empty_sweep_journal_resumes_from_nothing(self, tmp_path):
+        # killed between creating the journal and writing its header
+        campaign, adapter = small_campaign(tmp_path)
+        open(campaign.path(SWEEP_LOG), "w").close()
+        counting = InterruptingAdapter(adapter)
+        run_stage(campaign, "profile", counting)
+        assert len(counting.keys) == campaign.state.budgets["sensitivity"]
+        assert len(MeasurementLog.load(campaign.path(SWEEP_LOG))) == len(counting.keys)

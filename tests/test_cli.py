@@ -220,3 +220,45 @@ class TestDeterminism:
         r1 = json.load(open(os.path.join(c1, SENSITIVITY_REPORT)))
         r2 = json.load(open(os.path.join(c2, SENSITIVITY_REPORT)))
         assert r1["baseline_means"] != r2["baseline_means"]
+
+
+SHELL_SPACE = os.path.join(os.path.dirname(__file__), os.pardir, "demo", "shell_space.yaml")
+
+
+class TestAdapterContract:
+    """A shell benchmark that breaks the METRIC contract aborts, poisoning nothing."""
+
+    def write_script(self, tmp_path, metric_line):
+        # every run leaves one line in runs.txt, so the test counts them
+        script = tmp_path / "bench.sh"
+        script.write_text(f'#!/bin/sh\necho run >> "{tmp_path / "runs.txt"}"\n'
+                          f'echo "{metric_line}"\n')
+        script.chmod(0o755)
+        return str(script)
+
+    def profile(self, tmp_path, script):
+        return main(["profile", "--space", SHELL_SPACE, "--workloads", SHELL_SPACE,
+                     "--campaign", str(tmp_path / "c"), "--seed", "1",
+                     "--adapter", f"shell:{script}", "--levels", "3",
+                     "--repetitions", "1"])
+
+    def runs(self, tmp_path):
+        path = tmp_path / "runs.txt"
+        return len(path.read_text().splitlines()) if path.exists() else 0
+
+    def test_missing_metric_line_exits_3_after_one_run(self, tmp_path, capsys):
+        script = self.write_script(tmp_path, "tps=1000")
+        assert self.profile(tmp_path, script) == 3
+        assert "METRIC" in capsys.readouterr().err
+        assert self.runs(tmp_path) == 1
+        journal = tmp_path / "c" / "sweep_log.jsonl"
+        assert not journal.exists() or journal.read_bytes().count(b"\n") <= 1
+
+    def test_fixed_script_resumes_and_measures_the_plan(self, tmp_path):
+        script = self.write_script(tmp_path, "tps=1000")
+        assert self.profile(tmp_path, script) == 3
+        self.write_script(tmp_path, "METRIC 1000")
+        assert self.profile(tmp_path, script) == 0
+        state = json.load(open(tmp_path / "c" / "state.json"))
+        assert state["runs_used"]["sensitivity"] == state["budgets"]["sensitivity"] == 12
+        assert self.runs(tmp_path) == 1 + 12

@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from helpers import one_workload, random_log, unit_space
-from tuneforge.errors import ParameterError
-from tuneforge.harness import (Measurement, MeasurementLog, ShellAdapter,
+from tuneforge.errors import AdapterError, ParameterError
+from tuneforge.harness import (CampaignStore, Measurement, MeasurementLog, ShellAdapter,
                                mix_seed, run_experiment, run_plan, splitmix64)
 from tuneforge.simulator import (CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel)
@@ -19,6 +19,26 @@ from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec
 
 def flat_adapter(space, base=1000.0, sigma=0.0, **kwargs):
     return SimulatorAdapter(space, SimulatorModel(base_rate=base, sigma=sigma, **kwargs))
+
+
+def journal_store(path, seed, space, stage="sweep"):
+    """A store over one journal, as one process opens it, with that stage begun."""
+    store = CampaignStore(seed, space.space_hash(), {stage: str(path)})
+    store.begin(stage)
+    return store
+
+
+def count_calls(adapter):
+    """Record the canonical configuration of every measurement from now on."""
+    calls = []
+    original = adapter.measure
+
+    def counting(config, workload, seed):
+        calls.append(config.canonical())
+        return original(config, workload, seed)
+
+    adapter.measure = counting
+    return calls
 
 
 def assert_index_matches(log):
@@ -53,6 +73,10 @@ class TestMeasurement:
             Measurement(Configuration({}), "w0", 0, None, "ok")
         with pytest.raises(ParameterError):
             Measurement(Configuration({}), "w0", 0, math.nan, "ok")
+
+    def test_records_have_no_instance_dict(self):
+        m = Measurement(Configuration({}), "w0", 0, 1.0, "ok")
+        assert not hasattr(m, "__dict__")
 
     def test_crash_carries_no_metric(self):
         with pytest.raises(ParameterError):
@@ -134,29 +158,27 @@ class TestRunPlan:
         with pytest.raises(ParameterError):
             run_plan(flat_adapter(self.space), [entry, entry], seed=0)
 
-    def test_resume_skips_completed_entries(self):
+    def test_resume_skips_completed_entries(self, tmp_path):
         adapter = flat_adapter(self.space, sigma=0.01)
         plan = [(Configuration({"p": i / 10.0}), self.w, 0) for i in range(10)]
-        first = run_plan(adapter, plan[:5], seed=3)
-
-        calls = []
-        original = adapter.measure
-
-        def counting(config, workload, seed):
-            calls.append(config.canonical())
-            return original(config, workload, seed)
-
-        adapter.measure = counting
-        full = run_plan(adapter, plan, seed=3, existing=first)
+        store = journal_store(tmp_path / "log.jsonl", 3, self.space)
+        run_plan(adapter, plan[:5], seed=3, store=store)
+        calls = count_calls(adapter)
+        full = run_plan(adapter, plan, seed=3, store=store)
         assert len(full) == 10
         assert len(calls) == 5  # only the missing half was measured
+        assert store.appended == 10 and len(store) == 10
 
-    def test_resume_rejects_mismatched_seed(self):
+    def test_resume_rejects_mismatched_seed(self, tmp_path):
         adapter = flat_adapter(self.space)
         plan = [(Configuration({"p": 0.1}), self.w, 0)]
-        log = run_plan(adapter, plan, seed=3)
+        store = journal_store(tmp_path / "log.jsonl", 3, self.space)
+        run_plan(adapter, plan, seed=3, store=store)
         with pytest.raises(ParameterError):
-            run_plan(adapter, plan, seed=4, existing=log)
+            run_plan(adapter, plan, seed=4, store=store)
+        with pytest.raises(ParameterError, match="recorded with seed 3"):
+            run_plan(adapter, plan, seed=4,
+                     store=journal_store(tmp_path / "log.jsonl", 4, self.space))
 
     def test_noise_unbiased_at_desk_scale(self):
         adapter = flat_adapter(self.space, sigma=0.05)
@@ -216,58 +238,139 @@ class TestCrashRecovery:
 
     def test_journal_written_incrementally_and_resumed(self, tmp_path):
         adapter = flat_adapter(self.space, sigma=0.02)
-        journal = str(tmp_path / "log.jsonl")
+        journal = tmp_path / "log.jsonl"
         # first run dies after half the plan (simulated by only submitting half)
-        run_plan(adapter, self.plan[:5], seed=3, journal=journal)
-        partial = MeasurementLog.load(journal)
+        run_plan(adapter, self.plan[:5], seed=3, store=journal_store(journal, 3, self.space))
+        partial = MeasurementLog.load(str(journal))
         assert len(partial) == 5
+        assert partial.meta == {"stage": "sweep"}
 
-        calls = []
-        original = adapter.measure
-
-        def counting(config, workload, seed):
-            calls.append(config.canonical())
-            return original(config, workload, seed)
-
-        adapter.measure = counting
-        full = run_plan(adapter, self.plan, seed=3, journal=journal)
+        calls = count_calls(adapter)
+        full = run_plan(adapter, self.plan, seed=3, store=journal_store(journal, 3, self.space))
         assert len(full) == 10
         assert len(calls) == 5  # journal carried the first half
 
     def test_torn_trailing_write_is_dropped_on_load(self, tmp_path):
         adapter = flat_adapter(self.space)
-        journal = str(tmp_path / "log.jsonl")
-        run_plan(adapter, self.plan[:4], seed=0, journal=journal)
+        journal = tmp_path / "log.jsonl"
+        run_plan(adapter, self.plan[:4], seed=0, store=journal_store(journal, 0, self.space))
         with open(journal, "a", encoding="utf-8") as fh:
             fh.write('{"config": {"p": 0.9}, "workl')  # killed mid-write
-        recovered = MeasurementLog.load(journal)
+        recovered = MeasurementLog.load(str(journal))
         assert len(recovered) == 4
         assert_index_matches(recovered)
         assert recovered.cell(Configuration({"p": 0.9}), "w0") == ()
         # and the resumed run completes the plan without tripping on the tear
-        full = run_plan(adapter, self.plan, seed=0, existing=recovered)
+        full = run_plan(adapter, self.plan, seed=0, store=journal_store(journal, 0, self.space))
         assert len(full) == 10
+        assert len(MeasurementLog.load(str(journal))) == 10
+
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        # Once glued onto a torn line, a record was unreadable, and so was
+        # every record after it: each resume measured them all again.
+        adapter = flat_adapter(self.space, sigma=0.02)
+        journal = tmp_path / "log.jsonl"
+        run_plan(adapter, self.plan[:4], seed=0, store=journal_store(journal, 0, self.space))
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write('{"config": {"p": 0.9}, "workl')
+        calls = count_calls(adapter)
+        run_plan(adapter, self.plan[:8], seed=0, store=journal_store(journal, 0, self.space))
+        assert len(calls) == 4
+        assert len(MeasurementLog.load(str(journal))) == 8
+        run_plan(adapter, self.plan, seed=0, store=journal_store(journal, 0, self.space))
+        assert len(calls) == 6
+        assert journal.read_bytes().count(b"\n") == 11  # the header and ten records
+
+    @pytest.mark.parametrize("content", [b"", b'{"seed": 0, "space_h', b"not a header\n"])
+    def test_journal_without_a_header_holds_no_records(self, tmp_path, content):
+        # empty: killed between creating the file and writing its header
+        adapter = flat_adapter(self.space)
+        journal = tmp_path / "log.jsonl"
+        journal.write_bytes(content)
+        calls = count_calls(adapter)
+        full = run_plan(adapter, self.plan, seed=0, store=journal_store(journal, 0, self.space))
+        assert len(full) == 10 and len(calls) == 10
+        loaded = MeasurementLog.load(str(journal))
+        assert loaded.seed == 0 and len(loaded) == 10
 
     def test_index_holds_records_carried_from_existing_and_journal(self, tmp_path):
+        # ``ours`` measured the first records in this process; an independent
+        # store then appends more to the same journal, as another process
+        # would between two of this process's plans.
         adapter = flat_adapter(self.space, sigma=0.02)
-        journal = str(tmp_path / "log.jsonl")
+        journal = tmp_path / "log.jsonl"
         plan = [(c, w, rep) for c, w, _ in self.plan for rep in range(2)]
-        existing = run_plan(adapter, plan[:6], seed=2)
-        run_plan(adapter, plan[6:12], seed=2, journal=journal)
-        full = run_plan(adapter, plan, seed=2, existing=existing, journal=journal)
-        assert len(full) == len(plan)
+        ours = journal_store(journal, 2, self.space)
+        existing = run_plan(adapter, plan[:6], seed=2, store=ours)
+        run_plan(adapter, plan[6:12], seed=2, store=journal_store(journal, 2, self.space))
+        calls = count_calls(adapter)
+        full = run_plan(adapter, plan, seed=2, store=ours)
+        assert len(full) == len(plan) and len(calls) == len(plan) - 12
+        assert len(ours) == len(plan)
         assert_index_matches(full)
         assert [m.to_json() for m in full.cell(self.plan[0][0], "w0")] == \
             [m.to_json() for m in existing.cell(self.plan[0][0], "w0")]
+        assert len(MeasurementLog.load(str(journal))) == len(plan)
+
+    def test_removed_journal_is_read_again_and_rebuilt(self, tmp_path):
+        adapter = flat_adapter(self.space)
+        journal = tmp_path / "log.jsonl"
+        store = journal_store(journal, 1, self.space)
+        run_plan(adapter, self.plan, seed=1, store=store)
+        journal.unlink()
+        calls = count_calls(adapter)
+        run_plan(adapter, self.plan[:3], seed=1, store=store)
+        assert len(calls) == 3 and len(store) == 3
+        assert len(MeasurementLog.load(str(journal))) == 3
+
+    def test_append_after_begin_keeps_an_existing_journal(self, tmp_path):
+        adapter = flat_adapter(self.space)
+        journal = tmp_path / "log.jsonl"
+        run_plan(adapter, self.plan[:3], seed=1, store=journal_store(journal, 1, self.space))
+        store = journal_store(journal, 1, self.space)
+        store.append(run_experiment(adapter, *self.plan[3], seed=1))
+        store.commit([])
+        assert len(MeasurementLog.load(str(journal))) == 4
 
     def test_completed_journal_untouched_on_noop_rerun(self, tmp_path):
         adapter = flat_adapter(self.space)
-        journal = str(tmp_path / "log.jsonl")
-        first = run_plan(adapter, self.plan, seed=1, journal=journal)
-        first.save(journal)
-        before = open(journal, "rb").read()
-        run_plan(adapter, self.plan, seed=1, journal=journal)
-        assert open(journal, "rb").read() == before
+        journal = tmp_path / "log.jsonl"
+        run_plan(adapter, self.plan, seed=1, store=journal_store(journal, 1, self.space))
+        before = journal.read_bytes()
+        run_plan(adapter, self.plan, seed=1, store=journal_store(journal, 1, self.space))
+        assert journal.read_bytes() == before
+
+    def test_store_cell_is_in_repetition_order_at_any_parallelism(self, tmp_path):
+        adapter = flat_adapter(self.space, sigma=0.02)
+        config = Configuration({"p": 0.5})
+        plan = [(config, self.w, rep) for rep in reversed(range(40))]
+        store = journal_store(tmp_path / "log.jsonl", 4, self.space)
+        view = run_plan(adapter, plan, parallelism=8, seed=4, store=store)
+        assert [m.repetition for m in view.cell(config, "w0")] == list(reversed(range(40)))
+        assert [m.repetition for m in store.cell(config, "w0")] == list(range(40))
+        assert store.has(config, "w0", 39) and not store.has(config, "w0", 40)
+
+    def test_interrupted_plan_indexes_what_it_journaled(self, tmp_path):
+        adapter = flat_adapter(self.space)
+        original = adapter.measure
+        done = []
+
+        def interrupted(config, workload, seed):
+            if len(done) == 4:
+                raise KeyboardInterrupt
+            done.append(config.canonical())
+            return original(config, workload, seed)
+
+        adapter.measure = interrupted
+        store = journal_store(tmp_path / "log.jsonl", 0, self.space)
+        with pytest.raises(KeyboardInterrupt):
+            run_plan(adapter, self.plan, seed=0, store=store)
+        assert len(store) == 4 and store.appended == 4
+        adapter.measure = original
+        calls = count_calls(adapter)
+        run_plan(adapter, self.plan, seed=0, store=store)
+        assert len(calls) == 6
+        assert len(MeasurementLog.load(str(tmp_path / "log.jsonl"))) == 10
 
 
 class TestMeasurementLog:
@@ -341,9 +444,15 @@ class TestShellAdapter:
         m = run_experiment(adapter, Configuration({}), one_workload()[0], 0, 1)
         assert m.outcome == "crash" and "3" in m.diagnostic
 
-    def test_missing_metric_line_is_crash_outcome(self, tmp_path):
+    def test_missing_metric_line_aborts_with_adapter_error(self, tmp_path):
+        # a broken adapter contract is not a crash of the system under test
         space = unit_space(["knob"])
         script = self.make_script(tmp_path, 'echo "no metric here"')
         adapter = ShellAdapter(space, script)
-        m = run_experiment(adapter, Configuration({}), one_workload()[0], 0, 1)
-        assert m.outcome == "crash"
+        with pytest.raises(AdapterError, match="METRIC"):
+            run_experiment(adapter, Configuration({}), one_workload()[0], 0, 1)
+        journal = tmp_path / "log.jsonl"
+        plan = [(Configuration({"knob": v}), one_workload()[0], 0) for v in (0.1, 0.2)]
+        with pytest.raises(AdapterError):
+            run_plan(adapter, plan, seed=1, store=journal_store(journal, 1, space))
+        assert not journal.exists()
