@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from .docgen import ProceduralDocument, compile_document
 from .errors import AnalysisError, ParameterError
 from .executor import TuningSession, run_session
-from .harness import Adapter, CampaignStore, MeasurementLog, PlanEntry, run_plan
-from .interaction import (STAGE_B_REPS, VERDICT_INDEPENDENT, InteractionRecord,
-                          InteractionReport, choose_pair_levels, finalize_records,
-                          plan_pair_table, plan_pairs, screen_pair, stage_a_int_pct,
-                          stage_a_verdict, table_from_log)
+from .harness import Adapter, CampaignStore, PlanEntry, run_plan
+from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairLevels,
+                          attach_stage_b, choose_pair_levels, finalize_records,
+                          plan_pair_table, plan_pairs, stage_a_record, table_from_log)
 from .jsonfile import JsonArtifact
 from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
 from .space import ParameterSpace, WorkloadSpec
@@ -119,6 +118,12 @@ class Campaign:
                 f"{command} requires stage {minimum!r} but campaign is at "
                 f"{self.state.stage!r}; run the earlier stages first")
 
+    def _count_runs(self, stage: str, appended: int) -> None:
+        """Add the fresh runs journaled since the store counted ``appended``
+        to the stage's total, so a stage run again or resumed accumulates."""
+        self.state.runs_used[stage] = \
+            self.state.runs_used.get(stage, 0) + self.store.appended - appended
+
     def _advance(self, stage: str) -> None:
         if STAGES.index(stage) > self.state.stage_index():
             self.state.stage = stage
@@ -167,118 +172,65 @@ class Campaign:
                                      tau_s=tau_s)
         report.save(self.path(SENSITIVITY_REPORT))
         self.state.budgets["sensitivity"] = len(plan)
-        self.state.runs_used["sensitivity"] = \
-            self.state.runs_used.get("sensitivity", 0) + self.store.appended - appended
+        self._count_runs("sensitivity", appended)
         self._advance("sweep-done")
         return report
 
     # -- stage 2: interaction screen --------------------------------------
 
     def screen(self, adapter: Adapter, parallelism: int = 1) -> InteractionReport:
+        """One linear pass: stage A for every pair, one retry on interior levels
+        for pairs unbalanced at the extremes, stage B for exactly the advancing
+        records. Every table is read back from the campaign store."""
         self.require_stage("sweep-done", "screen")
         report = SensitivityReport.load(self.path(SENSITIVITY_REPORT))
         top_names = [p.parameter for p in report.top_k()]
-
-        records: list[InteractionRecord] = []
-        plan: list[PlanEntry] = []
-        seen_keys: set[tuple[str, str, int]] = set()
-
-        def extend(entries: list[PlanEntry]) -> None:
-            for c, w, rep in entries:
-                key = (c.config_hash(), w.id, rep)
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    plan.append((c, w, rep))
-
         self.store.begin("screen")
         appended = self.store.appended
+        planned: set[tuple[str, str, int]] = set()
 
-        log: MeasurementLog | None = None
+        def run(plan: list[PlanEntry]) -> None:
+            planned.update((c.config_hash(), w.id, rep) for c, w, rep in plan)
+            run_plan(adapter, plan, parallelism=parallelism, seed=self.seed, store=self.store)
 
-        def run() -> None:
-            """Execute whatever part of the accumulated plan is still missing;
-            ``log`` becomes the view of the whole plan."""
-            nonlocal log
-            log = None  # the store holds every record; drop the old view first
-            log = run_plan(adapter, plan, parallelism=parallelism, seed=self.seed,
-                           store=self.store)
-
-        if len(top_names) < 2:
-            interaction = InteractionReport(campaign_id=report.campaign_id,
-                                            space_hash=report.space_hash, records=[])
-            interaction.save(self.path(INTERACTION_REPORT))
-            self.state.budgets["screen"] = 0
-            self.state.runs_used["screen"] = 0
-            self._advance("screen-done")
-            return interaction
-
-        pairs = plan_pairs(top_names)
-        levels: dict[tuple[str, str], object] = {}
-        unsafe: dict[tuple[str, str], bool] = {}
-        for pair in pairs:
+        def pair_levels(pair: tuple[str, str], interior: bool) -> PairLevels | None:
             try:
-                levels[pair] = choose_pair_levels(pair, report, self.space)
+                return choose_pair_levels(pair, report, self.space, interior=interior)
             except AnalysisError:
-                unsafe[pair] = True
+                return None  # safe range too narrow: unsafe to screen
 
-        # Stage A at safe-range extremes, one repetition.
-        for pair in pairs:
-            if pair in levels:
-                extend(plan_pair_table(pair, levels[pair].stage_a[0],
-                                       levels[pair].stage_a[1], self.workloads, 1))
-        run()
+        def stage_a(pairs: list[tuple[str, str]]) -> dict[tuple[str, str], list]:
+            """Run the pairs' stage-A corners as one plan and judge every table;
+            a pair without levels is unsafe on every workload."""
+            run([e for pair in pairs if levels[pair]
+                 for e in plan_pair_table(pair, *levels[pair].stage_a, self.workloads, 1)])
+            return {pair: [stage_a_record(table_from_log(self.store, pair,
+                                                         *levels[pair].stage_a, w.id))
+                           if levels[pair] else
+                           InteractionRecord(pair=pair, workload_id=w.id, unsafe_to_screen=True)
+                           for w in self.workloads] for pair in pairs}
 
-        # Retry unbalanced pairs once on interior levels.
-        retried: set[tuple[str, str]] = set()
-        for pair in pairs:
-            if pair not in levels:
-                continue
-            pl = levels[pair]
-            if any(not table_from_log(log, pair, pl.stage_a[0], pl.stage_a[1], w.id)
-                   .is_balanced(1) for w in self.workloads):
-                try:
-                    levels[pair] = choose_pair_levels(pair, report, self.space,
-                                                      interior=True)
-                    extend(plan_pair_table(pair, levels[pair].stage_a[0],
-                                           levels[pair].stage_a[1], self.workloads, 1))
-                    retried.add(pair)
-                except AnalysisError:
-                    unsafe[pair] = True
-        if retried:
-            run()
+        pairs = plan_pairs(top_names) if len(top_names) > 1 else []
+        levels = {pair: pair_levels(pair, interior=False) for pair in pairs}
+        records = stage_a(pairs)
+        retry = [pair for pair in pairs if levels[pair]
+                 and any(rec.unsafe_to_screen for rec in records[pair])]
+        levels.update({pair: pair_levels(pair, interior=True) for pair in retry})
+        records.update(stage_a(retry))
 
-        # Stage A verdicts decide which (pair, workload) tables stage B needs:
-        # exactly those screen_pair analyses.
-        advancing = False
-        for pair in pairs:
-            if pair in unsafe or pair not in levels:
-                continue
-            pl = levels[pair]
-            for w in self.workloads:
-                table = table_from_log(log, pair, pl.stage_a[0], pl.stage_a[1], w.id)
-                if table.is_balanced(1) and \
-                        stage_a_verdict(stage_a_int_pct(table)) != VERDICT_INDEPENDENT:
-                    advancing = True
-                    extend(plan_pair_table(pair, pl.stage_b[0], pl.stage_b[1],
-                                           [w], STAGE_B_REPS))
-        if advancing:
-            run()
-
-        for pair in pairs:
-            if pair in unsafe or pair not in levels:
-                for w in self.workloads:
-                    records.append(InteractionRecord(
-                        pair=pair, workload_id=w.id, stage_a_int_pct=None,
-                        stage_a_verdict=None, unsafe_to_screen=True))
-                continue
-            records.extend(screen_pair(log, pair, self.workloads, levels[pair]))
-        finalize_records(records)
-
-        interaction = InteractionReport(campaign_id=report.campaign_id,
-                                        space_hash=report.space_hash, records=records)
+        advancing = [(rec, w) for pair in pairs
+                     for rec, w in zip(records[pair], self.workloads) if rec.advances()]
+        run([e for rec, w in advancing
+             for e in plan_pair_table(rec.pair, *levels[rec.pair].stage_b, [w], STAGE_B_REPS)])
+        for rec, w in advancing:
+            attach_stage_b(rec, table_from_log(self.store, rec.pair, *levels[rec.pair].stage_b,
+                                               w.id, repetitions=STAGE_B_REPS))
+        interaction = InteractionReport(
+            campaign_id=report.campaign_id, space_hash=report.space_hash,
+            records=finalize_records([rec for pair in pairs for rec in records[pair]]))
         interaction.save(self.path(INTERACTION_REPORT))
-        self.state.budgets["screen"] = len(plan)
-        self.state.runs_used["screen"] = self.store.appended - appended
+        self.state.budgets["screen"] = len(planned)
+        self._count_runs("screen", appended)
         self._advance("screen-done")
         return interaction
 
@@ -317,7 +269,7 @@ class Campaign:
                               runs_used=executed, rejected=rejected)
         result.save(self.path(OPTIMA_REPORT))
         self.state.budgets["joint"] = planned
-        self.state.runs_used["joint"] = executed
+        self._count_runs("joint", appended)
         self._advance("joint-done")
         return result
 

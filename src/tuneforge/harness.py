@@ -19,7 +19,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol
 
 from .errors import AdapterError, CrashError, ParameterError
@@ -28,12 +28,6 @@ from .space import Configuration, ParameterSpace, WorkloadSpec, validate_configu
 OUTCOME_OK = "ok"
 OUTCOME_CRASH = "crash"
 OUTCOME_TIMEOUT = "timeout"
-OUTCOME_DEGRADED = "degraded"
-
-# Fraction of the default-config baseline below which an ok run is re-tagged
-# as degraded and a sweep level falls outside the safe range (mirrors the
-# ">50% throughput loss" severity rule).
-DEGRADATION_FRACTION = 0.5
 
 
 def splitmix64(x: int) -> int:
@@ -230,8 +224,8 @@ class CampaignStore:
     (``refresh``), and answers ``has``/``get``/``cell`` across all stages
     under one (config hash, workload, repetition) identity, the first record
     of a key winning. It keeps one dict entry per record and no cell lists,
-    since the plans' own logs hold those. Journals hold raw outcomes:
-    degraded tagging is a view of one plan, built by ``run_plan``.
+    since the plans' own logs hold those. Journals and the store hold the
+    raw outcomes the adapter produced.
     """
 
     def __init__(self, seed: int, space_hash: str, journals: dict[str, str]):
@@ -382,13 +376,20 @@ class ShellAdapter:
 
     The configuration arrives as environment variables (one per resolved
     parameter, plus TF_WORKLOAD / TF_SEED); the command must print a line
-    ``METRIC <float>``. Nonzero exit status counts as a crash; a missing or
-    unparseable metric line breaks the contract and raises AdapterError.
+    ``METRIC <float>``. Nonzero exit status counts as a crash; a command that
+    cannot be started (missing, not executable) and a missing or unparseable
+    metric line break the contract and raise AdapterError. A command that
+    names no program is refused when the adapter is built.
     """
 
     def __init__(self, space: ParameterSpace, command: str, timeout_s: float = 300.0):
+        try:
+            self.argv = shlex.split(command)
+        except ValueError as e:
+            raise ParameterError(f"shell command {command!r}: {e}") from None
+        if not self.argv:
+            raise ParameterError("shell command is empty")
         self.space = space
-        self.command = command
         self.timeout_s = timeout_s
         self.max_concurrency = 1
 
@@ -399,10 +400,12 @@ class ShellAdapter:
         env["TF_WORKLOAD"] = workload.id
         env["TF_SEED"] = str(seed)
         try:
-            proc = subprocess.run(shlex.split(self.command), env=env,
+            proc = subprocess.run(self.argv, env=env,
                                   capture_output=True, text=True, timeout=self.timeout_s)
         except subprocess.TimeoutExpired:
             raise TimeoutError(f"command exceeded {self.timeout_s}s")
+        except OSError as e:
+            raise AdapterError(f"command cannot start: {e}") from None
         if proc.returncode != 0:
             raise CrashError(f"exit status {proc.returncode}: {proc.stderr.strip()[:200]}")
         for line in proc.stdout.splitlines():
@@ -462,9 +465,8 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
     ends in an exception. An AdapterError aborts the plan.
 
     The returned log holds exactly the plan's records, in plan order, with
-    ok runs far below the plan's own all-defaults baseline re-tagged as
-    degraded. Its content is a pure function of (plan, adapter, seed), never
-    of worker arrival order.
+    the outcomes the adapter produced. Its content is a pure function of
+    (plan, adapter, seed), never of worker arrival order.
     """
     keys = [(c.config_hash(), w.id, rep) for c, w, rep in plan]
     if len(set(keys)) != len(keys):
@@ -501,35 +503,9 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
             store.commit(results[i] for i in todo if results[i] is not None)
 
     log = MeasurementLog(seed=seed, space_hash=adapter.space.space_hash())
-    for m in _tag_degraded(results, plan):
+    for m in results:
         log.append(m)
     return log
-
-
-def _tag_degraded(records: list[Measurement], plan: list[PlanEntry]) -> list[Measurement]:
-    """Re-tag ok runs far below the default-config baseline as degraded.
-
-    The baseline is the per-workload mean of ok all-defaults measurements in
-    the same plan; computed after the whole plan finishes so tagging does not
-    depend on completion order. Plans without baseline entries are returned
-    unchanged.
-    """
-    baseline: dict[str, list[float]] = {}
-    for m in records:
-        if m.config.is_default() and m.outcome == OUTCOME_OK:
-            baseline.setdefault(m.workload_id, []).append(m.metric_value)
-    means = {w: sum(v) / len(v) for w, v in baseline.items() if v}
-    if not means:
-        return records
-    out = []
-    for m in records:
-        base = means.get(m.workload_id)
-        if (base is not None and base > 0 and m.outcome == OUTCOME_OK
-                and not m.config.is_default()
-                and m.metric_value < DEGRADATION_FRACTION * base):
-            m = replace(m, outcome=OUTCOME_DEGRADED)
-        out.append(m)
-    return out
 
 
 def mean_ok_metric(records: Iterable[Measurement]) -> float | None:

@@ -7,6 +7,12 @@ Stage B: a 4x4 factorial with repetitions, a balanced two-way fixed-effects
 ANOVA, an exact F-test on the interaction term, and Benjamini-Hochberg FDR
 correction across all tested (pair, workload) combinations. Confirmed pairs
 are those with eta^2 above threshold and corrected q below threshold.
+
+This module owns every screening decision: ``stage_a_record`` judges a
+stage-A table (unsafe when unbalanced, else an Int% and a verdict),
+``InteractionRecord.advances`` is the one stage-B gate, ``attach_stage_b``
+adds the ANOVA (or marks the record unsafe), and ``finalize_records``
+confirms. The campaign only plans the runs and reads each table back.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from itertools import combinations
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
-from .harness import OUTCOME_OK, MeasurementLog, PlanEntry
+from .harness import OUTCOME_OK, CampaignStore, MeasurementLog, PlanEntry
 from .jsonfile import JsonArtifact
 from .sensitivity import SafeRange, SensitivityReport
 from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, snap_to_domain
@@ -112,8 +118,8 @@ class InteractionRecord:
 
     pair: tuple[str, str]
     workload_id: str
-    stage_a_int_pct: float | None
-    stage_a_verdict: str | None
+    stage_a_int_pct: float | None = None
+    stage_a_verdict: str | None = None
     eta_squared: float | None = None
     partial_eta_squared: float | None = None
     p_value: float | None = None
@@ -121,6 +127,12 @@ class InteractionRecord:
     confirmed: bool = False
     unsafe_to_screen: bool = False
     decomposition: AnovaDecomposition | None = None
+
+    def advances(self) -> bool:
+        """Whether stage B tests this (pair, workload): a safe stage-A table
+        whose verdict is not independent (undetermined advances, for recall)."""
+        return not self.unsafe_to_screen and self.stage_a_verdict not in (
+            None, VERDICT_INDEPENDENT)
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {
@@ -270,10 +282,10 @@ def plan_pair_table(pair: tuple[str, str], levels_a: list[Any], levels_b: list[A
     return plan
 
 
-def table_from_log(log: MeasurementLog, pair: tuple[str, str], levels_a: list[Any],
-                   levels_b: list[Any], workload_id: str,
+def table_from_log(log: MeasurementLog | CampaignStore, pair: tuple[str, str],
+                   levels_a: list[Any], levels_b: list[Any], workload_id: str,
                    repetitions: int = 1) -> FactorialTable:
-    """Assemble the factorial table for one (pair, workload) from a log.
+    """Assemble the factorial table for one (pair, workload) from a log or store.
 
     Only repetition indices below ``repetitions`` are collected, so a log
     holding both the 1-rep stage-A corners and the 3-rep stage-B grid yields
@@ -384,42 +396,32 @@ def partial_eta_squared(decomp: AnovaDecomposition) -> float:
     return decomp.ss_interaction / denom
 
 
-def screen_pair(log: MeasurementLog, pair: tuple[str, str], workloads: list[WorkloadSpec],
-                levels: "PairLevels") -> list[InteractionRecord]:
-    """Both screening stages for one pair, one record per workload.
+def stage_a_record(table: FactorialTable) -> InteractionRecord:
+    """Judge one (pair, workload) stage-A table.
 
-    ``log`` holds the pair's stage-A corners and, for each workload whose
-    stage-A verdict advanced, its stage-B table. Stage B statistics are attached only where
-    the stage-A verdict advanced (undetermined verdicts advance too,
-    favoring recall). Confirmation is decided later, after BH correction
-    across the whole campaign.
+    An unbalanced table (a corner with no ok run) is unsafe to screen and
+    carries no verdict; otherwise the record carries the Int% and verdict.
     """
-    records = []
-    for w in workloads:
-        table_a = table_from_log(log, pair, levels.stage_a[0], levels.stage_a[1],
-                                 w.id, repetitions=1)
-        if not table_a.is_balanced(1):
-            records.append(InteractionRecord(pair=pair, workload_id=w.id,
-                                             stage_a_int_pct=None, stage_a_verdict=None,
-                                             unsafe_to_screen=True))
-            continue
-        int_pct = stage_a_int_pct(table_a)
-        verdict = stage_a_verdict(int_pct)
-        rec = InteractionRecord(pair=pair, workload_id=w.id,
-                                stage_a_int_pct=int_pct, stage_a_verdict=verdict)
-        if verdict != VERDICT_INDEPENDENT:
-            table_b = table_from_log(log, pair, levels.stage_b[0], levels.stage_b[1],
-                                     w.id, repetitions=STAGE_B_REPS)
-            if not table_b.is_balanced(STAGE_B_REPS):
-                rec.unsafe_to_screen = True
-            else:
-                decomp = two_way_anova(table_b, STAGE_B_REPS)
-                rec.eta_squared = eta_squared(decomp)
-                rec.partial_eta_squared = partial_eta_squared(decomp)
-                rec.p_value = decomp.p_value
-                rec.decomposition = decomp
-        records.append(rec)
-    return records
+    if not table.is_balanced(1):
+        return InteractionRecord(pair=table.pair, workload_id=table.workload_id,
+                                 unsafe_to_screen=True)
+    int_pct = stage_a_int_pct(table)
+    return InteractionRecord(pair=table.pair, workload_id=table.workload_id,
+                             stage_a_int_pct=int_pct, stage_a_verdict=stage_a_verdict(int_pct))
+
+
+def attach_stage_b(rec: InteractionRecord, table: FactorialTable) -> None:
+    """Add the stage-B ANOVA of an advancing record, or mark the record
+    unsafe when its table is unbalanced. Confirmation is decided later, after
+    BH correction across the whole campaign."""
+    if not table.is_balanced(STAGE_B_REPS):
+        rec.unsafe_to_screen = True
+        return
+    decomp = two_way_anova(table, STAGE_B_REPS)
+    rec.eta_squared = eta_squared(decomp)
+    rec.partial_eta_squared = partial_eta_squared(decomp)
+    rec.p_value = decomp.p_value
+    rec.decomposition = decomp
 
 
 def finalize_records(records: list[InteractionRecord]) -> list[InteractionRecord]:

@@ -17,14 +17,21 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
-from .harness import (DEGRADATION_FRACTION, OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT,
-                      Measurement, MeasurementLog, PlanEntry)
+from .harness import (OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT, Measurement,
+                      MeasurementLog, PlanEntry)
 from .jsonfile import JsonArtifact
 from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, level_grid
 
 DEFAULT_TAU_S = 0.05      # aggregate-CV selection threshold
 FLAT_TOL = 0.02           # below this range/baseline ratio a curve is flat
 STEP_FRAC = 0.6           # single-gap share of total range that marks a step
+
+# The ">50% performance loss" severity rule: an ok sweep run that lost more
+# than half of its workload's all-defaults performance is degraded. It is
+# excluded from the sweep like a failed run, and a level whose mean is
+# degraded falls outside the safe range.
+DEGRADATION_FRACTION = 0.5
+OUTCOME_DEGRADED = "degraded"
 
 SHAPE_LABELS = ("monotonic-up", "monotonic-down", "non-monotonic", "step-function", "flat")
 
@@ -39,6 +46,7 @@ class SweepResult:
     values: list[list[float]]          # ok metric values per level
     excluded: list[dict[str, int]]     # per-level crash/timeout/degraded counts
     default_index: int | None = None   # the default's level, when it is a grid level
+    direction: str = "maximize"        # the workload's metric direction
 
     def mean(self, i: int) -> float | None:
         v = self.values[i]
@@ -161,6 +169,17 @@ class SensitivityReport(JsonArtifact):
         )
 
 
+def degraded(value: float, baseline: float, direction: str) -> bool:
+    """Whether ``value`` lost more than half of ``baseline``'s performance:
+    below half of it when maximizing, above twice it when minimizing. A
+    non-positive baseline degrades nothing."""
+    if baseline <= 0:
+        return False
+    if direction == "minimize":
+        return value > baseline / DEGRADATION_FRACTION
+    return value < DEGRADATION_FRACTION * baseline
+
+
 def sweep_levels(spec: ParameterSpec, levels_per_param: int) -> tuple[list[Any], int | None]:
     """A parameter's sweep grid and the index of its default on it.
 
@@ -223,9 +242,10 @@ def build_sweep_results(log: MeasurementLog, space: ParameterSpace,
     against the CV denominator: one transient failure of the configuration
     every sweep shares must not make every parameter unsafe at its default.
     A workload whose baseline has no ok run has no baseline mean, which
-    analysis refuses.
+    analysis refuses. An ok run that is ``degraded`` against its workload's
+    baseline mean counts as excluded under ``OUTCOME_DEGRADED``.
     """
-    workload_ids = {w.id for w in workloads}
+    directions = {w.id: w.direction for w in workloads}
     default_level: dict[str, Any] = {}
     for spec in space:
         grid, default_idx = sweep_levels(spec, levels_per_param)
@@ -234,7 +254,7 @@ def build_sweep_results(log: MeasurementLog, space: ParameterSpace,
     per_level: dict[tuple[str, str], dict[Any, list]] = {}
     baselines: dict[str, list[Measurement]] = {w.id: [] for w in workloads}
     for m in log:
-        if m.workload_id not in workload_ids:
+        if m.workload_id not in directions:
             continue
         if m.config.is_default():
             if m.outcome == OUTCOME_OK:
@@ -257,22 +277,32 @@ def build_sweep_results(log: MeasurementLog, space: ParameterSpace,
             return dom.ordinal(value)
         return float(value)
 
+    def outcome(m: Measurement) -> str:
+        base = baseline_means.get(m.workload_id)
+        if (m.outcome == OUTCOME_OK and base is not None and not m.config.is_default()
+                and degraded(m.metric_value, base, directions[m.workload_id])):
+            return OUTCOME_DEGRADED
+        return m.outcome
+
     sweeps: dict[tuple[str, str], SweepResult] = {}
     for (param, wid), by_value in per_level.items():
         levels = sorted(by_value, key=lambda v: level_sort_key(param, v))
         values, excluded = [], []
         for v in levels:
-            ms = by_value[v]
-            values.append([m.metric_value for m in ms if m.outcome == OUTCOME_OK])
+            ok: list[float] = []
             counts: dict[str, int] = {}
-            for m in ms:
-                if m.outcome != OUTCOME_OK:
-                    counts[m.outcome] = counts.get(m.outcome, 0) + 1
+            for m in by_value[v]:
+                tag = outcome(m)
+                if tag == OUTCOME_OK:
+                    ok.append(m.metric_value)
+                else:
+                    counts[tag] = counts.get(tag, 0) + 1
+            values.append(ok)
             excluded.append(counts)
         sweeps[(param, wid)] = SweepResult(
             parameter=param, workload_id=wid, levels=levels, values=values,
             excluded=excluded, default_index=levels.index(default_level[param])
-            if param in default_level else None)
+            if param in default_level else None, direction=directions[wid])
     return sweeps, baseline_means
 
 
@@ -359,8 +389,9 @@ def extract_safe_range(sweep: SweepResult, baseline_mean: float,
     """Largest contiguous passing span of levels around the default level.
 
     A level passes when it recorded zero crash/timeout repetitions, has at
-    least one ok repetition, and its ok mean stays at or above half the
-    baseline. Fully-degraded levels fail and therefore bound the range.
+    least one ok repetition, and its ok mean is not ``degraded`` in the
+    sweep's direction. Fully-degraded levels fail and therefore bound the
+    range.
     """
     if not sweep.levels:
         raise AnalysisError(f"{sweep.parameter}: empty sweep")
@@ -372,7 +403,7 @@ def extract_safe_range(sweep: SweepResult, baseline_mean: float,
         if counts.get(OUTCOME_CRASH, 0) or counts.get(OUTCOME_TIMEOUT, 0):
             return False
         mean = sweep.mean(i)
-        return mean is not None and mean >= DEGRADATION_FRACTION * baseline_mean
+        return mean is not None and not degraded(mean, baseline_mean, sweep.direction)
 
     anchor = _default_level_index(sweep, space)
     if not passes(anchor):
@@ -484,7 +515,11 @@ def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
     params = sorted({param for (param, _) in sweeps})
     profiles: list[SensitivityProfile] = []
     excluded: dict[str, str] = {}
-    excluded_runs = sum(1 for m in log if m.outcome != OUTCOME_OK)
+    # runs left out of the analysis: failed baseline runs, and every crashed,
+    # timed-out or degraded sweep run
+    excluded_runs = sum(1 for m in log if m.config.is_default() and m.outcome != OUTCOME_OK)
+    excluded_runs += sum(n for sweep in sweeps.values() for counts in sweep.excluded
+                         for n in counts.values())
     for param in params:
         try:
             profile = _profile_parameter(param, sweeps, baseline_means, space, workloads)

@@ -10,12 +10,12 @@ from tuneforge import campaign as campaign_mod
 from tuneforge.campaign import (LOCK_FILE, SCREEN_LOG, SENSITIVITY_REPORT, STATE_FILE,
                                 SWEEP_LOG, Campaign, CampaignState)
 from tuneforge.docgen import KnowledgeExport, ProceduralDocument, export_knowledge
-from tuneforge.errors import AnalysisError, DocumentError, ParameterError
+from tuneforge.errors import AnalysisError, CrashError, DocumentError, ParameterError
 from tuneforge.interaction import InteractionReport
 from tuneforge.sensitivity import SensitivityReport
 from tuneforge.topology import OptimaReport
 from tuneforge.executor import run_session
-from tuneforge.interaction import PairLevels, choose_pair_levels, screen_pair
+from tuneforge.interaction import choose_pair_levels, stage_a_record, table_from_log
 from tuneforge.harness import MeasurementLog, run_plan
 from tuneforge.sensitivity import plan_sweep
 from tuneforge.simulator import (Coupling, Response, SimulatorAdapter, SimulatorModel)
@@ -207,12 +207,11 @@ class TestUnsafeToScreen:
     def test_missing_cells_yield_unsafe_record(self, two_workload_setup):
         # a log without the pair's configurations cannot produce a balanced table
         empty = MeasurementLog(seed=0, space_hash="x")
-        levels = PairLevels(stage_a=([0.0, 1.0], [0.0, 1.0]),
-                            stage_b=([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
-        records = screen_pair(empty, ("px", "py"), one_workload(), levels)
-        assert len(records) == 1
-        assert records[0].unsafe_to_screen
-        assert records[0].stage_a_verdict is None
+        record = stage_a_record(table_from_log(empty, ("px", "py"), [0.0, 1.0], [0.0, 1.0],
+                                               one_workload()[0].id))
+        assert record.unsafe_to_screen
+        assert record.stage_a_verdict is None and record.stage_a_int_pct is None
+        assert not record.advances()
 
     def test_interior_levels_avoid_safe_range_endpoints(self, two_workload_setup):
         setup = two_workload_setup
@@ -521,3 +520,69 @@ class TestJournalRepair:
         run_stage(campaign, "profile", counting)
         assert len(counting.keys) == campaign.state.budgets["sensitivity"]
         assert len(MeasurementLog.load(campaign.path(SWEEP_LOG))) == len(counting.keys)
+
+
+class PairCrashAdapter:
+    """Measures through ``inner`` but crashes every configuration that
+    ``crashes(assignments)`` accepts, as a pair that cannot run together."""
+
+    def __init__(self, inner, crashes):
+        self.space = inner.space
+        self.max_concurrency = 1
+        self.inner = inner
+        self.crashes = crashes
+
+    def measure(self, config, workload, seed):
+        if self.crashes(config.assignments):
+            raise CrashError("planted pair crash")
+        return self.inner.measure(config, workload, seed)
+
+
+class TestScreenRetry:
+    """A stage-A table unbalanced at the safe-range extremes is measured once
+    more on interior levels."""
+
+    def screen(self, tmp_path, crashes):
+        campaign, adapter = small_campaign(tmp_path)
+        run_stage(campaign, "profile", adapter)
+        inter = campaign.screen(PairCrashAdapter(adapter, crashes))
+        records = [r for r in inter.records if r.pair == ("pa", "pb")]
+        pair_runs = {(m.config.assignments["pa"], m.config.assignments["pb"], m.repetition)
+                     for m in MeasurementLog.load(campaign.path(SCREEN_LOG))
+                     if sorted(m.config.assignments) == ["pa", "pb"]}
+        return records, pair_runs
+
+    def test_interior_retry_yields_a_verdict(self, tmp_path):
+        records, pair_runs = self.screen(
+            tmp_path, lambda a: a.get("pa") == 1.0 and a.get("pb") == 1.0)
+        assert len(records) == 1
+        assert not records[0].unsafe_to_screen
+        assert records[0].stage_a_verdict == "advance"  # pa x pb couple
+        assert records[0].p_value is not None
+        corners = {(a, b, 0) for a in (0.0, 1.0) for b in (0.0, 1.0)}
+        interior = {(a, b, 0) for a in (0.25, 0.75) for b in (0.25, 0.75)}
+        assert corners | interior <= pair_runs
+        # stage B runs on the interior grid, never at the crashing corner
+        assert (0.125, 0.125, 2) in pair_runs and (1.0, 1.0, 1) not in pair_runs
+
+    def test_interior_table_still_unbalanced_is_unsafe(self, tmp_path):
+        records, pair_runs = self.screen(tmp_path, lambda a: "pa" in a and "pb" in a)
+        assert len(records) == 1
+        assert records[0].unsafe_to_screen
+        assert records[0].stage_a_verdict is None and records[0].p_value is None
+        # the extremes, the interior retry, and no stage B
+        assert len(pair_runs) == 8 and {rep for _, _, rep in pair_runs} == {0}
+
+
+class TestRunAccounting:
+    def test_rerunning_finished_stages_keeps_their_run_counts(self, tmp_path):
+        campaign, adapter = small_campaign(tmp_path)
+        for stage in STAGE_NAMES:
+            run_stage(campaign, stage, adapter)
+        used = dict(campaign.state.runs_used)
+        assert used["screen"] > 0 and used["joint"] > 0
+        summary = campaign.budget_summary()
+        for stage in ("screen", "joint"):
+            run_stage(campaign, stage, adapter)
+        assert campaign.state.runs_used == used
+        assert small_campaign(tmp_path)[0].budget_summary() == summary

@@ -254,6 +254,23 @@ class TestAdapterContract:
         journal = tmp_path / "c" / "sweep_log.jsonl"
         assert not journal.exists() or journal.read_bytes().count(b"\n") <= 1
 
+    @pytest.mark.parametrize("kind", ["missing", "not-executable"])
+    def test_command_that_cannot_start_exits_3_and_journals_nothing(self, tmp_path,
+                                                                   capsys, kind):
+        script = str(tmp_path / "nowhere" / "bench.sh")
+        if kind == "not-executable":
+            script = self.write_script(tmp_path, "METRIC 1000")
+            os.chmod(script, 0o644)
+        assert self.profile(tmp_path, script) == 3
+        assert "cannot start" in capsys.readouterr().err
+        journal = tmp_path / "c" / "sweep_log.jsonl"
+        assert not journal.exists() or journal.read_bytes().count(b"\n") <= 1
+
+    def test_empty_shell_command_is_usage_error(self, tmp_path, capsys):
+        assert self.profile(tmp_path, "") == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "sweep_log.jsonl").exists()
+
     def test_fixed_script_resumes_and_measures_the_plan(self, tmp_path):
         script = self.write_script(tmp_path, "tps=1000")
         assert self.profile(tmp_path, script) == 3

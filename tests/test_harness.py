@@ -187,21 +187,6 @@ class TestRunPlan:
         mean_ratio = sum(m.metric_value for m in log) / len(log) / 1000.0
         assert 0.99 <= mean_ratio <= 1.02  # lognormal mean exp(sigma^2/2) ~ 1.00125
 
-    def test_degraded_tagging_against_plan_baseline(self):
-        # one parameter whose high end collapses throughput below half baseline
-        adapter = flat_adapter(
-            self.space,
-            responses={"p": Response(shape="step", threshold=0.9, low_mult=1.0,
-                                     high_mult=0.3)})
-        plan = [(Configuration({}), self.w, rep) for rep in range(3)]
-        plan += [(Configuration({"p": 0.95}), self.w, rep) for rep in range(3)]
-        plan += [(Configuration({"p": 0.5}), self.w, rep) for rep in range(3)]
-        log = run_plan(adapter, plan, seed=0)
-        outcomes = {m.config.canonical(): m.outcome for m in log}
-        assert outcomes['{"p": 0.95}'] == "degraded"
-        assert outcomes['{"p": 0.5}'] == "ok"
-        assert outcomes["{}"] == "ok"
-
     def test_crash_recorded_per_entry_without_aborting(self):
         space = ParameterSpace((ParameterSpec(
             name="p", domain=Domain("integer", 0, 12), default=0),))
@@ -443,6 +428,27 @@ class TestShellAdapter:
         adapter = ShellAdapter(space, script)
         m = run_experiment(adapter, Configuration({}), one_workload()[0], 0, 1)
         assert m.outcome == "crash" and "3" in m.diagnostic
+
+    @pytest.mark.parametrize("kind", ["missing", "not-executable"])
+    def test_command_that_cannot_start_is_adapter_error(self, tmp_path, kind):
+        space = unit_space(["knob"])
+        command = str(tmp_path / "nowhere" / "bench.sh")
+        if kind == "not-executable":
+            command = self.make_script(tmp_path, 'echo "METRIC 1"')
+            os.chmod(command, 0o644)
+        adapter = ShellAdapter(space, command)
+        with pytest.raises(AdapterError, match="cannot start"):
+            run_experiment(adapter, Configuration({}), one_workload()[0], 0, 1)
+        journal = tmp_path / "log.jsonl"
+        plan = [(Configuration({"knob": 0.5}), one_workload()[0], 0)]
+        with pytest.raises(AdapterError):
+            run_plan(adapter, plan, seed=1, store=journal_store(journal, 1, space))
+        assert not journal.exists()
+
+    @pytest.mark.parametrize("command", ["", "   ", "'unclosed"])
+    def test_command_without_a_program_is_rejected(self, command):
+        with pytest.raises(ParameterError):
+            ShellAdapter(unit_space(["knob"]), command)
 
     def test_missing_metric_line_aborts_with_adapter_error(self, tmp_path):
         # a broken adapter contract is not a crash of the system under test

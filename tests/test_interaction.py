@@ -10,11 +10,11 @@ from helpers import (INDEX_LEVELS, INDEX_PARAMS, anova_oracle, one_workload, ran
                      scan_free_copy, unit_space)
 from tuneforge.errors import AnalysisError
 from tuneforge.harness import run_plan
-from tuneforge.interaction import (FactorialTable, InteractionRecord,
+from tuneforge.interaction import (FactorialTable, InteractionRecord, attach_stage_b,
                                    eta_squared, finalize_records,
                                    partial_eta_squared, plan_pair_table, plan_pairs,
-                                   stage_a_int_pct, stage_a_verdict, table_from_log,
-                                   two_way_anova)
+                                   stage_a_int_pct, stage_a_record, stage_a_verdict,
+                                   table_from_log, two_way_anova)
 from tuneforge.simulator import Coupling, Response, SimulatorAdapter, SimulatorModel
 from tuneforge.space import Configuration
 
@@ -96,6 +96,49 @@ class TestStageA:
         t.cells[1][1] = []
         with pytest.raises(AnalysisError):
             stage_a_int_pct(t)
+
+
+class TestScreenDecisions:
+    """stage_a_record judges a stage-A table, advances() gates stage B, and
+    attach_stage_b adds the ANOVA."""
+
+    def test_stage_a_record_carries_int_pct_and_verdict(self):
+        rec = stage_a_record(table_2x2([100, 100, 100, 200]))
+        assert (rec.pair, rec.workload_id) == (("a", "b"), "w0")
+        assert rec.stage_a_int_pct == pytest.approx(80.0)
+        assert rec.stage_a_verdict == "advance" and not rec.unsafe_to_screen
+
+    @pytest.mark.parametrize("means, advances", [
+        ([100, 100, 100, 200], True),    # advance
+        ([100, 100, 100, 110], True),    # undetermined, about 9.8%
+        ([10, 20, 30, 40], False),       # independent
+    ])
+    def test_every_verdict_but_independent_advances(self, means, advances):
+        assert stage_a_record(table_2x2(means)).advances() is advances
+
+    def test_unbalanced_stage_a_table_is_unsafe_and_does_not_advance(self):
+        table = table_2x2([100, 100, 100, 200])
+        table.cells[1][1] = []
+        rec = stage_a_record(table)
+        assert rec.unsafe_to_screen and not rec.advances()
+        assert rec.stage_a_int_pct is None and rec.stage_a_verdict is None
+
+    def test_attach_stage_b_adds_the_anova(self):
+        rec = stage_a_record(table_2x2([100, 100, 100, 200]))
+        table = table_from_grid([[1, 2], [3, 9]], noise=[[[0.1, -0.1, 0.0]] * 2] * 2)
+        attach_stage_b(rec, table)
+        decomp = two_way_anova(table, 3)
+        assert rec.decomposition == decomp and rec.p_value == decomp.p_value
+        assert rec.eta_squared == eta_squared(decomp)
+        assert rec.partial_eta_squared == partial_eta_squared(decomp)
+
+    def test_unbalanced_stage_b_table_marks_the_record_unsafe(self):
+        rec = stage_a_record(table_2x2([100, 100, 100, 200]))
+        table = table_from_grid([[1, 2], [3, 9]])
+        table.cells[0][1].pop()
+        attach_stage_b(rec, table)
+        assert rec.unsafe_to_screen and rec.p_value is None
+        assert rec.stage_a_verdict == "advance"  # stage A's judgement stays
 
 
 class TestTwoWayAnova:

@@ -266,6 +266,46 @@ class TestExtractSafeRange:
         assert safe.hi == 7.5  # grid [0, 2.5, 5, 7.5, 10]; 10 crashed
 
 
+class TestDegradation:
+    """An ok run that lost more than half of the baseline's performance is
+    degraded: below half a maximized baseline, above twice a minimized one."""
+
+    def sweep(self, direction, high_mult):
+        # grid [0, 0.25, 0.5, 0.75, 1]; only the top level steps to high_mult
+        space = unit_space(["p"])
+        workloads = one_workload(direction)
+        adapter = SimulatorAdapter(space, SimulatorModel(base_rate=100.0, responses={
+            "p": Response(shape="step", threshold=0.9, low_mult=1.0, high_mult=high_mult)}))
+        log = run_plan(adapter, plan_sweep(space, workloads, 5, 3), seed=0)
+        sweeps, _ = build_sweep_results(log, space, workloads, 5)
+        return sweeps[("p", "w0")], analyze_sensitivity(log, space, workloads, 5)
+
+    def test_runs_below_half_a_maximized_baseline_are_degraded(self):
+        sweep, report = self.sweep("maximize", 0.3)
+        assert sweep.excluded == [{}, {}, {}, {}, {"degraded": 3}]
+        assert sweep.values[-1] == [] and len(sweep.values[2]) == 3
+        assert report.excluded_runs == 3
+        assert report.profile("p").safe_range.to_json() == {"lo": 0.0, "hi": 0.75}
+
+    def test_runs_above_twice_a_minimized_baseline_are_degraded(self):
+        sweep, report = self.sweep("minimize", 3.0)
+        assert sweep.excluded[-1] == {"degraded": 3}
+        assert report.excluded_runs == 3
+        assert report.profile("p").safe_range.to_json() == {"lo": 0.0, "hi": 0.75}
+
+    def test_a_minimized_metric_that_falls_is_not_degraded(self):
+        sweep, report = self.sweep("minimize", 0.3)
+        assert sweep.excluded[-1] == {} and len(sweep.values[-1]) == 3
+        assert report.excluded_runs == 0
+        assert report.profile("p").safe_range.to_json() == {"lo": 0.0, "hi": 1.0}
+
+    def test_safe_range_bound_follows_the_direction(self):
+        sweep = sweep_of([100, 105, 110, 205, 102])
+        sweep.direction = "minimize"
+        safe = extract_safe_range(sweep, 100.0, unit_space(["p"]))
+        assert (safe.lo, safe.hi) == (0, 2)
+
+
 class TestUnsafeDefaultExclusion:
     def test_parameter_unsafe_at_default_is_excluded_not_fatal(self):
         # grid [0, 2.5, 5, 7.5, 10]: the level nearest the default (2.5) crashes
