@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .docgen import ProceduralDocument, compile_document
 from .errors import AnalysisError, ParameterError
 from .executor import TuningSession, run_session
-from .harness import Adapter, CampaignStore, PlanEntry, run_plan
+from .harness import Adapter, CampaignStore, PlanEntry, campaign_id_for, run_plan
 from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairLevels,
                           attach_stage_b, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, stage_a_record, table_from_log)
@@ -53,7 +53,8 @@ class CampaignState(JsonArtifact):
     space_hash: str
     campaign_id: str
     budgets: dict[str, int] = field(default_factory=dict)     # planned entries per stage
-    runs_used: dict[str, int] = field(default_factory=dict)   # fresh runs executed per stage
+    # runs each stage's journal holds, so a killed invocation's runs count too
+    runs_used: dict[str, int] = field(default_factory=dict)
 
     def stage_index(self) -> int:
         return STAGES.index(self.stage)
@@ -93,7 +94,6 @@ class Campaign:
     def _load_or_init_state(self) -> CampaignState:
         path = self.path(STATE_FILE)
         space_hash = self.space.space_hash()
-        campaign_id = f"c{self.seed:016x}-{space_hash[:8]}"
         if os.path.exists(path):
             state = CampaignState.load(path)
             if state.space_hash != space_hash:
@@ -105,7 +105,8 @@ class Campaign:
                     f"campaign directory was created with seed {state.seed}, not {self.seed}")
             return state
         state = CampaignState(stage="planned", seed=self.seed,
-                              space_hash=space_hash, campaign_id=campaign_id)
+                              space_hash=space_hash,
+                              campaign_id=campaign_id_for(self.seed, space_hash))
         state.save(path)
         return state
 
@@ -117,12 +118,6 @@ class Campaign:
             raise ParameterError(
                 f"{command} requires stage {minimum!r} but campaign is at "
                 f"{self.state.stage!r}; run the earlier stages first")
-
-    def _count_runs(self, stage: str, appended: int) -> None:
-        """Add the fresh runs journaled since the store counted ``appended``
-        to the stage's total, so a stage run again or resumed accumulates."""
-        self.state.runs_used[stage] = \
-            self.state.runs_used.get(stage, 0) + self.store.appended - appended
 
     def _advance(self, stage: str) -> None:
         if STAGES.index(stage) > self.state.stage_index():
@@ -165,14 +160,13 @@ class Campaign:
                 tau_s: float = DEFAULT_TAU_S, parallelism: int = 1) -> SensitivityReport:
         plan = plan_sweep(self.space, self.workloads, levels_per_param, repetitions)
         self.store.begin("sweep")
-        appended = self.store.appended
-        log = run_plan(adapter, plan, parallelism=parallelism, seed=self.seed,
-                       store=self.store)
-        report = analyze_sensitivity(log, self.space, self.workloads, levels_per_param,
-                                     tau_s=tau_s)
+        records = run_plan(adapter, plan, parallelism=parallelism, seed=self.seed,
+                           store=self.store)
+        report = analyze_sensitivity(records, self.space, self.workloads, levels_per_param,
+                                     tau_s=tau_s, campaign_id=self.state.campaign_id)
         report.save(self.path(SENSITIVITY_REPORT))
         self.state.budgets["sensitivity"] = len(plan)
-        self._count_runs("sensitivity", appended)
+        self.state.runs_used["sensitivity"] = self.store.journaled("sweep")
         self._advance("sweep-done")
         return report
 
@@ -186,7 +180,6 @@ class Campaign:
         report = SensitivityReport.load(self.path(SENSITIVITY_REPORT))
         top_names = [p.parameter for p in report.top_k()]
         self.store.begin("screen")
-        appended = self.store.appended
         planned: set[tuple[str, str, int]] = set()
 
         def run(plan: list[PlanEntry]) -> None:
@@ -230,7 +223,7 @@ class Campaign:
             records=finalize_records([rec for pair in pairs for rec in records[pair]]))
         interaction.save(self.path(INTERACTION_REPORT))
         self.state.budgets["screen"] = len(planned)
-        self._count_runs("screen", appended)
+        self.state.runs_used["screen"] = self.store.journaled("screen")
         self._advance("screen-done")
         return interaction
 
@@ -247,9 +240,9 @@ class Campaign:
 
         self.store.begin("joint")
         appended = self.store.appended
-        baselines, base_log = measure_baselines(adapter, self.workloads, repetitions,
-                                                self.seed, parallelism, store=self.store)
-        planned = len(base_log)
+        baselines, base_records = measure_baselines(adapter, self.workloads, repetitions,
+                                                    self.seed, parallelism, store=self.store)
+        planned = len(base_records)
         optima, rejected = [], []
         for component in graph.multi_components():
             reason = rejection_reason(component)
@@ -269,7 +262,7 @@ class Campaign:
                               runs_used=executed, rejected=rejected)
         result.save(self.path(OPTIMA_REPORT))
         self.state.budgets["joint"] = planned
-        self._count_runs("joint", appended)
+        self.state.runs_used["joint"] = self.store.journaled("joint")
         self._advance("joint-done")
         return result
 

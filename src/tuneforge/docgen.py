@@ -52,7 +52,7 @@ from .errors import CompileError, DocumentError, ParameterError
 from .interaction import ETA2_MIN, GRID_LEVELS, InteractionReport, stage_b_levels
 from .jsonfile import JsonArtifact
 from .sensitivity import SafeRange, SensitivityReport
-from .space import ParameterSpace, WorkloadSpec
+from .space import ParameterSpace, WorkloadSpec, closest_index
 from .topology import CorrelationGraph, JointOptimum, rejection_reason
 
 SCHEMA_VERSION = 2
@@ -368,23 +368,13 @@ def _gain_expr(metric_sig: str, base_sig: str, direction: str) -> str:
     return f"({base_sig} - {metric_sig}) / {base_sig}"
 
 
-def _grid_index_of(grid: list[Any], value: Any, spec: "ParameterSpec | None" = None) -> int:
-    """Index of the grid point equal (or closest) to a value.
-
-    Closeness is ordinal for enum/boolean domains (a sweep best level can
-    fall between the points of a coarsened grid) and numeric otherwise.
-    """
-    if value in grid:
-        return grid.index(value)
-    if spec is not None and spec.domain.kind in ("enum", "boolean"):
-        target = spec.domain.ordinal(value)
-        dist = [abs(spec.domain.ordinal(g) - target) for g in grid]
-        return dist.index(min(dist))
+def _grid_index(grids: dict[str, list[Any]], space: ParameterSpace, name: str,
+                value: Any) -> int:
+    """Index of ``name``'s grid point closest to a level the analysis chose."""
     try:
-        dist = [abs(float(g) - float(value)) for g in grid]
-    except (TypeError, ValueError):
-        raise CompileError(f"value {value!r} not in grid {grid!r}")
-    return dist.index(min(dist))
+        return closest_index(space.get(name), grids[name], value)
+    except ParameterError as e:
+        raise CompileError(str(e)) from None
 
 
 def compile_document(profiles: SensitivityReport, records: InteractionReport,
@@ -452,7 +442,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         init_pairs.append(("0", f"verify_done_{s}"))
         prof = profiles.profile(name)
         best = prof.best_level.get(w0.id, grids[name][0])
-        init_pairs.append((str(_grid_index_of(grids[name], best, space.get(name))),
+        init_pairs.append((str(_grid_index(grids, space, name, best)),
                            best_index_signal(name)))
     for cid in comp_ids:
         init_pairs.append(("0", f"done_{cid}"))
@@ -654,7 +644,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
 
         labels2 = {"accept_doc": proc.here()}
         for m in members:
-            idx = _grid_index_of(grids[m], opt.best_config.assignments[m], space.get(m))
+            idx = _grid_index(grids, space, m, opt.best_config.assignments[m])
             proc.add(Step(action=ACTION_COMPUTE, expr=str(idx), out=best_index_signal(m)))
         labels2["mark_done"] = proc.here()
         proc.add(Step(action=ACTION_COMPUTE, expr="1", out=f"done_{cid}"))

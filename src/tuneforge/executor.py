@@ -149,7 +149,8 @@ class SessionRunner:
         return event
 
     def _eval_predicate(self, text: str, skill: Skill) -> tuple[bool, dict]:
-        """Evaluate one predicate; an evaluation error aborts the session.
+        """Evaluate one predicate on the environment the trace records, as
+        ``replay_session`` does; an evaluation error aborts the session.
 
         A validated document can still read a declared signal that was never
         set, e.g. when a branch skipped the step that computes it.
@@ -162,8 +163,7 @@ class SessionRunner:
             elif symbol in skill.reference_data:
                 env[symbol] = skill.reference_data[symbol]
         try:
-            verdict = expr_mod.evaluate_predicate(text, self.session.signals,
-                                                  skill.reference_data)
+            verdict = expr_mod.evaluate_predicate(text, env, {})
         except ExpressionError as e:
             raise _Abort(f"{skill.id}: predicate {text!r} failed: {e}")
         return verdict, {"expr": text, "env": env, "verdict": verdict}

@@ -106,24 +106,29 @@ class Measurement:
         )
 
 
+def campaign_id_for(seed: int, space_hash: str) -> str:
+    """The identity of the campaign a seed and a space define."""
+    return f"c{seed:016x}-{space_hash[:8]}"
+
+
 class MeasurementLog:
-    """Append-only sequence of measurements plus campaign metadata.
+    """The journal file format: one JSON header line, then one JSON record
+    per line.
 
     (config hash, workload, repetition) triples are unique; re-appending an
-    existing key is rejected. Records are indexed by (config hash, workload),
-    so reading one cell does not scan the log. Persists as one JSON record per
-    line under a single JSON header line, the journal format.
+    existing key is rejected. Records are kept in append order. A
+    ``CampaignStore`` is the index that answers lookups; this class only
+    writes and reads whole journals.
     """
 
     def __init__(self, seed: int, space_hash: str, campaign_id: str = "",
                  meta: dict | None = None):
         self.seed = seed
         self.space_hash = space_hash
-        self.campaign_id = campaign_id or f"c{seed:016x}-{space_hash[:8]}"
+        self.campaign_id = campaign_id or campaign_id_for(seed, space_hash)
         self.meta = dict(meta or {})
         self._records: list[Measurement] = []
         self._keys: set[tuple[str, str, int]] = set()
-        self._cells: dict[tuple[str, str], list[Measurement]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -131,24 +136,12 @@ class MeasurementLog:
     def __iter__(self):
         return iter(self._records)
 
-    @property
-    def records(self) -> tuple[Measurement, ...]:
-        return tuple(self._records)
-
     def append(self, m: Measurement) -> None:
         k = m.key()
         if k in self._keys:
             raise ParameterError(f"duplicate measurement key {k}")
         self._keys.add(k)
         self._records.append(m)
-        self._cells.setdefault(k[:2], []).append(m)
-
-    def has(self, config: Configuration, workload_id: str, repetition: int) -> bool:
-        return (config.config_hash(), workload_id, repetition) in self._keys
-
-    def cell(self, config: Configuration, workload_id: str) -> tuple[Measurement, ...]:
-        """Every record of one (configuration, workload), in append order."""
-        return tuple(self._cells.get((config.config_hash(), workload_id), ()))
 
     def header(self) -> dict:
         return {"seed": self.seed, "space_hash": self.space_hash,
@@ -223,9 +216,10 @@ class CampaignStore:
     each journal once, later only the bytes another process appended since
     (``refresh``), and answers ``has``/``get``/``cell`` across all stages
     under one (config hash, workload, repetition) identity, the first record
-    of a key winning. It keeps one dict entry per record and no cell lists,
-    since the plans' own logs hold those. Journals and the store hold the
-    raw outcomes the adapter produced.
+    of a key winning. It is the campaign's only index of measurements and
+    keeps one dict entry per record. ``journaled(stage)`` counts the records
+    that stage's journal holds, read or appended. Journals and the store
+    hold the raw outcomes the adapter produced.
     """
 
     def __init__(self, seed: int, space_hash: str, journals: dict[str, str]):
@@ -244,9 +238,14 @@ class CampaignStore:
         self._configs: dict[str, Configuration] = {}
         self._offset = dict.fromkeys(self.journals, 0)   # bytes read or written
         self._headed = dict.fromkeys(self.journals, False)
+        self._journaled = dict.fromkeys(self.journals, 0)
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def journaled(self, stage: str) -> int:
+        """How many records ``stage``'s journal holds, as this store last saw it."""
+        return self._journaled[stage]
 
     def get(self, key: tuple[str, str, int]) -> Measurement | None:
         return self._records.get(key)
@@ -299,6 +298,7 @@ class CampaignStore:
                     f"journal {path} was recorded with seed {header['seed']}, not {self.seed}")
             self._headed[stage] = True
         self._offset[stage] = end
+        self._journaled[stage] += len(records)
         for m in records:
             self._index(m)
 
@@ -315,6 +315,7 @@ class CampaignStore:
             self._fh.write(line)
             self._fh.flush()
             self._offset[self._stage] += len(line)
+            self._journaled[self._stage] += 1
             self.appended += 1
 
     def _open(self):
@@ -454,7 +455,7 @@ PlanEntry = tuple[Configuration, WorkloadSpec, int]
 
 
 def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
-             seed: int = 0, store: CampaignStore | None = None) -> MeasurementLog:
+             seed: int = 0, store: CampaignStore | None = None) -> list[Measurement]:
     """Execute a plan, one Measurement per entry, in plan order.
 
     With a ``store``, entries it already holds, from any stage and from this
@@ -464,9 +465,9 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
     indexes the fresh records in plan order once the plan ends, also when it
     ends in an exception. An AdapterError aborts the plan.
 
-    The returned log holds exactly the plan's records, in plan order, with
-    the outcomes the adapter produced. Its content is a pure function of
-    (plan, adapter, seed), never of worker arrival order.
+    Returns the plan's records, one per entry in plan order, with the
+    outcomes the adapter produced: a pure function of (plan, adapter, seed),
+    never of worker arrival order.
     """
     keys = [(c.config_hash(), w.id, rep) for c, w, rep in plan]
     if len(set(keys)) != len(keys):
@@ -501,16 +502,4 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
     finally:
         if store is not None:
             store.commit(results[i] for i in todo if results[i] is not None)
-
-    log = MeasurementLog(seed=seed, space_hash=adapter.space.space_hash())
-    for m in results:
-        log.append(m)
-    return log
-
-
-def mean_ok_metric(records: Iterable[Measurement]) -> float | None:
-    """Mean metric over ok records, or None when there are none."""
-    values = [m.metric_value for m in records if m.outcome == OUTCOME_OK]
-    if not values:
-        return None
-    return sum(values) / len(values)
+    return results

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
-from .harness import OUTCOME_OK, CampaignStore, MeasurementLog, PlanEntry
+from .harness import OUTCOME_OK, CampaignStore, PlanEntry
 from .jsonfile import JsonArtifact
 from .sensitivity import SafeRange, SensitivityReport
 from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, snap_to_domain
@@ -282,12 +282,13 @@ def plan_pair_table(pair: tuple[str, str], levels_a: list[Any], levels_b: list[A
     return plan
 
 
-def table_from_log(log: MeasurementLog | CampaignStore, pair: tuple[str, str],
+def table_from_log(store: CampaignStore, pair: tuple[str, str],
                    levels_a: list[Any], levels_b: list[Any], workload_id: str,
                    repetitions: int = 1) -> FactorialTable:
-    """Assemble the factorial table for one (pair, workload) from a log or store.
+    """Assemble the factorial table for one (pair, workload) from the
+    campaign store.
 
-    Only repetition indices below ``repetitions`` are collected, so a log
+    Only repetition indices below ``repetitions`` are collected, so a store
     holding both the 1-rep stage-A corners and the 3-rep stage-B grid yields
     a clean table for either stage.
     """
@@ -296,7 +297,7 @@ def table_from_log(log: MeasurementLog | CampaignStore, pair: tuple[str, str],
     for va in levels_a:
         row = []
         for vb in levels_b:
-            cell = log.cell(Configuration({a: va, b: vb}), workload_id)
+            cell = store.cell(Configuration({a: va, b: vb}), workload_id)
             row.append(sorted(m.metric_value for m in cell
                               if m.outcome == OUTCOME_OK and m.repetition < repetitions))
         cells.append(row)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from .errors import AnalysisError, ParameterError
-from .harness import (OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT, Measurement,
-                      MeasurementLog, PlanEntry)
+from .harness import OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT, Measurement, PlanEntry
 from .jsonfile import JsonArtifact
-from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, level_grid
+from .space import (Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, closest_index,
+                    level_grid)
 
 DEFAULT_TAU_S = 0.05      # aggregate-CV selection threshold
 FLAT_TOL = 0.02           # below this range/baseline ratio a curve is flat
@@ -45,7 +45,6 @@ class SweepResult:
     levels: list[Any]
     values: list[list[float]]          # ok metric values per level
     excluded: list[dict[str, int]]     # per-level crash/timeout/degraded counts
-    default_index: int | None = None   # the default's level, when it is a grid level
     direction: str = "maximize"        # the workload's metric direction
 
     def mean(self, i: int) -> float | None:
@@ -227,14 +226,14 @@ def plan_sweep(space: ParameterSpace, workloads: list[WorkloadSpec],
     return plan
 
 
-def build_sweep_results(log: MeasurementLog, space: ParameterSpace,
+def build_sweep_results(records: Iterable[Measurement], space: ParameterSpace,
                         workloads: list[WorkloadSpec],
                         levels_per_param: int) -> tuple[dict, dict[str, float]]:
-    """Group a sweep log into SweepResults and per-workload baseline means.
+    """Group sweep records into SweepResults and per-workload baseline means.
 
     Levels are recovered from the recorded configurations (each sweep config
-    assigns exactly one parameter), so analysis replayed from a persisted log
-    equals analysis of the live run. Where a parameter's default is a grid
+    assigns exactly one parameter), so analysis replayed from a persisted
+    journal equals analysis of the live run. Where a parameter's default is a grid
     level, that level of every swept (parameter, workload) pair is the
     workload's ok all-defaults records; a record assigning the default
     explicitly (as logs of older plans hold) is not read. The baseline's
@@ -253,7 +252,7 @@ def build_sweep_results(log: MeasurementLog, space: ParameterSpace,
             default_level[spec.name] = grid[default_idx]
     per_level: dict[tuple[str, str], dict[Any, list]] = {}
     baselines: dict[str, list[Measurement]] = {w.id: [] for w in workloads}
-    for m in log:
+    for m in records:
         if m.workload_id not in directions:
             continue
         if m.config.is_default():
@@ -301,8 +300,7 @@ def build_sweep_results(log: MeasurementLog, space: ParameterSpace,
             excluded.append(counts)
         sweeps[(param, wid)] = SweepResult(
             parameter=param, workload_id=wid, levels=levels, values=values,
-            excluded=excluded, default_index=levels.index(default_level[param])
-            if param in default_level else None, direction=directions[wid])
+            excluded=excluded, direction=directions[wid])
     return sweeps, baseline_means
 
 
@@ -368,22 +366,6 @@ def classify_shape(sweep: SweepResult, baseline_mean: float) -> str:
     return "non-monotonic"
 
 
-def _default_level_index(sweep: SweepResult, space: ParameterSpace) -> int:
-    """The default's level; for an off-grid default, the closest level (ties
-    pick the lower)."""
-    if sweep.default_index is not None:
-        return sweep.default_index
-    spec = space.get(sweep.parameter)
-    dom = spec.domain
-    if dom.kind in ("enum", "boolean"):
-        target = dom.ordinal(spec.default)
-        dist = [abs(dom.ordinal(v) - target) for v in sweep.levels]
-    else:
-        dist = [abs(float(v) - float(spec.default)) for v in sweep.levels]
-    best = min(dist)
-    return dist.index(best)
-
-
 def extract_safe_range(sweep: SweepResult, baseline_mean: float,
                        space: ParameterSpace) -> SafeRange:
     """Largest contiguous passing span of levels around the default level.
@@ -405,7 +387,8 @@ def extract_safe_range(sweep: SweepResult, baseline_mean: float,
         mean = sweep.mean(i)
         return mean is not None and not degraded(mean, baseline_mean, sweep.direction)
 
-    anchor = _default_level_index(sweep, space)
+    spec = space.get(sweep.parameter)
+    anchor = closest_index(spec, sweep.levels, spec.default)
     if not passes(anchor):
         raise AnalysisError(
             f"{sweep.parameter}: unsafe at default level {sweep.levels[anchor]!r} "
@@ -416,8 +399,7 @@ def extract_safe_range(sweep: SweepResult, baseline_mean: float,
     hi = anchor
     while hi < len(sweep.levels) - 1 and passes(hi + 1):
         hi += 1
-    dom = space.get(sweep.parameter).domain
-    if dom.kind in ("enum", "boolean"):
+    if spec.domain.kind in ("enum", "boolean"):
         return SafeRange(lo=sweep.levels[lo], hi=sweep.levels[hi],
                          values=sweep.levels[lo:hi + 1])
     return SafeRange(lo=sweep.levels[lo], hi=sweep.levels[hi])
@@ -494,20 +476,22 @@ def _profile_parameter(param: str, sweeps: dict, baseline_means: dict[str, float
     )
 
 
-def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
+def analyze_sensitivity(records: Sequence[Measurement], space: ParameterSpace,
                         workloads: list[WorkloadSpec], levels_per_param: int,
-                        tau_s: float = DEFAULT_TAU_S) -> SensitivityReport:
-    """Full stage-1 analysis of a sweep log into a SensitivityReport.
+                        tau_s: float = DEFAULT_TAU_S,
+                        campaign_id: str = "") -> SensitivityReport:
+    """Full stage-1 analysis of a sweep plan's records into a SensitivityReport.
 
     ``levels_per_param`` is the one the sweep was planned with; it says which
-    grid level the all-defaults baseline stands for.
+    grid level the all-defaults baseline stands for. The report carries
+    ``campaign_id`` and the space's hash.
 
     Per-parameter CVs are computed per workload and aggregated by max; the
     shape label and per-workload best levels come from the sweeps; safe
     ranges are intersected across workloads so every downstream probe is safe
     everywhere.
     """
-    sweeps, baseline_means = build_sweep_results(log, space, workloads, levels_per_param)
+    sweeps, baseline_means = build_sweep_results(records, space, workloads, levels_per_param)
     for w in workloads:
         if w.id not in baseline_means:
             raise AnalysisError(f"no usable baseline measurements for workload {w.id!r}")
@@ -517,7 +501,7 @@ def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
     excluded: dict[str, str] = {}
     # runs left out of the analysis: failed baseline runs, and every crashed,
     # timed-out or degraded sweep run
-    excluded_runs = sum(1 for m in log if m.config.is_default() and m.outcome != OUTCOME_OK)
+    excluded_runs = sum(1 for m in records if m.config.is_default() and m.outcome != OUTCOME_OK)
     excluded_runs += sum(n for sweep in sweeps.values() for counts in sweep.excluded
                          for n in counts.values())
     for param in params:
@@ -536,8 +520,8 @@ def analyze_sensitivity(log: MeasurementLog, space: ParameterSpace,
         p.selected = p.parameter in selected
 
     return SensitivityReport(
-        campaign_id=log.campaign_id,
-        space_hash=log.space_hash,
+        campaign_id=campaign_id,
+        space_hash=space.space_hash(),
         tau_s=tau_s,
         baseline_means=baseline_means,
         profiles=profiles,

@@ -336,6 +336,26 @@ def level_grid(spec: ParameterSpec, count: int) -> list[Any]:
     return raw
 
 
+def closest_index(spec: ParameterSpec, levels: list[Any], value: Any) -> int:
+    """Index of the level closest to ``value``, the first on a tie.
+
+    Distance is ordinal for enum and boolean domains (a value can fall
+    between the levels of a coarsened grid) and numeric otherwise. A value
+    that cannot be compared with the levels raises ParameterError.
+    """
+    dom = spec.domain
+    try:
+        if dom.kind in ("enum", "boolean"):
+            target = dom.ordinal(value)
+            dist = [abs(dom.ordinal(v) - target) for v in levels]
+        else:
+            dist = [abs(float(v) - float(value)) for v in levels]
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"{spec.name}: value {value!r} is not comparable with levels {levels!r}") from None
+    return dist.index(min(dist))
+
+
 def snap_to_domain(spec: ParameterSpec, value: float) -> Any:
     """Clamp and round a raw numeric into a legal domain value."""
     dom = spec.domain

@@ -13,8 +13,7 @@ from itertools import product
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
-from .harness import (Adapter, CampaignStore, MeasurementLog, PlanEntry, mean_ok_metric,
-                      run_plan)
+from .harness import OUTCOME_OK, Adapter, CampaignStore, Measurement, PlanEntry, run_plan
 from .interaction import InteractionReport, stage_b_levels
 from .jsonfile import JsonArtifact
 from .sensitivity import SensitivityReport
@@ -247,14 +246,15 @@ def plan_joint_search(component: list[str], report: SensitivityReport,
                            repetitions=repetitions, workloads=list(workloads))
 
 
-def _grid_means(log: MeasurementLog, configs: list[Configuration],
-                workload_id: str) -> dict[str, float]:
-    means = {}
-    for c in configs:
-        mean = mean_ok_metric(log.cell(c, workload_id))
-        if mean is not None:
-            means[c.config_hash()] = mean
-    return means
+def _grid_means(records: list[Measurement], workload_id: str) -> dict[str, float]:
+    """Config hash -> mean ok metric of ``workload_id``'s records, for every
+    configuration with an ok record. Callers pass their own plan's records:
+    a campaign store can hold more repetitions than the plan asked for."""
+    values: dict[str, list[float]] = {}
+    for m in records:
+        if m.workload_id == workload_id and m.outcome == OUTCOME_OK:
+            values.setdefault(m.config.config_hash(), []).append(m.metric_value)
+    return {h: sum(v) / len(v) for h, v in values.items()}
 
 
 def _pick_best(configs: list[Configuration], means: dict[str, float],
@@ -275,37 +275,37 @@ def _pick_best(configs: list[Configuration], means: dict[str, float],
 def measure_baselines(adapter: Adapter, workloads: list[WorkloadSpec],
                       repetitions: int, seed: int, parallelism: int = 1,
                       store: CampaignStore | None = None
-                      ) -> tuple[dict[str, float], MeasurementLog]:
-    """Mean all-defaults metric per workload.
+                      ) -> tuple[dict[str, float], list[Measurement]]:
+    """Mean all-defaults metric per workload, and the plan's records.
 
     With a ``store``, the all-defaults runs it already holds (a campaign's
     sweep measured them under the same keys) answer the plan unmeasured.
     """
-    plan: list[PlanEntry] = [(adapter.space.defaults(), w, rep)
-                             for w in workloads for rep in range(repetitions)]
-    log = run_plan(adapter, plan, parallelism=parallelism, seed=seed, store=store)
+    defaults = adapter.space.defaults()
+    plan: list[PlanEntry] = [(defaults, w, rep) for w in workloads for rep in range(repetitions)]
+    records = run_plan(adapter, plan, parallelism=parallelism, seed=seed, store=store)
     means = {}
     for w in workloads:
-        means[w.id] = mean_ok_metric(log.cell(adapter.space.defaults(), w.id))
+        means[w.id] = _grid_means(records, w.id).get(defaults.config_hash())
         if means[w.id] is None:
             raise AnalysisError(f"baseline measurement failed on workload {w.id}")
-    return means, log
+    return means, records
 
 
 def optimize_component(adapter: Adapter, plan: JointSearchPlan, seed: int,
                        baseline_means: dict[str, float], parallelism: int = 1,
                        store: CampaignStore | None = None
-                       ) -> tuple[list[JointOptimum], MeasurementLog]:
-    """Run the grid and return the per-workload optima.
+                       ) -> tuple[list[JointOptimum], list[Measurement]]:
+    """Run the grid and return the per-workload optima and the plan's records.
 
     With a ``store``, cells it already holds (e.g. stage-B measurements of a
     2-parameter component) are reused instead of re-measured.
     """
-    log = run_plan(adapter, plan.entries(), parallelism=parallelism, seed=seed, store=store)
+    records = run_plan(adapter, plan.entries(), parallelism=parallelism, seed=seed, store=store)
     configs = plan.grid_configs()
     optima = []
     for w in plan.workloads:
-        means = _grid_means(log, configs, w.id)
+        means = _grid_means(records, w.id)
         best_config, best_metric = _pick_best(configs, means, w)
         base = baseline_means[w.id]
         optima.append(JointOptimum(
@@ -313,13 +313,14 @@ def optimize_component(adapter: Adapter, plan: JointSearchPlan, seed: int,
             best_config=best_config, best_metric=best_metric,
             improvement_vs_default=(best_metric - base) / base,
         ))
-    return optima, log
+    return optima, records
 
 
 def independent_baseline(adapter: Adapter, component: list[str],
                          report: SensitivityReport, space: ParameterSpace,
                          workload: WorkloadSpec, repetitions: int, seed: int,
-                         parallelism: int = 1) -> tuple[Configuration, float, MeasurementLog]:
+                         parallelism: int = 1
+                         ) -> tuple[Configuration, float, list[Measurement]]:
     """Tune each member in isolation, then measure the combined configuration.
 
     This is the independence assumption made concrete: per-parameter 1-D
@@ -338,23 +339,21 @@ def independent_baseline(adapter: Adapter, component: list[str],
         for v in per_param_levels[name]:
             for rep in range(repetitions):
                 plan.append((Configuration({name: v}), workload, rep))
-    log = run_plan(adapter, plan, parallelism=parallelism, seed=seed)
+    records = run_plan(adapter, plan, parallelism=parallelism, seed=seed)
 
+    means = _grid_means(records, workload.id)
     combined: dict[str, Any] = {}
     for name, lvls in per_param_levels.items():
-        configs = [Configuration({name: v}) for v in lvls]
-        means = _grid_means(log, configs, workload.id)
-        best_config, _ = _pick_best(configs, means, workload)
+        best_config, _ = _pick_best([Configuration({name: v}) for v in lvls], means, workload)
         combined[name] = best_config.assignments[name]
 
     combo = Configuration(combined)
-    # A one-parameter component's combination coincides with a sweep config;
-    # reuse those measurements instead of re-appending their keys.
-    combo_plan: list[PlanEntry] = [(combo, workload, rep) for rep in range(repetitions)
-                                   if not log.has(combo, workload.id, rep)]
-    for m in run_plan(adapter, combo_plan, parallelism=parallelism, seed=seed):
-        log.append(m)
-    metric = mean_ok_metric(log.cell(combo, workload.id))
+    # A one-parameter component's combination is one of its sweep
+    # configurations, already measured.
+    if len(combined) > 1:
+        records += run_plan(adapter, [(combo, workload, rep) for rep in range(repetitions)],
+                            parallelism=parallelism, seed=seed)
+    metric = _grid_means(records, workload.id).get(combo.config_hash())
     if metric is None:
         raise AnalysisError(f"independent combination failed on workload {workload.id}")
-    return combo, metric, log
+    return combo, metric, records

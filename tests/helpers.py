@@ -12,7 +12,7 @@ import math
 from itertools import product
 
 from tuneforge.docgen import ProceduralDocument
-from tuneforge.harness import Measurement, MeasurementLog
+from tuneforge.harness import CampaignStore, Measurement
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
 
 
@@ -118,7 +118,7 @@ def cv_oracle(log, param, workload_id):
 
 
 # ---------------------------------------------------------------------------
-# Random measurement logs for checking indexed lookups against full scans.
+# Random measurement records for checking indexed lookups against full scans.
 # ---------------------------------------------------------------------------
 
 INDEX_PARAMS = ("a", "b", "c", "d")
@@ -126,38 +126,34 @@ INDEX_LEVELS = (0.0, 0.25, 0.75, 1.0)
 
 
 def random_log(rng, records=300):
-    """A log mixing every record shape the screen and joint logs hold.
+    """Records mixing every shape the screen and joint journals hold.
 
     2-3 workloads, repetitions 0-3, ok/degraded/crash/timeout outcomes and
     configurations of 0-3 assignments over a small level set, so pairs
-    overlap and most cells hold several records. Returns (log, workload ids).
+    overlap and most cells hold several records. Keys are unique. Returns
+    (records, workload ids).
     """
     workloads = [f"w{i}" for i in range(rng.randint(2, 3))]
-    log = MeasurementLog(seed=0, space_hash="x")
+    out, keys = [], set()
     for _ in range(records):
         names = rng.sample(INDEX_PARAMS, rng.randint(0, 3))
         config = Configuration({n: rng.choice(INDEX_LEVELS) for n in names})
         workload, rep = rng.choice(workloads), rng.randint(0, 3)
-        if log.has(config, workload, rep):
+        if (config.config_hash(), workload, rep) in keys:
             continue
+        keys.add((config.config_hash(), workload, rep))
         outcome = rng.choice(("ok", "ok", "ok", "degraded", "crash", "timeout"))
         metric = rng.uniform(1.0, 1000.0) if outcome in ("ok", "degraded") else None
-        log.append(Measurement(config, workload, rep, metric, outcome))
-    return log, workloads
+        out.append(Measurement(config, workload, rep, metric, outcome))
+    return out, workloads
 
 
-class ScanFreeLog(MeasurementLog):
-    """A log that fails on any full scan, so readers must use the index."""
-
-    def __iter__(self):
-        raise AssertionError("full scan of the measurement log")
-
-
-def scan_free_copy(log):
-    copy = ScanFreeLog(seed=log.seed, space_hash=log.space_hash)
-    for m in log.records:
-        copy.append(m)
-    return copy
+def store_of(records):
+    """A journal-less campaign store indexing ``records``. A store has no
+    iteration API, so a reader given one cannot scan it in full."""
+    store = CampaignStore(0, "x", {})
+    store.commit(records)
+    return store
 
 
 # ---------------------------------------------------------------------------

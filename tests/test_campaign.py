@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from helpers import one_workload, unit_space
+from helpers import one_workload, store_of, unit_space
 from tuneforge import campaign as campaign_mod
 from tuneforge.campaign import (LOCK_FILE, SCREEN_LOG, SENSITIVITY_REPORT, STATE_FILE,
                                 SWEEP_LOG, Campaign, CampaignState)
@@ -205,10 +205,9 @@ class TestEnumParameters:
 
 class TestUnsafeToScreen:
     def test_missing_cells_yield_unsafe_record(self, two_workload_setup):
-        # a log without the pair's configurations cannot produce a balanced table
-        empty = MeasurementLog(seed=0, space_hash="x")
-        record = stage_a_record(table_from_log(empty, ("px", "py"), [0.0, 1.0], [0.0, 1.0],
-                                               one_workload()[0].id))
+        # a store without the pair's configurations cannot produce a balanced table
+        record = stage_a_record(table_from_log(store_of([]), ("px", "py"), [0.0, 1.0],
+                                               [0.0, 1.0], one_workload()[0].id))
         assert record.unsafe_to_screen
         assert record.stage_a_verdict is None and record.stage_a_int_pct is None
         assert not record.advances()
@@ -284,9 +283,15 @@ class TestSweepResume:
         assert len(old_plan) == len(plan_sweep(space, workloads, 5, 2)) + 3 * 2 * 2
 
         resumed = Campaign(str(tmp_path / "resumed"), space, workloads, seed=11)
-        run_plan(adapter, old_plan, seed=11).save(resumed.path(SWEEP_LOG))
-        resumed.profile(adapter, levels_per_param=5, repetitions=2)
-        assert resumed.state.runs_used["sensitivity"] == 0
+        journal = MeasurementLog(seed=11, space_hash=space.space_hash())
+        for m in run_plan(adapter, old_plan, seed=11):
+            journal.append(m)
+        journal.save(resumed.path(SWEEP_LOG))
+        counting = InterruptingAdapter(adapter)
+        resumed.profile(counting, levels_per_param=5, repetitions=2)
+        assert counting.keys == []
+        # the sweep journal holds every run of the old plan
+        assert resumed.state.runs_used["sensitivity"] == len(old_plan)
 
         fresh = Campaign(str(tmp_path / "fresh"), space, workloads, seed=11)
         fresh.profile(adapter, levels_per_param=5, repetitions=2)
@@ -453,6 +458,19 @@ class TestCampaignStore:
         assert optima.runs_used == len(counting.keys) == campaign.state.runs_used["joint"] > 0
         assert campaign.state.budgets["joint"] == 3 + 4 ** 3 * 3  # baseline and grid
 
+    def test_joint_means_read_only_the_repetitions_its_plan_names(self, tmp_path):
+        # The {pa, pb} grid is the screen's stage-B grid, which the store
+        # holds at 3 repetitions; a joint search at 2 averages 2 of them.
+        from helpers import run_small_pipeline
+        p = run_small_pipeline(tmp_path, compile_doc=False)
+        campaign = p["campaign"]
+        counting = InterruptingAdapter(p["adapter"])
+        (opt,) = campaign.joint(counting, repetitions=2).optima
+        assert counting.keys == []
+        cell = campaign.store.cell(opt.best_config, "w0")
+        assert len(cell) == 3
+        assert opt.best_metric == (cell[0].metric_value + cell[1].metric_value) / 2
+
     def test_resume_through_a_new_campaign_parses_each_journal_once(self, tmp_path,
                                                                      monkeypatch):
         from tuneforge import harness
@@ -586,3 +604,18 @@ class TestRunAccounting:
             run_stage(campaign, stage, adapter)
         assert campaign.state.runs_used == used
         assert small_campaign(tmp_path)[0].budget_summary() == summary
+
+    @pytest.mark.parametrize("killed", ["profile", "screen", "joint"])
+    def test_runs_of_a_killed_invocation_are_counted(self, tmp_path, killed):
+        reference, adapter = small_campaign(tmp_path / "reference")
+        for stage in STAGE_NAMES:
+            run_stage(reference, stage, adapter)
+        campaign, _ = small_campaign(tmp_path / "killed")
+        for stage in STAGE_NAMES[:STAGE_NAMES.index(killed)]:
+            run_stage(campaign, stage, adapter)
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(campaign, killed, InterruptingAdapter(adapter, limit=5))
+        resumed, _ = small_campaign(tmp_path / "killed")
+        for stage in STAGE_NAMES[STAGE_NAMES.index(killed):]:
+            run_stage(resumed, stage, adapter)
+        assert resumed.state.runs_used == reference.state.runs_used

@@ -165,6 +165,23 @@ class TestFullPipeline:
         err = capsys.readouterr().err
         assert "analysis error: malformed document" in err and "'up'" in err
 
+    def test_best_level_not_comparable_with_the_grid_exits_with_analysis_code(self, decls,
+                                                                             capsys):
+        campaign = str(decls["dir"] / "bad_best_level")
+        for cmd in (["profile"], ["screen"], ["joint"]):
+            assert run_cli(decls, campaign, *cmd) == 0
+        path = os.path.join(campaign, SENSITIVITY_REPORT)
+        with open(path) as fh:
+            report = json.load(fh)
+        next(p for p in report["profiles"] if p["selected"])["best_level"]["w0"] = "fast"
+        with open(path, "w") as fh:
+            json.dump(report, fh)
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "compile") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("analysis error: ") and "'fast'" in err
+
     @pytest.mark.parametrize("command", ["tune", "export"])
     def test_truncated_document_exits_with_analysis_code(self, decls, capsys, command):
         campaign = str(decls["dir"] / f"truncated_{command}")
@@ -236,19 +253,22 @@ class TestAdapterContract:
         script.chmod(0o755)
         return str(script)
 
-    def profile(self, tmp_path, script):
+    def profile(self, tmp_path, script, parallelism=1):
         return main(["profile", "--space", SHELL_SPACE, "--workloads", SHELL_SPACE,
                      "--campaign", str(tmp_path / "c"), "--seed", "1",
                      "--adapter", f"shell:{script}", "--levels", "3",
-                     "--repetitions", "1"])
+                     "--repetitions", "1", "--parallelism", str(parallelism)])
 
     def runs(self, tmp_path):
         path = tmp_path / "runs.txt"
         return len(path.read_text().splitlines()) if path.exists() else 0
 
-    def test_missing_metric_line_exits_3_after_one_run(self, tmp_path, capsys):
+    # the shell adapter runs one command at a time, so the first run that
+    # breaks the contract aborts the plan whatever --parallelism asks for
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_missing_metric_line_exits_3_after_one_run(self, tmp_path, capsys, parallelism):
         script = self.write_script(tmp_path, "tps=1000")
-        assert self.profile(tmp_path, script) == 3
+        assert self.profile(tmp_path, script, parallelism) == 3
         assert "METRIC" in capsys.readouterr().err
         assert self.runs(tmp_path) == 1
         journal = tmp_path / "c" / "sweep_log.jsonl"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (INDEX_LEVELS, INDEX_PARAMS, anova_oracle, one_workload, random_log,
-                     scan_free_copy, unit_space)
+                     store_of, unit_space)
 from tuneforge.errors import AnalysisError
 from tuneforge.harness import run_plan
 from tuneforge.interaction import (FactorialTable, InteractionRecord, attach_stage_b,
@@ -86,8 +86,8 @@ class TestStageA:
         adapter = SimulatorAdapter(space, SimulatorModel(
             base_rate=1000.0, couplings=[Coupling("a", "b", 0.5)]))
         plan = plan_pair_table(("a", "b"), [0.0, 1.0], [0.0, 1.0], one_workload(), 1)
-        log = run_plan(adapter, plan, seed=0)
-        table = table_from_log(log, ("a", "b"), [0.0, 1.0], [0.0, 1.0], "w0")
+        store = store_of(run_plan(adapter, plan, seed=0))
+        table = table_from_log(store, ("a", "b"), [0.0, 1.0], [0.0, 1.0], "w0")
         expected = 100.0 * 500.0 / (4500.0 / 4)  # |1500-1000-1000+1000| over mean
         assert stage_a_int_pct(table) == pytest.approx(expected, abs=1e-9)
 
@@ -250,8 +250,8 @@ class TestEtaSquared:
             couplings=[Coupling("a", "b", 1.5)]))
         levels = [0.0, 1 / 3, 2 / 3, 1.0]
         plan = plan_pair_table(("a", "b"), levels, levels, one_workload(), 3)
-        log = run_plan(adapter, plan, seed=0)
-        t = table_from_log(log, ("a", "b"), levels, levels, "w0", repetitions=3)
+        store = store_of(run_plan(adapter, plan, seed=0))
+        t = table_from_log(store, ("a", "b"), levels, levels, "w0", repetitions=3)
         d = two_way_anova(t, 3)
         ref = anova_oracle(t.cells)
         assert eta_squared(d) == pytest.approx(ref["eta2"], rel=1e-9)
@@ -304,11 +304,11 @@ class TestFinalize:
         assert rec.q_value is None and not rec.confirmed
 
 
-def full_scan_table_cells(log, pair, levels_a, levels_b, workload_id, repetitions):
-    """Reference table assembly: one full pass over the log per table."""
+def full_scan_table_cells(records, pair, levels_a, levels_b, workload_id, repetitions):
+    """Reference table assembly: one full pass over the records per table."""
     a, b = pair
     index = {}
-    for m in log:
+    for m in records:
         if m.workload_id != workload_id or m.outcome != "ok":
             continue
         if m.repetition >= repetitions:
@@ -337,23 +337,32 @@ class TestTableFromLogIndex:
     def test_matches_full_scan_reference(self):
         multi_value_cells = 0
         for seed in range(25):
-            log, workloads = random_log(random.Random(seed))
+            records, workloads = random_log(random.Random(seed))
+            store = store_of(records)
             for pair in plan_pairs(list(INDEX_PARAMS)):
                 for w in workloads:
                     for levels_a, levels_b, reps in TABLE_SHAPES:
-                        table = table_from_log(log, pair, levels_a, levels_b, w,
+                        table = table_from_log(store, pair, levels_a, levels_b, w,
                                                repetitions=reps)
-                        expected = full_scan_table_cells(log, pair, levels_a, levels_b,
+                        expected = full_scan_table_cells(records, pair, levels_a, levels_b,
                                                          w, reps)
                         assert table.cells == expected
                         multi_value_cells += sum(len(c) > 1 for row in expected for c in row)
         assert multi_value_cells > 0
 
     def test_reads_no_full_scan(self):
-        log, workloads = random_log(random.Random(1))
-        guarded = scan_free_copy(log)
+        # the store cannot be iterated, and a table reads one cell per entry
+        store = store_of(random_log(random.Random(1))[0])
+        with pytest.raises(TypeError):
+            iter(store)
+        reads = []
+
+        def counting_cell(config, workload_id, cell=store.cell):
+            reads.append(config)
+            return cell(config, workload_id)
+
+        store.cell = counting_cell
         for levels_a, levels_b, reps in TABLE_SHAPES:
-            table = table_from_log(guarded, ("a", "b"), levels_a, levels_b, workloads[0],
-                                   repetitions=reps)
-            assert table.cells == table_from_log(log, ("a", "b"), levels_a, levels_b,
-                                                 workloads[0], repetitions=reps).cells
+            reads.clear()
+            table_from_log(store, ("a", "b"), levels_a, levels_b, "w0", repetitions=reps)
+            assert len(reads) == len(levels_a) * len(levels_b)

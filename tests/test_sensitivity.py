@@ -86,7 +86,6 @@ class TestPlanSweep:
         log = run_plan(SimulatorAdapter(space, SimulatorModel(base_rate=100.0)), plan, seed=0)
         sweeps, _ = build_sweep_results(log, space, one_workload(), 5)
         assert sweeps[("off", "w0")].levels == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert sweeps[("off", "w0")].default_index is None
         # On-grid defaults: one level fewer planned, the full grid analysed.
         assert len(planned["cont"]) == 4 and len(sweeps[("cont", "w0")].levels) == 5
         assert len(planned["flag"]) == 1 and sweeps[("flag", "w0")].levels == [False, True]
@@ -119,7 +118,6 @@ class TestDefaultLevel:
         assert sweep.levels == [0.0, 0.5, 1.0]
         assert sweep.values[0] == [100.0, 104.0]
         assert sweep.excluded == [{}, {}, {}]  # the baseline's crash counts against no one
-        assert sweep.default_index == 0
         assert baseline_means == {"w0": 102.0}
 
     def test_baseline_failure_excludes_no_parameter(self):
@@ -154,7 +152,8 @@ class TestDefaultLevel:
         assert len(sweeps) == 5 * 2
         for (param, wid), sweep in sweeps.items():
             spec = space.get(param)
-            baseline = [m.metric_value for m in log.cell(Configuration({}), wid)]
+            baseline = [m.metric_value for m in log
+                        if m.config.is_default() and m.workload_id == wid]
             grid, default_idx = sweep_levels(spec, 5)
             assert sweep.levels == grid
             if default_idx is not None:
@@ -399,9 +398,11 @@ class TestLogReplay:
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=3)
         live = run_plan(adapter, plan, seed=8)
         path = tmp_path / "log.jsonl"
-        live.save(str(path))
-        from tuneforge.harness import MeasurementLog
-        replayed = MeasurementLog.load(str(path))
+        journal = MeasurementLog(seed=8, space_hash=space.space_hash())
+        for m in live:
+            journal.append(m)
+        journal.save(str(path))
+        replayed = list(MeasurementLog.load(str(path)))
         a = analyze_sensitivity(live, space, one_workload(), 5)
         b = analyze_sensitivity(replayed, space, one_workload(), 5)
         assert a.to_json() == b.to_json()

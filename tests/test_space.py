@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tuneforge.errors import ParameterError
 from tuneforge.space import (Configuration, Domain, ParameterSpace, ParameterSpec,
-                             WorkloadSpec, dump_space, level_grid, load_space,
+                             WorkloadSpec, closest_index, dump_space, level_grid, load_space,
                              load_workloads, validate_configuration)
 
 
@@ -121,6 +121,28 @@ class TestLevelGrid:
         assert len(grid) >= 2
         assert grid[0] == lo and grid[-1] == lo + width
         assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+class TestClosestIndex:
+    def test_numeric_distance_first_minimum_wins(self):
+        spec = spec_cont()
+        assert closest_index(spec, [0.0, 0.5, 1.0], 0.5) == 1
+        assert closest_index(spec, [0.0, 0.5, 1.0], 0.7) == 1
+        assert closest_index(spec, [0.0, 0.5, 1.0], 0.25) == 0  # a tie
+
+    def test_enum_distance_is_ordinal(self):
+        spec = ParameterSpec(name="m", domain=Domain("enum", values=("a", "b", "c", "d")),
+                             default="a")
+        assert closest_index(spec, ["a", "d"], "c") == 1
+        assert closest_index(spec, ["a", "c"], "b") == 0  # a tie
+
+    @pytest.mark.parametrize("value", ["fast", None])
+    def test_value_not_comparable_is_a_parameter_error(self, value):
+        with pytest.raises(ParameterError, match="not comparable"):
+            closest_index(spec_cont(), [0.0, 1.0], value)
+        enum = ParameterSpec(name="m", domain=Domain("enum", values=("a", "b")), default="a")
+        with pytest.raises(ParameterError, match="not comparable"):
+            closest_index(enum, ["a", "b"], value)
 
 
 class TestSerialization:

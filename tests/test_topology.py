@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import global_grid_argmax, one_workload, random_log, scan_free_copy, unit_space
+from helpers import global_grid_argmax, one_workload, random_log, unit_space
 from tuneforge.errors import AnalysisError, ParameterError
 from tuneforge.interaction import InteractionRecord, InteractionReport
 from tuneforge.sensitivity import SafeRange, SensitivityProfile, SensitivityReport
@@ -249,10 +249,10 @@ class TestDecompositionOptimality:
         assert Configuration(combined) == expected
 
 
-def full_scan_grid_means(log, configs, workload_id):
-    """Reference grid means: one full pass over the log, summing in log order."""
+def full_scan_grid_means(records, configs, workload_id):
+    """Reference grid means: one full pass over the records, summing in order."""
     by_hash = {}
-    for m in log:
+    for m in records:
         if m.workload_id == workload_id and m.outcome == "ok":
             by_hash.setdefault(m.config.config_hash(), []).append(m.metric_value)
     means = {}
@@ -264,27 +264,20 @@ def full_scan_grid_means(log, configs, workload_id):
 
 
 class TestGridMeansIndex:
-    def logged_configs(self, log):
-        """Every configuration in the log, plus one that no record carries."""
-        configs = {m.config.canonical(): m.config for m in log}
+    def logged_configs(self, records):
+        """Every configuration of the records, plus one that no record carries."""
+        configs = {m.config.canonical(): m.config for m in records}
         return list(configs.values()) + [Configuration({"a": 0.5})]
 
     def test_matches_full_scan_reference(self):
         multi_record_means = 0
         for seed in range(25):
-            log, workloads = random_log(random.Random(seed))
-            configs = self.logged_configs(log)
+            records, workloads = random_log(random.Random(seed))
+            configs = self.logged_configs(records)
             for w in workloads:
-                expected = full_scan_grid_means(log, configs, w)
-                assert _grid_means(log, configs, w) == expected
+                expected = full_scan_grid_means(records, configs, w)
+                assert _grid_means(records, w) == expected
             ok_counts = Counter((m.config.canonical(), m.workload_id)
-                                for m in log if m.outcome == "ok")
+                                for m in records if m.outcome == "ok")
             multi_record_means += sum(n > 1 for n in ok_counts.values())
         assert multi_record_means > 0
-
-    def test_reads_no_full_scan(self):
-        log, workloads = random_log(random.Random(1))
-        configs = self.logged_configs(log)
-        guarded = scan_free_copy(log)
-        for w in workloads:
-            assert _grid_means(guarded, configs, w) == _grid_means(log, configs, w)
