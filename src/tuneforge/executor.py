@@ -27,7 +27,7 @@ from .docgen import (ACTION_BENCHMARK, ACTION_BRANCH, ACTION_COMPUTE, TARGET_END
 # validation; a document validates through `ProceduralDocument.violations`.
 from .docgen import validate_document  # noqa: F401
 from .errors import DocumentError, ExpressionError, ParameterError
-from .harness import OUTCOME_OK, Adapter, run_experiment
+from .harness import OUTCOME_OK, Adapter, run_valid_experiment
 from .space import Configuration, WorkloadSpec, validate_configuration
 
 STATUS_RUNNING = "running"
@@ -217,7 +217,7 @@ class SessionRunner:
         reps = step.repetitions or 1
         metrics, outcomes = [], []
         for rep in range(reps):
-            m = run_experiment(self.adapter, config, workload, rep, self.seed)
+            m = run_valid_experiment(self.adapter, config, workload, rep, self.seed)
             outcomes.append(m.outcome)
             if m.outcome == OUTCOME_OK:
                 metrics.append(m.metric_value)

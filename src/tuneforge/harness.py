@@ -20,6 +20,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape_json
 from typing import Any, Iterable, Protocol
 
 from .errors import AdapterError, CrashError, ParameterError
@@ -49,6 +50,19 @@ def mix_seed(campaign_seed: int, config: Configuration, workload_id: str, repeti
     return s
 
 
+def _json_value(v: Any) -> str:
+    """``json.dumps(v, sort_keys=True)``, without building an encoder for the
+    exact str, int, finite float and None values a record's fields hold."""
+    t = type(v)
+    if t is str:
+        return _escape_json(v)
+    if t is int or (t is float and math.isfinite(v)):
+        return repr(v)
+    if v is None:
+        return "null"
+    return json.dumps(v, sort_keys=True)
+
+
 @dataclass(frozen=True, slots=True)
 class Measurement:
     """One benchmark observation."""
@@ -74,6 +88,20 @@ class Measurement:
 
     def key(self) -> tuple[str, str, int]:
         return self._key
+
+    def journal_line(self) -> str:
+        """This record as one journal line: the text of
+        ``json.dumps(self.to_json(), sort_keys=True) + "\\n"``, built around
+        the configuration's cached canonical JSON instead of re-encoding it.
+        The fields are written in sorted key order."""
+        diagnostic = ("" if self.diagnostic is None
+                      else f'"diagnostic": {_json_value(self.diagnostic)}, ')
+        return (f'{{"config": {self.config.canonical()}, {diagnostic}'
+                f'"metric_value": {_json_value(self.metric_value)}, '
+                f'"outcome": {_json_value(self.outcome)}, '
+                f'"repetition": {_json_value(self.repetition)}, '
+                f'"wall_time": {_json_value(self.wall_time)}, '
+                f'"workload_id": {_json_value(self.workload_id)}}}\n')
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {
@@ -147,11 +175,13 @@ class MeasurementLog:
         return {"seed": self.seed, "space_hash": self.space_hash,
                 "campaign_id": self.campaign_id, "meta": self.meta}
 
+    def header_line(self) -> str:
+        return json.dumps(self.header(), sort_keys=True) + "\n"
+
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.header(), sort_keys=True) + "\n")
-            for m in self._records:
-                fh.write(json.dumps(m.to_json(), sort_keys=True) + "\n")
+            fh.write(self.header_line())
+            fh.writelines(m.journal_line() for m in self._records)
 
     @classmethod
     def load(cls, path: str) -> "MeasurementLog":
@@ -296,6 +326,9 @@ class CampaignStore:
             if header["seed"] != self.seed:
                 raise ParameterError(
                     f"journal {path} was recorded with seed {header['seed']}, not {self.seed}")
+            if header["space_hash"] != self.space_hash:
+                raise ParameterError(f"journal {path} was recorded for space "
+                                     f"{header['space_hash']}, not {self.space_hash}")
             self._headed[stage] = True
         self._offset[stage] = end
         self._journaled[stage] += len(records)
@@ -308,7 +341,7 @@ class CampaignStore:
         Safe to call from worker threads. The record enters the index only
         through ``commit``.
         """
-        line = (json.dumps(m.to_json(), sort_keys=True) + "\n").encode()
+        line = m.journal_line().encode()
         with self._write_lock:
             if self._fh is None:
                 self._fh = self._open()
@@ -332,9 +365,8 @@ class CampaignStore:
         try:
             if not self._headed[stage]:
                 fh.truncate(0)
-                header = MeasurementLog(self.seed, self.space_hash,
-                                        meta={"stage": stage}).header()
-                text = (json.dumps(header, sort_keys=True) + "\n").encode()
+                text = MeasurementLog(self.seed, self.space_hash,
+                                      meta={"stage": stage}).header_line().encode()
                 fh.write(text)
                 fh.flush()
                 self._offset[stage] = len(text)
@@ -418,9 +450,27 @@ class ShellAdapter:
         raise AdapterError("command printed no 'METRIC <float>' line")
 
 
+def _check_valid(space: ParameterSpace, config: Configuration) -> None:
+    result = validate_configuration(space, config)
+    if not result.ok:
+        raise ParameterError("invalid configuration: " + "; ".join(result.violations))
+
+
 def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
                    repetition: int, seed: int) -> Measurement:
-    """Execute one benchmark repetition and wrap the outcome.
+    """Validate the configuration, then execute one benchmark repetition.
+
+    An invalid configuration raises ParameterError before anything runs.
+    ``run_plan`` validates a plan's configurations once, up front, and then
+    measures through ``run_valid_experiment``.
+    """
+    _check_valid(adapter.space, config)
+    return run_valid_experiment(adapter, config, workload, repetition, seed)
+
+
+def run_valid_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
+                         repetition: int, seed: int) -> Measurement:
+    """Execute one repetition of a valid configuration and wrap the outcome.
 
     Adapter crashes and timeouts become crash/timeout outcomes with the
     diagnostic attached, and a metric that is not finite (NaN or infinite)
@@ -428,9 +478,6 @@ def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSp
     adapter broke its contract rather than the system crashing, so it is
     raised: recording it would poison every later resume.
     """
-    result = validate_configuration(adapter.space, config)
-    if not result.ok:
-        raise ParameterError("invalid configuration: " + "; ".join(result.violations))
     run_seed = mix_seed(seed, config, workload.id, repetition)
     start = time.perf_counter()
     try:
@@ -458,12 +505,15 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
              seed: int = 0, store: CampaignStore | None = None) -> list[Measurement]:
     """Execute a plan, one Measurement per entry, in plan order.
 
-    With a ``store``, entries it already holds, from any stage and from this
-    process or an interrupted earlier one, are carried over unmeasured. Each
-    fresh measurement is appended to the store's current journal as it
-    completes, so a crash loses at most the in-flight entries; the store
-    indexes the fresh records in plan order once the plan ends, also when it
-    ends in an exception. An AdapterError aborts the plan.
+    Every distinct configuration of the plan is validated once, before any
+    entry runs, so an invalid plan raises ParameterError having measured and
+    journaled nothing. With a ``store``, entries it already holds, from any
+    stage and from this process or an interrupted earlier one, are carried
+    over unmeasured. Each fresh measurement is appended to the store's
+    current journal as one ``Measurement.journal_line`` as it completes, so
+    a crash loses at most the in-flight entries; the store indexes the fresh
+    records in plan order once the plan ends, also when it ends in an
+    exception. An AdapterError aborts the plan.
 
     Returns the plan's records, one per entry in plan order, with the
     outcomes the adapter produced: a pure function of (plan, adapter, seed),
@@ -474,6 +524,11 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
         raise ParameterError("plan entries must be unique")
     if parallelism < 1:
         raise ParameterError("parallelism must be >= 1")
+    checked = set()
+    for (config_hash, _, _), (config, _, _) in zip(keys, plan):
+        if config_hash not in checked:
+            checked.add(config_hash)
+            _check_valid(adapter.space, config)
     parallelism = min(parallelism, getattr(adapter, "max_concurrency", parallelism) or parallelism)
 
     results: list[Measurement | None] = [None] * len(plan)
@@ -486,7 +541,7 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
 
     def work(i: int) -> None:
         config, workload, rep = plan[i]
-        m = run_experiment(adapter, config, workload, rep, seed)
+        m = run_valid_experiment(adapter, config, workload, rep, seed)
         if store is not None:
             store.append(m)
         results[i] = m

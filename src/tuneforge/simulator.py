@@ -13,6 +13,7 @@ can be checked against hand-evaluated values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -123,29 +124,36 @@ _FLAT = Response()
 class _WorkloadTable:
     """One model compiled against one space and one workload.
 
-    ``defaults`` maps every parameter to its normalized default; ``terms``
-    holds the non-flat responses in space order and ``couplings`` the
-    couplings whose members are both in the space, in declaration order, each
-    with its multiplier at the defaults. Skipping the flat factors is exact:
-    ``x * 1.0 == x`` for every float. ``crash_defaults`` holds the declared
-    default of each crash-region parameter in the space.
+    ``defaults`` maps every parameter to its normalized default. ``factors``
+    lists the model's multipliers at the defaults: first the non-flat
+    responses in space order, then the couplings whose members are both in
+    the space, in declaration order. ``terms`` maps a parameter to its
+    response and its index in ``factors``; ``couplings`` maps a parameter to
+    the indices and couplings it is a member of. Skipping the flat factors is
+    exact: ``x * 1.0 == x`` for every float. ``crash_defaults`` holds the
+    declared default of each crash-region parameter in the space.
     """
 
-    __slots__ = ("space", "position", "defaults", "terms", "couplings", "crash_defaults")
+    __slots__ = ("space", "position", "defaults", "factors", "terms", "couplings",
+                 "crash_defaults")
 
     def __init__(self, model: "SimulatorModel", space: ParameterSpace, workload_id: str):
         self.space = space
         self.position = {spec.name: i for i, spec in enumerate(space)}
         self.defaults = {spec.name: spec.domain.normalize(spec.default) for spec in space}
-        self.terms = []
+        self.factors: list[float] = []
+        self.terms: dict[str, tuple[int, Response]] = {}
         for spec in space:
             response = model.response_for(spec.name, workload_id)
             if response.shape != "flat":
-                self.terms.append((spec.name, response,
-                                   response.multiplier(self.defaults[spec.name])))
-        self.couplings = [(c, c.multiplier(self.defaults[c.a], self.defaults[c.b]))
-                          for c in model.couplings
-                          if c.a in self.defaults and c.b in self.defaults]
+                self.terms[spec.name] = (len(self.factors), response)
+                self.factors.append(response.multiplier(self.defaults[spec.name]))
+        self.couplings: dict[str, list[tuple[int, Coupling]]] = {}
+        for c in model.couplings:
+            if c.a in self.defaults and c.b in self.defaults:
+                for name in {c.a, c.b}:
+                    self.couplings.setdefault(name, []).append((len(self.factors), c))
+                self.factors.append(c.multiplier(self.defaults[c.a], self.defaults[c.b]))
         self.crash_defaults = {name: space.get(name).default
                                for name in model.crashes if name in self.position}
 
@@ -202,7 +210,14 @@ class SimulatorModel:
         return table
 
     def true_metric(self, space: ParameterSpace, config: Configuration, workload_id: str) -> float:
-        """Noise-free metric; raises CrashError inside a planted crash region."""
+        """Noise-free metric; raises CrashError inside a planted crash region.
+
+        The compiled table's at-default factors are copied, the factors of the
+        assigned parameters and of the couplings they touch are replaced, and
+        ``math.prod`` multiplies them left to right onto ``base_rate``: the
+        same float operations, in the same order, as multiplying every
+        response and then every coupling in turn.
+        """
         table = self._table(space, workload_id)
         assigned = config.assignments
         norms = {name: space.get(name).domain.normalize(assigned[name])
@@ -217,17 +232,17 @@ class SimulatorModel:
                 continue
             if region.contains(value):
                 raise CrashError(f"planted crash region hit: {name}={value!r}")
-        metric = self.base_rate
-        for name, response, at_default in table.terms:
-            n = norms.get(name)
-            metric *= at_default if n is None else response.multiplier(n)
+        factors = table.factors.copy()
+        touched: dict[int, Coupling] = {}
+        for name, n in norms.items():
+            term = table.terms.get(name)
+            if term is not None:
+                factors[term[0]] = term[1].multiplier(n)
+            touched.update(table.couplings.get(name, ()))
         defaults = table.defaults
-        for c, at_default in table.couplings:
-            if c.a in norms or c.b in norms:
-                metric *= c.multiplier(norms.get(c.a, defaults[c.a]), norms.get(c.b, defaults[c.b]))
-            else:
-                metric *= at_default
-        return metric
+        for i, c in touched.items():
+            factors[i] = c.multiplier(norms.get(c.a, defaults[c.a]), norms.get(c.b, defaults[c.b]))
+        return math.prod(factors, start=self.base_rate)
 
     def to_json(self) -> dict:
         return {

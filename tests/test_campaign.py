@@ -16,7 +16,7 @@ from tuneforge.sensitivity import SensitivityReport
 from tuneforge.topology import OptimaReport
 from tuneforge.executor import run_session
 from tuneforge.interaction import choose_pair_levels, stage_a_record, table_from_log
-from tuneforge.harness import MeasurementLog, run_plan
+from tuneforge.harness import Measurement, MeasurementLog, run_plan
 from tuneforge.sensitivity import plan_sweep
 from tuneforge.simulator import (Coupling, Response, SimulatorAdapter, SimulatorModel)
 from tuneforge.space import Configuration, WorkloadSpec, level_grid
@@ -111,6 +111,22 @@ class TestCampaignGuards:
         with pytest.raises(ParameterError):
             Campaign(setup["campaign"].directory, unit_space(["other"]),
                      setup["workloads"], seed=5)
+
+    def test_journal_recorded_for_another_space_is_refused(self, tmp_path):
+        # A same-seed sweep journal of another space: its records must not
+        # answer this campaign's keys (its baseline would read 5.0).
+        space = unit_space(["pa", "pb"])
+        adapter = InterruptingAdapter(SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, responses={"pa": Response(shape="linear-up", strength=0.3)})))
+        journal = MeasurementLog(seed=4, space_hash="0" * 16)
+        for rep in range(2):
+            journal.append(Measurement(Configuration({}), "w0", rep, 5.0, "ok"))
+        campaign = Campaign(str(tmp_path / "c"), space, one_workload(), seed=4)
+        journal.save(campaign.path(SWEEP_LOG))
+        with pytest.raises(ParameterError, match="0000000000000000"):
+            campaign.profile(adapter, levels_per_param=3, repetitions=2)
+        assert adapter.keys == []
+        assert not os.path.exists(campaign.path(SENSITIVITY_REPORT))
 
     def test_screen_with_fewer_than_two_selected_is_empty_not_fatal(self, tmp_path):
         space = unit_space(["only", "flat2"])

@@ -1,5 +1,6 @@
 """Harness: run_experiment outcomes, plan execution, log persistence, seeds."""
 
+import json
 import math
 import os
 import random
@@ -7,6 +8,8 @@ import stat
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import one_workload, random_log, unit_space
 from tuneforge.errors import AdapterError, ParameterError
@@ -14,7 +17,7 @@ from tuneforge.harness import (CampaignStore, Measurement, MeasurementLog, Shell
                                mix_seed, run_experiment, run_plan, splitmix64)
 from tuneforge.simulator import (CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel)
-from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec
+from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
 
 
 def flat_adapter(space, base=1000.0, sigma=0.0, **kwargs):
@@ -159,6 +162,36 @@ class TestRunPlan:
         entry = (Configuration({"p": 0.5}), self.w, 0)
         with pytest.raises(ParameterError):
             run_plan(flat_adapter(self.space), [entry, entry], seed=0)
+
+    def test_plan_with_an_invalid_last_entry_measures_and_journals_nothing(self, tmp_path):
+        adapter = flat_adapter(self.space)
+        calls = count_calls(adapter)
+        plan = [(Configuration({"p": i / 10.0}), self.w, 0) for i in range(5)]
+        plan.append((Configuration({"p": 3.0}), self.w, 0))
+        path = tmp_path / "log.jsonl"
+        store = journal_store(path, 3, self.space)
+        with pytest.raises(ParameterError, match="p=3.0 out of range"):
+            run_plan(adapter, plan, seed=3, store=store)
+        assert calls == []
+        assert not path.exists()
+        assert store.journaled("sweep") == 0 and len(store) == 0
+
+    def test_each_distinct_configuration_is_validated_once(self, monkeypatch):
+        from tuneforge import harness
+        checked = []
+        original = harness.validate_configuration
+
+        def counting(space, config):
+            checked.append(config.canonical())
+            return original(space, config)
+
+        monkeypatch.setattr(harness, "validate_configuration", counting)
+        workloads = [self.w, WorkloadSpec(id="w1")]
+        configs = [Configuration({"p": v}) for v in (0.0, 0.5, 1.0)]
+        plan = [(Configuration(c.assignments), w, rep)
+                for c in configs for w in workloads for rep in range(3)]
+        assert len(run_plan(flat_adapter(self.space), plan, seed=0)) == 18
+        assert checked == [c.canonical() for c in configs]
 
     def test_resume_skips_completed_entries(self, tmp_path):
         adapter = flat_adapter(self.space, sigma=0.01)
@@ -359,6 +392,50 @@ class TestCrashRecovery:
         run_plan(adapter, self.plan, seed=0, store=store)
         assert len(calls) == 6
         assert len(MeasurementLog.load(str(tmp_path / "log.jsonl"))) == 10
+
+
+# Every JSON scalar a configuration value may be; floats include -0.0, NaN,
+# infinities, subnormals and the largest finite values.
+json_scalars = st.one_of(st.integers(-2**70, 2**70), st.floats(), st.booleans(),
+                         st.text(), st.none())
+outcomes = st.one_of(
+    st.tuples(st.just("ok"), st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("crash"), st.none()),
+    st.tuples(st.just("timeout"), st.one_of(st.none(), st.floats())))
+
+
+class TestJournalLine:
+    @settings(max_examples=400, deadline=None)
+    @given(assignments=st.dictionaries(st.text(), json_scalars, max_size=4),
+           workload_id=st.text(min_size=1), repetition=st.integers(0, 2**40),
+           outcome=outcomes, wall_time=st.floats(),
+           diagnostic=st.one_of(st.none(), st.text()))
+    @example(assignments={"q": -0.0, "p\u00e9": 5e-324, "b": True, "s": 'x"y', "n": None},
+             workload_id="w\u00fc\"0", repetition=0, outcome=("ok", 1.7976931348623157e308),
+             wall_time=-0.0, diagnostic='exit "1":\nstack\ttrace \u2603 \U0001f600\\')
+    @example(assignments={}, workload_id="w0", repetition=2**40, outcome=("timeout", None),
+             wall_time=2.2250738585072014e-308, diagnostic="")
+    def test_line_is_the_sorted_json_of_the_record(self, assignments, workload_id, repetition,
+                                                   outcome, wall_time, diagnostic):
+        m = Measurement(Configuration(assignments), workload_id, repetition, outcome[1],
+                        outcome[0], wall_time=wall_time, diagnostic=diagnostic)
+        assert m.journal_line() == json.dumps(m.to_json(), sort_keys=True) + "\n"
+
+    def test_log_save_and_store_append_write_the_same_bytes(self, tmp_path):
+        records, _ = random_log(random.Random(14), records=300)
+        records.append(Measurement(Configuration({"a": -0.0}), "w0", 7, None, "crash",
+                                   wall_time=1e-300, diagnostic='bad "quote"\n\u00e9'))
+        log = MeasurementLog(seed=6, space_hash="h", meta={"stage": "screen"})
+        for m in records:
+            log.append(m)
+        log.save(str(tmp_path / "saved.jsonl"))
+        store = CampaignStore(6, "h", {"screen": str(tmp_path / "appended.jsonl")})
+        store.begin("screen")
+        for m in records:
+            store.append(m)
+        store.commit(records)
+        assert (tmp_path / "appended.jsonl").read_bytes() == \
+            (tmp_path / "saved.jsonl").read_bytes()
 
 
 class TestMeasurementLog:

@@ -127,8 +127,9 @@ def random_spec(rng, name):
     return ParameterSpec(name, Domain(kind), rng.choice((False, True)))
 
 
-def random_space(rng):
-    return ParameterSpace(tuple(random_spec(rng, f"p{i}") for i in range(rng.randint(1, 9))))
+def random_space(rng, size=None):
+    size = rng.randint(1, 9) if size is None else size
+    return ParameterSpace(tuple(random_spec(rng, f"p{i}") for i in range(size)))
 
 
 def random_response(rng):
@@ -143,14 +144,14 @@ def random_response(rng):
     return Response()
 
 
-def random_model(rng, space):
+def random_model(rng, space, max_couplings=5):
     """Every shape, overrides, and terms naming parameters outside the space."""
     names = space.names() + list(OUTSIDE)
     responses = {n: random_response(rng) for n in rng.sample(names, rng.randint(0, len(names)))}
     overrides = {w: {n: random_response(rng) for n in rng.sample(names, rng.randint(1, 3))}
                  for w in rng.sample(WORKLOAD_IDS, rng.randint(0, 2))}
     couplings = [Coupling(rng.choice(names), rng.choice(names), rng.uniform(-0.9, 2.0))
-                 for _ in range(rng.randint(0, 5))]
+                 for _ in range(rng.randint(0, max_couplings))]
     crashes = {}
     numeric = [p for p in space if p.domain.kind in ("continuous", "integer")]
     if numeric and rng.random() < 0.5:
@@ -216,6 +217,26 @@ class TestCompiledTable:
                     errors += isinstance(want, tuple)
         assert evaluations == 7200
         assert 0 < errors < evaluations  # both paths are exercised
+
+    def test_matches_reference_bits_on_large_spaces(self):
+        # 100+ parameters and dozens of couplings, so each planted term and
+        # coupling sits at its own offset of the compiled factor list
+        rng = random.Random(116)
+        spaces = [random_space(rng, size=rng.randint(100, 130)) for _ in range(8)]
+        models = [random_model(rng, space, max_couplings=60) for space in spaces]
+        assert sum(len(m.couplings) > 10 for m in models) > 4
+        assert sum(bool(m.crashes) for m in models) > 2
+        assert sum(bool(m.overrides) for m in models) > 2
+        evaluations = errors = 0
+        for space, model in zip(spaces, models):
+            for _ in range(25):
+                config = random_config(rng, space)
+                for w in WORKLOAD_IDS:
+                    want = outcome(reference_true_metric, model, space, config, w)
+                    assert outcome(model.true_metric, space, config, w) == want
+                    evaluations += 1
+                    errors += isinstance(want, tuple)
+        assert errors > 0 and evaluations - errors > 150  # metrics and errors both compared
 
     def test_one_assignment_normalizes_once_and_builds_no_response(self, monkeypatch):
         names = [f"p{i:02d}" for i in range(20)]
