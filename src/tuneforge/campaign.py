@@ -25,7 +25,7 @@ from .harness import Adapter, CampaignStore, PlanEntry, campaign_id_for, run_pla
 from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairLevels,
                           attach_stage_b, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, stage_a_record, table_from_log)
-from .jsonfile import JsonArtifact
+from .jsonfile import JsonArtifact, write_text
 from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
 from .space import ParameterSpace, WorkloadSpec
 from .topology import (CorrelationGraph, OptimaReport, build_graph, measure_baselines,
@@ -288,10 +288,10 @@ class Campaign:
         session = run_session(doc, adapter, budget, self.seed if seed is None else seed)
         session.save_trace(self.path(trace_name))
         if session.final_config is not None:
-            with open(self.path("final_config.properties"), "w", encoding="utf-8") as fh:
-                resolved = self.space.resolve(session.final_config)
-                for name in sorted(session.final_config.assignments):
-                    fh.write(f"{name}={resolved[name]}\n")
+            resolved = self.space.resolve(session.final_config)
+            write_text(self.path("final_config.properties"),
+                       "".join(f"{name}={resolved[name]}\n"
+                               for name in sorted(session.final_config.assignments)))
         return session
 
     # -- reporting ----------------------------------------------------------

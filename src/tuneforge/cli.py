@@ -10,8 +10,7 @@ import argparse
 import sys
 
 from .campaign import Campaign, DOCUMENT_FILE
-from .docgen import (EXPORT_FORMAT, ProceduralDocument, compile_warnings, export_knowledge,
-                     render_text)
+from .docgen import EXPORT_FORMAT, ProceduralDocument, export_knowledge, render_text
 from .errors import (AdapterError, AnalysisError, CompileError, DocumentError,
                      ParameterError, TuneforgeError)
 from .executor import STATUS_CONVERGED
@@ -45,7 +44,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_adapter(p: argparse.ArgumentParser) -> None:
     p.add_argument("--adapter", required=True,
                    help="sim:<model-file> or shell:<command template>")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=int, default=1,
+                   help="benchmark runs in flight at once; the shell: adapter always "
+                        "runs one at a time")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,8 +148,6 @@ def run_command(args: argparse.Namespace) -> int:
     if args.command == "compile":
         with campaign.lock():
             doc = campaign.compile()
-        for warning in compile_warnings(doc):
-            print(f"warning: {warning}", file=sys.stderr)
         print(f"compiled {len(doc.skills)} skills into {campaign.path(DOCUMENT_FILE)}")
         for line in campaign.budget_summary():
             print(line)

@@ -114,8 +114,8 @@ def _freeze_fields(obj: Any, names: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class Step:
-    """One procedure action, one of STEP_ACTIONS. Fields the action does not
-    use stay None.
+    """One procedure action, one of STEP_ACTIONS. Every field the action uses
+    is required; the others stay None.
 
     benchmark: run `template` on `workload_id` `repetitions` times; the mean
     ok metric lands in `out`, and with `adopt` the configuration competes for
@@ -723,28 +723,13 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     return doc
 
 
-def compile_warnings(doc: ProceduralDocument) -> list[str]:
-    """Non-fatal advisories, e.g. unreachable decision criteria."""
-    warnings = []
-    for skill in doc.skills:
-        seen_catchall = False
-        for cond, target in skill.decision_criteria:
-            if seen_catchall:
-                warnings.append(f"{skill.id}: criterion to {target!r} is unreachable "
-                                "after an always-true condition")
-            if cond.strip() == "1":
-                seen_catchall = True
-    return warnings
-
-
-_NONE = type(None)
-# The fields each action reads, and the exact types it can use. `expr` and
+# The fields each action reads, and the exact type each must have. `expr` and
 # `cond` need no entry: the predicate check parses them.
 _STEP_FIELD_TYPES = {
-    ACTION_BENCHMARK: (("template", (MappingProxyType, _NONE)), ("workload_id", (str,)),
-                       ("repetitions", (int, _NONE)), ("out", (str, _NONE))),
-    ACTION_COMPUTE: (("out", (str, _NONE)),),
-    ACTION_BRANCH: (("target", (int, _NONE)),),
+    ACTION_BENCHMARK: (("template", MappingProxyType), ("workload_id", str),
+                       ("repetitions", int), ("out", str)),
+    ACTION_COMPUTE: (("out", str),),
+    ACTION_BRANCH: (("target", int),),
 }
 
 
@@ -777,11 +762,11 @@ def _type_violations(doc: ProceduralDocument) -> list[str]:
                           for target in targets if not isinstance(target, str))
         for i, step in enumerate(skill.procedure):
             fields_read = _STEP_FIELD_TYPES.get(step.action, ()) if type(step.action) is str else ()
-            for key, kinds in fields_read:
+            for key, kind in fields_read:
                 value = getattr(step, key)
-                if type(value) not in kinds:
+                if type(value) is not kind:
                     violations.append(f"{skill.id}: step {i} {key} {thaw(value)!r} is not "
-                                      f"{kinds[0].__name__}")
+                                      f"{kind.__name__}")
     return violations
 
 
@@ -826,7 +811,7 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
             if sig_name:
                 declared.add(sig_name)
             if step.action == ACTION_BRANCH:
-                if step.target is None or not i < step.target <= len(skill.procedure):
+                if not i < step.target <= len(skill.procedure):
                     violations.append(
                         f"{skill.id}: branch at step {i} targets {step.target!r}, "
                         f"out of range [{i + 1}, {len(skill.procedure)}]")

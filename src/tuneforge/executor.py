@@ -28,6 +28,7 @@ from .docgen import (ACTION_BENCHMARK, ACTION_BRANCH, ACTION_COMPUTE, TARGET_END
 from .docgen import validate_document  # noqa: F401
 from .errors import DocumentError, ExpressionError, ParameterError
 from .harness import OUTCOME_OK, Adapter, run_valid_experiment
+from .jsonfile import write_text
 from .space import Configuration, WorkloadSpec, validate_configuration
 
 STATUS_RUNNING = "running"
@@ -81,10 +82,8 @@ class TuningSession:
                 "seed": self.seed}
 
     def save_trace(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.trace_header(), sort_keys=True) + "\n")
-            for event in self.trace:
-                fh.write(json.dumps(event.to_json(), sort_keys=True) + "\n")
+        lines = [self.trace_header()] + [event.to_json() for event in self.trace]
+        write_text(path, "".join(json.dumps(d, sort_keys=True) + "\n" for d in lines))
 
     def benchmarked_configs(self) -> list[tuple[Configuration, str]]:
         """(config, workload) of every benchmark step in trace order."""
@@ -173,7 +172,7 @@ class SessionRunner:
     def _resolve_template(self, step: Step, skill: Skill) -> Configuration:
         """The step's literal template; with `pin_best`, every other grid
         parameter at the level its best-index signal names."""
-        resolved = thaw(step.template) or {}
+        resolved = thaw(step.template)
         if step.pin_best:
             for param, grid in self.doc.grids.items():
                 if param in resolved:
@@ -214,9 +213,8 @@ class SessionRunner:
         config = self._resolve_template(step, skill)
         self._check_safe(config, skill)
         workload = self.workloads[step.workload_id]
-        reps = step.repetitions or 1
         metrics, outcomes = [], []
-        for rep in range(reps):
+        for rep in range(step.repetitions):
             m = run_valid_experiment(self.adapter, config, workload, rep, self.seed)
             outcomes.append(m.outcome)
             if m.outcome == OUTCOME_OK:
@@ -232,7 +230,7 @@ class SessionRunner:
                 self._adopt(config, mean, workload)
         self._event(skill.id, ACTION_BENCHMARK, step=index,
                     inputs={"config": config.assignments, "workload_id": workload.id,
-                            "repetitions": reps},
+                            "repetitions": step.repetitions},
                     outputs=outputs)
         if not metrics:
             raise _Abort(f"{skill.id}: step {index} benchmark produced no ok repetition "

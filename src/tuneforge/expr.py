@@ -1,12 +1,15 @@
 """Closed expression grammar for skill predicates and compute steps.
 
-Supports numeric literals, symbols (runtime signals and reference data),
-arithmetic (+ - * /), comparisons (< <= = == != >= >), boolean and/or/not,
-and the functions abs/min/max, argmax/argmin (the index of the first best
-argument), pick(i, v0, ...) (the value v_i) and defined(symbol). Comparisons
-and boolean operators yield 1.0 / 0.0. Unknown symbols raise, never silently
-evaluate false; defined() tests for a signal's presence, and because and/or
-short-circuit, "defined(x) and x > 0" is a safe guarded reference.
+The grammar is exactly the forms the compiler writes: numeric literals,
+symbols (runtime signals and reference data), arithmetic (+ - * /) and
+parentheses, the comparisons <= and >=, the conjunction `and`, and the
+functions abs/min/max, argmax/argmin (the index of the first best argument),
+pick(i, v0, ...) (the value v_i) and defined(symbol). A hand-edited document
+may use only these forms; any other (`or`, `not`, `<`, `>`, `=`, `==`, `!=`,
+a leading minus) is a parse error, so validation refuses the document.
+Comparisons and `and` yield 1.0 / 0.0. Unknown symbols raise, never silently
+evaluate false; defined() tests for a signal's presence, and because `and`
+short-circuits, "defined(x) and x >= 1" is a safe guarded reference.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import ExpressionError
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+(?:[eE][-+]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|==|!=|[<>=+\-*/(),])
+  | (?P<op><=|>=|[+\-*/(),])
   | (?P<ws>\s+)
 """, re.VERBOSE)
 
@@ -31,7 +34,6 @@ _PARSE_CACHE_SIZE = 2048
 
 # Function name -> fewest arguments; abs() and defined() take exactly one.
 _FUNCTIONS = {"abs": 1, "min": 1, "max": 1, "argmax": 1, "argmin": 1, "pick": 2, "defined": 1}
-_KEYWORDS = {"and", "or", "not"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -78,8 +80,6 @@ class Expr:
             elif kind == "bin":
                 walk(node[2])
                 walk(node[3])
-            elif kind == "not":
-                walk(node[1])
             elif kind == "call":
                 for a in node[2]:
                     walk(a)
@@ -114,8 +114,6 @@ class Expr:
                 return resolve(node[1])
             if kind == "defined":
                 return 1.0 if (node[1] in signals or node[1] in reference) else 0.0
-            if kind == "not":
-                return 0.0 if ev(node[1]) != 0.0 else 1.0
             if kind == "call":
                 args = [ev(a) for a in node[2]]
                 fn = node[1]
@@ -137,8 +135,6 @@ class Expr:
             op, lhs, rhs = node[1], node[2], node[3]
             if op == "and":
                 return 1.0 if ev(lhs) != 0.0 and ev(rhs) != 0.0 else 0.0
-            if op == "or":
-                return 1.0 if ev(lhs) != 0.0 or ev(rhs) != 0.0 else 0.0
             left = ev(lhs)
             right = ev(rhs)
             if op == "+":
@@ -151,18 +147,10 @@ class Expr:
                 if right == 0.0:
                     raise ExpressionError(f"division by zero in {self.text!r}")
                 return left / right
-            if op == "<":
-                return 1.0 if left < right else 0.0
             if op == "<=":
                 return 1.0 if left <= right else 0.0
-            if op == ">":
-                return 1.0 if left > right else 0.0
             if op == ">=":
                 return 1.0 if left >= right else 0.0
-            if op in ("=", "=="):
-                return 1.0 if left == right else 0.0
-            if op == "!=":
-                return 1.0 if left != right else 0.0
             raise ExpressionError(f"unknown operator {op!r}")
 
         return ev(self._ast)
@@ -188,35 +176,22 @@ class _Parser:
             raise ExpressionError(f"expected {value!r}, got {tok!r} in {self.text!r}")
 
     def parse(self) -> tuple:
-        node = self.parse_or()
+        node = self.parse_and()
         if self.peek()[0] != "end":
             raise ExpressionError(f"trailing input {self.peek()[1]!r} in {self.text!r}")
         return node
 
-    def parse_or(self) -> tuple:
-        node = self.parse_and()
-        while self.peek() == ("name", "or"):
-            self.next()
-            node = ("bin", "or", node, self.parse_and())
-        return node
-
     def parse_and(self) -> tuple:
-        node = self.parse_not()
+        node = self.parse_cmp()
         while self.peek() == ("name", "and"):
             self.next()
-            node = ("bin", "and", node, self.parse_not())
+            node = ("bin", "and", node, self.parse_cmp())
         return node
-
-    def parse_not(self) -> tuple:
-        if self.peek() == ("name", "not"):
-            self.next()
-            return ("not", self.parse_not())
-        return self.parse_cmp()
 
     def parse_cmp(self) -> tuple:
         node = self.parse_sum()
         kind, tok = self.peek()
-        if kind == "op" and tok in ("<", "<=", ">", ">=", "=", "==", "!="):
+        if kind == "op" and tok in ("<=", ">="):
             self.next()
             node = ("bin", tok, node, self.parse_sum())
         return node
@@ -229,28 +204,22 @@ class _Parser:
         return node
 
     def parse_term(self) -> tuple:
-        node = self.parse_unary()
+        node = self.parse_atom()
         while self.peek()[0] == "op" and self.peek()[1] in ("*", "/"):
             _, op = self.next()
-            node = ("bin", op, node, self.parse_unary())
+            node = ("bin", op, node, self.parse_atom())
         return node
-
-    def parse_unary(self) -> tuple:
-        if self.peek() == ("op", "-"):
-            self.next()
-            return ("bin", "-", ("num", 0.0), self.parse_unary())
-        return self.parse_atom()
 
     def parse_atom(self) -> tuple:
         kind, tok = self.next()
         if kind == "num":
             return ("num", float(tok))
         if kind == "op" and tok == "(":
-            node = self.parse_or()
+            node = self.parse_and()
             self.expect(")")
             return node
         if kind == "name":
-            if tok in _KEYWORDS:
+            if tok == "and":
                 raise ExpressionError(f"misplaced keyword {tok!r} in {self.text!r}")
             if self.peek() == ("op", "("):
                 if tok not in _FUNCTIONS:
@@ -258,10 +227,10 @@ class _Parser:
                 self.next()
                 args = []
                 if self.peek() != ("op", ")"):
-                    args.append(self.parse_or())
+                    args.append(self.parse_and())
                     while self.peek() == ("op", ","):
                         self.next()
-                        args.append(self.parse_or())
+                        args.append(self.parse_and())
                 self.expect(")")
                 if tok == "defined":
                     if len(args) != 1 or args[0][0] != "sym":

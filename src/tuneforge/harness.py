@@ -444,7 +444,7 @@ class ShellAdapter:
         for line in proc.stdout.splitlines():
             if line.startswith("METRIC "):
                 try:
-                    return float(line.split(None, 1)[1])
+                    return float(line[len("METRIC "):])
                 except ValueError:
                     raise AdapterError(f"unparseable metric line {line!r}")
         raise AdapterError("command printed no 'METRIC <float>' line")

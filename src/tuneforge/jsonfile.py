@@ -2,7 +2,9 @@
 
 Reports, the compiled document, the knowledge export and the campaign state
 are all written as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, so
-identical contents give identical bytes (and document hashes).
+identical contents give identical bytes (and document hashes). ``write_text``
+is the atomic replace behind them, and behind the session trace and the final
+configuration file too.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path: str, obj: Any) -> None:
-    """Replace ``path`` with the canonical text of ``obj``.
+def write_text(path: str, text: str) -> None:
+    """Replace ``path`` with ``text``.
 
-    The text is encoded before anything is written, then goes to a temporary
-    file in the same directory that is flushed to disk and renamed over
-    ``path``. A failed or interrupted save leaves the previous file intact.
+    The text goes to a temporary file in the same directory that is flushed
+    to disk and renamed over ``path``. A failed or interrupted write leaves
+    the previous file intact and no temporary file behind.
     """
-    text = canonical_json(obj)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -37,6 +38,12 @@ def write_json(path: str, obj: Any) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_json(path: str, obj: Any) -> None:
+    """Replace ``path`` with the canonical text of ``obj``, encoded before
+    anything is written."""
+    write_text(path, canonical_json(obj))
 
 
 class JsonArtifact:

@@ -51,9 +51,6 @@ class SweepResult:
         v = self.values[i]
         return sum(v) / len(v) if v else None
 
-    def means(self) -> list[float | None]:
-        return [self.mean(i) for i in range(len(self.levels))]
-
     def usable(self) -> list[int]:
         """Indices of levels with at least one ok repetition."""
         return [i for i, v in enumerate(self.values) if v]

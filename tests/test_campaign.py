@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 
 import pytest
 
@@ -176,6 +177,27 @@ class TestAtomicWrites:
             assert fh.read() == before
         assert os.listdir(tmp_path) == [os.path.basename(path)]
 
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "final_config.properties"])
+    def test_failed_tune_write_leaves_previous_file_intact(self, two_workload_setup, tmp_path,
+                                                           monkeypatch, name):
+        setup = two_workload_setup
+        shutil.copytree(setup["campaign"].directory, tmp_path / "c")
+        campaign = Campaign(str(tmp_path / "c"), setup["space"], setup["workloads"], seed=5)
+        for previous in ("trace.jsonl", "final_config.properties"):
+            (tmp_path / "c" / previous).write_text("previous\n")
+        before = sorted(os.listdir(tmp_path / "c"))
+        replace = os.replace
+
+        def refuse(src, dst):
+            if dst.endswith(name):
+                raise OSError("rename refused")
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            campaign.tune(setup["adapter"], budget=60, seed=1)
+        assert (tmp_path / "c" / name).read_text() == "previous\n"
+        assert sorted(os.listdir(tmp_path / "c")) == before
 
     @pytest.mark.parametrize("cls, error", [
         (CampaignState, AnalysisError), (SensitivityReport, AnalysisError),

@@ -274,6 +274,14 @@ class TestAdapterContract:
         journal = tmp_path / "c" / "sweep_log.jsonl"
         assert not journal.exists() or journal.read_bytes().count(b"\n") <= 1
 
+    def test_blank_metric_line_exits_3_after_one_run(self, tmp_path, capsys):
+        script = self.write_script(tmp_path, "METRIC ")
+        assert self.profile(tmp_path, script) == 3
+        assert "unparseable metric line 'METRIC '" in capsys.readouterr().err
+        assert self.runs(tmp_path) == 1
+        journal = tmp_path / "c" / "sweep_log.jsonl"
+        assert not journal.exists() or journal.read_bytes().count(b"\n") <= 1
+
     @pytest.mark.parametrize("kind", ["missing", "not-executable"])
     def test_command_that_cannot_start_exits_3_and_journals_nothing(self, tmp_path,
                                                                    capsys, kind):

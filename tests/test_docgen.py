@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import random
+import string
 import sys
 import types
 from dataclasses import FrozenInstanceError
@@ -14,10 +15,11 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from helpers import edit_document, run_small_pipeline, shifted_small_model, skill_json
+from tuneforge import expr as expr_mod
 from tuneforge.campaign import Campaign
 from tuneforge.docgen import (KnowledgeExport, ProceduralDocument, Skill, Step,
-                              compile_document, compile_warnings, export_knowledge,
-                              render_text, thaw, validate_document)
+                              compile_document, export_knowledge, render_text, thaw,
+                              validate_document)
 from tuneforge.errors import CompileError, DocumentError
 from tuneforge.executor import run_session
 from tuneforge.simulator import SimulatorAdapter
@@ -252,7 +254,7 @@ class TestValidate:
         assert any("unresolved skill id 'nowhere'" in v for v in violations)
 
     def test_predicate_with_undeclared_symbol(self):
-        doc = self.edited(lambda d: d["skills"][0].update(postconditions=["ghost_signal > 1"]))
+        doc = self.edited(lambda d: d["skills"][0].update(postconditions=["ghost_signal >= 1"]))
         violations = validate_document(doc)
         assert any("ghost_signal" in v for v in violations)
 
@@ -297,7 +299,7 @@ class TestValidate:
 
     def test_abort_target_is_an_unresolved_skill_id(self):
         doc = self.edited(lambda d: d["skills"][0].update(
-            decision_criteria=[["done < 1", "abort"], ["1", "end"]]))
+            decision_criteria=[["done <= 0", "abort"], ["1", "end"]]))
         assert "root: unresolved skill id 'abort'" in validate_document(doc)
 
     @pytest.mark.parametrize("key", ["on_error", "name", "left", "op", "right", "retries"])
@@ -309,8 +311,8 @@ class TestValidate:
 
     def test_pin_best_reads_only_declared_signals(self):
         steps = [Step(action="compute", expr="1", out="best_p_idx"),
-                 Step(action="benchmark", template={"p": 0.0}, workload_id="w0", out="m",
-                      pin_best=True)]
+                 Step(action="benchmark", template={"p": 0.0}, workload_id="w0",
+                      repetitions=3, out="m", pin_best=True)]
 
         def edit(d):
             d["grids"] = {"p": [0.0, 1.0], "q-1": [0.0, 1.0]}
@@ -320,7 +322,7 @@ class TestValidate:
 
     def test_violation_list_is_exhaustive_not_first_failure(self):
         doc = self.edited(lambda d: d["skills"][0].update(
-            decision_criteria=[["1", "nowhere"]], postconditions=["ghost > 1"]))
+            decision_criteria=[["1", "nowhere"]], postconditions=["ghost >= 1"]))
         assert len(validate_document(doc)) >= 2
 
 
@@ -353,7 +355,7 @@ def _random_document(rng):
             id=f"s{i}", kind="per-parameter",
             procedure=[Step(action="benchmark", template={"p": _random_value(rng)},
                             workload_id="w0", repetitions=rng.randint(1, 3), out=f"m{i}")],
-            postconditions=[f"m{i} > {rng.randint(0, 9)}"], reference_data=reference_data()))
+            postconditions=[f"m{i} >= {rng.randint(0, 9)}"], reference_data=reference_data()))
     return ProceduralDocument(
         fingerprint={"space_hash": "h", "campaign_id": f"c{rng.randint(0, 10**6)}"},
         root="root", skills=skills, workloads=[WorkloadSpec(id="w0")],
@@ -463,11 +465,23 @@ class TestImmutable:
         assert doc.safe_range_of("pc").to_json() == thaw(doc.safe_ranges["pc"])
 
 
-class TestWarnings:
-    def test_unreachable_criterion_after_catchall(self, pipeline):
-        doc = edit_document(pipeline["doc"], lambda d: d["skills"][1].update(
-            decision_criteria=[["1", "end"], ["1", "end"]]))
-        assert compile_warnings(doc)
+class TestGrammarCensus:
+    def test_compiled_documents_use_exactly_the_grammar(self, tmp_path):
+        # the grammar's operator tokens, read off its tokenizer
+        pairs = [a + b for a in string.punctuation for b in string.punctuation]
+        operators = {t for t in [*string.punctuation, *pairs]
+                     if (m := expr_mod._TOKEN_RE.fullmatch(t)) and m.lastgroup == "op"}
+        grammar = operators | {"and"} | set(expr_mod._FUNCTIONS)
+        used = set()
+        for direction in ("maximize", "minimize"):
+            doc = run_small_pipeline(tmp_path / direction, direction=direction)["doc"]
+            for text in (t for skill in doc.skills for t in skill.predicates()):
+                expr_mod.parse(text)
+                tokens = expr_mod._tokenize(text)
+                for (kind, tok), (_, after) in zip(tokens, tokens[1:]):
+                    if kind == "op" or tok == "and" or (kind == "name" and after == "("):
+                        used.add(tok)
+        assert used == grammar
 
 
 class TestExport:

@@ -34,10 +34,10 @@ def empty_doc():
 
 class TestEvaluatePredicate:
     def test_spec_examples(self):
-        assert evaluate_predicate("eta2 > 0.15", {"eta2": 0.39}, {}) is True
+        assert evaluate_predicate("eta2 >= 0.15", {"eta2": 0.39}, {}) is True
         assert evaluate_predicate("cv >= 0 and cv <= 0", {"cv": 0}, {}) is True
         with pytest.raises(ExpressionError) as err:
-            evaluate_predicate("missing_sym > 1", {}, {})
+            evaluate_predicate("missing_sym >= 1", {}, {})
         assert err.value.symbol == "missing_sym"
 
 
@@ -339,11 +339,12 @@ class TestErrorPaths:
         assert [c.assignments for c, _ in session.benchmarked_configs()] == \
             [{"q": 1.0, "p": 0.5}]
 
-    @pytest.mark.parametrize("index", ["3", "-1"])
-    def test_pinned_index_out_of_range_aborts(self, index):
+    @pytest.mark.parametrize("index, shown", [pytest.param("3", 3, id="3"),
+                                              pytest.param("0 - 1", -1, id="-1")])
+    def test_pinned_index_out_of_range_aborts(self, index, shown):
         session = self.run_pinned(index)
         assert session.status == "aborted"
-        assert session.diagnostic == f"root: grid index {index} out of range for 'p'"
+        assert session.diagnostic == f"root: grid index {shown} out of range for 'p'"
         assert session.trace[-1].outputs == {"status": "aborted",
                                              "diagnostic": session.diagnostic}
 
@@ -384,15 +385,15 @@ class TestErrorPaths:
         root = {"procedure": skipped_x, "decision_criteria": [("1", "end")]}
         children = []
         if site == "branch":
-            root["procedure"] = skipped_x + [Step(action="branch", cond="x > 0", target=3)]
+            root["procedure"] = skipped_x + [Step(action="branch", cond="x >= 1", target=3)]
         elif site == "decision":
-            root["decision_criteria"] = [("x > 0", "end")]
+            root["decision_criteria"] = [("x >= 1", "end")]
         elif site == "postcondition":
             root = {"decision_criteria": [("1", "child")]}
             children = [Skill(id="child", kind="per-parameter", procedure=skipped_x,
-                              decision_criteria=[("1", "end")], postconditions=["x > 0"])]
+                              decision_criteria=[("1", "end")], postconditions=["x >= 1"])]
         else:
-            root["postconditions"] = ["x > 0"]
+            root["postconditions"] = ["x >= 1"]
         skills = [Skill(id="root", kind="orchestration", **root)] + children
         doc = ProceduralDocument(
             fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
@@ -400,7 +401,7 @@ class TestErrorPaths:
             grids={}, safe_ranges={}, provenance={}, policy={})
         session = run_session(doc, pipeline["adapter"], budget=5, seed=0)
         assert session.status == "aborted"
-        assert "predicate 'x > 0' failed" in session.diagnostic
+        assert "predicate 'x >= 1' failed" in session.diagnostic
         assert "unresolved symbol 'x'" in session.diagnostic
         assert session.trace[-1].outputs == {"status": "aborted",
                                              "diagnostic": session.diagnostic}

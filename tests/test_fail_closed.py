@@ -124,8 +124,9 @@ def test_non_finite_pinned_index_aborts(pipeline):
 
 # joint_c1 re-searches its grid once no measured gain can reach the documented
 # improvement; a best cell that names no cell aborts at the first pick step.
-@pytest.mark.parametrize("best_cell, shown", [("1e999", "inf"), ("-1", "-1.0"), ("1.5", "1.5"),
-                                              ("99", "99.0")])
+@pytest.mark.parametrize("best_cell, shown", [("1e999", "inf"),
+                                              pytest.param("0 - 1", "-1.0", id="-1--1.0"),
+                                              ("1.5", "1.5"), ("99", "99.0")])
 def test_best_cell_outside_the_grid_aborts(pipeline, best_cell, shown):
     joint = next(i for i, s in enumerate(pipeline["json"]["skills"]) if s["id"] == "joint_c1")
     steps = pipeline["json"]["skills"][joint]["procedure"]
@@ -137,6 +138,31 @@ def test_best_cell_outside_the_grid_aborts(pipeline, best_cell, shown):
     assert session.diagnostic.startswith(
         f"joint_c1: step {argbest + 1} compute failed: pick() index {shown} is not an integer "
         "in [0, 15]")
+
+
+# Each form outside the grammar, wrapped around a valid expression `t`.
+REMOVED_FORMS = {
+    "or": "({t}) or ({t})", "not": "not ({t})", "lt": "({t}) < 0", "gt": "({t}) > 0",
+    "eq": "({t}) = 0", "eqeq": "({t}) == 0", "ne": "({t}) != 0", "unary-minus": "-({t})",
+}
+
+
+@pytest.mark.parametrize("site", [("skills", 1, "postconditions", 0),
+                                  ("skills", 1, "procedure", 3, "expr")],
+                         ids=["predicate", "compute"])
+@pytest.mark.parametrize("form", REMOVED_FORMS.values(), ids=REMOVED_FORMS.keys())
+def test_removed_expression_form_is_refused_before_any_benchmark(pipeline, monkeypatch, site,
+                                                                form):
+    text = pipeline["json"]
+    for key in site:
+        text = text[key]
+    doc = ProceduralDocument.from_json(mutated(pipeline["json"], site, form.format(t=text)))
+    assert any("unparseable predicate" in v for v in validate_document(doc))
+    calls = []
+    monkeypatch.setattr(pipeline["adapter"], "measure", lambda *args: calls.append(args))
+    with pytest.raises(DocumentError):
+        run_session(doc, pipeline["adapter"], budget=30, seed=0)
+    assert calls == []
 
 
 def test_enum_value_against_a_numeric_safe_range_aborts():
