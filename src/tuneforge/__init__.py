@@ -7,8 +7,8 @@ optimization components, and compiles the findings into an executable DAG of
 tuning skills that a deterministic interpreter can run against a deployment.
 """
 
-from .docgen import (KnowledgeExport, ProceduralDocument, Skill, Step, compile_document,
-                     export_knowledge, validate_document)
+from .docgen import (BenchmarkStep, BranchStep, ComputeStep, KnowledgeExport, ProceduralDocument,
+                     Skill, compile_document, export_knowledge, validate_document)
 from .errors import (AdapterError, AnalysisError, CompileError, CrashError,
                      DocumentError, ExpressionError, ParameterError, TuneforgeError)
 from .executor import TuningSession, replay_session, run_session

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import product
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping
 
 from . import expr as expr_mod
 from .errors import CompileError, DocumentError, ParameterError
@@ -60,11 +60,6 @@ SCHEMA_VERSION = 2
 KIND_PER_PARAMETER = "per-parameter"
 KIND_PER_COMPONENT = "per-component"
 KIND_ORCHESTRATION = "orchestration"
-
-ACTION_BENCHMARK = "benchmark"
-ACTION_COMPUTE = "compute"
-ACTION_BRANCH = "branch"
-STEP_ACTIONS = (ACTION_BENCHMARK, ACTION_COMPUTE, ACTION_BRANCH)
 
 TARGET_END = "end"
 
@@ -112,62 +107,87 @@ def _freeze_fields(obj: Any, names: tuple[str, ...]) -> None:
         object.__setattr__(obj, name, freeze(getattr(obj, name)))
 
 
-@dataclass(frozen=True)
-class Step:
-    """One procedure action, one of STEP_ACTIONS. Every field the action uses
-    is required; the others stay None.
+# A step field's annotation, as text -> the one type its value may have.
+_FIELD_TYPES = {"str": str, "int": int, "bool": bool, "Mapping[str, Any]": MappingProxyType}
 
-    benchmark: run `template` on `workload_id` `repetitions` times; the mean
-    ok metric lands in `out`, and with `adopt` the configuration competes for
-    the incumbent. A template maps parameter -> literal value. With
-    `pin_best`, every parameter of the document's grids that the template
-    does not name is set to its grid level at index signal
-    `best_index_signal(param)`. No ok repetition aborts the session.
-    compute: evaluate `expr` into `out`.
-    branch: jump forward to step index `target` (== len(procedure) exits the
-    skill) when `cond` is true.
-    """
 
-    action: str
-    template: Mapping[str, Any] | None = None  # benchmark
-    workload_id: str | None = None
-    repetitions: int | None = None
-    out: str | None = None                     # benchmark, compute
-    adopt: bool = False
-    pin_best: bool = False
-    expr: str | None = None                    # compute
-    cond: str | None = None                    # branch
-    target: int | None = None
+class _Step:
+    """A procedure step. Each subclass holds exactly the fields its action
+    reads; construction refuses a field of another JSON type (a bool is no int)."""
+
+    action: ClassVar[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "template", freeze(self.template))
-
-    def declared_signal(self) -> str | None:
-        return self.out if self.action in (ACTION_BENCHMARK, ACTION_COMPUTE) else None
+        for f in fields(self):
+            value = freeze(getattr(self, f.name))
+            if type(value) is not _FIELD_TYPES[f.type]:
+                raise DocumentError(f"{self.action} step {f.name} {thaw(value)!r} is not {f.type}")
+            object.__setattr__(self, f.name, value)
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {"action": self.action}
-        for key in ("template", "workload_id", "repetitions", "out", "expr", "cond", "target"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = thaw(value)
-        if self.adopt:
-            d["adopt"] = True
-        if self.pin_best:
-            d["pin_best"] = True
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not f.default:  # a flag is written only when set
+                d[f.name] = thaw(value)
         return d
 
-    @classmethod
-    def from_json(cls, d: dict) -> "Step":
-        unknown = sorted(set(d) - _STEP_KEYS)
-        if unknown:
-            raise DocumentError(f"{d.get('action')!r} step has unknown keys {unknown}")
-        _require(d, ("action",), "step")
-        return cls(**{**d, "adopt": bool(d.get("adopt", False)),
-                      "pin_best": bool(d.get("pin_best", False))})
+
+@dataclass(frozen=True)
+class BenchmarkStep(_Step):
+    """Run `template` on `workload_id` `repetitions` times; the mean ok
+    metric lands in `out`, and with `adopt` the configuration competes for
+    the incumbent. A template maps parameter -> literal value. With
+    `pin_best`, every parameter of the document's grids that the template
+    does not name is set to its grid level at index signal
+    `best_index_signal(param)`. No ok repetition aborts the session."""
+
+    action: ClassVar[str] = "benchmark"
+    template: Mapping[str, Any]
+    workload_id: str
+    repetitions: int
+    out: str
+    adopt: bool = False
+    pin_best: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.repetitions < 1:
+            raise DocumentError(f"benchmark step repetitions {self.repetitions} is below 1")
 
 
-_STEP_KEYS = frozenset(f.name for f in fields(Step))
+@dataclass(frozen=True)
+class ComputeStep(_Step):
+    """Evaluate `expr` into the signal `out`."""
+
+    action: ClassVar[str] = "compute"
+    expr: str
+    out: str
+
+
+@dataclass(frozen=True)
+class BranchStep(_Step):
+    """Jump forward to step `target` (len(procedure) exits the skill) when `cond` holds."""
+
+    action: ClassVar[str] = "branch"
+    cond: str
+    target: int
+
+
+_STEP_CLASSES = {cls.action: cls for cls in (BenchmarkStep, ComputeStep, BranchStep)}
+
+
+def step_from_json(d: dict, where: str = "step") -> _Step:
+    """Load one step as the class of its action; an unknown action or a
+    missing, extra or wrongly typed field raises DocumentError."""
+    _require(d, ("action",), where)
+    cls = _STEP_CLASSES.get(d["action"]) if type(d["action"]) is str else None
+    if cls is None:
+        raise DocumentError(f"{where} has unknown action {d['action']!r}")
+    try:
+        return cls(**{key: value for key, value in d.items() if key != "action"})
+    except (DocumentError, TypeError) as e:  # TypeError: a missing or unknown key
+        raise DocumentError(f"{where}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -175,7 +195,7 @@ class Skill:
     id: str
     kind: str
     preconditions: tuple[str, ...] = ()
-    procedure: tuple[Step, ...] = ()
+    procedure: tuple[_Step, ...] = ()
     decision_criteria: tuple[tuple[str, str], ...] = ()
     postconditions: tuple[str, ...] = ()
     reference_data: Mapping[str, Any] = field(default_factory=dict)
@@ -191,9 +211,9 @@ class Skill:
         out = list(self.preconditions) + list(self.postconditions)
         out.extend(cond for cond, _ in self.decision_criteria)
         for step in self.procedure:
-            if step.action == ACTION_BRANCH:
+            if isinstance(step, BranchStep):
                 out.append(step.cond)
-            if step.action == ACTION_COMPUTE:
+            elif isinstance(step, ComputeStep):
                 out.append(step.expr)
         return out
 
@@ -215,7 +235,8 @@ class Skill:
         _require(d, ("id", "kind"), "skill")
         return cls(id=d["id"], kind=d["kind"], title=d.get("title", ""),
                    preconditions=list(d.get("preconditions", [])),
-                   procedure=[Step.from_json(s) for s in d.get("procedure", [])],
+                   procedure=[step_from_json(s, f"{d['id']}: step {i}")
+                              for i, s in enumerate(d.get("procedure", []))],
                    decision_criteria=[(c, t) for c, t in d.get("decision_criteria", [])],
                    postconditions=list(d.get("postconditions", [])),
                    reference_data=dict(d.get("reference_data", {})),
@@ -339,22 +360,22 @@ class _Proc:
     """Procedure builder with forward-branch patching."""
 
     def __init__(self):
-        self.steps: list[Step] = []
+        self.steps: list[_Step] = []
         self._holes: list[tuple[int, str]] = []
 
-    def add(self, step: Step) -> int:
+    def add(self, step: _Step) -> int:
         self.steps.append(step)
         return len(self.steps) - 1
 
     def branch_to_label(self, cond: str, label: str) -> int:
-        idx = self.add(Step(action=ACTION_BRANCH, cond=cond, target=-1))
+        idx = self.add(BranchStep(cond=cond, target=-1))
         self._holes.append((idx, label))
         return idx
 
     def here(self) -> int:
         return len(self.steps)
 
-    def resolve(self, labels: dict[str, int]) -> list[Step]:
+    def resolve(self, labels: dict[str, int]) -> list[_Step]:
         for idx, label in self._holes:
             if label not in labels:
                 raise CompileError(f"unresolved procedure label {label!r}")
@@ -450,15 +471,15 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     init_pairs.append(("0", "crosscheck_done"))
     init_pairs.append(("1", "tf_initialized"))
     for expr_text, out in init_pairs:
-        orch.add(Step(action=ACTION_COMPUTE, expr=expr_text, out=out))
+        orch.add(ComputeStep(expr=expr_text, out=out))
     labels = {"after_init": orch.here()}
-    orch.add(Step(action=ACTION_COMPUTE, expr="pass_count + 1", out="pass_count"))
+    orch.add(ComputeStep(expr="pass_count + 1", out="pass_count"))
     orch.branch_to_label("baseline_done >= 1", "skip_baseline")
-    orch.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w0.id,
-                  repetitions=ONLINE_REPETITIONS, out="baseline_mean", adopt=True))
-    orch.add(Step(action=ACTION_COMPUTE, expr="baseline_mean", out="incumbent_best"))
-    orch.add(Step(action=ACTION_COMPUTE, expr="0", out="pass_gain"))
-    orch.add(Step(action=ACTION_COMPUTE, expr="1", out="baseline_done"))
+    orch.add(BenchmarkStep(template={}, workload_id=w0.id,
+                           repetitions=ONLINE_REPETITIONS, out="baseline_mean", adopt=True))
+    orch.add(ComputeStep(expr="baseline_mean", out="incumbent_best"))
+    orch.add(ComputeStep(expr="0", out="pass_gain"))
+    orch.add(ComputeStep(expr="1", out="baseline_done"))
     labels["skip_baseline"] = orch.here()
 
     first_target = chain[0] if chain else TARGET_END
@@ -493,25 +514,25 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
 
         proc = _Proc()
         proc.branch_to_label(f"verify_done_{s} >= 1", "exit")
-        proc.add(Step(action=ACTION_BENCHMARK, template={name: grid[0]}, workload_id=w0.id,
-                      repetitions=ONLINE_REPETITIONS, out=f"{s}_lo_metric"))
-        proc.add(Step(action=ACTION_BENCHMARK, template={name: grid[-1]}, workload_id=w0.id,
-                      repetitions=ONLINE_REPETITIONS, out=f"{s}_hi_metric"))
-        proc.add(Step(action=ACTION_COMPUTE,
-                      expr=f"(max({s}_lo_metric, {s}_hi_metric) - min({s}_lo_metric, {s}_hi_metric))"
-                           f" / baseline_mean",
-                      out=f"{s}_cv_obs"))
+        proc.add(BenchmarkStep(template={name: grid[0]}, workload_id=w0.id,
+                               repetitions=ONLINE_REPETITIONS, out=f"{s}_lo_metric"))
+        proc.add(BenchmarkStep(template={name: grid[-1]}, workload_id=w0.id,
+                               repetitions=ONLINE_REPETITIONS, out=f"{s}_hi_metric"))
+        proc.add(ComputeStep(
+            expr=f"(max({s}_lo_metric, {s}_hi_metric) - min({s}_lo_metric, {s}_hi_metric))"
+                 f" / baseline_mean",
+            out=f"{s}_cv_obs"))
         if directional:
-            proc.add(Step(action=ACTION_COMPUTE,
-                          expr=f"{s}_cv_obs >= cv * (1 - cv_tolerance) and "
-                               f"{s}_cv_obs <= cv * (1 + cv_tolerance)",
-                          out=f"{s}_cv_ok"))
+            proc.add(ComputeStep(
+                expr=f"{s}_cv_obs >= cv * (1 - cv_tolerance) and "
+                     f"{s}_cv_obs <= cv * (1 + cv_tolerance)",
+                out=f"{s}_cv_ok"))
         else:
             # Interior-optimum and flat curves cannot be sized from two
             # points; only safety is checkable here.
-            proc.add(Step(action=ACTION_COMPUTE,
-                          expr=f"min({s}_lo_metric, {s}_hi_metric) >= baseline_mean * safety_floor",
-                          out=f"{s}_cv_ok"))
+            proc.add(ComputeStep(
+                expr=f"min({s}_lo_metric, {s}_hi_metric) >= baseline_mean * safety_floor",
+                out=f"{s}_cv_ok"))
         rises = {"monotonic-up": True, "monotonic-down": False}.get(prof.shape)
         best = prof.best_level.get(w0.id)
         if not directional and len(grid) > 1 and best in (grid[0], grid[-1]):
@@ -522,10 +543,10 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
             shape_expr = "1"
         else:
             shape_expr = f"{s}_hi_metric {'>=' if rises else '<='} {s}_lo_metric"
-        proc.add(Step(action=ACTION_COMPUTE, expr=shape_expr, out=f"{s}_shape_ok"))
-        proc.add(Step(action=ACTION_COMPUTE, expr=f"{s}_cv_ok and {s}_shape_ok",
-                      out=f"{s}_verify_ok"))
-        proc.add(Step(action=ACTION_COMPUTE, expr="1", out=f"verify_done_{s}"))
+        proc.add(ComputeStep(expr=shape_expr, out=f"{s}_shape_ok"))
+        proc.add(ComputeStep(expr=f"{s}_cv_ok and {s}_shape_ok",
+                             out=f"{s}_verify_ok"))
+        proc.add(ComputeStep(expr="1", out=f"verify_done_{s}"))
         steps = proc.resolve({"exit": proc.here()})
 
         ref: dict[str, Any] = {
@@ -565,15 +586,15 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
 
         # Adaptation: sweep the documented grid afresh and adopt its argbest.
         metrics = ", ".join(f"{s}_rs_m{i}" for i in range(len(grid)))
-        rs = [Step(action=ACTION_BENCHMARK, template={name: level}, workload_id=w0.id,
-                   repetitions=ONLINE_REPETITIONS, out=f"{s}_rs_m{i}", adopt=True)
+        rs = [BenchmarkStep(template={name: level}, workload_id=w0.id,
+                            repetitions=ONLINE_REPETITIONS, out=f"{s}_rs_m{i}", adopt=True)
               for i, level in enumerate(grid)]
-        rs.append(Step(action=ACTION_COMPUTE,
-                       expr=f"(max({metrics}) - min({metrics})) / baseline_mean",
-                       out=f"{s}_cv_obs"))
-        rs.append(Step(action=ACTION_COMPUTE, expr=f"{argbest}({metrics})",
-                       out=best_index_signal(name)))
-        rs.append(Step(action=ACTION_COMPUTE, expr="1", out=f"{s}_verify_ok"))
+        rs.append(ComputeStep(
+            expr=f"(max({metrics}) - min({metrics})) / baseline_mean",
+            out=f"{s}_cv_obs"))
+        rs.append(ComputeStep(expr=f"{argbest}({metrics})",
+                              out=best_index_signal(name)))
+        rs.append(ComputeStep(expr="1", out=f"{s}_verify_ok"))
         resweep = Skill(
             id=resweep_id, kind=KIND_PER_PARAMETER,
             title=f"Re-sweep {name} after a failed verification",
@@ -617,12 +638,12 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         # Joint and candidate benchmarks pin every other selected parameter at
         # its current best level.
         doc_best_template = {m: opt.best_config.assignments[m] for m in members}
-        proc.add(Step(action=ACTION_BENCHMARK, template=doc_best_template, workload_id=w0.id,
-                      repetitions=ONLINE_REPETITIONS, out=f"{cid}_doc_metric",
-                      adopt=True, pin_best=True))
-        proc.add(Step(action=ACTION_COMPUTE,
-                      expr=_gain_expr(f"{cid}_doc_metric", "baseline_mean", direction),
-                      out=f"{cid}_doc_gain"))
+        proc.add(BenchmarkStep(template=doc_best_template, workload_id=w0.id,
+                               repetitions=ONLINE_REPETITIONS, out=f"{cid}_doc_metric",
+                               adopt=True, pin_best=True))
+        proc.add(ComputeStep(
+            expr=_gain_expr(f"{cid}_doc_metric", "baseline_mean", direction),
+            out=f"{cid}_doc_gain"))
         proc.branch_to_label(
             f"{cid}_doc_gain >= expected_improvement * accept_fraction", "accept_doc")
 
@@ -631,23 +652,23 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         cells = [(combo, {m: grids[m][i] for m, i in zip(members, combo)}) for combo in combos]
         cells.sort(key=lambda cell: json.dumps(cell[1], sort_keys=True))
         for j, (_, template) in enumerate(cells):
-            proc.add(Step(action=ACTION_BENCHMARK, template=template,
-                          workload_id=w0.id, repetitions=ONLINE_REPETITIONS,
-                          out=f"{cid}_cell_{j}", adopt=True, pin_best=True))
+            proc.add(BenchmarkStep(template=template,
+                                   workload_id=w0.id, repetitions=ONLINE_REPETITIONS,
+                                   out=f"{cid}_cell_{j}", adopt=True, pin_best=True))
         metrics = ", ".join(f"{cid}_cell_{j}" for j in range(len(cells)))
-        proc.add(Step(action=ACTION_COMPUTE, expr=f"{argbest}({metrics})", out=f"{cid}_best_cell"))
+        proc.add(ComputeStep(expr=f"{argbest}({metrics})", out=f"{cid}_best_cell"))
         for k, m in enumerate(members):
             levels = ", ".join(str(combo[k]) for combo, _ in cells)
-            proc.add(Step(action=ACTION_COMPUTE, expr=f"pick({cid}_best_cell, {levels})",
-                          out=best_index_signal(m)))
+            proc.add(ComputeStep(expr=f"pick({cid}_best_cell, {levels})",
+                                 out=best_index_signal(m)))
         proc.branch_to_label("1", "mark_done")
 
         labels2 = {"accept_doc": proc.here()}
         for m in members:
             idx = _grid_index(grids, space, m, opt.best_config.assignments[m])
-            proc.add(Step(action=ACTION_COMPUTE, expr=str(idx), out=best_index_signal(m)))
+            proc.add(ComputeStep(expr=str(idx), out=best_index_signal(m)))
         labels2["mark_done"] = proc.here()
-        proc.add(Step(action=ACTION_COMPUTE, expr="1", out=f"done_{cid}"))
+        proc.add(ComputeStep(expr="1", out=f"done_{cid}"))
         labels2["exit"] = proc.here()
 
         comp_skill = Skill(
@@ -663,33 +684,33 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
 
     # ---- candidate assembly and cross-workload verification ------------
     cand = _Proc()
-    cand.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w0.id,
-                  repetitions=ONLINE_REPETITIONS, out="cand_metric", adopt=True,
-                  pin_best=True))
+    cand.add(BenchmarkStep(template={}, workload_id=w0.id,
+                           repetitions=ONLINE_REPETITIONS, out="cand_metric", adopt=True,
+                           pin_best=True))
     better = "max" if direction == "maximize" else "min"
-    cand.add(Step(action=ACTION_COMPUTE, expr=f"{better}(cand_metric, incumbent_best)",
-                  out="tf_new_best"))
-    cand.add(Step(action=ACTION_COMPUTE,
-                  expr=_gain_expr("tf_new_best", "incumbent_best", direction),
-                  out="pass_gain"))
-    cand.add(Step(action=ACTION_COMPUTE, expr="tf_new_best", out="incumbent_best"))
+    cand.add(ComputeStep(expr=f"{better}(cand_metric, incumbent_best)",
+                         out="tf_new_best"))
+    cand.add(ComputeStep(
+        expr=_gain_expr("tf_new_best", "incumbent_best", direction),
+        out="pass_gain"))
+    cand.add(ComputeStep(expr="tf_new_best", out="incumbent_best"))
     cand_labels: dict[str, int] = {}
     cand.branch_to_label("crosscheck_done >= 1", "skip_cross")
     cross_post = []
     for w in workloads[1:]:
         ws = sig(w.id)
-        cand.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w.id,
-                      repetitions=ONLINE_REPETITIONS, out=f"baseline_{ws}"))
-        cand.add(Step(action=ACTION_BENCHMARK, template={}, workload_id=w.id,
-                      repetitions=ONLINE_REPETITIONS, out=f"cand_metric_{ws}",
-                      pin_best=True))
-        cand.add(Step(action=ACTION_COMPUTE, expr=f"cand_metric_{ws} / baseline_{ws}",
-                      out=f"cand_ratio_{ws}"))
+        cand.add(BenchmarkStep(template={}, workload_id=w.id,
+                               repetitions=ONLINE_REPETITIONS, out=f"baseline_{ws}"))
+        cand.add(BenchmarkStep(template={}, workload_id=w.id,
+                               repetitions=ONLINE_REPETITIONS, out=f"cand_metric_{ws}",
+                               pin_best=True))
+        cand.add(ComputeStep(expr=f"cand_metric_{ws} / baseline_{ws}",
+                             out=f"cand_ratio_{ws}"))
         if w.direction == "maximize":
             cross_post.append(f"cand_ratio_{ws} >= cross_floor")
         else:
             cross_post.append(f"cand_ratio_{ws} <= 1 / cross_floor")
-    cand.add(Step(action=ACTION_COMPUTE, expr="1", out="crosscheck_done"))
+    cand.add(ComputeStep(expr="1", out="crosscheck_done"))
     cand_labels["skip_cross"] = cand.here()
 
     candidate = Skill(
@@ -723,16 +744,6 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     return doc
 
 
-# The fields each action reads, and the exact type each must have. `expr` and
-# `cond` need no entry: the predicate check parses them.
-_STEP_FIELD_TYPES = {
-    ACTION_BENCHMARK: (("template", MappingProxyType), ("workload_id", str),
-                       ("repetitions", int), ("out", str)),
-    ACTION_COMPUTE: (("out", str),),
-    ACTION_BRANCH: (("target", int),),
-}
-
-
 def _is_real(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -760,28 +771,21 @@ def _type_violations(doc: ProceduralDocument) -> list[str]:
             targets.append(skill.adaptation_target)
         violations.extend(f"{skill.id}: target {target!r} is not a string"
                           for target in targets if not isinstance(target, str))
-        for i, step in enumerate(skill.procedure):
-            fields_read = _STEP_FIELD_TYPES.get(step.action, ()) if type(step.action) is str else ()
-            for key, kind in fields_read:
-                value = getattr(step, key)
-                if type(value) is not kind:
-                    violations.append(f"{skill.id}: step {i} {key} {thaw(value)!r} is not "
-                                      f"{kind.__name__}")
     return violations
 
 
 def validate_document(doc: ProceduralDocument) -> list[str]:
     """Exhaustive structural validation; returns all violations, not the first.
 
-    Checks: field types (when one is wrong, only the type violations are
-    returned, since every other check relies on them), well-formed safe
-    ranges, unique ids, a unique orchestration skill that is the root, every
-    step action in STEP_ACTIONS, every decision/adaptation target resolves,
-    branch targets forward and in range, the primary and every benchmark
-    workload declared, predicate symbols closed over reference data plus
-    declared signals, the index signals a `pin_best` step reads declared,
-    acyclicity, reachability from the root, and provenance completeness for
-    reference data.
+    Checks (a step's fields are checked when it is built): field types (when
+    one is wrong, only the type violations are returned, since every other
+    check relies on them), well-formed safe ranges, unique ids, a unique
+    orchestration skill that is the root, every decision/adaptation target
+    resolves, branch targets forward and in range, the primary and every
+    benchmark workload declared, predicate symbols closed over reference
+    data plus declared signals, the index signals a `pin_best` step reads
+    declared, acyclicity, reachability from the root, and provenance
+    completeness for reference data.
     """
     violations = _type_violations(doc)
     if violations:
@@ -805,21 +809,16 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
     declared: set[str] = set()
     for skill in doc.skills:
         for i, step in enumerate(skill.procedure):
-            if step.action not in STEP_ACTIONS:
-                violations.append(f"{skill.id}: step {i} has unknown action {step.action!r}")
-            sig_name = step.declared_signal()
-            if sig_name:
-                declared.add(sig_name)
-            if step.action == ACTION_BRANCH:
+            if isinstance(step, BranchStep):
                 if not i < step.target <= len(skill.procedure):
                     violations.append(
                         f"{skill.id}: branch at step {i} targets {step.target!r}, "
                         f"out of range [{i + 1}, {len(skill.procedure)}]")
-            if step.action == ACTION_BENCHMARK:
-                if step.workload_id not in workload_ids:
-                    violations.append(
-                        f"{skill.id}: benchmark at step {i} names unknown workload "
-                        f"{step.workload_id!r}")
+                continue
+            declared.add(step.out)
+            if isinstance(step, BenchmarkStep) and step.workload_id not in workload_ids:
+                violations.append(f"{skill.id}: benchmark at step {i} names unknown workload "
+                                  f"{step.workload_id!r}")
 
     undeclared_pins = {p: best_index_signal(p) for p in doc.grids
                        if best_index_signal(p) not in declared}
@@ -831,10 +830,10 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
             violations.append(
                 f"{skill.id}: unresolved adaptation target {skill.adaptation_target!r}")
         for i, step in enumerate(skill.procedure):
-            if step.pin_best:
+            if isinstance(step, BenchmarkStep) and step.pin_best:
                 violations.extend(f"{skill.id}: step {i} pins {param!r} by undeclared "
                                   f"signal {signal!r}" for param, signal in undeclared_pins.items()
-                                  if param not in (step.template or {}))
+                                  if param not in step.template)
         for text in skill.predicates():
             try:
                 parsed = expr_mod.parse(text)
@@ -958,7 +957,7 @@ def export_knowledge(doc: ProceduralDocument) -> KnowledgeExport:
 
 def _param_of_verify_skill(doc: ProceduralDocument, skill: Skill) -> str:
     for step in skill.procedure:
-        if step.action == ACTION_BENCHMARK and step.template:
+        if isinstance(step, BenchmarkStep) and step.template:
             return next(iter(step.template))
     raise DocumentError(f"{skill.id}: cannot determine verified parameter")
 
@@ -966,7 +965,7 @@ def _param_of_verify_skill(doc: ProceduralDocument, skill: Skill) -> str:
 def _component_members(doc: ProceduralDocument, skill: Skill) -> list[str]:
     members: set[str] = set()
     for step in skill.procedure:
-        if step.action == ACTION_BENCHMARK and step.template:
+        if isinstance(step, BenchmarkStep) and step.template:
             members.update(step.template)
     return sorted(members)
 

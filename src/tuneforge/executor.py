@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import expr as expr_mod
-from .docgen import (ACTION_BENCHMARK, ACTION_BRANCH, ACTION_COMPUTE, TARGET_END,
-                     ProceduralDocument, Skill, Step, best_index_signal, thaw)
+from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, ProceduralDocument, Skill,
+                     best_index_signal, thaw)
 # Bound here as well, where perfbench/tracing.py times the session path's
 # validation; a document validates through `ProceduralDocument.violations`.
 from .docgen import validate_document  # noqa: F401
@@ -89,7 +89,7 @@ class TuningSession:
         """(config, workload) of every benchmark step in trace order."""
         out = []
         for e in self.trace:
-            if e.action == ACTION_BENCHMARK:
+            if e.action == BenchmarkStep.action:
                 out.append((Configuration(e.inputs["config"]), e.inputs["workload_id"]))
         return out
 
@@ -169,7 +169,7 @@ class SessionRunner:
 
     # -- step execution --------------------------------------------------
 
-    def _resolve_template(self, step: Step, skill: Skill) -> Configuration:
+    def _resolve_template(self, step: BenchmarkStep, skill: Skill) -> Configuration:
         """The step's literal template; with `pin_best`, every other grid
         parameter at the level its best-index signal names."""
         resolved = thaw(step.template)
@@ -206,7 +206,7 @@ class SessionRunner:
                 raise _Abort(
                     f"{skill.id}: {param}={value!r} outside safe range [{safe.lo}, {safe.hi}]")
 
-    def _run_benchmark(self, skill: Skill, index: int, step: Step) -> None:
+    def _run_benchmark(self, skill: Skill, index: int, step: BenchmarkStep) -> None:
         """Execute one benchmark step; no ok repetition aborts the session."""
         if self.session.trials_used + 1 > self.session.trial_budget:
             raise _Abort("trial budget exhausted")
@@ -228,7 +228,7 @@ class SessionRunner:
             outputs[step.out] = mean
             if step.adopt:
                 self._adopt(config, mean, workload)
-        self._event(skill.id, ACTION_BENCHMARK, step=index,
+        self._event(skill.id, step.action, step=index,
                     inputs={"config": config.assignments, "workload_id": workload.id,
                             "repetitions": step.repetitions},
                     outputs=outputs)
@@ -258,20 +258,20 @@ class SessionRunner:
         steps = skill.procedure
         while i < len(steps):
             step = steps[i]
-            if step.action == ACTION_BENCHMARK:
+            if isinstance(step, BenchmarkStep):
                 self._run_benchmark(skill, i, step)
-            elif step.action == ACTION_COMPUTE:
+            elif isinstance(step, ComputeStep):
                 try:
                     value = expr_mod.evaluate(step.expr, self.session.signals,
                                               skill.reference_data)
                 except ExpressionError as e:
                     raise _Abort(f"{skill.id}: step {i} compute failed: {e}")
                 self.session.signals[step.out] = value
-                self._event(skill.id, ACTION_COMPUTE, step=i,
+                self._event(skill.id, step.action, step=i,
                             inputs={"expr": step.expr}, outputs={step.out: value})
-            else:  # ACTION_BRANCH; validation admits no other action
+            else:  # a BranchStep; loading admits no other step class
                 verdict, record = self._eval_predicate(step.cond, skill)
-                self._event(skill.id, ACTION_BRANCH, step=i,
+                self._event(skill.id, step.action, step=i,
                             inputs={"cond": step.cond, "target": step.target},
                             predicates=[record])
                 if verdict:
@@ -414,7 +414,7 @@ def replay_session(header: dict, events: list[TraceEvent],
                 mismatches.append({"seq": event.seq, "skill": event.skill,
                                    "expr": pred["expr"], "recorded": pred["verdict"],
                                    "replayed": verdict})
-        if event.action not in (ACTION_BENCHMARK, ACTION_COMPUTE):
+        if event.action not in (BenchmarkStep.action, ComputeStep.action):
             continue
         skill = skills.get(event.skill)
         procedure = skill.procedure if skill is not None else []
@@ -424,7 +424,7 @@ def replay_session(header: dict, events: list[TraceEvent],
             mismatches.append({"seq": event.seq, "skill": event.skill, "expr": None,
                                "recorded": event.action, "replayed": None})
             continue
-        if event.action == ACTION_BENCHMARK:
+        if isinstance(step, BenchmarkStep):
             if step.out in event.outputs:
                 signals[step.out] = event.outputs[step.out]
             continue

@@ -10,16 +10,16 @@ import random
 import string
 import sys
 import types
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
 from helpers import edit_document, run_small_pipeline, shifted_small_model, skill_json
 from tuneforge import expr as expr_mod
 from tuneforge.campaign import Campaign
-from tuneforge.docgen import (KnowledgeExport, ProceduralDocument, Skill, Step,
-                              compile_document, export_knowledge, render_text, thaw,
-                              validate_document)
+from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, KnowledgeExport,
+                              ProceduralDocument, Skill, compile_document, export_knowledge,
+                              render_text, step_from_json, thaw, validate_document)
 from tuneforge.errors import CompileError, DocumentError
 from tuneforge.executor import run_session
 from tuneforge.simulator import SimulatorAdapter
@@ -60,7 +60,7 @@ class TestCompile:
         doc = pipeline["doc"]
         for skill in doc.skills:
             for step in skill.procedure:
-                assert not any(isinstance(v, dict) for v in (step.template or {}).values())
+                assert not any(isinstance(v, dict) for v in getattr(step, "template", {}).values())
         assert "$grid" not in doc.serialize()
 
     def test_pin_best_marks_joint_and_candidate_benchmarks_only(self, pipeline):
@@ -89,7 +89,8 @@ class TestCompile:
                     f"argmax({', '.join(f'{param}_rs_m{i}' for i in range(n))})"
                 assert steps[n + 1].out == f"best_{param}_idx"
             elif skill.id.startswith("joint_"):
-                first = next(i for i, s in enumerate(steps) if s.out == f"{skill.id}_cell_0")
+                first = next(i for i, s in enumerate(steps)
+                             if getattr(s, "out", None) == f"{skill.id}_cell_0")
                 members = sorted(steps[first].template)
                 n = math.prod(len(doc.grids[m]) for m in members)
                 research = steps[first:first + n + 1 + len(members)]
@@ -179,7 +180,7 @@ class TestDirectionCheck:
     @staticmethod
     def shape_expr(doc, param):
         return next(s.expr for s in doc.skill(f"verify_{param}").procedure
-                    if s.out == f"{param}_shape_ok")
+                    if getattr(s, "out", None) == f"{param}_shape_ok")
 
     def test_best_level_at_an_end_implies_the_direction(self, pipeline):
         p = pipeline
@@ -234,7 +235,7 @@ class TestValidate:
     def minimal_doc(self):
         w = WorkloadSpec(id="w0")
         orch = Skill(id="root", kind="orchestration",
-                     procedure=[Step(action="compute", expr="1", out="done")],
+                     procedure=[ComputeStep(expr="1", out="done")],
                      decision_criteria=[("1", "end")],
                      postconditions=["done >= 1"])
         return ProceduralDocument(
@@ -259,7 +260,7 @@ class TestValidate:
         assert any("ghost_signal" in v for v in violations)
 
     def test_branch_target_out_of_range(self):
-        step = Step(action="branch", cond="1", target=99).to_json()
+        step = BranchStep(cond="1", target=99).to_json()
         doc = self.edited(lambda d: d["skills"][0]["procedure"].append(step))
         violations = validate_document(doc)
         assert any("out of range" in v for v in violations)
@@ -293,9 +294,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("action", ["frobnicate", "measure", "compare"])
     def test_step_outside_the_vocabulary_rejected(self, action):
-        step = Step(action=action, out="x").to_json()
-        doc = self.edited(lambda d: d["skills"][0]["procedure"].append(step))
-        assert f"root: step 1 has unknown action {action!r}" in validate_document(doc)
+        step = {"action": action, "out": "x"}
+        with pytest.raises(DocumentError, match=f"^root: step 1 has unknown action {action!r}$"):
+            self.edited(lambda d: d["skills"][0]["procedure"].append(step))
 
     def test_abort_target_is_an_unresolved_skill_id(self):
         doc = self.edited(lambda d: d["skills"][0].update(
@@ -304,15 +305,15 @@ class TestValidate:
 
     @pytest.mark.parametrize("key", ["on_error", "name", "left", "op", "right", "retries"])
     def test_step_key_outside_the_vocabulary_rejected_at_load(self, key):
-        d = Step(action="benchmark", template={}, workload_id="w0", out="m").to_json()
+        d = BenchmarkStep(template={}, workload_id="w0", repetitions=3, out="m").to_json()
         d[key] = 2
         with pytest.raises(DocumentError, match=key):
-            Step.from_json(d)
+            step_from_json(d)
 
     def test_pin_best_reads_only_declared_signals(self):
-        steps = [Step(action="compute", expr="1", out="best_p_idx"),
-                 Step(action="benchmark", template={"p": 0.0}, workload_id="w0",
-                      repetitions=3, out="m", pin_best=True)]
+        steps = [ComputeStep(expr="1", out="best_p_idx"),
+                 BenchmarkStep(template={"p": 0.0}, workload_id="w0",
+                               repetitions=3, out="m", pin_best=True)]
 
         def edit(d):
             d["grids"] = {"p": [0.0, 1.0], "q-1": [0.0, 1.0]}
@@ -348,13 +349,13 @@ def _random_document(rng):
         return {**data, "nested": {"a": [1.0, {"b": 2}]}, "one": 1.0}
 
     skills = [Skill(id="root", kind="orchestration",
-                    procedure=[Step(action="compute", expr="1", out="x")],
+                    procedure=[ComputeStep(expr="1", out="x")],
                     decision_criteria=[("1", "end")], reference_data=reference_data())]
     for i in range(rng.randint(0, 3)):
         skills.append(Skill(
             id=f"s{i}", kind="per-parameter",
-            procedure=[Step(action="benchmark", template={"p": _random_value(rng)},
-                            workload_id="w0", repetitions=rng.randint(1, 3), out=f"m{i}")],
+            procedure=[BenchmarkStep(template={"p": _random_value(rng)},
+                                     workload_id="w0", repetitions=rng.randint(1, 3), out=f"m{i}")],
             postconditions=[f"m{i} >= {rng.randint(0, 9)}"], reference_data=reference_data()))
     return ProceduralDocument(
         fingerprint={"space_hash": "h", "campaign_id": f"c{rng.randint(0, 10**6)}"},
@@ -379,7 +380,7 @@ class TestLoad:
 
     def test_step_without_action_is_a_document_error(self):
         with pytest.raises(DocumentError, match="'action'"):
-            Step.from_json({"template": {}})
+            step_from_json({"template": {}})
 
     def test_schema_1_document_refused(self, pipeline):
         d = json.loads(pipeline["doc"].serialize())
@@ -420,7 +421,8 @@ class TestDocumentHashMemo:
 
 IN_PLACE_EDITS = {
     "step-field": lambda doc: setattr(doc.skill("verify_pc").procedure[1], "repetitions", 9),
-    "skill-procedure": lambda doc: doc.skill("verify_pc").procedure.append(Step(action="compute")),
+    "skill-procedure": lambda doc: doc.skill("verify_pc").procedure.append(
+        ComputeStep(expr="1", out="x")),
     "reference-data": lambda doc: operator.setitem(doc.skill("verify_pc").reference_data, "cv", 1),
     "template-entry": lambda doc: operator.setitem(
         doc.skill("verify_pc").procedure[1].template, "pc", 0.5),
@@ -465,16 +467,22 @@ class TestImmutable:
         assert doc.safe_range_of("pc").to_json() == thaw(doc.safe_ranges["pc"])
 
 
+@pytest.fixture(scope="module")
+def both_directions(tmp_path_factory):
+    """The small pipeline's documents, maximizing and minimizing."""
+    return [run_small_pipeline(tmp_path_factory.mktemp(direction), direction=direction)["doc"]
+            for direction in ("maximize", "minimize")]
+
+
 class TestGrammarCensus:
-    def test_compiled_documents_use_exactly_the_grammar(self, tmp_path):
+    def test_compiled_documents_use_exactly_the_grammar(self, both_directions):
         # the grammar's operator tokens, read off its tokenizer
         pairs = [a + b for a in string.punctuation for b in string.punctuation]
         operators = {t for t in [*string.punctuation, *pairs]
                      if (m := expr_mod._TOKEN_RE.fullmatch(t)) and m.lastgroup == "op"}
         grammar = operators | {"and"} | set(expr_mod._FUNCTIONS)
         used = set()
-        for direction in ("maximize", "minimize"):
-            doc = run_small_pipeline(tmp_path / direction, direction=direction)["doc"]
+        for doc in both_directions:
             for text in (t for skill in doc.skills for t in skill.predicates()):
                 expr_mod.parse(text)
                 tokens = expr_mod._tokenize(text)
@@ -482,6 +490,18 @@ class TestGrammarCensus:
                     if kind == "op" or tok == "and" or (kind == "name" and after == "("):
                         used.add(tok)
         assert used == grammar
+
+
+class TestStepFieldCensus:
+    def test_compiled_documents_write_exactly_the_step_fields(self, both_directions):
+        declared = {(cls.action, f.name) for cls in (BenchmarkStep, ComputeStep, BranchStep)
+                    for f in fields(cls)}
+        written = set()
+        for doc in both_directions:
+            for skill in json.loads(doc.serialize())["skills"]:
+                for step in skill["procedure"]:
+                    written.update((step["action"], key) for key in step if key != "action")
+        assert written == declared
 
 
 class TestExport:

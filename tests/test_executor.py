@@ -10,7 +10,8 @@ from helpers import (edit_document, global_grid_argmax, run_small_pipeline, shif
 from tuneforge import docgen
 from tuneforge import executor
 from tuneforge import expr as expr_mod
-from tuneforge.docgen import ProceduralDocument, Skill, Step, compile_document
+from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, ProceduralDocument, Skill,
+                              compile_document)
 from tuneforge.errors import DocumentError, ExpressionError
 from tuneforge.executor import load_trace, replay_session, run_session
 from tuneforge.expr import evaluate_predicate
@@ -56,11 +57,9 @@ class TestBasicSessions:
             run_session(doc, pipeline["adapter"], budget=5, seed=0)
 
     def test_unknown_action_rejected_before_any_benchmark(self, pipeline):
-        step = Step(action="frobnicate").to_json()
-        doc = edit_document(pipeline["doc"], lambda d: skill_json(
-            d, "verify_candidate")["procedure"].append(step))
         with pytest.raises(DocumentError, match="unknown action 'frobnicate'"):
-            run_session(doc, pipeline["adapter"], budget=30, seed=0)
+            edit_document(pipeline["doc"], lambda d: skill_json(
+                d, "verify_candidate")["procedure"].append({"action": "frobnicate"}))
 
     def test_budget_safety_hard_bound(self, pipeline):
         doc = pipeline["doc"]
@@ -281,8 +280,8 @@ class TestErrorPaths:
         model = SimulatorModel(base_rate=100.0, crashes={"p": CrashRegion(0.4, 0.6)})
         orch = Skill(
             id="root", kind="orchestration",
-            procedure=[Step(action="benchmark", template={"p": 0.5}, workload_id="w0",
-                            repetitions=2, out="bad_metric")],
+            procedure=[BenchmarkStep(template={"p": 0.5}, workload_id="w0",
+                                     repetitions=2, out="bad_metric")],
             decision_criteria=[("1", "end")])
         doc = ProceduralDocument(
             fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
@@ -319,10 +318,10 @@ class TestErrorPaths:
         from tuneforge.simulator import SimulatorModel
         orch = Skill(
             id="root", kind="orchestration",
-            procedure=[Step(action="compute", expr=p_index, out="best_p_idx"),
-                       Step(action="compute", expr="0", out="best_q_idx"),
-                       Step(action="benchmark", template={"q": 1.0}, workload_id="w0",
-                            repetitions=1, out="m", pin_best=True)],
+            procedure=[ComputeStep(expr=p_index, out="best_p_idx"),
+                       ComputeStep(expr="0", out="best_q_idx"),
+                       BenchmarkStep(template={"q": 1.0}, workload_id="w0",
+                                     repetitions=1, out="m", pin_best=True)],
             decision_criteria=[("1", "end")])
         doc = ProceduralDocument(
             fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
@@ -380,12 +379,12 @@ class TestErrorPaths:
     def test_predicate_on_unset_signal_aborts_with_diagnostic(self, pipeline, site):
         # `x` is declared by a compute step that an always-true branch skips,
         # so the document validates but `x` is never set when read.
-        skipped_x = [Step(action="branch", cond="1", target=2),
-                     Step(action="compute", expr="1", out="x")]
+        skipped_x = [BranchStep(cond="1", target=2),
+                     ComputeStep(expr="1", out="x")]
         root = {"procedure": skipped_x, "decision_criteria": [("1", "end")]}
         children = []
         if site == "branch":
-            root["procedure"] = skipped_x + [Step(action="branch", cond="x >= 1", target=3)]
+            root["procedure"] = skipped_x + [BranchStep(cond="x >= 1", target=3)]
         elif site == "decision":
             root["decision_criteria"] = [("x >= 1", "end")]
         elif site == "postcondition":

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import run_small_pipeline
-from tuneforge.docgen import ProceduralDocument, Skill, Step, validate_document
+from tuneforge.docgen import BenchmarkStep, ProceduralDocument, Skill, validate_document
 from tuneforge.errors import DocumentError
 from tuneforge.executor import run_session
 from tuneforge.simulator import SimulatorAdapter, SimulatorModel
@@ -74,21 +74,31 @@ LOAD_CASES = {
     "fingerprint-list": (("fingerprint",), [1]),
     "workload-direction-up": (("workloads", 0, "direction"), "up"),
     "workload-id-list": (("workloads", 0, "id"), [1]),
-}
-
-VALIDATION_CASES = {
     "branch-target-str": (("skills", 1, "procedure", 0, "target"), "2"),
     "branch-target-float": (("skills", 1, "procedure", 0, "target"), 1.5),
     "repetitions-str": (("skills", 1, "procedure", 1, "repetitions"), "3"),
     "template-list": (("skills", 1, "procedure", 1, "template"), [1]),
     "branch-without-cond": (("skills", 1, "procedure", 0, "cond"), DELETE),
+    "compute-out-list": (("skills", 1, "procedure", 3, "out"), [1]),
+    "repetitions-zero": (("skills", 1, "procedure", 1, "repetitions"), 0),
+    "repetitions-negative": (("skills", 1, "procedure", 1, "repetitions"), -2),
+    "adopt-str": (("skills", 1, "procedure", 1, "adopt"), "false"),
+    "pin-best-int": (("skills", 1, "procedure", 1, "pin_best"), 1),
+    "pin-best-on-compute": (("skills", 1, "procedure", 3, "pin_best"), True),
+    "adopt-on-compute": (("skills", 1, "procedure", 3, "adopt"), True),
+    "template-on-branch": (("skills", 1, "procedure", 0, "template"), {}),
+    "workload-id-on-compute": (("skills", 1, "procedure", 3, "workload_id"), "w9"),
+    "repetitions-on-compute": (("skills", 1, "procedure", 3, "repetitions"), "x"),
+    "expr-on-benchmark": (("skills", 1, "procedure", 1, "expr"), "ghost + 1"),
+}
+
+VALIDATION_CASES = {
     "undeclared-primary-workload": (("primary_workload",), "w9"),
     "safe-range-int": (("safe_ranges", "pc"), 5),
     "safe-range-lo-str": (("safe_ranges", "pc", "lo"), "a"),
     "safe-range-no-values": (("safe_ranges", "pc"), {"values": []}),
     "skill-id-number": (("skills", 1, "id"), 1.5),
     "criterion-target-list": (("skills", 0, "decision_criteria", 0, 1), [1]),
-    "compute-out-list": (("skills", 1, "procedure", 3, "out"), [1]),
 }
 
 
@@ -169,8 +179,8 @@ def test_enum_value_against_a_numeric_safe_range_aborts():
     space = ParameterSpace((ParameterSpec(name="mode", domain=Domain("enum", values=("a", "b")),
                                           default="a"),))
     orch = Skill(id="root", kind="orchestration", decision_criteria=[("1", "end")],
-                 procedure=[Step(action="benchmark", template={"mode": "b"}, workload_id="w0",
-                                 repetitions=1, out="m")])
+                 procedure=[BenchmarkStep(template={"mode": "b"}, workload_id="w0",
+                                          repetitions=1, out="m")])
     doc = ProceduralDocument(
         fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root", skills=[orch],
         workloads=[WorkloadSpec(id="w0")], primary_workload="w0", grids={},
