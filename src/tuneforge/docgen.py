@@ -30,10 +30,10 @@ Compilation is a pure function of its inputs; serialization is canonical
 
 A compiled or loaded document is immutable: steps, skills and the document
 are frozen, their sequences are tuples and their mappings read-only, nested
-values included. What a document derives from its content (its hash, its
-validation violations, its parsed safe ranges) is computed on first use and
-kept on the object, so running many sessions on one document validates and
-hashes it once.
+values included. Each checks its own fields, and the document parses its safe
+ranges, when built; `validate_document` checks how the parts refer to each
+other. The hash and the violations are computed on first use and kept, so
+running many sessions on one document validates and hashes it once.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from types import MappingProxyType
-from typing import Any, ClassVar, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
 from . import expr as expr_mod
 from .errors import CompileError, DocumentError, ParameterError
@@ -73,7 +74,9 @@ MIN_TOP_K = 1                # anomaly threshold on the selected set size
 CROSS_WORKLOAD_FLOOR = 0.5   # candidate must keep half the baseline elsewhere
 
 
-def _require(d: dict, keys: tuple[str, ...], what: str) -> None:
+def _require(d: Any, keys: tuple[str, ...], what: str) -> None:
+    if type(d) is not dict:
+        raise DocumentError(f"{what} {d!r} is not an object")
     missing = [key for key in keys if key not in d]
     if missing:
         raise DocumentError(f"{what} is missing required key {missing[0]!r}")
@@ -102,27 +105,74 @@ def thaw(value: Any) -> Any:
     return value
 
 
-def _freeze_fields(obj: Any, names: tuple[str, ...]) -> None:
-    for name in names:
-        object.__setattr__(obj, name, freeze(getattr(obj, name)))
+def _tuple_of(value: Any, item_type: type) -> bool:
+    return type(value) is tuple and all(isinstance(item, item_type) for item in value)
 
 
-# A step field's annotation, as text -> the one type its value may have.
-_FIELD_TYPES = {"str": str, "int": int, "bool": bool, "Mapping[str, Any]": MappingProxyType}
+# A field's annotation, as text -> the test its frozen value must pass (a bool
+# is no int).
+_FIELD_TESTS: dict[str, Callable[[Any], bool]] = {
+    "str": lambda value: type(value) is str,
+    "int": lambda value: type(value) is int,
+    "bool": lambda value: type(value) is bool,
+    "str | None": lambda value: value is None or type(value) is str,
+    "tuple[str, ...]": lambda value: _tuple_of(value, str),
+    "tuple[tuple[str, str], ...]": lambda value: _tuple_of(value, tuple) and all(
+        len(pair) == 2 and _tuple_of(pair, str) for pair in value),
+    "tuple[_Step, ...]": lambda value: _tuple_of(value, _Step),
+    "tuple[Skill, ...]": lambda value: _tuple_of(value, Skill),
+    "tuple[WorkloadSpec, ...]": lambda value: _tuple_of(value, WorkloadSpec),
+    "Mapping[str, Any]": lambda value: type(value) is MappingProxyType,
+    "Mapping[str, str]": lambda value: type(value) is MappingProxyType and all(
+        type(item) is str for item in value.values()),
+    "Mapping[str, tuple[Any, ...]]": lambda value: type(value) is MappingProxyType and all(
+        type(item) is tuple for item in value.values()),
+}
 
 
-class _Step:
-    """A procedure step. Each subclass holds exactly the fields its action
-    reads; construction refuses a field of another JSON type (a bool is no int)."""
+@cache
+def _field_tests(cls: type) -> tuple[tuple[str, str, Callable[[Any], bool]], ...]:
+    """(name, annotation, test) of each field of a document part class."""
+    return tuple((f.name, f.type, _FIELD_TESTS[f.type]) for f in fields(cls))
 
-    action: ClassVar[str]
+
+class _Part:
+    """A frozen part of a document. Construction freezes each field and refuses
+    a value its annotation does not admit."""
 
     def __post_init__(self):
-        for f in fields(self):
-            value = freeze(getattr(self, f.name))
-            if type(value) is not _FIELD_TYPES[f.type]:
-                raise DocumentError(f"{self.action} step {f.name} {thaw(value)!r} is not {f.type}")
-            object.__setattr__(self, f.name, value)
+        for name, annotation, test in _field_tests(type(self)):
+            value = getattr(self, name)
+            if isinstance(value, _CONTAINERS):
+                value = freeze(value)
+                object.__setattr__(self, name, value)
+            if not test(value):
+                raise DocumentError(
+                    f"{type(self).__name__} {name} {thaw(value)!r} is not {annotation}")
+
+    def to_json(self) -> dict:
+        return {name: thaw(getattr(self, name)) for name, _, _ in _field_tests(type(self))}
+
+
+def _load(cls: type, d: Any, where: str, **item_loaders: Callable[[int, Any], Any]) -> Any:
+    """`cls` built from a JSON object that holds every one of its fields and
+    nothing else. A list field named in `item_loaders` is loaded item by item,
+    from its index and its JSON; any other shape is left for `cls` to refuse."""
+    _require(d, tuple(f.name for f in fields(cls)), where)
+    values = dict(d)
+    for key, load in item_loaders.items():
+        if type(values[key]) is list:
+            values[key] = [load(i, item) for i, item in enumerate(values[key])]
+    try:
+        return cls(**values)
+    except (DocumentError, TypeError, ParameterError) as e:  # TypeError: an unknown key
+        raise DocumentError(f"{where}: {e}") from None
+
+
+class _Step(_Part):
+    """A procedure step. Each subclass holds exactly the fields its action reads."""
+
+    action: ClassVar[str]
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {"action": self.action}
@@ -190,8 +240,11 @@ def step_from_json(d: dict, where: str = "step") -> _Step:
         raise DocumentError(f"{where}: {e}") from None
 
 
+SKILL_KINDS = (KIND_PER_PARAMETER, KIND_PER_COMPONENT, KIND_ORCHESTRATION)
+
+
 @dataclass(frozen=True)
-class Skill:
+class Skill(_Part):
     id: str
     kind: str
     preconditions: tuple[str, ...] = ()
@@ -203,8 +256,9 @@ class Skill:
     title: str = ""
 
     def __post_init__(self):
-        _freeze_fields(self, ("preconditions", "procedure", "decision_criteria",
-                              "postconditions", "reference_data"))
+        super().__post_init__()
+        if self.kind not in SKILL_KINDS:
+            raise DocumentError(f"Skill kind {self.kind!r} is not one of {SKILL_KINDS}")
 
     def predicates(self) -> list[str]:
         """Every expression this skill can evaluate at runtime."""
@@ -218,48 +272,44 @@ class Skill:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "title": self.title,
-            "preconditions": thaw(self.preconditions),
-            "procedure": [s.to_json() for s in self.procedure],
-            "decision_criteria": [[c, t] for c, t in self.decision_criteria],
-            "postconditions": thaw(self.postconditions),
-            "reference_data": thaw(self.reference_data),
-            "adaptation_target": self.adaptation_target,
-        }
+        return {**super().to_json(), "procedure": [s.to_json() for s in self.procedure]}
 
     @classmethod
     def from_json(cls, d: dict) -> "Skill":
-        _require(d, ("id", "kind"), "skill")
-        return cls(id=d["id"], kind=d["kind"], title=d.get("title", ""),
-                   preconditions=list(d.get("preconditions", [])),
-                   procedure=[step_from_json(s, f"{d['id']}: step {i}")
-                              for i, s in enumerate(d.get("procedure", []))],
-                   decision_criteria=[(c, t) for c, t in d.get("decision_criteria", [])],
-                   postconditions=list(d.get("postconditions", [])),
-                   reference_data=dict(d.get("reference_data", {})),
-                   adaptation_target=d.get("adaptation_target"))
+        """Load a skill holding exactly the keys `to_json` writes."""
+        _require(d, ("id",), "skill")
+        return _load(cls, d, f"skill {d['id']!r}",
+                     procedure=lambda i, step: step_from_json(step, f"{d['id']}: step {i}"))
+
+
+def _safe_range(param: str, d: Any) -> SafeRange:
+    """The documented safe range of `param`: a non-empty value set, or real bounds."""
+    keys = set(d) if type(d) is MappingProxyType else None
+    if keys == {"values"} and type(d["values"]) is tuple and d["values"]:
+        return SafeRange(lo=d["values"][0], hi=d["values"][-1], values=d["values"])
+    if keys == {"lo", "hi"} and type(d["lo"]) in (int, float) and type(d["hi"]) in (int, float):
+        return SafeRange(lo=d["lo"], hi=d["hi"])
+    raise DocumentError(f"safe range of {param!r} is malformed: {thaw(d)!r}")
 
 
 @dataclass(frozen=True)
-class ProceduralDocument(JsonArtifact):
+class ProceduralDocument(_Part, JsonArtifact):
     fingerprint: Mapping[str, str]          # {"space_hash", "campaign_id"}
     root: str
     skills: tuple[Skill, ...]
     workloads: tuple[WorkloadSpec, ...]
     primary_workload: str
     grids: Mapping[str, tuple[Any, ...]]    # per-parameter grid levels
-    safe_ranges: Mapping[str, Mapping]      # per-parameter SafeRange json
-    provenance: Mapping[str, Mapping]       # "skill.key" -> {"campaign", "operation"}
+    safe_ranges: Mapping[str, Any]          # per-parameter SafeRange json
+    provenance: Mapping[str, Any]           # "skill.key" -> {"campaign", "operation"}
     policy: Mapping[str, Any]
     schema_version: int = SCHEMA_VERSION
     load_error = DocumentError
 
     def __post_init__(self):
-        _freeze_fields(self, ("fingerprint", "skills", "workloads", "grids", "safe_ranges",
-                              "provenance", "policy"))
+        super().__post_init__()
+        object.__setattr__(self, "_safe", MappingProxyType(
+            {param: _safe_range(param, d) for param, d in self.safe_ranges.items()}))
 
     def skill(self, skill_id: str) -> Skill:
         for s in self.skills:
@@ -279,28 +329,14 @@ class ProceduralDocument(JsonArtifact):
                 out.append((s.id, s.adaptation_target))
         return sorted(set(out))
 
-    @cached_property
-    def _parsed_safe_ranges(self) -> dict[str, SafeRange]:
-        return {param: SafeRange.from_json(d) for param, d in self.safe_ranges.items() if d}
-
     def safe_range_of(self, param: str) -> SafeRange | None:
-        """The documented safe range of `param`; the document must be valid."""
-        return self._parsed_safe_ranges.get(param)
+        """The documented safe range of `param`, parsed when the document was built."""
+        return self._safe.get(param)
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "fingerprint": thaw(self.fingerprint),
-            "root": self.root,
-            "primary_workload": self.primary_workload,
-            "workloads": [w.to_json() for w in self.workloads],
-            "grids": thaw(self.grids),
-            "safe_ranges": thaw(self.safe_ranges),
-            "policy": thaw(self.policy),
-            "provenance": thaw(self.provenance),
-            "edges": [[a, b] for a, b in self.edges()],
-            "skills": [s.to_json() for s in self.skills],
-        }
+        return {**super().to_json(), "workloads": [w.to_json() for w in self.workloads],
+                "skills": [s.to_json() for s in self.skills],
+                "edges": [[a, b] for a, b in self.edges()]}
 
     def document_hash(self) -> str:
         """First 16 hex digits of the sha256 of the compact sorted-key JSON.
@@ -321,26 +357,16 @@ class ProceduralDocument(JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "ProceduralDocument":
-        """Load a document; any malformed part raises DocumentError."""
-        try:
-            if d.get("schema_version") != SCHEMA_VERSION:
-                raise DocumentError(
-                    f"unsupported document schema_version {d.get('schema_version')!r}")
-            _require(d, ("fingerprint", "root", "skills", "workloads", "primary_workload",
-                         "grids", "safe_ranges"), "document")
-            return cls(
-                fingerprint=dict(d["fingerprint"]),
-                root=d["root"],
-                skills=[Skill.from_json(s) for s in d["skills"]],
-                workloads=[WorkloadSpec.from_json(w) for w in d["workloads"]],
-                primary_workload=d["primary_workload"],
-                grids={k: list(v) for k, v in d["grids"].items()},
-                safe_ranges=dict(d["safe_ranges"]),
-                provenance=dict(d.get("provenance", {})),
-                policy=dict(d.get("policy", {})),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as e:
-            raise DocumentError(f"malformed document: {type(e).__name__}: {e}") from e
+        """Load a document holding exactly the keys `to_json` writes (`edges`,
+        derived from the skills, is not read); any malformed part raises
+        DocumentError."""
+        _require(d, ("schema_version",), "document")
+        if d["schema_version"] != SCHEMA_VERSION:
+            raise DocumentError(f"unsupported document schema_version {d['schema_version']!r}")
+        where = "malformed document"
+        return _load(cls, {key: value for key, value in d.items() if key != "edges"}, where,
+                     skills=lambda i, skill: Skill.from_json(skill),
+                     workloads=lambda i, w: _load(WorkloadSpec, w, f"{where}: workload {i}"))
 
 
 def signal_name(raw: str) -> str:
@@ -744,52 +770,20 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     return doc
 
 
-def _is_real(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _safe_range_ok(d: Any) -> bool:
-    if not isinstance(d, MappingProxyType):
-        return False
-    if "values" in d:
-        return isinstance(d["values"], tuple) and bool(d["values"])
-    return _is_real(d.get("lo")) and _is_real(d.get("hi"))
-
-
-def _type_violations(doc: ProceduralDocument) -> list[str]:
-    """Values of a type that the other checks and the interpreter cannot use."""
-    violations = [f"{key} {value!r} is not a string"
-                  for key, value in (("root", doc.root), ("primary workload", doc.primary_workload))
-                  if not isinstance(value, str)]
-    violations.extend(f"safe range of {param!r} is malformed: {d!r}"
-                      for param, d in doc.safe_ranges.items() if not _safe_range_ok(d))
-    for skill in doc.skills:
-        if not isinstance(skill.id, str):
-            violations.append(f"skill id {skill.id!r} is not a string")
-        targets = [target for _, target in skill.decision_criteria]
-        if skill.adaptation_target is not None:
-            targets.append(skill.adaptation_target)
-        violations.extend(f"{skill.id}: target {target!r} is not a string"
-                          for target in targets if not isinstance(target, str))
-    return violations
-
-
 def validate_document(doc: ProceduralDocument) -> list[str]:
-    """Exhaustive structural validation; returns all violations, not the first.
+    """Exhaustive validation of how a document's parts refer to each other;
+    returns all violations, not the first.
 
-    Checks (a step's fields are checked when it is built): field types (when
-    one is wrong, only the type violations are returned, since every other
-    check relies on them), well-formed safe ranges, unique ids, a unique
-    orchestration skill that is the root, every decision/adaptation target
-    resolves, branch targets forward and in range, the primary and every
-    benchmark workload declared, predicate symbols closed over reference
+    Each part checks its own fields when it is built, so every value here has
+    its declared type and every safe range is well formed. Checks: unique ids,
+    a unique orchestration skill that is the root, every decision/adaptation
+    target resolves, branch targets forward and in range, the primary and
+    every benchmark workload declared, predicate symbols closed over reference
     data plus declared signals, the index signals a `pin_best` step reads
     declared, acyclicity, reachability from the root, and provenance
     completeness for reference data.
     """
-    violations = _type_violations(doc)
-    if violations:
-        return violations
+    violations: list[str] = []
     workload_ids = {w.id for w in doc.workloads}
     if doc.primary_workload not in workload_ids:
         violations.append(f"primary workload {doc.primary_workload!r} is not declared")
@@ -853,26 +847,10 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
     adjacency: dict[str, list[str]] = {s.id: [] for s in doc.skills}
     for a, b in doc.edges():
         adjacency[a].append(b)
-    state: dict[str, int] = {}
-    cycle: list[str] = []
-
-    def visit(node: str, stack: list[str]) -> bool:
-        state[node] = 1
-        stack.append(node)
-        for nxt in adjacency[node]:
-            if state.get(nxt) == 1:
-                cycle.extend(stack[stack.index(nxt):] + [nxt])
-                return True
-            if state.get(nxt, 0) == 0 and visit(nxt, stack):
-                return True
-        stack.pop()
-        state[node] = 2
-        return False
-
-    for skill_id in adjacency:
-        if state.get(skill_id, 0) == 0 and visit(skill_id, []):
-            violations.append("skill graph contains a cycle: " + " -> ".join(cycle))
-            break
+    try:
+        TopologicalSorter(adjacency).prepare()
+    except CycleError as e:  # e.args[1] lists the cycle against the edges' direction
+        violations.append("skill graph contains a cycle: " + " -> ".join(reversed(e.args[1])))
 
     if doc.root in by_id:
         reachable = {doc.root}

@@ -200,7 +200,8 @@ class SessionRunner:
                 raise _Abort(f"{skill.id}: parameter {param!r} has no documented safe range")
             if safe.values is not None:
                 if value not in safe.values:
-                    raise _Abort(f"{skill.id}: {param}={value!r} outside safe set {safe.values}")
+                    raise _Abort(
+                        f"{skill.id}: {param}={value!r} outside safe set {list(safe.values)}")
             elif not (isinstance(value, (int, float))
                       and float(safe.lo) <= float(value) <= float(safe.hi)):
                 raise _Abort(

@@ -58,11 +58,12 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class SafeRange:
-    """Contiguous safe span; numeric domains use (lo, hi), enums a value list."""
+    """Contiguous safe span; numeric domains use (lo, hi), enums a value list
+    (a tuple in a document, which cannot be widened in place)."""
 
     lo: Any
     hi: Any
-    values: list[Any] | None = None
+    values: Sequence[Any] | None = None
 
     def to_json(self) -> dict:
         if self.values is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import yaml
 
@@ -97,16 +97,22 @@ class Domain:
     @classmethod
     def from_json(cls, d: dict) -> "Domain":
         kind = d.get("type")
-        if kind in ("continuous", "integer"):
-            lo, hi = d["lo"], d["hi"]
-            if kind == "integer":
-                lo, hi = int(lo), int(hi)
-            return cls(kind=kind, lo=lo, hi=hi)
+        if kind not in _DOMAIN_KEYS:
+            raise ParameterError(f"unknown domain kind {kind!r}")
+        unread = sorted(set(d) - _DOMAIN_KEYS[kind])
+        if unread:
+            raise ParameterError(f"{kind} domain has unknown key {unread[0]!r}")
         if kind == "enum":
-            return cls(kind="enum", values=tuple(d["values"]))
-        if kind == "boolean":
-            return cls(kind="boolean")
-        raise ParameterError(f"unknown domain kind {kind!r}")
+            return cls(kind="enum", values=tuple(d.get("values", ())))
+        lo, hi = d.get("lo"), d.get("hi")
+        if kind == "integer" and lo is not None and hi is not None:
+            lo, hi = int(lo), int(hi)
+        return cls(kind=kind, lo=lo, hi=hi)
+
+
+# The keys each domain kind reads.
+_DOMAIN_KEYS = {"continuous": {"type", "lo", "hi"}, "integer": {"type", "lo", "hi"},
+                "enum": {"type", "values"}, "boolean": {"type"}}
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,9 @@ class ParameterSpec:
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
             raise ParameterError("parameter name must be a non-empty string")
+        if not isinstance(self.unit, str) or type(self.restart_required) is not bool:
+            raise ParameterError(f"{self.name!r}: unit must be a string and "
+                                 f"restart_required a boolean")
         if self.domain.kind == "integer" and isinstance(self.default, float):
             object.__setattr__(self, "default", int(self.default))
         if not self.domain.contains(self.default):
@@ -146,14 +155,7 @@ class ParameterSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "ParameterSpec":
-        return cls(
-            name=d["name"],
-            domain=Domain.from_json(d["domain"]),
-            default=d["default"],
-            unit=d.get("unit", ""),
-            restart_required=bool(d.get("restart_required", False)),
-            scale=d.get("scale", "linear"),
-        )
+        return cls(**({**d, "domain": Domain.from_json(d["domain"])} if "domain" in d else d))
 
 
 @dataclass(frozen=True)
@@ -269,8 +271,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "WorkloadSpec":
-        return cls(id=d["id"], metric_name=d.get("metric_name", "throughput"),
-                   direction=d.get("direction", "maximize"))
+        return cls(**d)
 
 
 @dataclass
@@ -366,30 +367,31 @@ def snap_to_domain(spec: ParameterSpec, value: float) -> Any:
     raise ParameterError(f"cannot snap into {dom.kind} domain")
 
 
-def _check_schema_version(doc: dict, path: str) -> None:
+def _load_section(path: str, section: str, build: Callable[[dict], Any]) -> Any:
+    """``build`` applied to a declaration file holding ``section``. A missing,
+    unknown or malformed key raises ParameterError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    if not isinstance(doc, dict) or section not in doc:
+        raise ParameterError(f"{path}: no {section!r} section")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ParameterError(f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    try:
+        return build(doc)
+    except (AttributeError, TypeError, ValueError) as e:  # TypeError: a missing or unknown key
+        raise ParameterError(f"{path}: {e}") from None
 
 
 def load_space(path: str) -> ParameterSpace:
     """Read the ``parameters`` section of a space/workload declaration file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict) or "parameters" not in doc:
-        raise ParameterError(f"{path}: no 'parameters' section")
-    _check_schema_version(doc, path)
-    return ParameterSpace.from_json(doc)
+    return _load_section(path, "parameters", ParameterSpace.from_json)
 
 
 def load_workloads(path: str) -> list[WorkloadSpec]:
     """Read the ``workloads`` section of a declaration file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict) or "workloads" not in doc:
-        raise ParameterError(f"{path}: no 'workloads' section")
-    _check_schema_version(doc, path)
-    workloads = [WorkloadSpec.from_json(w) for w in doc["workloads"]]
+    workloads = _load_section(path, "workloads",
+                              lambda doc: [WorkloadSpec.from_json(w) for w in doc["workloads"]])
     ids = [w.id for w in workloads]
     if len(set(ids)) != len(ids):
         raise ParameterError(f"{path}: duplicate workload ids")

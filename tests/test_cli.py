@@ -61,6 +61,17 @@ class TestStageGating:
                      "--campaign", campaign, "--adapter", "ftp:whatever"])
         assert code == 1
 
+    @pytest.mark.parametrize("section, key", [("parameters", "name"), ("workloads", "id")])
+    def test_declaration_missing_a_key_is_usage_error(self, decls, capsys, section, key):
+        with open(decls["space"]) as fh:
+            space_doc = yaml.safe_load(fh)
+        del space_doc[section][0][key]
+        with open(decls["space"], "w") as fh:
+            yaml.safe_dump(space_doc, fh)
+        assert run_cli(decls, str(decls["dir"] / "c4"), "status") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and f"'{key}'" in err
+
 
 class TestFullPipeline:
     def test_end_to_end_and_artifacts(self, decls, capsys):

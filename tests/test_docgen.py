@@ -321,6 +321,16 @@ class TestValidate:
         assert validate_document(self.edited(edit)) == [
             "root: step 2 pins 'q-1' by undeclared signal 'best_q_1_idx'"]
 
+    def test_thousand_skill_chain_validates(self):
+        ids = [f"s{i}" for i in range(1000)]
+        chain = [Skill(id=skill_id, kind="per-parameter", decision_criteria=[("1", after)])
+                 for skill_id, after in zip(ids, ids[1:] + ["end"])]
+
+        def edit(d):
+            d["skills"][0]["decision_criteria"] = [["1", ids[0]]]
+            d["skills"] += [skill.to_json() for skill in chain]
+        assert validate_document(self.edited(edit)) == []
+
     def test_violation_list_is_exhaustive_not_first_failure(self):
         doc = self.edited(lambda d: d["skills"][0].update(
             decision_criteria=[["1", "nowhere"]], postconditions=["ghost >= 1"]))
@@ -367,14 +377,27 @@ def _random_document(rng):
 class TestLoad:
     @pytest.mark.parametrize("path", [
         ("root",), ("skills",), ("workloads",), ("grids",),
-        ("skills", 1, "id"), ("skills", 0, "procedure", 0, "action")],
-        ids=["root", "skills", "workloads", "grids", "skill-id", "step-action"])
+        ("skills", 1, "id"), ("skills", 0, "procedure", 0, "action"), ("policy",),
+        ("skills", 1, "postconditions"), ("workloads", 0, "direction")],
+        ids=["root", "skills", "workloads", "grids", "skill-id", "step-action", "policy",
+             "skill-postconditions", "workload-direction"])
     def test_missing_required_key_is_a_document_error(self, pipeline, path):
         d = json.loads(pipeline["doc"].serialize())
         parent = d
         for key in path[:-1]:
             parent = parent[key]
         del parent[path[-1]]
+        with pytest.raises(DocumentError, match=f"'{path[-1]}'"):
+            ProceduralDocument.from_json(d)
+
+    @pytest.mark.parametrize("path", [("on_error",), ("skills", 1, "retries")],
+                             ids=["document", "skill"])
+    def test_unknown_key_is_a_document_error(self, pipeline, path):
+        d = json.loads(pipeline["doc"].serialize())
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 1
         with pytest.raises(DocumentError, match=f"'{path[-1]}'"):
             ProceduralDocument.from_json(d)
 
@@ -502,6 +525,15 @@ class TestStepFieldCensus:
                 for step in skill["procedure"]:
                     written.update((step["action"], key) for key in step if key != "action")
         assert written == declared
+
+    def test_compiled_documents_write_exactly_the_skill_and_document_fields(
+            self, both_directions):
+        for doc in both_directions:
+            d = json.loads(doc.serialize())
+            # edges is derived from the skills and not read back
+            assert set(d) == {f.name for f in fields(ProceduralDocument)} | {"edges"}
+            for skill in d["skills"]:
+                assert set(skill) == {f.name for f in fields(Skill)}
 
 
 class TestExport:

@@ -24,6 +24,10 @@ from tuneforge.space import Domain, ParameterSpace, ParameterSpec, WorkloadSpec
 DELETE = object()
 
 
+class Rename(str):
+    """A replacement that moves the node at a path to this key."""
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     p = run_small_pipeline(tmp_path_factory.mktemp("campaign"))
@@ -42,6 +46,8 @@ def mutated(d, path, value):
         parent = parent[key]
     if value is DELETE:
         del parent[path[-1]]
+    elif isinstance(value, Rename):
+        parent[value] = parent.pop(path[-1])
     else:
         parent[path[-1]] = value
     return out
@@ -90,15 +96,18 @@ LOAD_CASES = {
     "workload-id-on-compute": (("skills", 1, "procedure", 3, "workload_id"), "w9"),
     "repetitions-on-compute": (("skills", 1, "procedure", 3, "repetitions"), "x"),
     "expr-on-benchmark": (("skills", 1, "procedure", 1, "expr"), "ghost + 1"),
-}
-
-VALIDATION_CASES = {
-    "undeclared-primary-workload": (("primary_workload",), "w9"),
     "safe-range-int": (("safe_ranges", "pc"), 5),
     "safe-range-lo-str": (("safe_ranges", "pc", "lo"), "a"),
     "safe-range-no-values": (("safe_ranges", "pc"), {"values": []}),
     "skill-id-number": (("skills", 1, "id"), 1.5),
     "criterion-target-list": (("skills", 0, "decision_criteria", 0, 1), [1]),
+    "postconditions-renamed": (("skills", 1, "postconditions"), Rename("postcondition")),
+    "policy-renamed": (("policy",), Rename("polcy")),
+    "skill-kind-unknown": (("skills", 1, "kind"), "per-widget"),
+}
+
+VALIDATION_CASES = {
+    "undeclared-primary-workload": (("primary_workload",), "w9"),
 }
 
 
@@ -175,7 +184,9 @@ def test_removed_expression_form_is_refused_before_any_benchmark(pipeline, monke
     assert calls == []
 
 
-def test_enum_value_against_a_numeric_safe_range_aborts():
+def mode_b_session(safe_range):
+    """A document benchmarking the enum parameter `mode` at "b", its safe
+    range, and a simulator adapter to run it on."""
     space = ParameterSpace((ParameterSpec(name="mode", domain=Domain("enum", values=("a", "b")),
                                           default="a"),))
     orch = Skill(id="root", kind="orchestration", decision_criteria=[("1", "end")],
@@ -184,11 +195,26 @@ def test_enum_value_against_a_numeric_safe_range_aborts():
     doc = ProceduralDocument(
         fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root", skills=[orch],
         workloads=[WorkloadSpec(id="w0")], primary_workload="w0", grids={},
-        safe_ranges={"mode": {"lo": 0, "hi": 1}}, provenance={}, policy={})
-    adapter = SimulatorAdapter(space, SimulatorModel(base_rate=100.0))
+        safe_ranges={"mode": safe_range}, provenance={}, policy={})
+    return doc, SimulatorAdapter(space, SimulatorModel(base_rate=100.0))
+
+
+def test_enum_value_against_a_numeric_safe_range_aborts():
+    doc, adapter = mode_b_session({"lo": 0, "hi": 1})
     session = run_session(doc, adapter, budget=5, seed=0)
     assert session.status == "aborted"
     assert session.diagnostic == "root: mode='b' outside safe range [0, 1]"
+
+
+def test_safe_set_cannot_be_widened_in_place():
+    doc, adapter = mode_b_session({"values": ["a"]})
+    with pytest.raises(AttributeError):
+        doc.safe_range_of("mode").values.append("b")
+    with pytest.raises(AttributeError):
+        doc.safe_range_of("mode").values = ["a", "b"]
+    session = run_session(doc, adapter, budget=5, seed=0)
+    assert session.status == "aborted"
+    assert session.diagnostic == "root: mode='b' outside safe set ['a']"
 
 
 def _paths(node, prefix=()):

@@ -1,6 +1,7 @@
 """Parameter space, configuration validation, and level grids."""
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,6 +173,35 @@ class TestSerialization:
         path.write_text("schema_version: 99\nparameters: []\n")
         with pytest.raises(ParameterError):
             load_space(str(path))
+
+
+CONTINUOUS = {"type": "continuous", "lo": 1.0, "hi": 10.0}
+
+# Declaration entries that once loaded with a wrong meaning or crashed with a
+# traceback, each with the key or value a ParameterError must name.
+DECLARATION_PROBES = {
+    "workload-key-misspelled": ("workloads", {"id": "w0", "directon": "minimize"}, "directon"),
+    "workload-without-id": ("workloads", {"metric_name": "latency"}, "id"),
+    "parameter-key-misspelled": ("parameters", {"name": "p", "domain": CONTINUOUS, "default": 1.0,
+                                                "scael": "log"}, "scael"),
+    "parameter-without-name": ("parameters", {"domain": CONTINUOUS, "default": 1.0}, "name"),
+    "domain-key-of-another-kind": ("parameters", {"name": "p", "default": 1.0,
+                                                  "domain": {**CONTINUOUS, "values": [1.0]}},
+                                   "values"),
+    "integer-bound-not-a-number": ("parameters", {"name": "p", "default": 1, "domain": {
+        "type": "integer", "lo": "abc", "hi": 10}}, "abc"),
+}
+
+
+class TestMalformedDeclaration:
+    @pytest.mark.parametrize("section, entry, named", DECLARATION_PROBES.values(),
+                             ids=DECLARATION_PROBES.keys())
+    def test_malformed_declaration_is_a_parameter_error(self, tmp_path, section, entry, named):
+        path = tmp_path / "space.yaml"
+        path.write_text(yaml.safe_dump({"schema_version": 1, section: [entry]}))
+        load = load_space if section == "parameters" else load_workloads
+        with pytest.raises(ParameterError, match=f"'{named}'"):
+            load(str(path))
 
 
 class TestConfiguration:
