@@ -13,7 +13,7 @@ interaction stage screens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Sequence
 
 from .errors import AnalysisError, ParameterError
@@ -105,6 +105,13 @@ class SensitivityProfile:
 
     @classmethod
     def from_json(cls, d: dict) -> "SensitivityProfile":
+        """The profile ``to_json`` wrote: every field's key and no other, or
+        AnalysisError, so that a misspelled key cannot take a default."""
+        keys = {f.name for f in fields(cls)}
+        got = set(d) if type(d) is dict else set()
+        if got != keys:
+            raise AnalysisError(f"sensitivity profile: missing keys {sorted(keys - got)}, "
+                                f"unknown keys {sorted(got - keys)}")
         return cls(
             parameter=d["parameter"],
             cv_per_workload=dict(d["cv_per_workload"]),
@@ -113,8 +120,8 @@ class SensitivityProfile:
             safe_range=SafeRange.from_json(d["safe_range"]),
             rank=int(d["rank"]),
             selected=bool(d["selected"]),
-            best_level=dict(d.get("best_level", {})),
-            warnings=list(d.get("warnings", [])),
+            best_level=dict(d["best_level"]),
+            warnings=list(d["warnings"]),
         )
 
 

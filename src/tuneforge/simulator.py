@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
 
-import numpy as np
 import yaml
 
 from .errors import CrashError, ParameterError
+from .harness import splitmix64
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
 SHAPES = ("linear-up", "linear-down", "quadratic-peak", "step", "flat")
@@ -280,11 +280,32 @@ class SimulatorModel:
             return cls.from_json(yaml.safe_load(fh))
 
 
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's stream increment
+_TWO_PI = 2.0 * math.pi
+
+
+def standard_normal(seed: int) -> float:
+    """The N(0, 1) draw z of the noise contract (see ``SimulatorAdapter``)."""
+    u1 = ((splitmix64(seed) >> 11) + 1) * 2.0 ** -53
+    u2 = (splitmix64(seed + _GAMMA) >> 11) * 2.0 ** -53  # splitmix64 reduces mod 2^64
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+
+
 class SimulatorAdapter:
     """Harness adapter around a SimulatorModel.
 
-    The metric for a fixed (config, workload, seed) is bit-identical across
-    calls: the noise draw comes from a generator seeded with the run seed.
+    Noise contract: with ``sigma > 0`` the metric of run seed ``s`` is
+    ``truth * exp(sigma * z)``, where z is one Box-Muller draw from the first
+    two outputs of a splitmix64 stream started at ``s``:
+
+        a = splitmix64(s), b = splitmix64(s + 0x9E3779B97F4A7C15)  (mod 2^64)
+        u1 = ((a >> 11) + 1) / 2^53  in (0, 1]
+        u2 = (b >> 11) / 2^53        in [0, 1)
+        z  = sqrt(-2 ln u1) * cos(2 pi u2)
+
+    The draw is pure Python and depends on the seed alone, so a fixed
+    (config, workload, seed) gives a bit-identical metric on every call, in
+    any order and at any parallelism. With ``sigma == 0`` no draw is made.
     """
 
     def __init__(self, space: ParameterSpace, model: SimulatorModel):
@@ -296,5 +317,5 @@ class SimulatorAdapter:
         truth = self.model.true_metric(self.space, config, workload.id)
         if self.model.sigma == 0.0:
             return truth
-        rng = np.random.Generator(np.random.PCG64(seed))
-        return truth * float(np.exp(self.model.sigma * rng.standard_normal()))
+        return truth * math.exp(self.model.sigma * standard_normal(seed))
+

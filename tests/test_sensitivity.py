@@ -1,5 +1,7 @@
 """Sweep planning, CV computation, shape classification, safe ranges, top-k."""
 
+import json
+
 import pytest
 
 from helpers import cv_oracle, one_workload, unit_space
@@ -421,3 +423,20 @@ class TestReport:
         from tuneforge.sensitivity import SensitivityReport
         loaded = SensitivityReport.load(str(path))
         assert loaded.to_json() == report.to_json()
+
+    @pytest.mark.parametrize("key,renamed", [("best_level", "bestlevel"),
+                                             ("warnings", "warning")])
+    def test_renamed_profile_key_fails_the_load(self, tmp_path, key, renamed):
+        # A misspelled key must not load as the field's default (best level {}).
+        space = unit_space(["p"])
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, responses={"p": Response(shape="linear-up", strength=0.4)}))
+        plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=1)
+        data = analyze_sensitivity(run_plan(adapter, plan, seed=0), space, one_workload(),
+                                   3).to_json()
+        profile = data["profiles"][0]
+        profile[renamed] = profile.pop(key)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(AnalysisError, match=f"missing keys \\['{key}'\\]"):
+            SensitivityReport.load(str(path))

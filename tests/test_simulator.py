@@ -1,16 +1,22 @@
 """Planted-model semantics: shapes, couplings, crash regions, overrides."""
 
 import dataclasses
+import math
+import os
 import random
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from helpers import one_workload, reference_true_metric, unit_space
+from helpers import SMALL_NAMES, one_workload, reference_true_metric, small_model, unit_space
+from tuneforge.campaign import (DOCUMENT_FILE, INTERACTION_REPORT, OPTIMA_REPORT,
+                                SENSITIVITY_REPORT, Campaign)
 from tuneforge.errors import CrashError, ParameterError
+from tuneforge.harness import mix_seed
 from tuneforge.simulator import (SHAPES, Coupling, CrashRegion, Response, SimulatorAdapter,
-                                 SimulatorModel)
+                                 SimulatorModel, standard_normal)
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec
 
 
@@ -99,6 +105,126 @@ class TestModel:
             SimulatorModel(base_rate=1.0, sigma=-0.1)
         with pytest.raises(ParameterError):
             Coupling("a", "b", -1.0)
+
+
+# ---------------------------------------------------------------------------
+# The noise contract: metric = truth * exp(sigma * z), z one Box-Muller draw
+# from the first two outputs of a splitmix64 stream started at the run seed.
+# ---------------------------------------------------------------------------
+
+def reference_z(seed):
+    """z written out from the contract, independently of the library."""
+    mask = (1 << 64) - 1
+    state, out = seed & mask, []
+    for _ in range(2):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    u1 = ((out[0] >> 11) + 1) / 2.0 ** 53
+    u2 = (out[1] >> 11) / 2.0 ** 53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def moments(xs):
+    n = len(xs)
+    mean = sum(xs) / n
+    m2 = sum((x - mean) ** 2 for x in xs) / n
+    m3 = sum((x - mean) ** 3 for x in xs) / n
+    m4 = sum((x - mean) ** 4 for x in xs) / n
+    return mean, m2, m3 / m2 ** 1.5, m4 / m2 ** 2 - 3.0
+
+
+class TestNoiseContract:
+    CONFIGS = 25_000
+    REPETITIONS = 4
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        """z for 1e5 run seeds: 25k configurations, 4 repetitions each."""
+        return [[standard_normal(mix_seed(1, Configuration({"a": i / self.CONFIGS}), "w0", r))
+                 for r in range(self.REPETITIONS)] for i in range(self.CONFIGS)]
+
+    def test_z_has_standard_normal_moments(self, draws):
+        # Standard errors at n = 1e5: mean 0.0032, variance 0.0045, skew 0.0077,
+        # excess kurtosis 0.0155. Each tolerance is more than six of them.
+        mean, variance, skew, kurtosis = moments([z for row in draws for z in row])
+        assert abs(mean) < 0.02
+        assert abs(variance - 1.0) < 0.03
+        assert abs(skew) < 0.05
+        assert abs(kurtosis) < 0.1
+
+    def test_z_is_uncorrelated_across_adjacent_repetitions(self, draws):
+        # 75k adjacent pairs: the correlation's standard error is 0.0037.
+        pairs = [(row[r], row[r + 1]) for row in draws for r in range(self.REPETITIONS - 1)]
+        xs, ys = zip(*pairs)
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        cov = sum((x - mx) * (y - my) for x, y in pairs)
+        var_x = sum((x - mx) ** 2 for x in xs)
+        var_y = sum((y - my) ** 2 for y in ys)
+        assert abs(cov / math.sqrt(var_x * var_y)) < 0.02
+
+    def test_draw_is_the_written_contract(self):
+        rng = random.Random(18)
+        for seed in [0, 1, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(1000)]:
+            assert standard_normal(seed).hex() == reference_z(seed).hex()
+
+    def test_pinned_values(self):
+        # Changing the draw changes every simulated artifact; these values say so.
+        assert standard_normal(0).hex() == "-0x1.cf9fb99cfab8fp-2"
+        space = unit_space(["a", "b"])
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=1000.0, sigma=0.05, responses={"a": Response(shape="linear-up",
+                                                                   strength=0.2)}))
+        config = Configuration({"a": 0.5})
+        seed = mix_seed(7, config, "w0", 1)
+        assert seed == 12662785167615766392
+        got = adapter.measure(config, one_workload()[0], seed)
+        assert got.hex() == "0x1.0f4c38dce9ff5p+10"
+        assert got == 1100.0 * math.exp(0.05 * reference_z(seed))
+
+    def test_same_run_gives_a_bit_identical_metric(self):
+        space = unit_space(SMALL_NAMES)
+        adapter = SimulatorAdapter(space, small_model(sigma=0.05))
+        w = one_workload()[0]
+        rng = random.Random(3)
+        for _ in range(200):
+            config = Configuration({n: rng.random() for n in rng.sample(SMALL_NAMES, 3)})
+            seed = rng.getrandbits(64)
+            first = adapter.measure(config, w, seed).hex()
+            assert SimulatorAdapter(space, small_model(sigma=0.05)).measure(
+                config, w, seed).hex() == first
+            assert adapter.measure(config, w, seed).hex() == first
+
+    def test_campaign_artifacts_equal_at_parallelism_1_and_8(self, tmp_path):
+        space = unit_space(SMALL_NAMES)
+        workloads = one_workload()
+        artifacts = []
+        for parallelism in (1, 8):
+            adapter = SimulatorAdapter(space, small_model())
+            campaign = Campaign(str(tmp_path / f"p{parallelism}"), space, workloads, seed=42)
+            campaign.profile(adapter, levels_per_param=5, repetitions=3, tau_s=0.05,
+                             parallelism=parallelism)
+            campaign.screen(adapter, parallelism=parallelism)
+            campaign.joint(adapter, repetitions=3, parallelism=parallelism)
+            campaign.compile()
+            contents = {}
+            for name in (SENSITIVITY_REPORT, INTERACTION_REPORT, OPTIMA_REPORT, DOCUMENT_FILE):
+                with open(campaign.path(name), "rb") as fh:
+                    contents[name] = fh.read()
+            artifacts.append(contents)
+        assert artifacts[0] == artifacts[1]
+
+
+class TestRuntimeDependencies:
+    def test_importing_tuneforge_does_not_import_numpy(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, tuneforge; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
