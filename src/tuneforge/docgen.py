@@ -1,9 +1,9 @@
 """Compilation of profiling artifacts into an executable procedural document.
 
 The document is a DAG of skills. Each skill carries preconditions, an ordered
-procedure of steps (benchmark / compute / branch),
-decision criteria routing to the next skill, postconditions, and the
-reference data that anchors its decisions. The compiler emits:
+procedure of steps (benchmark / compute / branch), the next skill (`next`, a
+skill id or `end`), postconditions, and the reference data that anchors its
+decisions. The compiler emits:
 
 * one per-parameter skill per selected parameter, re-measuring it at the two
   safe-range extremes and checking the documented CV and response direction;
@@ -49,14 +49,14 @@ from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Mapping
 
 from . import expr as expr_mod
-from .errors import CompileError, DocumentError, ParameterError
+from .errors import AnalysisError, CompileError, DocumentError, ParameterError
 from .interaction import ETA2_MIN, GRID_LEVELS, InteractionReport, stage_b_levels
 from .jsonfile import JsonArtifact
 from .sensitivity import SafeRange, SensitivityReport
 from .space import ParameterSpace, WorkloadSpec, closest_index
 from .topology import CorrelationGraph, JointOptimum, rejection_reason
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 KIND_PER_PARAMETER = "per-parameter"
 KIND_PER_COMPONENT = "per-component"
@@ -117,8 +117,6 @@ _FIELD_TESTS: dict[str, Callable[[Any], bool]] = {
     "bool": lambda value: type(value) is bool,
     "str | None": lambda value: value is None or type(value) is str,
     "tuple[str, ...]": lambda value: _tuple_of(value, str),
-    "tuple[tuple[str, str], ...]": lambda value: _tuple_of(value, tuple) and all(
-        len(pair) == 2 and _tuple_of(pair, str) for pair in value),
     "tuple[_Step, ...]": lambda value: _tuple_of(value, _Step),
     "tuple[Skill, ...]": lambda value: _tuple_of(value, Skill),
     "tuple[WorkloadSpec, ...]": lambda value: _tuple_of(value, WorkloadSpec),
@@ -247,9 +245,9 @@ SKILL_KINDS = (KIND_PER_PARAMETER, KIND_PER_COMPONENT, KIND_ORCHESTRATION)
 class Skill(_Part):
     id: str
     kind: str
+    next: str                    # the skill that follows: an id or TARGET_END
     preconditions: tuple[str, ...] = ()
     procedure: tuple[_Step, ...] = ()
-    decision_criteria: tuple[tuple[str, str], ...] = ()
     postconditions: tuple[str, ...] = ()
     reference_data: Mapping[str, Any] = field(default_factory=dict)
     adaptation_target: str | None = None
@@ -263,7 +261,6 @@ class Skill(_Part):
     def predicates(self) -> list[str]:
         """Every expression this skill can evaluate at runtime."""
         out = list(self.preconditions) + list(self.postconditions)
-        out.extend(cond for cond, _ in self.decision_criteria)
         for step in self.procedure:
             if isinstance(step, BranchStep):
                 out.append(step.cond)
@@ -284,12 +281,10 @@ class Skill(_Part):
 
 def _safe_range(param: str, d: Any) -> SafeRange:
     """The documented safe range of `param`: a non-empty value set, or real bounds."""
-    keys = set(d) if type(d) is MappingProxyType else None
-    if keys == {"values"} and type(d["values"]) is tuple and d["values"]:
-        return SafeRange(lo=d["values"][0], hi=d["values"][-1], values=d["values"])
-    if keys == {"lo", "hi"} and type(d["lo"]) in (int, float) and type(d["hi"]) in (int, float):
-        return SafeRange(lo=d["lo"], hi=d["hi"])
-    raise DocumentError(f"safe range of {param!r} is malformed: {thaw(d)!r}")
+    try:
+        return SafeRange.from_json(d)
+    except AnalysisError:
+        raise DocumentError(f"safe range of {param!r} is malformed: {thaw(d)!r}") from None
 
 
 @dataclass(frozen=True)
@@ -318,16 +313,10 @@ class ProceduralDocument(_Part, JsonArtifact):
         raise DocumentError(f"no skill with id {skill_id!r}")
 
     def edges(self) -> list[tuple[str, str]]:
-        """DAG adjacency derived from decision criteria and adaptation edges."""
+        """DAG adjacency derived from `next` and adaptation edges."""
         ids = {s.id for s in self.skills}
-        out = []
-        for s in self.skills:
-            for _, target in s.decision_criteria:
-                if target in ids:
-                    out.append((s.id, target))
-            if s.adaptation_target in ids:
-                out.append((s.id, s.adaptation_target))
-        return sorted(set(out))
+        return sorted({(s.id, target) for s in self.skills
+                       for target in (s.next, s.adaptation_target) if target in ids})
 
     def safe_range_of(self, param: str) -> SafeRange | None:
         """The documented safe range of `param`, parsed when the document was built."""
@@ -508,7 +497,6 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
     orch.add(ComputeStep(expr="1", out="baseline_done"))
     labels["skip_baseline"] = orch.here()
 
-    first_target = chain[0] if chain else TARGET_END
     orchestration = Skill(
         id="orchestrate",
         kind=KIND_ORCHESTRATION,
@@ -517,7 +505,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         # failing the precondition aborts immediately with a named diagnostic.
         preconditions=[f"top_k_count >= {MIN_TOP_K}"],
         procedure=orch.resolve(labels),
-        decision_criteria=[("1", first_target)],
+        next=chain[0],
         postconditions=[f"pass_count >= 1 and abs(pass_gain) <= {CONVERGENCE_RATIO}"],
         reference_data={
             "top_k_count": len(top_names),
@@ -592,7 +580,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
             title=f"Verify documented sensitivity of {name}",
             preconditions=["baseline_done >= 1"],
             procedure=steps,
-            decision_criteria=[("1", next_of[verify_id])],
+            next=next_of[verify_id],
             postconditions=[f"{s}_verify_ok >= 1"],
             reference_data=ref,
             adaptation_target=resweep_id,
@@ -625,7 +613,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
             id=resweep_id, kind=KIND_PER_PARAMETER,
             title=f"Re-sweep {name} after a failed verification",
             procedure=rs,
-            decision_criteria=[("1", next_of[verify_id])],
+            next=next_of[verify_id],
             postconditions=[f"{s}_verify_ok >= 1"],
             reference_data={"rank": prof.rank},
         )
@@ -702,7 +690,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
             title=f"Jointly optimize {{{', '.join(members)}}}",
             preconditions=[f"verify_done_{sig(m)} >= 1" for m in members],
             procedure=proc.resolve(labels2),
-            decision_criteria=[("1", next_of[cid])],
+            next=next_of[cid],
             postconditions=[f"done_{cid} >= 1"],
             reference_data=ref,
         )
@@ -744,7 +732,7 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         title="Assemble and verify the candidate configuration",
         preconditions=[f"verify_done_{sig(n)} >= 1" for n in top_names] or ["baseline_done >= 1"],
         procedure=cand.resolve(cand_labels),
-        decision_criteria=[("1", TARGET_END)],
+        next=TARGET_END,
         postconditions=["crosscheck_done >= 1"] + cross_post,
         reference_data={"cross_floor": CROSS_WORKLOAD_FLOOR},
     )
@@ -776,12 +764,13 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
 
     Each part checks its own fields when it is built, so every value here has
     its declared type and every safe range is well formed. Checks: unique ids,
-    a unique orchestration skill that is the root, every decision/adaptation
-    target resolves, branch targets forward and in range, the primary and
-    every benchmark workload declared, predicate symbols closed over reference
-    data plus declared signals, the index signals a `pin_best` step reads
-    declared, acyclicity, reachability from the root, and provenance
-    completeness for reference data.
+    a unique orchestration skill that is the root, every `next` and
+    adaptation target resolves, branch targets forward and in range, the
+    primary and every benchmark workload declared, predicate symbols closed
+    over reference data plus declared signals, a reference datum that an
+    expression reads and no step declares is a number (a bool is not), the
+    index signals a `pin_best` step reads declared, acyclicity, reachability
+    from the root, and provenance completeness for reference data.
     """
     violations: list[str] = []
     workload_ids = {w.id for w in doc.workloads}
@@ -817,9 +806,8 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
     undeclared_pins = {p: best_index_signal(p) for p in doc.grids
                        if best_index_signal(p) not in declared}
     for skill in doc.skills:
-        for _, target in skill.decision_criteria:
-            if target != TARGET_END and target not in by_id:
-                violations.append(f"{skill.id}: unresolved skill id {target!r}")
+        if skill.next != TARGET_END and skill.next not in by_id:
+            violations.append(f"{skill.id}: unresolved skill id {skill.next!r}")
         if skill.adaptation_target is not None and skill.adaptation_target not in by_id:
             violations.append(
                 f"{skill.id}: unresolved adaptation target {skill.adaptation_target!r}")
@@ -834,11 +822,15 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
             except Exception as e:
                 violations.append(f"{skill.id}: unparseable predicate {text!r}: {e}")
                 continue
-            for symbol in sorted(parsed.symbols()):
-                if symbol not in skill.reference_data and symbol not in declared:
+            for symbol in sorted(parsed.symbols() - declared):
+                if symbol not in skill.reference_data:
                     violations.append(
                         f"{skill.id}: predicate {text!r} references unresolvable "
                         f"symbol {symbol!r}")
+                elif type(skill.reference_data[symbol]) not in (int, float):
+                    violations.append(
+                        f"{skill.id}: predicate {text!r} reads reference datum {symbol!r}, "
+                        f"which is not a number: {thaw(skill.reference_data[symbol])!r}")
         for key in skill.reference_data:
             if f"{skill.id}.{key}" not in doc.provenance:
                 violations.append(f"{skill.id}: reference datum {key!r} has no provenance")
@@ -968,8 +960,7 @@ def render_text(doc: ProceduralDocument) -> str:
         lines.append(f"  steps: {len(skill.procedure)}")
         if skill.postconditions:
             lines.append("  ensures: " + "; ".join(skill.postconditions))
-        for cond, target in skill.decision_criteria:
-            lines.append(f"  when {cond} -> {target}")
+        lines.append(f"  then -> {skill.next}")
         if skill.adaptation_target:
             lines.append(f"  on violation -> {skill.adaptation_target}")
     return "\n".join(lines) + "\n"

@@ -1,16 +1,16 @@
 """Deterministic interpreter for procedural tuning documents.
 
 A session walks the skill DAG from the orchestration root in repeated passes:
-steps execute in order, branches jump within a skill, decision criteria pick
-the next skill (first matching condition wins), and postcondition violations
-route through the skill's declared adaptation edge or abort. The root skill's
+steps execute in order, branches jump within a skill, each skill names the
+skill that follows it (`next`), and postcondition violations route through
+the skill's declared adaptation edge or abort. The root skill's
 postconditions are the convergence criteria, evaluated at the end of each
 pass. Every predicate evaluation is recorded with the symbol values it used,
 so a trace can be replayed and checked offline.
 
 The interpreter resolves everything from the document itself. The
-``step_resolver`` hook lets an external agent override decision-criteria
-routing; the shipped default is pure first-match.
+``step_resolver`` hook lets an external agent override a skill's `next`;
+without it, or when it returns None, the session follows `next`.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ class SessionRunner:
             self.incumbent = (config, metric)
 
     def _run_skill(self, skill: Skill) -> str:
-        """Execute one skill; returns the chosen decision target."""
+        """Execute one skill; returns the skill to run next, or TARGET_END."""
         preds = []
         for text in skill.preconditions:
             verdict, record = self._eval_predicate(text, skill)
@@ -297,24 +297,13 @@ class SessionRunner:
                 raise _Abort(f"{skill.id}: postcondition violated with no adaptation edge: "
                              + "; ".join(failed))
 
-        resolved = None
         if self.step_resolver is not None:
             resolved = self.step_resolver(skill, dict(self.session.signals))
-        if resolved is not None:
-            self._event(skill.id, "decision", outputs={"target": resolved, "resolver": True})
-            return resolved
-        preds = []
-        for cond, target in skill.decision_criteria:
-            verdict, record = self._eval_predicate(cond, skill)
-            preds.append(record)
-            if verdict:
-                self._event(skill.id, "decision", outputs={"target": target}, predicates=preds)
-                return target
-        if not skill.decision_criteria:
-            self._event(skill.id, "decision", outputs={"target": TARGET_END}, predicates=[])
-            return TARGET_END
-        self._event(skill.id, "decision", outputs={"target": None}, predicates=preds)
-        raise _Abort(f"{skill.id}: no decision criterion matched")
+            if resolved is not None:
+                self._event(skill.id, "decision", outputs={"target": resolved, "resolver": True})
+                return resolved
+        self._event(skill.id, "decision", outputs={"target": skill.next})
+        return skill.next
 
     # -- session loop ----------------------------------------------------
 

@@ -18,13 +18,13 @@ confirms. The campaign only plans the runs and reads each table back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, CampaignStore, PlanEntry
-from .jsonfile import JsonArtifact
+from .jsonfile import JsonArtifact, check_keys
 from .sensitivity import SafeRange, SensitivityReport
 from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, snap_to_domain
 from .stats import benjamini_hochberg, f_upper_tail_p
@@ -153,18 +153,22 @@ class InteractionRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "InteractionRecord":
+        """The record ``to_json`` wrote: every field's key and no other, where
+        only `decomposition` may be absent, or AnalysisError."""
+        check_keys(d, {f.name for f in fields(cls)}, "interaction record",
+                   optional=frozenset({"decomposition"}))
         decomp = d.get("decomposition")
         return cls(
             pair=(d["pair"][0], d["pair"][1]),
             workload_id=d["workload_id"],
             stage_a_int_pct=d["stage_a_int_pct"],
             stage_a_verdict=d["stage_a_verdict"],
-            eta_squared=d.get("eta_squared"),
-            partial_eta_squared=d.get("partial_eta_squared"),
-            p_value=d.get("p_value"),
-            q_value=d.get("q_value"),
-            confirmed=bool(d.get("confirmed", False)),
-            unsafe_to_screen=bool(d.get("unsafe_to_screen", False)),
+            eta_squared=d["eta_squared"],
+            partial_eta_squared=d["partial_eta_squared"],
+            p_value=d["p_value"],
+            q_value=d["q_value"],
+            confirmed=bool(d["confirmed"]),
+            unsafe_to_screen=bool(d["unsafe_to_screen"]),
             decomposition=AnovaDecomposition.from_json(decomp) if decomp else None,
         )
 

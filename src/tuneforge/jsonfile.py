@@ -21,6 +21,17 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def check_keys(d: Any, keys: set[str], what: str, optional: frozenset[str] = frozenset()) -> None:
+    """Raise AnalysisError unless ``d`` is an object holding exactly ``keys``,
+    of which only those in ``optional`` may be absent, so that a misspelled key
+    cannot load as a default."""
+    got = set(d) if type(d) is dict else set()
+    missing, unknown = keys - optional - got, got - keys
+    if missing or unknown:
+        raise AnalysisError(f"{what}: missing keys {sorted(missing)}, "
+                            f"unknown keys {sorted(unknown)}")
+
+
 def write_text(path: str, text: str) -> None:
     """Replace ``path`` with ``text``.
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT, Measurement, PlanEntry
-from .jsonfile import JsonArtifact
+from .jsonfile import JsonArtifact, check_keys
 from .space import (Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, closest_index,
                     level_grid)
 
@@ -71,11 +71,16 @@ class SafeRange:
         return {"lo": self.lo, "hi": self.hi}
 
     @classmethod
-    def from_json(cls, d: dict) -> "SafeRange":
-        if "values" in d:
-            vals = list(d["values"])
+    def from_json(cls, d: Mapping) -> "SafeRange":
+        """A non-empty value set (kept as given, so a document's tuple stays
+        read-only), or real bounds; any other shape raises AnalysisError."""
+        keys = set(d) if isinstance(d, Mapping) else None
+        if keys == {"values"} and type(d["values"]) in (list, tuple) and d["values"]:
+            vals = d["values"]
             return cls(lo=vals[0], hi=vals[-1], values=vals)
-        return cls(lo=d["lo"], hi=d["hi"])
+        if keys == {"lo", "hi"} and type(d["lo"]) in (int, float) and type(d["hi"]) in (int, float):
+            return cls(lo=d["lo"], hi=d["hi"])
+        raise AnalysisError(f"safe range is malformed: {d!r}")
 
 
 @dataclass
@@ -107,11 +112,7 @@ class SensitivityProfile:
     def from_json(cls, d: dict) -> "SensitivityProfile":
         """The profile ``to_json`` wrote: every field's key and no other, or
         AnalysisError, so that a misspelled key cannot take a default."""
-        keys = {f.name for f in fields(cls)}
-        got = set(d) if type(d) is dict else set()
-        if got != keys:
-            raise AnalysisError(f"sensitivity profile: missing keys {sorted(keys - got)}, "
-                                f"unknown keys {sorted(got - keys)}")
+        check_keys(d, {f.name for f in fields(cls)}, "sensitivity profile")
         return cls(
             parameter=d["parameter"],
             cv_per_workload=dict(d["cv_per_workload"]),

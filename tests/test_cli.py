@@ -193,6 +193,44 @@ class TestFullPipeline:
         assert "Traceback" not in err
         assert err.startswith("analysis error: ") and "'fast'" in err
 
+    def test_tune_on_postcondition_reading_a_string_exits_before_any_benchmark(
+            self, decls, capsys, monkeypatch):
+        campaign = str(decls["dir"] / "string_datum")
+        for cmd in (["profile"], ["screen"], ["joint"], ["compile"]):
+            assert run_cli(decls, campaign, *cmd) == 0
+        path = os.path.join(campaign, DOCUMENT_FILE)
+        with open(path) as fh:
+            doc = json.load(fh)
+        next(s for s in doc["skills"] if "shape" in s["reference_data"])[
+            "postconditions"].append("shape >= 1")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        calls = []
+        monkeypatch.setattr("tuneforge.simulator.SimulatorAdapter.measure",
+                            lambda *args: calls.append(args))
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "tune") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("analysis error: document rejected: ")
+        assert "reads reference datum 'shape', which is not a number" in err
+        assert calls == []
+
+    def test_screen_on_empty_safe_set_exits_with_analysis_code(self, decls, capsys):
+        campaign = str(decls["dir"] / "empty_safe_set")
+        assert run_cli(decls, campaign, "profile") == 0
+        path = os.path.join(campaign, SENSITIVITY_REPORT)
+        with open(path) as fh:
+            report = json.load(fh)
+        report["profiles"][0]["safe_range"] = {"values": []}
+        with open(path, "w") as fh:
+            json.dump(report, fh)
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "screen") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == "analysis error: safe range is malformed: {'values': []}\n"
+
     @pytest.mark.parametrize("command", ["tune", "export"])
     def test_truncated_document_exits_with_analysis_code(self, decls, capsys, command):
         campaign = str(decls["dir"] / f"truncated_{command}")

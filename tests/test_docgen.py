@@ -236,7 +236,7 @@ class TestValidate:
         w = WorkloadSpec(id="w0")
         orch = Skill(id="root", kind="orchestration",
                      procedure=[ComputeStep(expr="1", out="done")],
-                     decision_criteria=[("1", "end")],
+                     next="end",
                      postconditions=["done >= 1"])
         return ProceduralDocument(
             fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
@@ -250,7 +250,7 @@ class TestValidate:
         return edit_document(self.minimal_doc(), edit)
 
     def test_branch_to_missing_skill(self):
-        doc = self.edited(lambda d: d["skills"][0].update(decision_criteria=[["1", "nowhere"]]))
+        doc = self.edited(lambda d: d["skills"][0].update(next="nowhere"))
         violations = validate_document(doc)
         assert any("unresolved skill id 'nowhere'" in v for v in violations)
 
@@ -266,23 +266,23 @@ class TestValidate:
         assert any("out of range" in v for v in violations)
 
     def test_cycle_detected_and_reported(self):
-        a = Skill(id="a", kind="per-parameter", decision_criteria=[("1", "b")])
-        b = Skill(id="b", kind="per-parameter", decision_criteria=[("1", "a")])
+        a = Skill(id="a", kind="per-parameter", next="b")
+        b = Skill(id="b", kind="per-parameter", next="a")
 
         def edit(d):
-            d["skills"][0]["decision_criteria"] = [["1", "a"]]
+            d["skills"][0]["next"] = "a"
             d["skills"] += [a.to_json(), b.to_json()]
         violations = validate_document(self.edited(edit))
         assert any("cycle" in v for v in violations)
 
     def test_unreachable_skill_flagged(self):
-        island = Skill(id="island", kind="per-parameter").to_json()
+        island = Skill(id="island", kind="per-parameter", next="end").to_json()
         doc = self.edited(lambda d: d["skills"].append(island))
         violations = validate_document(doc)
         assert any("unreachable" in v for v in violations)
 
     def test_two_orchestration_skills_rejected(self):
-        root2 = Skill(id="root2", kind="orchestration").to_json()
+        root2 = Skill(id="root2", kind="orchestration", next="end").to_json()
         doc = self.edited(lambda d: d["skills"].append(root2))
         violations = validate_document(doc)
         assert any("exactly one orchestration" in v for v in violations)
@@ -299,8 +299,7 @@ class TestValidate:
             self.edited(lambda d: d["skills"][0]["procedure"].append(step))
 
     def test_abort_target_is_an_unresolved_skill_id(self):
-        doc = self.edited(lambda d: d["skills"][0].update(
-            decision_criteria=[["done <= 0", "abort"], ["1", "end"]]))
+        doc = self.edited(lambda d: d["skills"][0].update(next="abort"))
         assert "root: unresolved skill id 'abort'" in validate_document(doc)
 
     @pytest.mark.parametrize("key", ["on_error", "name", "left", "op", "right", "retries"])
@@ -323,17 +322,29 @@ class TestValidate:
 
     def test_thousand_skill_chain_validates(self):
         ids = [f"s{i}" for i in range(1000)]
-        chain = [Skill(id=skill_id, kind="per-parameter", decision_criteria=[("1", after)])
+        chain = [Skill(id=skill_id, kind="per-parameter", next=after)
                  for skill_id, after in zip(ids, ids[1:] + ["end"])]
 
         def edit(d):
-            d["skills"][0]["decision_criteria"] = [["1", ids[0]]]
+            d["skills"][0]["next"] = ids[0]
             d["skills"] += [skill.to_json() for skill in chain]
         assert validate_document(self.edited(edit)) == []
 
+    @pytest.mark.parametrize("datum", ["monotonic-up", [1.0], {"a": 1.0}, True])
+    def test_expression_reading_a_non_number_reference_datum(self, datum):
+        doc = self.edited(lambda d: d["skills"][0].update(
+            reference_data={"shape": datum}, postconditions=["done >= 1", "shape >= 1"]))
+        assert f"root: predicate 'shape >= 1' reads reference datum 'shape', which is not a " \
+               f"number: {datum!r}" in validate_document(doc)
+
+    def test_declared_signal_shadows_a_reference_datum(self):
+        # a step declares `done`, so the expression reads the signal
+        doc = self.edited(lambda d: d["skills"][0].update(reference_data={"done": "yes"}))
+        assert not any("not a number" in v for v in validate_document(doc))
+
     def test_violation_list_is_exhaustive_not_first_failure(self):
         doc = self.edited(lambda d: d["skills"][0].update(
-            decision_criteria=[["1", "nowhere"]], postconditions=["ghost >= 1"]))
+            next="nowhere", postconditions=["ghost >= 1"]))
         assert len(validate_document(doc)) >= 2
 
 
@@ -360,10 +371,10 @@ def _random_document(rng):
 
     skills = [Skill(id="root", kind="orchestration",
                     procedure=[ComputeStep(expr="1", out="x")],
-                    decision_criteria=[("1", "end")], reference_data=reference_data())]
+                    next="end", reference_data=reference_data())]
     for i in range(rng.randint(0, 3)):
         skills.append(Skill(
-            id=f"s{i}", kind="per-parameter",
+            id=f"s{i}", kind="per-parameter", next="end",
             procedure=[BenchmarkStep(template={"p": _random_value(rng)},
                                      workload_id="w0", repetitions=rng.randint(1, 3), out=f"m{i}")],
             postconditions=[f"m{i} >= {rng.randint(0, 9)}"], reference_data=reference_data()))
@@ -411,6 +422,15 @@ class TestLoad:
         with pytest.raises(DocumentError, match="schema_version 1"):
             ProceduralDocument.from_json(d)
 
+    def test_schema_2_document_refused(self, pipeline):
+        # schema 2 routed by a list of (condition, target) decision criteria
+        d = json.loads(pipeline["doc"].serialize())
+        d["schema_version"] = 2
+        for skill in d["skills"]:
+            skill["decision_criteria"] = [["1", skill.pop("next")]]
+        with pytest.raises(DocumentError, match="unsupported document schema_version 2"):
+            ProceduralDocument.from_json(d)
+
 
 class TestDocumentHashMemo:
     @staticmethod
@@ -435,9 +455,8 @@ class TestDocumentHashMemo:
         doc = pipeline["doc"]
         assert run_session(doc, pipeline["adapter"], budget=30, seed=3).status == "converged"
         with pytest.raises(FrozenInstanceError):
-            doc.skills[0].decision_criteria = (("1", "missing"),)
-        edited = edit_document(doc, lambda d: d["skills"][0].update(
-            decision_criteria=[["1", "missing"]]))
+            doc.skills[0].next = "missing"
+        edited = edit_document(doc, lambda d: d["skills"][0].update(next="missing"))
         with pytest.raises(DocumentError):
             run_session(edited, pipeline["adapter"], budget=30, seed=3)
 

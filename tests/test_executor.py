@@ -25,8 +25,7 @@ def pipeline(tmp_path_factory):
 
 
 def empty_doc():
-    orch = Skill(id="root", kind="orchestration", procedure=[],
-                 decision_criteria=[], postconditions=[])
+    orch = Skill(id="root", kind="orchestration", next="end", procedure=[], postconditions=[])
     return ProceduralDocument(
         fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
         skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
@@ -51,8 +50,7 @@ class TestBasicSessions:
         assert session.final_config == Configuration({})
 
     def test_invalid_document_rejected_before_any_benchmark(self, pipeline):
-        doc = edit_document(empty_doc(), lambda d: d["skills"][0].update(
-            decision_criteria=[["1", "missing"]]))
+        doc = edit_document(empty_doc(), lambda d: d["skills"][0].update(next="missing"))
         with pytest.raises(DocumentError):
             run_session(doc, pipeline["adapter"], budget=5, seed=0)
 
@@ -270,6 +268,15 @@ class TestStepResolverHook:
                               step_resolver=resolver)
         visited = {e.skill for e in session.trace if e.action == "benchmark"}
         assert "verify_pc" not in visited
+        # the resolver's target replaces the root's `next`; None keeps `next`
+        assert doc.skill("orchestrate").next == "verify_pc"
+        decisions = [e for e in session.trace if e.action == "decision"]
+        assert decisions[0].skill == "orchestrate"
+        for e in decisions:
+            assert e.outputs == ({"target": "verify_candidate", "resolver": True}
+                                 if e.skill == "orchestrate"
+                                 else {"target": doc.skill(e.skill).next})
+            assert e.predicates == []
 
 
 class TestErrorPaths:
@@ -282,7 +289,7 @@ class TestErrorPaths:
             id="root", kind="orchestration",
             procedure=[BenchmarkStep(template={"p": 0.5}, workload_id="w0",
                                      repetitions=2, out="bad_metric")],
-            decision_criteria=[("1", "end")])
+            next="end")
         doc = ProceduralDocument(
             fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
             skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
@@ -322,7 +329,7 @@ class TestErrorPaths:
                        ComputeStep(expr="0", out="best_q_idx"),
                        BenchmarkStep(template={"q": 1.0}, workload_id="w0",
                                      repetitions=1, out="m", pin_best=True)],
-            decision_criteria=[("1", "end")])
+            next="end")
         doc = ProceduralDocument(
             fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
             skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
@@ -375,22 +382,20 @@ class TestErrorPaths:
         assert session.status == "aborted"
         assert "safe" in session.diagnostic or "invalid" in session.diagnostic
 
-    @pytest.mark.parametrize("site", ["branch", "decision", "postcondition", "convergence"])
+    @pytest.mark.parametrize("site", ["branch", "postcondition", "convergence"])
     def test_predicate_on_unset_signal_aborts_with_diagnostic(self, pipeline, site):
         # `x` is declared by a compute step that an always-true branch skips,
         # so the document validates but `x` is never set when read.
         skipped_x = [BranchStep(cond="1", target=2),
                      ComputeStep(expr="1", out="x")]
-        root = {"procedure": skipped_x, "decision_criteria": [("1", "end")]}
+        root = {"procedure": skipped_x, "next": "end"}
         children = []
         if site == "branch":
             root["procedure"] = skipped_x + [BranchStep(cond="x >= 1", target=3)]
-        elif site == "decision":
-            root["decision_criteria"] = [("x >= 1", "end")]
         elif site == "postcondition":
-            root = {"decision_criteria": [("1", "child")]}
+            root = {"next": "child"}
             children = [Skill(id="child", kind="per-parameter", procedure=skipped_x,
-                              decision_criteria=[("1", "end")], postconditions=["x >= 1"])]
+                              next="end", postconditions=["x >= 1"])]
         else:
             root["postconditions"] = ["x >= 1"]
         skills = [Skill(id="root", kind="orchestration", **root)] + children

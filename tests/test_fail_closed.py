@@ -75,7 +75,7 @@ LOAD_CASES = {
     "grids-list": (("grids",), []),
     "skills-int": (("skills",), 5),
     "procedure-item-int": (("skills", 1, "procedure"), [1]),
-    "criterion-one-item": (("skills", 0, "decision_criteria", 0), ["1"]),
+    "next-int": (("skills", 0, "next"), 1),
     "reference-data-list": (("skills", 0, "reference_data"), [1]),
     "fingerprint-list": (("fingerprint",), [1]),
     "workload-direction-up": (("workloads", 0, "direction"), "up"),
@@ -100,7 +100,7 @@ LOAD_CASES = {
     "safe-range-lo-str": (("safe_ranges", "pc", "lo"), "a"),
     "safe-range-no-values": (("safe_ranges", "pc"), {"values": []}),
     "skill-id-number": (("skills", 1, "id"), 1.5),
-    "criterion-target-list": (("skills", 0, "decision_criteria", 0, 1), [1]),
+    "next-list": (("skills", 0, "next"), ["a"]),
     "postconditions-renamed": (("skills", 1, "postconditions"), Rename("postcondition")),
     "policy-renamed": (("policy",), Rename("polcy")),
     "skill-kind-unknown": (("skills", 1, "kind"), "per-widget"),
@@ -108,6 +108,7 @@ LOAD_CASES = {
 
 VALIDATION_CASES = {
     "undeclared-primary-workload": (("primary_workload",), "w9"),
+    "next-unknown-skill": (("skills", 0, "next"), "nowhere"),
 }
 
 
@@ -189,7 +190,7 @@ def mode_b_session(safe_range):
     range, and a simulator adapter to run it on."""
     space = ParameterSpace((ParameterSpec(name="mode", domain=Domain("enum", values=("a", "b")),
                                           default="a"),))
-    orch = Skill(id="root", kind="orchestration", decision_criteria=[("1", "end")],
+    orch = Skill(id="root", kind="orchestration", next="end",
                  procedure=[BenchmarkStep(template={"mode": "b"}, workload_id="w0",
                                           repetitions=1, out="m")])
     doc = ProceduralDocument(

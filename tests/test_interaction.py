@@ -1,5 +1,6 @@
 """Two-stage interaction screening against hand computations and oracles."""
 
+import json
 import math
 import random
 
@@ -10,7 +11,8 @@ from helpers import (INDEX_LEVELS, INDEX_PARAMS, anova_oracle, one_workload, ran
                      store_of, unit_space)
 from tuneforge.errors import AnalysisError
 from tuneforge.harness import run_plan
-from tuneforge.interaction import (FactorialTable, InteractionRecord, attach_stage_b,
+from tuneforge.interaction import (FactorialTable, InteractionRecord, InteractionReport,
+                                   attach_stage_b,
                                    eta_squared, finalize_records,
                                    partial_eta_squared, plan_pair_table, plan_pairs,
                                    stage_a_int_pct, stage_a_record, stage_a_verdict,
@@ -302,6 +304,24 @@ class TestFinalize:
                                 stage_a_int_pct=1.0, stage_a_verdict="independent")
         finalize_records([rec])
         assert rec.q_value is None and not rec.confirmed
+
+
+class TestReport:
+    def test_renamed_record_key_fails_the_load(self, tmp_path):
+        # A misspelled "confirmed" must not load as False and drop the pair.
+        records = [InteractionRecord(pair=("a", "b"), workload_id="w0", stage_a_int_pct=50.0,
+                                     stage_a_verdict="advance", eta_squared=0.4, p_value=0.001)]
+        finalize_records(records)
+        report = InteractionReport(campaign_id="c", space_hash="h", records=records)
+        path = tmp_path / "report.json"
+        report.save(str(path))
+        assert InteractionReport.load(str(path)).confirmed_pairs() == {("a", "b"): 0.4}
+        data = json.loads(path.read_text())
+        data["records"][0]["confirmd"] = data["records"][0].pop("confirmed")
+        path.write_text(json.dumps(data))
+        with pytest.raises(AnalysisError,
+                           match=r"missing keys \['confirmed'\], unknown keys \['confirmd'\]"):
+            InteractionReport.load(str(path))
 
 
 def full_scan_table_cells(records, pair, levels_a, levels_b, workload_id, repetitions):

@@ -440,3 +440,12 @@ class TestReport:
         path.write_text(json.dumps(data))
         with pytest.raises(AnalysisError, match=f"missing keys \\['{key}'\\]"):
             SensitivityReport.load(str(path))
+
+    @pytest.mark.parametrize("d", [{"values": []}, {"values": 5}, {"values": [1], "lo": 1},
+                                   {"lo": "a", "hi": 1.0}, {"lo": 0.0}, {"lo": True, "hi": 1},
+                                   [0.0, 1.0]],
+                             ids=["no-values", "values-int", "values-and-lo", "lo-str",
+                                  "no-hi", "lo-bool", "list"])
+    def test_malformed_safe_range_fails_the_load(self, d):
+        with pytest.raises(AnalysisError, match="safe range is malformed"):
+            SafeRange.from_json(d)
