@@ -19,10 +19,10 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 from .docgen import ProceduralDocument, compile_document
-from .errors import AnalysisError, ParameterError
+from .errors import ParameterError
 from .executor import TuningSession, run_session
 from .harness import Adapter, CampaignStore, PlanEntry, campaign_id_for, run_plan
-from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairLevels,
+from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairGrid,
                           attach_stage_b, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, stage_a_record, table_from_log)
 from .jsonfile import JsonArtifact, write_text
@@ -175,7 +175,9 @@ class Campaign:
     def screen(self, adapter: Adapter, parallelism: int = 1) -> InteractionReport:
         """One linear pass: stage A for every pair, one retry on interior levels
         for pairs unbalanced at the extremes, stage B for exactly the advancing
-        records. Every table is read back from the campaign store."""
+        records. Each pair's grid of configurations is built once per stage,
+        and every table is read back from the campaign store through the
+        configurations its plan ran."""
         self.require_stage("sweep-done", "screen")
         report = SensitivityReport.load(self.path(SENSITIVITY_REPORT))
         top_names = [p.parameter for p in report.top_k()]
@@ -183,41 +185,36 @@ class Campaign:
         planned: set[tuple[str, str, int]] = set()
 
         def run(plan: list[PlanEntry]) -> None:
-            planned.update((c.config_hash(), w.id, rep) for c, w, rep in plan)
+            planned.update((c.canonical(), w.id, rep) for c, w, rep in plan)
             run_plan(adapter, plan, parallelism=parallelism, seed=self.seed, store=self.store)
-
-        def pair_levels(pair: tuple[str, str], interior: bool) -> PairLevels | None:
-            try:
-                return choose_pair_levels(pair, report, self.space, interior=interior)
-            except AnalysisError:
-                return None  # safe range too narrow: unsafe to screen
 
         def stage_a(pairs: list[tuple[str, str]]) -> dict[tuple[str, str], list]:
             """Run the pairs' stage-A corners as one plan and judge every table;
             a pair without levels is unsafe on every workload."""
-            run([e for pair in pairs if levels[pair]
-                 for e in plan_pair_table(pair, *levels[pair].stage_a, self.workloads, 1)])
-            return {pair: [stage_a_record(table_from_log(self.store, pair,
-                                                         *levels[pair].stage_a, w.id))
-                           if levels[pair] else
+            grids = {pair: PairGrid(pair, *levels[pair].stage_a) for pair in pairs if levels[pair]}
+            run([e for grid in grids.values() for e in plan_pair_table(grid, self.workloads, 1)])
+            return {pair: [stage_a_record(table_from_log(self.store, grids[pair], w.id))
+                           if pair in grids else
                            InteractionRecord(pair=pair, workload_id=w.id, unsafe_to_screen=True)
                            for w in self.workloads] for pair in pairs}
 
         pairs = plan_pairs(top_names) if len(top_names) > 1 else []
-        levels = {pair: pair_levels(pair, interior=False) for pair in pairs}
+        levels = choose_pair_levels(pairs, report, self.space)
         records = stage_a(pairs)
         retry = [pair for pair in pairs if levels[pair]
                  and any(rec.unsafe_to_screen for rec in records[pair])]
-        levels.update({pair: pair_levels(pair, interior=True) for pair in retry})
+        levels.update(choose_pair_levels(retry, report, self.space, interior=True))
         records.update(stage_a(retry))
 
         advancing = [(rec, w) for pair in pairs
                      for rec, w in zip(records[pair], self.workloads) if rec.advances()]
+        grids_b = {pair: PairGrid(pair, *levels[pair].stage_b)
+                   for pair in {rec.pair for rec, _ in advancing}}
         run([e for rec, w in advancing
-             for e in plan_pair_table(rec.pair, *levels[rec.pair].stage_b, [w], STAGE_B_REPS)])
+             for e in plan_pair_table(grids_b[rec.pair], [w], STAGE_B_REPS)])
         for rec, w in advancing:
-            attach_stage_b(rec, table_from_log(self.store, rec.pair, *levels[rec.pair].stage_b,
-                                               w.id, repetitions=STAGE_B_REPS))
+            attach_stage_b(rec, table_from_log(self.store, grids_b[rec.pair], w.id,
+                                               repetitions=STAGE_B_REPS))
         interaction = InteractionReport(
             campaign_id=report.campaign_id, space_hash=report.space_hash,
             records=finalize_records([rec for pair in pairs for rec in records[pair]]))

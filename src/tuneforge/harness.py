@@ -2,9 +2,10 @@
 
 Runs experiment plans against a system-under-test through a pluggable adapter
 and records outcomes in append-only, line-delimited journals that one
-``CampaignStore`` per campaign indexes. Every run's randomness derives from a
-64-bit mix of (campaign seed, configuration hash, workload id, repetition), so
-measurements are reproducible regardless of worker scheduling.
+``CampaignStore`` per campaign indexes. A configuration's identity is its
+canonical text (``Configuration.canonical``). Every run's randomness derives
+from a 64-bit mix of (campaign seed, canonical configuration, workload id,
+repetition), so measurements are reproducible regardless of worker scheduling.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _escape_json
 from typing import Any, Iterable, Protocol
 
 from .errors import AdapterError, CrashError, ParameterError
-from .space import Configuration, ParameterSpace, WorkloadSpec, validate_configuration
+from .space import (Configuration, ParameterSpace, WorkloadSpec, json_scalar,
+                    validate_configuration)
 
 OUTCOME_OK = "ok"
 OUTCOME_CRASH = "crash"
@@ -50,19 +51,6 @@ def mix_seed(campaign_seed: int, config: Configuration, workload_id: str, repeti
     return s
 
 
-def _json_value(v: Any) -> str:
-    """``json.dumps(v, sort_keys=True)``, without building an encoder for the
-    exact str, int, finite float and None values a record's fields hold."""
-    t = type(v)
-    if t is str:
-        return _escape_json(v)
-    if t is int or (t is float and math.isfinite(v)):
-        return repr(v)
-    if v is None:
-        return "null"
-    return json.dumps(v, sort_keys=True)
-
-
 @dataclass(frozen=True, slots=True)
 class Measurement:
     """One benchmark observation."""
@@ -84,7 +72,7 @@ class Measurement:
         if self.outcome == OUTCOME_CRASH and self.metric_value is not None:
             raise ParameterError("crash outcome must not carry a metric_value")
         object.__setattr__(self, "_key",
-                           (self.config.config_hash(), self.workload_id, self.repetition))
+                           (self.config.canonical(), self.workload_id, self.repetition))
 
     def key(self) -> tuple[str, str, int]:
         return self._key
@@ -95,13 +83,13 @@ class Measurement:
         the configuration's cached canonical JSON instead of re-encoding it.
         The fields are written in sorted key order."""
         diagnostic = ("" if self.diagnostic is None
-                      else f'"diagnostic": {_json_value(self.diagnostic)}, ')
+                      else f'"diagnostic": {json_scalar(self.diagnostic)}, ')
         return (f'{{"config": {self.config.canonical()}, {diagnostic}'
-                f'"metric_value": {_json_value(self.metric_value)}, '
-                f'"outcome": {_json_value(self.outcome)}, '
-                f'"repetition": {_json_value(self.repetition)}, '
-                f'"wall_time": {_json_value(self.wall_time)}, '
-                f'"workload_id": {_json_value(self.workload_id)}}}\n')
+                f'"metric_value": {json_scalar(self.metric_value)}, '
+                f'"outcome": {json_scalar(self.outcome)}, '
+                f'"repetition": {json_scalar(self.repetition)}, '
+                f'"wall_time": {json_scalar(self.wall_time)}, '
+                f'"workload_id": {json_scalar(self.workload_id)}}}\n')
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {
@@ -143,10 +131,10 @@ class MeasurementLog:
     """The journal file format: one JSON header line, then one JSON record
     per line.
 
-    (config hash, workload, repetition) triples are unique; re-appending an
-    existing key is rejected. Records are kept in append order. A
-    ``CampaignStore`` is the index that answers lookups; this class only
-    writes and reads whole journals.
+    (canonical configuration, workload, repetition) triples are unique;
+    re-appending an existing key is rejected. Records are kept in append
+    order. A ``CampaignStore`` is the index that answers lookups; this class
+    only writes and reads whole journals.
     """
 
     def __init__(self, seed: int, space_hash: str, campaign_id: str = "",
@@ -245,11 +233,13 @@ class CampaignStore:
     per run as it completes; no journal is ever rewritten. The store reads
     each journal once, later only the bytes another process appended since
     (``refresh``), and answers ``has``/``get``/``cell`` across all stages
-    under one (config hash, workload, repetition) identity, the first record
-    of a key winning. It is the campaign's only index of measurements and
-    keeps one dict entry per record. ``journaled(stage)`` counts the records
-    that stage's journal holds, read or appended. Journals and the store
-    hold the raw outcomes the adapter produced.
+    under one (canonical configuration, workload, repetition) identity, the
+    first record of a key winning. Equal configurations built separately
+    share one entry; ``{"a": 1}``, ``{"a": 1.0}`` and ``{"a": True}`` are three.
+    It is the campaign's only index of measurements and keeps one dict entry
+    per record. ``journaled(stage)`` counts the records that stage's journal
+    holds, read or appended. Journals and the store hold the raw outcomes the
+    adapter produced.
     """
 
     def __init__(self, seed: int, space_hash: str, journals: dict[str, str]):
@@ -281,12 +271,12 @@ class CampaignStore:
         return self._records.get(key)
 
     def has(self, config: Configuration, workload_id: str, repetition: int) -> bool:
-        return (config.config_hash(), workload_id, repetition) in self._records
+        return (config.canonical(), workload_id, repetition) in self._records
 
     def cell(self, config: Configuration, workload_id: str) -> tuple[Measurement, ...]:
         """Every record of one (configuration, workload), in repetition order."""
-        h = config.config_hash()
-        found = (self._records.get((h, workload_id, rep)) for rep in range(self._reps))
+        text = config.canonical()
+        found = (self._records.get((text, workload_id, rep)) for rep in range(self._reps))
         return tuple(m for m in found if m is not None)
 
     def _index(self, m: Measurement) -> None:
@@ -519,15 +509,15 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
     outcomes the adapter produced: a pure function of (plan, adapter, seed),
     never of worker arrival order.
     """
-    keys = [(c.config_hash(), w.id, rep) for c, w, rep in plan]
+    keys = [(c.canonical(), w.id, rep) for c, w, rep in plan]
     if len(set(keys)) != len(keys):
         raise ParameterError("plan entries must be unique")
     if parallelism < 1:
         raise ParameterError("parallelism must be >= 1")
     checked = set()
-    for (config_hash, _, _), (config, _, _) in zip(keys, plan):
-        if config_hash not in checked:
-            checked.add(config_hash)
+    for (text, _, _), (config, _, _) in zip(keys, plan):
+        if text not in checked:
+            checked.add(text)
             _check_valid(adapter.space, config)
     parallelism = min(parallelism, getattr(adapter, "max_concurrency", parallelism) or parallelism)
 

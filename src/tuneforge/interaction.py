@@ -18,7 +18,7 @@ confirms. The campaign only plans the runs and reads each table back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Any
 
@@ -155,8 +155,7 @@ class InteractionRecord:
     def from_json(cls, d: dict) -> "InteractionRecord":
         """The record ``to_json`` wrote: every field's key and no other, where
         only `decomposition` may be absent, or AnalysisError."""
-        check_keys(d, {f.name for f in fields(cls)}, "interaction record",
-                   optional=frozenset({"decomposition"}))
+        check_keys(d, _RECORD_KEYS, "interaction record", optional=frozenset({"decomposition"}))
         decomp = d.get("decomposition")
         return cls(
             pair=(d["pair"][0], d["pair"][1]),
@@ -171,6 +170,9 @@ class InteractionRecord:
             unsafe_to_screen=bool(d["unsafe_to_screen"]),
             decomposition=AnovaDecomposition.from_json(decomp) if decomp else None,
         )
+
+
+_RECORD_KEYS = frozenset(f.name for f in fields(InteractionRecord))
 
 
 @dataclass
@@ -272,22 +274,35 @@ def stage_b_levels(spec: ParameterSpec, safe: SafeRange, interior: bool = False,
     return levels
 
 
-def plan_pair_table(pair: tuple[str, str], levels_a: list[Any], levels_b: list[Any],
-                    workloads: list[WorkloadSpec], repetitions: int) -> list[PlanEntry]:
-    """Full-factorial plan entries for one pair."""
-    a, b = pair
-    plan: list[PlanEntry] = []
-    for va in levels_a:
-        for vb in levels_b:
-            config = Configuration({a: va, b: vb})
-            for w in workloads:
-                for rep in range(repetitions):
-                    plan.append((config, w, rep))
-    return plan
+@dataclass(frozen=True)
+class PairGrid:
+    """One pair's factorial grid at one stage: ``configs[i][j]`` assigns
+    ``levels_a[i]`` to the pair's first member and ``levels_b[j]`` to its
+    second. The grid's plan and the tables read back from the store share
+    these objects, so each configuration is built, and its canonical text
+    written, once."""
+
+    pair: tuple[str, str]
+    levels_a: list[Any]
+    levels_b: list[Any]
+    configs: tuple[tuple[Configuration, ...], ...] = field(init=False, repr=False,
+                                                           compare=False)
+
+    def __post_init__(self):
+        a, b = self.pair
+        object.__setattr__(self, "configs", tuple(
+            tuple(Configuration({a: va, b: vb}) for vb in self.levels_b)
+            for va in self.levels_a))
 
 
-def table_from_log(store: CampaignStore, pair: tuple[str, str],
-                   levels_a: list[Any], levels_b: list[Any], workload_id: str,
+def plan_pair_table(grid: PairGrid, workloads: list[WorkloadSpec],
+                    repetitions: int) -> list[PlanEntry]:
+    """Full-factorial plan entries for one pair's grid."""
+    return [(config, w, rep) for row in grid.configs for config in row
+            for w in workloads for rep in range(repetitions)]
+
+
+def table_from_log(store: CampaignStore, grid: PairGrid, workload_id: str,
                    repetitions: int = 1) -> FactorialTable:
     """Assemble the factorial table for one (pair, workload) from the
     campaign store.
@@ -296,16 +311,10 @@ def table_from_log(store: CampaignStore, pair: tuple[str, str],
     holding both the 1-rep stage-A corners and the 3-rep stage-B grid yields
     a clean table for either stage.
     """
-    a, b = pair
-    cells = []
-    for va in levels_a:
-        row = []
-        for vb in levels_b:
-            cell = store.cell(Configuration({a: va, b: vb}), workload_id)
-            row.append(sorted(m.metric_value for m in cell
-                              if m.outcome == OUTCOME_OK and m.repetition < repetitions))
-        cells.append(row)
-    return FactorialTable(pair=pair, levels_a=levels_a, levels_b=levels_b,
+    cells = [[sorted(m.metric_value for m in store.cell(config, workload_id)
+                     if m.outcome == OUTCOME_OK and m.repetition < repetitions)
+              for config in row] for row in grid.configs]
+    return FactorialTable(pair=grid.pair, levels_a=grid.levels_a, levels_b=grid.levels_b,
                           cells=cells, workload_id=workload_id)
 
 
@@ -449,18 +458,22 @@ class PairLevels:
     stage_b: tuple[list[Any], list[Any]]
 
 
-def choose_pair_levels(pair: tuple[str, str], report: SensitivityReport,
-                       space: ParameterSpace, interior: bool = False) -> PairLevels:
-    """Factor levels for both stages from the pair's sensitivity safe ranges."""
-    per_param = []
-    for name in pair:
-        profile = report.profile(name)
-        spec = space.get(name)
-        a_levels = stage_a_levels(spec, profile.safe_range, interior=interior)
-        b_levels = stage_b_levels(spec, profile.safe_range, interior=interior)
-        if len(a_levels) < 2 or len(b_levels) < 2:
-            raise AnalysisError(
-                f"{name}: safe range too narrow to screen (collapsed to one level)")
-        per_param.append((a_levels, b_levels))
-    return PairLevels(stage_a=(per_param[0][0], per_param[1][0]),
-                      stage_b=(per_param[0][1], per_param[1][1]))
+def choose_pair_levels(pairs: list[tuple[str, str]], report: SensitivityReport,
+                       space: ParameterSpace, interior: bool = False
+                       ) -> dict[tuple[str, str], PairLevels | None]:
+    """Factor levels for both stages of each pair, from its members'
+    sensitivity safe ranges, each member's computed once. A pair with a
+    member whose safe range is too narrow to screen (it collapses to one
+    level) maps to None: it is unsafe to screen."""
+    members: dict[str, tuple[list[Any], list[Any]] | None] = {}
+    for name in sorted({name for pair in pairs for name in pair}):
+        spec, safe = space.get(name), report.profile(name).safe_range
+        a_levels = stage_a_levels(spec, safe, interior=interior)
+        b_levels = stage_b_levels(spec, safe, interior=interior)
+        members[name] = (a_levels, b_levels) if min(len(a_levels), len(b_levels)) >= 2 else None
+    out: dict[tuple[str, str], PairLevels | None] = {}
+    for a, b in pairs:
+        la, lb = members[a], members[b]
+        out[(a, b)] = (PairLevels(stage_a=(la[0], lb[0]), stage_b=(la[1], lb[1]))
+                       if la and lb else None)
+    return out

@@ -21,7 +21,8 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def check_keys(d: Any, keys: set[str], what: str, optional: frozenset[str] = frozenset()) -> None:
+def check_keys(d: Any, keys: frozenset[str], what: str,
+               optional: frozenset[str] = frozenset()) -> None:
     """Raise AnalysisError unless ``d`` is an object holding exactly ``keys``,
     of which only those in ``optional`` may be absent, so that a misspelled key
     cannot load as a default."""

@@ -112,7 +112,7 @@ class SensitivityProfile:
     def from_json(cls, d: dict) -> "SensitivityProfile":
         """The profile ``to_json`` wrote: every field's key and no other, or
         AnalysisError, so that a misspelled key cannot take a default."""
-        check_keys(d, {f.name for f in fields(cls)}, "sensitivity profile")
+        check_keys(d, _PROFILE_KEYS, "sensitivity profile")
         return cls(
             parameter=d["parameter"],
             cv_per_workload=dict(d["cv_per_workload"]),
@@ -124,6 +124,9 @@ class SensitivityProfile:
             best_level=dict(d["best_level"]),
             warnings=list(d["warnings"]),
         )
+
+
+_PROFILE_KEYS = frozenset(f.name for f in fields(SensitivityProfile))
 
 
 @dataclass

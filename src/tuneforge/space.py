@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape_json
 from typing import Any, Callable, Iterator
 
 import yaml
@@ -215,6 +217,22 @@ class ParameterSpace:
         return cls(tuple(ParameterSpec.from_json(p) for p in d["parameters"]))
 
 
+def json_scalar(v: Any) -> str:
+    """``json.dumps(v, sort_keys=True)``, without building an encoder for the
+    exact str, int, bool, finite float and None values that configurations
+    and journal records hold."""
+    t = type(v)
+    if t is str:
+        return _escape_json(v)
+    if t is int or (t is float and math.isfinite(v)):
+        return repr(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    return json.dumps(v, sort_keys=True)
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Sparse parameter assignment; unassigned parameters mean 'default'."""
@@ -224,19 +242,21 @@ class Configuration:
     def __post_init__(self):
         object.__setattr__(self, "assignments", dict(self.assignments))
         object.__setattr__(self, "_canonical", None)
-        object.__setattr__(self, "_hash", None)
 
     def canonical(self) -> str:
-        """Deterministic string form, used for identity and hashing."""
+        """The text of ``json.dumps(self.assignments, sort_keys=True)``: the
+        configuration's one identity, for equality, the campaign store's keys
+        and every run seed. Written once per object, from the scalar encoder
+        when every key is a str."""
         if self._canonical is None:
-            object.__setattr__(self, "_canonical", json.dumps(self.assignments, sort_keys=True))
+            a = self.assignments
+            if all(type(k) is str for k in a):
+                text = "{" + ", ".join([f"{_escape_json(k)}: {json_scalar(a[k])}"
+                                        for k in sorted(a)]) + "}"
+            else:
+                text = json.dumps(a, sort_keys=True)
+            object.__setattr__(self, "_canonical", text)
         return self._canonical
-
-    def config_hash(self) -> str:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hashlib.sha256(self.canonical().encode()).hexdigest()[:16])
-        return self._hash
 
     def is_default(self) -> bool:
         return not self.assignments

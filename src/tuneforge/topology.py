@@ -247,14 +247,14 @@ def plan_joint_search(component: list[str], report: SensitivityReport,
 
 
 def _grid_means(records: list[Measurement], workload_id: str) -> dict[str, float]:
-    """Config hash -> mean ok metric of ``workload_id``'s records, for every
-    configuration with an ok record. Callers pass their own plan's records:
-    a campaign store can hold more repetitions than the plan asked for."""
+    """Canonical configuration -> mean ok metric of ``workload_id``'s records,
+    for every configuration with an ok record. Callers pass their own plan's
+    records: a campaign store can hold more repetitions than the plan asked for."""
     values: dict[str, list[float]] = {}
     for m in records:
         if m.workload_id == workload_id and m.outcome == OUTCOME_OK:
-            values.setdefault(m.config.config_hash(), []).append(m.metric_value)
-    return {h: sum(v) / len(v) for h, v in values.items()}
+            values.setdefault(m.config.canonical(), []).append(m.metric_value)
+    return {text: sum(v) / len(v) for text, v in values.items()}
 
 
 def _pick_best(configs: list[Configuration], means: dict[str, float],
@@ -262,11 +262,11 @@ def _pick_best(configs: list[Configuration], means: dict[str, float],
     """Direction-aware argbest; ties go to the lexicographically smallest config."""
     best: tuple[Configuration, float] | None = None
     for c in sorted(configs, key=lambda c: c.canonical()):
-        h = c.config_hash()
-        if h not in means:
+        mean = means.get(c.canonical())
+        if mean is None:
             continue
-        if best is None or workload.better(means[h], best[1]):
-            best = (c, means[h])
+        if best is None or workload.better(mean, best[1]):
+            best = (c, mean)
     if best is None:
         raise AnalysisError(f"every grid point failed on workload {workload.id}")
     return best
@@ -286,7 +286,7 @@ def measure_baselines(adapter: Adapter, workloads: list[WorkloadSpec],
     records = run_plan(adapter, plan, parallelism=parallelism, seed=seed, store=store)
     means = {}
     for w in workloads:
-        means[w.id] = _grid_means(records, w.id).get(defaults.config_hash())
+        means[w.id] = _grid_means(records, w.id).get(defaults.canonical())
         if means[w.id] is None:
             raise AnalysisError(f"baseline measurement failed on workload {w.id}")
     return means, records
@@ -353,7 +353,7 @@ def independent_baseline(adapter: Adapter, component: list[str],
     if len(combined) > 1:
         records += run_plan(adapter, [(combo, workload, rep) for rep in range(repetitions)],
                             parallelism=parallelism, seed=seed)
-    metric = _grid_means(records, workload.id).get(combo.config_hash())
+    metric = _grid_means(records, workload.id).get(combo.canonical())
     if metric is None:
         raise AnalysisError(f"independent combination failed on workload {workload.id}")
     return combo, metric, records

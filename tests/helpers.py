@@ -139,9 +139,9 @@ def random_log(rng, records=300):
         names = rng.sample(INDEX_PARAMS, rng.randint(0, 3))
         config = Configuration({n: rng.choice(INDEX_LEVELS) for n in names})
         workload, rep = rng.choice(workloads), rng.randint(0, 3)
-        if (config.config_hash(), workload, rep) in keys:
+        if (config.canonical(), workload, rep) in keys:
             continue
-        keys.add((config.config_hash(), workload, rep))
+        keys.add((config.canonical(), workload, rep))
         outcome = rng.choice(("ok", "ok", "ok", "degraded", "crash", "timeout"))
         metric = rng.uniform(1.0, 1000.0) if outcome in ("ok", "degraded") else None
         out.append(Measurement(config, workload, rep, metric, outcome))

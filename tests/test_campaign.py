@@ -1,5 +1,6 @@
 """Campaign pipeline across multiple workloads and edge paths."""
 
+import dataclasses
 import os
 import re
 import shutil
@@ -16,9 +17,9 @@ from tuneforge.interaction import InteractionReport
 from tuneforge.sensitivity import SensitivityReport
 from tuneforge.topology import OptimaReport
 from tuneforge.executor import run_session
-from tuneforge.interaction import choose_pair_levels, stage_a_record, table_from_log
+from tuneforge.interaction import PairGrid, choose_pair_levels, stage_a_record, table_from_log
 from tuneforge.harness import Measurement, MeasurementLog, run_plan
-from tuneforge.sensitivity import plan_sweep
+from tuneforge.sensitivity import SafeRange, plan_sweep
 from tuneforge.simulator import (Coupling, Response, SimulatorAdapter, SimulatorModel)
 from tuneforge.space import Configuration, WorkloadSpec, level_grid
 
@@ -244,15 +245,27 @@ class TestEnumParameters:
 class TestUnsafeToScreen:
     def test_missing_cells_yield_unsafe_record(self, two_workload_setup):
         # a store without the pair's configurations cannot produce a balanced table
-        record = stage_a_record(table_from_log(store_of([]), ("px", "py"), [0.0, 1.0],
-                                               [0.0, 1.0], one_workload()[0].id))
+        grid = PairGrid(("px", "py"), [0.0, 1.0], [0.0, 1.0])
+        record = stage_a_record(table_from_log(store_of([]), grid, one_workload()[0].id))
         assert record.unsafe_to_screen
         assert record.stage_a_verdict is None and record.stage_a_int_pct is None
         assert not record.advances()
 
+    def test_a_collapsed_member_leaves_each_of_its_pairs_without_levels(self,
+                                                                       two_workload_setup):
+        sens = two_workload_setup["sens"]
+        sens = dataclasses.replace(sens, profiles=[
+            dataclasses.replace(p, safe_range=SafeRange(lo=0.5, hi=0.5))
+            if p.parameter == "px" else p for p in sens.profiles])
+        levels = choose_pair_levels([("px", "py"), ("pw", "px"), ("py", "pz")], sens,
+                                    two_workload_setup["space"])
+        assert levels[("px", "py")] is None and levels[("pw", "px")] is None
+        assert levels[("py", "pz")].stage_a == ([0.0, 1.0], [0.0, 1.0])
+
     def test_interior_levels_avoid_safe_range_endpoints(self, two_workload_setup):
         setup = two_workload_setup
-        pl = choose_pair_levels(("px", "py"), setup["sens"], setup["space"], interior=True)
+        pl = choose_pair_levels([("px", "py")], setup["sens"], setup["space"],
+                                interior=True)[("px", "py")]
         safe = setup["sens"].profile("px").safe_range
         for v in pl.stage_a[0]:
             assert float(safe.lo) < v < float(safe.hi)

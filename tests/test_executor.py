@@ -12,7 +12,7 @@ from tuneforge import executor
 from tuneforge import expr as expr_mod
 from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, ProceduralDocument, Skill,
                               compile_document)
-from tuneforge.errors import DocumentError, ExpressionError
+from tuneforge.errors import AnalysisError, DocumentError, ExpressionError
 from tuneforge.executor import load_trace, replay_session, run_session
 from tuneforge.expr import evaluate_predicate
 from tuneforge.simulator import SimulatorAdapter
@@ -179,6 +179,33 @@ class TestReplay:
         result = replay_session(session.trace_header(), events, doc)
         assert not result.ok
         assert result.mismatches[0]["seq"] == victim.seq
+
+    def test_renamed_event_key_fails_the_load(self, pipeline, tmp_path):
+        # a flipped verdict whose `predicates` key is renamed must not load
+        # as an event without predicates and replay clean
+        doc = pipeline["doc"]
+        session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
+        path = tmp_path / "trace.jsonl"
+        session.save_trace(str(path))
+        lines = path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines[1:], 1)
+                     if json.loads(line)["predicates"])
+        event = json.loads(lines[index])
+        event["predicates"][0]["verdict"] = not event["predicates"][0]["verdict"]
+        event["predicate"] = event.pop("predicates")
+        lines[index] = json.dumps(event, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(AnalysisError, match=r"missing keys \['predicates'\], "
+                                                r"unknown keys \['predicate'\]"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize("key", ["step", "inputs", "outputs", "predicates"])
+    def test_missing_event_key_fails_the_load(self, pipeline, tmp_path, key):
+        session = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=13)
+        event = session.trace[0].to_json()
+        del event[key]
+        with pytest.raises(AnalysisError, match=rf"missing keys \['{key}'\]"):
+            executor.TraceEvent.from_json(event)
 
     def test_fingerprint_mismatch_rejected(self, pipeline):
         doc = pipeline["doc"]

@@ -396,6 +396,43 @@ class TestCrashRecovery:
 
 # Every JSON scalar a configuration value may be; floats include -0.0, NaN,
 # infinities, subnormals and the largest finite values.
+class TestConfigurationIdentity:
+    """A configuration's identity is its canonical text, not ``==`` on values."""
+
+    def setup_method(self):
+        self.space = ParameterSpace((ParameterSpec("a", Domain("enum", values=(1, 1.0, True)),
+                                                   default=1),))
+        self.w = one_workload()[0]
+
+    def test_equal_values_of_distinct_types_are_distinct_entries(self, tmp_path):
+        configs = [Configuration({"a": v}) for v in (1, 1.0, True)]
+        assert len({c.canonical() for c in configs}) == 3
+        plan = [(c, self.w, 0) for c in configs]
+        store = journal_store(tmp_path / "log.jsonl", 0, self.space)
+        records = run_plan(flat_adapter(self.space), plan, seed=0, store=store)
+        assert len({m.key() for m in records}) == 3
+        assert len(store) == 3 and store.journaled("sweep") == 3
+        for c, m in zip(configs, records):
+            assert store.cell(c, self.w.id) == (m,)
+            assert store.has(c, self.w.id, 0)
+
+    def test_equal_configurations_built_separately_share_one_entry(self, tmp_path):
+        store = journal_store(tmp_path / "log.jsonl", 0, self.space)
+        adapter = flat_adapter(self.space)
+        calls = count_calls(adapter)
+        first = run_plan(adapter, [(Configuration({"a": 1.0}), self.w, 0)], seed=0, store=store)
+        again = run_plan(adapter, [(Configuration({"a": 1.0}), self.w, 0)], seed=0, store=store)
+        assert again[0] is first[0] and calls == ['{"a": 1.0}']
+        assert len(store) == 1 and store.journaled("sweep") == 1
+
+    def test_a_repeated_entry_is_refused(self):
+        for value in (1, 1.0, True):
+            entry = (Configuration({"a": value}), self.w, 2)
+            again = (Configuration({"a": value}), self.w, 2)
+            with pytest.raises(ParameterError, match="unique"):
+                run_plan(flat_adapter(self.space), [entry, again], seed=0)
+
+
 json_scalars = st.one_of(st.integers(-2**70, 2**70), st.floats(), st.booleans(),
                          st.text(), st.none())
 outcomes = st.one_of(

@@ -11,7 +11,7 @@ from helpers import (INDEX_LEVELS, INDEX_PARAMS, anova_oracle, one_workload, ran
                      store_of, unit_space)
 from tuneforge.errors import AnalysisError
 from tuneforge.harness import run_plan
-from tuneforge.interaction import (FactorialTable, InteractionRecord, InteractionReport,
+from tuneforge.interaction import (FactorialTable, InteractionRecord, InteractionReport, PairGrid,
                                    attach_stage_b,
                                    eta_squared, finalize_records,
                                    partial_eta_squared, plan_pair_table, plan_pairs,
@@ -87,9 +87,9 @@ class TestStageA:
         space = unit_space(["a", "b"])
         adapter = SimulatorAdapter(space, SimulatorModel(
             base_rate=1000.0, couplings=[Coupling("a", "b", 0.5)]))
-        plan = plan_pair_table(("a", "b"), [0.0, 1.0], [0.0, 1.0], one_workload(), 1)
-        store = store_of(run_plan(adapter, plan, seed=0))
-        table = table_from_log(store, ("a", "b"), [0.0, 1.0], [0.0, 1.0], "w0")
+        grid = PairGrid(("a", "b"), [0.0, 1.0], [0.0, 1.0])
+        store = store_of(run_plan(adapter, plan_pair_table(grid, one_workload(), 1), seed=0))
+        table = table_from_log(store, grid, "w0")
         expected = 100.0 * 500.0 / (4500.0 / 4)  # |1500-1000-1000+1000| over mean
         assert stage_a_int_pct(table) == pytest.approx(expected, abs=1e-9)
 
@@ -251,9 +251,9 @@ class TestEtaSquared:
                        "b": Response(shape="linear-up", strength=0.1)},
             couplings=[Coupling("a", "b", 1.5)]))
         levels = [0.0, 1 / 3, 2 / 3, 1.0]
-        plan = plan_pair_table(("a", "b"), levels, levels, one_workload(), 3)
-        store = store_of(run_plan(adapter, plan, seed=0))
-        t = table_from_log(store, ("a", "b"), levels, levels, "w0", repetitions=3)
+        grid = PairGrid(("a", "b"), levels, levels)
+        store = store_of(run_plan(adapter, plan_pair_table(grid, one_workload(), 3), seed=0))
+        t = table_from_log(store, grid, "w0", repetitions=3)
         d = two_way_anova(t, 3)
         ref = anova_oracle(t.cells)
         assert eta_squared(d) == pytest.approx(ref["eta2"], rel=1e-9)
@@ -335,12 +335,12 @@ def full_scan_table_cells(records, pair, levels_a, levels_b, workload_id, repeti
             continue
         if set(m.config.assignments) != {a, b}:
             continue
-        index.setdefault(m.config.config_hash(), []).append(m.metric_value)
+        index.setdefault(m.config.canonical(), []).append(m.metric_value)
     cells = []
     for va in levels_a:
         row = []
         for vb in levels_b:
-            key = Configuration({a: va, b: vb}).config_hash()
+            key = Configuration({a: va, b: vb}).canonical()
             row.append(sorted(index.get(key, [])))
         cells.append(row)
     return cells
@@ -362,7 +362,7 @@ class TestTableFromLogIndex:
             for pair in plan_pairs(list(INDEX_PARAMS)):
                 for w in workloads:
                     for levels_a, levels_b, reps in TABLE_SHAPES:
-                        table = table_from_log(store, pair, levels_a, levels_b, w,
+                        table = table_from_log(store, PairGrid(pair, levels_a, levels_b), w,
                                                repetitions=reps)
                         expected = full_scan_table_cells(records, pair, levels_a, levels_b,
                                                          w, reps)
@@ -384,5 +384,9 @@ class TestTableFromLogIndex:
         store.cell = counting_cell
         for levels_a, levels_b, reps in TABLE_SHAPES:
             reads.clear()
-            table_from_log(store, ("a", "b"), levels_a, levels_b, "w0", repetitions=reps)
+            grid = PairGrid(("a", "b"), levels_a, levels_b)
+            table_from_log(store, grid, "w0", repetitions=reps)
             assert len(reads) == len(levels_a) * len(levels_b)
+            # the table reads through the grid's own configurations
+            assert all(read is config for read, config in
+                       zip(reads, (c for row in grid.configs for c in row)))

@@ -1,11 +1,14 @@
 """Parameter space, configuration validation, and level grids."""
 
+import json
+
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuneforge.errors import ParameterError
+from tuneforge.harness import mix_seed
 from tuneforge.space import (Configuration, Domain, ParameterSpace, ParameterSpec,
                              WorkloadSpec, closest_index, dump_space, level_grid, load_space,
                              load_workloads, validate_configuration)
@@ -208,4 +211,71 @@ class TestConfiguration:
     def test_canonical_is_order_free(self):
         a = Configuration({"x": 1, "y": 2})
         b = Configuration({"y": 2, "x": 1})
-        assert a == b and a.config_hash() == b.config_hash()
+        assert a == b and a.canonical() == b.canonical()
+
+
+# The canonical text is the configuration's identity and feeds every run
+# seed, so it must stay the text of json.dumps(assignments, sort_keys=True).
+CANONICAL_CASES = [
+    {},
+    {"s": 'quote " backslash \\ slash /'},
+    {"s": "tab\t newline\n nul\x00 bell\x07 del\x7f"},
+    {"s": "caf\u00e9 \u2603 \U0001f600 \ud800"},
+    {"caf\u00e9": 1, "\n": 2, "": 3, '"': 4},
+    {"i": 0, "j": -7, "k": 2**70, "l": -(2**64)},
+    {"t": True, "f": False, "n": None},
+    {"z": -0.0, "e16": 1e16, "tiny": 5e-324, "tenth": 0.1, "big": 1.7976931348623157e308},
+    {"third": 1 / 3, "neg": -2.5e-300, "one": 1.0},
+    # fallbacks: values that are not scalars or not finite, keys that are not str
+    {"nan": float("nan")},
+    {"inf": float("inf"), "ninf": float("-inf")},
+    {"list": [1, 2.5, "x", None, True], "dict": {"b": 1, "a": [float("inf")]}},
+    {1: "a", 2: "b"},
+    {1.5: 0.0},
+    {True: 1, False: 2},
+    {None: 2},
+]
+
+scalar_values = st.one_of(st.integers(-2**70, 2**70), st.floats(), st.booleans(), st.text(),
+                          st.none())
+any_values = st.one_of(scalar_values, st.lists(scalar_values, max_size=3),
+                       st.dictionaries(st.text(), scalar_values, max_size=2))
+
+
+class TestCanonicalCensus:
+    @pytest.mark.parametrize("assignments", CANONICAL_CASES, ids=range(len(CANONICAL_CASES)))
+    def test_table(self, assignments):
+        assert Configuration(assignments).canonical() == json.dumps(assignments, sort_keys=True)
+
+    @settings(max_examples=400, deadline=None)
+    @given(assignments=st.dictionaries(st.text(), any_values, max_size=5))
+    def test_any_str_keyed_assignment(self, assignments):
+        assert Configuration(assignments).canonical() == json.dumps(assignments, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(assignments=st.dictionaries(st.integers(), scalar_values, max_size=4))
+    def test_int_keyed_assignment(self, assignments):
+        assert Configuration(assignments).canonical() == json.dumps(assignments, sort_keys=True)
+
+    def test_mixed_key_types_fail_as_json_does(self):
+        with pytest.raises(TypeError):
+            json.dumps({1: "a", "b": 2}, sort_keys=True)
+        with pytest.raises(TypeError):
+            Configuration({1: "a", "b": 2}).canonical()
+
+    @pytest.mark.parametrize("assignments, seed, workload_id, repetition, expected", [
+        ({}, 0, "w0", 0, 12452243919524766134),
+        ({"a": 1}, 7, "w0", 0, 16781572990381188833),
+        ({"a": 1.0}, 7, "w0", 0, 16005791878262299412),
+        ({"a": True}, 7, "w0", 0, 13040922168264264038),
+        ({"s01": 1 / 3, "s00": 1.0}, 1000, "w_oltp", 2, 7952138895455055604),
+        ({"p": 'x"y\\z\u00e9'}, 3, "w_read", 1, 11436314427324758253),
+        ({"p": None, "q": -0.0}, 2**64 + 5, "w1", 4, 11275667381537472807),
+        ({"p": float("nan")}, 1, "w0", 0, 9160412174737906348),
+        ({1: "a"}, 1, "w0", 0, 11029198774730147835),
+        ({"p": [1, 2.5]}, 1, "w0", 0, 6110433761903574456),
+    ])
+    def test_run_seeds_are_pinned(self, assignments, seed, workload_id, repetition, expected):
+        # values from before the canonical text was written by hand: any
+        # drift in the text changes every simulated draw
+        assert mix_seed(seed, Configuration(assignments), workload_id, repetition) == expected

@@ -251,15 +251,15 @@ class TestDecompositionOptimality:
 
 def full_scan_grid_means(records, configs, workload_id):
     """Reference grid means: one full pass over the records, summing in order."""
-    by_hash = {}
+    by_config = {}
     for m in records:
         if m.workload_id == workload_id and m.outcome == "ok":
-            by_hash.setdefault(m.config.config_hash(), []).append(m.metric_value)
+            by_config.setdefault(m.config.canonical(), []).append(m.metric_value)
     means = {}
     for c in configs:
-        vals = by_hash.get(c.config_hash())
+        vals = by_config.get(c.canonical())
         if vals:
-            means[c.config_hash()] = sum(vals) / len(vals)
+            means[c.canonical()] = sum(vals) / len(vals)
     return means
 
 
