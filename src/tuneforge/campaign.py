@@ -16,7 +16,7 @@ from __future__ import annotations
 import fcntl
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .docgen import ProceduralDocument, compile_document
 from .errors import ParameterError
@@ -25,7 +25,7 @@ from .harness import Adapter, CampaignStore, PlanEntry, campaign_id_for, run_pla
 from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairGrid,
                           attach_stage_b, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, stage_a_record, table_from_log)
-from .jsonfile import JsonArtifact, write_text
+from .jsonfile import JsonArtifact, check_keys, write_text
 from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
 from .space import ParameterSpace, WorkloadSpec
 from .topology import (CorrelationGraph, OptimaReport, build_graph, measure_baselines,
@@ -66,9 +66,15 @@ class CampaignState(JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "CampaignState":
+        """The state ``to_json`` wrote: every field's key and no other, or
+        AnalysisError, so that a renamed key cannot reset the run accounting."""
+        check_keys(d, _STATE_KEYS, "campaign state")
         return cls(stage=d["stage"], seed=int(d["seed"]), space_hash=d["space_hash"],
-                   campaign_id=d["campaign_id"], budgets=dict(d.get("budgets", {})),
-                   runs_used=dict(d.get("runs_used", {})))
+                   campaign_id=d["campaign_id"], budgets=dict(d["budgets"]),
+                   runs_used=dict(d["runs_used"]))
+
+
+_STATE_KEYS = frozenset(f.name for f in fields(CampaignState))
 
 
 class Campaign:
@@ -236,7 +242,6 @@ class Campaign:
             CorrelationGraph(nodes=[], edges=[], components=[])
 
         self.store.begin("joint")
-        appended = self.store.appended
         baselines, base_records = measure_baselines(adapter, self.workloads, repetitions,
                                                     self.seed, parallelism, store=self.store)
         planned = len(base_records)
@@ -252,14 +257,14 @@ class Campaign:
             comp_optima, _ = optimize_component(adapter, plan, self.seed, baselines,
                                                 parallelism, store=self.store)
             optima.extend(comp_optima)
-        executed = self.store.appended - appended
 
+        runs_used = self.store.journaled("joint")
         result = OptimaReport(campaign_id=sens.campaign_id, space_hash=sens.space_hash,
                               graph=graph, optima=optima, baseline_means=baselines,
-                              runs_used=executed, rejected=rejected)
+                              runs_used=runs_used, rejected=rejected)
         result.save(self.path(OPTIMA_REPORT))
         self.state.budgets["joint"] = planned
-        self.state.runs_used["joint"] = self.store.journaled("joint")
+        self.state.runs_used["joint"] = runs_used
         self._advance("joint-done")
         return result
 

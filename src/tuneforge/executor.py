@@ -27,7 +27,7 @@ from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, ProceduralDocument,
 # validation; a document validates through `ProceduralDocument.violations`.
 from .docgen import validate_document  # noqa: F401
 from .errors import DocumentError, ExpressionError, ParameterError
-from .harness import OUTCOME_OK, Adapter, run_valid_experiment
+from .harness import OUTCOME_OK, Adapter, cell_seed, repetition_seed, run_valid_experiment
 from .jsonfile import check_keys, write_text
 from .space import Configuration, WorkloadSpec, validate_configuration
 
@@ -221,8 +221,10 @@ class SessionRunner:
         self._check_safe(config, skill)
         workload = self.workloads[step.workload_id]
         metrics, outcomes = [], []
+        prefix = cell_seed(self.seed, config, workload.id)
         for rep in range(step.repetitions):
-            m = run_valid_experiment(self.adapter, config, workload, rep, self.seed)
+            m = run_valid_experiment(self.adapter, config, workload, rep,
+                                     repetition_seed(prefix, rep))
             outcomes.append(m.outcome)
             if m.outcome == OUTCOME_OK:
                 metrics.append(m.metric_value)

@@ -6,6 +6,9 @@ and records outcomes in append-only, line-delimited journals that one
 canonical text (``Configuration.canonical``). Every run's randomness derives
 from a 64-bit mix of (campaign seed, canonical configuration, workload id,
 repetition), so measurements are reproducible regardless of worker scheduling.
+The mix is a per-cell prefix over (campaign seed, canonical configuration,
+workload id), computed once per cell of a plan or benchmark step, plus one
+splitmix64 round for the repetition.
 """
 
 from __future__ import annotations
@@ -41,14 +44,22 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix_seed(campaign_seed: int, config: Configuration, workload_id: str, repetition: int) -> int:
-    """Derive the per-run 64-bit seed; order-free and collision-resistant."""
+def cell_seed(campaign_seed: int, config: Configuration, workload_id: str) -> int:
+    """The part of a run seed that one cell (configuration, workload) shares
+    across its repetitions."""
     h = int.from_bytes(hashlib.sha256(
         (config.canonical() + "\x1f" + workload_id).encode()).digest()[:8], "big")
-    s = splitmix64(campaign_seed & 0xFFFFFFFFFFFFFFFF)
-    s = splitmix64(s ^ h)
-    s = splitmix64(s ^ repetition)
-    return s
+    return splitmix64(splitmix64(campaign_seed & 0xFFFFFFFFFFFFFFFF) ^ h)
+
+
+def repetition_seed(prefix: int, repetition: int) -> int:
+    """The run seed of one repetition of the cell whose ``cell_seed`` is ``prefix``."""
+    return splitmix64(prefix ^ repetition)
+
+
+def mix_seed(campaign_seed: int, config: Configuration, workload_id: str, repetition: int) -> int:
+    """Derive the per-run 64-bit seed; order-free and collision-resistant."""
+    return repetition_seed(cell_seed(campaign_seed, config, workload_id), repetition)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,7 +257,6 @@ class CampaignStore:
         self.seed = seed
         self.space_hash = space_hash
         self.journals = dict(journals)           # stage name -> journal path
-        self.appended = 0                        # fresh runs this store journaled
         self._stage: str | None = None
         self._fh = None
         self._write_lock = threading.Lock()
@@ -339,7 +349,6 @@ class CampaignStore:
             self._fh.flush()
             self._offset[self._stage] += len(line)
             self._journaled[self._stage] += 1
-            self.appended += 1
 
     def _open(self):
         """Open the current journal for appending, cutting any torn tail first.
@@ -455,12 +464,14 @@ def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSp
     measures through ``run_valid_experiment``.
     """
     _check_valid(adapter.space, config)
-    return run_valid_experiment(adapter, config, workload, repetition, seed)
+    return run_valid_experiment(adapter, config, workload, repetition,
+                                mix_seed(seed, config, workload.id, repetition))
 
 
 def run_valid_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
-                         repetition: int, seed: int) -> Measurement:
-    """Execute one repetition of a valid configuration and wrap the outcome.
+                         repetition: int, run_seed: int) -> Measurement:
+    """Execute one repetition of a valid configuration with its run seed
+    (``mix_seed``) and wrap the outcome.
 
     Adapter crashes and timeouts become crash/timeout outcomes with the
     diagnostic attached, and a metric that is not finite (NaN or infinite)
@@ -468,7 +479,6 @@ def run_valid_experiment(adapter: Adapter, config: Configuration, workload: Work
     adapter broke its contract rather than the system crashing, so it is
     raised: recording it would poison every later resume.
     """
-    run_seed = mix_seed(seed, config, workload.id, repetition)
     start = time.perf_counter()
     try:
         value = float(adapter.measure(config, workload, run_seed))
@@ -528,21 +538,29 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
         store.refresh()
         results = [store.get(k) for k in keys]
     todo = [i for i, m in enumerate(results) if m is None]
+    # Planners put the repetition innermost, so each cell's seed prefix is
+    # computed once, for its first fresh entry.
+    run_seeds, cell, prefix = [], None, 0
+    for i in todo:
+        text, workload_id, rep = keys[i]
+        if cell != (text, workload_id):
+            cell, prefix = (text, workload_id), cell_seed(seed, plan[i][0], workload_id)
+        run_seeds.append(repetition_seed(prefix, rep))
 
-    def work(i: int) -> None:
+    def work(i: int, run_seed: int) -> None:
         config, workload, rep = plan[i]
-        m = run_valid_experiment(adapter, config, workload, rep, seed)
+        m = run_valid_experiment(adapter, config, workload, rep, run_seed)
         if store is not None:
             store.append(m)
         results[i] = m
 
     try:
         if parallelism == 1:
-            for i in todo:
-                work(i)
+            for i, run_seed in zip(todo, run_seeds):
+                work(i, run_seed)
         elif todo:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                for _ in pool.map(work, todo):
+                for _ in pool.map(work, todo, run_seeds):
                     pass
     finally:
         if store is not None:

@@ -132,10 +132,15 @@ class _WorkloadTable:
     the indices and couplings it is a member of. Skipping the flat factors is
     exact: ``x * 1.0 == x`` for every float. ``crash_defaults`` holds the
     declared default of each crash-region parameter in the space.
+
+    ``last`` memoizes the last configuration evaluated against the table as
+    one tuple (canonical text, truth, crash diagnostic or None), written and
+    read whole so that a thread never pairs one configuration's text with
+    another's result.
     """
 
     __slots__ = ("space", "position", "defaults", "factors", "terms", "couplings",
-                 "crash_defaults")
+                 "crash_defaults", "last")
 
     def __init__(self, model: "SimulatorModel", space: ParameterSpace, workload_id: str):
         self.space = space
@@ -156,6 +161,7 @@ class _WorkloadTable:
                 self.factors.append(c.multiplier(self.defaults[c.a], self.defaults[c.b]))
         self.crash_defaults = {name: space.get(name).default
                                for name in model.crashes if name in self.position}
+        self.last: tuple[str | None, float, str | None] = (None, 0.0, None)
 
     def order(self, name: str) -> int:
         """Space position; names outside the space sort last, as resolve() puts them."""
@@ -208,6 +214,24 @@ class SimulatorModel:
         if table is None or table.space is not space:
             table = self._tables[workload_id] = _WorkloadTable(self, space, workload_id)
         return table
+
+    def cell_truth(self, space: ParameterSpace, config: Configuration, workload_id: str) -> float:
+        """``true_metric``, evaluated once for consecutive calls on one cell
+        (configuration, workload): the table of the cell's workload keeps the
+        last cell's truth or crash diagnostic, and a crash cell raises
+        CrashError with the same diagnostic again."""
+        table = self._table(space, workload_id)
+        text = config.canonical()
+        last = table.last
+        if last[0] != text:
+            try:
+                last = (text, self.true_metric(space, config, workload_id), None)
+            except CrashError as e:
+                last = (text, 0.0, e.diagnostic)
+            table.last = last
+        if last[2] is not None:
+            raise CrashError(last[2])
+        return last[1]
 
     def true_metric(self, space: ParameterSpace, config: Configuration, workload_id: str) -> float:
         """Noise-free metric; raises CrashError inside a planted crash region.
@@ -306,6 +330,10 @@ class SimulatorAdapter:
     The draw is pure Python and depends on the seed alone, so a fixed
     (config, workload, seed) gives a bit-identical metric on every call, in
     any order and at any parallelism. With ``sigma == 0`` no draw is made.
+
+    The noise-free truth is a pure function of the cell (configuration,
+    workload), so it is evaluated once per cell: the repetitions of a cell
+    reuse it (``SimulatorModel.cell_truth``) and only the draw is per run.
     """
 
     def __init__(self, space: ParameterSpace, model: SimulatorModel):
@@ -314,8 +342,9 @@ class SimulatorAdapter:
         self.max_concurrency = 64
 
     def measure(self, config: Configuration, workload: WorkloadSpec, seed: int) -> float:
-        truth = self.model.true_metric(self.space, config, workload.id)
-        if self.model.sigma == 0.0:
+        model = self.model
+        truth = model.cell_truth(self.space, config, workload.id)
+        if model.sigma == 0.0:
             return truth
-        return truth * math.exp(self.model.sigma * standard_normal(seed))
+        return truth * math.exp(model.sigma * standard_normal(seed))
 

@@ -8,14 +8,14 @@ over its members' stage-B levels, with everything else pinned at defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, Adapter, CampaignStore, Measurement, PlanEntry, run_plan
 from .interaction import InteractionReport, stage_b_levels
-from .jsonfile import JsonArtifact
+from .jsonfile import JsonArtifact, check_keys
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
@@ -206,12 +206,18 @@ class OptimaReport(JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "OptimaReport":
+        """The report ``to_json`` wrote: every key it writes and no other, or
+        AnalysisError; ``rejected`` may be absent, as it is when empty."""
+        check_keys(d, _OPTIMA_REPORT_KEYS, "optima report", optional=frozenset({"rejected"}))
         return cls(campaign_id=d["campaign_id"], space_hash=d["space_hash"],
                    graph=CorrelationGraph.from_json(d["graph"]),
                    optima=[JointOptimum.from_json(o) for o in d["optima"]],
                    baseline_means=dict(d["baseline_means"]),
-                   runs_used=int(d.get("runs_used", 0)),
+                   runs_used=int(d["runs_used"]),
                    rejected=[dict(r) for r in d.get("rejected", [])])
+
+
+_OPTIMA_REPORT_KEYS = frozenset({"schema_version"} | {f.name for f in fields(OptimaReport)})
 
 
 def rejection_reason(component: list[str]) -> str | None:

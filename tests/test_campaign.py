@@ -1,6 +1,7 @@
 """Campaign pipeline across multiple workloads and edge paths."""
 
 import dataclasses
+import json
 import os
 import re
 import shutil
@@ -15,7 +16,7 @@ from tuneforge.docgen import KnowledgeExport, ProceduralDocument, export_knowled
 from tuneforge.errors import AnalysisError, CrashError, DocumentError, ParameterError
 from tuneforge.interaction import InteractionReport
 from tuneforge.sensitivity import SensitivityReport
-from tuneforge.topology import OptimaReport
+from tuneforge.topology import CorrelationGraph, OptimaReport
 from tuneforge.executor import run_session
 from tuneforge.interaction import PairGrid, choose_pair_levels, stage_a_record, table_from_log
 from tuneforge.harness import Measurement, MeasurementLog, run_plan
@@ -209,6 +210,39 @@ class TestAtomicWrites:
         path.write_text('{"schema_version": 2, "fing')
         with pytest.raises(error, match=re.escape(f"{path} is not valid JSON")):
             cls.load(str(path))
+
+
+class TestLoadersRequireTheirKeys:
+    """State and optima report load only with exactly the keys their
+    ``to_json`` writes, so a misspelled key cannot load as a default."""
+
+    def test_renamed_state_key_fails_the_load(self, tmp_path):
+        campaign, adapter = small_campaign(tmp_path)
+        run_stage(campaign, "profile", adapter)
+        path = tmp_path / STATE_FILE
+        data = json.loads(path.read_text())
+        data["runs_usd"] = data.pop("runs_used")
+        path.write_text(json.dumps(data))
+        with pytest.raises(AnalysisError,
+                           match=r"missing keys \['runs_used'\], unknown keys \['runs_usd'\]"):
+            small_campaign(tmp_path)
+
+    def test_renamed_optima_report_key_fails_the_load(self, tmp_path):
+        graph = CorrelationGraph(nodes=["a"], edges=[], components=[["a"]])
+        path = tmp_path / "optima.json"
+        OptimaReport(campaign_id="c", space_hash="h", graph=graph, optima=[],
+                     baseline_means={"w0": 1.0}, runs_used=7).save(str(path))
+        assert OptimaReport.load(str(path)).runs_used == 7
+        data = json.loads(path.read_text())
+        assert "rejected" not in data  # written only when a component was rejected
+        data["rejected"] = [{"component": ["a", "b"], "reason": "too big"}]
+        path.write_text(json.dumps(data))
+        assert OptimaReport.load(str(path)).rejected == data["rejected"]
+        data["runs_usd"] = data.pop("runs_used")
+        path.write_text(json.dumps(data))
+        with pytest.raises(AnalysisError,
+                           match=r"missing keys \['runs_used'\], unknown keys \['runs_usd'\]"):
+            OptimaReport.load(str(path))
 
 
 class TestEnumParameters:
@@ -562,6 +596,9 @@ class TestCampaignStore:
         assert [o.to_json() for o in optima.optima] == \
             [o.to_json() for o in OptimaReport.load(
                 reference.path(campaign_mod.OPTIMA_REPORT)).optima]
+        with open(resumed.path(campaign_mod.OPTIMA_REPORT), "rb") as got, \
+                open(reference.path(campaign_mod.OPTIMA_REPORT), "rb") as want:
+            assert got.read() == want.read()
 
 
 class TestJournalRepair:
@@ -651,10 +688,12 @@ class TestRunAccounting:
         used = dict(campaign.state.runs_used)
         assert used["screen"] > 0 and used["joint"] > 0
         summary = campaign.budget_summary()
+        report = (tmp_path / campaign_mod.OPTIMA_REPORT).read_bytes()
         for stage in ("screen", "joint"):
             run_stage(campaign, stage, adapter)
         assert campaign.state.runs_used == used
         assert small_campaign(tmp_path)[0].budget_summary() == summary
+        assert (tmp_path / campaign_mod.OPTIMA_REPORT).read_bytes() == report
 
     @pytest.mark.parametrize("killed", ["profile", "screen", "joint"])
     def test_runs_of_a_killed_invocation_are_counted(self, tmp_path, killed):

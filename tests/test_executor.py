@@ -15,6 +15,7 @@ from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, Procedural
 from tuneforge.errors import AnalysisError, DocumentError, ExpressionError
 from tuneforge.executor import load_trace, replay_session, run_session
 from tuneforge.expr import evaluate_predicate
+from tuneforge.harness import mix_seed
 from tuneforge.simulator import SimulatorAdapter
 from tuneforge.space import Configuration, WorkloadSpec
 
@@ -236,6 +237,27 @@ class TestWarmPath:
         assert first.status == second.status == "converged"
         assert second.trace_header() == first.trace_header()
         assert [e.to_json() for e in second.trace] == [e.to_json() for e in first.trace]
+
+
+class TestBenchmarkSeeds:
+    def test_each_repetition_runs_with_its_mix_seed(self, pipeline):
+        inner = pipeline["adapter"]
+        runs = []
+
+        class Recording:
+            space = inner.space
+            max_concurrency = 1
+
+            def measure(self, config, workload, seed):
+                runs.append((config.canonical(), workload.id, seed))
+                return inner.measure(config, workload, seed)
+
+        session = run_session(pipeline["doc"], Recording(), budget=30, seed=23)
+        steps = [(Configuration(e.inputs["config"]), e.inputs["workload_id"],
+                  e.inputs["repetitions"]) for e in session.trace if e.action == "benchmark"]
+        assert len(steps) > 1 and all(reps > 1 for _, _, reps in steps)
+        assert runs == [(config.canonical(), workload_id, mix_seed(23, config, workload_id, rep))
+                        for config, workload_id, reps in steps for rep in range(reps)]
 
 
 class TestDocumentIsCheckedOnce:

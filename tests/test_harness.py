@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from helpers import one_workload, random_log, unit_space
 from tuneforge.errors import AdapterError, ParameterError
 from tuneforge.harness import (CampaignStore, Measurement, MeasurementLog, ShellAdapter,
-                               mix_seed, run_experiment, run_plan, splitmix64)
+                               cell_seed, mix_seed, repetition_seed, run_experiment,
+                               run_plan, splitmix64)
 from tuneforge.simulator import (CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel)
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
@@ -70,6 +71,64 @@ class TestSeeds:
         assert base != mix_seed(7, c2, "w0", 0)
         assert base != mix_seed(7, c1, "w1", 0)
         assert base != mix_seed(7, c1, "w0", 1)
+
+    def test_mix_seed_is_the_cell_prefix_and_one_repetition_round(self):
+        config = Configuration({"p": 0.1})
+        for seed, workload_id, rep in ((7, "w0", 0), (2**64 + 7, "w1", 5), (0, "", 2**40)):
+            prefix = cell_seed(seed, config, workload_id)
+            assert mix_seed(seed, config, workload_id, rep) == \
+                repetition_seed(prefix, rep) == splitmix64(prefix ^ rep)
+
+
+class RecordingAdapter:
+    """Returns a metric made from the run seed and records every run's
+    (canonical configuration, workload, run seed)."""
+
+    def __init__(self, space):
+        self.space = space
+        self.max_concurrency = 64
+        self.runs = []
+
+    def measure(self, config, workload, seed):
+        self.runs.append((config.canonical(), workload.id, seed))
+        return float(seed >> 11)
+
+
+class TestSeedCensus:
+    """Every run of a plan gets ``mix_seed(campaign seed, configuration,
+    workload, repetition)``, whichever cell's seed prefix it shares."""
+
+    def setup_method(self):
+        self.space = unit_space(["p", "q"])
+        self.workloads = [WorkloadSpec(id="w0"), WorkloadSpec(id="w1")]
+
+    @staticmethod
+    def seeded(seed, entries):
+        return [(c.canonical(), w.id, mix_seed(seed, c, w.id, rep)) for c, w, rep in entries]
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_every_entry_runs_with_its_mix_seed(self, parallelism):
+        configs = [Configuration({"p": i / 4.0}) for i in range(5)] + [Configuration({})]
+        cell_major = [(c, w, rep) for c in configs for w in self.workloads for rep in range(3)]
+        # repetition outermost: consecutive entries belong to different cells
+        rep_major = [(Configuration(c.assignments), w, rep)
+                     for rep in (3, 4) for c in configs for w in self.workloads]
+        plan = cell_major + rep_major
+        adapter = RecordingAdapter(self.space)
+        records = run_plan(adapter, plan, parallelism=parallelism, seed=41)
+        want = self.seeded(41, plan)
+        assert sorted(adapter.runs) == sorted(want)
+        assert [m.metric_value for m in records] == [float(s >> 11) for _, _, s in want]
+
+    def test_a_cell_with_a_stored_first_repetition_runs_the_rest_with_theirs(self, tmp_path):
+        store = journal_store(tmp_path / "log.jsonl", 9, self.space)
+        adapter = RecordingAdapter(self.space)
+        run_plan(adapter, [(Configuration({"q": 0.5}), self.workloads[0], 0)],
+                 seed=9, store=store)
+        plan = [(Configuration({"q": 0.5}), w, rep) for w in self.workloads for rep in range(3)]
+        adapter.runs.clear()
+        run_plan(adapter, plan, seed=9, store=store)
+        assert adapter.runs == self.seeded(9, plan[1:])
 
 
 class TestMeasurement:
@@ -202,7 +261,7 @@ class TestRunPlan:
         full = run_plan(adapter, plan, seed=3, store=store)
         assert len(full) == 10
         assert len(calls) == 5  # only the missing half was measured
-        assert store.appended == 10 and len(store) == 10
+        assert store.journaled("sweep") == 10 and len(store) == 10
 
     def test_resume_rejects_mismatched_seed(self, tmp_path):
         adapter = flat_adapter(self.space)
@@ -386,7 +445,7 @@ class TestCrashRecovery:
         store = journal_store(tmp_path / "log.jsonl", 0, self.space)
         with pytest.raises(KeyboardInterrupt):
             run_plan(adapter, self.plan, seed=0, store=store)
-        assert len(store) == 4 and store.appended == 4
+        assert len(store) == 4 and store.journaled("sweep") == 4
         adapter.measure = original
         calls = count_calls(adapter)
         run_plan(adapter, self.plan, seed=0, store=store)

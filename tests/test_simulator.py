@@ -14,10 +14,10 @@ from helpers import SMALL_NAMES, one_workload, reference_true_metric, small_mode
 from tuneforge.campaign import (DOCUMENT_FILE, INTERACTION_REPORT, OPTIMA_REPORT,
                                 SENSITIVITY_REPORT, Campaign)
 from tuneforge.errors import CrashError, ParameterError
-from tuneforge.harness import mix_seed
+from tuneforge.harness import mix_seed, run_experiment, run_plan
 from tuneforge.simulator import (SHAPES, Coupling, CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel, standard_normal)
-from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec
+from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
 
 
 class TestResponses:
@@ -477,3 +477,115 @@ class TestImmutability:
         assert changed.true_metric(space, config, "w0") == 40.0
         assert model.true_metric(space, config, "w0") == 20.0
         assert changed.couplings == model.couplings and changed.crashes == model.crashes
+
+
+# ---------------------------------------------------------------------------
+# The noise-free truth is evaluated once per cell (configuration, workload).
+# ---------------------------------------------------------------------------
+
+def cell_model(**kwargs):
+    return SimulatorModel(
+        base_rate=100.0, sigma=0.05,
+        responses={"a": Response(shape="linear-up", strength=0.5),
+                   "b": Response(shape="quadratic-peak", strength=0.3, peak=0.4)},
+        couplings=[Coupling("a", "b", 0.7)],
+        crashes={"c": CrashRegion(0.5, 1.0)}, **kwargs)
+
+
+def measured(adapter, config, workload, seed):
+    """The metric as hex, or the crash diagnostic."""
+    try:
+        return adapter.measure(config, workload, seed).hex()
+    except CrashError as e:
+        return e.diagnostic
+
+
+def strip(records):
+    return [(m.config.canonical(), m.workload_id, m.repetition, m.metric_value, m.outcome,
+             m.diagnostic) for m in records]
+
+
+class TestTruthOncePerCell:
+    def setup_method(self):
+        self.space = unit_space(["a", "b", "c"])
+        self.w = one_workload()[0]
+
+    @staticmethod
+    def count_truths(monkeypatch):
+        calls = []
+        original = SimulatorModel.true_metric
+
+        def counting(model, space, config, workload_id):
+            calls.append((config.canonical(), workload_id))
+            return original(model, space, config, workload_id)
+
+        monkeypatch.setattr(SimulatorModel, "true_metric", counting)
+        return calls
+
+    def test_a_plan_evaluates_each_cell_once(self, monkeypatch):
+        workloads = [WorkloadSpec(id="w0"), WorkloadSpec(id="w1")]
+        configs = [Configuration({"a": i / 4.0, "b": 1.0 - i / 4.0}) for i in range(5)]
+        configs.append(Configuration({"c": 0.75}))  # a crash cell
+        plan = [(c, w, rep) for c in configs for w in workloads for rep in range(3)]
+        calls = self.count_truths(monkeypatch)
+        records = run_plan(SimulatorAdapter(self.space, cell_model()), plan, seed=3)
+        assert calls == [(c.canonical(), w.id) for c in configs for w in workloads]
+        monkeypatch.undo()
+        fresh = [run_experiment(SimulatorAdapter(self.space, cell_model()), c, w, rep, 3)
+                 for c, w, rep in plan]
+        assert strip(records) == strip(fresh)
+        assert {m.outcome for m in records} == {"ok", "crash"}
+
+    def test_interleaved_and_crash_cells_match_a_fresh_adapter(self):
+        a, b = Configuration({"a": 0.2}), Configuration({"b": 0.9})
+        crash = Configuration({"c": 0.75})
+        sequence = [a, b, a, crash, crash, a, crash, b, b]
+        adapter = SimulatorAdapter(self.space, cell_model())
+        got = [measured(adapter, c, self.w, seed) for seed, c in enumerate(sequence)]
+        assert got == [measured(SimulatorAdapter(self.space, cell_model()), c, self.w, seed)
+                       for seed, c in enumerate(sequence)]
+        assert got[3] == got[4] == got[6] == "planted crash region hit: c=0.75"
+        assert len(set(got)) == len(got) - 2  # every ok run has its own draw
+
+    def test_equal_configurations_built_separately_share_one_evaluation(self, monkeypatch):
+        calls = self.count_truths(monkeypatch)
+        adapter = SimulatorAdapter(self.space, cell_model())
+        first = adapter.measure(Configuration({"a": 0.5, "b": 0.1}), self.w, 1)
+        again = adapter.measure(Configuration({"b": 0.1, "a": 0.5}), self.w, 1)
+        assert first == again and calls == [('{"a": 0.5, "b": 0.1}', "w0")]
+
+    def test_rebinding_the_model_or_the_space_changes_the_result(self):
+        adapter = SimulatorAdapter(self.space, cell_model())
+        config = Configuration({"a": 0.5})
+        before = adapter.measure(config, self.w, 4)
+        adapter.model = dataclasses.replace(cell_model(), base_rate=200.0)
+        doubled = adapter.measure(config, self.w, 4)
+        assert doubled == SimulatorAdapter(self.space, adapter.model).measure(config, self.w, 4)
+        assert doubled != before
+        adapter.model = cell_model(overrides={"w0": {"a": Response()}})
+        assert adapter.measure(config, self.w, 4) != before
+        adapter.model = dataclasses.replace(cell_model(), crashes={"a": CrashRegion(0.4, 0.6)})
+        assert measured(adapter, config, self.w, 4) == "planted crash region hit: a=0.5"
+        adapter.model = cell_model()
+        assert adapter.measure(config, self.w, 4) == before
+        adapter.space = unit_space(["a", "b", "c"], default=0.3)  # b's default moves
+        assert adapter.measure(config, self.w, 4) == \
+            SimulatorAdapter(adapter.space, cell_model()).measure(config, self.w, 4) != before
+
+    def test_a_parallel_plan_gives_the_serial_records(self):
+        # cells alternate between consecutive entries, and threads switch often
+        configs = [Configuration({"a": i / 11.0, "c": (i % 3) * 0.3}) for i in range(12)]
+        workloads = [WorkloadSpec(id="w0"), WorkloadSpec(id="w1")]
+        plan = [(c, w, rep) for c in configs for w in workloads for rep in range(3)]
+        plan += [(c, w, rep) for rep in (3, 4) for c in configs for w in workloads]
+        adapter = SimulatorAdapter(self.space, cell_model())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_plan(adapter, plan, parallelism=8, seed=12)
+            again = run_plan(adapter, plan, parallelism=8, seed=12)
+        finally:
+            sys.setswitchinterval(interval)
+        serial = run_plan(SimulatorAdapter(self.space, cell_model()), plan, seed=12)
+        assert strip(parallel) == strip(again) == strip(serial)
+        assert {m.outcome for m in serial} == {"ok", "crash"}
