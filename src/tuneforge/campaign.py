@@ -16,7 +16,7 @@ from __future__ import annotations
 import fcntl
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .docgen import ProceduralDocument, compile_document
 from .errors import ParameterError
@@ -25,7 +25,7 @@ from .harness import Adapter, CampaignStore, PlanEntry, campaign_id_for, run_pla
 from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairGrid,
                           attach_stage_b, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, stage_a_record, table_from_log)
-from .jsonfile import JsonArtifact, check_keys, write_text
+from .jsonfile import JsonArtifact, load_fields, write_text
 from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
 from .space import ParameterSpace, WorkloadSpec
 from .topology import (CorrelationGraph, OptimaReport, build_graph, measure_baselines,
@@ -66,15 +66,9 @@ class CampaignState(JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "CampaignState":
-        """The state ``to_json`` wrote: every field's key and no other, or
-        AnalysisError, so that a renamed key cannot reset the run accounting."""
-        check_keys(d, _STATE_KEYS, "campaign state")
-        return cls(stage=d["stage"], seed=int(d["seed"]), space_hash=d["space_hash"],
-                   campaign_id=d["campaign_id"], budgets=dict(d["budgets"]),
-                   runs_used=dict(d["runs_used"]))
-
-
-_STATE_KEYS = frozenset(f.name for f in fields(CampaignState))
+        """The state ``to_json`` wrote, or AnalysisError, so that a renamed key
+        cannot reset the run accounting."""
+        return load_fields(cls, d, "campaign state")
 
 
 class Campaign:

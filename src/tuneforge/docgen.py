@@ -51,7 +51,7 @@ from typing import Any, Callable, ClassVar, Mapping
 from . import expr as expr_mod
 from .errors import AnalysisError, CompileError, DocumentError, ParameterError
 from .interaction import ETA2_MIN, GRID_LEVELS, InteractionReport, stage_b_levels
-from .jsonfile import JsonArtifact
+from .jsonfile import JsonArtifact, load_fields
 from .sensitivity import SafeRange, SensitivityReport
 from .space import ParameterSpace, WorkloadSpec, closest_index
 from .topology import CorrelationGraph, JointOptimum, rejection_reason
@@ -72,14 +72,6 @@ ONLINE_REPETITIONS = 3       # repetitions of every benchmark step
 ACCEPT_FRACTION = 0.5        # share of documented improvement that accepts
 MIN_TOP_K = 1                # anomaly threshold on the selected set size
 CROSS_WORKLOAD_FLOOR = 0.5   # candidate must keep half the baseline elsewhere
-
-
-def _require(d: Any, keys: tuple[str, ...], what: str) -> None:
-    if type(d) is not dict:
-        raise DocumentError(f"{what} {d!r} is not an object")
-    missing = [key for key in keys if key not in d]
-    if missing:
-        raise DocumentError(f"{what} is missing required key {missing[0]!r}")
 
 
 _CONTAINERS = (dict, MappingProxyType, list, tuple)
@@ -152,19 +144,11 @@ class _Part:
         return {name: thaw(getattr(self, name)) for name, _, _ in _field_tests(type(self))}
 
 
-def _load(cls: type, d: Any, where: str, **item_loaders: Callable[[int, Any], Any]) -> Any:
-    """`cls` built from a JSON object that holds every one of its fields and
-    nothing else. A list field named in `item_loaders` is loaded item by item,
-    from its index and its JSON; any other shape is left for `cls` to refuse."""
-    _require(d, tuple(f.name for f in fields(cls)), where)
-    values = dict(d)
-    for key, load in item_loaders.items():
-        if type(values[key]) is list:
-            values[key] = [load(i, item) for i, item in enumerate(values[key])]
-    try:
-        return cls(**values)
-    except (DocumentError, TypeError, ParameterError) as e:  # TypeError: an unknown key
-        raise DocumentError(f"{where}: {e}") from None
+def _each(build: Callable[[int, Any], Any]) -> Callable[[Any], Any]:
+    """A loader for a list field that builds each item from its index and its
+    JSON; any other shape is left for the part to refuse."""
+    return lambda value: ([build(i, item) for i, item in enumerate(value)]
+                          if type(value) is list else value)
 
 
 class _Step(_Part):
@@ -227,15 +211,15 @@ _STEP_CLASSES = {cls.action: cls for cls in (BenchmarkStep, ComputeStep, BranchS
 
 def step_from_json(d: dict, where: str = "step") -> _Step:
     """Load one step as the class of its action; an unknown action or a
-    missing, extra or wrongly typed field raises DocumentError."""
-    _require(d, ("action",), where)
+    missing, extra or wrongly typed field raises DocumentError. A flag is
+    written only when set, so it may be absent."""
+    if type(d) is not dict or "action" not in d:
+        raise DocumentError(f"{where} {d!r} is not an object with an 'action'")
     cls = _STEP_CLASSES.get(d["action"]) if type(d["action"]) is str else None
     if cls is None:
         raise DocumentError(f"{where} has unknown action {d['action']!r}")
-    try:
-        return cls(**{key: value for key, value in d.items() if key != "action"})
-    except (DocumentError, TypeError) as e:  # TypeError: a missing or unknown key
-        raise DocumentError(f"{where}: {e}") from None
+    return load_fields(cls, d, where, written=("action",), optional=("adopt", "pin_best"),
+                       error=DocumentError)
 
 
 SKILL_KINDS = (KIND_PER_PARAMETER, KIND_PER_COMPONENT, KIND_ORCHESTRATION)
@@ -274,9 +258,9 @@ class Skill(_Part):
     @classmethod
     def from_json(cls, d: dict) -> "Skill":
         """Load a skill holding exactly the keys `to_json` writes."""
-        _require(d, ("id",), "skill")
-        return _load(cls, d, f"skill {d['id']!r}",
-                     procedure=lambda i, step: step_from_json(step, f"{d['id']}: step {i}"))
+        skill_id = d["id"] if type(d) is dict and "id" in d else None
+        return load_fields(cls, d, f"skill {skill_id!r}", error=DocumentError, procedure=_each(
+            lambda i, step: step_from_json(step, f"{skill_id}: step {i}")))
 
 
 def _safe_range(param: str, d: Any) -> SafeRange:
@@ -346,16 +330,14 @@ class ProceduralDocument(_Part, JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "ProceduralDocument":
-        """Load a document holding exactly the keys `to_json` writes (`edges`,
-        derived from the skills, is not read); any malformed part raises
-        DocumentError."""
-        _require(d, ("schema_version",), "document")
-        if d["schema_version"] != SCHEMA_VERSION:
-            raise DocumentError(f"unsupported document schema_version {d['schema_version']!r}")
-        where = "malformed document"
-        return _load(cls, {key: value for key, value in d.items() if key != "edges"}, where,
-                     skills=lambda i, skill: Skill.from_json(skill),
-                     workloads=lambda i, w: _load(WorkloadSpec, w, f"{where}: workload {i}"))
+        """Load a document of this schema holding exactly the keys `to_json`
+        writes (`edges`, derived from the skills, is not read); any malformed
+        part raises DocumentError."""
+        return load_fields(
+            cls, d, "document", written=("edges",), pinned={"schema_version": SCHEMA_VERSION},
+            error=DocumentError, skills=_each(lambda i, skill: Skill.from_json(skill)),
+            workloads=_each(lambda i, w: load_fields(
+                WorkloadSpec, w, f"malformed document: workload {i}", error=DocumentError)))
 
 
 def signal_name(raw: str) -> str:
@@ -881,10 +863,9 @@ class KnowledgeExport(JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "KnowledgeExport":
-        if d.get("format_profile") != EXPORT_FORMAT:
-            raise DocumentError(f"unsupported export format {d.get('format_profile')!r}")
-        return cls(top_k=list(d["top_k"]), safe_ranges=dict(d["safe_ranges"]),
-                   interactions=list(d["interactions"]), fingerprint=dict(d["fingerprint"]))
+        """The export ``to_json`` wrote, in this format, or DocumentError."""
+        return load_fields(cls, d, "knowledge export", error=DocumentError,
+                           pinned={"schema_version": 1, "format_profile": EXPORT_FORMAT})
 
 
 def export_knowledge(doc: ProceduralDocument) -> KnowledgeExport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import expr as expr_mod
@@ -28,7 +28,7 @@ from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, ProceduralDocument,
 from .docgen import validate_document  # noqa: F401
 from .errors import DocumentError, ExpressionError, ParameterError
 from .harness import OUTCOME_OK, Adapter, cell_seed, repetition_seed, run_valid_experiment
-from .jsonfile import check_keys, write_text
+from .jsonfile import load_fields, write_text
 from .space import Configuration, WorkloadSpec, validate_configuration
 
 STATUS_RUNNING = "running"
@@ -55,15 +55,9 @@ class TraceEvent:
 
     @classmethod
     def from_json(cls, d: dict) -> "TraceEvent":
-        """The event ``to_json`` wrote: every field's key and no other, or
-        AnalysisError, so that a renamed key cannot replay as an empty default."""
-        check_keys(d, _TRACE_EVENT_KEYS, "trace event")
-        return cls(seq=d["seq"], skill=d["skill"], action=d["action"], step=d["step"],
-                   inputs=dict(d["inputs"]), outputs=dict(d["outputs"]),
-                   predicates=list(d["predicates"]))
-
-
-_TRACE_EVENT_KEYS = frozenset(f.name for f in fields(TraceEvent))
+        """The event ``to_json`` wrote, or AnalysisError, so that a renamed key
+        cannot replay as an empty default."""
+        return load_fields(cls, d, "trace event")
 
 
 @dataclass

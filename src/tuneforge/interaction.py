@@ -18,13 +18,13 @@ confirms. The campaign only plans the runs and reads each table back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, CampaignStore, PlanEntry
-from .jsonfile import JsonArtifact, check_keys
+from .jsonfile import JsonArtifact, load_fields
 from .sensitivity import SafeRange, SensitivityReport
 from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, snap_to_domain
 from .stats import benjamini_hochberg, f_upper_tail_p
@@ -103,13 +103,8 @@ class AnovaDecomposition:
 
     @classmethod
     def from_json(cls, d: dict) -> "AnovaDecomposition":
-        f = d["f_interaction"]
-        return cls(ss_a=d["ss_a"], ss_b=d["ss_b"], ss_interaction=d["ss_interaction"],
-                   ss_error=d["ss_error"], ss_total=d["ss_total"],
-                   df_a=d["df_a"], df_b=d["df_b"],
-                   df_interaction=d["df_interaction"], df_error=d["df_error"],
-                   f_interaction=math.inf if f == "inf" else float(f),
-                   p_value=d["p_value"])
+        return load_fields(cls, d, "ANOVA decomposition",
+                           f_interaction=lambda f: math.inf if f == "inf" else float(f))
 
 
 @dataclass
@@ -153,26 +148,10 @@ class InteractionRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "InteractionRecord":
-        """The record ``to_json`` wrote: every field's key and no other, where
-        only `decomposition` may be absent, or AnalysisError."""
-        check_keys(d, _RECORD_KEYS, "interaction record", optional=frozenset({"decomposition"}))
-        decomp = d.get("decomposition")
-        return cls(
-            pair=(d["pair"][0], d["pair"][1]),
-            workload_id=d["workload_id"],
-            stage_a_int_pct=d["stage_a_int_pct"],
-            stage_a_verdict=d["stage_a_verdict"],
-            eta_squared=d["eta_squared"],
-            partial_eta_squared=d["partial_eta_squared"],
-            p_value=d["p_value"],
-            q_value=d["q_value"],
-            confirmed=bool(d["confirmed"]),
-            unsafe_to_screen=bool(d["unsafe_to_screen"]),
-            decomposition=AnovaDecomposition.from_json(decomp) if decomp else None,
-        )
-
-
-_RECORD_KEYS = frozenset(f.name for f in fields(InteractionRecord))
+        """The record ``to_json`` wrote, where only `decomposition` may be
+        absent, or AnalysisError."""
+        return load_fields(cls, d, "interaction record", optional=("decomposition",),
+                           pair=tuple, decomposition=AnovaDecomposition.from_json)
 
 
 @dataclass
@@ -208,11 +187,10 @@ class InteractionReport(JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "InteractionReport":
-        return cls(
-            campaign_id=d["campaign_id"],
-            space_hash=d["space_hash"],
-            records=[InteractionRecord.from_json(r) for r in d["records"]],
-        )
+        """The report ``to_json`` wrote (`thresholds` is not read), or AnalysisError."""
+        return load_fields(cls, d, "interaction report", written=("thresholds",),
+                           pinned={"schema_version": 1},
+                           records=lambda items: [InteractionRecord.from_json(r) for r in items])
 
 
 def plan_pairs(top_k: list[str]) -> list[tuple[str, str]]:

@@ -1,19 +1,28 @@
-"""One way to keep a JSON artifact on disk: canonical text, replaced atomically.
+"""One way to keep a JSON artifact on disk: canonical text, replaced atomically,
+read back with exactly the keys it was written with.
 
 Reports, the compiled document, the knowledge export and the campaign state
 are all written as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, so
 identical contents give identical bytes (and document hashes). ``write_text``
 is the atomic replace behind them, and behind the session trace and the final
 configuration file too.
+
+``load_fields`` is the one reader of every artifact record: it builds a
+dataclass from a JSON object that holds exactly the keys its ``to_json``
+writes, so a renamed or missing key raises the artifact's load error instead
+of loading as a default.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from dataclasses import fields
+from functools import cache
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
-from .errors import AnalysisError
+from .errors import AnalysisError, TuneforgeError
 
 
 def canonical_json(obj: Any) -> str:
@@ -21,16 +30,53 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def check_keys(d: Any, keys: frozenset[str], what: str,
-               optional: frozenset[str] = frozenset()) -> None:
-    """Raise AnalysisError unless ``d`` is an object holding exactly ``keys``,
-    of which only those in ``optional`` may be absent, so that a misspelled key
-    cannot load as a default."""
-    got = set(d) if type(d) is dict else set()
-    missing, unknown = keys - optional - got, got - keys
-    if missing or unknown:
-        raise AnalysisError(f"{what}: missing keys {sorted(missing)}, "
-                            f"unknown keys {sorted(unknown)}")
+@cache
+def _keys(cls: type, written: tuple[str, ...], optional: tuple[str, ...]
+          ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """The keys ``cls.to_json`` may write, those it always writes, and those
+    of them that ``cls`` does not read."""
+    names = frozenset(f.name for f in fields(cls))
+    keys = names | frozenset(written)
+    return keys, keys - frozenset(optional), keys - names
+
+
+def load_fields(cls: type, d: Any, what: str, *, written: tuple[str, ...] = (),
+                optional: tuple[str, ...] = (),
+                pinned: Mapping[str, Any] = MappingProxyType({}),
+                error: type[TuneforgeError] = AnalysisError,
+                **load: Callable[[Any], Any]) -> Any:
+    """The dataclass ``cls`` built from ``d``, a JSON object holding exactly the
+    keys its ``to_json`` writes, or ``error`` naming the keys that differ.
+
+    The keys are the fields of ``cls`` plus ``written``, the keys ``to_json``
+    adds and ``cls`` does not read, plus ``pinned``, the keys that must hold
+    one value (a schema version), which are checked first. Only the keys in
+    ``optional``, which ``to_json`` leaves out when empty, may be absent; an
+    absent field takes its default. ``load`` maps a field to the function
+    that builds it from its JSON value. An error ``cls`` raises when it checks
+    its fields becomes ``error``.
+    """
+    got = d.keys() if type(d) is dict else frozenset()
+    if pinned:
+        for key, value in pinned.items():
+            if key in got and (type(d[key]) is not type(value) or d[key] != value):
+                raise error(f"unsupported {what} {key} {d[key]!r}")
+        written += tuple(pinned)
+    keys, required, unread = _keys(cls, written, optional)
+    if got != keys and got != required:
+        missing, unknown = required - got, got - keys
+        if missing or unknown:
+            raise error(f"{what}: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}")
+    values = dict(d)
+    for key in unread:
+        del values[key]
+    for key, build in load.items():
+        if key in values:
+            values[key] = build(values[key])
+    try:
+        return cls(**values)
+    except TuneforgeError as e:  # a class that checks its fields when built
+        raise error(f"{what}: {e}") from None
 
 
 def write_text(path: str, text: str) -> None:

@@ -13,12 +13,12 @@ interaction stage screens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT, Measurement, PlanEntry
-from .jsonfile import JsonArtifact, check_keys
+from .jsonfile import JsonArtifact, load_fields
 from .space import (Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, closest_index,
                     level_grid)
 
@@ -110,23 +110,8 @@ class SensitivityProfile:
 
     @classmethod
     def from_json(cls, d: dict) -> "SensitivityProfile":
-        """The profile ``to_json`` wrote: every field's key and no other, or
-        AnalysisError, so that a misspelled key cannot take a default."""
-        check_keys(d, _PROFILE_KEYS, "sensitivity profile")
-        return cls(
-            parameter=d["parameter"],
-            cv_per_workload=dict(d["cv_per_workload"]),
-            aggregate_cv=float(d["aggregate_cv"]),
-            shape=d["shape"],
-            safe_range=SafeRange.from_json(d["safe_range"]),
-            rank=int(d["rank"]),
-            selected=bool(d["selected"]),
-            best_level=dict(d["best_level"]),
-            warnings=list(d["warnings"]),
-        )
-
-
-_PROFILE_KEYS = frozenset(f.name for f in fields(SensitivityProfile))
+        """The profile ``to_json`` wrote, or AnalysisError."""
+        return load_fields(cls, d, "sensitivity profile", safe_range=SafeRange.from_json)
 
 
 @dataclass
@@ -166,15 +151,11 @@ class SensitivityReport(JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "SensitivityReport":
-        return cls(
-            campaign_id=d["campaign_id"],
-            space_hash=d["space_hash"],
-            tau_s=float(d["tau_s"]),
-            baseline_means=dict(d["baseline_means"]),
-            profiles=[SensitivityProfile.from_json(p) for p in d["profiles"]],
-            excluded_runs=int(d.get("excluded_runs", 0)),
-            excluded=dict(d.get("excluded", {})),
-        )
+        """The report ``to_json`` wrote, or AnalysisError; ``excluded`` may be
+        absent, as it is when empty."""
+        return load_fields(cls, d, "sensitivity report", optional=("excluded",),
+                           pinned={"schema_version": 1}, tau_s=float,
+                           profiles=lambda items: [SensitivityProfile.from_json(p) for p in items])
 
 
 def degraded(value: float, baseline: float, direction: str) -> bool:

@@ -8,14 +8,14 @@ over its members' stage-B levels, with everything else pinned at defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, Adapter, CampaignStore, Measurement, PlanEntry, run_plan
 from .interaction import InteractionReport, stage_b_levels
-from .jsonfile import JsonArtifact, check_keys
+from .jsonfile import JsonArtifact, load_fields
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
@@ -64,8 +64,7 @@ class GraphEdge:
 
     @classmethod
     def from_json(cls, d: dict) -> "GraphEdge":
-        return cls(a=d["a"], b=d["b"], eta_squared=float(d["eta_squared"]),
-                   p_value=d.get("p_value"), q_value=d.get("q_value"))
+        return load_fields(cls, d, "graph edge")
 
 
 @dataclass
@@ -91,9 +90,8 @@ class CorrelationGraph:
 
     @classmethod
     def from_json(cls, d: dict) -> "CorrelationGraph":
-        return cls(nodes=list(d["nodes"]),
-                   edges=[GraphEdge.from_json(e) for e in d["edges"]],
-                   components=[list(c) for c in d["components"]])
+        return load_fields(cls, d, "correlation graph",
+                           edges=lambda items: [GraphEdge.from_json(e) for e in items])
 
 
 def build_graph(top_k: list[str], report: InteractionReport) -> CorrelationGraph:
@@ -173,10 +171,7 @@ class JointOptimum:
 
     @classmethod
     def from_json(cls, d: dict) -> "JointOptimum":
-        return cls(component=list(d["component"]), workload_id=d["workload_id"],
-                   best_config=Configuration(d["best_config"]),
-                   best_metric=float(d["best_metric"]),
-                   improvement_vs_default=float(d["improvement_vs_default"]))
+        return load_fields(cls, d, "joint optimum", best_config=Configuration)
 
 
 @dataclass
@@ -206,18 +201,11 @@ class OptimaReport(JsonArtifact):
 
     @classmethod
     def from_json(cls, d: dict) -> "OptimaReport":
-        """The report ``to_json`` wrote: every key it writes and no other, or
-        AnalysisError; ``rejected`` may be absent, as it is when empty."""
-        check_keys(d, _OPTIMA_REPORT_KEYS, "optima report", optional=frozenset({"rejected"}))
-        return cls(campaign_id=d["campaign_id"], space_hash=d["space_hash"],
-                   graph=CorrelationGraph.from_json(d["graph"]),
-                   optima=[JointOptimum.from_json(o) for o in d["optima"]],
-                   baseline_means=dict(d["baseline_means"]),
-                   runs_used=int(d["runs_used"]),
-                   rejected=[dict(r) for r in d.get("rejected", [])])
-
-
-_OPTIMA_REPORT_KEYS = frozenset({"schema_version"} | {f.name for f in fields(OptimaReport)})
+        """The report ``to_json`` wrote, or AnalysisError; ``rejected`` may be
+        absent, as it is when empty."""
+        return load_fields(cls, d, "optima report", optional=("rejected",),
+                           pinned={"schema_version": 1}, graph=CorrelationGraph.from_json,
+                           optima=lambda items: [JointOptimum.from_json(o) for o in items])
 
 
 def rejection_reason(component: list[str]) -> str | None:

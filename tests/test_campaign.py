@@ -628,6 +628,82 @@ class TestJournalRepair:
         assert len(MeasurementLog.load(campaign.path(SWEEP_LOG))) == len(counting.keys)
 
 
+def campaign_files(directory):
+    """Every file of a campaign directory: journals as their header line and
+    the sorted records without ``wall_time``, other files as bytes."""
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            data = fh.read()
+        if name in JOURNALS:
+            header, *lines = data.splitlines()
+            records = [json.loads(line) for line in lines]
+            for record in records:
+                del record["wall_time"]
+            data = header, sorted(json.dumps(r, sort_keys=True) for r in records)
+        files[name] = data
+    return files
+
+
+def run_to_the_end(directory, adapter):
+    """Run every stage a fresh ``Campaign`` on ``directory`` has not finished."""
+    campaign, _ = small_campaign(directory)
+    for i, stage in enumerate(STAGE_NAMES):
+        if campaign.state.stage_index() <= i:
+            run_stage(campaign, stage, adapter)
+
+
+def tear_last_line(path):
+    """Cut the last line of ``path`` in half, as a writer killed mid-line would."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    with open(path, "wb") as fh:
+        fh.write(data[:start + (len(data) - start) // 2])
+
+
+class TestKillPointCensus:
+    """A campaign killed after any number of runs, and resumed with a fresh
+    ``Campaign``, ends with the files of an uninterrupted run. So does one
+    whose journal's last line was then torn in half. Every kill point
+    passes; this test samples every 8th and each stage's first and last run."""
+
+    def test_resume_from_a_kill_point_leaves_the_uninterrupted_files(self, tmp_path):
+        reference, adapter = small_campaign(tmp_path / "reference")
+        counting = InterruptingAdapter(adapter)
+        starts, ends = [], []
+        for stage in STAGE_NAMES:
+            starts.append(len(counting.keys))
+            run_stage(reference, stage, counting)
+            ends.append(len(counting.keys))
+        want = campaign_files(reference.directory)
+        points = sorted(set(range(0, ends[-1], 8)) | set(starts[:3]) | {n - 1 for n in ends[:3]})
+        differ, torn = [], 0
+        for n in points:
+            killed = tmp_path / f"killed-{n}"
+            campaign, _ = small_campaign(killed)
+            interrupting = InterruptingAdapter(adapter, limit=n)
+            with pytest.raises(KeyboardInterrupt):
+                for stage in STAGE_NAMES:
+                    run_stage(campaign, stage, interrupting)
+            journal = killed / JOURNALS[STAGE_NAMES.index(stage)]
+            resumes = [killed]
+            if journal.exists() and journal.stat().st_size:
+                shutil.copytree(killed, tmp_path / f"torn-{n}")
+                tear_last_line(tmp_path / f"torn-{n}" / journal.name)
+                resumes.append(tmp_path / f"torn-{n}")
+                torn += 1
+            for directory in resumes:
+                run_to_the_end(directory, adapter)
+                got = campaign_files(directory)
+                differ += [(directory.name, name) for name in want if got.get(name) != want[name]]
+                differ += [(directory.name, name) for name in got if name not in want]
+                shutil.rmtree(directory)
+        # a kill at a stage's first run comes before its journal exists
+        assert len(points) > 40 and torn == len(points) - 3
+        assert differ == []
+
+
 class PairCrashAdapter:
     """Measures through ``inner`` but crashes every configuration that
     ``crashes(assignments)`` accepts, as a pair that cannot run together."""

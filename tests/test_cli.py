@@ -193,6 +193,31 @@ class TestFullPipeline:
         assert "Traceback" not in err
         assert err.startswith("analysis error: ") and "'fast'" in err
 
+    @pytest.mark.parametrize("command, report, record, key", [
+        ("compile", OPTIMA_REPORT, lambda r: r["optima"][0], "best_metric"),
+        ("joint", INTERACTION_REPORT,
+         lambda r: next(rec["decomposition"] for rec in r["records"] if "decomposition" in rec),
+         "ss_a")], ids=["optima-best-metric", "decomposition-ss-a"])
+    def test_renamed_nested_report_key_exits_with_analysis_code(self, decls, capsys, command,
+                                                                report, record, key):
+        campaign = str(decls["dir"] / f"renamed_{key}")
+        stages = ["profile", "screen", "joint", "compile"]
+        for cmd in stages[:stages.index(command)]:
+            assert run_cli(decls, campaign, cmd) == 0
+        path = os.path.join(campaign, report)
+        with open(path) as fh:
+            data = json.load(fh)
+        damaged = record(data)
+        damaged[f"{key}_old"] = damaged.pop(key)
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        capsys.readouterr()
+        assert run_cli(decls, campaign, command) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("analysis error: ")
+        assert f"missing keys ['{key}'], unknown keys ['{key}_old']" in err
+
     def test_tune_on_postcondition_reading_a_string_exits_before_any_benchmark(
             self, decls, capsys, monkeypatch):
         campaign = str(decls["dir"] / "string_datum")

@@ -1,25 +1,37 @@
-"""Loading, validating and running a tuning document fail closed.
+"""Loading, validating and running a tuning document fail closed, and so
+does loading every other artifact.
 
 The contract: after any single mutation of a compiled document's JSON,
 either loading or validation fails with DocumentError, or ``run_session``
 returns a session. Nothing else escapes. The named cases are mutations that
 once broke it; the property states it for every single mutation.
+
+The reports, the campaign state, trace events and the knowledge export load
+only with exactly the keys their writer writes: the key census renames each
+key of each record they hold, one at a time.
 """
 
 import copy
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import run_small_pipeline
-from tuneforge.docgen import BenchmarkStep, ProceduralDocument, Skill, validate_document
-from tuneforge.errors import DocumentError
-from tuneforge.executor import run_session
+from tuneforge.campaign import (INTERACTION_REPORT, OPTIMA_REPORT, SENSITIVITY_REPORT,
+                                STATE_FILE, CampaignState)
+from tuneforge.docgen import (BenchmarkStep, KnowledgeExport, ProceduralDocument, Skill,
+                              export_knowledge, validate_document)
+from tuneforge.errors import AnalysisError, DocumentError
+from tuneforge.executor import TraceEvent, run_session
+from tuneforge.interaction import InteractionReport
+from tuneforge.sensitivity import SensitivityReport
 from tuneforge.simulator import SimulatorAdapter, SimulatorModel
 from tuneforge.space import Domain, ParameterSpace, ParameterSpec, WorkloadSpec
+from tuneforge.topology import OptimaReport
 
 DELETE = object()
 
@@ -116,6 +128,97 @@ VALIDATION_CASES = {
 def test_malformed_document_is_refused_at_load(pipeline, path, value):
     with pytest.raises(DocumentError):
         ProceduralDocument.from_json(mutated(pipeline["json"], path, value))
+
+
+@pytest.fixture(scope="module")
+def artifacts(pipeline):
+    """Artifact name -> (its JSON, its loader, its load error), for every other
+    artifact the pipeline writes. The sensitivity and optima reports also hold
+    the key their writer writes only when it is not empty."""
+    def on_disk(name):
+        with open(pipeline["campaign"].path(name)) as fh:
+            return json.load(fh)
+
+    sensitivity = {**on_disk(SENSITIVITY_REPORT), "excluded": {"pz": "no usable level"}}
+    optima = {**on_disk(OPTIMA_REPORT),
+              "rejected": [{"component": ["pa", "pb"], "reason": "too big"}]}
+    event = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=0).trace[0]
+    return {
+        "campaign state": (on_disk(STATE_FILE), CampaignState.from_json, AnalysisError),
+        "sensitivity report": (sensitivity, SensitivityReport.from_json, AnalysisError),
+        "interaction report": (on_disk(INTERACTION_REPORT), InteractionReport.from_json,
+                               AnalysisError),
+        "optima report": (optima, OptimaReport.from_json, AnalysisError),
+        "trace event": (copy.deepcopy(event.to_json()), TraceEvent.from_json, AnalysisError),
+        "knowledge export": (export_knowledge(pipeline["doc"]).to_json(),
+                             KnowledgeExport.from_json, DocumentError),
+    }
+
+
+# Keys whose value a loader keeps as plain JSON rather than reading it as a
+# record: maps keyed by parameter, workload or stage, and payloads.
+PAYLOAD_KEYS = {"cv_per_workload", "best_level", "baseline_means", "excluded", "thresholds",
+                "best_config", "budgets", "runs_used", "inputs", "outputs", "predicates",
+                "top_k", "safe_ranges", "interactions", "fingerprint", "rejected"}
+
+# Keys each census must reach, at the deepest records it holds.
+CENSUS_REACHES = {
+    "campaign state": {"runs_used"},
+    "sensitivity report": {"excluded", "excluded_runs", "best_level", "hi"},
+    "interaction report": {"thresholds", "confirmed", "decomposition", "ss_a", "f_interaction"},
+    "optima report": {"rejected", "nodes", "q_value", "best_metric"},
+    "trace event": {"predicates"},
+    "knowledge export": {"schema_version", "format_profile", "top_k"},
+}
+
+
+def record_keys(node, path=()):
+    """(path of a record, one of its keys) for every key of every record in ``node``."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path, key
+            if key not in PAYLOAD_KEYS:
+                yield from record_keys(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from record_keys(child, path + (i,))
+
+
+@pytest.mark.parametrize("name", CENSUS_REACHES, ids=lambda name: name.replace(" ", "-"))
+def test_every_renamed_key_fails_the_load(artifacts, name):
+    d, load, error = artifacts[name]
+    assert load(d).to_json() == d
+    census = list(record_keys(d))
+    assert CENSUS_REACHES[name] <= {key for _, key in census}
+    escaped = []
+    for path, key in census:
+        renamed = f"{key}_renamed"
+        try:
+            load(mutated(d, path + (key,), Rename(renamed)))
+            escaped.append((path, key, "loaded"))
+        except error as e:
+            if f"'{renamed}'" not in str(e):
+                escaped.append((path, key, str(e)))
+        except Exception as e:  # the census lists whatever else escapes
+            escaped.append((path, key, repr(e)))
+    assert escaped == []
+
+
+VERSION_CASES = {
+    "sensitivity-report-2": ("sensitivity report", "schema_version", 2),
+    "interaction-report-2": ("interaction report", "schema_version", 2),
+    "optima-report-2": ("optima report", "schema_version", 2),
+    "optima-report-true": ("optima report", "schema_version", True),
+    "export-2": ("knowledge export", "schema_version", 2),
+    "export-format": ("knowledge export", "format_profile", "optimizer-yaml"),
+}
+
+
+@pytest.mark.parametrize("name, key, value", VERSION_CASES.values(), ids=VERSION_CASES.keys())
+def test_other_schema_fails_the_load(artifacts, name, key, value):
+    d, load, error = artifacts[name]
+    with pytest.raises(error, match=re.escape(f"unsupported {name} {key} {value!r}")):
+        load(mutated(d, (key,), value))
 
 
 @pytest.mark.parametrize("path, value", VALIDATION_CASES.values(),
