@@ -53,8 +53,8 @@ def load_fields(cls: type, d: Any, what: str, *, written: tuple[str, ...] = (),
     one value (a schema version), which are checked first. Only the keys in
     ``optional``, which ``to_json`` leaves out when empty, may be absent; an
     absent field takes its default. ``load`` maps a field to the function
-    that builds it from its JSON value. An error ``cls`` raises when it checks
-    its fields becomes ``error``.
+    that builds it from its JSON value; a TypeError or ValueError it raises,
+    and an error ``cls`` raises when it checks its fields, become ``error``.
     """
     got = d.keys() if type(d) is dict else frozenset()
     if pinned:
@@ -72,7 +72,10 @@ def load_fields(cls: type, d: Any, what: str, *, written: tuple[str, ...] = (),
         del values[key]
     for key, build in load.items():
         if key in values:
-            values[key] = build(values[key])
+            try:
+                values[key] = build(values[key])
+            except (TypeError, ValueError) as e:  # a value of the wrong type
+                raise error(f"{what}: {key}: {e}") from None
     try:
         return cls(**values)
     except TuneforgeError as e:  # a class that checks its fields when built

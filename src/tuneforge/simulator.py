@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
 
-import yaml
-
 from .errors import CrashError, ParameterError
 from .harness import splitmix64
-from .space import Configuration, ParameterSpace, WorkloadSpec
+from .space import Configuration, ParameterSpace, WorkloadSpec, dump_yaml, load_yaml
 
 SHAPES = ("linear-up", "linear-down", "quadratic-peak", "step", "flat")
 
@@ -296,12 +294,12 @@ class SimulatorModel:
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(self.to_json(), fh, sort_keys=False)
+            fh.write(dump_yaml(self.to_json()))
 
     @classmethod
     def load(cls, path: str) -> "SimulatorModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(yaml.safe_load(fh))
+        """The model in the YAML file at ``path``, or ParameterError naming it."""
+        return load_yaml(path, cls.from_json)
 
 
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's stream increment

@@ -4,6 +4,13 @@ A :class:`ParameterSpace` declares what can be tuned; a :class:`Configuration`
 is a sparse assignment over it (unassigned parameters are implicitly at their
 defaults). Spaces and workloads load from a single human-editable YAML file
 with a ``schema_version`` field.
+
+Every YAML file the package reads or writes (declarations and simulator
+models) goes through one reader, :func:`load_yaml`, and one writer,
+:func:`dump_yaml`. They use PyYAML's libyaml classes when PyYAML was built
+with them and its pure-Python safe classes otherwise; both share the safe
+resolver and constructor, so a file gives the same objects and a document the
+same text either way.
 """
 
 from __future__ import annotations
@@ -20,6 +27,14 @@ import yaml
 from .errors import ParameterError
 
 SCHEMA_VERSION = 1
+
+# The parser and emitter of every YAML read and write: libyaml's where PyYAML
+# has it. The pure-Python ones take most of a command's set-up time on a
+# large declaration.
+if yaml.__with_libyaml__:
+    YAML_LOADER, YAML_DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    YAML_LOADER, YAML_DUMPER = yaml.SafeLoader, yaml.SafeDumper
 
 DomainKind = str  # "continuous" | "integer" | "enum" | "boolean"
 
@@ -387,20 +402,41 @@ def snap_to_domain(spec: ParameterSpec, value: float) -> Any:
     raise ParameterError(f"cannot snap into {dom.kind} domain")
 
 
-def _load_section(path: str, section: str, build: Callable[[dict], Any]) -> Any:
-    """``build`` applied to a declaration file holding ``section``. A missing,
-    unknown or malformed key raises ParameterError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict) or section not in doc:
-        raise ParameterError(f"{path}: no {section!r} section")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ParameterError(f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+def load_yaml(path: str, build: Callable[[Any], Any]) -> Any:
+    """``build`` applied to the YAML document in the file at ``path``. A file
+    that cannot be read or is not YAML, and a document ``build`` cannot use (a
+    missing, unknown or malformed key), raise ParameterError naming the file."""
+    try:
+        with open(path, "rb") as fh:  # bytes: a bad encoding is a YAMLError
+            doc = yaml.load(fh, Loader=YAML_LOADER)
+    except OSError as e:
+        raise ParameterError(f"{path}: cannot read the file: {e.strerror}") from None
+    except yaml.YAMLError as e:
+        raise ParameterError(f"{path}: not a YAML file: {e}") from None
     try:
         return build(doc)
+    except KeyError as e:
+        raise ParameterError(f"{path}: missing key {e}") from None
     except (AttributeError, TypeError, ValueError) as e:  # TypeError: a missing or unknown key
         raise ParameterError(f"{path}: {e}") from None
+
+
+def dump_yaml(doc: Any) -> str:
+    """The YAML text of ``doc``, keys in insertion order."""
+    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
+
+
+def _load_section(path: str, section: str, build: Callable[[dict], Any]) -> Any:
+    """``build`` applied to a declaration file holding ``section``."""
+    def checked(doc: Any) -> Any:
+        if not isinstance(doc, dict) or section not in doc:
+            raise ParameterError(f"{path}: no {section!r} section")
+        version = doc.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ParameterError(
+                f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+        return build(doc)
+    return load_yaml(path, checked)
 
 
 def load_space(path: str) -> ParameterSpace:
@@ -423,4 +459,4 @@ def dump_space(space: ParameterSpace, workloads: list[WorkloadSpec] | None = Non
     doc = space.to_json()
     if workloads is not None:
         doc["workloads"] = [w.to_json() for w in workloads]
-    return yaml.safe_dump(doc, sort_keys=False)
+    return dump_yaml(doc)

@@ -9,11 +9,28 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
+import types
 from itertools import product
 
 from tuneforge.docgen import ProceduralDocument
 from tuneforge.harness import CampaignStore, Measurement
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
+
+
+def load_perfbench_workloads():
+    """perfbench/workloads.py, executed without importing it (nothing is
+    written beside it)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        with open(path, encoding="utf-8") as fh:
+            exec(compile(fh.read(), path, "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
 
 
 def unit_space(names, default=0.0):

@@ -72,6 +72,38 @@ class TestStageGating:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and f"'{key}'" in err
 
+    @pytest.mark.parametrize("which", ["space", "model"])
+    @pytest.mark.parametrize("damage, named", [
+        ("missing", "cannot read the file: No such file or directory"),
+        ("directory", "cannot read the file: Is a directory"),
+        ("not-yaml", "not a YAML file: "),
+        ("not-utf-8", "not a YAML file: "),
+    ], ids=["missing", "directory", "not-yaml", "not-utf-8"])
+    def test_unreadable_declaration_or_model_file_is_usage_error(self, decls, capsys, which,
+                                                                 damage, named):
+        path = decls[which]
+        os.remove(path)
+        if damage == "directory":
+            os.mkdir(path)
+        elif damage == "not-yaml":
+            with open(path, "w") as fh:
+                fh.write("parameters: [1, 2\n")
+        elif damage == "not-utf-8":
+            with open(path, "wb") as fh:
+                fh.write(b"schema_version: 1\nname: caf\xe9\n")
+        assert run_cli(decls, str(decls["dir"] / "c5"), "profile") == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {path}: {named}")
+
+    def test_model_without_base_rate_is_usage_error(self, decls, capsys):
+        with open(decls["model"]) as fh:
+            model_doc = yaml.safe_load(fh)
+        del model_doc["base_rate"]
+        with open(decls["model"], "w") as fh:
+            yaml.safe_dump(model_doc, fh)
+        assert run_cli(decls, str(decls["dir"] / "c6"), "profile") == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: {decls['model']}: missing key 'base_rate'\n"
+
 
 class TestFullPipeline:
     def test_end_to_end_and_artifacts(self, decls, capsys):
@@ -217,6 +249,23 @@ class TestFullPipeline:
         assert "Traceback" not in err
         assert err.startswith("analysis error: ")
         assert f"missing keys ['{key}'], unknown keys ['{key}_old']" in err
+
+    @pytest.mark.parametrize("key, value", [("tau_s", "x"), ("profiles", 5)],
+                             ids=["tau-s-not-a-number", "profiles-not-a-list"])
+    def test_wrongly_typed_report_value_exits_with_analysis_code(self, decls, capsys, key,
+                                                                 value):
+        campaign = str(decls["dir"] / f"typed_{key}")
+        assert run_cli(decls, campaign, "profile") == 0
+        path = os.path.join(campaign, SENSITIVITY_REPORT)
+        with open(path) as fh:
+            data = json.load(fh)
+        data[key] = value
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "screen") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"analysis error: sensitivity report: {key}: ")
 
     def test_tune_on_postcondition_reading_a_string_exits_before_any_benchmark(
             self, decls, capsys, monkeypatch):

@@ -5,16 +5,14 @@ import hashlib
 import json
 import math
 import operator
-import os
 import random
 import string
-import sys
-import types
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
-from helpers import edit_document, run_small_pipeline, shifted_small_model, skill_json
+from helpers import (edit_document, load_perfbench_workloads, run_small_pipeline,
+                     shifted_small_model, skill_json)
 from tuneforge import expr as expr_mod
 from tuneforge.campaign import Campaign
 from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, KnowledgeExport,
@@ -159,20 +157,6 @@ class TestCompile:
             assert skill.id in text
 
 
-def _load_perfbench_workloads():
-    """perfbench/workloads.py, executed without importing it (nothing is
-    written beside it)."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    module = types.ModuleType("perfbench_workloads")
-    sys.modules[module.__name__] = module  # dataclasses look their module up
-    try:
-        with open(path, encoding="utf-8") as fh:
-            exec(compile(fh.read(), path, "exec"), module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
-    return module
-
-
 class TestDirectionCheck:
     """A verify skill checks the response direction its documented best level
     implies, also when the noisy shape label is not monotonic."""
@@ -211,7 +195,7 @@ class TestDirectionCheck:
         # Campaign seed 903271 labels the two isolates that the shifted model
         # reverses, p007 and p010, non-monotonic; both have their w_read best
         # level at 1.0.
-        bench = _load_perfbench_workloads()
+        bench = load_perfbench_workloads()
         w = bench.declare_and_load(bench.planted_116(), str(tmp_path))
         campaign = Campaign(str(tmp_path / "campaign"), w.space, w.workloads, 903271)
         adapter = SimulatorAdapter(w.space, w.model)

@@ -1,17 +1,23 @@
 """Parameter space, configuration validation, and level grids."""
 
+import glob
 import json
+import os
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (SMALL_NAMES, load_perfbench_workloads, one_workload, shifted_small_model,
+                     small_model, unit_space)
 from tuneforge.errors import ParameterError
 from tuneforge.harness import mix_seed
-from tuneforge.space import (Configuration, Domain, ParameterSpace, ParameterSpec,
-                             WorkloadSpec, closest_index, dump_space, level_grid, load_space,
-                             load_workloads, validate_configuration)
+from tuneforge.simulator import Coupling, CrashRegion, Response, SimulatorModel
+from tuneforge.space import (YAML_DUMPER, YAML_LOADER, Configuration, Domain, ParameterSpace,
+                             ParameterSpec, WorkloadSpec, closest_index, dump_space, dump_yaml,
+                             level_grid, load_space, load_workloads, load_yaml,
+                             validate_configuration)
 
 
 def spec_int(name="p", lo=1, hi=10, default=5):
@@ -205,6 +211,112 @@ class TestMalformedDeclaration:
         load = load_space if section == "parameters" else load_workloads
         with pytest.raises(ParameterError, match=f"'{named}'"):
             load(str(path))
+
+
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
+
+# A declaration whose names and values a YAML parser or emitter could treat
+# differently: quotes, non-ASCII, a scalar longer than a line, a small float,
+# an int beyond 64 bits, booleans, null and strings that read as other types.
+EDGE_SPACE = ParameterSpace((
+    ParameterSpec(name='say "it\'s" here', domain=Domain("boolean"), default=True, unit="µs"),
+    ParameterSpec(name="größe_☃", domain=Domain("continuous", 1e-05, 2.5e3), default=1e-05,
+                  scale="log"),
+    ParameterSpec(name="l" * 90, domain=Domain("integer", -3, 2 ** 70), default=2 ** 62),
+    ParameterSpec(name="mode", domain=Domain("enum", values=(
+        "a " * 50, None, False, 1e-05, 2 ** 70, "yes", "null", "1.0", "")),
+        default=None, restart_required=True),
+))
+EDGE_WORKLOADS = [WorkloadSpec(id="ω-read", metric_name="p99: ms", direction="minimize")]
+
+# Hand-written scalars whose type comes from the shared resolver: 1e-05
+# without a dot is a string to YAML 1.1, yes/on are booleans, ~ is null.
+EDGE_TEXT = """\
+# comment
+schema_version: 1
+plain: 1e-05
+dotted: 1.0e-05
+big: 1180591620717411303424
+flags: [yes, no, true, False, on, ~, null]
+quoted: "it's \\"quoted\\" \\u2603"
+single: 'it''s'
+folded: >-
+  a folded
+  scalar
+"""
+
+
+def _declaration(space, workloads):
+    return {**space.to_json(), "workloads": [w.to_json() for w in workloads]}
+
+
+def census_documents():
+    """Every declaration and model document the tests, demo/ and
+    perfbench/workloads.py build, plus the edge cases."""
+    docs = {
+        "small-declaration": _declaration(unit_space(SMALL_NAMES), one_workload()),
+        "small-model": small_model().to_json(),
+        "shifted-small-model": shifted_small_model().to_json(),
+        "full-model": SimulatorModel(
+            base_rate=500.0, sigma=0.01,
+            responses={"a": Response(shape="quadratic-peak", strength=0.3, peak=0.4),
+                       "b": Response(shape="step", threshold=0.6, low_mult=0.9, high_mult=1.2)},
+            couplings=[Coupling("a", "b", -0.4)], crashes={"a": CrashRegion(0.9, 1.0)},
+            overrides={"w1": {"b": Response(shape="flat")}}).to_json(),
+        "edge-declaration": _declaration(EDGE_SPACE, EDGE_WORKLOADS),
+        "edge-text": yaml.load(EDGE_TEXT, Loader=yaml.SafeLoader),
+    }
+    bench = load_perfbench_workloads()
+    for name, build in bench.BUILDERS.items():
+        w = build()
+        docs[name] = _declaration(w.space, w.workloads)
+        for role in ("model", "shifted"):
+            if getattr(w, role) is not None:
+                docs[f"{name}-{role}"] = getattr(w, role).to_json()
+    for path in sorted(glob.glob(os.path.join(DEMO, "*.yaml"))):
+        with open(path, "rb") as fh:
+            docs[f"demo/{os.path.basename(path)}"] = yaml.load(fh, Loader=yaml.SafeLoader)
+    return docs
+
+
+class TestYamlCensus:
+    """The chosen YAML classes against PyYAML's pure-Python safe classes, the
+    reference: the same objects from every file, the same text from every
+    document."""
+
+    def test_libyaml_is_chosen_whenever_pyyaml_has_it(self):
+        if yaml.__with_libyaml__:
+            assert (YAML_LOADER, YAML_DUMPER) == (yaml.CSafeLoader, yaml.CSafeDumper)
+        else:
+            assert (YAML_LOADER, YAML_DUMPER) == (yaml.SafeLoader, yaml.SafeDumper)
+
+    def test_writer_and_reader_match_the_pure_python_classes(self, tmp_path):
+        docs = census_documents()
+        assert len(docs) == 14
+        for name, doc in docs.items():
+            text = yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
+            assert dump_yaml(doc) == text, name
+            path = tmp_path / "doc.yaml"
+            path.write_text(text, encoding="utf-8")
+            # repr tells True from 1 and 1.0 from 1, and keeps key order
+            assert repr(load_yaml(str(path), lambda d: d)) == repr(doc), name
+
+    def test_reader_matches_on_hand_written_files(self, tmp_path):
+        path = tmp_path / "edge.yaml"
+        path.write_text(EDGE_TEXT, encoding="utf-8")
+        edge = load_yaml(str(path), lambda d: d)
+        assert (edge["plain"], edge["dotted"], edge["big"]) == ("1e-05", 1e-05, 2 ** 70)
+        assert edge["flags"] == [True, False, True, False, True, None, None]
+        for path in [str(path)] + sorted(glob.glob(os.path.join(DEMO, "*.yaml"))):
+            with open(path, "rb") as fh:
+                reference = yaml.load(fh, Loader=yaml.SafeLoader)
+            assert repr(load_yaml(path, lambda d: d)) == repr(reference), path
+
+    def test_edge_declaration_round_trips(self, tmp_path):
+        path = tmp_path / "space.yaml"
+        path.write_text(dump_space(EDGE_SPACE, EDGE_WORKLOADS), encoding="utf-8")
+        assert load_space(str(path)).to_json() == EDGE_SPACE.to_json()
+        assert load_workloads(str(path)) == EDGE_WORKLOADS
 
 
 class TestConfiguration:
