@@ -9,6 +9,11 @@ answers each stage's plans from all of them: a stage resumes from whatever
 measurements already reached disk, and the joint stage takes the sweep's
 all-defaults runs as its baseline. Budget accounting mirrors the three-stage
 cost staging: sensitivity scan, correlation screen, joint optimization.
+
+Every report a stage reads goes through one reader that refuses a report
+another campaign or space wrote. Each stage reads only what it uses: screen
+the sensitivity report, joint the sensitivity and interaction reports, and
+compile the sensitivity and optima reports.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 from .docgen import ProceduralDocument, compile_document
-from .errors import ParameterError
+from .errors import AnalysisError, ParameterError
 from .executor import TuningSession, run_session
 from .harness import Adapter, CampaignStore, PlanEntry, campaign_id_for, run_plan
 from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairGrid,
@@ -110,6 +115,12 @@ class Campaign:
         state.save(path)
         return state
 
+    def _report(self, cls, name: str):
+        report, state = cls.load(self.path(name)), self.state
+        if (report.campaign_id, report.space_hash) != (state.campaign_id, state.space_hash):
+            raise AnalysisError(f"{self.path(name)} belongs to campaign {report.campaign_id}")
+        return report
+
     def _save_state(self) -> None:
         self.state.save(self.path(STATE_FILE))
 
@@ -179,7 +190,7 @@ class Campaign:
         and every table is read back from the campaign store through the
         configurations its plan ran."""
         self.require_stage("sweep-done", "screen")
-        report = SensitivityReport.load(self.path(SENSITIVITY_REPORT))
+        report = self._report(SensitivityReport, SENSITIVITY_REPORT)
         top_names = [p.parameter for p in report.top_k()]
         self.store.begin("screen")
         planned: set[tuple[str, str, int]] = set()
@@ -229,8 +240,8 @@ class Campaign:
     def joint(self, adapter: Adapter, repetitions: int = 3,
               parallelism: int = 1) -> OptimaReport:
         self.require_stage("screen-done", "joint")
-        sens = SensitivityReport.load(self.path(SENSITIVITY_REPORT))
-        inter = InteractionReport.load(self.path(INTERACTION_REPORT))
+        sens = self._report(SensitivityReport, SENSITIVITY_REPORT)
+        inter = self._report(InteractionReport, INTERACTION_REPORT)
         top_names = [p.parameter for p in sens.top_k()]
         graph = build_graph(top_names, inter) if top_names else \
             CorrelationGraph(nodes=[], edges=[], components=[])
@@ -266,11 +277,9 @@ class Campaign:
 
     def compile(self) -> ProceduralDocument:
         self.require_stage("joint-done", "compile")
-        sens = SensitivityReport.load(self.path(SENSITIVITY_REPORT))
-        inter = InteractionReport.load(self.path(INTERACTION_REPORT))
-        optima_report = OptimaReport.load(self.path(OPTIMA_REPORT))
-        doc = compile_document(sens, inter, optima_report.graph, optima_report.optima,
-                               self.space, self.workloads)
+        sens = self._report(SensitivityReport, SENSITIVITY_REPORT)
+        optima = self._report(OptimaReport, OPTIMA_REPORT)
+        doc = compile_document(sens, optima, self.space, self.workloads)
         doc.save(self.path(DOCUMENT_FILE))
         self._advance("compiled")
         return doc

@@ -1,5 +1,9 @@
 """Compilation of profiling artifacts into an executable procedural document.
 
+The compiler reads two artifacts of one campaign: the sensitivity report and
+the optima report, which carries the correlation graph, the joint optima and
+the components the joint stage rejected.
+
 The document is a DAG of skills. Each skill carries preconditions, an ordered
 procedure of steps (benchmark / compute / branch), the next skill (`next`, a
 skill id or `end`), postconditions, and the reference data that anchors its
@@ -10,10 +14,11 @@ decisions. The compiler emits:
 * one adaptation (re-sweep) skill per selected parameter, the target of the
   verification skill's postcondition-violation edge, which benchmarks every
   grid level and adopts the first best one in a single argmax/argmin step;
-* one per-component skill per multi-parameter correlation component, which
-  first tries the documented joint optimum and falls back to a full grid
-  re-search: one benchmark step per cell, one argmax/argmin step naming the
-  first best cell, and one pick step per member adopting that cell's level;
+* one per-component skill per multi-parameter correlation component that
+  the joint stage searched, which first tries the documented joint optimum
+  and falls back to a full grid re-search: one benchmark step per cell, one
+  argmax/argmin step naming the first best cell, and one pick step per
+  member adopting that cell's level;
 * one candidate skill assembling the per-parameter best levels into the final
   configuration and verifying it across workloads;
 * a unique orchestration root that initializes signals, measures the
@@ -50,11 +55,11 @@ from typing import Any, Callable, ClassVar, Mapping
 
 from . import expr as expr_mod
 from .errors import AnalysisError, CompileError, DocumentError, ParameterError
-from .interaction import ETA2_MIN, GRID_LEVELS, InteractionReport, stage_b_levels
+from .interaction import ETA2_MIN, GRID_LEVELS, stage_b_levels
 from .jsonfile import JsonArtifact, load_fields
 from .sensitivity import SafeRange, SensitivityReport
 from .space import ParameterSpace, WorkloadSpec, closest_index
-from .topology import CorrelationGraph, JointOptimum, rejection_reason
+from .topology import OptimaReport
 
 SCHEMA_VERSION = 3
 
@@ -395,21 +400,26 @@ def _grid_index(grids: dict[str, list[Any]], space: ParameterSpace, name: str,
         raise CompileError(str(e)) from None
 
 
-def compile_document(profiles: SensitivityReport, records: InteractionReport,
-                     graph: CorrelationGraph, optima: list[JointOptimum],
+def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
                      space: ParameterSpace, workloads: list[WorkloadSpec]) -> ProceduralDocument:
-    """Compile profiling outputs into a validated procedural document.
+    """Compile a campaign's sensitivity and optima reports into a validated
+    procedural document.
 
-    All inputs must come from the same campaign (matching fingerprints).
-    Raises CompileError on inconsistent inputs or if the generated skill
-    graph fails validation.
+    Both reports must come from one campaign; `Campaign` checks that where
+    it reads them. The correlation graph and the joint optima are the optima
+    report's. Raises CompileError on inconsistent inputs, on two workloads or
+    reference data that one key would name, or if the generated skill graph
+    fails validation.
     """
     if not workloads:
         raise CompileError("at least one workload is required")
-    if records.campaign_id != profiles.campaign_id or records.space_hash != profiles.space_hash:
-        raise CompileError(
-            f"interaction report fingerprint {records.campaign_id}/{records.space_hash} "
-            f"does not match sensitivity report {profiles.campaign_id}/{profiles.space_hash}")
+    by_signal: dict[str, str] = {}
+    for w in workloads:
+        first = by_signal.setdefault(signal_name(w.id), w.id)
+        if first != w.id:
+            raise CompileError(f"workloads {first!r} and {w.id!r} share the signal name "
+                               f"{signal_name(w.id)!r}")
+    graph, rejected = optima_report.graph, [r["component"] for r in optima_report.rejected]
     w0 = workloads[0]
     campaign = profiles.campaign_id
     direction = w0.direction
@@ -430,10 +440,10 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
         prof = profiles.profile(name)
         grids[name] = stage_b_levels(space.get(name), prof.safe_range, factorial=False)
 
-    # A rejected component has no joint optimum; its members are verified
-    # and re-swept one by one.
-    multi = [c for c in graph.multi_components() if rejection_reason(c) is None]
-    optima_by_key = {(tuple(o.component), o.workload_id): o for o in optima}
+    # A component the joint stage rejected has no joint optimum; its members
+    # are verified and re-swept one by one.
+    multi = [c for c in graph.multi_components() if c not in rejected]
+    optima_by_key = {(tuple(o.component), o.workload_id): o for o in optima_report.optima}
 
     sig = signal_name
     provenance: dict[str, dict] = {}
@@ -556,6 +566,9 @@ def compile_document(profiles: SensitivityReport, records: InteractionReport,
             "safe_hi": prof.safe_range.hi,
         }
         for wid, cv in sorted(prof.cv_per_workload.items()):
+            if f"cv_{sig(wid)}" in ref:
+                raise CompileError(f"workload {wid!r} names its CV cv_{sig(wid)}, "
+                                   f"which {verify_id} already holds")
             ref[f"cv_{sig(wid)}"] = cv
         verify = Skill(
             id=verify_id, kind=KIND_PER_PARAMETER,

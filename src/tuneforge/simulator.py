@@ -20,6 +20,7 @@ from typing import Any, Mapping
 
 from .errors import CrashError, ParameterError
 from .harness import splitmix64
+from .jsonfile import write_text
 from .space import Configuration, ParameterSpace, WorkloadSpec, dump_yaml, load_yaml
 
 SHAPES = ("linear-up", "linear-down", "quadratic-peak", "step", "flat")
@@ -75,9 +76,8 @@ class Response:
 
     @classmethod
     def from_json(cls, d: dict) -> "Response":
-        return cls(shape=d.get("shape", "flat"), strength=float(d.get("strength", 0.0)),
-                   peak=float(d.get("peak", 0.5)), threshold=float(d.get("threshold", 0.5)),
-                   low_mult=float(d.get("low_mult", 1.0)), high_mult=float(d.get("high_mult", 1.0)))
+        """A missing key takes its default; the constructor refuses an unknown one."""
+        return cls(**{key: value if key == "shape" else float(value) for key, value in d.items()})
 
 
 @dataclass(frozen=True)
@@ -280,21 +280,24 @@ class SimulatorModel:
 
     @classmethod
     def from_json(cls, d: dict) -> "SimulatorModel":
-        return cls(
-            base_rate=float(d["base_rate"]),
-            sigma=float(d.get("sigma", 0.0)),
-            responses={k: Response.from_json(v) for k, v in d.get("responses", {}).items()},
-            couplings=[Coupling(c["a"], c["b"], float(c["strength"]))
-                       for c in d.get("couplings", [])],
-            crashes={k: CrashRegion(float(v["lo"]), float(v["hi"]))
-                     for k, v in d.get("crashes", {}).items()},
-            overrides={w: {k: Response.from_json(v) for k, v in m.items()}
-                       for w, m in d.get("overrides", {}).items()},
-        )
+        """The model of schema_version 1, which may be left out. A missing key
+        takes its default; the constructors refuse an unknown one."""
+        d = dict(d)
+        version = d.pop("schema_version", 1)
+        if version != 1:
+            raise ValueError(f"unsupported model schema_version {version!r} (expected 1)")
+        return cls(**{
+            **d, "base_rate": float(d["base_rate"]), "sigma": float(d.get("sigma", 0.0)),
+            "responses": {k: Response.from_json(v) for k, v in d.get("responses", {}).items()},
+            "couplings": [Coupling(**{**c, "strength": float(c["strength"])})
+                          for c in d.get("couplings", [])],
+            "crashes": {k: CrashRegion(**{key: float(x) for key, x in v.items()})
+                        for k, v in d.get("crashes", {}).items()},
+            "overrides": {w: {k: Response.from_json(v) for k, v in m.items()}
+                          for w, m in d.get("overrides", {}).items()}})
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dump_yaml(self.to_json()))
+        write_text(path, dump_yaml(self.to_json()))
 
     @classmethod
     def load(cls, path: str) -> "SimulatorModel":

@@ -269,8 +269,7 @@ class TestCriterion8DocumentIntegrity:
         doc.save(str(path))
         loaded = ProceduralDocument.load(str(path))
         assert loaded.to_json() == doc.to_json()
-        doc2 = compile_document(small["sensitivity"], small["interaction"],
-                                small["optima"].graph, small["optima"].optima,
+        doc2 = compile_document(small["sensitivity"], small["optima"],
                                 small["space"], small["workloads"])
         assert doc2.serialize() == doc.serialize()  # byte-deterministic compile
         announce(8, "document validates, round-trips, compiles byte-identically",

@@ -10,8 +10,8 @@ import pytest
 
 from helpers import one_workload, store_of, unit_space
 from tuneforge import campaign as campaign_mod
-from tuneforge.campaign import (LOCK_FILE, SCREEN_LOG, SENSITIVITY_REPORT, STATE_FILE,
-                                SWEEP_LOG, Campaign, CampaignState)
+from tuneforge.campaign import (DOCUMENT_FILE, LOCK_FILE, SCREEN_LOG, SENSITIVITY_REPORT,
+                                STATE_FILE, SWEEP_LOG, Campaign, CampaignState)
 from tuneforge.docgen import KnowledgeExport, ProceduralDocument, export_knowledge
 from tuneforge.errors import AnalysisError, CrashError, DocumentError, ParameterError
 from tuneforge.interaction import InteractionReport
@@ -130,6 +130,18 @@ class TestCampaignGuards:
             campaign.profile(adapter, levels_per_param=3, repetitions=2)
         assert adapter.keys == []
         assert not os.path.exists(campaign.path(SENSITIVITY_REPORT))
+
+    def test_compile_reads_no_interaction_report(self, tmp_path):
+        # compile takes the graph from the optima report, so a campaign whose
+        # interaction report is gone after joint compiles the same document.
+        from helpers import run_small_pipeline
+        run_small_pipeline(tmp_path / "whole")
+        p = run_small_pipeline(tmp_path / "pruned", compile_doc=False)
+        os.remove(p["campaign"].path(campaign_mod.INTERACTION_REPORT))
+        Campaign(p["campaign"].directory, p["space"], p["workloads"], seed=42).compile()
+        with open(tmp_path / "whole" / DOCUMENT_FILE, "rb") as whole, \
+                open(tmp_path / "pruned" / DOCUMENT_FILE, "rb") as pruned:
+            assert pruned.read() == whole.read()
 
     def test_screen_with_fewer_than_two_selected_is_empty_not_fatal(self, tmp_path):
         space = unit_space(["only", "flat2"])

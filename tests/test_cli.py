@@ -32,10 +32,10 @@ def decls(tmp_path):
     return {"space": str(space_path), "model": str(model_path), "dir": tmp_path}
 
 
-def run_cli(decls, campaign, *args):
+def run_cli(decls, campaign, *args, seed=9):
     argv = list(args) + [
         "--space", decls["space"], "--workloads", decls["space"],
-        "--campaign", campaign, "--seed", "9",
+        "--campaign", campaign, "--seed", str(seed),
     ]
     if args[0] in ("profile", "screen", "joint", "tune"):
         argv += ["--adapter", f"sim:{decls['model']}"]
@@ -103,6 +103,16 @@ class TestStageGating:
         assert run_cli(decls, str(decls["dir"] / "c6"), "profile") == 1
         err = capsys.readouterr().err
         assert err == f"usage error: {decls['model']}: missing key 'base_rate'\n"
+
+    def test_model_with_a_misspelled_key_is_usage_error(self, decls, capsys):
+        with open(decls["model"]) as fh:
+            model_doc = yaml.safe_load(fh)
+        model_doc["sigam"] = model_doc.pop("sigma")
+        with open(decls["model"], "w") as fh:
+            yaml.safe_dump(model_doc, fh)
+        assert run_cli(decls, str(decls["dir"] / "c7"), "profile") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {decls['model']}: ") and "'sigam'" in err
 
 
 class TestFullPipeline:
@@ -266,6 +276,31 @@ class TestFullPipeline:
         assert run_cli(decls, campaign, "screen") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"analysis error: sensitivity report: {key}: ")
+
+    @pytest.mark.parametrize("command, report", [
+        ("screen", SENSITIVITY_REPORT), ("joint", INTERACTION_REPORT),
+        ("compile", OPTIMA_REPORT)])
+    def test_report_of_another_campaign_exits_before_the_stage_runs(
+            self, decls, capsys, monkeypatch, command, report):
+        stages = ["profile", "screen", "joint", "compile"]
+        own, other = str(decls["dir"] / "own"), str(decls["dir"] / "other")
+        for cmd in stages[:stages.index(command)]:
+            assert run_cli(decls, own, cmd) == 0
+            assert run_cli(decls, other, cmd, seed=10) == 0
+        path = os.path.join(own, report)
+        with open(os.path.join(other, report), "rb") as src, open(path, "wb") as dst:
+            dst.write(src.read())
+        calls = []
+        monkeypatch.setattr("tuneforge.simulator.SimulatorAdapter.measure",
+                            lambda *args: calls.append(args))
+        capsys.readouterr()
+        assert run_cli(decls, own, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"analysis error: {path} belongs to campaign ")
+        assert calls == []
+        with open(os.path.join(own, "state.json")) as fh:
+            assert json.load(fh)["stage"] == {"screen": "sweep-done", "joint": "screen-done",
+                                              "compile": "joint-done"}[command]
 
     def test_tune_on_postcondition_reading_a_string_exits_before_any_benchmark(
             self, decls, capsys, monkeypatch):

@@ -6,19 +6,21 @@ import json
 import math
 import operator
 import random
+import re
+import shutil
 import string
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 from helpers import (edit_document, load_perfbench_workloads, run_small_pipeline,
                      shifted_small_model, skill_json)
 from tuneforge import expr as expr_mod
-from tuneforge.campaign import Campaign
+from tuneforge.campaign import OPTIMA_REPORT, Campaign
 from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, KnowledgeExport,
                               ProceduralDocument, Skill, compile_document, export_knowledge,
                               render_text, step_from_json, thaw, validate_document)
-from tuneforge.errors import CompileError, DocumentError
+from tuneforge.errors import AnalysisError, CompileError, DocumentError
 from tuneforge.executor import run_session
 from tuneforge.simulator import SimulatorAdapter
 from tuneforge.space import WorkloadSpec
@@ -104,18 +106,21 @@ class TestCompile:
 
     def test_compile_is_byte_deterministic(self, pipeline):
         p = pipeline
-        doc2 = compile_document(p["sensitivity"], p["interaction"],
-                                p["optima"].graph, p["optima"].optima,
-                                p["space"], p["workloads"])
+        doc2 = compile_document(p["sensitivity"], p["optima"], p["space"], p["workloads"])
         assert doc2.serialize() == p["doc"].serialize()
 
-    def test_mismatched_fingerprints_rejected(self, pipeline):
+    def test_mismatched_fingerprints_rejected(self, pipeline, tmp_path):
+        # The campaign checks each report where it reads it; the compiler
+        # takes the reports it is given.
         p = pipeline
-        bad = copy.deepcopy(p["interaction"])
+        directory = shutil.copytree(p["campaign"].directory, tmp_path / "campaign")
+        bad = copy.deepcopy(p["optima"])
         bad.campaign_id = "someone-else"
-        with pytest.raises(CompileError):
-            compile_document(p["sensitivity"], bad, p["optima"].graph,
-                             p["optima"].optima, p["space"], p["workloads"])
+        bad.save(str(directory / OPTIMA_REPORT))
+        campaign = Campaign(str(directory), p["space"], p["workloads"], p["campaign"].seed)
+        with pytest.raises(AnalysisError, match=f"{OPTIMA_REPORT} belongs to campaign "
+                                                "someone-else"):
+            campaign.compile()
 
     def test_provenance_covers_every_reference_datum(self, pipeline):
         doc = pipeline["doc"]
@@ -146,10 +151,35 @@ class TestCompile:
             r.confirmed = False
         from tuneforge.topology import build_graph
         graph = build_graph([q.parameter for q in p["sensitivity"].top_k()], inter)
-        doc = compile_document(p["sensitivity"], inter, graph, [],
+        doc = compile_document(p["sensitivity"], replace(p["optima"], graph=graph, optima=[]),
                                p["space"], p["workloads"])
         assert validate_document(doc) == []
         assert not [s for s in doc.skills if s.id.startswith("joint_")]
+
+    def test_rejected_component_gets_no_joint_skill(self, pipeline):
+        # The joint stage's recorded verdict decides, not the compiler's cap.
+        p = pipeline
+        (component,) = p["optima"].graph.multi_components()
+        report = replace(p["optima"], optima=[],
+                         rejected=[{"component": component, "reason": "decompose it"}])
+        doc = compile_document(p["sensitivity"], report, p["space"], p["workloads"])
+        assert validate_document(doc) == []
+        assert not [s for s in doc.skills if s.id.startswith("joint_")]
+        assert {f"verify_{m}" for m in component} <= {s.id for s in doc.skills}
+
+    @pytest.mark.parametrize("ids, named", [
+        (["w0", "tolerance"], "workload 'tolerance' names its CV cv_tolerance"),
+        (["w0", "w-1", "w_1"], "workloads 'w-1' and 'w_1' share the signal name 'w_1'")],
+        ids=["cv-tolerance", "shared-signal-name"])
+    def test_workload_keys_that_collide_are_refused(self, pipeline, ids, named):
+        p = pipeline
+        sens = copy.deepcopy(p["sensitivity"])
+        for profile in sens.profiles:
+            for wid in ids[1:]:
+                profile.cv_per_workload[wid] = 0.1
+        workloads = [WorkloadSpec(id=wid) for wid in ids]
+        with pytest.raises(CompileError, match=re.escape(named)):
+            compile_document(sens, p["optima"], p["space"], workloads)
 
     def test_render_text_mentions_every_skill(self, pipeline):
         text = render_text(pipeline["doc"])
@@ -171,8 +201,7 @@ class TestDirectionCheck:
         sens = copy.deepcopy(p["sensitivity"])
         for name in ("pc", "pd"):
             sens.profile(name).shape = "non-monotonic"
-        doc = compile_document(sens, p["interaction"], p["optima"].graph, p["optima"].optima,
-                               p["space"], p["workloads"])
+        doc = compile_document(sens, p["optima"], p["space"], p["workloads"])
         # pc rises on w0 (best level 1.0), pd falls (best level 0.0)
         assert self.shape_expr(doc, "pc") == "pc_hi_metric >= pc_lo_metric"
         assert self.shape_expr(doc, "pd") == "pd_hi_metric <= pd_lo_metric"
@@ -187,8 +216,7 @@ class TestDirectionCheck:
         profile = sens.profile("pc")
         profile.shape = "non-monotonic"
         profile.best_level["w0"] = 0.5
-        doc = compile_document(sens, p["interaction"], p["optima"].graph, p["optima"].optima,
-                               p["space"], p["workloads"])
+        doc = compile_document(sens, p["optima"], p["space"], p["workloads"])
         assert self.shape_expr(doc, "pc") == "1"
 
     def test_noise_labelled_isolates_of_planted_116_adapt(self, tmp_path):
@@ -573,7 +601,7 @@ class TestExport:
             r.confirmed = False
         from tuneforge.topology import build_graph
         graph = build_graph([q.parameter for q in p["sensitivity"].top_k()], inter)
-        doc = compile_document(p["sensitivity"], inter, graph, [],
+        doc = compile_document(p["sensitivity"], replace(p["optima"], graph=graph, optima=[]),
                                p["space"], p["workloads"])
         export = export_knowledge(doc)
         assert export.interactions == []

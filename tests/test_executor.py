@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -277,8 +278,7 @@ class TestDocumentIsCheckedOnce:
         monkeypatch.setattr(ProceduralDocument, "to_json",
                             counted("encode", ProceduralDocument.to_json))
         p = pipeline
-        doc = compile_document(p["sensitivity"], p["interaction"], p["optima"].graph,
-                               p["optima"].optima, p["space"], p["workloads"])
+        doc = compile_document(p["sensitivity"], p["optima"], p["space"], p["workloads"])
         sessions = [run_session(doc, p["adapter"], budget=30, seed=seed) for seed in range(20)]
         assert all(s.status == "converged" for s in sessions)
         assert {s.document_hash for s in sessions} == {expected_hash}
@@ -294,8 +294,8 @@ class TestAnomalyFloor:
         sens = copy.deepcopy(p["sensitivity"])
         for profile in sens.profiles:
             profile.selected = False
-        doc = compile_document(sens, p["interaction"],
-                               CorrelationGraph(nodes=[], edges=[], components=[]), [],
+        empty = CorrelationGraph(nodes=[], edges=[], components=[])
+        doc = compile_document(sens, replace(p["optima"], graph=empty, optima=[]),
                                p["space"], p["workloads"])
         session = run_session(doc, p["adapter"], budget=30, seed=0)
         assert session.status == "aborted"

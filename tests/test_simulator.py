@@ -10,14 +10,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from helpers import SMALL_NAMES, one_workload, reference_true_metric, small_model, unit_space
+from helpers import (SMALL_NAMES, load_perfbench_workloads, one_workload, reference_true_metric,
+                     shifted_small_model, small_model, unit_space)
 from tuneforge.campaign import (DOCUMENT_FILE, INTERACTION_REPORT, OPTIMA_REPORT,
                                 SENSITIVITY_REPORT, Campaign)
 from tuneforge.errors import CrashError, ParameterError
 from tuneforge.harness import mix_seed, run_experiment, run_plan
 from tuneforge.simulator import (SHAPES, Coupling, CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel, standard_normal)
-from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
+from tuneforge.space import (Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec,
+                             dump_yaml)
 
 
 class TestResponses:
@@ -91,6 +93,43 @@ class TestModel:
         path = tmp_path / "model.yaml"
         model.save(str(path))
         assert SimulatorModel.load(str(path)).to_json() == model.to_json()
+
+    # Each level of the model file holds only the keys its constructor takes.
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.update(sigam=0.2), "'sigam'"),
+        (lambda d: d["responses"]["a"].update(strenght=0.3), "'strenght'"),
+        (lambda d: d["overrides"]["w1"]["b"].update(peek=0.5), "'peek'"),
+        (lambda d: d["couplings"][0].update(strenght=0.1), "'strenght'"),
+        (lambda d: d["crashes"]["a"].update(high=1.0), "'high'"),
+        (lambda d: d.update(schema_version=2), "schema_version 2"),
+    ], ids=["top-level", "response", "override", "coupling", "crash", "schema-version"])
+    def test_unknown_model_key_is_refused_naming_the_file(self, tmp_path, edit, named):
+        d = SimulatorModel(base_rate=500.0, responses={"a": Response("linear-up", 0.3)},
+                           couplings=[Coupling("a", "b", 0.2)],
+                           crashes={"a": CrashRegion(0.9, 1.0)},
+                           overrides={"w1": {"b": Response("quadratic-peak", 0.1)}}).to_json()
+        edit(d)
+        path = tmp_path / "model.yaml"
+        path.write_text(dump_yaml(d))
+        with pytest.raises(ParameterError) as e:
+            SimulatorModel.load(str(path))
+        assert str(e.value).startswith(f"{path}: ") and named in str(e.value)
+
+    def test_missing_model_keys_take_their_documented_defaults(self, tmp_path):
+        path = tmp_path / "model.yaml"
+        path.write_text("base_rate: 10\nresponses: {a: {shape: step}}\n")
+        assert SimulatorModel.load(str(path)) == SimulatorModel(
+            base_rate=10.0, responses={"a": Response(shape="step")})
+
+    def test_test_and_perfbench_models_load_to_equal_objects(self, tmp_path):
+        bench = load_perfbench_workloads()
+        models = [small_model(), shifted_small_model(), bench.planted_116().model,
+                  bench.planted_116().shifted, bench.screen_k30().model]
+        for i, model in enumerate(models):
+            path = str(tmp_path / f"model{i}.yaml")
+            model.save(path)
+            loaded = SimulatorModel.load(path)
+            assert loaded == model and loaded.to_json() == model.to_json()
 
     def test_sigma_zero_is_deterministic_without_rng(self):
         adapter = SimulatorAdapter(self.space, SimulatorModel(base_rate=10.0))
