@@ -10,10 +10,11 @@ measurements already reached disk, and the joint stage takes the sweep's
 all-defaults runs as its baseline. Budget accounting mirrors the three-stage
 cost staging: sensitivity scan, correlation screen, joint optimization.
 
-Every report a stage reads goes through one reader that refuses a report
-another campaign or space wrote. Each stage reads only what it uses: screen
-the sensitivity report, joint the sensitivity and interaction reports, and
-compile the sensitivity and optima reports.
+Every report a stage reads, and the document that tuning and export read,
+goes through one reader that refuses an artifact another campaign or space
+wrote. Each stage reads only what it uses: screen the sensitivity report,
+joint the sensitivity and interaction reports, compile the sensitivity and
+optima reports, and tune the document.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .harness import Adapter, CampaignStore, PlanEntry, campaign_id_for, run_pla
 from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairGrid,
                           attach_stage_b, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, stage_a_record, table_from_log)
-from .jsonfile import JsonArtifact, load_fields, write_text
+from .jsonfile import JsonArtifact, dump_fields, load_fields, write_text
 from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
 from .space import ParameterSpace, WorkloadSpec
 from .topology import (CorrelationGraph, OptimaReport, build_graph, measure_baselines,
@@ -65,9 +66,7 @@ class CampaignState(JsonArtifact):
         return STAGES.index(self.stage)
 
     def to_json(self) -> dict:
-        return {"stage": self.stage, "seed": self.seed, "space_hash": self.space_hash,
-                "campaign_id": self.campaign_id, "budgets": self.budgets,
-                "runs_used": self.runs_used}
+        return dump_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "CampaignState":
@@ -116,10 +115,18 @@ class Campaign:
         return state
 
     def _report(self, cls, name: str):
+        """The artifact ``name``, or AnalysisError when another campaign or
+        space wrote it; the document names its owner in its fingerprint."""
         report, state = cls.load(self.path(name)), self.state
-        if (report.campaign_id, report.space_hash) != (state.campaign_id, state.space_hash):
-            raise AnalysisError(f"{self.path(name)} belongs to campaign {report.campaign_id}")
+        owner = report.fingerprint if cls is ProceduralDocument else vars(report)
+        if (owner.get("campaign_id"), owner.get("space_hash")) != (state.campaign_id,
+                                                                   state.space_hash):
+            raise AnalysisError(f"{self.path(name)} belongs to campaign {owner.get('campaign_id')}")
         return report
+
+    def document(self) -> ProceduralDocument:
+        """The compiled document, refused when another campaign compiled it."""
+        return self._report(ProceduralDocument, DOCUMENT_FILE)
 
     def _save_state(self) -> None:
         self.state.save(self.path(STATE_FILE))
@@ -289,7 +296,7 @@ class Campaign:
     def tune(self, adapter: Adapter, budget: int, seed: int | None = None,
              trace_name: str = "trace.jsonl") -> TuningSession:
         self.require_stage("compiled", "tune")
-        doc = ProceduralDocument.load(self.path(DOCUMENT_FILE))
+        doc = self.document()
         session = run_session(doc, adapter, budget, self.seed if seed is None else seed)
         session.save_trace(self.path(trace_name))
         if session.final_config is not None:

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .campaign import Campaign, DOCUMENT_FILE
-from .docgen import EXPORT_FORMAT, ProceduralDocument, export_knowledge, render_text
+from .docgen import EXPORT_FORMAT, export_knowledge, render_text
 from .errors import (AdapterError, AnalysisError, CompileError, DocumentError,
                      ParameterError, TuneforgeError)
 from .executor import STATUS_CONVERGED
@@ -171,8 +171,7 @@ def run_command(args: argparse.Namespace) -> int:
 
     if args.command == "export":
         campaign.require_stage("compiled", "export")
-        doc = ProceduralDocument.load(campaign.path(DOCUMENT_FILE))
-        export = export_knowledge(doc)
+        export = export_knowledge(campaign.document())
         out = args.out or campaign.path(f"export_{EXPORT_FORMAT}.json")
         export.save(out)
         print(f"wrote {out} ({len(export.top_k)} parameters, "

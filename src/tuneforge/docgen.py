@@ -56,7 +56,7 @@ from typing import Any, Callable, ClassVar, Mapping
 from . import expr as expr_mod
 from .errors import AnalysisError, CompileError, DocumentError, ParameterError
 from .interaction import ETA2_MIN, GRID_LEVELS, stage_b_levels
-from .jsonfile import JsonArtifact, load_fields
+from .jsonfile import JsonArtifact, dump_fields, load_fields, thaw
 from .sensitivity import SafeRange, SensitivityReport
 from .space import ParameterSpace, WorkloadSpec, closest_index
 from .topology import OptimaReport
@@ -90,15 +90,6 @@ def freeze(value: Any) -> Any:
                                  for k, v in value.items()})
     if isinstance(value, (list, tuple)):
         return tuple([freeze(v) if isinstance(v, _CONTAINERS) else v for v in value])
-    return value
-
-
-def thaw(value: Any) -> Any:
-    """The plain JSON value (dicts and lists) of a frozen one."""
-    if isinstance(value, (dict, MappingProxyType)):
-        return {k: thaw(v) if isinstance(v, _CONTAINERS) else v for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [thaw(v) if isinstance(v, _CONTAINERS) else v for v in value]
     return value
 
 
@@ -146,7 +137,7 @@ class _Part:
                     f"{type(self).__name__} {name} {thaw(value)!r} is not {annotation}")
 
     def to_json(self) -> dict:
-        return {name: thaw(getattr(self, name)) for name, _, _ in _field_tests(type(self))}
+        return dump_fields(self)
 
 
 def _each(build: Callable[[int, Any], Any]) -> Callable[[Any], Any]:
@@ -162,12 +153,7 @@ class _Step(_Part):
     action: ClassVar[str]
 
     def to_json(self) -> dict:
-        d: dict[str, Any] = {"action": self.action}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not f.default:  # a flag is written only when set
-                d[f.name] = thaw(value)
-        return d
+        return {"action": self.action, **dump_fields(self, optional=("adopt", "pin_best"))}
 
 
 @dataclass(frozen=True)
@@ -257,9 +243,6 @@ class Skill(_Part):
                 out.append(step.expr)
         return out
 
-    def to_json(self) -> dict:
-        return {**super().to_json(), "procedure": [s.to_json() for s in self.procedure]}
-
     @classmethod
     def from_json(cls, d: dict) -> "Skill":
         """Load a skill holding exactly the keys `to_json` writes."""
@@ -312,9 +295,7 @@ class ProceduralDocument(_Part, JsonArtifact):
         return self._safe.get(param)
 
     def to_json(self) -> dict:
-        return {**super().to_json(), "workloads": [w.to_json() for w in self.workloads],
-                "skills": [s.to_json() for s in self.skills],
-                "edges": [[a, b] for a, b in self.edges()]}
+        return {**dump_fields(self), "edges": [[a, b] for a, b in self.edges()]}
 
     def document_hash(self) -> str:
         """First 16 hex digits of the sha256 of the compact sorted-key JSON.
@@ -865,14 +846,7 @@ class KnowledgeExport(JsonArtifact):
     load_error = DocumentError
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "format_profile": EXPORT_FORMAT,
-            "fingerprint": self.fingerprint,
-            "top_k": self.top_k,
-            "safe_ranges": self.safe_ranges,
-            "interactions": self.interactions,
-        }
+        return dump_fields(self, pinned={"schema_version": 1, "format_profile": EXPORT_FORMAT})
 
     @classmethod
     def from_json(cls, d: dict) -> "KnowledgeExport":

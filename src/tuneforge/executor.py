@@ -22,13 +22,13 @@ from typing import Any, Callable
 
 from . import expr as expr_mod
 from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, ProceduralDocument, Skill,
-                     best_index_signal, thaw)
+                     best_index_signal)
 # Bound here as well, where perfbench/tracing.py times the session path's
 # validation; a document validates through `ProceduralDocument.violations`.
 from .docgen import validate_document  # noqa: F401
 from .errors import DocumentError, ExpressionError, ParameterError
 from .harness import OUTCOME_OK, Adapter, cell_seed, repetition_seed, run_valid_experiment
-from .jsonfile import load_fields, write_text
+from .jsonfile import dump_fields, load_fields, thaw, write_text
 from .space import Configuration, WorkloadSpec, validate_configuration
 
 STATUS_RUNNING = "running"
@@ -49,9 +49,7 @@ class TraceEvent:
     predicates: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {"seq": self.seq, "skill": self.skill, "action": self.action,
-                "step": self.step, "inputs": self.inputs, "outputs": self.outputs,
-                "predicates": self.predicates}
+        return dump_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "TraceEvent":

@@ -24,7 +24,7 @@ from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, CampaignStore, PlanEntry
-from .jsonfile import JsonArtifact, load_fields
+from .jsonfile import JsonArtifact, dump_fields, load_fields, strings
 from .sensitivity import SafeRange, SensitivityReport
 from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, snap_to_domain
 from .stats import benjamini_hochberg, f_upper_tail_p
@@ -90,21 +90,19 @@ class AnovaDecomposition:
     p_value: float
 
     def to_json(self) -> dict:
-        d = {
-            "ss_a": self.ss_a, "ss_b": self.ss_b,
-            "ss_interaction": self.ss_interaction,
-            "ss_error": self.ss_error, "ss_total": self.ss_total,
-            "df_a": self.df_a, "df_b": self.df_b,
-            "df_interaction": self.df_interaction, "df_error": self.df_error,
-            "f_interaction": "inf" if math.isinf(self.f_interaction) else self.f_interaction,
-            "p_value": self.p_value,
-        }
-        return d
+        return dump_fields(self, f_interaction=lambda f: "inf" if math.isinf(f) else f)
 
     @classmethod
     def from_json(cls, d: dict) -> "AnovaDecomposition":
         return load_fields(cls, d, "ANOVA decomposition",
                            f_interaction=lambda f: math.inf if f == "inf" else float(f))
+
+
+def _pair(value: Any) -> tuple[str, str]:
+    """A record's pair, read from its JSON list."""
+    if len(strings(value)) != 2:
+        raise ValueError(f"{value!r} is not two strings")
+    return tuple(value)
 
 
 @dataclass
@@ -130,29 +128,14 @@ class InteractionRecord:
             None, VERDICT_INDEPENDENT)
 
     def to_json(self) -> dict:
-        d: dict[str, Any] = {
-            "pair": list(self.pair),
-            "workload_id": self.workload_id,
-            "stage_a_int_pct": self.stage_a_int_pct,
-            "stage_a_verdict": self.stage_a_verdict,
-            "eta_squared": self.eta_squared,
-            "partial_eta_squared": self.partial_eta_squared,
-            "p_value": self.p_value,
-            "q_value": self.q_value,
-            "confirmed": self.confirmed,
-            "unsafe_to_screen": self.unsafe_to_screen,
-        }
-        if self.confirmed and self.decomposition is not None:
-            d["decomposition"] = self.decomposition.to_json()
-        return d
+        return dump_fields(self, optional=("decomposition",))
 
     @classmethod
     def from_json(cls, d: dict) -> "InteractionRecord":
         """The record ``to_json`` wrote, where only `decomposition` may be
         absent, or AnalysisError."""
         return load_fields(cls, d, "interaction record", optional=("decomposition",),
-                           pair=tuple, decomposition=AnovaDecomposition.from_json)
-
+                           pair=_pair, decomposition=AnovaDecomposition.from_json)
 
 @dataclass
 class InteractionReport(JsonArtifact):
@@ -175,15 +158,10 @@ class InteractionReport(JsonArtifact):
         return out
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "campaign_id": self.campaign_id,
-            "space_hash": self.space_hash,
-            "thresholds": {"advance_pct": ADVANCE_PCT, "independent_pct": INDEPENDENT_PCT,
-                           "eta2_min": ETA2_MIN, "q_max": Q_MAX,
-                           "stage_b_levels": GRID_LEVELS, "stage_b_reps": STAGE_B_REPS},
-            "records": [r.to_json() for r in self.records],
-        }
+        return {**dump_fields(self, pinned={"schema_version": 1}),
+                "thresholds": {"advance_pct": ADVANCE_PCT, "independent_pct": INDEPENDENT_PCT,
+                               "eta2_min": ETA2_MIN, "q_max": Q_MAX,
+                               "stage_b_levels": GRID_LEVELS, "stage_b_reps": STAGE_B_REPS}}
 
     @classmethod
     def from_json(cls, d: dict) -> "InteractionReport":
@@ -417,7 +395,8 @@ def attach_stage_b(rec: InteractionRecord, table: FactorialTable) -> None:
 
 
 def finalize_records(records: list[InteractionRecord]) -> list[InteractionRecord]:
-    """Apply BH-FDR across every tested (pair, workload) and set confirmations."""
+    """Apply BH-FDR across every tested (pair, workload) and set confirmations.
+    Only a confirmed record keeps its ANOVA decomposition."""
     tested = [r for r in records if r.p_value is not None]
     qs = benjamini_hochberg([r.p_value for r in tested])
     for rec, q in zip(tested, qs):
@@ -425,6 +404,8 @@ def finalize_records(records: list[InteractionRecord]) -> list[InteractionRecord
         rec.confirmed = (rec.eta_squared is not None
                          and rec.eta_squared > ETA2_MIN
                          and q < Q_MAX)
+        if not rec.confirmed:
+            rec.decomposition = None
     return records
 
 

@@ -1,5 +1,5 @@
 """One way to keep a JSON artifact on disk: canonical text, replaced atomically,
-read back with exactly the keys it was written with.
+written and read back with exactly the keys of its record's fields.
 
 Reports, the compiled document, the knowledge export and the campaign state
 are all written as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, so
@@ -7,10 +7,13 @@ identical contents give identical bytes (and document hashes). ``write_text``
 is the atomic replace behind them, and behind the session trace and the final
 configuration file too.
 
-``load_fields`` is the one reader of every artifact record: it builds a
-dataclass from a JSON object that holds exactly the keys its ``to_json``
-writes, so a renamed or missing key raises the artifact's load error instead
-of loading as a default.
+Every artifact record has one writer and one reader, and both take its keys
+from its dataclass fields: ``dump_fields`` writes one key per field, and
+``load_fields`` builds the dataclass from a JSON object holding exactly those
+keys, so a renamed or missing key raises the artifact's load error instead of
+loading as a default. The keywords mean the same in both directions:
+``pinned`` keys hold one value (a schema version), an ``optional`` key is
+left out when empty, and a ``dump``/``load`` entry converts one field.
 """
 
 from __future__ import annotations
@@ -25,9 +28,17 @@ from typing import Any, Callable, Mapping
 from .errors import AnalysisError, TuneforgeError
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def canonical_json(obj: Any) -> str:
     """Sorted keys, two-space indent, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@cache
+def _names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 @cache
@@ -35,7 +46,7 @@ def _keys(cls: type, written: tuple[str, ...], optional: tuple[str, ...]
           ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """The keys ``cls.to_json`` may write, those it always writes, and those
     of them that ``cls`` does not read."""
-    names = frozenset(f.name for f in fields(cls))
+    names = frozenset(_names(cls))
     keys = names | frozenset(written)
     return keys, keys - frozenset(optional), keys - names
 
@@ -80,6 +91,51 @@ def load_fields(cls: type, d: Any, what: str, *, written: tuple[str, ...] = (),
         return cls(**values)
     except TuneforgeError as e:  # a class that checks its fields when built
         raise error(f"{what}: {e}") from None
+
+
+def thaw(value: Any) -> Any:
+    """The plain JSON value of ``value``: a record through its ``to_json``,
+    lists and tuples item by item, and dicts and read-only mappings value by
+    value."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, (dict, MappingProxyType)):
+        return {k: v if type(v) in _SCALARS else thaw(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [v if type(v) in _SCALARS else thaw(v) for v in value]
+    to_json = getattr(value, "to_json", None)
+    return value if to_json is None else to_json()
+
+
+def dump_fields(obj: Any, *, optional: tuple[str, ...] = (),
+                pinned: Mapping[str, Any] = MappingProxyType({}),
+                **dump: Callable[[Any], Any]) -> dict:
+    """The JSON object of the dataclass ``obj``: one key per field, as
+    ``load_fields`` reads it back.
+
+    ``pinned`` keys are written with their pinned value, and an ``optional``
+    field is left out when its value is empty or false. ``dump`` maps a field
+    to the function that builds its JSON value; any other value is converted
+    by ``thaw``.
+    """
+    d = dict(pinned)
+    for name in _names(type(obj)):
+        value = getattr(obj, name)
+        if not value and name in optional:
+            continue
+        if name in dump:
+            d[name] = dump[name](value)
+        else:
+            d[name] = value if type(value) in _SCALARS else thaw(value)
+    return d
+
+
+def strings(value: Any) -> list[str]:
+    """``value`` when it is a list of strings; a ValueError, which a loader
+    reports as the artifact's load error, when it is not."""
+    if type(value) is not list or any(type(item) is not str for item in value):
+        raise ValueError(f"{value!r} is not a list of strings")
+    return value
 
 
 def write_text(path: str, text: str) -> None:

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT, Measurement, PlanEntry
-from .jsonfile import JsonArtifact, load_fields
+from .jsonfile import JsonArtifact, dump_fields, load_fields
 from .space import (Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, closest_index,
                     level_grid)
 
@@ -96,17 +96,7 @@ class SensitivityProfile:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "cv_per_workload": self.cv_per_workload,
-            "aggregate_cv": self.aggregate_cv,
-            "shape": self.shape,
-            "safe_range": self.safe_range.to_json(),
-            "rank": self.rank,
-            "selected": self.selected,
-            "best_level": self.best_level,
-            "warnings": self.warnings,
-        }
+        return dump_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "SensitivityProfile":
@@ -136,18 +126,7 @@ class SensitivityReport(JsonArtifact):
         return [p for p in self.profiles if p.selected]
 
     def to_json(self) -> dict:
-        d = {
-            "schema_version": 1,
-            "campaign_id": self.campaign_id,
-            "space_hash": self.space_hash,
-            "tau_s": self.tau_s,
-            "baseline_means": self.baseline_means,
-            "excluded_runs": self.excluded_runs,
-            "profiles": [p.to_json() for p in self.profiles],
-        }
-        if self.excluded:
-            d["excluded"] = self.excluded
-        return d
+        return dump_fields(self, optional=("excluded",), pinned={"schema_version": 1})
 
     @classmethod
     def from_json(cls, d: dict) -> "SensitivityReport":

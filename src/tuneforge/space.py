@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterator
 import yaml
 
 from .errors import ParameterError
+from .jsonfile import dump_fields
 
 SCHEMA_VERSION = 1
 
@@ -302,7 +303,7 @@ class WorkloadSpec:
         return a > b if self.direction == "maximize" else a < b
 
     def to_json(self) -> dict:
-        return {"id": self.id, "metric_name": self.metric_name, "direction": self.direction}
+        return dump_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "WorkloadSpec":

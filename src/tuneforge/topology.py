@@ -15,7 +15,7 @@ from typing import Any
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, Adapter, CampaignStore, Measurement, PlanEntry, run_plan
 from .interaction import InteractionReport, stage_b_levels
-from .jsonfile import JsonArtifact, load_fields
+from .jsonfile import JsonArtifact, dump_fields, load_fields, strings
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
@@ -59,8 +59,7 @@ class GraphEdge:
     q_value: float | None = None
 
     def to_json(self) -> dict:
-        return {"a": self.a, "b": self.b, "eta_squared": self.eta_squared,
-                "p_value": self.p_value, "q_value": self.q_value}
+        return dump_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "GraphEdge":
@@ -82,15 +81,11 @@ class CorrelationGraph:
         return [c[0] for c in self.components if len(c) == 1]
 
     def to_json(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "edges": [e.to_json() for e in self.edges],
-            "components": self.components,
-        }
+        return dump_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "CorrelationGraph":
-        return load_fields(cls, d, "correlation graph",
+        return load_fields(cls, d, "correlation graph", nodes=strings,
                            edges=lambda items: [GraphEdge.from_json(e) for e in items])
 
 
@@ -161,13 +156,7 @@ class JointOptimum:
     improvement_vs_default: float
 
     def to_json(self) -> dict:
-        return {
-            "component": self.component,
-            "workload_id": self.workload_id,
-            "best_config": self.best_config.assignments,
-            "best_metric": self.best_metric,
-            "improvement_vs_default": self.improvement_vs_default,
-        }
+        return dump_fields(self, best_config=lambda config: config.assignments)
 
     @classmethod
     def from_json(cls, d: dict) -> "JointOptimum":
@@ -186,18 +175,7 @@ class OptimaReport(JsonArtifact):
     rejected: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        d = {
-            "schema_version": 1,
-            "campaign_id": self.campaign_id,
-            "space_hash": self.space_hash,
-            "graph": self.graph.to_json(),
-            "optima": [o.to_json() for o in self.optima],
-            "baseline_means": self.baseline_means,
-            "runs_used": self.runs_used,
-        }
-        if self.rejected:  # written only when a component was rejected
-            d["rejected"] = self.rejected
-        return d
+        return dump_fields(self, optional=("rejected",), pinned={"schema_version": 1})
 
     @classmethod
     def from_json(cls, d: dict) -> "OptimaReport":

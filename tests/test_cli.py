@@ -260,22 +260,30 @@ class TestFullPipeline:
         assert err.startswith("analysis error: ")
         assert f"missing keys ['{key}'], unknown keys ['{key}_old']" in err
 
-    @pytest.mark.parametrize("key, value", [("tau_s", "x"), ("profiles", 5)],
-                             ids=["tau-s-not-a-number", "profiles-not-a-list"])
-    def test_wrongly_typed_report_value_exits_with_analysis_code(self, decls, capsys, key,
-                                                                 value):
+    @pytest.mark.parametrize("command, report, record, key, value, what", [
+        ("screen", SENSITIVITY_REPORT, lambda r: r, "tau_s", "x", "sensitivity report"),
+        ("screen", SENSITIVITY_REPORT, lambda r: r, "profiles", 5, "sensitivity report"),
+        ("joint", INTERACTION_REPORT,
+         lambda r: next(rec for rec in r["records"] if rec["confirmed"]), "pair", ["pa"],
+         "interaction record"),
+        ("compile", OPTIMA_REPORT, lambda r: r["graph"], "nodes", 5, "correlation graph"),
+    ], ids=["tau-s-not-a-number", "profiles-not-a-list", "pair-of-one", "nodes-not-a-list"])
+    def test_wrongly_typed_report_value_exits_with_analysis_code(
+            self, decls, capsys, command, report, record, key, value, what):
         campaign = str(decls["dir"] / f"typed_{key}")
-        assert run_cli(decls, campaign, "profile") == 0
-        path = os.path.join(campaign, SENSITIVITY_REPORT)
+        stages = ["profile", "screen", "joint", "compile"]
+        for cmd in stages[:stages.index(command)]:
+            assert run_cli(decls, campaign, cmd) == 0
+        path = os.path.join(campaign, report)
         with open(path) as fh:
             data = json.load(fh)
-        data[key] = value
+        record(data)[key] = value
         with open(path, "w") as fh:
             json.dump(data, fh)
         capsys.readouterr()
-        assert run_cli(decls, campaign, "screen") == 2
+        assert run_cli(decls, campaign, command) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"analysis error: sensitivity report: {key}: ")
+        assert err.startswith(f"analysis error: {what}: {key}: ")
 
     @pytest.mark.parametrize("command, report", [
         ("screen", SENSITIVITY_REPORT), ("joint", INTERACTION_REPORT),
@@ -339,6 +347,27 @@ class TestFullPipeline:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err == "analysis error: safe range is malformed: {'values': []}\n"
+
+    @pytest.mark.parametrize("command", ["tune", "export"])
+    def test_document_of_another_campaign_exits_and_writes_nothing(self, decls, capsys,
+                                                                   command):
+        own, other = str(decls["dir"] / "own"), str(decls["dir"] / "other")
+        for cmd in ("profile", "screen", "joint", "compile"):
+            assert run_cli(decls, own, cmd) == 0
+            assert run_cli(decls, other, cmd, seed=10) == 0
+        path = os.path.join(own, DOCUMENT_FILE)
+        with open(os.path.join(other, DOCUMENT_FILE), "rb") as src, open(path, "wb") as dst:
+            dst.write(src.read())
+        def files():
+            return {name: open(os.path.join(own, name), "rb").read()
+                    for name in os.listdir(own)}
+
+        before = files()
+        capsys.readouterr()
+        assert run_cli(decls, own, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"analysis error: {path} belongs to campaign ")
+        assert files() == before
 
     @pytest.mark.parametrize("command", ["tune", "export"])
     def test_truncated_document_exits_with_analysis_code(self, decls, capsys, command):

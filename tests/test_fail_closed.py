@@ -8,30 +8,35 @@ once broke it; the property states it for every single mutation.
 
 The reports, the campaign state, trace events and the knowledge export load
 only with exactly the keys their writer writes: the key census renames each
-key of each record they hold, one at a time.
+key of each record they hold, one at a time. The writer census ties what each
+record writes to its fields, and every artifact the pipeline holds in memory
+loads back equal from what it writes.
 """
 
 import copy
 import json
 import math
 import re
+import sys
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import run_small_pipeline
+from helpers import load_perfbench_workloads, run_small_pipeline
+from tuneforge import jsonfile
 from tuneforge.campaign import (INTERACTION_REPORT, OPTIMA_REPORT, SENSITIVITY_REPORT,
-                                STATE_FILE, CampaignState)
-from tuneforge.docgen import (BenchmarkStep, KnowledgeExport, ProceduralDocument, Skill,
-                              export_knowledge, validate_document)
+                                STATE_FILE, Campaign, CampaignState)
+from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, KnowledgeExport,
+                              ProceduralDocument, Skill, export_knowledge, validate_document)
 from tuneforge.errors import AnalysisError, DocumentError
 from tuneforge.executor import TraceEvent, run_session
-from tuneforge.interaction import InteractionReport
-from tuneforge.sensitivity import SensitivityReport
+from tuneforge.interaction import AnovaDecomposition, InteractionRecord, InteractionReport
+from tuneforge.sensitivity import SensitivityProfile, SensitivityReport
 from tuneforge.simulator import SimulatorAdapter, SimulatorModel
 from tuneforge.space import Domain, ParameterSpace, ParameterSpec, WorkloadSpec
-from tuneforge.topology import OptimaReport
+from tuneforge.topology import CorrelationGraph, GraphEdge, JointOptimum, OptimaReport
 
 DELETE = object()
 
@@ -202,6 +207,113 @@ def test_every_renamed_key_fails_the_load(artifacts, name):
         except Exception as e:  # the census lists whatever else escapes
             escaped.append((path, key, repr(e)))
     assert escaped == []
+
+
+# Each record class -> (the keys its writer adds to its fields: pinned values
+# and keys derived from other fields; the fields it leaves out when empty).
+WRITERS = {
+    SensitivityProfile: ((), ()),
+    SensitivityReport: (("schema_version",), ("excluded",)),
+    AnovaDecomposition: ((), ()),
+    InteractionRecord: ((), ("decomposition",)),
+    InteractionReport: (("schema_version", "thresholds"), ()),
+    GraphEdge: ((), ()),
+    CorrelationGraph: ((), ()),
+    JointOptimum: ((), ()),
+    OptimaReport: (("schema_version",), ("rejected",)),
+    CampaignState: ((), ()),
+    TraceEvent: ((), ()),
+    KnowledgeExport: (("schema_version", "format_profile"), ()),
+    WorkloadSpec: ((), ()),
+    BenchmarkStep: (("action",), ("adopt", "pin_best")),
+    ComputeStep: (("action",), ()),
+    BranchStep: (("action",), ()),
+    Skill: ((), ()),
+    ProceduralDocument: (("edges",), ()),
+}
+
+
+@pytest.fixture(scope="module")
+def written(pipeline):
+    """Every artifact the pipeline holds in memory, as its writer gets it. The
+    sensitivity and optima reports also come once with the key their writer
+    writes only when it is not empty."""
+    p = pipeline
+    trace = run_session(p["doc"], p["adapter"], budget=30, seed=0).trace
+    return {
+        "sensitivity report": p["sensitivity"],
+        "sensitivity report with excluded": replace(p["sensitivity"],
+                                                    excluded={"pz": "no usable level"}),
+        "interaction report": p["interaction"],
+        "optima report": p["optima"],
+        "optima report with rejected": replace(
+            p["optima"], rejected=[{"component": ["pa", "pb"], "reason": "too big"}]),
+        "campaign state": p["campaign"].state,
+        "trace event": next(e for e in trace if e.action == BenchmarkStep.action),
+        "knowledge export": export_knowledge(p["doc"]),
+        "document": p["doc"],
+    }
+
+
+def parts(record):
+    """``record`` and every record it holds, at any depth."""
+    yield record
+    for f in fields(record):
+        value = getattr(record, f.name)
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if type(item) in WRITERS:
+                yield from parts(item)
+
+
+def test_every_writer_writes_exactly_its_fields(written, monkeypatch):
+    read, load_fields = set(), jsonfile.load_fields
+
+    def recording(cls, *args, **kwargs):
+        read.add(cls)
+        return load_fields(cls, *args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("tuneforge.")]:
+        if module is not jsonfile and getattr(module, "load_fields", None) is load_fields:
+            monkeypatch.setattr(module, "load_fields", recording)
+    emptied = {}
+    for artifact in written.values():
+        type(artifact).from_json(artifact.to_json())
+        for record in parts(artifact):
+            added, optional = WRITERS[type(record)]
+            empty = {key for key in optional if not getattr(record, key)}
+            names = {f.name for f in fields(record)}
+            assert set(record.to_json()) == (names | set(added)) - empty, type(record)
+            for key in optional:
+                emptied.setdefault((type(record), key), set()).add(key in empty)
+    # Every class load_fields reads is in the census, and each optional key
+    # was seen both written and left out.
+    assert read == set(WRITERS)
+    assert emptied == {(cls, key): {True, False}
+                       for cls, (_, optional) in WRITERS.items() for key in optional}
+
+
+@pytest.mark.parametrize("name", ["sensitivity report", "interaction report", "optima report",
+                                  "campaign state", "trace event", "knowledge export",
+                                  "document"], ids=lambda name: name.replace(" ", "-"))
+def test_artifact_in_memory_equals_the_one_loaded(written, name):
+    artifact = written[name]
+    assert type(artifact).from_json(artifact.to_json()) == artifact
+
+
+def test_screened_report_in_memory_equals_the_one_loaded(tmp_path):
+    # The small pipeline confirms every record its stage B tests; screen-k30
+    # on campaign seed 1000 tests 51 records that it does not confirm, and
+    # those keep no decomposition.
+    bench = load_perfbench_workloads()
+    w = bench.declare_and_load(bench.screen_k30(), str(tmp_path))
+    campaign = Campaign(str(tmp_path / "campaign"), w.space, w.workloads, 1000)
+    adapter = SimulatorAdapter(w.space, w.model)
+    campaign.profile(adapter, levels_per_param=w.levels_per_param, repetitions=3, tau_s=0.05)
+    report = campaign.screen(adapter)
+    unconfirmed = [r for r in report.records if r.p_value is not None and not r.confirmed]
+    assert len(unconfirmed) == 51
+    assert all(r.decomposition is None for r in unconfirmed)
+    assert InteractionReport.from_json(report.to_json()) == report
 
 
 VERSION_CASES = {
