@@ -23,8 +23,8 @@ from .sensitivity import (SensitivityProfile, SensitivityReport, SweepResult,
                           extract_safe_range, plan_sweep, select_top_k)
 from .simulator import Coupling, CrashRegion, Response, SimulatorAdapter, SimulatorModel
 from .space import (Configuration, Domain, ParameterSpace, ParameterSpec,
-                    WorkloadSpec, level_grid, load_space, load_workloads,
-                    validate_configuration)
+                    WorkloadSpec, level_grid, load_declarations, load_space,
+                    load_workloads, validate_configuration)
 from .stats import benjamini_hochberg, f_upper_tail_p, regularized_incomplete_beta
 from .topology import (CorrelationGraph, JointOptimum, JointSearchPlan,
                        OptimaReport, build_graph, independent_baseline,

@@ -17,7 +17,7 @@ from .executor import STATUS_CONVERGED
 from .harness import ShellAdapter
 from .sensitivity import DEFAULT_TAU_S
 from .simulator import SimulatorAdapter, SimulatorModel
-from .space import load_space, load_workloads
+from .space import load_declarations
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,8 +98,7 @@ def _print_sensitivity_table(report) -> None:
 
 
 def run_command(args: argparse.Namespace) -> int:
-    space = load_space(args.space)
-    workloads = load_workloads(args.workloads)
+    space, workloads = load_declarations(args.space, args.workloads)
     campaign = Campaign(args.campaign, space, workloads, args.seed)
 
     if args.command == "status":

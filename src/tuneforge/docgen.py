@@ -71,6 +71,9 @@ TARGET_END = "end"
 
 EXPORT_FORMAT = "optimizer-json"
 
+# The campaign a document was compiled from.
+FINGERPRINT_KEYS = frozenset({"campaign_id", "space_hash"})
+
 CV_TOLERANCE = 0.5           # +-50% band on the re-measured CV
 CONVERGENCE_RATIO = 0.01     # pass-over-pass incumbent change for convergence
 ONLINE_REPETITIONS = 3       # repetitions of every benchmark step
@@ -261,7 +264,7 @@ def _safe_range(param: str, d: Any) -> SafeRange:
 
 @dataclass(frozen=True)
 class ProceduralDocument(_Part, JsonArtifact):
-    fingerprint: Mapping[str, str]          # {"space_hash", "campaign_id"}
+    fingerprint: Mapping[str, str]          # exactly FINGERPRINT_KEYS
     root: str
     skills: tuple[Skill, ...]
     workloads: tuple[WorkloadSpec, ...]
@@ -275,6 +278,10 @@ class ProceduralDocument(_Part, JsonArtifact):
 
     def __post_init__(self):
         super().__post_init__()
+        keys = self.fingerprint.keys()
+        if keys != FINGERPRINT_KEYS:
+            raise DocumentError(f"fingerprint: missing keys {sorted(FINGERPRINT_KEYS - keys)}, "
+                                f"unknown keys {sorted(keys - FINGERPRINT_KEYS)}")
         object.__setattr__(self, "_safe", MappingProxyType(
             {param: _safe_range(param, d) for param, d in self.safe_ranges.items()}))
 

@@ -130,6 +130,14 @@ def dump_fields(obj: Any, *, optional: tuple[str, ...] = (),
     return d
 
 
+def string(value: Any) -> str:
+    """``value`` when it is a string; a ValueError, which a loader reports as
+    the artifact's load error, when it is not."""
+    if type(value) is not str:
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def strings(value: Any) -> list[str]:
     """``value`` when it is a list of strings; a ValueError, which a loader
     reports as the artifact's load error, when it is not."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape_json
 from typing import Any, Callable, Iterator
@@ -218,6 +219,16 @@ class ParameterSpace:
         out = {p.name: p.default for p in self.parameters}
         out.update(config.assignments)
         return out
+
+    def effective(self, config: "Configuration") -> "Configuration":
+        """The configuration the system runs: ``config`` without the members
+        at their parameter's default. A value is compared with its default by
+        canonical text, so ``0``, ``0.0`` and ``False`` stay distinct; a name
+        outside the space is kept, for validation to refuse."""
+        kept = {name: value for name, value in config.assignments.items()
+                if name not in self._by_name
+                or json_scalar(value) != json_scalar(self._by_name[name].default)}
+        return config if len(kept) == len(config.assignments) else Configuration(kept)
 
     def space_hash(self) -> str:
         """Stable content hash used as a campaign fingerprint component."""
@@ -427,32 +438,49 @@ def dump_yaml(doc: Any) -> str:
     return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
 
 
-def _load_section(path: str, section: str, build: Callable[[dict], Any]) -> Any:
-    """``build`` applied to a declaration file holding ``section``."""
-    def checked(doc: Any) -> Any:
-        if not isinstance(doc, dict) or section not in doc:
-            raise ParameterError(f"{path}: no {section!r} section")
-        version = doc.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ParameterError(
-                f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-        return build(doc)
-    return load_yaml(path, checked)
+def _section(path: str, doc: Any, section: str, build: Callable[[dict], Any]) -> Any:
+    """``build`` applied to the declaration ``doc`` read from ``path``, which
+    must hold ``section``."""
+    if not isinstance(doc, dict) or section not in doc:
+        raise ParameterError(f"{path}: no {section!r} section")
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ParameterError(
+            f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    return build(doc)
 
 
-def load_space(path: str) -> ParameterSpace:
-    """Read the ``parameters`` section of a space/workload declaration file."""
-    return _load_section(path, "parameters", ParameterSpace.from_json)
+def _space(path: str, doc: Any) -> ParameterSpace:
+    return _section(path, doc, "parameters", ParameterSpace.from_json)
 
 
-def load_workloads(path: str) -> list[WorkloadSpec]:
-    """Read the ``workloads`` section of a declaration file."""
-    workloads = _load_section(path, "workloads",
-                              lambda doc: [WorkloadSpec.from_json(w) for w in doc["workloads"]])
+def _workloads(path: str, doc: Any) -> list[WorkloadSpec]:
+    workloads = _section(path, doc, "workloads",
+                         lambda doc: [WorkloadSpec.from_json(w) for w in doc["workloads"]])
     ids = [w.id for w in workloads]
     if len(set(ids)) != len(ids):
         raise ParameterError(f"{path}: duplicate workload ids")
     return workloads
+
+
+def load_space(path: str) -> ParameterSpace:
+    """Read the ``parameters`` section of a space/workload declaration file."""
+    return load_yaml(path, lambda doc: _space(path, doc))
+
+
+def load_workloads(path: str) -> list[WorkloadSpec]:
+    """Read the ``workloads`` section of a declaration file."""
+    return load_yaml(path, lambda doc: _workloads(path, doc))
+
+
+def load_declarations(space_path: str, workloads_path: str
+                      ) -> tuple[ParameterSpace, list[WorkloadSpec]]:
+    """``load_space(space_path)`` and ``load_workloads(workloads_path)``,
+    parsing the file once when both paths name it."""
+    if os.path.realpath(space_path) != os.path.realpath(workloads_path):
+        return load_space(space_path), load_workloads(workloads_path)
+    return load_yaml(space_path, lambda doc: (_space(space_path, doc),
+                                              _workloads(workloads_path, doc)))
 
 
 def dump_space(space: ParameterSpace, workloads: list[WorkloadSpec] | None = None) -> str:

@@ -4,6 +4,9 @@ Confirmed interactions become edges of a weighted undirected graph over the
 top-k parameters; its connected components are the groups that must be tuned
 jointly. Each multi-parameter component gets a full-factorial grid search
 over its members' stage-B levels, with everything else pinned at defaults.
+Each grid point is measured as its effective configuration
+(``ParameterSpace.effective``), so a campaign store answers the points the
+sweep and the screen already ran; the optima name the full grid points.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Any
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, Adapter, CampaignStore, Measurement, PlanEntry, run_plan
 from .interaction import InteractionReport, stage_b_levels
-from .jsonfile import JsonArtifact, dump_fields, load_fields, strings
+from .jsonfile import JsonArtifact, dump_fields, load_fields, string, strings
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
@@ -63,7 +66,7 @@ class GraphEdge:
 
     @classmethod
     def from_json(cls, d: dict) -> "GraphEdge":
-        return load_fields(cls, d, "graph edge")
+        return load_fields(cls, d, "graph edge", a=string, b=string)
 
 
 @dataclass
@@ -86,7 +89,8 @@ class CorrelationGraph:
     @classmethod
     def from_json(cls, d: dict) -> "CorrelationGraph":
         return load_fields(cls, d, "correlation graph", nodes=strings,
-                           edges=lambda items: [GraphEdge.from_json(e) for e in items])
+                           edges=lambda items: [GraphEdge.from_json(e) for e in items],
+                           components=lambda items: [strings(c) for c in items])
 
 
 def build_graph(top_k: list[str], report: InteractionReport) -> CorrelationGraph:
@@ -136,13 +140,11 @@ class JointSearchPlan:
             configs.append(Configuration(dict(zip(names, combo))))
         return configs
 
-    def entries(self) -> list[PlanEntry]:
-        plan: list[PlanEntry] = []
-        for config in self.grid_configs():
-            for w in self.workloads:
-                for rep in range(self.repetitions):
-                    plan.append((config, w, rep))
-        return plan
+    def entries(self, space: ParameterSpace) -> list[PlanEntry]:
+        """Every (grid point, workload, repetition), in grid order, each grid
+        point as its effective configuration (``ParameterSpace.effective``)."""
+        return [(space.effective(config), w, rep) for config in self.grid_configs()
+                for w in self.workloads for rep in range(self.repetitions)]
 
 
 @dataclass
@@ -160,7 +162,8 @@ class JointOptimum:
 
     @classmethod
     def from_json(cls, d: dict) -> "JointOptimum":
-        return load_fields(cls, d, "joint optimum", best_config=Configuration)
+        return load_fields(cls, d, "joint optimum", component=strings,
+                           best_config=Configuration)
 
 
 @dataclass
@@ -183,7 +186,17 @@ class OptimaReport(JsonArtifact):
         absent, as it is when empty."""
         return load_fields(cls, d, "optima report", optional=("rejected",),
                            pinned={"schema_version": 1}, graph=CorrelationGraph.from_json,
-                           optima=lambda items: [JointOptimum.from_json(o) for o in items])
+                           optima=lambda items: [JointOptimum.from_json(o) for o in items],
+                           rejected=lambda items: [_rejection(r) for r in items])
+
+
+def _rejection(value: Any) -> dict:
+    """One ``rejected`` entry: a component's members and the reason."""
+    if type(value) is not dict or value.keys() != {"component", "reason"}:
+        raise ValueError(f"{value!r} is not a {{'component', 'reason'}} object")
+    strings(value["component"])
+    string(value["reason"])
+    return value
 
 
 def rejection_reason(component: list[str]) -> str | None:
@@ -270,14 +283,23 @@ def optimize_component(adapter: Adapter, plan: JointSearchPlan, seed: int,
                        ) -> tuple[list[JointOptimum], list[Measurement]]:
     """Run the grid and return the per-workload optima and the plan's records.
 
-    With a ``store``, cells it already holds (e.g. stage-B measurements of a
-    2-parameter component) are reused instead of re-measured.
+    Each grid point runs as its effective configuration, the members not at
+    their default, since that is the configuration the system sees. With a
+    ``store``, the runs it already holds answer the plan unmeasured: the
+    all-defaults baseline, one-parameter sweep runs, and the stage-B cells
+    of the component's pairs. The records are the plan's, under their
+    effective configurations; each optimum names the full grid point.
     """
-    records = run_plan(adapter, plan.entries(), parallelism=parallelism, seed=seed, store=store)
+    space = adapter.space
+    records = run_plan(adapter, plan.entries(space), parallelism=parallelism, seed=seed,
+                       store=store)
     configs = plan.grid_configs()
+    runs = [space.effective(c).canonical() for c in configs]
     optima = []
     for w in plan.workloads:
-        means = _grid_means(records, w.id)
+        measured = _grid_means(records, w.id)
+        means = {c.canonical(): measured[run] for c, run in zip(configs, runs)
+                 if run in measured}
         best_config, best_metric = _pick_best(configs, means, w)
         base = baseline_means[w.id]
         optima.append(JointOptimum(

@@ -22,7 +22,7 @@ from tuneforge.interaction import PairGrid, choose_pair_levels, stage_a_record, 
 from tuneforge.harness import Measurement, MeasurementLog, run_plan
 from tuneforge.sensitivity import SafeRange, plan_sweep
 from tuneforge.simulator import (Coupling, Response, SimulatorAdapter, SimulatorModel)
-from tuneforge.space import Configuration, WorkloadSpec, level_grid
+from tuneforge.space import Configuration, WorkloadSpec, json_scalar, level_grid
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,20 @@ class TestLoadersRequireTheirKeys:
                            match=r"missing keys \['runs_used'\], unknown keys \['runs_usd'\]"):
             OptimaReport.load(str(path))
 
+    @pytest.mark.parametrize("fingerprint, named", [
+        ({}, r"missing keys \['campaign_id', 'space_hash'\], unknown keys \[\]"),
+        ({"campaign_id": "c", "space_hash": "h", "seed": "1"},
+         r"missing keys \[\], unknown keys \['seed'\]")], ids=["empty", "extra-key"])
+    def test_document_fingerprint_holds_exactly_its_keys(self, tmp_path, fingerprint, named):
+        from helpers import run_small_pipeline
+        campaign = run_small_pipeline(tmp_path)["campaign"]
+        path = tmp_path / DOCUMENT_FILE
+        data = json.loads(path.read_text())
+        data["fingerprint"] = fingerprint
+        path.write_text(json.dumps(data))
+        with pytest.raises(DocumentError, match=f"document: fingerprint: {named}"):
+            campaign.document()
+
 
 class TestEnumParameters:
     def test_middle_enum_value_survives_compile_and_tune(self, tmp_path):
@@ -488,8 +502,12 @@ class InterruptingAdapter:
 
 
 def small_campaign(directory, seed=42):
-    """A campaign whose joint stage searches the 3-member chain pa-pb-pc, so
-    most of its grid is not in the screen's stage-B cells."""
+    """A campaign whose joint stage searches the 3-member chain pa-pb-pc.
+    Run as effective configurations, 22 of its 64 grid points are runs the
+    sweep and the screen already made: the baseline, the three sweep runs
+    with one member at 1.0, and the 18 stage-B cells of pa-pb and pb-pc
+    that name no default member. The pa-pc stage-A corner gives one more
+    run, so 125 of the 192 grid runs are fresh."""
     from helpers import SMALL_NAMES
     space = unit_space(SMALL_NAMES)
     model = SimulatorModel(
@@ -611,6 +629,49 @@ class TestCampaignStore:
         with open(resumed.path(campaign_mod.OPTIMA_REPORT), "rb") as got, \
                 open(reference.path(campaign_mod.OPTIMA_REPORT), "rb") as want:
             assert got.read() == want.read()
+
+
+def effective_key(space, m):
+    """The key under which the system sees the run ``m``: its configuration
+    without the members at their default, compared by canonical text."""
+    kept = {name: value for name, value in m.config.assignments.items()
+            if json_scalar(value) != json_scalar(space.get(name).default)}
+    return Configuration(kept).canonical(), m.workload_id, m.repetition
+
+
+@pytest.fixture(scope="module")
+def joint_runs(tmp_path_factory):
+    """The small campaign after its joint stage, the keys its sweep and screen
+    journals held before that stage, and the joint journal's records."""
+    campaign, adapter = small_campaign(tmp_path_factory.mktemp("joint"))
+    for stage in ("profile", "screen"):
+        run_stage(campaign, stage, adapter)
+    held = {m.key() for name in (SWEEP_LOG, SCREEN_LOG)
+            for m in MeasurementLog.load(campaign.path(name))}
+    optima = run_stage(campaign, "joint", adapter)
+    return campaign, optima, held, list(MeasurementLog.load(campaign.path(campaign_mod.JOINT_LOG)))
+
+
+class TestJointEffectiveConfigurations:
+    """The joint stage runs each grid point as its effective configuration, so
+    a point the sweep or the screen already ran is answered from the store."""
+
+    def test_joint_stage_journals_125_of_192_grid_runs(self, joint_runs):
+        campaign, optima, _, fresh = joint_runs
+        assert len(fresh) == optima.runs_used == campaign.state.runs_used["joint"] == 125
+        assert campaign.state.budgets["joint"] == 3 + 4 ** 3 * 3
+        # an optimum keeps every member of its component, defaults included
+        assert [sorted(o.best_config.assignments) for o in optima.optima] == [["pa", "pb", "pc"]]
+
+    def test_no_fresh_joint_run_names_a_member_at_its_default(self, joint_runs):
+        campaign, _, _, fresh = joint_runs
+        defaults = {p.name: json_scalar(p.default) for p in campaign.space}
+        assert not [m.config.canonical() for m in fresh
+                    if any(json_scalar(v) == defaults[n] for n, v in m.config.assignments.items())]
+
+    def test_no_fresh_joint_run_repeats_a_run_the_store_held(self, joint_runs):
+        campaign, _, held, fresh = joint_runs
+        assert not [m.key() for m in fresh if effective_key(campaign.space, m) in held]
 
 
 class TestJournalRepair:

@@ -94,6 +94,27 @@ class TestStageGating:
         assert run_cli(decls, str(decls["dir"] / "c5"), "profile") == 1
         assert capsys.readouterr().err.startswith(f"usage error: {path}: {named}")
 
+    @pytest.mark.parametrize("split, parses", [(False, 1), (True, 2)],
+                             ids=["one-file", "two-files"])
+    def test_each_declaration_file_is_parsed_once(self, decls, monkeypatch, split, parses):
+        from tuneforge import space as space_mod
+        workloads = decls["space"]
+        if split:
+            workloads = str(decls["dir"] / "workloads.yaml")
+            with open(decls["space"]) as src, open(workloads, "w") as dst:
+                dst.write(src.read())
+        calls, real = [], space_mod.yaml.load
+
+        def load(stream, Loader):
+            calls.append(stream.name)
+            return real(stream, Loader)
+
+        monkeypatch.setattr(space_mod.yaml, "load", load)
+        assert main(["status", "--space", decls["space"], "--workloads", workloads,
+                     "--campaign", str(decls["dir"] / "c7")]) == 0
+        assert len(calls) == parses
+        assert sorted(set(calls)) == sorted({decls["space"], workloads})
+
     def test_model_without_base_rate_is_usage_error(self, decls, capsys):
         with open(decls["model"]) as fh:
             model_doc = yaml.safe_load(fh)
@@ -267,7 +288,15 @@ class TestFullPipeline:
          lambda r: next(rec for rec in r["records"] if rec["confirmed"]), "pair", ["pa"],
          "interaction record"),
         ("compile", OPTIMA_REPORT, lambda r: r["graph"], "nodes", 5, "correlation graph"),
-    ], ids=["tau-s-not-a-number", "profiles-not-a-list", "pair-of-one", "nodes-not-a-list"])
+        ("compile", OPTIMA_REPORT, lambda r: r["graph"], "components", 5, "correlation graph"),
+        ("compile", OPTIMA_REPORT, lambda r: r["graph"], "components", [5],
+         "correlation graph"),
+        ("compile", OPTIMA_REPORT, lambda r: r["graph"]["edges"][0], "a", 5, "graph edge"),
+        ("compile", OPTIMA_REPORT, lambda r: r["optima"][0], "component", 5, "joint optimum"),
+        ("compile", OPTIMA_REPORT, lambda r: r, "rejected", [5], "optima report"),
+    ], ids=["tau-s-not-a-number", "profiles-not-a-list", "pair-of-one", "nodes-not-a-list",
+            "components-not-a-list", "component-not-a-list", "edge-end-not-a-string",
+            "optimum-component-not-a-list", "rejected-item-not-an-object"])
     def test_wrongly_typed_report_value_exits_with_analysis_code(
             self, decls, capsys, command, report, record, key, value, what):
         campaign = str(decls["dir"] / f"typed_{key}")

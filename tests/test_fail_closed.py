@@ -95,6 +95,8 @@ LOAD_CASES = {
     "next-int": (("skills", 0, "next"), 1),
     "reference-data-list": (("skills", 0, "reference_data"), [1]),
     "fingerprint-list": (("fingerprint",), [1]),
+    "fingerprint-empty": (("fingerprint",), {}),
+    "fingerprint-without-campaign": (("fingerprint", "campaign_id"), DELETE),
     "workload-direction-up": (("workloads", 0, "direction"), "up"),
     "workload-id-list": (("workloads", 0, "id"), [1]),
     "branch-target-str": (("skills", 1, "procedure", 0, "target"), "2"),
@@ -314,6 +316,25 @@ def test_screened_report_in_memory_equals_the_one_loaded(tmp_path):
     assert len(unconfirmed) == 51
     assert all(r.decomposition is None for r in unconfirmed)
     assert InteractionReport.from_json(report.to_json()) == report
+
+
+# A wrongly typed value in the optima report -> the load error's prefix.
+OPTIMA_TYPE_CASES = {
+    "components-int": (("graph", "components"), 5, "correlation graph: components: "),
+    "components-of-ints": (("graph", "components"), [5], "correlation graph: components: "),
+    "edge-a-int": (("graph", "edges", 0, "a"), 5, "graph edge: a: "),
+    "optimum-component-int": (("optima", 0, "component"), 5, "joint optimum: component: "),
+    "rejected-of-ints": (("rejected",), [5], "optima report: rejected: "),
+    "rejected-reason-int": (("rejected", 0, "reason"), 5, "optima report: rejected: "),
+}
+
+
+@pytest.mark.parametrize("path, value, prefix", OPTIMA_TYPE_CASES.values(),
+                         ids=OPTIMA_TYPE_CASES.keys())
+def test_wrongly_typed_optima_value_fails_the_load(artifacts, path, value, prefix):
+    d, load, error = artifacts["optima report"]
+    with pytest.raises(error, match=f"^{re.escape(prefix)}"):
+        load(mutated(d, path, value))
 
 
 VERSION_CASES = {

@@ -10,9 +10,9 @@ from tuneforge.errors import AnalysisError, ParameterError
 from tuneforge.interaction import InteractionRecord, InteractionReport
 from tuneforge.sensitivity import SafeRange, SensitivityProfile, SensitivityReport
 from tuneforge.simulator import Coupling, Response, SimulatorAdapter, SimulatorModel
-from tuneforge.space import Configuration
-from tuneforge.topology import (CorrelationGraph, UnionFind, _grid_means, build_graph,
-                                independent_baseline, measure_baselines,
+from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec
+from tuneforge.topology import (CorrelationGraph, JointSearchPlan, UnionFind, _grid_means,
+                                build_graph, independent_baseline, measure_baselines,
                                 optimize_component, plan_joint_search)
 
 
@@ -210,6 +210,42 @@ class TestOptimizeComponent:
         opt, _, _ = self.run_joint(SimulatorModel(base_rate=50.0))
         # flat model: every grid point ties; smallest canonical config wins
         assert opt.best_config.assignments == {"a": 0.0, "b": 0.0}
+
+
+class RecordingAdapter:
+    """Measures through ``inner`` and records each configuration it runs."""
+
+    def __init__(self, inner):
+        self.space = inner.space
+        self.max_concurrency = 1
+        self.inner = inner
+        self.ran = []
+
+    def measure(self, config, workload, seed):
+        self.ran.append(config.canonical())
+        return self.inner.measure(config, workload, seed)
+
+
+class TestEffectiveConfigurations:
+    @pytest.mark.parametrize("domain, default", [
+        (Domain("continuous", 0.0, 1.0), 0), (Domain("enum", values=(False, 0.0, 1.0)), False)],
+        ids=["int-zero", "false"])
+    def test_a_default_of_another_type_keeps_a_zero_level_explicit(self, domain, default):
+        # 0 == 0.0 == False, but their canonical texts differ: {"a": 0.0} is
+        # not the default of a parameter whose default is 0 or False.
+        space = ParameterSpace((ParameterSpec(name="a", domain=domain, default=default),
+                                ParameterSpec(name="b", domain=Domain("continuous", 0.0, 1.0),
+                                              default=0.0)))
+        assert space.effective(Configuration({"a": 0.0, "b": 0.0})) == Configuration({"a": 0.0})
+        assert space.effective(Configuration({"a": default, "b": 1.0})) == \
+            Configuration({"b": 1.0})
+        adapter = RecordingAdapter(SimulatorAdapter(space, SimulatorModel(base_rate=10.0)))
+        plan = JointSearchPlan(component=["a", "b"], grid={"a": [0.0, 1.0], "b": [0.0, 1.0]},
+                               repetitions=1, workloads=one_workload())
+        (opt,), _ = optimize_component(adapter, plan, 0, {"w0": 10.0})
+        assert set(adapter.ran) == {'{"a": 0.0}', '{"a": 0.0, "b": 1.0}', '{"a": 1.0}',
+                                    '{"a": 1.0, "b": 1.0}'}
+        assert opt.best_config == Configuration({"a": 0.0, "b": 0.0})
 
 
 class TestDecompositionOptimality:
