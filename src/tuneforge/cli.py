@@ -158,8 +158,9 @@ def run_command(args: argparse.Namespace) -> int:
         adapter = make_adapter(args.adapter, space)
         with campaign.lock():
             session = campaign.tune(adapter, budget=args.budget, seed=args.seed)
-        print(f"session {session.status}: {session.trials_used} trials, "
-              f"{session.passes} passes", file=sys.stderr)
+        reused = sum("reused_from" in e.inputs for e in session.trace)
+        print(f"session {session.status}: {session.trials_used} trials "
+              f"({reused} steps reused), {session.passes} passes", file=sys.stderr)
         if session.status == STATUS_CONVERGED:
             print(f"final metric: {session.final_metric}", file=sys.stderr)
             for name, value in sorted(session.final_config.assignments.items()):

@@ -6,7 +6,8 @@ skill that follows it (`next`), and postcondition violations route through
 the skill's declared adaptation edge or abort. The root skill's
 postconditions are the convergence criteria, evaluated at the end of each
 pass. Every predicate evaluation is recorded with the symbol values it used,
-so a trace can be replayed and checked offline.
+so a trace can be replayed and checked offline. The budget counts the trials
+the system ran; a repeated effective configuration reads its first measurement.
 
 The interpreter resolves everything from the document itself. The
 ``step_resolver`` hook lets an external agent override a skill's `next`;
@@ -84,10 +85,10 @@ class TuningSession:
         write_text(path, "".join(json.dumps(d, sort_keys=True) + "\n" for d in lines))
 
     def benchmarked_configs(self) -> list[tuple[Configuration, str]]:
-        """(config, workload) of every benchmark step in trace order."""
+        """(config, workload) of every benchmark step the system ran, in trace order."""
         out = []
         for e in self.trace:
-            if e.action == BenchmarkStep.action:
+            if e.action == BenchmarkStep.action and "reused_from" not in e.inputs:
                 out.append((Configuration(e.inputs["config"]), e.inputs["workload_id"]))
         return out
 
@@ -132,6 +133,8 @@ class SessionRunner:
         self.incumbent: tuple[Configuration, float] | None = None
         self._seq = 0
         self._benchmarks_this_pass = 0
+        # (effective config, workload, repetitions) -> (seq, outcomes, ok metrics)
+        self._measured: dict[tuple[Configuration, str, int], tuple[int, list, list]] = {}
 
     # -- tracing -------------------------------------------------------
 
@@ -206,33 +209,41 @@ class SessionRunner:
                     f"{skill.id}: {param}={value!r} outside safe range [{safe.lo}, {safe.hi}]")
 
     def _run_benchmark(self, skill: Skill, index: int, step: BenchmarkStep) -> None:
-        """Execute one benchmark step; no ok repetition aborts the session."""
-        if self.session.trials_used + 1 > self.session.trial_budget:
-            raise _Abort("trial budget exhausted")
+        """Run one benchmark step's effective configuration; no ok repetition
+        aborts the session. A step repeating an earlier step's (effective config,
+        workload, repetitions) reads its measurement, names its event in
+        ``reused_from`` and costs no trial."""
         config = self._resolve_template(step, skill)
         self._check_safe(config, skill)
         workload = self.workloads[step.workload_id]
-        metrics, outcomes = [], []
-        prefix = cell_seed(self.seed, config, workload.id)
-        for rep in range(step.repetitions):
-            m = run_valid_experiment(self.adapter, config, workload, rep,
-                                     repetition_seed(prefix, rep))
-            outcomes.append(m.outcome)
-            if m.outcome == OUTCOME_OK:
-                metrics.append(m.metric_value)
-        self.session.trials_used += 1
-        self._benchmarks_this_pass += 1
-        outputs: dict[str, Any] = {"outcomes": outcomes}
+        inputs = {"config": config.assignments, "workload_id": workload.id,
+                  "repetitions": step.repetitions}
+        effective = self.adapter.space.effective(config)
+        key = (effective, workload.id, step.repetitions)
+        if key in self._measured:
+            inputs["reused_from"], outcomes, metrics = self._measured[key]
+        else:
+            if self.session.trials_used + 1 > self.session.trial_budget:
+                raise _Abort("trial budget exhausted")
+            outcomes, metrics = [], []
+            prefix = cell_seed(self.seed, effective, workload.id)
+            for rep in range(step.repetitions):
+                m = run_valid_experiment(self.adapter, effective, workload, rep,
+                                         repetition_seed(prefix, rep))
+                outcomes.append(m.outcome)
+                if m.outcome == OUTCOME_OK:
+                    metrics.append(m.metric_value)
+            self.session.trials_used += 1
+            self._benchmarks_this_pass += 1
+            self._measured[key] = (self._seq, outcomes, metrics)
+        outputs: dict[str, Any] = {"outcomes": list(outcomes)}
         if metrics:
             mean = sum(metrics) / len(metrics)
             self.session.signals[step.out] = mean
             outputs[step.out] = mean
             if step.adopt:
                 self._adopt(config, mean, workload)
-        self._event(skill.id, step.action, step=index,
-                    inputs={"config": config.assignments, "workload_id": workload.id,
-                            "repetitions": step.repetitions},
-                    outputs=outputs)
+        self._event(skill.id, step.action, step=index, inputs=inputs, outputs=outputs)
         if not metrics:
             raise _Abort(f"{skill.id}: step {index} benchmark produced no ok repetition "
                          f"({outcomes})")
@@ -334,7 +345,7 @@ class SessionRunner:
                     self._finish_converged()
                     return self.session
                 if self._benchmarks_this_pass == 0:
-                    raise _Abort("pass issued no benchmarks and did not converge")
+                    raise _Abort("pass ran no new trial and did not converge")
         except _Abort as e:
             self.session.status = STATUS_ABORTED
             self.session.diagnostic = e.diagnostic
@@ -362,11 +373,13 @@ class SessionRunner:
 
 def run_session(doc: ProceduralDocument, adapter: Adapter, budget: int, seed: int,
                 step_resolver: Callable[[Skill, dict], str | None] | None = None) -> TuningSession:
-    """Interpret a document against an adapter within a benchmark-step budget.
+    """Interpret a document against an adapter within a budget of trials.
 
-    The session is fully determined by (document, adapter, seed, budget):
-    per-repetition seeds derive from the session seed and the configuration,
-    and trace timestamps are logical sequence numbers.
+    A trial is a benchmark step the system ran; a step repeating an earlier
+    step's effective configuration reads that measurement and costs none. The
+    session is fully determined by (document, adapter, seed, budget):
+    per-repetition seeds derive from the session seed and the effective
+    configuration, and trace timestamps are logical sequence numbers.
     """
     return SessionRunner(doc, adapter, budget, seed, step_resolver).run()
 
@@ -384,15 +397,18 @@ def replay_session(header: dict, events: list[TraceEvent],
     Predicates are evaluated in their recorded environment. Signals are
     rebuilt from the benchmark and compute outputs as recorded, and each
     compute step's expression, read from the document, must give its recorded
-    output again. Rejects traces whose fingerprint or document hash does not
-    match the document. A mismatch on any verdict or computed value marks the
-    trace as tampered or nondeterministic.
+    output again. A benchmark event that reused a measurement must name an
+    earlier one that ran it, with the same workload, repetitions, outcomes and
+    mean. Rejects traces whose fingerprint or document hash does not match the
+    document. A mismatch on any verdict or computed value marks the trace as
+    tampered or nondeterministic.
     """
     if header.get("fingerprint") != doc.fingerprint or \
             header.get("document_hash") != doc.hash:
         raise DocumentError("trace fingerprint does not match this document")
     skills = {s.id: s for s in doc.skills}
     signals: dict[str, Any] = {}
+    ran: dict[int, tuple] = {}  # seq -> what a benchmark event that ran measured
     mismatches = []
     for event in events:
         for pred in event.predicates:
@@ -415,6 +431,14 @@ def replay_session(header: dict, events: list[TraceEvent],
                                "recorded": event.action, "replayed": None})
             continue
         if isinstance(step, BenchmarkStep):
+            measured = (event.inputs.get("workload_id"), event.inputs.get("repetitions"),
+                        event.outputs.get("outcomes"), event.outputs.get(step.out))
+            source = event.inputs.get("reused_from")
+            if "reused_from" not in event.inputs:
+                ran[event.seq] = measured
+            elif not isinstance(source, int) or ran.get(source) != measured:
+                mismatches.append({"seq": event.seq, "skill": event.skill, "expr": None,
+                                   "recorded": source, "replayed": None})
             if step.out in event.outputs:
                 signals[step.out] = event.outputs[step.out]
             continue

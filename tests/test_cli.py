@@ -146,8 +146,16 @@ class TestFullPipeline:
                          DOCUMENT_FILE, "trace.jsonl", "final_config.properties",
                          "export_optimizer-json.json"):
             assert os.path.exists(os.path.join(campaign, artifact)), artifact
-        out = capsys.readouterr().out
-        assert "wrote" in out
+        captured = capsys.readouterr()
+        assert "wrote" in captured.out
+        with open(os.path.join(campaign, "trace.jsonl")) as fh:
+            events = [json.loads(line) for line in fh][1:]
+        steps = [e for e in events if e["action"] == "benchmark"]
+        reused = sum("reused_from" in e["inputs"] for e in steps)
+        passes = sum(e["action"] == "pass" for e in events)
+        assert reused > 0
+        assert f"session converged: {len(steps) - reused} trials ({reused} steps reused), " \
+               f"{passes} passes" in captured.err
 
         with open(os.path.join(campaign, "export_optimizer-json.json")) as fh:
             export = json.load(fh)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,21 @@ from tuneforge.space import Configuration, WorkloadSpec
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     return run_small_pipeline(tmp_path_factory.mktemp("campaign"))
+
+
+class Recording:
+    """An adapter that records every measurement it is asked for."""
+
+    max_concurrency = 1
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.space = inner.space
+        self.runs = []
+
+    def measure(self, config, workload, seed):
+        self.runs.append((config, workload.id, seed))
+        return self.inner.measure(config, workload, seed)
 
 
 def empty_doc():
@@ -69,8 +85,23 @@ class TestBasicSessions:
             assert session.trials_used <= budget
             assert session.status == "aborted"
             assert "budget" in session.diagnostic
-            benchmarks = [e for e in session.trace if e.action == "benchmark"]
-            assert len(benchmarks) == session.trials_used
+            assert len(session.benchmarked_configs()) == session.trials_used
+
+
+class TestNoProgressGuard:
+    def test_pass_without_a_new_trial_aborts(self, pipeline):
+        # The second pass only repeats pass 1's candidate step, so it runs no
+        # new trial; without the guard the session would spend its budget.
+        doc = edit_document(pipeline["doc"], lambda d: skill_json(d, d["root"]).update(
+            postconditions=["pass_count >= 1000"]))
+        session = run_session(doc, pipeline["adapter"], budget=120, seed=7)
+        assert session.status == "aborted"
+        assert session.diagnostic == "pass ran no new trial and did not converge"
+        assert session.passes == 2
+        assert session.trials_used < 120
+        first_pass = next(e.seq for e in session.trace if e.action == "pass")
+        second = [e for e in session.trace if e.action == "benchmark" and e.seq > first_pass]
+        assert second and all("reused_from" in e.inputs for e in second)
 
 
 class TestMatchedConvergence:
@@ -172,6 +203,32 @@ class TestReplay:
         assert result.mismatches[0]["seq"] == victim.seq
         assert result.mismatches[0]["replayed"] == recorded
 
+    @pytest.mark.parametrize("tamper", ["mean", "outcomes", "names-a-compute-event",
+                                        "names-a-later-event", "names-no-event", "names-a-list"])
+    def test_tampered_reuse_detected_at_that_event(self, pipeline, tamper):
+        doc = pipeline["doc"]
+        session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
+        events = copy.deepcopy(session.trace)
+        victim = next(e for e in events if "reused_from" in e.inputs)
+        out = next(k for k in victim.outputs if k != "outcomes")
+        if tamper == "mean":
+            victim.outputs[out] *= 1.01
+        elif tamper == "outcomes":
+            victim.outputs["outcomes"][0] = "crash"
+        elif tamper == "names-a-compute-event":
+            victim.inputs["reused_from"] = next(e.seq for e in events if e.action == "compute")
+        elif tamper == "names-a-later-event":
+            victim.inputs["reused_from"] = next(e.seq for e in events if e.seq > victim.seq
+                                                and e.action == "benchmark"
+                                                and "reused_from" not in e.inputs)
+        elif tamper == "names-no-event":
+            victim.inputs["reused_from"] = 10_000
+        else:
+            victim.inputs["reused_from"] = [victim.inputs["reused_from"]]
+        result = replay_session(session.trace_header(), events, doc)
+        assert not result.ok
+        assert result.mismatches[0]["seq"] == victim.seq
+
     def test_event_naming_no_document_step_is_a_mismatch(self, pipeline):
         doc = pipeline["doc"]
         session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
@@ -242,23 +299,63 @@ class TestWarmPath:
 
 class TestBenchmarkSeeds:
     def test_each_repetition_runs_with_its_mix_seed(self, pipeline):
-        inner = pipeline["adapter"]
-        runs = []
-
-        class Recording:
-            space = inner.space
-            max_concurrency = 1
-
-            def measure(self, config, workload, seed):
-                runs.append((config.canonical(), workload.id, seed))
-                return inner.measure(config, workload, seed)
-
-        session = run_session(pipeline["doc"], Recording(), budget=30, seed=23)
-        steps = [(Configuration(e.inputs["config"]), e.inputs["workload_id"],
-                  e.inputs["repetitions"]) for e in session.trace if e.action == "benchmark"]
+        recording = Recording(pipeline["adapter"])
+        space = pipeline["space"]
+        session = run_session(pipeline["doc"], recording, budget=30, seed=23)
+        steps = [(space.effective(Configuration(e.inputs["config"])), e.inputs["workload_id"],
+                  e.inputs["repetitions"]) for e in session.trace
+                 if e.action == "benchmark" and "reused_from" not in e.inputs]
         assert len(steps) > 1 and all(reps > 1 for _, _, reps in steps)
-        assert runs == [(config.canonical(), workload_id, mix_seed(23, config, workload_id, rep))
-                        for config, workload_id, reps in steps for rep in range(reps)]
+        assert recording.runs == [(config, workload_id, mix_seed(23, config, workload_id, rep))
+                                  for config, workload_id, reps in steps
+                                  for rep in range(reps)]
+
+
+class TestOneMeasurementPerEffectiveConfiguration:
+    """A step whose effective configuration, workload and repetitions an
+    earlier step of the session measured reads that measurement."""
+
+    @staticmethod
+    def sessions(pipeline, forced_doc):
+        """(session, recording adapter, space) of a matched session on the small
+        pipeline and a shifted one on the forced re-search document."""
+        out = []
+        for doc, space, model, budget in (
+                (pipeline["doc"], pipeline["space"], pipeline["model"], 30),
+                (forced_doc["doc"], forced_doc["space"], shifted_small_model(), 200)):
+            recording = Recording(SimulatorAdapter(space, model))
+            session = run_session(doc, recording, budget=budget, seed=11)
+            assert session.status == "converged"
+            out.append((session, recording, space))
+        return out
+
+    def test_no_cell_reaches_the_adapter_twice(self, pipeline, forced_doc):
+        for session, recording, space in self.sessions(pipeline, forced_doc):
+            reps = {e.inputs["repetitions"] for e in session.trace if e.action == "benchmark"}
+            cells = Counter((space.effective(config), workload_id)
+                            for config, workload_id, _ in recording.runs)
+            assert set(cells.values()) == reps == {3}
+            assert any("reused_from" in e.inputs for e in session.trace)
+
+    def test_adapter_calls_equal_trials_times_repetitions(self, pipeline, forced_doc):
+        for session, recording, _ in self.sessions(pipeline, forced_doc):
+            assert len(recording.runs) == 3 * session.trials_used
+            assert len(session.benchmarked_configs()) == session.trials_used
+
+    def test_verify_lo_at_the_default_level_reads_the_baseline(self, pipeline):
+        space = pipeline["space"]
+        recording = Recording(pipeline["adapter"])
+        session = run_session(pipeline["doc"], recording, budget=30, seed=11)
+        benchmarks = [e for e in session.trace if e.action == "benchmark"]
+        baseline = benchmarks[0]
+        assert baseline.skill == "orchestrate" and baseline.inputs["config"] == {}
+        lo = next(e for e in benchmarks if e.skill == "verify_pa")
+        assert lo.inputs["config"] == {"pa": space.get("pa").default}
+        assert lo.inputs["reused_from"] == baseline.seq
+        assert lo.outputs == {"outcomes": baseline.outputs["outcomes"],
+                              "pa_lo_metric": baseline.outputs["baseline_mean"]}
+        assert [c for c, _, _ in recording.runs].count(Configuration({})) == 3
+        assert Configuration(lo.inputs["config"]) not in [c for c, _, _ in recording.runs]
 
 
 class TestDocumentIsCheckedOnce:

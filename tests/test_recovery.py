@@ -1,0 +1,47 @@
+"""tools/recovery.py: session outcomes per campaign seed, from the command line."""
+
+import json
+import os
+import subprocess
+import sys
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+COLUMNS = ("seed", "model", "sessions", "converged", "trials", "reused", "adapted",
+           "vs_static_min", "vs_static_p50", "vs_defaults_p50")
+
+
+def test_two_seeds_print_their_rows_and_records(tmp_path):
+    records = tmp_path / "sessions.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join("tools", "recovery.py"), "--workload", "planted-116",
+         "--seeds", "1000-1001", "--sessions", "4", "--json", str(records)],
+        cwd=REPO, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert rows[0] == list(COLUMNS)
+    assert [row[:3] for row in rows[1:]] == [
+        ["1000", "matched", "2"], ["1000", "shifted", "2"],
+        ["1001", "matched", "2"], ["1001", "shifted", "2"],
+        ["all", "matched", "4"], ["all", "shifted", "4"]]
+    for row in rows[1:]:
+        cells = dict(zip(COLUMNS, row))
+        assert cells["converged"] == cells["sessions"]
+        assert float(cells["trials"]) > 0
+        assert cells["adapted"] == ("1.00" if cells["model"] == "shifted" else "0.00")
+        assert float(cells["vs_static_min"]) <= float(cells["vs_static_p50"])
+        assert float(cells["vs_defaults_p50"]) > 1.0
+    assert [line.split(":")[0] for line in done.stderr.splitlines()] == \
+        ["campaign seed 1000", "campaign seed 1001"]
+
+    sessions = json.loads(records.read_text())["sessions"]
+    assert [(s["campaign_seed"], s["session_seed"], s["model"]) for s in sessions] == [
+        (seed, 100_000 + i, ("matched", "shifted")[i % 2])
+        for seed in (1000, 1001) for i in range(4)]
+    # planted-116's static configuration: its 15 top-k parameters at 1.0
+    static = {f"p{i:03d}": 1.0 for i in range(1, 16)}
+    for s in sessions:
+        assert s["status"] == "converged"
+        assert s["trials"] <= 120 and s["reused"] > 0
+        if s["model"] == "matched":
+            assert s["final_effective"] == static
+            assert s["true_metric"] == s["static_metric"]

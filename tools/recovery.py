@@ -1,0 +1,175 @@
+"""Session outcomes per campaign seed: trials, adaptation and the tuned result.
+
+    python3 tools/recovery.py --workload planted-116 --seeds 1000-1004 [--sessions 20]
+                              [--json sessions.json]
+
+Run from the repository root. For each campaign seed it runs one campaign of a
+benchmark workload (``perfbench/workloads.py``, read and never written):
+profile, screen, joint and compile, with the stage settings of
+``perfbench/run.py``. Then it runs ``--sessions`` tuning sessions on the
+document, with session seeds 100000, 100001, ... and a budget of 120 trials.
+On a workload with a shifted model the odd sessions run against it, as in
+``perfbench/run.py``.
+
+It prints one row per campaign seed and model (matched, shifted), then one
+summary row per model over all seeds:
+
+- ``trials``: mean session trials, and ``reused``: mean benchmark steps that
+  read an earlier step's measurement;
+- ``adapted``: the share of sessions that took an adaptation edge;
+- ``vs_static`` and ``vs_defaults``: the noise-free primary-workload metric
+  (``SimulatorModel.true_metric``) of the session's final configuration,
+  divided by that of the static configuration and of the defaults, each on
+  the model the session ran on; the worst session and the median.
+
+The static configuration is what documentation-driven tuning sets from the
+knowledge export: each top-k parameter at the end of its documented safe range
+that its documented shape favours (monotonic-up or monotonic-down), the rest
+at their default. Standard output depends on the seeds only; the wall time of
+each campaign seed goes to standard error. ``--json`` writes every session's
+record: trials, final effective configuration and true metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+import types
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "src"))
+
+from tuneforge import (Configuration, SimulatorAdapter, export_knowledge,  # noqa: E402
+                       run_session)
+from tuneforge.campaign import Campaign  # noqa: E402
+
+SESSION_SEED = 100_000
+SESSION_BUDGET = 120
+COLUMNS = ("seed", "model", "sessions", "converged", "trials", "reused", "adapted",
+           "vs_static_min", "vs_static_p50", "vs_defaults_p50")
+
+
+def load_workloads():
+    """perfbench/workloads.py, executed without importing it (nothing is
+    written beside it)."""
+    path = os.path.join(REPO, "perfbench", "workloads.py")
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        with open(path, encoding="utf-8") as fh:
+            exec(compile(fh.read(), path, "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def static_config(export, maximize: bool) -> Configuration:
+    """Each exported top-k parameter at the safe-range end its shape favours."""
+    assignments = {}
+    for entry in export.top_k:
+        if entry["shape"] not in ("monotonic-up", "monotonic-down"):
+            continue
+        safe = export.safe_ranges[entry["name"]]
+        rises = entry["shape"] == "monotonic-up"
+        assignments[entry["name"]] = safe["hi"] if rises == maximize else safe["lo"]
+    return Configuration(assignments)
+
+
+def campaign_sessions(w, campaign_seed: int, sessions: int) -> list[dict]:
+    """One campaign of workload ``w`` and the records of its sessions."""
+    directory = tempfile.mkdtemp(prefix="recovery-")
+    try:
+        campaign = Campaign(directory, w.space, w.workloads, campaign_seed)
+        adapter = SimulatorAdapter(w.space, w.model)
+        campaign.profile(adapter, levels_per_param=w.levels_per_param, repetitions=3,
+                         tau_s=0.05)
+        campaign.screen(adapter)
+        campaign.joint(adapter, repetitions=3)
+        doc = campaign.compile()
+    finally:
+        shutil.rmtree(directory)
+    primary = next(spec for spec in w.workloads if spec.id == doc.primary_workload)
+    static = static_config(export_knowledge(doc), primary.direction == "maximize")
+    records = []
+    for index in range(sessions):
+        shifted = w.shifted is not None and index % 2 == 1
+        model = w.shifted if shifted else w.model
+        s = run_session(doc, SimulatorAdapter(w.space, model), SESSION_BUDGET,
+                        SESSION_SEED + index)
+        final = s.final_config if s.final_config is not None else Configuration({})
+        records.append({
+            "campaign_seed": campaign_seed, "session_seed": SESSION_SEED + index,
+            "model": "shifted" if shifted else "matched", "status": s.status,
+            "trials": s.trials_used,
+            "reused": sum("reused_from" in e.inputs for e in s.trace),
+            "adapted": any(e.action == "adaptation" for e in s.trace),
+            "final_effective": w.space.effective(final).assignments,
+            "true_metric": model.true_metric(w.space, final, primary.id),
+            "static_metric": model.true_metric(w.space, static, primary.id),
+            "defaults_metric": model.true_metric(w.space, Configuration({}), primary.id),
+        })
+    return records
+
+
+def row(seed: str, model: str, records: list[dict]) -> list[str]:
+    vs_static = [r["true_metric"] / r["static_metric"] for r in records]
+    vs_defaults = [r["true_metric"] / r["defaults_metric"] for r in records]
+    return [seed, model, str(len(records)),
+            str(sum(r["status"] == "converged" for r in records)),
+            f"{statistics.mean(r['trials'] for r in records):.2f}",
+            f"{statistics.mean(r['reused'] for r in records):.2f}",
+            f"{statistics.mean(r['adapted'] for r in records):.2f}",
+            f"{min(vs_static):.4f}", f"{statistics.median(vs_static):.4f}",
+            f"{statistics.median(vs_defaults):.4f}"]
+
+
+def parse_seeds(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def main(argv: list[str] | None = None) -> int:
+    workloads = load_workloads()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.BUILDERS))
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="campaign seeds, A-B inclusive or one seed")
+    parser.add_argument("--sessions", type=int, default=20,
+                        help="sessions per campaign seed (default 20)")
+    parser.add_argument("--json", help="write every session's record to this file")
+    args = parser.parse_args(argv)
+
+    w = workloads.BUILDERS[args.workload]()
+    models = ["matched"] + (["shifted"] if w.shifted is not None else [])
+    rows, everything = [list(COLUMNS)], []
+    for seed in args.seeds:
+        start = time.perf_counter()
+        records = campaign_sessions(w, seed, args.sessions)
+        print(f"campaign seed {seed}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+        everything += records
+        rows += [row(str(seed), m, [r for r in records if r["model"] == m])
+                 for m in models if any(r["model"] == m for r in records)]
+    rows += [row("all", m, [r for r in everything if r["model"] == m])
+             for m in models if any(r["model"] == m for r in everything)]
+    widths = [max(len(r[i]) for r in rows) for i in range(len(COLUMNS))]
+    for r in rows:
+        print("  ".join(cell.ljust(width) for cell, width in zip(r, widths)).rstrip())
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"workload": args.workload, "sessions": everything}, fh,
+                      indent=1, sort_keys=True)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
