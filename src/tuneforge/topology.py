@@ -4,15 +4,16 @@ Confirmed interactions become edges of a weighted undirected graph over the
 top-k parameters; its connected components are the groups that must be tuned
 jointly. Each multi-parameter component gets a full-factorial grid search
 over its members' stage-B levels, with everything else pinned at defaults.
-Each grid point is measured as its effective configuration
-(``ParameterSpace.effective``), so a campaign store answers the points the
+Each grid point is looked up as its effective configuration and as its
+screened pair's stage-B cell, so a campaign store answers the points the
 sweep and the screen already ran; the optima name the full grid points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
+from math import isfinite
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
@@ -140,11 +141,20 @@ class JointSearchPlan:
             configs.append(Configuration(dict(zip(names, combo))))
         return configs
 
-    def entries(self, space: ParameterSpace) -> list[PlanEntry]:
-        """Every (grid point, workload, repetition), in grid order, each grid
-        point as its effective configuration (``ParameterSpace.effective``)."""
-        return [(space.effective(config), w, rep) for config in self.grid_configs()
-                for w in self.workloads for rep in range(self.repetitions)]
+    def entries(self, space: ParameterSpace, store: CampaignStore | None) -> list[PlanEntry]:
+        """Every (grid point, workload, repetition), in grid order, in the first
+        form ``store`` holds, else the first: the point's effective configuration,
+        then its restriction to each pair of the component, in sorted order, that
+        names every member off its default: the screen's stage-B cell."""
+        plan: list[PlanEntry] = []
+        for config in self.grid_configs():
+            run = space.effective(config)
+            forms = [run] + [Configuration({n: config.assignments[n] for n in pair})
+                             for pair in combinations(sorted(self.grid), 2)
+                             if run.assignments.keys() <= set(pair)]
+            plan += [(next((f for f in forms if store and store.has(f, w.id, rep)), run), w, rep)
+                     for w in self.workloads for rep in range(self.repetitions)]
+        return plan
 
 
 @dataclass
@@ -187,7 +197,15 @@ class OptimaReport(JsonArtifact):
         return load_fields(cls, d, "optima report", optional=("rejected",),
                            pinned={"schema_version": 1}, graph=CorrelationGraph.from_json,
                            optima=lambda items: [JointOptimum.from_json(o) for o in items],
+                           baseline_means=_baseline_means,
                            rejected=lambda items: [_rejection(r) for r in items])
+
+
+def _baseline_means(value: Any) -> dict[str, float]:
+    if type(value) is not dict or not all(type(k) is str and type(v) is float and isfinite(v)
+                                          for k, v in value.items()):
+        raise ValueError(f"{value!r} does not map workload ids to finite floats")
+    return value
 
 
 def _rejection(value: Any) -> dict:
@@ -231,14 +249,15 @@ def plan_joint_search(component: list[str], report: SensitivityReport,
                            repetitions=repetitions, workloads=list(workloads))
 
 
-def _grid_means(records: list[Measurement], workload_id: str) -> dict[str, float]:
-    """Canonical configuration -> mean ok metric of ``workload_id``'s records,
-    for every configuration with an ok record. Callers pass their own plan's
+def _grid_means(records: list[Measurement], workload_id: str,
+                points: list[str] | None = None) -> dict[str, float]:
+    """Canonical configuration (``points[i]``, if given, for ``records[i]``) ->
+    mean ok metric of ``workload_id``'s records. Callers pass their own plan's
     records: a campaign store can hold more repetitions than the plan asked for."""
     values: dict[str, list[float]] = {}
-    for m in records:
+    for m, text in zip(records, points or [m.config.canonical() for m in records]):
         if m.workload_id == workload_id and m.outcome == OUTCOME_OK:
-            values.setdefault(m.config.canonical(), []).append(m.metric_value)
+            values.setdefault(text, []).append(m.metric_value)
     return {text: sum(v) / len(v) for text, v in values.items()}
 
 
@@ -283,24 +302,20 @@ def optimize_component(adapter: Adapter, plan: JointSearchPlan, seed: int,
                        ) -> tuple[list[JointOptimum], list[Measurement]]:
     """Run the grid and return the per-workload optima and the plan's records.
 
-    Each grid point runs as its effective configuration, the members not at
-    their default, since that is the configuration the system sees. With a
-    ``store``, the runs it already holds answer the plan unmeasured: the
-    all-defaults baseline, one-parameter sweep runs, and the stage-B cells
-    of the component's pairs. The records are the plan's, under their
-    effective configurations; each optimum names the full grid point.
+    With a ``store``, each grid point is looked up as its effective
+    configuration, the members not at their default, and then as its screened
+    pair's stage-B cell (``JointSearchPlan.entries``), so the baseline, sweep
+    runs and stage-B cells it holds answer the plan unmeasured; a point held
+    in neither form runs as its effective configuration. Records map to grid
+    points by plan position: one point's repetitions may differ in form.
     """
-    space = adapter.space
-    records = run_plan(adapter, plan.entries(space), parallelism=parallelism, seed=seed,
-                       store=store)
+    records = run_plan(adapter, plan.entries(adapter.space, store), parallelism=parallelism,
+                       seed=seed, store=store)
     configs = plan.grid_configs()
-    runs = [space.effective(c).canonical() for c in configs]
+    points = [c.canonical() for c in configs for _ in range(len(records) // len(configs))]
     optima = []
     for w in plan.workloads:
-        measured = _grid_means(records, w.id)
-        means = {c.canonical(): measured[run] for c, run in zip(configs, runs)
-                 if run in measured}
-        best_config, best_metric = _pick_best(configs, means, w)
+        best_config, best_metric = _pick_best(configs, _grid_means(records, w.id, points), w)
         base = baseline_means[w.id]
         optima.append(JointOptimum(
             component=plan.component, workload_id=w.id,

@@ -16,7 +16,7 @@ from tuneforge.docgen import KnowledgeExport, ProceduralDocument, export_knowled
 from tuneforge.errors import AnalysisError, CrashError, DocumentError, ParameterError
 from tuneforge.interaction import InteractionReport
 from tuneforge.sensitivity import SensitivityReport
-from tuneforge.topology import CorrelationGraph, OptimaReport
+from tuneforge.topology import CorrelationGraph, OptimaReport, plan_joint_search
 from tuneforge.executor import run_session
 from tuneforge.interaction import PairGrid, choose_pair_levels, stage_a_record, table_from_log
 from tuneforge.harness import Measurement, MeasurementLog, run_plan
@@ -484,7 +484,8 @@ class TestOversizedComponent:
 
 class InterruptingAdapter:
     """Measures through ``inner`` and raises KeyboardInterrupt, as a kill
-    would, once ``limit`` measurements have completed; records every key."""
+    would, once ``limit`` measurements have completed; records every key,
+    and as ``killed_at`` the key of the run the kill stopped."""
 
     def __init__(self, inner, limit=None):
         self.space = inner.space
@@ -492,9 +493,11 @@ class InterruptingAdapter:
         self.inner = inner
         self.limit = limit
         self.keys = []
+        self.killed_at = None
 
     def measure(self, config, workload, seed):
         if self.limit is not None and len(self.keys) == self.limit:
+            self.killed_at = (config.canonical(), workload.id, seed)
             raise KeyboardInterrupt
         value = self.inner.measure(config, workload, seed)
         self.keys.append((config.canonical(), workload.id, seed))
@@ -503,11 +506,13 @@ class InterruptingAdapter:
 
 def small_campaign(directory, seed=42):
     """A campaign whose joint stage searches the 3-member chain pa-pb-pc.
-    Run as effective configurations, 22 of its 64 grid points are runs the
-    sweep and the screen already made: the baseline, the three sweep runs
-    with one member at 1.0, and the 18 stage-B cells of pa-pb and pb-pc
-    that name no default member. The pa-pc stage-A corner gives one more
-    run, so 125 of the 192 grid runs are fresh."""
+    28 of its 64 grid points are runs the sweep and the screen already made.
+    As effective configurations: the baseline, the three sweep runs with one
+    member at 1.0, and the 18 stage-B cells of pa-pb and pb-pc that name no
+    default member. As a pair's stage-B cell: the six points with one member
+    at 1/3 or 2/3, which the screen ran beside its partner's default. The
+    pa-pc stage-A corner gives one more run, so 107 of the 192 grid runs are
+    fresh."""
     from helpers import SMALL_NAMES
     space = unit_space(SMALL_NAMES)
     model = SimulatorModel(
@@ -641,24 +646,26 @@ def effective_key(space, m):
 
 @pytest.fixture(scope="module")
 def joint_runs(tmp_path_factory):
-    """The small campaign after its joint stage, the keys its sweep and screen
-    journals held before that stage, and the joint journal's records."""
+    """The small campaign after its joint stage, the effective keys of the
+    runs its sweep and screen journals held before that stage, and the joint
+    journal's records."""
     campaign, adapter = small_campaign(tmp_path_factory.mktemp("joint"))
     for stage in ("profile", "screen"):
         run_stage(campaign, stage, adapter)
-    held = {m.key() for name in (SWEEP_LOG, SCREEN_LOG)
+    held = {effective_key(campaign.space, m) for name in (SWEEP_LOG, SCREEN_LOG)
             for m in MeasurementLog.load(campaign.path(name))}
     optima = run_stage(campaign, "joint", adapter)
     return campaign, optima, held, list(MeasurementLog.load(campaign.path(campaign_mod.JOINT_LOG)))
 
 
 class TestJointEffectiveConfigurations:
-    """The joint stage runs each grid point as its effective configuration, so
-    a point the sweep or the screen already ran is answered from the store."""
+    """The joint stage looks each grid point up as its effective configuration
+    and as its screened pair's stage-B cell, so a point the sweep or the
+    screen already ran, in either form, is answered from the store."""
 
-    def test_joint_stage_journals_125_of_192_grid_runs(self, joint_runs):
+    def test_joint_stage_journals_107_of_192_grid_runs(self, joint_runs):
         campaign, optima, _, fresh = joint_runs
-        assert len(fresh) == optima.runs_used == campaign.state.runs_used["joint"] == 125
+        assert len(fresh) == optima.runs_used == campaign.state.runs_used["joint"] == 107
         assert campaign.state.budgets["joint"] == 3 + 4 ** 3 * 3
         # an optimum keeps every member of its component, defaults included
         assert [sorted(o.best_config.assignments) for o in optima.optima] == [["pa", "pb", "pc"]]
@@ -672,6 +679,29 @@ class TestJointEffectiveConfigurations:
     def test_no_fresh_joint_run_repeats_a_run_the_store_held(self, joint_runs):
         campaign, _, held, fresh = joint_runs
         assert not [m.key() for m in fresh if effective_key(campaign.space, m) in held]
+
+    def test_optimum_at_a_screened_cell_is_that_cells_mean(self, tmp_path):
+        # pa peaks at 2/3 and pb only hurts beside it, so the optimum is
+        # {pa: 2/3, pb: 0.0}: a stage-B cell, whose effective configuration
+        # {pa: 2/3} neither the sweep nor the screen ran.
+        space = unit_space(["pa", "pb", "pc"])
+        model = SimulatorModel(
+            base_rate=1000.0, sigma=0.005,
+            responses={"pa": Response(shape="quadratic-peak", strength=0.3, peak=2 / 3),
+                       "pb": Response(shape="linear-up", strength=0.15)},
+            couplings=[Coupling("pa", "pb", -0.6)])
+        campaign = Campaign(str(tmp_path), space, one_workload(), seed=42)
+        adapter = SimulatorAdapter(space, model)
+        for stage in ("profile", "screen"):
+            run_stage(campaign, stage, adapter)
+        counting = InterruptingAdapter(adapter)
+        (opt,) = campaign.joint(counting, repetitions=3).optima
+        assert counting.keys == []
+        assert opt.best_config.assignments == {"pa": pytest.approx(2 / 3), "pb": 0.0}
+        assert campaign.store.cell(space.effective(opt.best_config), "w0") == ()
+        cell = campaign.store.cell(opt.best_config, "w0")
+        assert len(cell) == 3
+        assert opt.best_metric == sum(m.metric_value for m in cell) / 3
 
 
 class TestJournalRepair:
@@ -775,6 +805,51 @@ class TestKillPointCensus:
         # a kill at a stage's first run comes before its journal exists
         assert len(points) > 40 and torn == len(points) - 3
         assert differ == []
+
+
+class TestRepeatedResume:
+    """A joint stage killed, resumed and killed again at the same run, then
+    resumed once more, ends with the files of an uninterrupted run. Which
+    form a grid point runs as depends on what the store holds, so this pins
+    that every resume chooses the forms the first invocation chose."""
+
+    @staticmethod
+    def kill_points(campaign):
+        """Joint kill points, counted in fresh joint runs: one right after
+        plan entries the screen's pair cells served, one inside a stretch of
+        fresh effective configurations."""
+        sens = SensitivityReport.load(campaign.path(SENSITIVITY_REPORT))
+        plan = plan_joint_search(["pa", "pb", "pc"], sens, campaign.space, campaign.workloads)
+        entries = plan.entries(campaign.space, campaign.store)
+        fresh = {m.key() for m in MeasurementLog.load(campaign.path(campaign_mod.JOINT_LOG))}
+        at = [i for i, (c, w, rep) in enumerate(entries) if (c.canonical(), w.id, rep) in fresh]
+        paired = [i for i, (c, _, _) in enumerate(entries) if c != campaign.space.effective(c)]
+        assert len(at) == 107 and len(paired) == 18
+        after_pairs = next(k for k in range(1, len(at))
+                           if any(at[k - 1] < i < at[k] for i in paired))
+        inside_fresh = next(k for k in range(2, len(at)) if at[k - 2] == at[k] - 2)
+        return after_pairs, inside_fresh
+
+    def test_second_resume_from_the_same_kill_point_leaves_the_uninterrupted_files(self,
+                                                                                    tmp_path):
+        reference, adapter = small_campaign(tmp_path / "reference")
+        for stage in STAGE_NAMES:
+            run_stage(reference, stage, adapter)
+        want = campaign_files(reference.directory)
+        for n in self.kill_points(reference):
+            killed = tmp_path / f"killed-{n}"
+            campaign, _ = small_campaign(killed)
+            for stage in ("profile", "screen"):
+                run_stage(campaign, stage, adapter)
+            first = InterruptingAdapter(adapter, limit=n)
+            with pytest.raises(KeyboardInterrupt):
+                campaign.joint(first, repetitions=3)
+            again = InterruptingAdapter(adapter, limit=0)
+            with pytest.raises(KeyboardInterrupt):
+                small_campaign(killed)[0].joint(again, repetitions=3)
+            assert again.killed_at == first.killed_at is not None
+            run_to_the_end(killed, adapter)
+            assert campaign_files(killed) == want, n
 
 
 class PairCrashAdapter:

@@ -326,6 +326,14 @@ OPTIMA_TYPE_CASES = {
     "optimum-component-int": (("optima", 0, "component"), 5, "joint optimum: component: "),
     "rejected-of-ints": (("rejected",), [5], "optima report: rejected: "),
     "rejected-reason-int": (("rejected", 0, "reason"), 5, "optima report: rejected: "),
+    "baseline-means-int": (("baseline_means",), 5, "optima report: baseline_means: "),
+    "baseline-means-list": (("baseline_means",), [1.0], "optima report: baseline_means: "),
+    "baseline-mean-string": (("baseline_means", "w0"), "1.0", "optima report: baseline_means: "),
+    "baseline-mean-true": (("baseline_means", "w0"), True, "optima report: baseline_means: "),
+    "baseline-mean-nan": (("baseline_means", "w0"), math.nan, "optima report: baseline_means: "),
+    "baseline-mean-inf": (("baseline_means", "w0"), math.inf, "optima report: baseline_means: "),
+    "baseline-mean-null": (("baseline_means", "w0"), None, "optima report: baseline_means: "),
+    "baseline-means-int-key": (("baseline_means", 0), 1.0, "optima report: baseline_means: "),
 }
 
 

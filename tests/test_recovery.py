@@ -1,4 +1,5 @@
-"""tools/recovery.py: session outcomes per campaign seed, from the command line."""
+"""tools/recovery.py: session outcomes and campaign runs per campaign seed, from the
+command line."""
 
 import json
 import os
@@ -8,6 +9,8 @@ import sys
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 COLUMNS = ("seed", "model", "sessions", "converged", "trials", "reused", "adapted",
            "vs_static_min", "vs_static_p50", "vs_defaults_p50")
+RUN_COLUMNS = ("seed", "runs_sensitivity", "runs_screen", "runs_joint", "repeats_screen",
+               "repeats_joint")
 
 
 def test_two_seeds_print_their_rows_and_records(tmp_path):
@@ -17,7 +20,8 @@ def test_two_seeds_print_their_rows_and_records(tmp_path):
          "--seeds", "1000-1001", "--sessions", "4", "--json", str(records)],
         cwd=REPO, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    rows = [line.split() for line in done.stdout.splitlines()]
+    sessions_table, runs_table = done.stdout.split("\n\n")
+    rows = [line.split() for line in sessions_table.splitlines()]
     assert rows[0] == list(COLUMNS)
     assert [row[:3] for row in rows[1:]] == [
         ["1000", "matched", "2"], ["1000", "shifted", "2"],
@@ -32,6 +36,18 @@ def test_two_seeds_print_their_rows_and_records(tmp_path):
         assert float(cells["vs_defaults_p50"]) > 1.0
     assert [line.split(":")[0] for line in done.stderr.splitlines()] == \
         ["campaign seed 1000", "campaign seed 1001"]
+
+    runs = [line.split() for line in runs_table.splitlines()]
+    assert runs[0] == list(RUN_COLUMNS)
+    assert [row[0] for row in runs[1:]] == ["1000", "1001"]
+    campaigns = json.loads(records.read_text())["campaigns"]
+    assert [[str(c[k]) for k in RUN_COLUMNS] for c in campaigns] == runs[1:]
+    for c in campaigns:
+        assert min(c[f"runs_{stage}"] for stage in ("sensitivity", "screen", "joint")) > 0
+        assert 0 < c["repeats_screen"] < c["runs_screen"]
+        # the joint stage looks every grid point up in both forms the
+        # sweep and the screen ran it in
+        assert c["repeats_joint"] == 0
 
     sessions = json.loads(records.read_text())["sessions"]
     assert [(s["campaign_seed"], s["session_seed"], s["model"]) for s in sessions] == [

@@ -1,4 +1,4 @@
-"""Session outcomes per campaign seed: trials, adaptation and the tuned result.
+"""Session outcomes and campaign runs per campaign seed.
 
     python3 tools/recovery.py --workload planted-116 --seeds 1000-1004 [--sessions 20]
                               [--json sessions.json]
@@ -11,8 +11,9 @@ document, with session seeds 100000, 100001, ... and a budget of 120 trials.
 On a workload with a shifted model the odd sessions run against it, as in
 ``perfbench/run.py``.
 
-It prints one row per campaign seed and model (matched, shifted), then one
-summary row per model over all seeds:
+It prints two tables, separated by a blank line. The first has one row per
+campaign seed and model (matched, shifted), then one summary row per model
+over all seeds:
 
 - ``trials``: mean session trials, and ``reused``: mean benchmark steps that
   read an earlier step's measurement;
@@ -25,9 +26,22 @@ summary row per model over all seeds:
 The static configuration is what documentation-driven tuning sets from the
 knowledge export: each top-k parameter at the end of its documented safe range
 that its documented shape favours (monotonic-up or monotonic-down), the rest
-at their default. Standard output depends on the seeds only; the wall time of
-each campaign seed goes to standard error. ``--json`` writes every session's
-record: trials, final effective configuration and true metrics.
+at their default.
+
+The second table has one row per campaign seed, read from the campaign's
+journals before its directory is removed:
+
+- ``runs_sensitivity``, ``runs_screen`` and ``runs_joint``: the fresh runs
+  each stage journaled;
+- ``repeats_screen`` and ``repeats_joint``: those of a stage's fresh runs
+  whose effective configuration (``ParameterSpace.effective``), workload and
+  repetition an earlier journaled record of the campaign already holds. The
+  system runs such a run again although the campaign has its result.
+
+Standard output depends on the seeds only; the wall time of each campaign seed
+goes to standard error. ``--json`` writes each campaign seed's runs row and
+every session's record: trials, final effective configuration and true
+metrics.
 """
 
 from __future__ import annotations
@@ -48,11 +62,14 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 from tuneforge import (Configuration, SimulatorAdapter, export_knowledge,  # noqa: E402
                        run_session)
 from tuneforge.campaign import Campaign  # noqa: E402
+from tuneforge.harness import read_journal  # noqa: E402
 
 SESSION_SEED = 100_000
 SESSION_BUDGET = 120
 COLUMNS = ("seed", "model", "sessions", "converged", "trials", "reused", "adapted",
            "vs_static_min", "vs_static_p50", "vs_defaults_p50")
+RUN_COLUMNS = ("seed", "runs_sensitivity", "runs_screen", "runs_joint", "repeats_screen",
+               "repeats_joint")
 
 
 def load_workloads():
@@ -81,8 +98,26 @@ def static_config(export, maximize: bool) -> Configuration:
     return Configuration(assignments)
 
 
-def campaign_sessions(w, campaign_seed: int, sessions: int) -> list[dict]:
-    """One campaign of workload ``w`` and the records of its sessions."""
+def campaign_runs(campaign: Campaign) -> dict:
+    """Fresh runs per stage, and the repeats among them: runs whose
+    (effective configuration, workload, repetition) an earlier journaled
+    record holds, in stage order and journal order."""
+    held, counts = set(), {"seed": campaign.seed}
+    for stage, column in (("sweep", "sensitivity"), ("screen", "screen"), ("joint", "joint")):
+        _, records, _ = read_journal(campaign.store.journals[stage], 0, {})
+        counts[f"runs_{column}"], repeats = len(records), 0
+        for m in records:
+            key = (campaign.space.effective(m.config).canonical(), m.workload_id, m.repetition)
+            repeats += key in held
+            held.add(key)
+        if stage != "sweep":
+            counts[f"repeats_{column}"] = repeats
+    return counts
+
+
+def campaign_sessions(w, campaign_seed: int, sessions: int) -> tuple[dict, list[dict]]:
+    """One campaign of workload ``w``: its runs row and the records of its
+    sessions."""
     directory = tempfile.mkdtemp(prefix="recovery-")
     try:
         campaign = Campaign(directory, w.space, w.workloads, campaign_seed)
@@ -92,6 +127,7 @@ def campaign_sessions(w, campaign_seed: int, sessions: int) -> list[dict]:
         campaign.screen(adapter)
         campaign.joint(adapter, repetitions=3)
         doc = campaign.compile()
+        runs = campaign_runs(campaign)
     finally:
         shutil.rmtree(directory)
     primary = next(spec for spec in w.workloads if spec.id == doc.primary_workload)
@@ -114,7 +150,7 @@ def campaign_sessions(w, campaign_seed: int, sessions: int) -> list[dict]:
             "static_metric": model.true_metric(w.space, static, primary.id),
             "defaults_metric": model.true_metric(w.space, Configuration({}), primary.id),
         })
-    return records
+    return runs, records
 
 
 def row(seed: str, model: str, records: list[dict]) -> list[str]:
@@ -127,6 +163,12 @@ def row(seed: str, model: str, records: list[dict]) -> list[str]:
             f"{statistics.mean(r['adapted'] for r in records):.2f}",
             f"{min(vs_static):.4f}", f"{statistics.median(vs_static):.4f}",
             f"{statistics.median(vs_defaults):.4f}"]
+
+
+def print_table(rows: list[list[str]]) -> None:
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    for r in rows:
+        print("  ".join(cell.ljust(width) for cell, width in zip(r, widths)).rstrip())
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -150,23 +192,24 @@ def main(argv: list[str] | None = None) -> int:
 
     w = workloads.BUILDERS[args.workload]()
     models = ["matched"] + (["shifted"] if w.shifted is not None else [])
-    rows, everything = [list(COLUMNS)], []
+    rows, everything, campaigns = [list(COLUMNS)], [], []
     for seed in args.seeds:
         start = time.perf_counter()
-        records = campaign_sessions(w, seed, args.sessions)
+        runs, records = campaign_sessions(w, seed, args.sessions)
         print(f"campaign seed {seed}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+        campaigns.append(runs)
         everything += records
         rows += [row(str(seed), m, [r for r in records if r["model"] == m])
                  for m in models if any(r["model"] == m for r in records)]
     rows += [row("all", m, [r for r in everything if r["model"] == m])
              for m in models if any(r["model"] == m for r in everything)]
-    widths = [max(len(r[i]) for r in rows) for i in range(len(COLUMNS))]
-    for r in rows:
-        print("  ".join(cell.ljust(width) for cell, width in zip(r, widths)).rstrip())
+    print_table(rows)
+    print()
+    print_table([list(RUN_COLUMNS)] + [[str(c[k]) for k in RUN_COLUMNS] for c in campaigns])
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"workload": args.workload, "sessions": everything}, fh,
-                      indent=1, sort_keys=True)
+            json.dump({"workload": args.workload, "campaigns": campaigns,
+                       "sessions": everything}, fh, indent=1, sort_keys=True)
             fh.write("\n")
     return 0
 
