@@ -38,7 +38,9 @@ are frozen, their sequences are tuples and their mappings read-only, nested
 values included. Each checks its own fields, and the document parses its safe
 ranges, when built; `validate_document` checks how the parts refer to each
 other. The hash and the violations are computed on first use and kept, so
-running many sessions on one document validates and hashes it once.
+running many sessions on one document validates and hashes it once. Its
+benchmark steps, resolved for the space sessions last ran on
+(`ProceduralDocument.prepared`), are kept the same way.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from .errors import AnalysisError, CompileError, DocumentError, ParameterError
 from .interaction import ETA2_MIN, GRID_LEVELS, stage_b_levels
 from .jsonfile import JsonArtifact, dump_fields, load_fields, thaw
 from .sensitivity import SafeRange, SensitivityReport
-from .space import ParameterSpace, WorkloadSpec, closest_index
+from .space import (Configuration, ParameterSpace, WorkloadSpec, closest_index,
+                    validate_configuration)
 from .topology import OptimaReport
 
 SCHEMA_VERSION = 3
@@ -262,6 +265,22 @@ def _safe_range(param: str, d: Any) -> SafeRange:
         raise DocumentError(f"safe range of {param!r} is malformed: {thaw(d)!r}") from None
 
 
+@dataclass(frozen=True, slots=True)
+class LiteralRun:
+    """A benchmark step without `pin_best`, resolved on one space: its
+    configuration, and either the effective configuration the system runs or
+    the refusal a session aborts with."""
+
+    config: Configuration
+    effective: Configuration | None
+    refusal: str | None
+
+
+# A `pin_best` step's open grid parameters, in grid order: (param, its
+# best-index signal, its grid levels).
+Pins = tuple[tuple[str, str, tuple[Any, ...]], ...]
+
+
 @dataclass(frozen=True)
 class ProceduralDocument(_Part, JsonArtifact):
     fingerprint: Mapping[str, str]          # exactly FINGERPRINT_KEYS
@@ -284,6 +303,8 @@ class ProceduralDocument(_Part, JsonArtifact):
                                 f"unknown keys {sorted(keys - FINGERPRINT_KEYS)}")
         object.__setattr__(self, "_safe", MappingProxyType(
             {param: _safe_range(param, d) for param, d in self.safe_ranges.items()}))
+        # (space, prepared skills) of the space sessions last ran on
+        object.__setattr__(self, "_prepared", (None, MappingProxyType({})))
 
     def skill(self, skill_id: str) -> Skill:
         for s in self.skills:
@@ -300,6 +321,65 @@ class ProceduralDocument(_Part, JsonArtifact):
     def safe_range_of(self, param: str) -> SafeRange | None:
         """The documented safe range of `param`, parsed when the document was built."""
         return self._safe.get(param)
+
+    def refusal(self, space: ParameterSpace, config: Configuration) -> str | None:
+        """Why a session may not benchmark `config` on `space`: a value outside
+        its parameter's domain or outside the documented safe ranges. None
+        when it may."""
+        result = validate_configuration(space, config)
+        if not result.ok:
+            return "invalid configuration: " + "; ".join(result.violations)
+        for param, value in config.assignments.items():
+            safe = self._safe.get(param)
+            if safe is None:
+                return f"parameter {param!r} has no documented safe range"
+            if safe.values is not None:
+                if value not in safe.values:
+                    return f"{param}={value!r} outside safe set {list(safe.values)}"
+            elif not (isinstance(value, (int, float))
+                      and float(safe.lo) <= float(value) <= float(safe.hi)):
+                return f"{param}={value!r} outside safe range [{safe.lo}, {safe.hi}]"
+        return None
+
+    def prepared(self, space: ParameterSpace
+                 ) -> Mapping[str, tuple[LiteralRun | Pins | None, ...]]:
+        """Skill id -> per step of its procedure, what every session on
+        `space` would otherwise redo: a `LiteralRun` for a benchmark step
+        without `pin_best`, the `Pins` of one with it, None for other steps.
+
+        Built on first use and kept for the space sessions last ran on, which
+        is checked by identity; a session on another space builds it again.
+        """
+        held, skills = self._prepared
+        if held is space:
+            return skills
+        # Steps with one template, or one set of open parameters, share an entry.
+        runs: dict[tuple, LiteralRun] = {}
+        pins: dict[frozenset, Pins] = {}
+        pin_of = {param: (param, best_index_signal(param), grid)
+                  for param, grid in self.grids.items()}
+
+        def prepare(step: _Step) -> LiteralRun | Pins | None:
+            if not isinstance(step, BenchmarkStep):
+                return None
+            if step.pin_best:
+                named = frozenset(step.template)
+                if named not in pins:
+                    pins[named] = tuple(pin for param, pin in pin_of.items()
+                                        if param not in named)
+                return pins[named]
+            config = Configuration(thaw(step.template))
+            key = (tuple(config.assignments), config.canonical())  # a trace keeps key order
+            if key not in runs:
+                refusal = self.refusal(space, config)
+                runs[key] = LiteralRun(
+                    config, space.effective(config) if refusal is None else None, refusal)
+            return runs[key]
+
+        skills = MappingProxyType({skill.id: tuple(map(prepare, skill.procedure))
+                                   for skill in self.skills})
+        object.__setattr__(self, "_prepared", (space, skills))
+        return skills
 
     def to_json(self) -> dict:
         return {**dump_fields(self), "edges": [[a, b] for a, b in self.edges()]}

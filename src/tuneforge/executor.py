@@ -9,6 +9,13 @@ pass. Every predicate evaluation is recorded with the symbol values it used,
 so a trace can be replayed and checked offline. The budget counts the trials
 the system ran; a repeated effective configuration reads its first measurement.
 
+What every session would redo on the same document is done once per
+document and space (`ProceduralDocument.prepared`): each literal benchmark
+step's configuration, effective configuration and safety verdict are
+resolved, and each `pin_best` step's open grid parameters are listed with
+their index signals, so a session resolves only the pinned levels, from its
+own signals. Expressions are compiled once per text (`expr.parse`).
+
 The interpreter resolves everything from the document itself. The
 ``step_resolver`` hook lets an external agent override a skill's `next`;
 without it, or when it returns None, the session follows `next`.
@@ -22,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import expr as expr_mod
-from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, ProceduralDocument, Skill,
-                     best_index_signal)
+from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, LiteralRun, Pins,
+                     ProceduralDocument, Skill)
 # Bound here as well, where perfbench/tracing.py times the session path's
 # validation; a document validates through `ProceduralDocument.violations`.
 from .docgen import validate_document  # noqa: F401
@@ -121,6 +128,7 @@ class SessionRunner:
         self.seed = seed
         self.step_resolver = step_resolver
         self.skills = {s.id: s for s in doc.skills}
+        self.prepared = doc.prepared(adapter.space)
         self.workloads = {w.id: w for w in doc.workloads}
         self.direction = self.workloads[doc.primary_workload].direction
         self.session = TuningSession(
@@ -156,69 +164,59 @@ class SessionRunner:
         set, e.g. when a branch skipped the step that computes it.
         """
         parsed = expr_mod.parse(text)
+        signals, reference = self.session.signals, skill.reference_data
         env: dict[str, Any] = {}
-        for symbol in sorted(parsed.symbols()):
-            if symbol in self.session.signals:
-                env[symbol] = self.session.signals[symbol]
-            elif symbol in skill.reference_data:
-                env[symbol] = skill.reference_data[symbol]
+        for symbol in parsed.sorted_symbols:
+            if symbol in signals:
+                env[symbol] = signals[symbol]
+            elif symbol in reference:
+                env[symbol] = reference[symbol]
         try:
-            verdict = expr_mod.evaluate_predicate(text, env, {})
+            verdict = expr_mod.evaluate_predicate(parsed, env, {})
         except ExpressionError as e:
             raise _Abort(f"{skill.id}: predicate {text!r} failed: {e}")
         return verdict, {"expr": text, "env": env, "verdict": verdict}
 
     # -- step execution --------------------------------------------------
 
-    def _resolve_template(self, step: BenchmarkStep, skill: Skill) -> Configuration:
-        """The step's literal template; with `pin_best`, every other grid
-        parameter at the level its best-index signal names."""
+    def _resolve_pins(self, step: BenchmarkStep, pins: Pins, skill: Skill) -> Configuration:
+        """A `pin_best` step's template with every other grid parameter at the
+        level its best-index signal names."""
         resolved = thaw(step.template)
-        if step.pin_best:
-            for param, grid in self.doc.grids.items():
-                if param in resolved:
-                    continue
-                signal = best_index_signal(param)
-                if signal not in self.session.signals:
-                    raise _Abort(f"{skill.id}: template references unset signal {signal!r}")
-                idx = float(self.session.signals[signal])
-                if math.isfinite(idx):
-                    idx = int(round(idx))
-                if not 0 <= idx < len(grid):
-                    raise _Abort(f"{skill.id}: grid index {idx} out of range for {param!r}")
-                resolved[param] = grid[idx]
+        signals = self.session.signals
+        for param, signal, grid in pins:
+            if signal not in signals:
+                raise _Abort(f"{skill.id}: template references unset signal {signal!r}")
+            idx = float(signals[signal])
+            if math.isfinite(idx):
+                idx = int(round(idx))
+            if not 0 <= idx < len(grid):
+                raise _Abort(f"{skill.id}: grid index {idx} out of range for {param!r}")
+            resolved[param] = grid[idx]
         return Configuration(resolved)
 
-    def _check_safe(self, config: Configuration, skill: Skill) -> None:
-        """Hard containment check: never benchmark outside the space's domains
-        or the documented safe ranges."""
-        result = validate_configuration(self.adapter.space, config)
-        if not result.ok:
-            raise _Abort(f"{skill.id}: invalid configuration: " + "; ".join(result.violations))
-        for param, value in config.assignments.items():
-            safe = self.doc.safe_range_of(param)
-            if safe is None:
-                raise _Abort(f"{skill.id}: parameter {param!r} has no documented safe range")
-            if safe.values is not None:
-                if value not in safe.values:
-                    raise _Abort(
-                        f"{skill.id}: {param}={value!r} outside safe set {list(safe.values)}")
-            elif not (isinstance(value, (int, float))
-                      and float(safe.lo) <= float(value) <= float(safe.hi)):
-                raise _Abort(
-                    f"{skill.id}: {param}={value!r} outside safe range [{safe.lo}, {safe.hi}]")
-
-    def _run_benchmark(self, skill: Skill, index: int, step: BenchmarkStep) -> None:
+    def _run_benchmark(self, skill: Skill, index: int, step: BenchmarkStep,
+                       run: LiteralRun | Pins) -> None:
         """Run one benchmark step's effective configuration; no ok repetition
         aborts the session. A step repeating an earlier step's (effective config,
         workload, repetitions) reads its measurement, names its event in
-        ``reused_from`` and costs no trial."""
-        config = self._resolve_template(step, skill)
-        self._check_safe(config, skill)
+        ``reused_from`` and costs no trial.
+
+        Hard containment: a configuration outside the space's domains or the
+        documented safe ranges aborts the session before it runs. A literal
+        step was resolved and checked when the document was prepared for the
+        space; a pinned step is resolved and checked here."""
+        if isinstance(run, LiteralRun):
+            config, effective, refusal = run.config, run.effective, run.refusal
+        else:
+            config = self._resolve_pins(step, run, skill)
+            refusal = self.doc.refusal(self.adapter.space, config)
+            effective = None if refusal else self.adapter.space.effective(config)
+        if refusal is not None:
+            raise _Abort(f"{skill.id}: {refusal}")
         workload = self.workloads[step.workload_id]
-        inputs = {"config": config.assignments, "workload_id": workload.id,
+        inputs = {"config": dict(config.assignments), "workload_id": workload.id,
                   "repetitions": step.repetitions}
-        effective = self.adapter.space.effective(config)
         key = (effective, workload.id, step.repetitions)
         if key in self._measured:
             inputs["reused_from"], outcomes, metrics = self._measured[key]
@@ -267,11 +265,11 @@ class SessionRunner:
             self._event(skill.id, "preconditions", predicates=preds)
 
         i = 0
-        steps = skill.procedure
+        steps, runs = skill.procedure, self.prepared[skill.id]
         while i < len(steps):
             step = steps[i]
             if isinstance(step, BenchmarkStep):
-                self._run_benchmark(skill, i, step)
+                self._run_benchmark(skill, i, step, runs[i])
             elif isinstance(step, ComputeStep):
                 try:
                     value = expr_mod.evaluate(step.expr, self.session.signals,
@@ -358,6 +356,8 @@ class SessionRunner:
             config, metric = self.incumbent
         else:
             config, metric = Configuration({}), None
+        # a copy: the adopted configuration may be one every session shares
+        config = Configuration(config.assignments)
         result = validate_configuration(self.adapter.space, config)
         if not result.ok:
             raise _Abort("incumbent configuration failed validation: "

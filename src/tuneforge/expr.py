@@ -10,13 +10,18 @@ a leading minus) is a parse error, so validation refuses the document.
 Comparisons and `and` yield 1.0 / 0.0. Unknown symbols raise, never silently
 evaluate false; defined() tests for a signal's presence, and because `and`
 short-circuits, "defined(x) and x >= 1" is a safe guarded reference.
+
+Parsing compiles an expression once into a tree of closures, one per syntax
+node, and caches it by text; evaluating it is then a single call. Operands
+evaluate left to right and call arguments before the call, so a failing
+operand raises the error the source order gives.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import ExpressionError
 
@@ -51,6 +56,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+Evaluator = Callable[[Mapping[str, Any], Mapping[str, Any]], float]
+
+
 class Expr:
     """A parsed expression: evaluatable, and statically inspectable.
 
@@ -58,102 +66,118 @@ class Expr:
     are never mutated after construction.
     """
 
+    __slots__ = ("text", "sorted_symbols", "_evaluate")
+
     def __init__(self, text: str, ast: tuple):
         self.text = text
-        self._ast = ast
-        self._symbols = self._collect_symbols()
+        found: set[str] = set()
+        self._evaluate = _compile(ast, text, found)
+        # The symbols in sorted order: the order a trace records them in.
+        self.sorted_symbols: tuple[str, ...] = tuple(sorted(found))
 
     def __repr__(self):
         return f"Expr({self.text!r})"
 
     def symbols(self) -> frozenset[str]:
         """Every symbol the expression references, defined() arguments included."""
-        return self._symbols
-
-    def _collect_symbols(self) -> frozenset[str]:
-        out: set[str] = set()
-
-        def walk(node):
-            kind = node[0]
-            if kind in ("sym", "defined"):
-                out.add(node[1])
-            elif kind == "bin":
-                walk(node[2])
-                walk(node[3])
-            elif kind == "call":
-                for a in node[2]:
-                    walk(a)
-
-        walk(self._ast)
-        return frozenset(out)
+        return frozenset(self.sorted_symbols)
 
     def evaluate(self, signals: Mapping[str, Any], reference: Mapping[str, Any]) -> float:
         """Evaluate against the signal store, then reference data.
 
         Signals shadow reference data of the same name.
         """
+        return self._evaluate(signals, reference)
 
-        def resolve(name: str) -> float:
-            if name in signals:
-                value = signals[name]
-            elif name in reference:
-                value = reference[name]
-            else:
-                raise ExpressionError(f"unresolved symbol {name!r}", symbol=name)
-            if isinstance(value, bool):
-                return 1.0 if value else 0.0
-            if not isinstance(value, (int, float)):
-                raise ExpressionError(f"symbol {name!r} is not numeric: {value!r}", symbol=name)
-            return float(value)
 
-        def ev(node) -> float:
-            kind = node[0]
-            if kind == "num":
-                return node[1]
-            if kind == "sym":
-                return resolve(node[1])
-            if kind == "defined":
-                return 1.0 if (node[1] in signals or node[1] in reference) else 0.0
-            if kind == "call":
-                args = [ev(a) for a in node[2]]
-                fn = node[1]
-                if fn == "abs":
-                    return abs(args[0])
-                if fn == "min":
-                    return min(args)
-                if fn == "max":
-                    return max(args)
-                if fn in ("argmax", "argmin"):
-                    return float(args.index(max(args) if fn == "argmax" else min(args)))
-                if fn == "pick":
-                    i = args[0]
-                    if not (i.is_integer() and 0 <= i < len(args) - 1):
-                        raise ExpressionError(f"pick() index {i!r} is not an integer in "
-                                              f"[0, {len(args) - 2}] in {self.text!r}")
-                    return args[int(i) + 1]
-                raise ExpressionError(f"unknown function {fn!r}")
-            op, lhs, rhs = node[1], node[2], node[3]
-            if op == "and":
-                return 1.0 if ev(lhs) != 0.0 and ev(rhs) != 0.0 else 0.0
-            left = ev(lhs)
-            right = ev(rhs)
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0.0:
-                    raise ExpressionError(f"division by zero in {self.text!r}")
-                return left / right
-            if op == "<=":
-                return 1.0 if left <= right else 0.0
-            if op == ">=":
-                return 1.0 if left >= right else 0.0
-            raise ExpressionError(f"unknown operator {op!r}")
+def _compile(node: tuple, text: str, found: set[str]) -> Evaluator:
+    """The evaluator of one syntax-tree node; adds the symbols it reads to `found`."""
+    kind = node[0]
+    if kind == "num":
+        return _literal(node[1])
+    if kind == "sym":
+        found.add(node[1])
+        return _symbol(node[1])
+    if kind == "defined":
+        name = node[1]
+        found.add(name)
+        return lambda s, r: 1.0 if (name in s or name in r) else 0.0
+    if kind == "call":
+        return _CALLS[node[1]]([_compile(a, text, found) for a in node[2]], text)
+    left = _compile(node[2], text, found)
+    return _BINARY[node[1]](left, _compile(node[3], text, found), text)
 
-        return ev(self._ast)
+
+# Leaves are shared by every expression that holds them, so that a cached
+# expression costs about what its syntax tree did.
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _literal(value: float) -> Evaluator:
+    return lambda s, r: value
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _symbol(name: str) -> Evaluator:
+    def resolve(signals, reference):
+        if name in signals:
+            value = signals[name]
+        elif name in reference:
+            value = reference[name]
+        else:
+            raise ExpressionError(f"unresolved symbol {name!r}", symbol=name)
+        if type(value) is float:
+            return value
+        if isinstance(value, bool):
+            return 1.0 if value else 0.0
+        if not isinstance(value, (int, float)):
+            raise ExpressionError(f"symbol {name!r} is not numeric: {value!r}", symbol=name)
+        return float(value)
+    return resolve
+
+
+def _pick(args: list[Evaluator], text: str) -> Evaluator:
+    def pick(signals, reference):
+        values = [a(signals, reference) for a in args]
+        i = values[0]
+        if not (i.is_integer() and 0 <= i < len(values) - 1):
+            raise ExpressionError(f"pick() index {i!r} is not an integer in "
+                                  f"[0, {len(values) - 2}] in {text!r}")
+        return values[int(i) + 1]
+    return pick
+
+
+def _divide(left: Evaluator, right: Evaluator, text: str) -> Evaluator:
+    def divide(signals, reference):
+        numerator = left(signals, reference)
+        denominator = right(signals, reference)
+        if denominator == 0.0:
+            raise ExpressionError(f"division by zero in {text!r}")
+        return numerator / denominator
+    return divide
+
+
+# Function name -> the builder of its evaluator from its arguments' evaluators.
+_CALLS: dict[str, Callable[[list[Evaluator], str], Evaluator]] = {
+    "abs": lambda args, text: lambda s, r: abs(args[0](s, r)),
+    "min": lambda args, text: lambda s, r: min([a(s, r) for a in args]),
+    "max": lambda args, text: lambda s, r: max([a(s, r) for a in args]),
+    "argmax": lambda args, text: lambda s, r: float(
+        (values := [a(s, r) for a in args]).index(max(values))),
+    "argmin": lambda args, text: lambda s, r: float(
+        (values := [a(s, r) for a in args]).index(min(values))),
+    "pick": _pick,
+}
+
+# Operator -> the builder of its evaluator from its operands' evaluators.
+_BINARY: dict[str, Callable[[Evaluator, Evaluator, str], Evaluator]] = {
+    "and": lambda left, right, text: (
+        lambda s, r: 1.0 if left(s, r) != 0.0 and right(s, r) != 0.0 else 0.0),
+    "+": lambda left, right, text: lambda s, r: left(s, r) + right(s, r),
+    "-": lambda left, right, text: lambda s, r: left(s, r) - right(s, r),
+    "*": lambda left, right, text: lambda s, r: left(s, r) * right(s, r),
+    "/": _divide,
+    "<=": lambda left, right, text: lambda s, r: 1.0 if left(s, r) <= right(s, r) else 0.0,
+    ">=": lambda left, right, text: lambda s, r: 1.0 if left(s, r) >= right(s, r) else 0.0,
+}
 
 
 class _Parser:
@@ -262,7 +286,9 @@ def evaluate(text: str, signals: Mapping[str, Any], reference: Mapping[str, Any]
     return parse(text).evaluate(signals, reference)
 
 
-def evaluate_predicate(text: str, signals: Mapping[str, Any],
+def evaluate_predicate(text: str | Expr, signals: Mapping[str, Any],
                        reference: Mapping[str, Any]) -> bool:
-    """Total, deterministic truth evaluation of a predicate expression."""
-    return evaluate(text, signals, reference) != 0.0
+    """Total, deterministic truth evaluation of a predicate expression, given
+    as text or already parsed."""
+    parsed = text if isinstance(text, Expr) else parse(text)
+    return parsed.evaluate(signals, reference) != 0.0

@@ -22,6 +22,7 @@ import json
 import os
 from dataclasses import fields
 from functools import cache
+from math import isfinite
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
@@ -143,6 +144,16 @@ def strings(value: Any) -> list[str]:
     reports as the artifact's load error, when it is not."""
     if type(value) is not list or any(type(item) is not str for item in value):
         raise ValueError(f"{value!r} is not a list of strings")
+    return value
+
+
+def finite_floats(value: Any) -> dict[str, float]:
+    """``value`` when it is an object of strings to finite floats, such as a
+    report's ``baseline_means`` (workload id -> mean); a ValueError, which a
+    loader reports as the artifact's load error, when it is not."""
+    if type(value) is not dict or not all(type(k) is str and type(v) is float and isfinite(v)
+                                          for k, v in value.items()):
+        raise ValueError(f"{value!r} does not map workload ids to finite floats")
     return value
 
 

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT, Measurement, PlanEntry
-from .jsonfile import JsonArtifact, dump_fields, load_fields
+from .jsonfile import JsonArtifact, dump_fields, finite_floats, load_fields
 from .space import (Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, closest_index,
                     level_grid)
 
@@ -134,6 +134,7 @@ class SensitivityReport(JsonArtifact):
         absent, as it is when empty."""
         return load_fields(cls, d, "sensitivity report", optional=("excluded",),
                            pinned={"schema_version": 1}, tau_s=float,
+                           baseline_means=finite_floats,
                            profiles=lambda items: [SensitivityProfile.from_json(p) for p in items])
 
 

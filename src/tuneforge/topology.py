@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import isfinite
 from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, Adapter, CampaignStore, Measurement, PlanEntry, run_plan
 from .interaction import InteractionReport, stage_b_levels
-from .jsonfile import JsonArtifact, dump_fields, load_fields, string, strings
+from .jsonfile import JsonArtifact, dump_fields, finite_floats, load_fields, string, strings
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
@@ -197,15 +196,8 @@ class OptimaReport(JsonArtifact):
         return load_fields(cls, d, "optima report", optional=("rejected",),
                            pinned={"schema_version": 1}, graph=CorrelationGraph.from_json,
                            optima=lambda items: [JointOptimum.from_json(o) for o in items],
-                           baseline_means=_baseline_means,
+                           baseline_means=finite_floats,
                            rejected=lambda items: [_rejection(r) for r in items])
-
-
-def _baseline_means(value: Any) -> dict[str, float]:
-    if type(value) is not dict or not all(type(k) is str and type(v) is float and isfinite(v)
-                                          for k, v in value.items()):
-        raise ValueError(f"{value!r} does not map workload ids to finite floats")
-    return value
 
 
 def _rejection(value: Any) -> dict:

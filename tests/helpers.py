@@ -226,6 +226,85 @@ def reference_true_metric(model, space, config, workload_id):
 
 
 # ---------------------------------------------------------------------------
+# Expression oracle: a syntax tree of the grammar's forms, its text, and a
+# direct recursive walk that evaluates it as the grammar specifies.
+# ---------------------------------------------------------------------------
+
+def expr_text(tree):
+    """The text of an expression tree; every operation in parentheses.
+
+    A tree is ("num", v), ("sym", name), ("defined", name),
+    ("bin", op, left, right) or ("call", fn, [args]).
+    """
+    kind = tree[0]
+    if kind == "num":
+        return repr(tree[1])
+    if kind == "sym":
+        return tree[1]
+    if kind == "defined":
+        return f"defined({tree[1]})"
+    if kind == "bin":
+        return f"({expr_text(tree[2])} {tree[1]} {expr_text(tree[3])})"
+    return f"{tree[1]}({', '.join(expr_text(a) for a in tree[2])})"
+
+
+def expr_oracle(tree, signals, reference, text):
+    """The value of an expression tree: operands left to right, call
+    arguments before the call, `and` stopping at a false left side; the same
+    ExpressionError messages as the grammar's evaluator."""
+    from tuneforge.errors import ExpressionError
+
+    kind = tree[0]
+    if kind == "num":
+        return tree[1]
+    if kind == "defined":
+        return 1.0 if tree[1] in signals or tree[1] in reference else 0.0
+    if kind == "sym":
+        name = tree[1]
+        if name in signals:
+            value = signals[name]
+        elif name in reference:
+            value = reference[name]
+        else:
+            raise ExpressionError(f"unresolved symbol {name!r}", symbol=name)
+        if value is True or value is False:
+            return 1.0 if value else 0.0
+        if type(value) not in (int, float):
+            raise ExpressionError(f"symbol {name!r} is not numeric: {value!r}", symbol=name)
+        return float(value)
+    if kind == "bin":
+        op = tree[1]
+        left = expr_oracle(tree[2], signals, reference, text)
+        if op == "and":
+            if left == 0.0:
+                return 0.0
+            return 0.0 if expr_oracle(tree[3], signals, reference, text) == 0.0 else 1.0
+        right = expr_oracle(tree[3], signals, reference, text)
+        if op == "/" and right == 0.0:
+            raise ExpressionError(f"division by zero in {text!r}")
+        return {"+": lambda: left + right, "-": lambda: left - right,
+                "*": lambda: left * right, "/": lambda: left / right,
+                "<=": lambda: 1.0 if left <= right else 0.0,
+                ">=": lambda: 1.0 if left >= right else 0.0}[op]()
+    fn = tree[1]
+    values = [expr_oracle(a, signals, reference, text) for a in tree[2]]
+    if fn == "abs":
+        return abs(values[0])
+    if fn == "pick":
+        i = values[0]
+        if i % 1 != 0 or not 0 <= i <= len(values) - 2:
+            raise ExpressionError(f"pick() index {i!r} is not an integer in "
+                                  f"[0, {len(values) - 2}] in {text!r}")
+        return values[int(i) + 1]
+    # the first best value: a later one wins only when strictly better
+    best = 0
+    for i, value in enumerate(values):
+        if (value > values[best]) if fn in ("max", "argmax") else (value < values[best]):
+            best = i
+    return float(best) if fn.startswith("arg") else values[best]
+
+
+# ---------------------------------------------------------------------------
 # A small planted campaign shared by docgen/executor/CLI tests: one strong
 # 2-parameter coupling, two sensitive isolates, two flat parameters.
 # ---------------------------------------------------------------------------

@@ -852,6 +852,45 @@ class TestRepeatedResume:
             assert campaign_files(killed) == want, n
 
 
+STAGE_REPORTS = (SENSITIVITY_REPORT, campaign_mod.INTERACTION_REPORT, campaign_mod.OPTIMA_REPORT,
+                 DOCUMENT_FILE)
+
+
+class TestRefusedReplace:
+    """A stage whose report or state file cannot be moved into place raises
+    OSError; a fresh ``Campaign`` then resumes to the files of an
+    uninterrupted run."""
+
+    @pytest.mark.parametrize("stage, name", [
+        (stage, name) for stage, report in zip(STAGE_NAMES, STAGE_REPORTS)
+        for name in (report, STATE_FILE)])
+    def test_resume_after_a_refused_replace_leaves_the_uninterrupted_files(
+            self, tmp_path, monkeypatch, stage, name):
+        reference, adapter = small_campaign(tmp_path / "reference")
+        for each in STAGE_NAMES:
+            run_stage(reference, each, adapter)
+        want = campaign_files(reference.directory)
+
+        campaign, _ = small_campaign(tmp_path / "refused")
+        for each in STAGE_NAMES[:STAGE_NAMES.index(stage)]:
+            run_stage(campaign, each, adapter)
+        replace, refused = os.replace, []
+
+        def refuse_once(src, dst):
+            if os.path.basename(dst) == name and not refused:
+                refused.append(dst)
+                raise OSError(f"refused replacing {dst}")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_once)
+        with pytest.raises(OSError, match="refused"):
+            run_stage(campaign, stage, adapter)
+        monkeypatch.setattr(os, "replace", replace)
+        assert refused == [campaign.path(name)]
+        run_to_the_end(campaign.directory, adapter)
+        assert campaign_files(campaign.directory) == want
+
+
 class PairCrashAdapter:
     """Measures through ``inner`` but crashes every configuration that
     ``crashes(assignments)`` accepts, as a pair that cannot run together."""

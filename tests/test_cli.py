@@ -292,6 +292,8 @@ class TestFullPipeline:
     @pytest.mark.parametrize("command, report, record, key, value, what", [
         ("screen", SENSITIVITY_REPORT, lambda r: r, "tau_s", "x", "sensitivity report"),
         ("screen", SENSITIVITY_REPORT, lambda r: r, "profiles", 5, "sensitivity report"),
+        ("screen", SENSITIVITY_REPORT, lambda r: r, "baseline_means", {"w0": "1.0"},
+         "sensitivity report"),
         ("joint", INTERACTION_REPORT,
          lambda r: next(rec for rec in r["records"] if rec["confirmed"]), "pair", ["pa"],
          "interaction record"),
@@ -302,7 +304,8 @@ class TestFullPipeline:
         ("compile", OPTIMA_REPORT, lambda r: r["graph"]["edges"][0], "a", 5, "graph edge"),
         ("compile", OPTIMA_REPORT, lambda r: r["optima"][0], "component", 5, "joint optimum"),
         ("compile", OPTIMA_REPORT, lambda r: r, "rejected", [5], "optima report"),
-    ], ids=["tau-s-not-a-number", "profiles-not-a-list", "pair-of-one", "nodes-not-a-list",
+    ], ids=["tau-s-not-a-number", "profiles-not-a-list", "baseline-mean-not-a-number",
+            "pair-of-one", "nodes-not-a-list",
             "components-not-a-list", "component-not-a-list", "edge-end-not-a-string",
             "optimum-component-not-a-list", "rejected-item-not-an-object"])
     def test_wrongly_typed_report_value_exits_with_analysis_code(

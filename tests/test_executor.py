@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import (edit_document, global_grid_argmax, run_small_pipeline, shifted_small_model,
-                     skill_json, small_model, unit_space)
+from helpers import (SMALL_NAMES, edit_document, global_grid_argmax, run_small_pipeline,
+                     shifted_small_model, skill_json, small_model, unit_space)
 from tuneforge import docgen
 from tuneforge import executor
 from tuneforge import expr as expr_mod
@@ -19,7 +19,7 @@ from tuneforge.executor import load_trace, replay_session, run_session
 from tuneforge.expr import evaluate_predicate
 from tuneforge.harness import mix_seed
 from tuneforge.simulator import SimulatorAdapter
-from tuneforge.space import Configuration, WorkloadSpec
+from tuneforge.space import Configuration, Domain, ParameterSpace, WorkloadSpec
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +381,99 @@ class TestDocumentIsCheckedOnce:
         assert {s.document_hash for s in sessions} == {expected_hash}
         assert calls["validate"] <= 1
         assert calls["encode"] <= 1
+
+
+def fresh_copy(doc):
+    """A document loaded from ``doc``'s text: equal, and never run."""
+    return ProceduralDocument.from_json(json.loads(doc.serialize()))
+
+
+def outcome(session):
+    """Everything a session delivers: its trace and its result."""
+    return ([e.to_json() for e in session.trace], session.status, session.diagnostic,
+            session.final_config, session.final_metric, session.trials_used, session.passes)
+
+
+class TestPreparedSteps:
+    """A document keeps its literal benchmark steps resolved and checked for
+    the space it last ran on; nothing a session does reaches another."""
+
+    def test_twentieth_session_equals_one_on_a_fresh_copy(self, pipeline):
+        space = pipeline["space"]
+        adapters = [SimulatorAdapter(space, small_model()),
+                    SimulatorAdapter(space, shifted_small_model())]
+        doc = fresh_copy(pipeline["doc"])
+        for seed in range(19):
+            run_session(doc, adapters[seed % 2], budget=120, seed=seed)
+        for adapter in adapters:
+            twentieth = run_session(doc, adapter, budget=120, seed=19)
+            assert twentieth.status == "converged"
+            assert outcome(twentieth) == \
+                outcome(run_session(fresh_copy(pipeline["doc"]), adapter, budget=120, seed=19))
+
+    def test_a_literal_verdict_holds_for_its_space_only(self, pipeline):
+        # verify_pc probes pc = 1.0, outside the narrowed domain
+        narrowed = ParameterSpace(tuple(
+            replace(p, domain=Domain("continuous", 0.0, 0.5)) if p.name == "pc" else p
+            for p in pipeline["space"]))
+        wide = SimulatorAdapter(pipeline["space"], pipeline["model"])
+        narrow = SimulatorAdapter(narrowed, pipeline["model"])
+        expected = {id(a): outcome(run_session(fresh_copy(pipeline["doc"]), a, budget=30, seed=4))
+                    for a in (wide, narrow)}
+        assert expected[id(wide)][1] == "converged"
+        assert expected[id(narrow)][1:3] == (
+            "aborted", "verify_pc: invalid configuration: pc=1.0 out of range "
+                       "continuous[0.0, 0.5]")
+        for order in ((wide, narrow), (narrow, wide)):
+            doc = fresh_copy(pipeline["doc"])
+            for adapter in order + order:
+                assert outcome(run_session(doc, adapter, budget=30, seed=4)) == \
+                    expected[id(adapter)]
+
+    def test_prepared_steps_are_kept_per_space(self, pipeline):
+        doc, space = fresh_copy(pipeline["doc"]), pipeline["space"]
+        prepared = doc.prepared(space)
+        assert doc.prepared(space) is prepared
+        assert doc.prepared(unit_space(SMALL_NAMES)) is not prepared
+        assert doc.prepared(space) is not prepared
+
+    def test_editing_one_sessions_trace_changes_no_other(self, pipeline):
+        doc, adapter = fresh_copy(pipeline["doc"]), pipeline["adapter"]
+        first = run_session(doc, adapter, budget=30, seed=8)
+        for event in first.trace:
+            if event.action == "benchmark":
+                event.inputs["config"]["pa"] = 0.5
+                event.inputs["config"].pop("pc", None)
+        first.final_config.assignments["pz"] = 1.0
+        first.trace[-1].outputs["final_config"]["pq"] = 1.0
+        second = run_session(doc, adapter, budget=30, seed=8)
+        assert second.status == "converged"
+        assert outcome(second) == outcome(run_session(fresh_copy(pipeline["doc"]), adapter,
+                                                      budget=30, seed=8))
+        configs = [e.inputs["config"] for e in first.trace + second.trace
+                   if e.action == "benchmark"]
+        assert len({id(c) for c in configs}) == len(configs)
+
+    def test_editing_an_adopted_literal_changes_no_other_session(self):
+        from tuneforge.simulator import SimulatorModel
+        orch = Skill(id="root", kind="orchestration", next="end", procedure=[
+            BenchmarkStep(template={"p": 0.5}, workload_id="w0", repetitions=1, out="m",
+                          adopt=True)])
+        doc = ProceduralDocument(
+            fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
+            skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
+            grids={"p": [0.0, 0.5, 1.0]}, safe_ranges={"p": {"lo": 0.0, "hi": 1.0}},
+            provenance={}, policy={})
+        adapter = SimulatorAdapter(unit_space(["p"]), SimulatorModel(base_rate=100.0))
+        first = run_session(doc, adapter, budget=5, seed=0)
+        assert first.final_config == Configuration({"p": 0.5})
+        first.final_config.assignments["p"] = 0.9
+        first.trace[-1].outputs["final_config"]["q"] = 1.0
+        second = run_session(doc, adapter, budget=5, seed=0)
+        assert second.status == "converged"
+        assert second.final_config == Configuration({"p": 0.5})
+        assert outcome(second)[0] == [e.to_json() for e in
+                                      run_session(fresh_copy(doc), adapter, 5, 0).trace]
 
 
 class TestAnomalyFloor:

@@ -1,6 +1,11 @@
 """Predicate/compute expression grammar: parsing, evaluation, symbol closure."""
 
+import math
+
 import pytest
+from helpers import expr_oracle, expr_text
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuneforge import expr as expr_mod
 from tuneforge.errors import ExpressionError
@@ -120,3 +125,97 @@ class TestParsing:
         text = "a >= 0.5 and (b <= 2 and defined(c))"
         assert parse(text).evaluate({"a": 1, "b": 1}, {}) == \
             parse(text).evaluate({"a": 1, "b": 1}, {})
+
+
+SYMBOLS = ("a", "b", "c")
+
+_leaves = st.one_of(
+    st.tuples(st.just("num"), st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.25, 1e-3, 12.0])),
+    st.tuples(st.just("num"), st.floats(0, 1e3, allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("sym"), st.sampled_from(SYMBOLS)),
+    st.tuples(st.just("defined"), st.sampled_from(SYMBOLS)))
+
+
+def _extend(children):
+    many = st.lists(children, min_size=1, max_size=4)
+    return st.one_of(
+        st.tuples(st.just("bin"), st.sampled_from(["+", "-", "*", "/", "<=", ">=", "and"]),
+                  children, children),
+        st.tuples(st.just("call"), st.just("abs"), st.lists(children, min_size=1, max_size=1)),
+        st.tuples(st.just("call"), st.sampled_from(["min", "max", "argmax", "argmin"]), many),
+        st.tuples(st.just("call"), st.just("pick"), st.lists(children, min_size=2, max_size=4)))
+
+
+TREES = st.recursive(_leaves, _extend, max_leaves=12)
+VALUES = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.integers(-3, 3), st.booleans(),
+                   st.sampled_from([0.0, 1.0, "text", None]))
+ENVIRONMENTS = st.dictionaries(st.sampled_from(SYMBOLS), VALUES, max_size=len(SYMBOLS))
+
+
+def _outcome(evaluate):
+    """(value, None) or (None, (message, symbol)) of one evaluation."""
+    try:
+        return evaluate(), None
+    except ExpressionError as e:
+        return None, (str(e), e.symbol)
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float)
+                      and math.isnan(a) and math.isnan(b))
+
+
+class TestOracleParity:
+    """The compiled evaluator against a direct walk of the syntax tree the
+    text was written from: the same value, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=TREES, signals=ENVIRONMENTS, reference=ENVIRONMENTS)
+    def test_compiled_evaluation_matches_the_oracle(self, tree, signals, reference):
+        text = expr_text(tree)
+        got, got_error = _outcome(lambda: evaluate(text, signals, reference))
+        want, want_error = _outcome(lambda: expr_oracle(tree, signals, reference, text))
+        assert got_error == want_error
+        assert _same(got, want), (text, got, want)
+        if got_error is None:
+            assert type(got) is float
+            assert evaluate_predicate(text, signals, reference) is (got != 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=TREES)
+    def test_symbols_are_those_the_tree_names(self, tree):
+        def names(node):
+            if node[0] in ("sym", "defined"):
+                return {node[1]}
+            children = node[2:] if node[0] == "bin" else node[2] if node[0] == "call" else ()
+            return set().union(*map(names, children))
+
+        parsed = parse(expr_text(tree))
+        assert parsed.symbols() == names(tree)
+        assert parsed.sorted_symbols == tuple(sorted(names(tree)))
+
+    def test_guarded_reference_never_reads_the_absent_symbol(self):
+        class Watched(dict):
+            """A mapping that records every key read by item."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.read = []
+
+            def __getitem__(self, key):
+                self.read.append(key)
+                return super().__getitem__(key)
+
+        signals, reference = Watched(), Watched({"y": 2.0})
+        parsed = parse("defined(x) and x >= 1")
+        assert parsed.evaluate(signals, reference) == 0.0
+        assert evaluate_predicate(parsed, signals, reference) is False
+        assert signals.read == reference.read == []
+        signals["x"] = 3
+        assert parsed.evaluate(signals, reference) == 1.0
+        assert signals.read == ["x"]
+
+    def test_a_parsed_expression_evaluates_as_its_text(self):
+        parsed = parse("a >= 0.5 and b <= 2")
+        for env in ({"a": 1, "b": 1}, {"a": 0, "b": 1}, {"a": True, "b": 3.0}):
+            assert evaluate_predicate(parsed, env, {}) is evaluate_predicate(parsed.text, env, {})

@@ -345,6 +345,20 @@ def test_wrongly_typed_optima_value_fails_the_load(artifacts, path, value, prefi
         load(mutated(d, path, value))
 
 
+# The optima report's baseline_means cases, on the sensitivity report.
+SENSITIVITY_TYPE_CASES = {name: (path, value, "sensitivity report: baseline_means: ")
+                          for name, (path, value, _) in OPTIMA_TYPE_CASES.items()
+                          if path[0] == "baseline_means"}
+
+
+@pytest.mark.parametrize("path, value, prefix", SENSITIVITY_TYPE_CASES.values(),
+                         ids=SENSITIVITY_TYPE_CASES.keys())
+def test_wrongly_typed_sensitivity_value_fails_the_load(artifacts, path, value, prefix):
+    d, load, error = artifacts["sensitivity report"]
+    with pytest.raises(error, match=f"^{re.escape(prefix)}"):
+        load(mutated(d, path, value))
+
+
 VERSION_CASES = {
     "sensitivity-report-2": ("sensitivity report", "schema_version", 2),
     "interaction-report-2": ("interaction report", "schema_version", 2),

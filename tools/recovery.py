@@ -38,10 +38,10 @@ journals before its directory is removed:
   repetition an earlier journaled record of the campaign already holds. The
   system runs such a run again although the campaign has its result.
 
-Standard output depends on the seeds only; the wall time of each campaign seed
-goes to standard error. ``--json`` writes each campaign seed's runs row and
-every session's record: trials, final effective configuration and true
-metrics.
+Standard output depends on the seeds only. The wall time of each campaign seed,
+and the median wall time of its sessions, go to standard error. ``--json``
+writes each campaign seed's runs row and every session's record: trials, final
+effective configuration and true metrics.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ def campaign_runs(campaign: Campaign) -> dict:
     return counts
 
 
-def campaign_sessions(w, campaign_seed: int, sessions: int) -> tuple[dict, list[dict]]:
-    """One campaign of workload ``w``: its runs row and the records of its
-    sessions."""
+def campaign_sessions(w, campaign_seed: int, sessions: int
+                      ) -> tuple[dict, list[dict], list[float]]:
+    """One campaign of workload ``w``: its runs row, the records of its
+    sessions and each session's wall time in seconds."""
     directory = tempfile.mkdtemp(prefix="recovery-")
     try:
         campaign = Campaign(directory, w.space, w.workloads, campaign_seed)
@@ -132,12 +133,14 @@ def campaign_sessions(w, campaign_seed: int, sessions: int) -> tuple[dict, list[
         shutil.rmtree(directory)
     primary = next(spec for spec in w.workloads if spec.id == doc.primary_workload)
     static = static_config(export_knowledge(doc), primary.direction == "maximize")
-    records = []
+    records, wall = [], []
     for index in range(sessions):
         shifted = w.shifted is not None and index % 2 == 1
         model = w.shifted if shifted else w.model
-        s = run_session(doc, SimulatorAdapter(w.space, model), SESSION_BUDGET,
-                        SESSION_SEED + index)
+        adapter = SimulatorAdapter(w.space, model)
+        start = time.perf_counter()
+        s = run_session(doc, adapter, SESSION_BUDGET, SESSION_SEED + index)
+        wall.append(time.perf_counter() - start)
         final = s.final_config if s.final_config is not None else Configuration({})
         records.append({
             "campaign_seed": campaign_seed, "session_seed": SESSION_SEED + index,
@@ -150,7 +153,7 @@ def campaign_sessions(w, campaign_seed: int, sessions: int) -> tuple[dict, list[
             "static_metric": model.true_metric(w.space, static, primary.id),
             "defaults_metric": model.true_metric(w.space, Configuration({}), primary.id),
         })
-    return runs, records
+    return runs, records, wall
 
 
 def row(seed: str, model: str, records: list[dict]) -> list[str]:
@@ -195,8 +198,10 @@ def main(argv: list[str] | None = None) -> int:
     rows, everything, campaigns = [list(COLUMNS)], [], []
     for seed in args.seeds:
         start = time.perf_counter()
-        runs, records = campaign_sessions(w, seed, args.sessions)
-        print(f"campaign seed {seed}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+        runs, records, wall = campaign_sessions(w, seed, args.sessions)
+        session_ms = f", median session {statistics.median(wall) * 1e3:.2f} ms" if wall else ""
+        print(f"campaign seed {seed}: {time.perf_counter() - start:.2f} s{session_ms}",
+              file=sys.stderr)
         campaigns.append(runs)
         everything += records
         rows += [row(str(seed), m, [r for r in records if r["model"] == m])
