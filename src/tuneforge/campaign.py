@@ -14,7 +14,9 @@ Every report a stage reads, and the document that tuning and export read,
 goes through one reader that refuses an artifact another campaign or space
 wrote. Each stage reads only what it uses: screen the sensitivity report,
 joint the sensitivity and interaction reports, compile the sensitivity and
-optima reports, and tune the document.
+optima reports, and tune the document. A ``Campaign`` object holds every
+report it wrote or read and hands it on to the next stage in memory, so it
+reads a report from disk at most once, on a resume, and never one it wrote.
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ class Campaign:
         self.seed = seed
         os.makedirs(directory, exist_ok=True)
         self.state = self._load_or_init_state()
+        # file name -> the report or document this object last wrote or read
+        self._held: dict[str, JsonArtifact] = {}
         self.store = CampaignStore(seed, self.state.space_hash, {
             "sweep": self.path(SWEEP_LOG), "screen": self.path(SCREEN_LOG),
             "joint": self.path(JOINT_LOG)})
@@ -115,14 +119,23 @@ class Campaign:
         return state
 
     def _report(self, cls, name: str):
-        """The artifact ``name``, or AnalysisError when another campaign or
-        space wrote it; the document names its owner in its fingerprint."""
+        """The artifact ``name`` as this object last wrote or read it, read
+        from disk only the first time; AnalysisError when another campaign or
+        space wrote it. The document names its owner in its fingerprint."""
+        if name in self._held:
+            return self._held[name]
         report, state = cls.load(self.path(name)), self.state
         owner = report.fingerprint if cls is ProceduralDocument else vars(report)
         if (owner.get("campaign_id"), owner.get("space_hash")) != (state.campaign_id,
                                                                    state.space_hash):
             raise AnalysisError(f"{self.path(name)} belongs to campaign {owner.get('campaign_id')}")
+        self._held[name] = report
         return report
+
+    def _save(self, name: str, report: JsonArtifact) -> None:
+        """Write ``report`` to ``name`` and hold it for the stages after this one."""
+        report.save(self.path(name))
+        self._held[name] = report
 
     def document(self) -> ProceduralDocument:
         """The compiled document, refused when another campaign compiled it."""
@@ -182,7 +195,7 @@ class Campaign:
                            store=self.store)
         report = analyze_sensitivity(records, self.space, self.workloads, levels_per_param,
                                      tau_s=tau_s, campaign_id=self.state.campaign_id)
-        report.save(self.path(SENSITIVITY_REPORT))
+        self._save(SENSITIVITY_REPORT, report)
         self.state.budgets["sensitivity"] = len(plan)
         self.state.runs_used["sensitivity"] = self.store.journaled("sweep")
         self._advance("sweep-done")
@@ -236,7 +249,7 @@ class Campaign:
         interaction = InteractionReport(
             campaign_id=report.campaign_id, space_hash=report.space_hash,
             records=finalize_records([rec for pair in pairs for rec in records[pair]]))
-        interaction.save(self.path(INTERACTION_REPORT))
+        self._save(INTERACTION_REPORT, interaction)
         self.state.budgets["screen"] = len(planned)
         self.state.runs_used["screen"] = self.store.journaled("screen")
         self._advance("screen-done")
@@ -274,7 +287,7 @@ class Campaign:
         result = OptimaReport(campaign_id=sens.campaign_id, space_hash=sens.space_hash,
                               graph=graph, optima=optima, baseline_means=baselines,
                               runs_used=runs_used, rejected=rejected)
-        result.save(self.path(OPTIMA_REPORT))
+        self._save(OPTIMA_REPORT, result)
         self.state.budgets["joint"] = planned
         self.state.runs_used["joint"] = runs_used
         self._advance("joint-done")
@@ -287,7 +300,7 @@ class Campaign:
         sens = self._report(SensitivityReport, SENSITIVITY_REPORT)
         optima = self._report(OptimaReport, OPTIMA_REPORT)
         doc = compile_document(sens, optima, self.space, self.workloads)
-        doc.save(self.path(DOCUMENT_FILE))
+        self._save(DOCUMENT_FILE, doc)
         self._advance("compiled")
         return doc
 

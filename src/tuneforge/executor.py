@@ -62,8 +62,32 @@ class TraceEvent:
     @classmethod
     def from_json(cls, d: dict) -> "TraceEvent":
         """The event ``to_json`` wrote, or AnalysisError, so that a renamed key
-        cannot replay as an empty default."""
-        return load_fields(cls, d, "trace event")
+        cannot replay as an empty default and a malformed predicate is refused
+        at load rather than raised from the replay."""
+        return load_fields(cls, d, "trace event", predicates=_predicates)
+
+
+_PREDICATE_KEYS = frozenset(("expr", "env", "verdict"))
+
+
+def _predicates(value: Any) -> list[dict]:
+    """``value`` when it is a list of the predicate records ``_eval_predicate``
+    writes, each an object of a string ``expr``, an object ``env`` and a bool
+    ``verdict``; a ValueError, which the trace loader reports as its load
+    error, when it is not."""
+    if type(value) is not list:
+        raise ValueError(f"{value!r} is not a list")
+    for i, pred in enumerate(value):
+        if type(pred) is not dict:
+            raise ValueError(f"predicate {i} {pred!r} is not an object")
+        if pred.keys() != _PREDICATE_KEYS:
+            raise ValueError(f"predicate {i}: missing keys {sorted(_PREDICATE_KEYS - pred.keys())}, "
+                             f"unknown keys {sorted(pred.keys() - _PREDICATE_KEYS)}")
+        for key, kind, what in (("expr", str, "a string"), ("env", dict, "an object"),
+                                ("verdict", bool, "a bool")):
+            if type(pred[key]) is not kind:
+                raise ValueError(f"predicate {i}: {key} {pred[key]!r} is not {what}")
+    return value
 
 
 @dataclass
@@ -413,10 +437,10 @@ def replay_session(header: dict, events: list[TraceEvent],
     for event in events:
         for pred in event.predicates:
             try:
-                verdict = expr_mod.evaluate_predicate(pred["expr"], pred.get("env", {}), {})
+                verdict = expr_mod.evaluate_predicate(pred["expr"], pred["env"], {})
             except ExpressionError:
                 verdict = None
-            if verdict is not bool(pred["verdict"]):
+            if verdict is not pred["verdict"]:
                 mismatches.append({"seq": event.seq, "skill": event.skill,
                                    "expr": pred["expr"], "recorded": pred["verdict"],
                                    "replayed": verdict})

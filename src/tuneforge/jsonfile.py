@@ -2,10 +2,13 @@
 written and read back with exactly the keys of its record's fields.
 
 Reports, the compiled document, the knowledge export and the campaign state
-are all written as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, so
-identical contents give identical bytes (and document hashes). ``write_text``
-is the atomic replace behind them, and behind the session trace and the final
-configuration file too.
+are all written by ``canonical_json``, whose text is exactly the bytes of
+``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, so identical contents
+give identical bytes (and document hashes). It builds that text itself in one
+pass, since ``json.dumps`` takes its pure-Python encoder whenever it indents,
+and leaves to ``json.dumps`` only a value that is not a plain JSON value.
+``write_text`` is the atomic replace behind them, and behind the session
+trace and the final configuration file too.
 
 Every artifact record has one writer and one reader, and both take its keys
 from its dataclass fields: ``dump_fields`` writes one key per field, and
@@ -32,9 +35,91 @@ from .errors import AnalysisError, TuneforgeError
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+class _NotPlain(Exception):
+    """A value ``_encode`` leaves to ``json.dumps``: a dict or list subclass, a
+    non-string key, or a scalar that is not exactly a str, int, float, bool or
+    None."""
+
+
+def _nonfinite(value: float) -> str:
+    """NaN or an infinity, as json writes it."""
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _encode(obj: Any, indent: str, append: Callable[[str], None]) -> None:
+    """Append the text of ``obj`` as ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes it, where ``indent`` is the newline and spaces before
+    the closing bracket of ``obj``; raise ``_NotPlain`` for any other value.
+    Strings, finite floats and None in a container, the bulk of every
+    artifact, are written without a call of their own."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            append("{}")
+            return
+        inner = indent + "  "
+        separator, following = "{" + inner, "," + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise _NotPlain
+            append(separator)
+            separator = following
+            append(_escape(key))
+            append(": ")
+            value = obj[key]
+            kind = type(value)
+            if kind is str:
+                append(_escape(value))
+            elif kind is float and value - value == 0.0:
+                append(float.__repr__(value))
+            elif value is None:
+                append("null")
+            else:
+                _encode(value, inner, append)
+        append(indent + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            append("[]")
+            return
+        inner = indent + "  "
+        separator, following = "[" + inner, "," + inner
+        for value in obj:
+            append(separator)
+            separator = following
+            if type(value) is str:
+                append(_escape(value))
+            else:
+                _encode(value, inner, append)
+        append(indent + "]")
+    elif kind is str:
+        append(_escape(obj))
+    elif kind is float:
+        append(float.__repr__(obj) if obj - obj == 0.0 else _nonfinite(obj))
+    elif kind is int:
+        append(int.__repr__(obj))
+    elif kind is bool:
+        append("true" if obj else "false")
+    elif obj is None:
+        append("null")
+    else:
+        raise _NotPlain
+
+
 def canonical_json(obj: Any) -> str:
-    """Sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Sorted keys, two-space indent, trailing newline: the text of
+    ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, and that call itself
+    (with its result or its error) for a value that is not plain JSON or that
+    nests too deep, a cycle included."""
+    chunks: list[str] = []
+    try:
+        _encode(obj, "\n", chunks.append)
+    except (_NotPlain, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 @cache

@@ -261,12 +261,15 @@ class TestLoadersRequireTheirKeys:
         ({"campaign_id": "c", "space_hash": "h", "seed": "1"},
          r"missing keys \[\], unknown keys \['seed'\]")], ids=["empty", "extra-key"])
     def test_document_fingerprint_holds_exactly_its_keys(self, tmp_path, fingerprint, named):
+        # read by a fresh object, as a resume or `tune` reads it: the object
+        # that compiled the document holds it and reads no file
         from helpers import run_small_pipeline
-        campaign = run_small_pipeline(tmp_path)["campaign"]
+        p = run_small_pipeline(tmp_path)
         path = tmp_path / DOCUMENT_FILE
         data = json.loads(path.read_text())
         data["fingerprint"] = fingerprint
         path.write_text(json.dumps(data))
+        campaign = Campaign(str(tmp_path), p["space"], p["workloads"], seed=42)
         with pytest.raises(DocumentError, match=f"document: fingerprint: {named}"):
             campaign.document()
 
@@ -972,3 +975,65 @@ class TestRunAccounting:
         for stage in STAGE_NAMES[STAGE_NAMES.index(killed):]:
             run_stage(resumed, stage, adapter)
         assert resumed.state.runs_used == reference.state.runs_used
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The file name of every artifact ``JsonArtifact.load`` reads, in order."""
+    from tuneforge.jsonfile import JsonArtifact
+    names, load = [], JsonArtifact.load.__func__
+
+    def counted(cls, path):
+        names.append(os.path.basename(path))
+        return load(cls, path)
+
+    monkeypatch.setattr(JsonArtifact, "load", classmethod(counted))
+    return names
+
+
+class TestHeldReports:
+    """A ``Campaign`` hands each report it wrote or read on to the next stage
+    in memory and reads a report from disk only on a resume."""
+
+    def test_one_object_running_every_stage_reads_no_artifact(self, tmp_path, loads):
+        campaign, adapter = small_campaign(tmp_path)
+        for stage in STAGE_NAMES:
+            run_stage(campaign, stage, adapter)
+        campaign.document()
+        assert loads == []
+
+    def test_a_fresh_object_per_stage_reads_each_report_once(self, tmp_path, loads):
+        # each stage runs twice, and compile is followed by a read of the document
+        adapter = small_campaign(tmp_path)[1]
+        reads = {}
+        for stage in STAGE_NAMES:
+            loads.clear()
+            campaign = small_campaign(tmp_path)[0]
+            run_stage(campaign, stage, adapter)
+            run_stage(campaign, stage, adapter)
+            if stage == "compile":
+                campaign.document()
+            reads[stage] = list(loads)
+        assert reads == {
+            "profile": [STATE_FILE],
+            "screen": [STATE_FILE, SENSITIVITY_REPORT],
+            "joint": [STATE_FILE, SENSITIVITY_REPORT, campaign_mod.INTERACTION_REPORT],
+            "compile": [STATE_FILE, SENSITIVITY_REPORT, campaign_mod.OPTIMA_REPORT]}
+
+    def test_every_held_result_is_its_files_text(self, tmp_path):
+        # no stage mutated a result that an earlier stage handed on
+        campaign, adapter = small_campaign(tmp_path)
+        results = [run_stage(campaign, stage, adapter) for stage in STAGE_NAMES]
+        classes = (SensitivityReport, InteractionReport, OptimaReport, ProceduralDocument)
+        for result, cls, name in zip(results, classes, STAGE_REPORTS):
+            assert campaign._report(cls, name) is result
+            assert result.serialize() == (tmp_path / name).read_text(encoding="utf-8"), name
+
+    def test_a_report_of_another_campaign_is_refused_on_a_resume(self, tmp_path):
+        own, adapter = small_campaign(tmp_path / "own")
+        other = small_campaign(tmp_path / "other", seed=43)[0]
+        run_stage(own, "profile", adapter)
+        run_stage(other, "profile", adapter)
+        shutil.copyfile(other.path(SENSITIVITY_REPORT), own.path(SENSITIVITY_REPORT))
+        with pytest.raises(AnalysisError, match=f"{SENSITIVITY_REPORT} belongs to campaign "):
+            small_campaign(tmp_path / "own")[0].screen(adapter)

@@ -266,6 +266,41 @@ class TestReplay:
         with pytest.raises(AnalysisError, match=rf"missing keys \['{key}'\]"):
             executor.TraceEvent.from_json(event)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda preds: preds[0].pop("expr"),
+         r"predicates: predicate 0: missing keys \['expr'\], unknown keys \[\]"),
+        (lambda preds: preds[0].update(env=["<symbol>"]),
+         r"predicates: predicate 0: env \['<symbol>'\] is not an object"),
+        (lambda preds: preds[0].update(verdict=1),
+         r"predicates: predicate 0: verdict 1 is not a bool"),
+        (lambda preds: preds.__setitem__(0, "x > 1"),
+         r"predicates: predicate 0 'x > 1' is not an object"),
+    ], ids=["missing-expr", "list-env", "int-verdict", "string-predicate"])
+    def test_malformed_predicate_fails_the_load(self, pipeline, tmp_path, edit, named):
+        # refused where the trace is read, not raised as a KeyError or
+        # TypeError out of replay_session
+        session = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=13)
+        path = tmp_path / "trace.jsonl"
+        session.save_trace(str(path))
+        lines = path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines[1:], 1)
+                     if json.loads(line)["predicates"])
+        event = json.loads(lines[index])
+        edit(event["predicates"])
+        lines[index] = json.dumps(event, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(AnalysisError, match=rf"^trace event: {named}$"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize("predicates", [{}, "x > 1", None],
+                             ids=["object", "string", "null"])
+    def test_predicates_that_are_not_a_list_fail_the_load(self, pipeline, predicates):
+        session = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=13)
+        event = next(e for e in session.trace if e.predicates).to_json()
+        event["predicates"] = predicates
+        with pytest.raises(AnalysisError, match=r"^trace event: predicates: .* is not a list$"):
+            executor.TraceEvent.from_json(event)
+
     def test_fingerprint_mismatch_rejected(self, pipeline):
         doc = pipeline["doc"]
         session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
