@@ -216,8 +216,8 @@ class Campaign:
         planned: set[tuple[str, str, int]] = set()
 
         def run(plan: list[PlanEntry]) -> None:
-            planned.update((c.canonical(), w.id, rep) for c, w, rep in plan)
-            run_plan(adapter, plan, parallelism=parallelism, seed=self.seed, store=self.store)
+            planned.update(m.key() for m in run_plan(adapter, plan, parallelism=parallelism,
+                                                     seed=self.seed, store=self.store))
 
         def stage_a(pairs: list[tuple[str, str]]) -> dict[tuple[str, str], list]:
             """Run the pairs' stage-A corners as one plan and judge every table;

@@ -35,7 +35,8 @@ from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, LiteralRun, Pins,
 # validation; a document validates through `ProceduralDocument.violations`.
 from .docgen import validate_document  # noqa: F401
 from .errors import DocumentError, ExpressionError, ParameterError
-from .harness import OUTCOME_OK, Adapter, cell_seed, repetition_seed, run_valid_experiment
+from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_prefix, repetition_seed,
+                      run_valid_experiment)
 from .jsonfile import dump_fields, load_fields, thaw, write_text
 from .space import Configuration, WorkloadSpec, validate_configuration
 
@@ -64,7 +65,17 @@ class TraceEvent:
         """The event ``to_json`` wrote, or AnalysisError, so that a renamed key
         cannot replay as an empty default and a malformed predicate is refused
         at load rather than raised from the replay."""
-        return load_fields(cls, d, "trace event", predicates=_predicates)
+        return load_fields(cls, d, "trace event", inputs=_object, outputs=_object,
+                           predicates=_predicates)
+
+
+def _object(value: Any) -> dict:
+    """``value`` when it is a JSON object, as an event's ``inputs`` and
+    ``outputs`` are; a ValueError, which the trace loader reports as its load
+    error, when it is not."""
+    if type(value) is not dict:
+        raise ValueError(f"{value!r} is not an object")
+    return value
 
 
 _PREDICATE_KEYS = frozenset(("expr", "env", "verdict"))
@@ -150,6 +161,7 @@ class SessionRunner:
         self.doc = doc
         self.adapter = adapter
         self.seed = seed
+        self.mix = campaign_mix(seed)
         self.step_resolver = step_resolver
         self.skills = {s.id: s for s in doc.skills}
         self.prepared = doc.prepared(adapter.space)
@@ -248,7 +260,7 @@ class SessionRunner:
             if self.session.trials_used + 1 > self.session.trial_budget:
                 raise _Abort("trial budget exhausted")
             outcomes, metrics = [], []
-            prefix = cell_seed(self.seed, effective, workload.id)
+            prefix = cell_prefix(self.mix, effective.canonical(), workload.id)
             for rep in range(step.repetitions):
                 m = run_valid_experiment(self.adapter, effective, workload, rep,
                                          repetition_seed(prefix, rep))

@@ -6,9 +6,13 @@ and records outcomes in append-only, line-delimited journals that one
 canonical text (``Configuration.canonical``). Every run's randomness derives
 from a 64-bit mix of (campaign seed, canonical configuration, workload id,
 repetition), so measurements are reproducible regardless of worker scheduling.
-The mix is a per-cell prefix over (campaign seed, canonical configuration,
-workload id), computed once per cell of a plan or benchmark step, plus one
-splitmix64 round for the repetition.
+The mix is the campaign seed's own mix (``campaign_mix``), computed once per
+plan or session; a per-cell prefix over it, the canonical configuration and
+the workload id (``cell_prefix``), computed once per cell of a plan or
+benchmark step; and one splitmix64 round for the repetition. A plan also
+builds the fixed head and tail of a cell's journal lines
+(``Measurement.journal_cell``) once per cell, so each run formats only its
+own fields and its record is built by one checked constructor.
 """
 
 from __future__ import annotations
@@ -44,12 +48,24 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def cell_seed(campaign_seed: int, config: Configuration, workload_id: str) -> int:
-    """The part of a run seed that one cell (configuration, workload) shares
-    across its repetitions."""
+def campaign_mix(campaign_seed: int) -> int:
+    """The part of every run seed that only the campaign seed decides;
+    computed once per plan or session."""
+    return splitmix64(campaign_seed & 0xFFFFFFFFFFFFFFFF)
+
+
+def cell_prefix(mix: int, canonical: str, workload_id: str) -> int:
+    """The part of a run seed that one cell (canonical configuration,
+    workload) shares across its repetitions, from the campaign's
+    ``campaign_mix``."""
     h = int.from_bytes(hashlib.sha256(
-        (config.canonical() + "\x1f" + workload_id).encode()).digest()[:8], "big")
-    return splitmix64(splitmix64(campaign_seed & 0xFFFFFFFFFFFFFFFF) ^ h)
+        (canonical + "\x1f" + workload_id).encode()).digest()[:8], "big")
+    return splitmix64(mix ^ h)
+
+
+def cell_seed(campaign_seed: int, config: Configuration, workload_id: str) -> int:
+    """``cell_prefix`` of one cell, from the campaign seed itself."""
+    return cell_prefix(campaign_mix(campaign_seed), config.canonical(), workload_id)
 
 
 def repetition_seed(prefix: int, repetition: int) -> int:
@@ -62,7 +78,10 @@ def mix_seed(campaign_seed: int, config: Configuration, workload_id: str, repeti
     return repetition_seed(cell_seed(campaign_seed, config, workload_id), repetition)
 
 
-@dataclass(frozen=True, slots=True)
+_INF = math.inf
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Measurement:
     """One benchmark observation."""
 
@@ -76,31 +95,49 @@ class Measurement:
     # One key tuple per record, shared by every index that holds the record.
     _key: tuple[str, str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.outcome == OUTCOME_OK:
-            if self.metric_value is None or not (float("-inf") < self.metric_value < float("inf")):
+    def __init__(self, config: Configuration, workload_id: str, repetition: int,
+                 metric_value: float | None, outcome: str, wall_time: float = 0.0,
+                 diagnostic: str | None = None):
+        if outcome == OUTCOME_OK:
+            if metric_value is None or not -_INF < metric_value < _INF:
                 raise ParameterError("ok outcome requires a finite metric_value")
-        if self.outcome == OUTCOME_CRASH and self.metric_value is not None:
+        elif outcome == OUTCOME_CRASH and metric_value is not None:
             raise ParameterError("crash outcome must not carry a metric_value")
-        object.__setattr__(self, "_key",
-                           (self.config.canonical(), self.workload_id, self.repetition))
+        set_ = object.__setattr__.__get__(self)
+        set_("config", config)
+        set_("workload_id", workload_id)
+        set_("repetition", repetition)
+        set_("metric_value", metric_value)
+        set_("outcome", outcome)
+        set_("wall_time", wall_time)
+        set_("diagnostic", diagnostic)
+        set_("_key", (config.canonical(), workload_id, repetition))
 
     def key(self) -> tuple[str, str, int]:
         return self._key
 
-    def journal_line(self) -> str:
+    @staticmethod
+    def journal_cell(canonical: str, workload_id: str) -> tuple[str, str]:
+        """The fixed head and tail of the journal lines of one cell (canonical
+        configuration, workload), which ``journal_line`` writes around the
+        fields of one run."""
+        return (f'{{"config": {canonical}, ',
+                f'"workload_id": {json_scalar(workload_id)}}}\n')
+
+    def journal_line(self, cell: tuple[str, str] | None = None) -> str:
         """This record as one journal line: the text of
         ``json.dumps(self.to_json(), sort_keys=True) + "\\n"``, built around
         the configuration's cached canonical JSON instead of re-encoding it.
-        The fields are written in sorted key order."""
+        The fields are written in sorted key order. ``cell`` is this record's
+        ``journal_cell``, when the caller has it already."""
+        head, tail = cell or self.journal_cell(self._key[0], self.workload_id)
         diagnostic = ("" if self.diagnostic is None
                       else f'"diagnostic": {json_scalar(self.diagnostic)}, ')
-        return (f'{{"config": {self.config.canonical()}, {diagnostic}'
+        return (f'{head}{diagnostic}'
                 f'"metric_value": {json_scalar(self.metric_value)}, '
                 f'"outcome": {json_scalar(self.outcome)}, '
                 f'"repetition": {json_scalar(self.repetition)}, '
-                f'"wall_time": {json_scalar(self.wall_time)}, '
-                f'"workload_id": {json_scalar(self.workload_id)}}}\n')
+                f'"wall_time": {json_scalar(self.wall_time)}, {tail}')
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {
@@ -335,13 +372,15 @@ class CampaignStore:
         for m in records:
             self._index(m)
 
-    def append(self, m: Measurement) -> None:
-        """Journal one fresh run of the current stage as one flushed line.
+    def append(self, m: Measurement, cell: tuple[str, str] | None = None) -> None:
+        """Journal one fresh run of the current stage as one flushed line;
+        ``cell`` is the record's ``Measurement.journal_cell``, when the caller
+        has it already.
 
         Safe to call from worker threads. The record enters the index only
         through ``commit``.
         """
-        line = m.journal_line().encode()
+        line = m.journal_line(cell).encode()
         with self._write_lock:
             if self._fh is None:
                 self._fh = self._open()
@@ -494,8 +533,7 @@ def run_valid_experiment(adapter: Adapter, config: Configuration, workload: Work
     except Exception as e:  # adapter I/O failure counts as a crash, not an abort
         outcome, metric, diag = OUTCOME_CRASH, None, f"{type(e).__name__}: {e}"
     wall = time.perf_counter() - start
-    return Measurement(config=config, workload_id=workload.id, repetition=repetition,
-                       metric_value=metric, outcome=outcome, wall_time=wall, diagnostic=diag)
+    return Measurement(config, workload.id, repetition, metric, outcome, wall, diag)
 
 
 PlanEntry = tuple[Configuration, WorkloadSpec, int]
@@ -538,29 +576,34 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
         store.refresh()
         results = [store.get(k) for k in keys]
     todo = [i for i, m in enumerate(results) if m is None]
-    # Planners put the repetition innermost, so each cell's seed prefix is
-    # computed once, for its first fresh entry.
-    run_seeds, cell, prefix = [], None, 0
+    # Planners put the repetition innermost, so each cell's seed prefix and
+    # journal parts are computed once, for its first fresh entry, and its
+    # later entries share them.
+    mix = campaign_mix(seed)
+    run_seeds, parts, cell, prefix, journal = [], [], None, 0, None
     for i in todo:
         text, workload_id, rep = keys[i]
         if cell != (text, workload_id):
-            cell, prefix = (text, workload_id), cell_seed(seed, plan[i][0], workload_id)
+            cell = (text, workload_id)
+            prefix = cell_prefix(mix, text, workload_id)
+            journal = Measurement.journal_cell(text, workload_id)
         run_seeds.append(repetition_seed(prefix, rep))
+        parts.append(journal)
 
-    def work(i: int, run_seed: int) -> None:
+    def work(i: int, run_seed: int, journal: tuple[str, str]) -> None:
         config, workload, rep = plan[i]
         m = run_valid_experiment(adapter, config, workload, rep, run_seed)
         if store is not None:
-            store.append(m)
+            store.append(m, journal)
         results[i] = m
 
     try:
         if parallelism == 1:
-            for i, run_seed in zip(todo, run_seeds):
-                work(i, run_seed)
+            for i, run_seed, journal in zip(todo, run_seeds, parts):
+                work(i, run_seed, journal)
         elif todo:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                for _ in pool.map(work, todo, run_seeds):
+                for _ in pool.map(work, todo, run_seeds, parts):
                     pass
     finally:
         if store is not None:

@@ -19,7 +19,6 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from .errors import CrashError, ParameterError
-from .harness import splitmix64
 from .jsonfile import write_text
 from .space import Configuration, ParameterSpace, WorkloadSpec, dump_yaml, load_yaml
 
@@ -306,13 +305,25 @@ class SimulatorModel:
 
 
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's stream increment
+_GAMMA2 = 2 * _GAMMA
+_MASK = 0xFFFFFFFFFFFFFFFF
+_ULP = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 
 
 def standard_normal(seed: int) -> float:
-    """The N(0, 1) draw z of the noise contract (see ``SimulatorAdapter``)."""
-    u1 = ((splitmix64(seed) >> 11) + 1) * 2.0 ** -53
-    u2 = (splitmix64(seed + _GAMMA) >> 11) * 2.0 ** -53  # splitmix64 reduces mod 2^64
+    """The N(0, 1) draw z of the noise contract (see ``SimulatorAdapter``),
+    with the two splitmix64 rounds written out: ``a = splitmix64(seed)``
+    starts from ``seed + GAMMA`` and ``b = splitmix64(seed + GAMMA)`` from
+    ``seed + 2 GAMMA``, both mod 2^64."""
+    z = (seed + _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    u1 = (((z ^ (z >> 31)) >> 11) + 1) * _ULP
+    z = (seed + _GAMMA2) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    u2 = ((z ^ (z >> 31)) >> 11) * _ULP
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
 
 

@@ -301,6 +301,26 @@ class TestReplay:
         with pytest.raises(AnalysisError, match=r"^trace event: predicates: .* is not a list$"):
             executor.TraceEvent.from_json(event)
 
+    @pytest.mark.parametrize("key", ["inputs", "outputs"])
+    @pytest.mark.parametrize("value", [[], ["config"], "x", 1, None],
+                             ids=["empty-list", "list", "string", "int", "null"])
+    def test_inputs_or_outputs_that_are_not_an_object_fail_the_load(self, pipeline, tmp_path,
+                                                                    key, value):
+        # refused where the trace is read, not raised as an AttributeError
+        # out of replay_session
+        session = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=13)
+        path = tmp_path / "trace.jsonl"
+        session.save_trace(str(path))
+        lines = path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines[1:], 1)
+                     if json.loads(line)["action"] == "benchmark")
+        event = json.loads(lines[index])
+        event[key] = value
+        lines[index] = json.dumps(event, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(AnalysisError, match=rf"^trace event: {key}: .* is not an object$"):
+            load_trace(str(path))
+
     def test_fingerprint_mismatch_rejected(self, pipeline):
         doc = pipeline["doc"]
         session = run_session(doc, pipeline["adapter"], budget=30, seed=13)

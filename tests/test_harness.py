@@ -1,21 +1,23 @@
 """Harness: run_experiment outcomes, plan execution, log persistence, seeds."""
 
+import dataclasses
 import json
 import math
 import os
 import random
 import stat
 import sys
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import one_workload, random_log, unit_space
-from tuneforge.errors import AdapterError, ParameterError
+from tuneforge.errors import AdapterError, CrashError, ParameterError
 from tuneforge.harness import (CampaignStore, Measurement, MeasurementLog, ShellAdapter,
-                               cell_seed, mix_seed, repetition_seed, run_experiment,
-                               run_plan, splitmix64)
+                               campaign_mix, cell_prefix, cell_seed, mix_seed,
+                               repetition_seed, run_experiment, run_plan, splitmix64)
 from tuneforge.simulator import (CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel)
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
@@ -79,6 +81,15 @@ class TestSeeds:
             assert mix_seed(seed, config, workload_id, rep) == \
                 repetition_seed(prefix, rep) == splitmix64(prefix ^ rep)
 
+    def test_cell_seed_is_the_campaign_mix_and_the_cell_prefix(self):
+        config = Configuration({"p": 0.1, "q": "x\u00e9"})
+        for seed in (0, 7, 2**64 - 1, 2**64 + 7, -1):
+            mix = campaign_mix(seed)
+            assert mix == splitmix64(seed & (2**64 - 1))
+            for workload_id in ("w0", "w\"1", ""):
+                assert cell_seed(seed, config, workload_id) == \
+                    cell_prefix(mix, config.canonical(), workload_id)
+
 
 class RecordingAdapter:
     """Returns a metric made from the run seed and records every run's
@@ -131,22 +142,83 @@ class TestSeedCensus:
         assert adapter.runs == self.seeded(9, plan[1:])
 
 
+def build(style, config, workload_id, repetition, metric_value, outcome, wall_time=0.0,
+          diagnostic=None):
+    """A Measurement built with positional or with keyword arguments."""
+    if style == "positional":
+        return Measurement(config, workload_id, repetition, metric_value, outcome,
+                           wall_time, diagnostic)
+    return Measurement(config=config, workload_id=workload_id, repetition=repetition,
+                       metric_value=metric_value, outcome=outcome, wall_time=wall_time,
+                       diagnostic=diagnostic)
+
+
+STYLES = ("positional", "keyword")
+
+
 class TestMeasurement:
+    """The record's one checked constructor, called with positional and with
+    keyword arguments."""
+
     def test_ok_requires_finite_metric(self):
-        with pytest.raises(ParameterError):
-            Measurement(Configuration({}), "w0", 0, None, "ok")
-        with pytest.raises(ParameterError):
-            Measurement(Configuration({}), "w0", 0, math.nan, "ok")
+        for style in STYLES:
+            for metric in (None, math.nan, math.inf, -math.inf):
+                with pytest.raises(ParameterError, match="finite metric_value"):
+                    build(style, Configuration({}), "w0", 0, metric, "ok")
 
     def test_records_have_no_instance_dict(self):
-        m = Measurement(Configuration({}), "w0", 0, 1.0, "ok")
-        assert not hasattr(m, "__dict__")
+        for style in STYLES:
+            m = build(style, Configuration({}), "w0", 0, 1.0, "ok")
+            assert not hasattr(m, "__dict__")
 
     def test_crash_carries_no_metric(self):
-        with pytest.raises(ParameterError):
-            Measurement(Configuration({}), "w0", 0, 5.0, "crash")
-        m = Measurement(Configuration({}), "w0", 0, None, "crash", diagnostic="boom")
-        assert m.metric_value is None
+        for style in STYLES:
+            with pytest.raises(ParameterError, match="must not carry"):
+                build(style, Configuration({}), "w0", 0, 5.0, "crash")
+            m = build(style, Configuration({}), "w0", 0, None, "crash", diagnostic="boom")
+            assert m.metric_value is None and m.diagnostic == "boom"
+
+    @pytest.mark.parametrize("name", ["config", "workload_id", "repetition", "metric_value",
+                                      "outcome", "wall_time", "diagnostic", "_key"])
+    def test_fields_cannot_be_assigned(self, name):
+        for style in STYLES:
+            m = build(style, Configuration({"p": 1}), "w0", 0, 1.0, "ok")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, None)
+
+    def test_key_is_the_canonical_text_workload_and_repetition(self):
+        for style in STYLES:
+            config = Configuration({"q": 1.0, "p": "x\"y"})
+            m = build(style, config, "w1", 3, None, "timeout", diagnostic="slow")
+            assert m.key() == ('{"p": "x\\"y", "q": 1.0}', "w1", 3) == \
+                (config.canonical(), m.workload_id, m.repetition)
+
+    def test_equality_ignores_the_key(self):
+        for style in STYLES:
+            a = build(style, Configuration({"p": 1}), "w0", 2, 4.5, "ok", wall_time=0.25)
+            b = build(style, Configuration({"p": 1}), "w0", 2, 4.5, "ok", wall_time=0.25)
+            object.__setattr__(b, "_key", ("another", "key", 9))
+            assert a == b and hash(a) == hash(b)
+            assert a != build(style, Configuration({"p": 1}), "w0", 2, 4.5, "ok",
+                              wall_time=0.5)
+
+    @pytest.mark.parametrize("fields", [
+        ({"p": -0.0, "s": "\u00e9"}, "w\"0", 0, 1e-300, "ok", 0.125, None),
+        ({}, "w0", 2**40, None, "crash", 0.0, "exit 1\n"),
+        ({"b": True}, "w1", 1, None, "timeout", 3.5, "slow"),
+        ({"i": 3}, "w1", 1, 2.5, "timeout", 3.5, None),
+    ], ids=["ok", "crash", "timeout", "timeout-with-metric"])
+    def test_from_json_round_trips(self, fields):
+        assignments, *rest = fields
+        for style in STYLES:
+            m = build(style, Configuration(assignments), *rest)
+            again = Measurement.from_json(json.loads(json.dumps(m.to_json())))
+            assert again == m and again.key() == m.key()
+            assert again.to_json() == m.to_json()
+
+    def test_the_key_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Measurement(Configuration({}), "w0", 0, 1.0, "ok", _key=("{}", "w0", 0))
 
 
 class TestRunExperiment:
@@ -532,6 +604,103 @@ class TestJournalLine:
         store.commit(records)
         assert (tmp_path / "appended.jsonl").read_bytes() == \
             (tmp_path / "saved.jsonl").read_bytes()
+
+
+ESCAPED = ("plain", 'q"uote', "back\\slash", "tab\tnew\nline", "\u00e9t\u00e9",
+           "\U0001f600", "\x1f")
+CENSUS_SPACE = ParameterSpace((
+    ParameterSpec(name="i", domain=Domain("integer", -5, 5), default=0),
+    ParameterSpec(name="f", domain=Domain("continuous", -1.0, 1.0), default=0.0),
+    ParameterSpec(name="b", domain=Domain("boolean"), default=False),
+    ParameterSpec(name="s", domain=Domain("enum", values=ESCAPED), default="plain"),
+))
+CENSUS_WORKLOADS = (WorkloadSpec(id="w0"), WorkloadSpec(id='w"\u00fc\\1\n'))
+census_configs = st.fixed_dictionaries({}, optional={
+    "i": st.integers(-5, 5), "f": st.floats(-1.0, 1.0) | st.just(-0.0),
+    "b": st.booleans(), "s": st.sampled_from(ESCAPED)})
+census_behaviours = st.one_of(
+    st.tuples(st.just("ok"), st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("crash"), st.text(max_size=8)),
+    st.tuples(st.just("timeout"), st.text(max_size=8)),
+    st.tuples(st.just("non-finite"), st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.tuples(st.just("exception"), st.text(max_size=8)))
+
+
+class ScriptedAdapter:
+    """Behaves as ``script`` says for each run seed: returns a metric or
+    raises as a crashing, timing-out or failing target would."""
+
+    max_concurrency = 64
+
+    def __init__(self, space, script):
+        self.space = space
+        self.script = script
+
+    def measure(self, config, workload, seed):
+        kind, value = self.script[seed]
+        if kind == "crash":
+            raise CrashError(value)
+        if kind == "timeout":
+            raise TimeoutError(value)
+        if kind == "exception":
+            raise Exception(value)
+        return value
+
+
+def expected_outcome(kind, value):
+    """(outcome, metric, diagnostic) of one scripted run."""
+    if kind == "ok":
+        return "ok", value, None
+    if kind == "non-finite":
+        return "crash", None, f"non-finite metric {value}"
+    if kind == "exception":
+        return "crash", None, f"Exception: {value}"
+    return kind, None, value
+
+
+class TestJournalCensus:
+    """Every line ``run_plan`` journals is the sorted JSON of the record it
+    returns, for every outcome and for configuration values and workload ids
+    that need escaping, at any parallelism, and reads back as that record."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.lists(st.tuples(census_configs, st.sampled_from(range(2)),
+                                      st.integers(0, 2), census_behaviours),
+                            min_size=1, max_size=24,
+                            unique_by=lambda e: (Configuration(e[0]).canonical(), e[1], e[2])),
+           seed=st.integers(0, 2**64 - 1))
+    @example(entries=[({"f": -0.0, "s": 'q"uote'}, 1, 0, ("ok", -0.0)),
+                      ({"f": -0.0, "s": 'q"uote'}, 1, 1, ("crash", 'exit "1"\n')),
+                      ({"f": 0.0}, 1, 0, ("timeout", "slow")),
+                      ({"i": 1, "b": True}, 0, 2, ("non-finite", math.nan)),
+                      ({"i": 1, "b": True}, 0, 0, ("exception", "\u2603")),
+                      ({}, 0, 0, ("ok", 1e308))], seed=0)
+    def test_each_line_is_the_sorted_json_of_its_record(self, entries, seed):
+        plan = [(Configuration(a), CENSUS_WORKLOADS[w], rep) for a, w, rep, _ in entries]
+        script = {mix_seed(seed, c, w.id, rep): behaviour
+                  for (c, w, rep), (*_, behaviour) in zip(plan, entries)}
+        runs = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for parallelism in (1, 4):
+                path = os.path.join(tmp, f"p{parallelism}.jsonl")
+                store = journal_store(path, seed, CENSUS_SPACE)
+                records = run_plan(ScriptedAdapter(CENSUS_SPACE, script), plan,
+                                   parallelism=parallelism, seed=seed, store=store)
+                assert [(m.outcome, m.metric_value, m.diagnostic) for m in records] == \
+                    [expected_outcome(*behaviour) for *_, behaviour in entries]
+                with open(path, encoding="utf-8") as fh:
+                    lines = fh.readlines()[1:]
+                written = [json.dumps(m.to_json(), sort_keys=True) + "\n" for m in records]
+                if parallelism == 1:
+                    assert lines == written
+                else:
+                    assert sorted(lines) == sorted(written)
+                fresh = CampaignStore(seed, CENSUS_SPACE.space_hash(), {"sweep": path})
+                fresh.refresh()
+                assert len(fresh) == len(records)
+                assert [fresh.get(m.key()) for m in records] == records
+                runs[parallelism] = [dataclasses.replace(m, wall_time=0.0) for m in records]
+        assert runs[1] == runs[4]
 
 
 class TestMeasurementLog:

@@ -15,7 +15,7 @@ from helpers import (SMALL_NAMES, load_perfbench_workloads, one_workload, refere
 from tuneforge.campaign import (DOCUMENT_FILE, INTERACTION_REPORT, OPTIMA_REPORT,
                                 SENSITIVITY_REPORT, Campaign)
 from tuneforge.errors import CrashError, ParameterError
-from tuneforge.harness import mix_seed, run_experiment, run_plan
+from tuneforge.harness import mix_seed, run_experiment, run_plan, splitmix64
 from tuneforge.simulator import (SHAPES, Coupling, CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel, standard_normal)
 from tuneforge.space import (Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec,
@@ -204,10 +204,26 @@ class TestNoiseContract:
         var_y = sum((y - my) ** 2 for y in ys)
         assert abs(cov / math.sqrt(var_x * var_y)) < 0.02
 
+    @staticmethod
+    def docstring_z(s):
+        """The SimulatorAdapter docstring's formula, line by line."""
+        a, b = splitmix64(s), splitmix64((s + 0x9E3779B97F4A7C15) % 2**64)
+        u1 = ((a >> 11) + 1) / 2**53
+        u2 = (b >> 11) / 2**53
+        return math.sqrt(-2 * math.log(u1)) * math.cos(2 * math.pi * u2)
+
     def test_draw_is_the_written_contract(self):
+        gamma = 0x9E3779B97F4A7C15
+        # (s + 2 gamma) mod 2^64 passes 0 between wrap - 1 and wrap, where the
+        # second stream's start wraps; (s + gamma) does so at wrap_a.
+        wrap, wrap_a = (-2 * gamma) % 2**64, (-gamma) % 2**64
+        assert (wrap - 1 + 2 * gamma) % 2**64 == 2**64 - 1
+        assert (wrap + 2 * gamma) % 2**64 == 0 == (wrap_a + gamma) % 2**64
         rng = random.Random(18)
-        for seed in [0, 1, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(1000)]:
-            assert standard_normal(seed).hex() == reference_z(seed).hex()
+        for seed in [0, 1, (1 << 64) - 2, (1 << 64) - 1, wrap - 2, wrap - 1, wrap, wrap + 1,
+                     wrap_a - 1, wrap_a] + [rng.getrandbits(64) for _ in range(1000)]:
+            assert standard_normal(seed).hex() == reference_z(seed).hex() == \
+                self.docstring_z(seed).hex()
 
     def test_pinned_values(self):
         # Changing the draw changes every simulated artifact; these values say so.
