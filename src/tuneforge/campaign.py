@@ -33,7 +33,7 @@ from .harness import Adapter, CampaignStore, PlanEntry, campaign_id_for, run_pla
 from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairGrid,
                           attach_stage_b, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, stage_a_record, table_from_log)
-from .jsonfile import JsonArtifact, dump_fields, load_fields, write_text
+from .jsonfile import JsonArtifact, load_fields, write_text
 from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
 from .space import ParameterSpace, WorkloadSpec
 from .topology import (CorrelationGraph, OptimaReport, build_graph, measure_baselines,
@@ -66,9 +66,6 @@ class CampaignState(JsonArtifact):
 
     def stage_index(self) -> int:
         return STAGES.index(self.stage)
-
-    def to_json(self) -> dict:
-        return dump_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "CampaignState":

@@ -35,10 +35,12 @@ Compilation is a pure function of its inputs; serialization is canonical
 
 A compiled or loaded document is immutable: steps, skills and the document
 are frozen, their sequences are tuples and their mappings read-only, nested
-values included. Each checks its own fields, and the document parses its safe
-ranges, when built; `validate_document` checks how the parts refer to each
-other. The hash and the violations are computed on first use and kept, so
-running many sessions on one document validates and hashes it once. Its
+values included. Loading checks each part's keys and field types
+(`jsonfile.load_fields`), each part checks its own values when built, and the
+document parses its safe ranges; `validate_document` checks how the parts
+refer to each other. The hash and the violations are computed on first use
+and kept, so running many sessions on one document validates and hashes it
+once. Its
 benchmark steps, resolved for the space sessions last ran on
 (`ProceduralDocument.prepared`), are kept the same way.
 """
@@ -48,17 +50,17 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
-from functools import cache, cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from types import MappingProxyType
-from typing import Any, Callable, ClassVar, Mapping
+from typing import Any, ClassVar, Mapping, TypedDict
 
 from . import expr as expr_mod
 from .errors import AnalysisError, CompileError, DocumentError, ParameterError
 from .interaction import ETA2_MIN, GRID_LEVELS, stage_b_levels
-from .jsonfile import JsonArtifact, dump_fields, load_fields, thaw
+from .jsonfile import JsonArtifact, Record, dump_fields, each, load_fields, thaw, type_tests
 from .sensitivity import SafeRange, SensitivityReport
 from .space import (Configuration, ParameterSpace, WorkloadSpec, closest_index,
                     validate_configuration)
@@ -74,8 +76,6 @@ TARGET_END = "end"
 
 EXPORT_FORMAT = "optimizer-json"
 
-# The campaign a document was compiled from.
-FINGERPRINT_KEYS = frozenset({"campaign_id", "space_hash"})
 
 CV_TOLERANCE = 0.5           # +-50% band on the re-measured CV
 CONVERGENCE_RATIO = 0.01     # pass-over-pass incumbent change for convergence
@@ -99,60 +99,21 @@ def freeze(value: Any) -> Any:
     return value
 
 
-def _tuple_of(value: Any, item_type: type) -> bool:
-    return type(value) is tuple and all(isinstance(item, item_type) for item in value)
+# The campaign a document was compiled from.
+Fingerprint = TypedDict("Fingerprint", {"campaign_id": str, "space_hash": str})
 
 
-# A field's annotation, as text -> the test its frozen value must pass (a bool
-# is no int).
-_FIELD_TESTS: dict[str, Callable[[Any], bool]] = {
-    "str": lambda value: type(value) is str,
-    "int": lambda value: type(value) is int,
-    "bool": lambda value: type(value) is bool,
-    "str | None": lambda value: value is None or type(value) is str,
-    "tuple[str, ...]": lambda value: _tuple_of(value, str),
-    "tuple[_Step, ...]": lambda value: _tuple_of(value, _Step),
-    "tuple[Skill, ...]": lambda value: _tuple_of(value, Skill),
-    "tuple[WorkloadSpec, ...]": lambda value: _tuple_of(value, WorkloadSpec),
-    "Mapping[str, Any]": lambda value: type(value) is MappingProxyType,
-    "Mapping[str, str]": lambda value: type(value) is MappingProxyType and all(
-        type(item) is str for item in value.values()),
-    "Mapping[str, tuple[Any, ...]]": lambda value: type(value) is MappingProxyType and all(
-        type(item) is tuple for item in value.values()),
-}
-
-
-@cache
-def _field_tests(cls: type) -> tuple[tuple[str, str, Callable[[Any], bool]], ...]:
-    """(name, annotation, test) of each field of a document part class."""
-    return tuple((f.name, f.type, _FIELD_TESTS[f.type]) for f in fields(cls))
-
-
-class _Part:
-    """A frozen part of a document. Construction freezes each field and refuses
-    a value its annotation does not admit."""
+class _Part(Record):
+    """A frozen part of a document. Construction freezes each field."""
 
     def __post_init__(self):
-        for name, annotation, test in _field_tests(type(self)):
+        for name in type_tests(type(self)):
             value = getattr(self, name)
             if isinstance(value, _CONTAINERS):
-                value = freeze(value)
-                object.__setattr__(self, name, value)
-            if not test(value):
-                raise DocumentError(
-                    f"{type(self).__name__} {name} {thaw(value)!r} is not {annotation}")
-
-    def to_json(self) -> dict:
-        return dump_fields(self)
+                object.__setattr__(self, name, freeze(value))
 
 
-def _each(build: Callable[[int, Any], Any]) -> Callable[[Any], Any]:
-    """A loader for a list field that builds each item from its index and its
-    JSON; any other shape is left for the part to refuse."""
-    return lambda value: ([build(i, item) for i, item in enumerate(value)]
-                          if type(value) is list else value)
-
-
+@dataclass(frozen=True)
 class _Step(_Part):
     """A procedure step. Each subclass holds exactly the fields its action reads."""
 
@@ -253,7 +214,7 @@ class Skill(_Part):
     def from_json(cls, d: dict) -> "Skill":
         """Load a skill holding exactly the keys `to_json` writes."""
         skill_id = d["id"] if type(d) is dict and "id" in d else None
-        return load_fields(cls, d, f"skill {skill_id!r}", error=DocumentError, procedure=_each(
+        return load_fields(cls, d, f"skill {skill_id!r}", error=DocumentError, procedure=each(
             lambda i, step: step_from_json(step, f"{skill_id}: step {i}")))
 
 
@@ -283,7 +244,7 @@ Pins = tuple[tuple[str, str, tuple[Any, ...]], ...]
 
 @dataclass(frozen=True)
 class ProceduralDocument(_Part, JsonArtifact):
-    fingerprint: Mapping[str, str]          # exactly FINGERPRINT_KEYS
+    fingerprint: Fingerprint
     root: str
     skills: tuple[Skill, ...]
     workloads: tuple[WorkloadSpec, ...]
@@ -297,10 +258,6 @@ class ProceduralDocument(_Part, JsonArtifact):
 
     def __post_init__(self):
         super().__post_init__()
-        keys = self.fingerprint.keys()
-        if keys != FINGERPRINT_KEYS:
-            raise DocumentError(f"fingerprint: missing keys {sorted(FINGERPRINT_KEYS - keys)}, "
-                                f"unknown keys {sorted(keys - FINGERPRINT_KEYS)}")
         object.__setattr__(self, "_safe", MappingProxyType(
             {param: _safe_range(param, d) for param, d in self.safe_ranges.items()}))
         # (space, prepared skills) of the space sessions last ran on
@@ -408,8 +365,8 @@ class ProceduralDocument(_Part, JsonArtifact):
         part raises DocumentError."""
         return load_fields(
             cls, d, "document", written=("edges",), pinned={"schema_version": SCHEMA_VERSION},
-            error=DocumentError, skills=_each(lambda i, skill: Skill.from_json(skill)),
-            workloads=_each(lambda i, w: load_fields(
+            error=DocumentError, skills=each(lambda i, skill: Skill.from_json(skill)),
+            workloads=each(lambda i, w: load_fields(
                 WorkloadSpec, w, f"malformed document: workload {i}", error=DocumentError)))
 
 
@@ -825,8 +782,8 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
     """Exhaustive validation of how a document's parts refer to each other;
     returns all violations, not the first.
 
-    Each part checks its own fields when it is built, so every value here has
-    its declared type and every safe range is well formed. Checks: unique ids,
+    Loading checks every value against its declared type, and the document
+    parses every safe range when it is built. Checks: unique ids,
     a unique orchestration skill that is the root, every `next` and
     adaptation target resolves, branch targets forward and in range, the
     primary and every benchmark workload declared, predicate symbols closed
@@ -929,7 +886,7 @@ class KnowledgeExport(JsonArtifact):
     top_k: list[dict]
     safe_ranges: dict[str, dict]
     interactions: list[dict]
-    fingerprint: dict[str, str]
+    fingerprint: Fingerprint
     load_error = DocumentError
 
     def to_json(self) -> dict:

@@ -26,10 +26,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, TypedDict
 
 from . import expr as expr_mod
-from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, LiteralRun, Pins,
+from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, Fingerprint, LiteralRun, Pins,
                      ProceduralDocument, Skill)
 # Bound here as well, where perfbench/tracing.py times the session path's
 # validation; a document validates through `ProceduralDocument.violations`.
@@ -37,7 +37,7 @@ from .docgen import validate_document  # noqa: F401
 from .errors import DocumentError, ExpressionError, ParameterError
 from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_prefix, repetition_seed,
                       run_valid_experiment)
-from .jsonfile import dump_fields, load_fields, thaw, write_text
+from .jsonfile import Record, check, load_fields, thaw, write_text
 from .space import Configuration, WorkloadSpec, validate_configuration
 
 STATUS_RUNNING = "running"
@@ -45,8 +45,17 @@ STATUS_CONVERGED = "converged"
 STATUS_ABORTED = "aborted"
 
 
+# One predicate evaluation, as `_eval_predicate` records it: `env` maps each
+# symbol to the value the evaluation read.
+Predicate = TypedDict("Predicate", {"expr": str, "env": dict[str, Any], "verdict": bool})
+
+# The first line of a trace: `TuningSession.trace_header`.
+TraceHeader = TypedDict("TraceHeader", {"fingerprint": Fingerprint, "document_hash": str,
+                                        "adapter_id": str, "trial_budget": int, "seed": int})
+
+
 @dataclass
-class TraceEvent:
+class TraceEvent(Record):
     """One replayable execution event (timestamps are a logical counter)."""
 
     seq: int
@@ -55,55 +64,19 @@ class TraceEvent:
     step: int | None = None
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
-    predicates: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return dump_fields(self)
+    predicates: list[Predicate] = field(default_factory=list)
 
     @classmethod
     def from_json(cls, d: dict) -> "TraceEvent":
         """The event ``to_json`` wrote, or AnalysisError, so that a renamed key
         cannot replay as an empty default and a malformed predicate is refused
         at load rather than raised from the replay."""
-        return load_fields(cls, d, "trace event", inputs=_object, outputs=_object,
-                           predicates=_predicates)
-
-
-def _object(value: Any) -> dict:
-    """``value`` when it is a JSON object, as an event's ``inputs`` and
-    ``outputs`` are; a ValueError, which the trace loader reports as its load
-    error, when it is not."""
-    if type(value) is not dict:
-        raise ValueError(f"{value!r} is not an object")
-    return value
-
-
-_PREDICATE_KEYS = frozenset(("expr", "env", "verdict"))
-
-
-def _predicates(value: Any) -> list[dict]:
-    """``value`` when it is a list of the predicate records ``_eval_predicate``
-    writes, each an object of a string ``expr``, an object ``env`` and a bool
-    ``verdict``; a ValueError, which the trace loader reports as its load
-    error, when it is not."""
-    if type(value) is not list:
-        raise ValueError(f"{value!r} is not a list")
-    for i, pred in enumerate(value):
-        if type(pred) is not dict:
-            raise ValueError(f"predicate {i} {pred!r} is not an object")
-        if pred.keys() != _PREDICATE_KEYS:
-            raise ValueError(f"predicate {i}: missing keys {sorted(_PREDICATE_KEYS - pred.keys())}, "
-                             f"unknown keys {sorted(pred.keys() - _PREDICATE_KEYS)}")
-        for key, kind, what in (("expr", str, "a string"), ("env", dict, "an object"),
-                                ("verdict", bool, "a bool")):
-            if type(pred[key]) is not kind:
-                raise ValueError(f"predicate {i}: {key} {pred[key]!r} is not {what}")
-    return value
+        return load_fields(cls, d, "trace event")
 
 
 @dataclass
 class TuningSession:
-    fingerprint: dict[str, str]
+    fingerprint: Fingerprint
     document_hash: str
     adapter_id: str
     trial_budget: int
@@ -117,7 +90,7 @@ class TuningSession:
     passes: int = 0
     diagnostic: str | None = None
 
-    def trace_header(self) -> dict:
+    def trace_header(self) -> TraceHeader:
         return {"fingerprint": self.fingerprint, "document_hash": self.document_hash,
                 "adapter_id": self.adapter_id, "trial_budget": self.trial_budget,
                 "seed": self.seed}
@@ -135,9 +108,11 @@ class TuningSession:
         return out
 
 
-def load_trace(path: str) -> tuple[dict, list[TraceEvent]]:
+def load_trace(path: str) -> tuple[TraceHeader, list[TraceEvent]]:
+    """The header and events of a saved trace; AnalysisError for a header or
+    an event its writer would not write."""
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+        header = check(TraceHeader, json.loads(fh.readline()), "trace header")
         events = [TraceEvent.from_json(json.loads(line))
                   for line in fh if line.strip()]
     return header, events
@@ -426,7 +401,7 @@ class ReplayResult:
     mismatches: list[dict]
 
 
-def replay_session(header: dict, events: list[TraceEvent],
+def replay_session(header: TraceHeader, events: list[TraceEvent],
                    doc: ProceduralDocument) -> ReplayResult:
     """Re-evaluate every recorded predicate and compute step, in trace order.
 

@@ -24,7 +24,7 @@ from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, CampaignStore, PlanEntry
-from .jsonfile import JsonArtifact, dump_fields, load_fields, strings
+from .jsonfile import JsonArtifact, dump_fields, each, load_fields, record
 from .sensitivity import SafeRange, SensitivityReport
 from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, snap_to_domain
 from .stats import benjamini_hochberg, f_upper_tail_p
@@ -95,14 +95,12 @@ class AnovaDecomposition:
     @classmethod
     def from_json(cls, d: dict) -> "AnovaDecomposition":
         return load_fields(cls, d, "ANOVA decomposition",
-                           f_interaction=lambda f: math.inf if f == "inf" else float(f))
+                           f_interaction=lambda f: math.inf if f == "inf" else f)
 
 
-def _pair(value: Any) -> tuple[str, str]:
+def _pair(value: Any) -> Any:
     """A record's pair, read from its JSON list."""
-    if len(strings(value)) != 2:
-        raise ValueError(f"{value!r} is not two strings")
-    return tuple(value)
+    return tuple(value) if type(value) is list else value
 
 
 @dataclass
@@ -135,7 +133,7 @@ class InteractionRecord:
         """The record ``to_json`` wrote, where only `decomposition` may be
         absent, or AnalysisError."""
         return load_fields(cls, d, "interaction record", optional=("decomposition",),
-                           pair=_pair, decomposition=AnovaDecomposition.from_json)
+                           pair=_pair, decomposition=record(AnovaDecomposition.from_json))
 
 @dataclass
 class InteractionReport(JsonArtifact):
@@ -168,7 +166,7 @@ class InteractionReport(JsonArtifact):
         """The report ``to_json`` wrote (`thresholds` is not read), or AnalysisError."""
         return load_fields(cls, d, "interaction report", written=("thresholds",),
                            pinned={"schema_version": 1},
-                           records=lambda items: [InteractionRecord.from_json(r) for r in items])
+                           records=each(lambda i, r: InteractionRecord.from_json(r)))
 
 
 def plan_pairs(top_k: list[str]) -> list[tuple[str, str]]:

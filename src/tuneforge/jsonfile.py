@@ -17,17 +17,26 @@ keys, so a renamed or missing key raises the artifact's load error instead of
 loading as a default. The keywords mean the same in both directions:
 ``pinned`` keys hold one value (a schema version), an ``optional`` key is
 left out when empty, and a ``dump``/``load`` entry converts one field.
+
+Types are checked in one table: ``load_fields`` tests each field value, once
+its loader has run, against its annotation (a fixed-key payload is a
+``TypedDict``), and an annotation without a test raises when its table is
+built.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
+import re
+from collections import abc
+from dataclasses import fields, is_dataclass
 from functools import cache
+from itertools import product
 from math import isfinite
-from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from types import MappingProxyType, NoneType, UnionType
+from typing import (Any, Callable, Mapping, Union, get_args, get_origin, get_type_hints,
+                    is_typeddict)
 
 from .errors import AnalysisError, TuneforgeError
 
@@ -122,9 +131,85 @@ def canonical_json(obj: Any) -> str:
     return "".join(chunks)
 
 
+def _first(reasons) -> str | None:
+    """The first reason of the (index or key, reason) pairs that is not None."""
+    return next((f"{at}: {reason}" for at, reason in reasons if reason is not None), None)
+
+
 @cache
-def _names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+def type_tests(cls: type) -> dict[str, tuple[frozenset, Callable[[Any], str | None]]]:
+    """Field -> (kinds, why) of a record class or a ``TypedDict``, in field
+    order; TypeError when an annotation has no test."""
+    hints = get_type_hints(cls)
+    return {name: _test(hints[name])
+            for name in ([f.name for f in fields(cls)] if is_dataclass(cls) else hints)}
+
+
+def _wrong_field(tests: dict, values: dict) -> str | None:
+    """Why the first value of ``values`` that its field's test refuses fails,
+    after its key."""
+    for key, value in values.items():
+        kinds, why = tests[key]
+        if type(value) not in kinds and (reason := why(value)) is not None:
+            return f"{key}: {reason}"
+    return None
+
+
+@cache
+def _test(hint: Any) -> tuple[frozenset, Callable[[Any], str | None]]:
+    """(kinds, why) of an annotation: the types of the values it admits outright,
+    and why a value fails it (None when it passes), naming the index or key of
+    the first wrong item. A ``list[X]`` or ``tuple[X, ...]`` takes a list or a
+    tuple, a record class (a dataclass) an instance its loader built."""
+    name = re.sub(r"<class '|'>|\b(?:\w+\.)+", "", repr(hint))  # list[Predicate]
+    origin, args = get_origin(hint), get_args(hint)
+
+    def wrong(value: Any) -> str:
+        return f"{value!r} is not {name}"
+
+    if hint in (str, int, bool, float, NoneType, dict):  # a bool is no int; an int is a float
+        kinds = frozenset({hint, int} if hint is float else {hint})
+        return kinds, lambda value: None if type(value) in kinds else wrong(value)
+    if origin in (UnionType, Union):
+        parts = [_test(arg) for arg in args]
+        return frozenset().union(*(kinds for kinds, _ in parts)), lambda value: (
+            None if any(why(value) is None for _, why in parts) else wrong(value))
+    if hint is Any:
+        return frozenset(), lambda value: None
+    if origin is tuple and args[1:] != (...,):
+        items = [_test(arg) for arg in args]
+        outright = frozenset(product(*(kinds for kinds, _ in items)))
+        return frozenset(), lambda value: (
+            wrong(value) if type(value) not in (list, tuple) or len(value) != len(items) else
+            None if tuple(map(type, value)) in outright else
+            _first((i, why(v)) for i, ((_, why), v) in enumerate(zip(items, value))))
+    listed = origin in (list, tuple)
+    if listed or (origin in (dict, abc.Mapping) and args[0] is str):  # as JSON keys are
+        shapes = frozenset((list, tuple) if listed else (dict, MappingProxyType))
+        if (args[0] if listed else args[1]) is Any:
+            return shapes, lambda value: None if type(value) in shapes else wrong(value)
+        kinds, item = _test(args[0] if listed else args[1])
+        return frozenset(), lambda value: (
+            wrong(value) if type(value) not in shapes else
+            None if kinds.issuperset(map(type, value if listed else value.values())) else
+            _first((at, item(v)) for at, v in (enumerate(value) if listed else value.items())))
+    if is_typeddict(hint):
+        keys = type_tests(hint).keys()
+        return frozenset(), lambda value: (
+            wrong(value) if type(value) is not dict else
+            f"missing keys {sorted(keys - value.keys())}, unknown keys "
+            f"{sorted(value.keys() - keys)}" if value.keys() != keys else
+            _wrong_field(type_tests(hint), value))
+    if is_dataclass(hint):
+        return frozenset({hint}), lambda value: None if isinstance(value, hint) else wrong(value)
+    raise TypeError(f"no test for the annotation {name}")
+
+
+def check(hint: Any, value: Any, what: str, error: type[TuneforgeError] = AnalysisError) -> Any:
+    """``value`` when the annotation ``hint`` admits it, else ``error``."""
+    if (reason := _test(hint)[1](value)) is not None:
+        raise error(f"{what}: {reason}")
+    return value
 
 
 @cache
@@ -132,7 +217,7 @@ def _keys(cls: type, written: tuple[str, ...], optional: tuple[str, ...]
           ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """The keys ``cls.to_json`` may write, those it always writes, and those
     of them that ``cls`` does not read."""
-    names = frozenset(_names(cls))
+    names = frozenset(type_tests(cls))
     keys = names | frozenset(written)
     return keys, keys - frozenset(optional), keys - names
 
@@ -151,7 +236,8 @@ def load_fields(cls: type, d: Any, what: str, *, written: tuple[str, ...] = (),
     ``optional``, which ``to_json`` leaves out when empty, may be absent; an
     absent field takes its default. ``load`` maps a field to the function
     that builds it from its JSON value; a TypeError or ValueError it raises,
-    and an error ``cls`` raises when it checks its fields, become ``error``.
+    a built value its annotation refuses, and an error ``cls`` raises when it
+    checks its values become ``error``.
     """
     got = d.keys() if type(d) is dict else frozenset()
     if pinned:
@@ -173,6 +259,9 @@ def load_fields(cls: type, d: Any, what: str, *, written: tuple[str, ...] = (),
                 values[key] = build(values[key])
             except (TypeError, ValueError) as e:  # a value of the wrong type
                 raise error(f"{what}: {key}: {e}") from None
+    reason = _wrong_field(type_tests(cls), values)
+    if reason is not None:
+        raise error(f"{what}: {reason}")
     try:
         return cls(**values)
     except TuneforgeError as e:  # a class that checks its fields when built
@@ -205,7 +294,7 @@ def dump_fields(obj: Any, *, optional: tuple[str, ...] = (),
     by ``thaw``.
     """
     d = dict(pinned)
-    for name in _names(type(obj)):
+    for name in type_tests(type(obj)):
         value = getattr(obj, name)
         if not value and name in optional:
             continue
@@ -216,20 +305,24 @@ def dump_fields(obj: Any, *, optional: tuple[str, ...] = (),
     return d
 
 
-def string(value: Any) -> str:
-    """``value`` when it is a string; a ValueError, which a loader reports as
-    the artifact's load error, when it is not."""
-    if type(value) is not str:
-        raise ValueError(f"{value!r} is not a string")
-    return value
+class Record:
+    """A dataclass written with one key per field (``dump_fields``)."""
+
+    def to_json(self) -> dict:
+        return dump_fields(self)
 
 
-def strings(value: Any) -> list[str]:
-    """``value`` when it is a list of strings; a ValueError, which a loader
-    reports as the artifact's load error, when it is not."""
-    if type(value) is not list or any(type(item) is not str for item in value):
-        raise ValueError(f"{value!r} is not a list of strings")
-    return value
+def each(build: Callable[[int, Any], Any]) -> Callable[[Any], Any]:
+    """A loader of ``build(i, item)`` for each item of a list, leaving any other
+    value to the annotation check."""
+    return lambda value: ([build(i, item) for i, item in enumerate(value)]
+                          if type(value) is list else value)
+
+
+def record(build: Callable[[dict], Any]) -> Callable[[Any], Any]:
+    """A loader of ``build(value)`` for an object, leaving any other value to
+    the annotation check."""
+    return lambda value: build(value) if type(value) is dict else value
 
 
 def finite_floats(value: Any) -> dict[str, float]:
@@ -261,13 +354,7 @@ def write_text(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def write_json(path: str, obj: Any) -> None:
-    """Replace ``path`` with the canonical text of ``obj``, encoded before
-    anything is written."""
-    write_text(path, canonical_json(obj))
-
-
-class JsonArtifact:
+class JsonArtifact(Record):
     """``save``/``load``/``serialize`` for a class with ``to_json``/``from_json``."""
 
     # Raised by ``load`` for a file that is not JSON.
@@ -278,7 +365,7 @@ class JsonArtifact:
         return canonical_json(self.to_json())
 
     def save(self, path: str) -> None:
-        write_json(path, self.to_json())
+        write_text(path, self.serialize())
 
     @classmethod
     def load(cls, path: str):

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT, Measurement, PlanEntry
-from .jsonfile import JsonArtifact, dump_fields, finite_floats, load_fields
+from .jsonfile import (JsonArtifact, Record, dump_fields, each, finite_floats, load_fields,
+                       record)
 from .space import (Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, closest_index,
                     level_grid)
 
@@ -74,7 +76,7 @@ class SafeRange:
     def from_json(cls, d: Mapping) -> "SafeRange":
         """A non-empty value set (kept as given, so a document's tuple stays
         read-only), or real bounds; any other shape raises AnalysisError."""
-        keys = set(d) if isinstance(d, Mapping) else None
+        keys = d.keys() if isinstance(d, (dict, MappingProxyType)) else None
         if keys == {"values"} and type(d["values"]) in (list, tuple) and d["values"]:
             vals = d["values"]
             return cls(lo=vals[0], hi=vals[-1], values=vals)
@@ -84,7 +86,7 @@ class SafeRange:
 
 
 @dataclass
-class SensitivityProfile:
+class SensitivityProfile(Record):
     parameter: str
     cv_per_workload: dict[str, float]
     aggregate_cv: float
@@ -95,13 +97,10 @@ class SensitivityProfile:
     best_level: dict[str, Any] = field(default_factory=dict)  # per-workload argbest level
     warnings: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return dump_fields(self)
-
     @classmethod
     def from_json(cls, d: dict) -> "SensitivityProfile":
         """The profile ``to_json`` wrote, or AnalysisError."""
-        return load_fields(cls, d, "sensitivity profile", safe_range=SafeRange.from_json)
+        return load_fields(cls, d, "sensitivity profile", safe_range=record(SafeRange.from_json))
 
 
 @dataclass
@@ -133,9 +132,8 @@ class SensitivityReport(JsonArtifact):
         """The report ``to_json`` wrote, or AnalysisError; ``excluded`` may be
         absent, as it is when empty."""
         return load_fields(cls, d, "sensitivity report", optional=("excluded",),
-                           pinned={"schema_version": 1}, tau_s=float,
-                           baseline_means=finite_floats,
-                           profiles=lambda items: [SensitivityProfile.from_json(p) for p in items])
+                           pinned={"schema_version": 1}, baseline_means=finite_floats,
+                           profiles=each(lambda i, p: SensitivityProfile.from_json(p)))
 
 
 def degraded(value: float, baseline: float, direction: str) -> bool:

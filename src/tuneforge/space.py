@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator
 import yaml
 
 from .errors import ParameterError
-from .jsonfile import dump_fields
+from .jsonfile import Record
 
 SCHEMA_VERSION = 1
 
@@ -296,7 +296,7 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Record):
     """One benchmark workload and the metric it optimizes."""
 
     id: str
@@ -312,9 +312,6 @@ class WorkloadSpec:
     def better(self, a: float, b: float) -> bool:
         """True when metric a beats metric b under this workload's direction."""
         return a > b if self.direction == "maximize" else a < b
-
-    def to_json(self) -> dict:
-        return dump_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "WorkloadSpec":

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Any
+from typing import Any, TypedDict
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, Adapter, CampaignStore, Measurement, PlanEntry, run_plan
 from .interaction import InteractionReport, stage_b_levels
-from .jsonfile import JsonArtifact, dump_fields, finite_floats, load_fields, string, strings
+from .jsonfile import (JsonArtifact, Record, dump_fields, each, finite_floats, load_fields,
+                       record)
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
@@ -52,7 +53,7 @@ class UnionFind:
 
 
 @dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(Record):
     """One confirmed interaction: endpoints, effect size, and test statistics."""
 
     a: str
@@ -61,16 +62,13 @@ class GraphEdge:
     p_value: float | None = None
     q_value: float | None = None
 
-    def to_json(self) -> dict:
-        return dump_fields(self)
-
     @classmethod
     def from_json(cls, d: dict) -> "GraphEdge":
-        return load_fields(cls, d, "graph edge", a=string, b=string)
+        return load_fields(cls, d, "graph edge")
 
 
 @dataclass
-class CorrelationGraph:
+class CorrelationGraph(Record):
     """Weighted interaction graph plus its connected-component partition."""
 
     nodes: list[str]
@@ -83,14 +81,10 @@ class CorrelationGraph:
     def isolates(self) -> list[str]:
         return [c[0] for c in self.components if len(c) == 1]
 
-    def to_json(self) -> dict:
-        return dump_fields(self)
-
     @classmethod
     def from_json(cls, d: dict) -> "CorrelationGraph":
-        return load_fields(cls, d, "correlation graph", nodes=strings,
-                           edges=lambda items: [GraphEdge.from_json(e) for e in items],
-                           components=lambda items: [strings(c) for c in items])
+        return load_fields(cls, d, "correlation graph",
+                           edges=each(lambda i, e: GraphEdge.from_json(e)))
 
 
 def build_graph(top_k: list[str], report: InteractionReport) -> CorrelationGraph:
@@ -171,8 +165,11 @@ class JointOptimum:
 
     @classmethod
     def from_json(cls, d: dict) -> "JointOptimum":
-        return load_fields(cls, d, "joint optimum", component=strings,
-                           best_config=Configuration)
+        return load_fields(cls, d, "joint optimum", best_config=record(Configuration))
+
+
+# A component the joint stage rejected rather than searched, and why.
+Rejection = TypedDict("Rejection", {"component": list[str], "reason": str})
 
 
 @dataclass
@@ -183,8 +180,7 @@ class OptimaReport(JsonArtifact):
     optima: list[JointOptimum]
     baseline_means: dict[str, float]
     runs_used: int = 0
-    # {"component", "reason"} of each component rejected rather than searched
-    rejected: list[dict] = field(default_factory=list)
+    rejected: list[Rejection] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return dump_fields(self, optional=("rejected",), pinned={"schema_version": 1})
@@ -194,19 +190,10 @@ class OptimaReport(JsonArtifact):
         """The report ``to_json`` wrote, or AnalysisError; ``rejected`` may be
         absent, as it is when empty."""
         return load_fields(cls, d, "optima report", optional=("rejected",),
-                           pinned={"schema_version": 1}, graph=CorrelationGraph.from_json,
-                           optima=lambda items: [JointOptimum.from_json(o) for o in items],
-                           baseline_means=finite_floats,
-                           rejected=lambda items: [_rejection(r) for r in items])
-
-
-def _rejection(value: Any) -> dict:
-    """One ``rejected`` entry: a component's members and the reason."""
-    if type(value) is not dict or value.keys() != {"component", "reason"}:
-        raise ValueError(f"{value!r} is not a {{'component', 'reason'}} object")
-    strings(value["component"])
-    string(value["reason"])
-    return value
+                           pinned={"schema_version": 1},
+                           graph=record(CorrelationGraph.from_json),
+                           optima=each(lambda i, o: JointOptimum.from_json(o)),
+                           baseline_means=finite_floats)
 
 
 def rejection_reason(component: list[str]) -> str | None:

@@ -274,6 +274,48 @@ class TestLoadersRequireTheirKeys:
             campaign.document()
 
 
+class TestResumeRefusesWronglyTypedValues:
+    """A value of the wrong JSON type is refused where a resume reads it, with
+    the load error naming its key, instead of loading as another value."""
+
+    @staticmethod
+    def edited(path, edit):
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+
+    def test_string_selected_in_a_sensitivity_profile(self, tmp_path):
+        # "false" is truthy: it would put the parameter in the top-k
+        campaign, adapter = small_campaign(tmp_path)
+        run_stage(campaign, "profile", adapter)
+        path = tmp_path / SENSITIVITY_REPORT
+        profiles = json.loads(path.read_text())["profiles"]
+        unselected = next(i for i, p in enumerate(profiles) if not p["selected"])
+        self.edited(path, lambda d: d["profiles"][unselected].update(selected="false"))
+        campaign, adapter = small_campaign(tmp_path)
+        with pytest.raises(AnalysisError,
+                           match=r"^sensitivity profile: selected: 'false' is not bool$"):
+            run_stage(campaign, "screen", adapter)
+
+    def test_string_confirmed_in_an_interaction_record(self, tmp_path):
+        campaign, adapter = small_campaign(tmp_path)
+        for stage in ("profile", "screen"):
+            run_stage(campaign, stage, adapter)
+        path = tmp_path / campaign_mod.INTERACTION_REPORT
+        self.edited(path, lambda d: d["records"][0].update(confirmed="no"))
+        campaign, adapter = small_campaign(tmp_path)
+        with pytest.raises(AnalysisError,
+                           match=r"^interaction record: confirmed: 'no' is not bool$"):
+            run_stage(campaign, "joint", adapter)
+
+    def test_string_seed_in_the_campaign_state(self, tmp_path):
+        campaign, adapter = small_campaign(tmp_path)
+        run_stage(campaign, "profile", adapter)
+        self.edited(tmp_path / STATE_FILE, lambda d: d.update(seed=str(d["seed"])))
+        with pytest.raises(AnalysisError, match=r"^campaign state: seed: '42' is not int$"):
+            small_campaign(tmp_path)
+
+
 class TestEnumParameters:
     def test_middle_enum_value_survives_compile_and_tune(self, tmp_path):
         # a ternary enum whose optimum is the MIDDLE value: document grids

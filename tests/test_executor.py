@@ -268,13 +268,13 @@ class TestReplay:
 
     @pytest.mark.parametrize("edit, named", [
         (lambda preds: preds[0].pop("expr"),
-         r"predicates: predicate 0: missing keys \['expr'\], unknown keys \[\]"),
+         r"predicates: 0: missing keys \['expr'\], unknown keys \[\]"),
         (lambda preds: preds[0].update(env=["<symbol>"]),
-         r"predicates: predicate 0: env \['<symbol>'\] is not an object"),
+         r"predicates: 0: env: \['<symbol>'\] is not dict\[str, Any\]"),
         (lambda preds: preds[0].update(verdict=1),
-         r"predicates: predicate 0: verdict 1 is not a bool"),
+         r"predicates: 0: verdict: 1 is not bool"),
         (lambda preds: preds.__setitem__(0, "x > 1"),
-         r"predicates: predicate 0 'x > 1' is not an object"),
+         r"predicates: 0: 'x > 1' is not Predicate"),
     ], ids=["missing-expr", "list-env", "int-verdict", "string-predicate"])
     def test_malformed_predicate_fails_the_load(self, pipeline, tmp_path, edit, named):
         # refused where the trace is read, not raised as a KeyError or
@@ -298,7 +298,8 @@ class TestReplay:
         session = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=13)
         event = next(e for e in session.trace if e.predicates).to_json()
         event["predicates"] = predicates
-        with pytest.raises(AnalysisError, match=r"^trace event: predicates: .* is not a list$"):
+        with pytest.raises(AnalysisError,
+                           match=r"^trace event: predicates: .* is not list\[Predicate\]$"):
             executor.TraceEvent.from_json(event)
 
     @pytest.mark.parametrize("key", ["inputs", "outputs"])
@@ -318,7 +319,29 @@ class TestReplay:
         event[key] = value
         lines[index] = json.dumps(event, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(AnalysisError, match=rf"^trace event: {key}: .* is not an object$"):
+        with pytest.raises(AnalysisError, match=rf"^trace event: {key}: .* is not dict$"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize("header, named", [
+        ([], r"\[\] is not TraceHeader"),
+        (None, r"None is not TraceHeader"),
+        ({"seed": "13"}, r"seed: '13' is not int"),
+        ({"trial_budget": 30.0}, r"trial_budget: 30.0 is not int"),
+        ({"fingerprint": {"campaign_id": "c"}},
+         r"fingerprint: missing keys \['space_hash'\], unknown keys \[\]"),
+    ], ids=["list", "null", "string-seed", "float-budget", "fingerprint-without-space-hash"])
+    def test_malformed_header_fails_the_load(self, pipeline, tmp_path, header, named):
+        # refused where the trace is read, not raised as an AttributeError
+        # out of replay_session
+        session = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=13)
+        path = tmp_path / "trace.jsonl"
+        session.save_trace(str(path))
+        lines = path.read_text().splitlines()
+        if isinstance(header, dict):
+            header = {**json.loads(lines[0]), **header}
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(AnalysisError, match=rf"^trace header: {named}$"):
             load_trace(str(path))
 
     def test_fingerprint_mismatch_rejected(self, pipeline):

@@ -6,11 +6,13 @@ either loading or validation fails with DocumentError, or ``run_session``
 returns a session. Nothing else escapes. The named cases are mutations that
 once broke it; the property states it for every single mutation.
 
-The reports, the campaign state, trace events and the knowledge export load
-only with exactly the keys their writer writes: the key census renames each
-key of each record they hold, one at a time. The writer census ties what each
-record writes to its fields, and every artifact the pipeline holds in memory
-loads back equal from what it writes.
+The reports, the campaign state, trace events, the knowledge export and the
+document load only with exactly the keys their writer writes, each holding a
+value of the type its field names: the key census renames each key of each
+record they hold, one at a time, and the type census gives each key a value
+of another JSON kind. The writer census ties what each record writes to its
+fields, and every artifact the pipeline holds in memory loads back equal from
+what it writes.
 """
 
 import copy
@@ -149,7 +151,8 @@ def artifacts(pipeline):
     sensitivity = {**on_disk(SENSITIVITY_REPORT), "excluded": {"pz": "no usable level"}}
     optima = {**on_disk(OPTIMA_REPORT),
               "rejected": [{"component": ["pa", "pb"], "reason": "too big"}]}
-    event = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=0).trace[0]
+    event = next(e for e in run_session(pipeline["doc"], pipeline["adapter"], budget=30,
+                                        seed=0).trace if e.predicates)
     return {
         "campaign state": (on_disk(STATE_FILE), CampaignState.from_json, AnalysisError),
         "sensitivity report": (sensitivity, SensitivityReport.from_json, AnalysisError),
@@ -159,14 +162,17 @@ def artifacts(pipeline):
         "trace event": (copy.deepcopy(event.to_json()), TraceEvent.from_json, AnalysisError),
         "knowledge export": (export_knowledge(pipeline["doc"]).to_json(),
                              KnowledgeExport.from_json, DocumentError),
+        "document": (pipeline["json"], ProceduralDocument.from_json, DocumentError),
     }
 
 
 # Keys whose value a loader keeps as plain JSON rather than reading it as a
-# record: maps keyed by parameter, workload or stage, and payloads.
+# record: maps keyed by parameter, workload, stage, symbol or skill, and
+# payloads.
 PAYLOAD_KEYS = {"cv_per_workload", "best_level", "baseline_means", "excluded", "thresholds",
-                "best_config", "budgets", "runs_used", "inputs", "outputs", "predicates",
-                "top_k", "safe_ranges", "interactions", "fingerprint", "rejected"}
+                "best_config", "budgets", "runs_used", "inputs", "outputs", "env", "top_k",
+                "safe_ranges", "interactions", "template", "reference_data", "grids",
+                "provenance", "policy"}
 
 # Keys each census must reach, at the deepest records it holds.
 CENSUS_REACHES = {
@@ -174,8 +180,10 @@ CENSUS_REACHES = {
     "sensitivity report": {"excluded", "excluded_runs", "best_level", "hi"},
     "interaction report": {"thresholds", "confirmed", "decomposition", "ss_a", "f_interaction"},
     "optima report": {"rejected", "nodes", "q_value", "best_metric"},
-    "trace event": {"predicates"},
-    "knowledge export": {"schema_version", "format_profile", "top_k"},
+    "trace event": {"predicates", "verdict"},
+    "knowledge export": {"schema_version", "format_profile", "top_k", "campaign_id"},
+    "document": {"fingerprint", "space_hash", "adaptation_target", "pin_best", "target",
+                 "direction", "edges"},
 }
 
 
@@ -205,6 +213,44 @@ def test_every_renamed_key_fails_the_load(artifacts, name):
             escaped.append((path, key, "loaded"))
         except error as e:
             if f"'{renamed}'" not in str(e):
+                escaped.append((path, key, str(e)))
+        except Exception as e:  # the census lists whatever else escapes
+            escaped.append((path, key, repr(e)))
+    assert escaped == []
+
+
+# A value of another JSON kind, for a value of each kind.
+OTHER_KIND = {str: 1, int: "1", float: "1.5", bool: 0, type(None): [], list: {"x": 1},
+              dict: [["x", 1]]}
+
+# Keys a writer adds at the top of its artifact for the reader, which the
+# loader does not read (a correlation graph's `edges` is read).
+UNREAD_KEYS = {"thresholds", "edges"}
+
+
+def names(message, key, value):
+    """Whether a load error names ``key``: as a step of its path, beside the
+    value it holds, or in the repr of the object holding it."""
+    return any(form in message for form in (f": {key}: ", f"{key} {value!r}",
+                                            f"{key!r}: {value!r}"))
+
+
+@pytest.mark.parametrize("name", CENSUS_REACHES, ids=lambda name: name.replace(" ", "-"))
+def test_every_wrongly_typed_value_fails_the_load(artifacts, name):
+    d, load, error = artifacts[name]
+    escaped = []
+    for path, key in record_keys(d):
+        if path == () and key in UNREAD_KEYS:
+            continue
+        node = d
+        for step in path + (key,):
+            node = node[step]
+        value = OTHER_KIND[type(node)]
+        try:
+            load(mutated(d, path + (key,), value))
+            escaped.append((path, key, "loaded"))
+        except error as e:
+            if not names(str(e), key, value):
                 escaped.append((path, key, str(e)))
         except Exception as e:  # the census lists whatever else escapes
             escaped.append((path, key, repr(e)))

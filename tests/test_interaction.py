@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from helpers import (INDEX_LEVELS, INDEX_PARAMS, anova_oracle, one_workload, ran
                      store_of, unit_space)
 from tuneforge.errors import AnalysisError
 from tuneforge.harness import run_plan
-from tuneforge.interaction import (FactorialTable, InteractionRecord, InteractionReport, PairGrid,
-                                   attach_stage_b,
+from tuneforge.interaction import (AnovaDecomposition, FactorialTable, InteractionRecord,
+                                   InteractionReport, PairGrid, attach_stage_b,
                                    eta_squared, finalize_records,
                                    partial_eta_squared, plan_pair_table, plan_pairs,
                                    stage_a_int_pct, stage_a_record, stage_a_verdict,
@@ -322,6 +323,21 @@ class TestReport:
         with pytest.raises(AnalysisError,
                            match=r"missing keys \['confirmed'\], unknown keys \['confirmd'\]"):
             InteractionReport.load(str(path))
+
+    @pytest.mark.parametrize("value", ["3.5", True, None, "Infinity"],
+                             ids=["numeric-string", "true", "null", "other-string"])
+    def test_f_statistic_that_is_not_a_number_fails_the_load(self, value):
+        # only the string "inf" stands for a number; float() would take the rest
+        decomposition = two_way_anova(FactorialTable(
+            pair=("a", "b"), levels_a=[0, 1], levels_b=[0, 1], workload_id="w0",
+            cells=[[[1.0, 2.0], [3.0, 4.5]], [[2.0, 2.5], [9.0, 8.0]]]), 2)
+        d = decomposition.to_json()
+        assert AnovaDecomposition.from_json(d) == decomposition
+        assert AnovaDecomposition.from_json({**d, "f_interaction": "inf"}).f_interaction == math.inf
+        with pytest.raises(AnalysisError,
+                           match=rf"^ANOVA decomposition: f_interaction: {re.escape(repr(value))} "
+                                 r"is not float$"):
+            AnovaDecomposition.from_json({**d, "f_interaction": value})
 
 
 def full_scan_table_cells(records, pair, levels_a, levels_b, workload_id, repetitions):

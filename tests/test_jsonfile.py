@@ -1,19 +1,30 @@
 """The canonical JSON writer: the bytes of ``json.dumps(..., sort_keys=True,
 indent=2)`` plus a newline, for every value, with the same error where
-``json.dumps`` has one."""
+``json.dumps`` has one; and the annotation table every loaded field is
+checked against."""
 
 import json
 import math
+import re
 from collections import OrderedDict
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, is_dataclass
 from types import MappingProxyType
+from typing import Any, Mapping
 
 import pytest
 from hypothesis import HealthCheck, example, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.errors import NoSuchExample
 
+from test_fail_closed import WRITERS
 from tuneforge import jsonfile
+from tuneforge.docgen import BenchmarkStep, Fingerprint
+from tuneforge.errors import AnalysisError
+from tuneforge.executor import Predicate, TraceHeader
 from tuneforge.jsonfile import canonical_json
+from tuneforge.space import Configuration
+from tuneforge.topology import Rejection
 
 
 def outcome(encode, value):
@@ -106,3 +117,59 @@ def test_the_property_catches_a_mutated_encoder(monkeypatch, name, mutant):
                                suppress_health_check=[HealthCheck.too_slow]))
     except NoSuchExample:
         pytest.fail(f"no value tells the encoder with a mutated {name} apart")
+
+
+# An annotation, a value, and why the annotation refuses it (None: it admits it).
+FORM_CASES = [
+    (str, "a", None), (str, 1, "1 is not str"), (int, 3, None), (int, True, "True is not int"),
+    (bool, 1, "1 is not bool"), (float, 1, None), (float, True, "True is not float"),
+    (float, "1.5", "'1.5' is not float"), (str | None, None, None),
+    (float | None, [], "[] is not float | None"),
+    (list[str], ("a", "b"), None), (list[str], ["a", 1], "1: 1 is not str"),
+    (list[str], {"a": "b"}, "{'a': 'b'} is not list[str]"),
+    (tuple[str, ...], ["a"], None), (tuple[Any, ...], ["a", 1, None], None),
+    (tuple[str, str], ["a", "b"], None), (tuple[str, str], ["a"], "['a'] is not tuple[str, str]"),
+    (tuple[str, str], ("a", 2), "1: 2 is not str"),
+    (dict[str, float], {"w0": 1.5, "w1": 2}, None), (dict[str, float], {"w0": "x"},
+                                                     "w0: 'x' is not float"),
+    (dict[str, int], [["w0", 1]], "[['w0', 1]] is not dict[str, int]"),
+    (Mapping[str, Any], MappingProxyType({"a": [1]}), None),
+    (Mapping[str, Any], [], "[] is not Mapping[str, Any]"),
+    (dict, {}, None), (dict, [], "[] is not dict"), (Any, object, None),
+    (list[Fingerprint], [{"campaign_id": "c", "space_hash": "h"}], None),
+    (Fingerprint, {"campaign_id": "c"}, "missing keys ['space_hash'], unknown keys []"),
+    (Fingerprint, {"campaign_id": "c", "space_hash": "h", "seed": 1},
+     "missing keys [], unknown keys ['seed']"),
+    (list[Fingerprint], [{"campaign_id": 1, "space_hash": "h"}], "0: campaign_id: 1 is not str"),
+    (Configuration, Configuration({}), None), (Configuration, {}, "{} is not Configuration"),
+    (BenchmarkStep | None, None, None),
+]
+
+
+@pytest.mark.parametrize("hint, value, reason", FORM_CASES)
+def test_each_annotation_form_admits_or_names_the_wrong_value(hint, value, reason):
+    if reason is None:
+        assert jsonfile.check(hint, value, "x") is value
+    else:
+        with pytest.raises(AnalysisError, match=f"^x: {re.escape(reason)}$"):
+            jsonfile.check(hint, value, "x")
+
+
+@pytest.mark.parametrize("cls", [*WRITERS, TraceHeader, Predicate, Rejection, Fingerprint],
+                         ids=lambda cls: cls.__name__)
+def test_the_table_builds_for_every_record(cls):
+    tests = jsonfile.type_tests(cls)
+    assert list(tests) == ([f.name for f in fields(cls)] if is_dataclass(cls)
+                           else list(cls.__annotations__))
+
+
+@pytest.mark.parametrize("hint", [set[str], frozenset, bytes, Sequence[str], dict[int, str]],
+                         ids=["set-of-str", "frozenset", "bytes", "sequence", "int-keys"])
+def test_an_annotation_without_a_test_raises_when_its_table_is_built(hint):
+    @dataclass
+    class Odd:
+        name: str
+        odd: hint
+
+    with pytest.raises(TypeError, match="^no test for the annotation "):
+        jsonfile.type_tests(Odd)
