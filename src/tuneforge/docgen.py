@@ -283,9 +283,9 @@ class ProceduralDocument(_Part, JsonArtifact):
         """Why a session may not benchmark `config` on `space`: a value outside
         its parameter's domain or outside the documented safe ranges. None
         when it may."""
-        result = validate_configuration(space, config)
-        if not result.ok:
-            return "invalid configuration: " + "; ".join(result.violations)
+        violations = validate_configuration(space, config)
+        if violations:
+            return "invalid configuration: " + "; ".join(violations)
         for param, value in config.assignments.items():
             safe = self._safe.get(param)
             if safe is None:

@@ -369,10 +369,9 @@ class SessionRunner:
             config, metric = Configuration({}), None
         # a copy: the adopted configuration may be one every session shares
         config = Configuration(config.assignments)
-        result = validate_configuration(self.adapter.space, config)
-        if not result.ok:
-            raise _Abort("incumbent configuration failed validation: "
-                         + "; ".join(result.violations))
+        violations = validate_configuration(self.adapter.space, config)
+        if violations:
+            raise _Abort("incumbent configuration failed validation: " + "; ".join(violations))
         self.session.status = STATUS_CONVERGED
         self.session.final_config = config
         self.session.final_metric = metric

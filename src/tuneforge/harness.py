@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol
 
 from .errors import AdapterError, CrashError, ParameterError
+from .jsonfile import check
 from .space import (Configuration, ParameterSpace, WorkloadSpec, json_scalar,
                     validate_configuration)
 
@@ -79,6 +80,7 @@ def mix_seed(campaign_seed: int, config: Configuration, workload_id: str, repeti
 
 
 _INF = math.inf
+_JOURNAL_FIELDS = tuple[dict, str, int, float | None, str, float, str | None]  # field order
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -155,19 +157,21 @@ class Measurement:
     @classmethod
     def from_json(cls, d: dict, configs: dict[str, Configuration] | None = None) -> "Measurement":
         """Rebuild a record; with ``configs`` (canonical form -> Configuration),
-        records with equal configurations share one object."""
-        config = Configuration(d["config"])
+        records with equal configurations share one object. ParameterError for
+        a line ``journal_line`` does not write: a field of another type, an
+        unknown outcome, or a crash or timeout carrying a metric."""
+        config, workload_id, repetition, metric, outcome, wall_time, diagnostic = check(
+            _JOURNAL_FIELDS, (d["config"], d["workload_id"], d["repetition"], d["metric_value"],
+                              d["outcome"], d.get("wall_time", 0.0), d.get("diagnostic")),
+            "journal line", ParameterError)
+        if (outcome not in (OUTCOME_OK, OUTCOME_CRASH, OUTCOME_TIMEOUT)
+                or (outcome == OUTCOME_OK) != (metric is not None)):
+            raise ParameterError(f"journal line: outcome {outcome!r} with metric {metric!r}")
+        config = Configuration(config)
         if configs is not None:
             config = configs.setdefault(config.canonical(), config)
-        return cls(
-            config=config,
-            workload_id=sys.intern(d["workload_id"]),
-            repetition=int(d["repetition"]),
-            metric_value=d["metric_value"],
-            outcome=sys.intern(d["outcome"]),
-            wall_time=float(d.get("wall_time", 0.0)),
-            diagnostic=d.get("diagnostic"),
-        )
+        return cls(config, sys.intern(workload_id), repetition, metric, sys.intern(outcome),
+                   wall_time, diagnostic)
 
 
 def campaign_id_for(seed: int, space_hash: str) -> str:
@@ -489,9 +493,9 @@ class ShellAdapter:
 
 
 def _check_valid(space: ParameterSpace, config: Configuration) -> None:
-    result = validate_configuration(space, config)
-    if not result.ok:
-        raise ParameterError("invalid configuration: " + "; ".join(result.violations))
+    violations = validate_configuration(space, config)
+    if violations:
+        raise ParameterError("invalid configuration: " + "; ".join(violations))
 
 
 def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSpec,

@@ -14,9 +14,11 @@ Every artifact record has one writer and one reader, and both take its keys
 from its dataclass fields: ``dump_fields`` writes one key per field, and
 ``load_fields`` builds the dataclass from a JSON object holding exactly those
 keys, so a renamed or missing key raises the artifact's load error instead of
-loading as a default. The keywords mean the same in both directions:
-``pinned`` keys hold one value (a schema version), an ``optional`` key is
-left out when empty, and a ``dump``/``load`` entry converts one field.
+loading as a default; the declaration and model files load the same way. The
+keywords mean the same in both directions: ``pinned`` keys hold one value (a
+schema version), an ``optional`` key is left out when empty, and a
+``dump``/``load`` entry (such as ``each``, ``values`` or ``record``) builds one
+field.
 
 Types are checked in one table: ``load_fields`` tests each field value, once
 its loader has run, against its annotation (a fixed-key payload is a
@@ -249,10 +251,11 @@ def load_fields(cls: type, d: Any, what: str, *, written: tuple[str, ...] = (),
     if got != keys and got != required:
         missing, unknown = required - got, got - keys
         if missing or unknown:
-            raise error(f"{what}: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}")
+            raise error(f"{what}: missing keys {sorted(missing)}, unknown keys "
+                        f"{sorted(unknown, key=str)}")  # a YAML key need not be a str
     values = dict(d)
     for key in unread:
-        del values[key]
+        values.pop(key, None)  # an optional key may be absent
     for key, build in load.items():
         if key in values:
             try:
@@ -317,6 +320,19 @@ def each(build: Callable[[int, Any], Any]) -> Callable[[Any], Any]:
     value to the annotation check."""
     return lambda value: ([build(i, item) for i, item in enumerate(value)]
                           if type(value) is list else value)
+
+
+def values(build: Callable[[str, Any], Any]) -> Callable[[Any], Any]:
+    """A loader of ``build(key, item)`` for each item of an object, leaving any
+    other value to the annotation check; a key that is not a str (YAML allows
+    one) is a TypeError."""
+    def load(value: Any) -> Any:
+        if type(value) is not dict:
+            return value
+        if not all(type(key) is str for key in value):
+            raise TypeError(f"keys {list(value)} are not all str")
+        return {key: build(key, item) for key, item in value.items()}
+    return load
 
 
 def record(build: Callable[[dict], Any]) -> Callable[[Any], Any]:

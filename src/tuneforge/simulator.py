@@ -8,7 +8,9 @@ where each f_i is a named response shape over the parameter's normalized
 position, each g_ij is a bilinear coupling reaching ``1 + strength`` at the
 high-high corner, and noise is multiplicative lognormal. Because every term
 has a closed form, analyses downstream (CV, Int%, eta squared, grid optima)
-can be checked against hand-evaluated values.
+can be checked against hand-evaluated values. The model file loads through
+``jsonfile.load_fields``, no value converted; its writer is hand-written, as a
+response writes its shape's keys and the model sorts its maps.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from .errors import CrashError, ParameterError
-from .jsonfile import write_text
+from .jsonfile import Record, each, load_fields, values, write_text
 from .space import Configuration, ParameterSpace, WorkloadSpec, dump_yaml, load_yaml
 
 SHAPES = ("linear-up", "linear-down", "quadratic-peak", "step", "flat")
@@ -74,13 +76,14 @@ class Response:
         return d
 
     @classmethod
-    def from_json(cls, d: dict) -> "Response":
-        """A missing key takes its default; the constructor refuses an unknown one."""
-        return cls(**{key: value if key == "shape" else float(value) for key, value in d.items()})
+    def from_json(cls, d: dict, what: str) -> "Response":
+        """A missing key other than ``shape`` takes its default."""
+        return load_fields(cls, d, what, error=ParameterError,
+                           optional=("strength", "peak", "threshold", "low_mult", "high_mult"))
 
 
 @dataclass(frozen=True)
-class Coupling:
+class Coupling(Record):
     """Bilinear pairwise term: g = 1 + strength * n_a * n_b.
 
     strength > 0 rewards the high-high corner; strength in (-1, 0) penalizes
@@ -100,7 +103,7 @@ class Coupling:
 
 
 @dataclass(frozen=True)
-class CrashRegion:
+class CrashRegion(Record):
     """Half-open interval (lo, hi]: the system crashes when lo < value <= hi."""
 
     lo: float
@@ -271,29 +274,27 @@ class SimulatorModel:
             "base_rate": self.base_rate,
             "sigma": self.sigma,
             "responses": {k: v.to_json() for k, v in sorted(self.responses.items())},
-            "couplings": [{"a": c.a, "b": c.b, "strength": c.strength} for c in self.couplings],
-            "crashes": {k: {"lo": v.lo, "hi": v.hi} for k, v in sorted(self.crashes.items())},
+            "couplings": [c.to_json() for c in self.couplings],
+            "crashes": {k: v.to_json() for k, v in sorted(self.crashes.items())},
             "overrides": {w: {k: v.to_json() for k, v in sorted(m.items())}
                           for w, m in sorted(self.overrides.items())},
         }
 
     @classmethod
     def from_json(cls, d: dict) -> "SimulatorModel":
-        """The model of schema_version 1, which may be left out. A missing key
-        takes its default; the constructors refuse an unknown one."""
-        d = dict(d)
-        version = d.pop("schema_version", 1)
-        if version != 1:
-            raise ValueError(f"unsupported model schema_version {version!r} (expected 1)")
-        return cls(**{
-            **d, "base_rate": float(d["base_rate"]), "sigma": float(d.get("sigma", 0.0)),
-            "responses": {k: Response.from_json(v) for k, v in d.get("responses", {}).items()},
-            "couplings": [Coupling(**{**c, "strength": float(c["strength"])})
-                          for c in d.get("couplings", [])],
-            "crashes": {k: CrashRegion(**{key: float(x) for key, x in v.items()})
-                        for k, v in d.get("crashes", {}).items()},
-            "overrides": {w: {k: Response.from_json(v) for k, v in m.items()}
-                          for w, m in d.get("overrides", {}).items()}})
+        """The model of schema_version 1, which may be left out, as may every
+        key but ``base_rate``: a missing key takes its default."""
+        return load_fields(
+            cls, d, "model", pinned={"schema_version": 1},
+            optional=("schema_version", "sigma", "responses", "couplings", "crashes", "overrides"),
+            error=ParameterError,
+            responses=values(lambda k, v: Response.from_json(v, f"model: responses: {k}")),
+            couplings=each(lambda i, c: load_fields(Coupling, c, f"model: couplings: {i}",
+                                                    error=ParameterError)),
+            crashes=values(lambda k, v: load_fields(CrashRegion, v, f"model: crashes: {k}",
+                                                    error=ParameterError)),
+            overrides=values(lambda w, m: values(lambda k, v: Response.from_json(
+                v, f"model: overrides: {w}: {k}"))(m)))
 
     def save(self, path: str) -> None:
         write_text(path, dump_yaml(self.to_json()))

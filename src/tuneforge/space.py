@@ -3,7 +3,9 @@
 A :class:`ParameterSpace` declares what can be tuned; a :class:`Configuration`
 is a sparse assignment over it (unassigned parameters are implicitly at their
 defaults). Spaces and workloads load from a single human-editable YAML file
-with a ``schema_version`` field.
+with a ``schema_version`` field, through ``jsonfile.load_fields``: exactly
+the keys of each record, each value of its field's type and none converted.
+A domain, the one tagged union, checks the keys of its ``type`` itself.
 
 Every YAML file the package reads or writes (declarations and simulator
 models) goes through one reader, :func:`load_yaml`, and one writer,
@@ -21,14 +23,15 @@ import math
 import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape_json
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, TypedDict
 
 import yaml
 
 from .errors import ParameterError
-from .jsonfile import Record
+from .jsonfile import Record, dump_fields, each, load_fields, record
 
 SCHEMA_VERSION = 1
+_PINNED = {"schema_version": SCHEMA_VERSION}
 
 # The parser and emitter of every YAML read and write: libyaml's where PyYAML
 # has it. The pure-Python ones take most of a command's set-up time on a
@@ -60,7 +63,12 @@ class Domain:
         if self.kind in ("continuous", "integer"):
             if self.lo is None or self.hi is None or not self.lo < self.hi:
                 raise ParameterError(f"{self.kind} domain requires lo < hi, got ({self.lo}, {self.hi})")
+            if self.kind == "integer" and not type(self.lo) is type(self.hi) is int:
+                raise ParameterError(f"integer domain requires int bounds, got lo {self.lo!r}, "
+                                     f"hi {self.hi!r}")
         elif self.kind == "enum":
+            if isinstance(self.values, list):
+                object.__setattr__(self, "values", tuple(self.values))
             if not self.values:
                 raise ParameterError("enum domain requires a non-empty value list")
             if len(set(map(repr, self.values))) != len(self.values):
@@ -84,7 +92,8 @@ class Domain:
         if self.kind == "integer":
             return isinstance(value, int) and not isinstance(value, bool) \
                 and self.lo <= value <= self.hi
-        return value in self.values
+        # a value of another type is none of the values: 0 is not False, 1.0 not 1
+        return any(v == value and type(v) is type(value) for v in self.values)
 
     def ordinal(self, value: Any) -> int:
         """Declaration-position encoding for enum/boolean values."""
@@ -114,28 +123,28 @@ class Domain:
         return d
 
     @classmethod
-    def from_json(cls, d: dict) -> "Domain":
+    def from_json(cls, d: dict, what: str) -> "Domain":
+        """The domain ``d`` declares: the one tagged union, so the keys of the
+        kind its ``type`` names are checked here, and the values by the table."""
         kind = d.get("type")
-        if kind not in _DOMAIN_KEYS:
-            raise ParameterError(f"unknown domain kind {kind!r}")
-        unread = sorted(set(d) - _DOMAIN_KEYS[kind])
-        if unread:
-            raise ParameterError(f"{kind} domain has unknown key {unread[0]!r}")
-        if kind == "enum":
-            return cls(kind="enum", values=tuple(d.get("values", ())))
-        lo, hi = d.get("lo"), d.get("hi")
-        if kind == "integer" and lo is not None and hi is not None:
-            lo, hi = int(lo), int(hi)
-        return cls(kind=kind, lo=lo, hi=hi)
+        keys = _DOMAIN_KEYS.get(kind) if type(kind) is str else None
+        if d.keys() != keys:
+            raise ParameterError(
+                f"{what}: keys {sorted(d, key=str)}, but a domain of type {kind!r} holds "
+                f"{sorted(keys) if keys else 'none; the types are ' + ', '.join(_DOMAIN_KEYS)}")
+        values = dict(d)
+        values["kind"] = values.pop("type")
+        return load_fields(cls, values, what, optional=("lo", "hi", "values"),
+                           error=ParameterError)
 
 
-# The keys each domain kind reads.
+# The keys of each domain kind.
 _DOMAIN_KEYS = {"continuous": {"type", "lo", "hi"}, "integer": {"type", "lo", "hi"},
                 "enum": {"type", "values"}, "boolean": {"type"}}
 
 
 @dataclass(frozen=True)
-class ParameterSpec:
+class ParameterSpec(Record):
     """One tunable parameter: its domain, default, and metadata."""
 
     name: str
@@ -146,13 +155,8 @@ class ParameterSpec:
     scale: str = "linear"  # "linear" | "log"; log spacing for knobs spanning magnitudes
 
     def __post_init__(self):
-        if not self.name or not isinstance(self.name, str):
-            raise ParameterError("parameter name must be a non-empty string")
-        if not isinstance(self.unit, str) or type(self.restart_required) is not bool:
-            raise ParameterError(f"{self.name!r}: unit must be a string and "
-                                 f"restart_required a boolean")
-        if self.domain.kind == "integer" and isinstance(self.default, float):
-            object.__setattr__(self, "default", int(self.default))
+        if not self.name:
+            raise ParameterError("parameter name must not be empty")
         if not self.domain.contains(self.default):
             raise ParameterError(
                 f"default {self.default!r} of {self.name!r} lies outside {self.domain.describe()}")
@@ -162,19 +166,11 @@ class ParameterSpec:
             if self.domain.kind not in ("continuous", "integer") or self.domain.lo <= 0:
                 raise ParameterError(f"log scale on {self.name!r} requires a numeric domain with lo > 0")
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "domain": self.domain.to_json(),
-            "default": self.default,
-            "unit": self.unit,
-            "restart_required": self.restart_required,
-            "scale": self.scale,
-        }
-
     @classmethod
-    def from_json(cls, d: dict) -> "ParameterSpec":
-        return cls(**({**d, "domain": Domain.from_json(d["domain"])} if "domain" in d else d))
+    def from_json(cls, d: dict, what: str) -> "ParameterSpec":
+        return load_fields(cls, d, what, optional=("unit", "restart_required", "scale"),
+                           error=ParameterError,
+                           domain=record(lambda v: Domain.from_json(v, f"{what}: domain")))
 
 
 @dataclass(frozen=True)
@@ -236,12 +232,15 @@ class ParameterSpace:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def to_json(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION,
-                "parameters": [p.to_json() for p in self.parameters]}
+        return dump_fields(self, pinned=_PINNED)
 
     @classmethod
     def from_json(cls, d: dict) -> "ParameterSpace":
-        return cls(tuple(ParameterSpec.from_json(p) for p in d["parameters"]))
+        """The ``parameters`` of a declaration, which may also hold ``workloads``."""
+        return load_fields(
+            cls, d, "declaration", written=("workloads",), optional=("workloads",),
+            pinned=_PINNED, error=ParameterError, parameters=each(
+                lambda i, p: ParameterSpec.from_json(p, f"declaration: parameters: {i}")))
 
 
 def json_scalar(v: Any) -> str:
@@ -304,8 +303,8 @@ class WorkloadSpec(Record):
     direction: str = "maximize"  # "maximize" | "minimize"
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ParameterError("workload id must be a non-empty string")
+        if not self.id:
+            raise ParameterError("workload id must not be empty")
         if self.direction not in ("maximize", "minimize"):
             raise ParameterError(f"direction must be maximize or minimize, got {self.direction!r}")
 
@@ -313,22 +312,14 @@ class WorkloadSpec(Record):
         """True when metric a beats metric b under this workload's direction."""
         return a > b if self.direction == "maximize" else a < b
 
-    @classmethod
-    def from_json(cls, d: dict) -> "WorkloadSpec":
-        return cls(**d)
+
+# The workloads section of a declaration, which may also hold ``parameters``.
+_Workloads = TypedDict("_Workloads", {"workloads": list[WorkloadSpec]})
 
 
-@dataclass
-class ValidationResult:
-    ok: bool
-    violations: list[str]
-
-
-def validate_configuration(space: ParameterSpace, config: Configuration) -> ValidationResult:
-    """Check every assignment against its parameter's domain.
-
-    Unknown names and out-of-domain values become violation entries rather
-    than exceptions; the all-defaults configuration always validates.
+def validate_configuration(space: ParameterSpace, config: Configuration) -> list[str]:
+    """The violations of ``config``: each assignment outside its parameter's
+    domain, and each unknown name. The all-defaults configuration has none.
     """
     violations: list[str] = []
     for name in sorted(config.assignments):
@@ -339,7 +330,7 @@ def validate_configuration(space: ParameterSpace, config: Configuration) -> Vali
         spec = space.get(name)
         if not spec.domain.contains(value):
             violations.append(f"{name}={value!r} out of range {spec.domain.describe()}")
-    return ValidationResult(ok=not violations, violations=violations)
+    return violations
 
 
 def level_grid(spec: ParameterSpec, count: int) -> list[Any]:
@@ -413,8 +404,8 @@ def snap_to_domain(spec: ParameterSpec, value: float) -> Any:
 
 def load_yaml(path: str, build: Callable[[Any], Any]) -> Any:
     """``build`` applied to the YAML document in the file at ``path``. A file
-    that cannot be read or is not YAML, and a document ``build`` cannot use (a
-    missing, unknown or malformed key), raise ParameterError naming the file."""
+    that cannot be read or is not YAML, and the ParameterError of a document
+    ``build`` refuses, raise ParameterError naming the file."""
     try:
         with open(path, "rb") as fh:  # bytes: a bad encoding is a YAMLError
             doc = yaml.load(fh, Loader=YAML_LOADER)
@@ -424,9 +415,7 @@ def load_yaml(path: str, build: Callable[[Any], Any]) -> Any:
         raise ParameterError(f"{path}: not a YAML file: {e}") from None
     try:
         return build(doc)
-    except KeyError as e:
-        raise ParameterError(f"{path}: missing key {e}") from None
-    except (AttributeError, TypeError, ValueError) as e:  # TypeError: a missing or unknown key
+    except ParameterError as e:
         raise ParameterError(f"{path}: {e}") from None
 
 
@@ -435,39 +424,26 @@ def dump_yaml(doc: Any) -> str:
     return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
 
 
-def _section(path: str, doc: Any, section: str, build: Callable[[dict], Any]) -> Any:
-    """``build`` applied to the declaration ``doc`` read from ``path``, which
-    must hold ``section``."""
-    if not isinstance(doc, dict) or section not in doc:
-        raise ParameterError(f"{path}: no {section!r} section")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    return build(doc)
-
-
-def _space(path: str, doc: Any) -> ParameterSpace:
-    return _section(path, doc, "parameters", ParameterSpace.from_json)
-
-
-def _workloads(path: str, doc: Any) -> list[WorkloadSpec]:
-    workloads = _section(path, doc, "workloads",
-                         lambda doc: [WorkloadSpec.from_json(w) for w in doc["workloads"]])
+def _workloads(doc: Any) -> list[WorkloadSpec]:
+    workloads = load_fields(
+        _Workloads, doc, "declaration", written=("parameters",), optional=("parameters",),
+        pinned=_PINNED, error=ParameterError, workloads=each(lambda i, w: load_fields(
+            WorkloadSpec, w, f"declaration: workloads: {i}", optional=("metric_name", "direction"),
+            error=ParameterError)))["workloads"]
     ids = [w.id for w in workloads]
     if len(set(ids)) != len(ids):
-        raise ParameterError(f"{path}: duplicate workload ids")
+        raise ParameterError("declaration: duplicate workload ids")
     return workloads
 
 
 def load_space(path: str) -> ParameterSpace:
     """Read the ``parameters`` section of a space/workload declaration file."""
-    return load_yaml(path, lambda doc: _space(path, doc))
+    return load_yaml(path, ParameterSpace.from_json)
 
 
 def load_workloads(path: str) -> list[WorkloadSpec]:
     """Read the ``workloads`` section of a declaration file."""
-    return load_yaml(path, lambda doc: _workloads(path, doc))
+    return load_yaml(path, _workloads)
 
 
 def load_declarations(space_path: str, workloads_path: str
@@ -476,8 +452,7 @@ def load_declarations(space_path: str, workloads_path: str
     parsing the file once when both paths name it."""
     if os.path.realpath(space_path) != os.path.realpath(workloads_path):
         return load_space(space_path), load_workloads(workloads_path)
-    return load_yaml(space_path, lambda doc: (_space(space_path, doc),
-                                              _workloads(workloads_path, doc)))
+    return load_yaml(space_path, lambda doc: (ParameterSpace.from_json(doc), _workloads(doc)))
 
 
 def dump_space(space: ParameterSpace, workloads: list[WorkloadSpec] | None = None) -> str:

@@ -145,7 +145,7 @@ INDEX_LEVELS = (0.0, 0.25, 0.75, 1.0)
 def random_log(rng, records=300):
     """Records mixing every shape the screen and joint journals hold.
 
-    2-3 workloads, repetitions 0-3, ok/degraded/crash/timeout outcomes and
+    2-3 workloads, repetitions 0-3, ok/crash/timeout outcomes and
     configurations of 0-3 assignments over a small level set, so pairs
     overlap and most cells hold several records. Keys are unique. Returns
     (records, workload ids).
@@ -159,8 +159,8 @@ def random_log(rng, records=300):
         if (config.canonical(), workload, rep) in keys:
             continue
         keys.add((config.canonical(), workload, rep))
-        outcome = rng.choice(("ok", "ok", "ok", "degraded", "crash", "timeout"))
-        metric = rng.uniform(1.0, 1000.0) if outcome in ("ok", "degraded") else None
+        outcome = rng.choice(("ok", "ok", "ok", "ok", "crash", "timeout"))
+        metric = rng.uniform(1.0, 1000.0) if outcome == "ok" else None
         out.append(Measurement(config, workload, rep, metric, outcome))
     return out, workloads
 

@@ -123,7 +123,22 @@ class TestStageGating:
             yaml.safe_dump(model_doc, fh)
         assert run_cli(decls, str(decls["dir"] / "c6"), "profile") == 1
         err = capsys.readouterr().err
-        assert err == f"usage error: {decls['model']}: missing key 'base_rate'\n"
+        assert err == (f"usage error: {decls['model']}: model: missing keys ['base_rate'], "
+                       f"unknown keys []\n")
+
+    def test_declared_metric_name_not_a_string_is_usage_error(self, decls, capsys):
+        # Once loaded, it let every stage run; `tune` then refused the document.
+        with open(decls["space"]) as fh:
+            space_doc = yaml.safe_load(fh)
+        space_doc["workloads"][0]["metric_name"] = [1]
+        with open(decls["space"], "w") as fh:
+            yaml.safe_dump(space_doc, fh)
+        campaign = decls["dir"] / "c8"
+        assert run_cli(decls, str(campaign), "profile") == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: {decls['space']}: declaration: workloads: 0: "
+                       f"metric_name: [1] is not str\n")
+        assert not campaign.exists() or not any(campaign.glob("*.jsonl"))
 
     def test_model_with_a_misspelled_key_is_usage_error(self, decls, capsys):
         with open(decls["model"]) as fh:

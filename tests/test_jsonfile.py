@@ -23,7 +23,8 @@ from tuneforge.docgen import BenchmarkStep, Fingerprint
 from tuneforge.errors import AnalysisError
 from tuneforge.executor import Predicate, TraceHeader
 from tuneforge.jsonfile import canonical_json
-from tuneforge.space import Configuration
+from tuneforge.simulator import Response, SimulatorModel
+from tuneforge.space import Configuration, Domain
 from tuneforge.topology import Rejection
 
 
@@ -155,7 +156,8 @@ def test_each_annotation_form_admits_or_names_the_wrong_value(hint, value, reaso
             jsonfile.check(hint, value, "x")
 
 
-@pytest.mark.parametrize("cls", [*WRITERS, TraceHeader, Predicate, Rejection, Fingerprint],
+@pytest.mark.parametrize("cls", [*WRITERS, TraceHeader, Predicate, Rejection, Fingerprint,
+                                 Domain, Response, SimulatorModel],
                          ids=lambda cls: cls.__name__)
 def test_the_table_builds_for_every_record(cls):
     tests = jsonfile.type_tests(cls)
@@ -173,3 +175,25 @@ def test_an_annotation_without_a_test_raises_when_its_table_is_built(hint):
 
     with pytest.raises(TypeError, match="^no test for the annotation "):
         jsonfile.type_tests(Odd)
+
+
+@dataclass(frozen=True)
+class Named:
+    name: str
+
+
+@pytest.mark.parametrize("keyword", ["pinned", "written"])
+@pytest.mark.parametrize("d", [{"name": "a", "version": 1}, {"name": "a"}],
+                         ids=["present", "absent"])
+def test_an_optional_key_that_is_not_read_may_be_left_out(keyword, d):
+    extra = {"pinned": {"version": 1}} if keyword == "pinned" else {"written": ("version",)}
+    assert jsonfile.load_fields(Named, d, "x", optional=("version",), **extra) == Named("a")
+
+
+def test_values_builds_each_item_of_an_object_under_its_key():
+    load = jsonfile.values(lambda key, item: (key, item))
+    assert load({"a": 1, "b": [2]}) == {"a": ("a", 1), "b": ("b", [2])}
+    for other in ([["a", 1]], "ab", None):
+        assert load(other) is other
+    with pytest.raises(TypeError, match=r"^keys \['a', 1\] are not all str$"):
+        load({"a": 1, 1: 2})

@@ -94,7 +94,8 @@ class TestModel:
         model.save(str(path))
         assert SimulatorModel.load(str(path)).to_json() == model.to_json()
 
-    # Each level of the model file holds only the keys its constructor takes.
+    # Each level of the model file holds only the keys its constructor takes,
+    # each holding a value of its field's type, which is not converted.
     @pytest.mark.parametrize("edit, named", [
         (lambda d: d.update(sigam=0.2), "'sigam'"),
         (lambda d: d["responses"]["a"].update(strenght=0.3), "'strenght'"),
@@ -102,7 +103,19 @@ class TestModel:
         (lambda d: d["couplings"][0].update(strenght=0.1), "'strenght'"),
         (lambda d: d["crashes"]["a"].update(high=1.0), "'high'"),
         (lambda d: d.update(schema_version=2), "schema_version 2"),
-    ], ids=["top-level", "response", "override", "coupling", "crash", "schema-version"])
+        (lambda d: d.update(base_rate=True), "model: base_rate: True is not float"),
+        (lambda d: d["responses"]["a"].update(strength="0.2"),
+         "model: responses: a: strength: '0.2' is not float"),
+        (lambda d: d["overrides"]["w1"]["b"].update(peak="0.5"),
+         "model: overrides: w1: b: peak: '0.5' is not float"),
+        (lambda d: d["couplings"][0].update(a=5), "model: couplings: 0: a: 5 is not str"),
+        (lambda d: d["crashes"]["a"].update(lo="0.9"),
+         "model: crashes: a: lo: '0.9' is not float"),
+        (lambda d: d["responses"].update({1: {"shape": "flat"}}),
+         "model: responses: keys ['a', 1] are not all str"),
+    ], ids=["top-level", "response", "override", "coupling", "crash", "schema-version",
+            "base-rate-true", "strength-string", "peak-string", "coupling-member-int",
+            "crash-bound-string", "response-key-int"])
     def test_unknown_model_key_is_refused_naming_the_file(self, tmp_path, edit, named):
         d = SimulatorModel(base_rate=500.0, responses={"a": Response("linear-up", 0.3)},
                            couplings=[Coupling("a", "b", 0.2)],

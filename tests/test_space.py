@@ -69,21 +69,19 @@ class TestValidateConfiguration:
         self.space = ParameterSpace((spec_int(),))
 
     def test_in_range_ok(self):
-        result = validate_configuration(self.space, Configuration({"p": 7}))
-        assert result.ok and result.violations == []
+        assert validate_configuration(self.space, Configuration({"p": 7})) == []
 
     def test_out_of_range_names_parameter_and_bound(self):
-        result = validate_configuration(self.space, Configuration({"p": 11}))
-        assert not result.ok
-        assert "p" in result.violations[0] and "[1, 10]" in result.violations[0]
+        violations = validate_configuration(self.space, Configuration({"p": 11}))
+        assert len(violations) == 1
+        assert "p" in violations[0] and "[1, 10]" in violations[0]
 
     def test_unknown_parameter_is_a_violation_not_a_crash(self):
-        result = validate_configuration(self.space, Configuration({"q": 3}))
-        assert not result.ok
-        assert result.violations == ["unknown parameter q"]
+        assert validate_configuration(self.space, Configuration({"q": 3})) == [
+            "unknown parameter q"]
 
     def test_defaults_always_validate(self):
-        assert validate_configuration(self.space, self.space.defaults()).ok
+        assert validate_configuration(self.space, self.space.defaults()) == []
 
 
 class TestLevelGrid:
@@ -187,18 +185,35 @@ class TestSerialization:
 CONTINUOUS = {"type": "continuous", "lo": 1.0, "hi": 10.0}
 
 # Declaration entries that once loaded with a wrong meaning or crashed with a
-# traceback, each with the key or value a ParameterError must name.
+# traceback, each with the text naming the key or value that a ParameterError
+# must hold.
 DECLARATION_PROBES = {
-    "workload-key-misspelled": ("workloads", {"id": "w0", "directon": "minimize"}, "directon"),
-    "workload-without-id": ("workloads", {"metric_name": "latency"}, "id"),
+    "workload-key-misspelled": ("workloads", {"id": "w0", "directon": "minimize"},
+                                "'directon'"),
+    "workload-without-id": ("workloads", {"metric_name": "latency"}, "'id'"),
     "parameter-key-misspelled": ("parameters", {"name": "p", "domain": CONTINUOUS, "default": 1.0,
-                                                "scael": "log"}, "scael"),
-    "parameter-without-name": ("parameters", {"domain": CONTINUOUS, "default": 1.0}, "name"),
+                                                "scael": "log"}, "'scael'"),
+    "parameter-without-name": ("parameters", {"domain": CONTINUOUS, "default": 1.0}, "'name'"),
     "domain-key-of-another-kind": ("parameters", {"name": "p", "default": 1.0,
                                                   "domain": {**CONTINUOUS, "values": [1.0]}},
-                                   "values"),
+                                   "'values'"),
     "integer-bound-not-a-number": ("parameters", {"name": "p", "default": 1, "domain": {
-        "type": "integer", "lo": "abc", "hi": 10}}, "abc"),
+        "type": "integer", "lo": "abc", "hi": 10}}, "'abc'"),
+    "integer-bounds-floats": ("parameters", {"name": "p", "default": 3, "domain": {
+        "type": "integer", "lo": 1.5, "hi": 10.9}}, "domain: integer domain requires int "
+                                                     "bounds, got lo 1.5, hi 10.9"),
+    "integer-default-float": ("parameters", {"name": "p", "default": 3.7, "domain": {
+        "type": "integer", "lo": 1, "hi": 10}}, "default 3.7 of 'p'"),
+    "enum-values-string": ("parameters", {"name": "p", "default": "a", "domain": {
+        "type": "enum", "values": "abc"}}, "domain: values: 'abc' is not tuple[Any, ...]"),
+    "boolean-default-zero": ("parameters", {"name": "p", "default": 0, "domain": {
+        "type": "boolean"}}, "default 0 of 'p'"),
+    "metric-name-list": ("workloads", {"id": "w0", "metric_name": [1]},
+                         "workloads: 0: metric_name: [1] is not str"),
+    "metric-name-null": ("workloads", {"id": "w0", "metric_name": None},
+                         "workloads: 0: metric_name: None is not str"),
+    "keys-of-mixed-types": ("workloads", {"id": "w0", 1: "a", None: "b"},
+                            "unknown keys [1, None]"),
 }
 
 
@@ -207,10 +222,11 @@ class TestMalformedDeclaration:
                              ids=DECLARATION_PROBES.keys())
     def test_malformed_declaration_is_a_parameter_error(self, tmp_path, section, entry, named):
         path = tmp_path / "space.yaml"
-        path.write_text(yaml.safe_dump({"schema_version": 1, section: [entry]}))
+        path.write_text(yaml.safe_dump({"schema_version": 1, section: [entry]}, sort_keys=False))
         load = load_space if section == "parameters" else load_workloads
-        with pytest.raises(ParameterError, match=f"'{named}'"):
+        with pytest.raises(ParameterError) as e:
             load(str(path))
+        assert str(e.value).startswith(f"{path}: ") and named in str(e.value)
 
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
