@@ -40,9 +40,9 @@ values included. Loading checks each part's keys and field types
 document parses its safe ranges; `validate_document` checks how the parts
 refer to each other. The hash and the violations are computed on first use
 and kept, so running many sessions on one document validates and hashes it
-once. Its
-benchmark steps, resolved for the space sessions last ran on
-(`ProceduralDocument.prepared`), are kept the same way.
+once. Its parsed expressions and the benchmark runs its sessions resolved,
+for the space sessions last ran on (`ProceduralDocument.prepared`), are
+kept the same way.
 """
 
 from __future__ import annotations
@@ -228,9 +228,9 @@ def _safe_range(param: str, d: Any) -> SafeRange:
 
 @dataclass(frozen=True, slots=True)
 class LiteralRun:
-    """A benchmark step without `pin_best`, resolved on one space: its
-    configuration, and either the effective configuration the system runs or
-    the refusal a session aborts with."""
+    """A benchmark step's configuration, its pinned levels set, resolved on
+    one space: the configuration, and either the effective configuration the
+    system runs or the refusal a session aborts with."""
 
     config: Configuration
     effective: Configuration | None
@@ -238,8 +238,33 @@ class LiteralRun:
 
 
 # A `pin_best` step's open grid parameters, in grid order: (param, its
-# best-index signal, its grid levels).
+# best-index signal, its grid levels). A step without `pin_best` has none.
 Pins = tuple[tuple[str, str, tuple[Any, ...]], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class PreparedSkill:
+    """A skill's pre- and postconditions parsed, and per step of its
+    procedure the `Pins` of a benchmark step or the parsed expression or
+    condition of a compute or branch step."""
+
+    preconditions: tuple[expr_mod.Expr, ...]
+    steps: tuple[Pins | expr_mod.Expr, ...]
+    postconditions: tuple[expr_mod.Expr, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class PreparedDocument:
+    """A document prepared for sessions on `space`: each skill prepared, by
+    id, and `runs`, the `LiteralRun` of each benchmark step a session has
+    reached, by (skill id, step index, grid index of each pin).
+
+    No lock: threads racing on `runs` resolve equal runs for one key, and
+    each session runs the one it got."""
+
+    space: ParameterSpace
+    skills: Mapping[str, PreparedSkill]
+    runs: dict[tuple, LiteralRun]
 
 
 @dataclass(frozen=True)
@@ -260,8 +285,8 @@ class ProceduralDocument(_Part, JsonArtifact):
         super().__post_init__()
         object.__setattr__(self, "_safe", MappingProxyType(
             {param: _safe_range(param, d) for param, d in self.safe_ranges.items()}))
-        # (space, prepared skills) of the space sessions last ran on
-        object.__setattr__(self, "_prepared", (None, MappingProxyType({})))
+        # prepared for the space sessions last ran on
+        object.__setattr__(self, "_prepared", None)
 
     def skill(self, skill_id: str) -> Skill:
         for s in self.skills:
@@ -298,45 +323,44 @@ class ProceduralDocument(_Part, JsonArtifact):
                 return f"{param}={value!r} outside safe range [{safe.lo}, {safe.hi}]"
         return None
 
-    def prepared(self, space: ParameterSpace
-                 ) -> Mapping[str, tuple[LiteralRun | Pins | None, ...]]:
-        """Skill id -> per step of its procedure, what every session on
-        `space` would otherwise redo: a `LiteralRun` for a benchmark step
-        without `pin_best`, the `Pins` of one with it, None for other steps.
+    def prepared(self, space: ParameterSpace) -> PreparedDocument:
+        """The document prepared for sessions on `space`: what every session
+        would otherwise redo. Each expression is parsed here, so the document
+        must be valid. Each benchmark step's run is resolved by the first
+        session that reaches the step at one tuple of grid levels, and kept in
+        `runs`: so the runs kept are bounded by the (step, index tuple) pairs
+        the sessions reached.
 
-        Built on first use and kept for the space sessions last ran on, which
-        is checked by identity; a session on another space builds it again.
+        Built on first use and kept with the space sessions last ran on, which
+        is checked by identity; a session on another space builds it again,
+        runs included, so nothing resolved on one space reaches another.
         """
-        held, skills = self._prepared
-        if held is space:
-            return skills
-        # Steps with one template, or one set of open parameters, share an entry.
-        runs: dict[tuple, LiteralRun] = {}
-        pins: dict[frozenset, Pins] = {}
+        prepared = self._prepared
+        if prepared is not None and prepared.space is space:
+            return prepared
+        pins: dict[frozenset, Pins] = {}  # steps naming one parameter set share
         pin_of = {param: (param, best_index_signal(param), grid)
                   for param, grid in self.grids.items()}
 
-        def prepare(step: _Step) -> LiteralRun | Pins | None:
-            if not isinstance(step, BenchmarkStep):
-                return None
-            if step.pin_best:
-                named = frozenset(step.template)
-                if named not in pins:
-                    pins[named] = tuple(pin for param, pin in pin_of.items()
-                                        if param not in named)
-                return pins[named]
-            config = Configuration(thaw(step.template))
-            key = (tuple(config.assignments), config.canonical())  # a trace keeps key order
-            if key not in runs:
-                refusal = self.refusal(space, config)
-                runs[key] = LiteralRun(
-                    config, space.effective(config) if refusal is None else None, refusal)
-            return runs[key]
+        def prepare(step: _Step) -> Pins | expr_mod.Expr:
+            if isinstance(step, ComputeStep):
+                return expr_mod.parse(step.expr)
+            if isinstance(step, BranchStep):
+                return expr_mod.parse(step.cond)
+            if not step.pin_best:
+                return ()
+            named = frozenset(step.template)
+            if named not in pins:
+                pins[named] = tuple(pin for param, pin in pin_of.items() if param not in named)
+            return pins[named]
 
-        skills = MappingProxyType({skill.id: tuple(map(prepare, skill.procedure))
-                                   for skill in self.skills})
-        object.__setattr__(self, "_prepared", (space, skills))
-        return skills
+        prepared = PreparedDocument(space, MappingProxyType({skill.id: PreparedSkill(
+            tuple([expr_mod.parse(text) for text in skill.preconditions]),
+            tuple([prepare(step) for step in skill.procedure]),
+            tuple([expr_mod.parse(text) for text in skill.postconditions]))
+            for skill in self.skills}), {})
+        object.__setattr__(self, "_prepared", prepared)
+        return prepared
 
     def to_json(self) -> dict:
         return {**dump_fields(self), "edges": [[a, b] for a, b in self.edges()]}

@@ -10,11 +10,14 @@ so a trace can be replayed and checked offline. The budget counts the trials
 the system ran; a repeated effective configuration reads its first measurement.
 
 What every session would redo on the same document is done once per
-document and space (`ProceduralDocument.prepared`): each literal benchmark
-step's configuration, effective configuration and safety verdict are
-resolved, and each `pin_best` step's open grid parameters are listed with
-their index signals, so a session resolves only the pinned levels, from its
-own signals. Expressions are compiled once per text (`expr.parse`).
+document and space (`ProceduralDocument.prepared`). Each precondition,
+postcondition, branch condition and compute expression is parsed and bound
+to its place, so a session evaluates it without looking its text up. Each
+`pin_best` step's open grid parameters are listed with their index signals.
+A benchmark step's configuration at the grid levels its signals name, its
+effective configuration and its safety verdict are resolved by the first
+session that reaches the step at those levels and kept for the later ones,
+so a session reads its signals and looks the run up.
 
 The interpreter resolves everything from the document itself. The
 ``step_resolver`` hook lets an external agent override a skill's `next`;
@@ -54,7 +57,7 @@ TraceHeader = TypedDict("TraceHeader", {"fingerprint": Fingerprint, "document_ha
                                         "adapter_id": str, "trial_budget": int, "seed": int})
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent(Record):
     """One replayable execution event (timestamps are a logical counter)."""
 
@@ -160,21 +163,21 @@ class SessionRunner:
     def _event(self, skill: str, action: str, step: int | None = None,
                inputs: dict | None = None, outputs: dict | None = None,
                predicates: list[dict] | None = None) -> TraceEvent:
-        event = TraceEvent(seq=self._seq, skill=skill, action=action, step=step,
-                           inputs=inputs or {}, outputs=outputs or {},
-                           predicates=predicates or [])
+        event = TraceEvent(self._seq, skill, action, step, inputs or {}, outputs or {},
+                           predicates or [])
         self._seq += 1
         self.session.trace.append(event)
         return event
 
-    def _eval_predicate(self, text: str, skill: Skill) -> tuple[bool, dict]:
-        """Evaluate one predicate on the environment the trace records, as
-        ``replay_session`` does; an evaluation error aborts the session.
+    def _eval_predicate(self, parsed: expr_mod.Expr, skill: Skill) -> tuple[bool, dict]:
+        """Evaluate one prepared predicate on the environment the trace
+        records, as ``replay_session`` does; an evaluation error aborts the
+        session.
 
         A validated document can still read a declared signal that was never
         set, e.g. when a branch skipped the step that computes it.
         """
-        parsed = expr_mod.parse(text)
+        text = parsed.text
         signals, reference = self.session.signals, skill.reference_data
         env: dict[str, Any] = {}
         for symbol in parsed.sorted_symbols:
@@ -190,11 +193,12 @@ class SessionRunner:
 
     # -- step execution --------------------------------------------------
 
-    def _resolve_pins(self, step: BenchmarkStep, pins: Pins, skill: Skill) -> Configuration:
-        """A `pin_best` step's template with every other grid parameter at the
-        level its best-index signal names."""
-        resolved = thaw(step.template)
+    def _step_run(self, skill: Skill, index: int, step: BenchmarkStep, pins: Pins) -> LiteralRun:
+        """A benchmark step's run: its template with every pinned parameter at
+        the level its best-index signal names, resolved and checked on the
+        space by the first session that reaches the step at those levels."""
         signals = self.session.signals
+        indexes = []
         for param, signal, grid in pins:
             if signal not in signals:
                 raise _Abort(f"{skill.id}: template references unset signal {signal!r}")
@@ -203,28 +207,31 @@ class SessionRunner:
                 idx = int(round(idx))
             if not 0 <= idx < len(grid):
                 raise _Abort(f"{skill.id}: grid index {idx} out of range for {param!r}")
-            resolved[param] = grid[idx]
-        return Configuration(resolved)
+            indexes.append(idx)
+        key = (skill.id, index, *indexes)
+        run = self.prepared.runs.get(key)
+        if run is None:  # no lock: threads racing here resolve equal runs
+            resolved = thaw(step.template)
+            for (param, _, grid), idx in zip(pins, indexes):
+                resolved[param] = grid[idx]
+            config, space = Configuration(resolved), self.adapter.space
+            refusal = self.doc.refusal(space, config)
+            run = self.prepared.runs[key] = LiteralRun(
+                config, None if refusal else space.effective(config), refusal)
+        return run
 
     def _run_benchmark(self, skill: Skill, index: int, step: BenchmarkStep,
-                       run: LiteralRun | Pins) -> None:
+                       run: LiteralRun) -> None:
         """Run one benchmark step's effective configuration; no ok repetition
         aborts the session. A step repeating an earlier step's (effective config,
         workload, repetitions) reads its measurement, names its event in
         ``reused_from`` and costs no trial.
 
         Hard containment: a configuration outside the space's domains or the
-        documented safe ranges aborts the session before it runs. A literal
-        step was resolved and checked when the document was prepared for the
-        space; a pinned step is resolved and checked here."""
-        if isinstance(run, LiteralRun):
-            config, effective, refusal = run.config, run.effective, run.refusal
-        else:
-            config = self._resolve_pins(step, run, skill)
-            refusal = self.doc.refusal(self.adapter.space, config)
-            effective = None if refusal else self.adapter.space.effective(config)
-        if refusal is not None:
-            raise _Abort(f"{skill.id}: {refusal}")
+        documented safe ranges aborts the session before it runs."""
+        config, effective = run.config, run.effective
+        if run.refusal is not None:
+            raise _Abort(f"{skill.id}: {run.refusal}")
         workload = self.workloads[step.workload_id]
         inputs = {"config": dict(config.assignments), "workload_id": workload.id,
                   "repetitions": step.repetitions}
@@ -265,33 +272,33 @@ class SessionRunner:
 
     def _run_skill(self, skill: Skill) -> str:
         """Execute one skill; returns the skill to run next, or TARGET_END."""
+        prepared = self.prepared.skills[skill.id]
         preds = []
-        for text in skill.preconditions:
-            verdict, record = self._eval_predicate(text, skill)
+        for parsed in prepared.preconditions:
+            verdict, record = self._eval_predicate(parsed, skill)
             preds.append(record)
             if not verdict:
                 self._event(skill.id, "preconditions", predicates=preds)
-                raise _Abort(f"{skill.id}: precondition failed: {text}")
+                raise _Abort(f"{skill.id}: precondition failed: {parsed.text}")
         if preds:
             self._event(skill.id, "preconditions", predicates=preds)
 
         i = 0
-        steps, runs = skill.procedure, self.prepared[skill.id]
+        steps, entries = skill.procedure, prepared.steps
         while i < len(steps):
-            step = steps[i]
+            step, entry = steps[i], entries[i]
             if isinstance(step, BenchmarkStep):
-                self._run_benchmark(skill, i, step, runs[i])
+                self._run_benchmark(skill, i, step, self._step_run(skill, i, step, entry))
             elif isinstance(step, ComputeStep):
                 try:
-                    value = expr_mod.evaluate(step.expr, self.session.signals,
-                                              skill.reference_data)
+                    value = entry.evaluate(self.session.signals, skill.reference_data)
                 except ExpressionError as e:
                     raise _Abort(f"{skill.id}: step {i} compute failed: {e}")
                 self.session.signals[step.out] = value
                 self._event(skill.id, step.action, step=i,
                             inputs={"expr": step.expr}, outputs={step.out: value})
             else:  # a BranchStep; loading admits no other step class
-                verdict, record = self._eval_predicate(step.cond, skill)
+                verdict, record = self._eval_predicate(entry, skill)
                 self._event(skill.id, step.action, step=i,
                             inputs={"cond": step.cond, "target": step.target},
                             predicates=[record])
@@ -303,8 +310,8 @@ class SessionRunner:
         if skill.id != self.doc.root and skill.postconditions:
             preds = []
             ok = True
-            for text in skill.postconditions:
-                verdict, record = self._eval_predicate(text, skill)
+            for parsed in prepared.postconditions:
+                verdict, record = self._eval_predicate(parsed, skill)
                 preds.append(record)
                 ok = ok and verdict
             self._event(skill.id, "postconditions", predicates=preds)
@@ -329,6 +336,7 @@ class SessionRunner:
 
     def run(self) -> TuningSession:
         root = self.skills[self.doc.root]
+        convergence = self.prepared.skills[root.id].postconditions
         try:
             while True:
                 self.session.passes += 1
@@ -343,8 +351,8 @@ class SessionRunner:
                     current = target
                 preds = []
                 converged = True
-                for text in root.postconditions:
-                    verdict, record = self._eval_predicate(text, root)
+                for parsed in convergence:
+                    verdict, record = self._eval_predicate(parsed, root)
                     preds.append(record)
                     converged = converged and verdict
                 self._event(root.id, "pass",

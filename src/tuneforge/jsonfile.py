@@ -311,6 +311,8 @@ def dump_fields(obj: Any, *, optional: tuple[str, ...] = (),
 class Record:
     """A dataclass written with one key per field (``dump_fields``)."""
 
+    __slots__ = ()  # so that a record declared with slots has no __dict__
+
     def to_json(self) -> dict:
         return dump_fields(self)
 

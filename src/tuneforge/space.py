@@ -96,8 +96,13 @@ class Domain:
         return any(v == value and type(v) is type(value) for v in self.values)
 
     def ordinal(self, value: Any) -> int:
-        """Declaration-position encoding for enum/boolean values."""
-        return self.values.index(value)
+        """Declaration-position encoding for enum/boolean values: the position
+        of the value equal to ``value`` and of its type, as ``contains``
+        matches it; ValueError when there is none."""
+        for i, v in enumerate(self.values):
+            if v == value and type(v) is type(value):
+                return i
+        raise ValueError(f"{value!r} is not one of {list(self.values)}")
 
     def normalize(self, value: Any) -> float:
         """Position of value within the domain, mapped to [0, 1]."""
@@ -259,15 +264,15 @@ def json_scalar(v: Any) -> str:
     return json.dumps(v, sort_keys=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Sparse parameter assignment; unassigned parameters mean 'default'."""
 
     assignments: dict[str, Any] = field(default_factory=dict)
+    _canonical: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "assignments", dict(self.assignments))
-        object.__setattr__(self, "_canonical", None)
 
     def canonical(self) -> str:
         """The text of ``json.dumps(self.assignments, sort_keys=True)``: the

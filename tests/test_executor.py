@@ -2,7 +2,9 @@
 
 import copy
 import json
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -476,19 +478,6 @@ class TestPreparedSteps:
     """A document keeps its literal benchmark steps resolved and checked for
     the space it last ran on; nothing a session does reaches another."""
 
-    def test_twentieth_session_equals_one_on_a_fresh_copy(self, pipeline):
-        space = pipeline["space"]
-        adapters = [SimulatorAdapter(space, small_model()),
-                    SimulatorAdapter(space, shifted_small_model())]
-        doc = fresh_copy(pipeline["doc"])
-        for seed in range(19):
-            run_session(doc, adapters[seed % 2], budget=120, seed=seed)
-        for adapter in adapters:
-            twentieth = run_session(doc, adapter, budget=120, seed=19)
-            assert twentieth.status == "converged"
-            assert outcome(twentieth) == \
-                outcome(run_session(fresh_copy(pipeline["doc"]), adapter, budget=120, seed=19))
-
     def test_a_literal_verdict_holds_for_its_space_only(self, pipeline):
         # verify_pc probes pc = 1.0, outside the narrowed domain
         narrowed = ParameterSpace(tuple(
@@ -507,6 +496,109 @@ class TestPreparedSteps:
             for adapter in order + order:
                 assert outcome(run_session(doc, adapter, budget=30, seed=4)) == \
                     expected[id(adapter)]
+
+    def test_sessions_in_turn_equal_sessions_on_fresh_copies(self, pipeline, tmp_path):
+        # 20 sessions on one document, matched and shifted in turn, with one
+        # on another space between them: each trace is byte-identical to the
+        # one the same session writes on a freshly loaded copy, and replays
+        narrowed = ParameterSpace(tuple(
+            replace(p, domain=Domain("continuous", 0.0, 0.5)) if p.name == "pc" else p
+            for p in pipeline["space"]))
+        adapters = [SimulatorAdapter(pipeline["space"], small_model()),
+                    SimulatorAdapter(pipeline["space"], shifted_small_model())]
+        runs = [(adapters[seed % 2], seed) for seed in range(20)]
+        runs.insert(10, (SimulatorAdapter(narrowed, small_model()), 10))
+        doc = fresh_copy(pipeline["doc"])
+        statuses = []
+        for n, (adapter, seed) in enumerate(runs):
+            sessions, texts = [], []
+            for session_doc in (doc, fresh_copy(pipeline["doc"])):
+                path = str(tmp_path / f"{n}.jsonl")
+                sessions.append(run_session(session_doc, adapter, budget=120, seed=seed))
+                sessions[-1].save_trace(path)
+                with open(path, "rb") as fh:
+                    texts.append(fh.read())
+            assert texts[0] == texts[1], f"session {n} differs from its fresh copy"
+            assert outcome(sessions[0]) == outcome(sessions[1])
+            header, events = load_trace(path)
+            assert replay_session(header, events, doc).ok
+            statuses.append(events[-1].outputs["status"])
+        assert statuses == ["converged"] * 10 + ["aborted"] + ["converged"] * 10
+
+    def test_a_session_parses_nothing_and_resolves_each_run_once(self, pipeline, monkeypatch):
+        doc, space = fresh_copy(pipeline["doc"]), pipeline["space"]
+        adapters = [SimulatorAdapter(space, small_model()),
+                    SimulatorAdapter(space, shifted_small_model())]
+        assert not doc.violations  # validation parses each expression, once
+        runs = doc.prepared(space).runs
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(expr_mod, "parse", counted("parse", expr_mod.parse))
+        monkeypatch.setattr(ProceduralDocument, "refusal",
+                            counted("refusal", ProceduralDocument.refusal))
+        monkeypatch.setattr(ParameterSpace, "effective",
+                            counted("effective", ParameterSpace.effective))
+        for seed in range(8):
+            before = set(runs)
+            calls.clear()
+            assert run_session(doc, adapters[seed % 2], budget=120, seed=seed).status == \
+                "converged"
+            resolved = len(set(runs) - before)
+            assert calls == Counter(refusal=resolved, effective=resolved)
+        # (skill, step index, one grid index per pin): pinned steps were reached
+        assert any(len(key) > 2 for key in runs)
+        for seed in range(8):
+            calls.clear()
+            run_session(doc, adapters[seed % 2], budget=120, seed=seed)
+            assert calls == Counter()
+
+    def test_threads_sharing_one_document_give_the_serial_sessions(self, pipeline):
+        # more threads than cores, switching often, while no run is resolved
+        space = pipeline["space"]
+        adapters = [SimulatorAdapter(space, small_model()),
+                    SimulatorAdapter(space, shifted_small_model())]
+        want = [outcome(run_session(fresh_copy(pipeline["doc"]), adapters[seed % 2],
+                                    budget=120, seed=seed)) for seed in range(8)]
+        doc = fresh_copy(pipeline["doc"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run_session, doc, adapters[i % 2], 120, i % 8)
+                           for i in range(32)]
+                got = [outcome(f.result(timeout=60)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want[i % 8] for i in range(32)]
+
+    def test_pinned_steps_on_one_parameter_set_keep_their_own_values(self):
+        # both templates name q, and each run keeps its own q
+        from tuneforge.simulator import SimulatorModel
+        orch = Skill(id="root", kind="orchestration", next="end", procedure=[
+            ComputeStep(expr="1", out="best_p_idx"),
+            ComputeStep(expr="0", out="best_q_idx"),
+            BenchmarkStep(template={"q": 1.0}, workload_id="w0", repetitions=1, out="m1",
+                          pin_best=True),
+            BenchmarkStep(template={"q": 0.0}, workload_id="w0", repetitions=1, out="m2",
+                          pin_best=True)])
+        doc = ProceduralDocument(
+            fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
+            skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
+            grids={"p": [0.0, 0.5, 1.0], "q": [0.0, 1.0]},
+            safe_ranges={"p": {"lo": 0.0, "hi": 1.0}, "q": {"lo": 0.0, "hi": 1.0}},
+            provenance={}, policy={})
+        adapter = SimulatorAdapter(unit_space(["p", "q"]), SimulatorModel(base_rate=100.0))
+        for _ in range(2):
+            session = run_session(doc, adapter, budget=5, seed=0)
+            assert session.status == "converged"
+            assert [c.assignments for c, _ in session.benchmarked_configs()] == \
+                [{"q": 1.0, "p": 0.5}, {"q": 0.0, "p": 0.5}]
 
     def test_prepared_steps_are_kept_per_space(self, pipeline):
         doc, space = fresh_copy(pipeline["doc"]), pipeline["space"]

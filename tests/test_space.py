@@ -47,6 +47,20 @@ class TestDomains:
         assert d.ordered_values == (False, True)
         assert d.ordinal(True) == 1
 
+    @pytest.mark.parametrize("values, foreign", [((1, True), 1.0), ((0.0, 0), False),
+                                                 ((True, 1.0), 1), (("a", 0, False), 0.0)])
+    def test_ordinal_matches_type_and_value(self, values, foreign):
+        # 1 == True == 1.0 and 0.0 == 0 == False, but the domain holds only the
+        # values of the declared types, as `contains` tells them apart
+        d = Domain("enum", values=values)
+        for i, value in enumerate(values):
+            assert d.contains(value)
+            assert d.ordinal(value) == i
+            assert d.normalize(value) == i / (len(values) - 1)
+        assert not d.contains(foreign)
+        with pytest.raises(ValueError):
+            d.ordinal(foreign)
+
     def test_default_must_lie_in_domain(self):
         with pytest.raises(ParameterError):
             spec_int(default=11)
