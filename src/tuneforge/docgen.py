@@ -283,6 +283,13 @@ class ProceduralDocument(_Part, JsonArtifact):
 
     def __post_init__(self):
         super().__post_init__()
+        # One frozen mapping per distinct provenance value, compiled or
+        # loaded: a document has an entry per datum but few distinct values.
+        # Equal reprs are equal JSON values of the same types.
+        shared: dict[str, Any] = {}
+        object.__setattr__(self, "provenance", MappingProxyType(
+            {key: shared.setdefault(repr(value), value)
+             for key, value in self.provenance.items()}))
         object.__setattr__(self, "_safe", MappingProxyType(
             {param: _safe_range(param, d) for param, d in self.safe_ranges.items()}))
         # prepared for the space sessions last ran on

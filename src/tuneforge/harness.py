@@ -10,9 +10,11 @@ The mix is the campaign seed's own mix (``campaign_mix``), computed once per
 plan or session; a per-cell prefix over it, the canonical configuration and
 the workload id (``cell_prefix``), computed once per cell of a plan or
 benchmark step; and one splitmix64 round for the repetition. A plan also
-builds the fixed head and tail of a cell's journal lines
-(``Measurement.journal_cell``) once per cell, so each run formats only its
-own fields and its record is built by one checked constructor.
+builds the fixed head of a cell's journal lines (``Measurement.journal_head``)
+once per cell and the tail (``journal_tail``) once per workload, so each run
+formats only its own fields and its record is built by one checked
+constructor. Each journal line is written with one ``write()`` call on an
+unbuffered file, so it has reached the kernel before the next run starts.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def mix_seed(campaign_seed: int, config: Configuration, workload_id: str, repeti
 
 _INF = math.inf
 _JOURNAL_FIELDS = tuple[dict, str, int, float | None, str, float, str | None]  # field order
+_OUTCOME_TEXT = {outcome: f'"outcome": "{outcome}", '
+                 for outcome in (OUTCOME_OK, OUTCOME_CRASH, OUTCOME_TIMEOUT)}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -105,41 +109,49 @@ class Measurement:
                 raise ParameterError("ok outcome requires a finite metric_value")
         elif outcome == OUTCOME_CRASH and metric_value is not None:
             raise ParameterError("crash outcome must not carry a metric_value")
-        set_ = object.__setattr__.__get__(self)
-        set_("config", config)
-        set_("workload_id", workload_id)
-        set_("repetition", repetition)
-        set_("metric_value", metric_value)
-        set_("outcome", outcome)
-        set_("wall_time", wall_time)
-        set_("diagnostic", diagnostic)
-        set_("_key", (config.canonical(), workload_id, repetition))
+        _set_config(self, config)
+        _set_workload_id(self, workload_id)
+        _set_repetition(self, repetition)
+        _set_metric_value(self, metric_value)
+        _set_outcome(self, outcome)
+        _set_wall_time(self, wall_time)
+        _set_diagnostic(self, diagnostic)
+        _set_key(self, (config.canonical(), workload_id, repetition))
 
     def key(self) -> tuple[str, str, int]:
         return self._key
 
     @staticmethod
-    def journal_cell(canonical: str, workload_id: str) -> tuple[str, str]:
-        """The fixed head and tail of the journal lines of one cell (canonical
-        configuration, workload), which ``journal_line`` writes around the
-        fields of one run."""
-        return (f'{{"config": {canonical}, ',
-                f'"workload_id": {json_scalar(workload_id)}}}\n')
+    def journal_head(canonical: str) -> str:
+        """The start of the journal lines of one configuration."""
+        return f'{{"config": {canonical}, '
+
+    @staticmethod
+    def journal_tail(workload_id: str) -> str:
+        """The end of the journal lines of one workload."""
+        return f'"workload_id": {json_scalar(workload_id)}}}\n'
 
     def journal_line(self, cell: tuple[str, str] | None = None) -> str:
         """This record as one journal line: the text of
         ``json.dumps(self.to_json(), sort_keys=True) + "\\n"``, built around
         the configuration's cached canonical JSON instead of re-encoding it.
-        The fields are written in sorted key order. ``cell`` is this record's
-        ``journal_cell``, when the caller has it already."""
-        head, tail = cell or self.journal_cell(self._key[0], self.workload_id)
+        The fields are written in sorted key order: a known outcome as
+        constant text, an int or a finite float as its ``repr`` (what
+        ``json.dumps`` writes), anything else through ``json_scalar``.
+        ``cell`` is this record's (``journal_head``, ``journal_tail``), when
+        the caller has them already."""
+        head, tail = cell or (self.journal_head(self._key[0]),
+                              self.journal_tail(self.workload_id))
         diagnostic = ("" if self.diagnostic is None
                       else f'"diagnostic": {json_scalar(self.diagnostic)}, ')
-        return (f'{head}{diagnostic}'
-                f'"metric_value": {json_scalar(self.metric_value)}, '
-                f'"outcome": {json_scalar(self.outcome)}, '
-                f'"repetition": {json_scalar(self.repetition)}, '
-                f'"wall_time": {json_scalar(self.wall_time)}, {tail}')
+        metric, rep, wall = self.metric_value, self.repetition, self.wall_time
+        metric = (repr(metric) if type(metric) is float and -_INF < metric < _INF
+                  else json_scalar(metric))
+        rep = repr(rep) if type(rep) is int else json_scalar(rep)
+        wall = repr(wall) if type(wall) is float and -_INF < wall < _INF else json_scalar(wall)
+        outcome = _OUTCOME_TEXT.get(self.outcome) or f'"outcome": {json_scalar(self.outcome)}, '
+        return (f'{head}{diagnostic}"metric_value": {metric}, {outcome}'
+                f'"repetition": {rep}, "wall_time": {wall}, {tail}')
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {
@@ -172,6 +184,15 @@ class Measurement:
             config = configs.setdefault(config.canonical(), config)
         return cls(config, sys.intern(workload_id), repetition, metric, sys.intern(outcome),
                    wall_time, diagnostic)
+
+
+# A record's __init__ sets its slots through their descriptors, which a frozen
+# class's __setattr__ does not intercept.
+(_set_config, _set_workload_id, _set_repetition, _set_metric_value, _set_outcome,
+ _set_wall_time, _set_diagnostic, _set_key) = (
+    getattr(Measurement, name).__set__ for name in (
+        "config", "workload_id", "repetition", "metric_value", "outcome", "wall_time",
+        "diagnostic", "_key"))
 
 
 def campaign_id_for(seed: int, space_hash: str) -> str:
@@ -281,12 +302,12 @@ def read_journal(path: str, start: int, configs: dict[str, Configuration]
 class CampaignStore:
     """Every measurement of one campaign, read from its stage journals once.
 
-    Each stage appends its fresh runs to its own journal, one flushed line
-    per run as it completes; no journal is ever rewritten. The store reads
-    each journal once, later only the bytes another process appended since
-    (``refresh``), and answers ``has``/``get``/``cell`` across all stages
-    under one (canonical configuration, workload, repetition) identity, the
-    first record of a key winning. Equal configurations built separately
+    Each stage appends its fresh runs to its own journal, one unbuffered
+    line per run as it completes; no journal is ever rewritten. The store
+    reads each journal once, later only the bytes another process appended
+    since (``refresh``), and answers ``has``/``get``/``cell`` across all
+    stages under one (canonical configuration, workload, repetition)
+    identity, the first record of a key winning. Equal configurations built separately
     share one entry; ``{"a": 1}``, ``{"a": 1.0}`` and ``{"a": True}`` are three.
     It is the campaign's only index of measurements and keeps one dict entry
     per record. ``journaled(stage)`` counts the records that stage's journal
@@ -330,9 +351,13 @@ class CampaignStore:
         found = (self._records.get((text, workload_id, rep)) for rep in range(self._reps))
         return tuple(m for m in found if m is not None)
 
-    def _index(self, m: Measurement) -> None:
-        self._records.setdefault(m.key(), m)
-        self._reps = max(self._reps, m.repetition + 1)
+    def _index(self, records: Iterable[Measurement]) -> None:
+        setdefault, top = self._records.setdefault, self._reps - 1
+        for m in records:
+            setdefault(m._key, m)
+            if m.repetition > top:
+                top = m.repetition
+        self._reps = top + 1
 
     def begin(self, stage: str) -> None:
         """Send the fresh runs of the following plans to ``stage``'s journal."""
@@ -373,13 +398,15 @@ class CampaignStore:
             self._headed[stage] = True
         self._offset[stage] = end
         self._journaled[stage] += len(records)
-        for m in records:
-            self._index(m)
+        self._index(records)
 
     def append(self, m: Measurement, cell: tuple[str, str] | None = None) -> None:
-        """Journal one fresh run of the current stage as one flushed line;
-        ``cell`` is the record's ``Measurement.journal_cell``, when the caller
-        has it already.
+        """Journal one fresh run of the current stage as one line, written
+        with one ``write()`` call on the unbuffered journal, so the line has
+        reached the kernel when this returns. ``cell`` is the record's
+        (``journal_head``, ``journal_tail``), when the caller has them
+        already. A short write raises OSError; the next ``_open`` cuts the
+        partial line.
 
         Safe to call from worker threads. The record enters the index only
         through ``commit``.
@@ -388,13 +415,15 @@ class CampaignStore:
         with self._write_lock:
             if self._fh is None:
                 self._fh = self._open()
-            self._fh.write(line)
-            self._fh.flush()
+            written = self._fh.write(line)
+            if written != len(line):
+                raise OSError(f"short journal write: {written} of {len(line)} bytes")
             self._offset[self._stage] += len(line)
             self._journaled[self._stage] += 1
 
     def _open(self):
-        """Open the current journal for appending, cutting any torn tail first.
+        """Open the current journal, unbuffered, for appending, cutting any
+        torn tail first.
 
         Everything past the store's offset is a torn last line (``refresh``
         read every complete one), so it is cut before the next record could
@@ -403,14 +432,15 @@ class CampaignStore:
         if self._stage is None:
             raise ParameterError("no stage begun: call begin() before running a plan")
         stage = self._stage
-        fh = open(self.journals[stage], "ab")
+        fh = open(self.journals[stage], "ab", buffering=0)
         try:
             if not self._headed[stage]:
                 fh.truncate(0)
                 text = MeasurementLog(self.seed, self.space_hash,
                                       meta={"stage": stage}).header_line().encode()
-                fh.write(text)
-                fh.flush()
+                written = fh.write(text)
+                if written != len(text):
+                    raise OSError(f"short journal write: {written} of {len(text)} bytes")
                 self._offset[stage] = len(text)
                 self._headed[stage] = True
             elif os.fstat(fh.fileno()).st_size > self._offset[stage]:
@@ -423,8 +453,7 @@ class CampaignStore:
     def commit(self, records: Iterable[Measurement]) -> None:
         """Index a plan's fresh records, in plan order, and close the journal."""
         try:
-            for m in records:
-                self._index(m)
+            self._index(records)
         finally:
             if self._fh is not None:
                 self._fh.close()
@@ -492,12 +521,6 @@ class ShellAdapter:
         raise AdapterError("command printed no 'METRIC <float>' line")
 
 
-def _check_valid(space: ParameterSpace, config: Configuration) -> None:
-    violations = validate_configuration(space, config)
-    if violations:
-        raise ParameterError("invalid configuration: " + "; ".join(violations))
-
-
 def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
                    repetition: int, seed: int) -> Measurement:
     """Validate the configuration, then execute one benchmark repetition.
@@ -506,7 +529,9 @@ def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSp
     ``run_plan`` validates a plan's configurations once, up front, and then
     measures through ``run_valid_experiment``.
     """
-    _check_valid(adapter.space, config)
+    violations = validate_configuration(adapter.space, config)
+    if violations:
+        raise ParameterError("invalid configuration: " + "; ".join(violations))
     return run_valid_experiment(adapter, config, workload, repetition,
                                 mix_seed(seed, config, workload.id, repetition))
 
@@ -547,52 +572,67 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
              seed: int = 0, store: CampaignStore | None = None) -> list[Measurement]:
     """Execute a plan, one Measurement per entry, in plan order.
 
-    Every distinct configuration of the plan is validated once, before any
-    entry runs, so an invalid plan raises ParameterError having measured and
-    journaled nothing. With a ``store``, entries it already holds, from any
-    stage and from this process or an interrupted earlier one, are carried
-    over unmeasured. Each fresh measurement is appended to the store's
-    current journal as one ``Measurement.journal_line`` as it completes, so
-    a crash loses at most the in-flight entries; the store indexes the fresh
-    records in plan order once the plan ends, also when it ends in an
-    exception. An AdapterError aborts the plan.
+    One pass over the plan builds each entry's key, validates each distinct
+    configuration once and looks the key up in the store; a plan that
+    repeats an entry, asks for ``parallelism < 1``, holds an invalid
+    configuration or comes with a store of another seed raises
+    ParameterError, checked in that order, having measured and journaled
+    nothing (a journal of another campaign that the store's ``refresh``
+    finds is refused before them). With a ``store``, entries it already holds, from any stage and
+    from this process or an interrupted earlier one, are carried over
+    unmeasured. Each fresh measurement is appended to the store's current
+    journal as one ``Measurement.journal_line`` as it completes, so a crash
+    loses at most the in-flight entries; the store indexes the fresh records
+    in plan order once the plan ends, also when it ends in an exception. An
+    AdapterError aborts the plan.
 
     Returns the plan's records, one per entry in plan order, with the
     outcomes the adapter produced: a pure function of (plan, adapter, seed),
     never of worker arrival order.
     """
-    keys = [(c.canonical(), w.id, rep) for c, w, rep in plan]
+    found = {}.get
+    if store is not None and store.seed == seed:
+        store.refresh()
+        found = store._records.get
+    # Planners put the repetition innermost, so each cell's seed prefix and
+    # journal head are computed once, for its first fresh entry, and its
+    # later entries share them; each workload's journal tail is built once.
+    space, mix = adapter.space, campaign_mix(seed)
+    keys, results, todo, run_seeds, parts = [], [], [], [], []
+    checked: set[str] = set()
+    tails: dict[str, str] = {}
+    invalid = cell_text = cell_workload = None
+    for i, (config, workload, rep) in enumerate(plan):
+        text, workload_id = config.canonical(), workload.id
+        key = (text, workload_id, rep)
+        keys.append(key)
+        if text not in checked:
+            checked.add(text)
+            violations = validate_configuration(space, config)
+            if violations and invalid is None:
+                invalid = "invalid configuration: " + "; ".join(violations)
+        m = found(key)
+        results.append(m)
+        if m is None:
+            if text != cell_text or workload_id != cell_workload:
+                cell_text, cell_workload = text, workload_id
+                prefix = cell_prefix(mix, text, workload_id)
+                tail = tails.get(workload_id)
+                if tail is None:
+                    tail = tails[workload_id] = Measurement.journal_tail(workload_id)
+                journal = (Measurement.journal_head(text), tail)
+            todo.append(i)
+            run_seeds.append(repetition_seed(prefix, rep))
+            parts.append(journal)
     if len(set(keys)) != len(keys):
         raise ParameterError("plan entries must be unique")
     if parallelism < 1:
         raise ParameterError("parallelism must be >= 1")
-    checked = set()
-    for (text, _, _), (config, _, _) in zip(keys, plan):
-        if text not in checked:
-            checked.add(text)
-            _check_valid(adapter.space, config)
+    if invalid is not None:
+        raise ParameterError(invalid)
+    if store is not None and store.seed != seed:
+        raise ParameterError(f"the store holds seed {store.seed}'s runs, not seed {seed}'s")
     parallelism = min(parallelism, getattr(adapter, "max_concurrency", parallelism) or parallelism)
-
-    results: list[Measurement | None] = [None] * len(plan)
-    if store is not None:
-        if store.seed != seed:
-            raise ParameterError(f"the store holds seed {store.seed}'s runs, not seed {seed}'s")
-        store.refresh()
-        results = [store.get(k) for k in keys]
-    todo = [i for i, m in enumerate(results) if m is None]
-    # Planners put the repetition innermost, so each cell's seed prefix and
-    # journal parts are computed once, for its first fresh entry, and its
-    # later entries share them.
-    mix = campaign_mix(seed)
-    run_seeds, parts, cell, prefix, journal = [], [], None, 0, None
-    for i in todo:
-        text, workload_id, rep = keys[i]
-        if cell != (text, workload_id):
-            cell = (text, workload_id)
-            prefix = cell_prefix(mix, text, workload_id)
-            journal = Measurement.journal_cell(text, workload_id)
-        run_seeds.append(repetition_seed(prefix, rep))
-        parts.append(journal)
 
     def work(i: int, run_seed: int, journal: tuple[str, str]) -> None:
         config, workload, rep = plan[i]

@@ -244,8 +244,15 @@ class SimulatorModel:
         """
         table = self._table(space, workload_id)
         assigned = config.assignments
-        norms = {name: space.get(name).domain.normalize(assigned[name])
-                 for name in sorted(assigned, key=table.order)}
+        # Factors are replaced by index, so the order names are normalized in
+        # cannot change the value; it only decides which error is raised.
+        try:
+            norms = {name: space.get(name).domain.normalize(value)
+                     for name, value in assigned.items()}
+        except Exception:
+            for name in sorted(assigned, key=table.order):  # the first in space order
+                space.get(name).domain.normalize(assigned[name])
+            raise
         for name, region in self.crashes.items():
             # The value resolve() would give: assigned, else the default.
             if name in assigned:

@@ -19,7 +19,7 @@ from tuneforge.sensitivity import SensitivityReport
 from tuneforge.topology import CorrelationGraph, OptimaReport, plan_joint_search
 from tuneforge.executor import run_session
 from tuneforge.interaction import PairGrid, choose_pair_levels, stage_a_record, table_from_log
-from tuneforge.harness import Measurement, MeasurementLog, run_plan
+from tuneforge.harness import CampaignStore, Measurement, MeasurementLog, run_plan
 from tuneforge.sensitivity import SafeRange, plan_sweep
 from tuneforge.simulator import (Coupling, Response, SimulatorAdapter, SimulatorModel)
 from tuneforge.space import Configuration, WorkloadSpec, json_scalar, level_grid
@@ -932,6 +932,60 @@ class TestRefusedReplace:
             run_stage(campaign, stage, adapter)
         monkeypatch.setattr(os, "replace", replace)
         assert refused == [campaign.path(name)]
+        run_to_the_end(campaign.directory, adapter)
+        assert campaign_files(campaign.directory) == want
+
+
+class FailingJournal:
+    """A journal file as ``CampaignStore._open`` returned it, except that the
+    record line numbered ``at`` in ``written`` (counted across opens) is
+    refused with OSError or reaches the file only in half."""
+
+    def __init__(self, fh, written, at, failure):
+        self.fh, self.written, self.at, self.failure = fh, written, at, failure
+
+    def write(self, data):
+        self.written.append(data)
+        if len(self.written) != self.at:
+            return self.fh.write(data)
+        if self.failure == "refused":
+            raise OSError("journal write refused")
+        return self.fh.write(data[:len(data) // 2])
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+class TestFailedJournalWrite:
+    """A run whose journal line is refused, or written only in part, aborts
+    its plan with OSError; the store counts only the complete lines, and a
+    fresh ``Campaign`` then resumes to the files of an uninterrupted run."""
+
+    @pytest.mark.parametrize("failure", ["refused", "short"])
+    @pytest.mark.parametrize("stage", STAGE_NAMES[:3])
+    def test_resume_after_a_failed_journal_write_leaves_the_uninterrupted_files(
+            self, tmp_path, monkeypatch, stage, failure):
+        reference, adapter = small_campaign(tmp_path / "reference")
+        for each in STAGE_NAMES:
+            run_stage(reference, each, adapter)
+        want = campaign_files(reference.directory)
+
+        campaign, _ = small_campaign(tmp_path / "failed")
+        for each in STAGE_NAMES[:STAGE_NAMES.index(stage)]:
+            run_stage(campaign, each, adapter)
+        open_journal, written = CampaignStore._open, []
+        monkeypatch.setattr(CampaignStore, "_open", lambda store: FailingJournal(
+            open_journal(store), written, 10, failure))
+        with pytest.raises(OSError, match="refused" if failure == "refused" else "short"):
+            run_stage(campaign, stage, adapter)
+        monkeypatch.setattr(CampaignStore, "_open", open_journal)
+        assert len(written) == 10
+        with open(campaign.path(JOURNALS[STAGE_NAMES.index(stage)]), "rb") as fh:
+            data = fh.read()
+        assert data.endswith(b"\n") == (failure == "refused")
+        # the header and nine complete record lines
+        assert data.count(b"\n") == 10
+        assert campaign.store.journaled(("sweep", "screen", "joint")[STAGE_NAMES.index(stage)]) == 9
         run_to_the_end(campaign.directory, adapter)
         assert campaign_files(campaign.directory) == want
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import sys
 import tempfile
@@ -259,6 +260,13 @@ class TestRunExperiment:
             run_experiment(adapter, Configuration({"p": 3.0}), self.w, 0, seed=1)
 
 
+# run_plan's refusals, in the order it checks them
+PLAN_ERRORS = (("duplicate", "plan entries must be unique"),
+               ("parallelism", "parallelism must be >= 1"),
+               ("invalid", "invalid configuration: p=3.0 out of range continuous[0.0, 1.0]"),
+               ("seed", "the store holds seed 3's runs, not seed 4's"))
+
+
 class TestRunPlan:
     def setup_method(self):
         self.space = unit_space(["p", "q"])
@@ -292,6 +300,29 @@ class TestRunPlan:
         entry = (Configuration({"p": 0.5}), self.w, 0)
         with pytest.raises(ParameterError):
             run_plan(flat_adapter(self.space), [entry, entry], seed=0)
+
+    @pytest.mark.parametrize("errors", [
+        [name for i, (name, _) in enumerate(PLAN_ERRORS) if mask >> i & 1]
+        for mask in range(1, 2 ** len(PLAN_ERRORS))])
+    def test_plan_errors_raise_in_order_and_journal_nothing(self, tmp_path, errors):
+        # The invalid configuration comes first and the repeated entry last,
+        # so the error raised is decided by precedence, not by plan position.
+        adapter = flat_adapter(self.space)
+        calls = count_calls(adapter)
+        plan = [(Configuration({"p": i / 10.0}), self.w, 0) for i in range(4)]
+        if "invalid" in errors:
+            plan.insert(0, (Configuration({"p": 3.0}), self.w, 0))
+        if "duplicate" in errors:
+            plan.append((Configuration({"p": 0.1}), self.w, 0))
+        path = tmp_path / "log.jsonl"
+        store = journal_store(path, 3, self.space)
+        message = next(text for name, text in PLAN_ERRORS if name in errors)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            run_plan(adapter, plan, parallelism=0 if "parallelism" in errors else 2,
+                     seed=4 if "seed" in errors else 3, store=store)
+        assert calls == []
+        assert not path.exists()
+        assert store.journaled("sweep") == 0 and len(store) == 0
 
     def test_plan_with_an_invalid_last_entry_measures_and_journals_nothing(self, tmp_path):
         adapter = flat_adapter(self.space)
