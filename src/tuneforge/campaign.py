@@ -33,7 +33,7 @@ from .harness import Adapter, CampaignStore, PlanEntry, campaign_id_for, run_pla
 from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, PairGrid,
                           attach_stage_b, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, stage_a_record, table_from_log)
-from .jsonfile import JsonArtifact, load_fields, write_text
+from .jsonfile import JsonArtifact, write_text
 from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
 from .space import ParameterSpace, WorkloadSpec
 from .topology import (CorrelationGraph, OptimaReport, build_graph, measure_baselines,
@@ -55,7 +55,7 @@ REFERENCE_BUDGET_SHAPE = {"sensitivity": 57, "screen": 32, "joint": 11}
 
 
 @dataclass
-class CampaignState(JsonArtifact):
+class CampaignState(JsonArtifact, name="campaign state"):
     stage: str
     seed: int
     space_hash: str
@@ -66,12 +66,6 @@ class CampaignState(JsonArtifact):
 
     def stage_index(self) -> int:
         return STAGES.index(self.stage)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CampaignState":
-        """The state ``to_json`` wrote, or AnalysisError, so that a renamed key
-        cannot reset the run accounting."""
-        return load_fields(cls, d, "campaign state")
 
 
 class Campaign:

@@ -173,7 +173,12 @@ def run_command(args: argparse.Namespace) -> int:
         campaign.require_stage("compiled", "export")
         export = export_knowledge(campaign.document())
         out = args.out or campaign.path(f"export_{EXPORT_FORMAT}.json")
-        export.save(out)
+        try:
+            export.save(out)
+        except OSError as e:
+            if args.out is None:
+                raise
+            raise ParameterError(f"--out {out}: cannot write the file: {e.strerror}") from None
         print(f"wrote {out} ({len(export.top_k)} parameters, "
               f"{len(export.interactions)} interaction annotations)")
         return EXIT_OK

@@ -51,7 +51,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from types import MappingProxyType
@@ -60,7 +60,7 @@ from typing import Any, ClassVar, Mapping, TypedDict
 from . import expr as expr_mod
 from .errors import AnalysisError, CompileError, DocumentError, ParameterError
 from .interaction import ETA2_MIN, GRID_LEVELS, stage_b_levels
-from .jsonfile import JsonArtifact, Record, dump_fields, each, load_fields, thaw, type_tests
+from .jsonfile import JsonArtifact, Record, load_fields, thaw, type_tests
 from .sensitivity import SafeRange, SensitivityReport
 from .space import (Configuration, ParameterSpace, WorkloadSpec, closest_index,
                     validate_configuration)
@@ -103,24 +103,33 @@ def freeze(value: Any) -> Any:
 Fingerprint = TypedDict("Fingerprint", {"campaign_id": str, "space_hash": str})
 
 
-class _Part(Record):
+@cache
+def _container_fields(cls: type) -> tuple[str, ...]:
+    """The fields of a part whose annotation may admit a container."""
+    return tuple(name for name, (kinds, _) in type_tests(cls).items()
+                 if not kinds or not kinds.isdisjoint(_CONTAINERS))
+
+
+class _Part(Record, error=DocumentError):
     """A frozen part of a document. Construction freezes each field."""
 
     def __post_init__(self):
-        for name in type_tests(type(self)):
+        for name in _container_fields(type(self)):
             value = getattr(self, name)
             if isinstance(value, _CONTAINERS):
                 object.__setattr__(self, name, freeze(value))
 
 
 @dataclass(frozen=True)
-class _Step(_Part):
-    """A procedure step. Each subclass holds exactly the fields its action reads."""
+class _Step(_Part, written=("action",), optional=("adopt", "pin_best")):
+    """A procedure step. Each subclass holds exactly the fields its action
+    reads; a flag is written only when set."""
 
     action: ClassVar[str]
 
     def to_json(self) -> dict:
-        return {"action": self.action, **dump_fields(self, optional=("adopt", "pin_best"))}
+        """One key per field, and the step's `action`."""
+        return {"action": self.action, **super().to_json()}
 
 
 @dataclass(frozen=True)
@@ -169,15 +178,13 @@ _STEP_CLASSES = {cls.action: cls for cls in (BenchmarkStep, ComputeStep, BranchS
 
 def step_from_json(d: dict, where: str = "step") -> _Step:
     """Load one step as the class of its action; an unknown action or a
-    missing, extra or wrongly typed field raises DocumentError. A flag is
-    written only when set, so it may be absent."""
+    missing, extra or wrongly typed field raises DocumentError."""
     if type(d) is not dict or "action" not in d:
         raise DocumentError(f"{where} {d!r} is not an object with an 'action'")
     cls = _STEP_CLASSES.get(d["action"]) if type(d["action"]) is str else None
     if cls is None:
         raise DocumentError(f"{where} has unknown action {d['action']!r}")
-    return load_fields(cls, d, where, written=("action",), optional=("adopt", "pin_best"),
-                       error=DocumentError)
+    return load_fields(cls, d, where)
 
 
 SKILL_KINDS = (KIND_PER_PARAMETER, KIND_PER_COMPONENT, KIND_ORCHESTRATION)
@@ -211,11 +218,13 @@ class Skill(_Part):
         return out
 
     @classmethod
-    def from_json(cls, d: dict) -> "Skill":
-        """Load a skill holding exactly the keys `to_json` writes."""
+    def from_json(cls, d: Any, what: str | None = None, error: type | None = None) -> "Skill":
+        """The skill `to_json` wrote, named in load errors by its id wherever
+        it is held, and each step by the skill's id and the step's index."""
         skill_id = d["id"] if type(d) is dict and "id" in d else None
-        return load_fields(cls, d, f"skill {skill_id!r}", error=DocumentError, procedure=each(
-            lambda i, step: step_from_json(step, f"{skill_id}: step {i}")))
+        return load_fields(cls, d, f"skill {skill_id!r}", procedure=lambda steps: [
+            step_from_json(step, f"{skill_id}: step {i}") for i, step in enumerate(steps)]
+            if type(steps) is list else steps)
 
 
 def _safe_range(param: str, d: Any) -> SafeRange:
@@ -267,8 +276,19 @@ class PreparedDocument:
     runs: dict[tuple, LiteralRun]
 
 
+def _workloads(value: Any) -> Any:
+    """A document's workloads, each named in load errors by its index and
+    holding every key it writes."""
+    if type(value) is not list:
+        return value
+    return [load_fields(WorkloadSpec, w, f"malformed document: workload {i}",
+                        error=DocumentError, defaulted=()) for i, w in enumerate(value)]
+
+
 @dataclass(frozen=True)
-class ProceduralDocument(_Part, JsonArtifact):
+class ProceduralDocument(_Part, JsonArtifact, name="document", written=("edges",),
+                         pinned={"schema_version": SCHEMA_VERSION},
+                         load={"workloads": _workloads}):
     fingerprint: Fingerprint
     root: str
     skills: tuple[Skill, ...]
@@ -279,7 +299,6 @@ class ProceduralDocument(_Part, JsonArtifact):
     provenance: Mapping[str, Any]           # "skill.key" -> {"campaign", "operation"}
     policy: Mapping[str, Any]
     schema_version: int = SCHEMA_VERSION
-    load_error = DocumentError
 
     def __post_init__(self):
         super().__post_init__()
@@ -370,7 +389,9 @@ class ProceduralDocument(_Part, JsonArtifact):
         return prepared
 
     def to_json(self) -> dict:
-        return {**dump_fields(self), "edges": [[a, b] for a, b in self.edges()]}
+        """One key per field, and the `edges` derived from the skills, which
+        are not read."""
+        return {**super().to_json(), "edges": [[a, b] for a, b in self.edges()]}
 
     def document_hash(self) -> str:
         """First 16 hex digits of the sha256 of the compact sorted-key JSON.
@@ -388,17 +409,6 @@ class ProceduralDocument(_Part, JsonArtifact):
     def violations(self) -> tuple[str, ...]:
         """`validate_document`'s findings, computed on first use and kept."""
         return tuple(validate_document(self))
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ProceduralDocument":
-        """Load a document of this schema holding exactly the keys `to_json`
-        writes (`edges`, derived from the skills, is not read); any malformed
-        part raises DocumentError."""
-        return load_fields(
-            cls, d, "document", written=("edges",), pinned={"schema_version": SCHEMA_VERSION},
-            error=DocumentError, skills=each(lambda i, skill: Skill.from_json(skill)),
-            workloads=each(lambda i, w: load_fields(
-                WorkloadSpec, w, f"malformed document: workload {i}", error=DocumentError)))
 
 
 def signal_name(raw: str) -> str:
@@ -911,23 +921,14 @@ def validate_document(doc: ProceduralDocument) -> list[str]:
 
 
 @dataclass
-class KnowledgeExport(JsonArtifact):
+class KnowledgeExport(JsonArtifact, name="knowledge export", error=DocumentError,
+                      pinned={"schema_version": 1, "format_profile": EXPORT_FORMAT}):
     """Mode-2 knowledge-injection payload for external tuners."""
 
     top_k: list[dict]
     safe_ranges: dict[str, dict]
     interactions: list[dict]
     fingerprint: Fingerprint
-    load_error = DocumentError
-
-    def to_json(self) -> dict:
-        return dump_fields(self, pinned={"schema_version": 1, "format_profile": EXPORT_FORMAT})
-
-    @classmethod
-    def from_json(cls, d: dict) -> "KnowledgeExport":
-        """The export ``to_json`` wrote, in this format, or DocumentError."""
-        return load_fields(cls, d, "knowledge export", error=DocumentError,
-                           pinned={"schema_version": 1, "format_profile": EXPORT_FORMAT})
 
 
 def export_knowledge(doc: ProceduralDocument) -> KnowledgeExport:

@@ -37,10 +37,10 @@ from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, Fingerprint, Litera
 # Bound here as well, where perfbench/tracing.py times the session path's
 # validation; a document validates through `ProceduralDocument.violations`.
 from .docgen import validate_document  # noqa: F401
-from .errors import DocumentError, ExpressionError, ParameterError
+from .errors import AnalysisError, DocumentError, ExpressionError, ParameterError
 from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_prefix, repetition_seed,
                       run_valid_experiment)
-from .jsonfile import Record, check, load_fields, thaw, write_text
+from .jsonfile import Record, check, thaw, write_text
 from .space import Configuration, WorkloadSpec, validate_configuration
 
 STATUS_RUNNING = "running"
@@ -58,8 +58,12 @@ TraceHeader = TypedDict("TraceHeader", {"fingerprint": Fingerprint, "document_ha
 
 
 @dataclass(slots=True)
-class TraceEvent(Record):
-    """One replayable execution event (timestamps are a logical counter)."""
+class TraceEvent(Record, name="trace event"):
+    """One replayable execution event (timestamps are a logical counter).
+
+    It loads with exactly the keys it writes, so that a renamed key cannot
+    replay as an empty default, and a malformed predicate is refused at load
+    rather than raised from the replay."""
 
     seq: int
     skill: str
@@ -68,13 +72,6 @@ class TraceEvent(Record):
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     predicates: list[Predicate] = field(default_factory=list)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "TraceEvent":
-        """The event ``to_json`` wrote, or AnalysisError, so that a renamed key
-        cannot replay as an empty default and a malformed predicate is refused
-        at load rather than raised from the replay."""
-        return load_fields(cls, d, "trace event")
 
 
 @dataclass
@@ -112,12 +109,19 @@ class TuningSession:
 
 
 def load_trace(path: str) -> tuple[TraceHeader, list[TraceEvent]]:
-    """The header and events of a saved trace; AnalysisError for a header or
-    an event its writer would not write."""
+    """The header and events of a saved trace; AnalysisError for a line that
+    is not JSON, naming the file and line, and for a header or an event its
+    writer would not write."""
+    def parse(n: int, line: str) -> Any:
+        try:
+            return json.loads(line)
+        except ValueError as e:
+            raise AnalysisError(f"{path}: line {n} is not valid JSON: {e}") from None
+
     with open(path, encoding="utf-8") as fh:
-        header = check(TraceHeader, json.loads(fh.readline()), "trace header")
-        events = [TraceEvent.from_json(json.loads(line))
-                  for line in fh if line.strip()]
+        header = check(TraceHeader, parse(1, fh.readline()), "trace header")
+        events = [TraceEvent.from_json(parse(n, line))
+                  for n, line in enumerate(fh, 2) if line.strip()]
     return header, events
 
 

@@ -24,7 +24,7 @@ from typing import Any
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, CampaignStore, PlanEntry
-from .jsonfile import JsonArtifact, dump_fields, each, load_fields, record
+from .jsonfile import JsonArtifact, Record
 from .sensitivity import SafeRange, SensitivityReport
 from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, snap_to_domain
 from .stats import benjamini_hochberg, f_upper_tail_p
@@ -74,8 +74,11 @@ class FactorialTable:
 
 
 @dataclass
-class AnovaDecomposition:
-    """Balanced two-way fixed-effects sums-of-squares decomposition."""
+class AnovaDecomposition(Record, name="ANOVA decomposition",
+                         dump={"f_interaction": lambda f: "inf" if math.isinf(f) else f},
+                         load={"f_interaction": lambda f: math.inf if f == "inf" else f}):
+    """Balanced two-way fixed-effects sums-of-squares decomposition; an
+    infinite F is written as "inf"."""
 
     ss_a: float
     ss_b: float
@@ -89,23 +92,11 @@ class AnovaDecomposition:
     f_interaction: float
     p_value: float
 
-    def to_json(self) -> dict:
-        return dump_fields(self, f_interaction=lambda f: "inf" if math.isinf(f) else f)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "AnovaDecomposition":
-        return load_fields(cls, d, "ANOVA decomposition",
-                           f_interaction=lambda f: math.inf if f == "inf" else f)
-
-
-def _pair(value: Any) -> Any:
-    """A record's pair, read from its JSON list."""
-    return tuple(value) if type(value) is list else value
-
 
 @dataclass
-class InteractionRecord:
-    """Screening outcome for one (pair, workload)."""
+class InteractionRecord(Record, name="interaction record", optional=("decomposition",)):
+    """Screening outcome for one (pair, workload); ``decomposition`` is left
+    out when there is none."""
 
     pair: tuple[str, str]
     workload_id: str
@@ -125,18 +116,10 @@ class InteractionRecord:
         return not self.unsafe_to_screen and self.stage_a_verdict not in (
             None, VERDICT_INDEPENDENT)
 
-    def to_json(self) -> dict:
-        return dump_fields(self, optional=("decomposition",))
-
-    @classmethod
-    def from_json(cls, d: dict) -> "InteractionRecord":
-        """The record ``to_json`` wrote, where only `decomposition` may be
-        absent, or AnalysisError."""
-        return load_fields(cls, d, "interaction record", optional=("decomposition",),
-                           pair=_pair, decomposition=record(AnovaDecomposition.from_json))
 
 @dataclass
-class InteractionReport(JsonArtifact):
+class InteractionReport(JsonArtifact, name="interaction report", written=("thresholds",),
+                        pinned={"schema_version": 1}):
     campaign_id: str
     space_hash: str
     records: list[InteractionRecord]
@@ -156,17 +139,11 @@ class InteractionReport(JsonArtifact):
         return out
 
     def to_json(self) -> dict:
-        return {**dump_fields(self, pinned={"schema_version": 1}),
+        """One key per field, and the screen's `thresholds`, which are not read."""
+        return {**super().to_json(),
                 "thresholds": {"advance_pct": ADVANCE_PCT, "independent_pct": INDEPENDENT_PCT,
                                "eta2_min": ETA2_MIN, "q_max": Q_MAX,
                                "stage_b_levels": GRID_LEVELS, "stage_b_reps": STAGE_B_REPS}}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "InteractionReport":
-        """The report ``to_json`` wrote (`thresholds` is not read), or AnalysisError."""
-        return load_fields(cls, d, "interaction report", written=("thresholds",),
-                           pinned={"schema_version": 1},
-                           records=each(lambda i, r: InteractionRecord.from_json(r)))
 
 
 def plan_pairs(top_k: list[str]) -> list[tuple[str, str]]:

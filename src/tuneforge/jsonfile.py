@@ -10,15 +10,16 @@ and leaves to ``json.dumps`` only a value that is not a plain JSON value.
 ``write_text`` is the atomic replace behind them, and behind the session
 trace and the final configuration file too.
 
-Every artifact record has one writer and one reader, and both take its keys
-from its dataclass fields: ``dump_fields`` writes one key per field, and
-``load_fields`` builds the dataclass from a JSON object holding exactly those
-keys, so a renamed or missing key raises the artifact's load error instead of
-loading as a default; the declaration and model files load the same way. The
-keywords mean the same in both directions: ``pinned`` keys hold one value (a
-schema version), an ``optional`` key is left out when empty, and a
-``dump``/``load`` entry (such as ``each``, ``values`` or ``record``) builds one
-field.
+Every record states its JSON schema once, on its class (``Record``): one key
+per dataclass field, plus what it declares by class keyword, such as its name
+in load errors, its ``pinned`` schema version and its ``optional`` keys. From
+that, built once per class, ``Record.to_json`` writes it and ``load_fields``
+reads it back from a JSON object holding exactly those keys, so a renamed or
+missing key raises the artifact's load error instead of loading as a default;
+the declaration and model files load the same way. A nested record loads
+through its field's annotation (``X``, ``X | None``, ``list[X]``,
+``tuple[X, ...]``, ``Mapping[str, X]``): under the name it declares, or else
+under its path in the record that holds it.
 
 Types are checked in one table: ``load_fields`` tests each field value, once
 its loader has run, against its annotation (a fixed-key payload is a
@@ -147,16 +148,6 @@ def type_tests(cls: type) -> dict[str, tuple[frozenset, Callable[[Any], str | No
             for name in ([f.name for f in fields(cls)] if is_dataclass(cls) else hints)}
 
 
-def _wrong_field(tests: dict, values: dict) -> str | None:
-    """Why the first value of ``values`` that its field's test refuses fails,
-    after its key."""
-    for key, value in values.items():
-        kinds, why = tests[key]
-        if type(value) not in kinds and (reason := why(value)) is not None:
-            return f"{key}: {reason}"
-    return None
-
-
 @cache
 def _test(hint: Any) -> tuple[frozenset, Callable[[Any], str | None]]:
     """(kinds, why) of an annotation: the types of the values it admits outright,
@@ -201,7 +192,7 @@ def _test(hint: Any) -> tuple[frozenset, Callable[[Any], str | None]]:
             wrong(value) if type(value) is not dict else
             f"missing keys {sorted(keys - value.keys())}, unknown keys "
             f"{sorted(value.keys() - keys)}" if value.keys() != keys else
-            _wrong_field(type_tests(hint), value))
+            _codec(hint).wrong(value))
     if is_dataclass(hint):
         return frozenset({hint}), lambda value: None if isinstance(value, hint) else wrong(value)
     raise TypeError(f"no test for the annotation {name}")
@@ -212,63 +203,6 @@ def check(hint: Any, value: Any, what: str, error: type[TuneforgeError] = Analys
     if (reason := _test(hint)[1](value)) is not None:
         raise error(f"{what}: {reason}")
     return value
-
-
-@cache
-def _keys(cls: type, written: tuple[str, ...], optional: tuple[str, ...]
-          ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-    """The keys ``cls.to_json`` may write, those it always writes, and those
-    of them that ``cls`` does not read."""
-    names = frozenset(type_tests(cls))
-    keys = names | frozenset(written)
-    return keys, keys - frozenset(optional), keys - names
-
-
-def load_fields(cls: type, d: Any, what: str, *, written: tuple[str, ...] = (),
-                optional: tuple[str, ...] = (),
-                pinned: Mapping[str, Any] = MappingProxyType({}),
-                error: type[TuneforgeError] = AnalysisError,
-                **load: Callable[[Any], Any]) -> Any:
-    """The dataclass ``cls`` built from ``d``, a JSON object holding exactly the
-    keys its ``to_json`` writes, or ``error`` naming the keys that differ.
-
-    The keys are the fields of ``cls`` plus ``written``, the keys ``to_json``
-    adds and ``cls`` does not read, plus ``pinned``, the keys that must hold
-    one value (a schema version), which are checked first. Only the keys in
-    ``optional``, which ``to_json`` leaves out when empty, may be absent; an
-    absent field takes its default. ``load`` maps a field to the function
-    that builds it from its JSON value; a TypeError or ValueError it raises,
-    a built value its annotation refuses, and an error ``cls`` raises when it
-    checks its values become ``error``.
-    """
-    got = d.keys() if type(d) is dict else frozenset()
-    if pinned:
-        for key, value in pinned.items():
-            if key in got and (type(d[key]) is not type(value) or d[key] != value):
-                raise error(f"unsupported {what} {key} {d[key]!r}")
-        written += tuple(pinned)
-    keys, required, unread = _keys(cls, written, optional)
-    if got != keys and got != required:
-        missing, unknown = required - got, got - keys
-        if missing or unknown:
-            raise error(f"{what}: missing keys {sorted(missing)}, unknown keys "
-                        f"{sorted(unknown, key=str)}")  # a YAML key need not be a str
-    values = dict(d)
-    for key in unread:
-        values.pop(key, None)  # an optional key may be absent
-    for key, build in load.items():
-        if key in values:
-            try:
-                values[key] = build(values[key])
-            except (TypeError, ValueError) as e:  # a value of the wrong type
-                raise error(f"{what}: {key}: {e}") from None
-    reason = _wrong_field(type_tests(cls), values)
-    if reason is not None:
-        raise error(f"{what}: {reason}")
-    try:
-        return cls(**values)
-    except TuneforgeError as e:  # a class that checks its fields when built
-        raise error(f"{what}: {e}") from None
 
 
 def thaw(value: Any) -> Any:
@@ -285,62 +219,208 @@ def thaw(value: Any) -> Any:
     return value if to_json is None else to_json()
 
 
-def dump_fields(obj: Any, *, optional: tuple[str, ...] = (),
-                pinned: Mapping[str, Any] = MappingProxyType({}),
-                **dump: Callable[[Any], Any]) -> dict:
-    """The JSON object of the dataclass ``obj``: one key per field, as
-    ``load_fields`` reads it back.
+# A field loader: (JSON value, the field's path in load errors, the error
+# class to raise) -> the value to build the record with.
+Loader = Callable[[Any, str, type], Any]
 
-    ``pinned`` keys are written with their pinned value, and an ``optional``
-    field is left out when its value is empty or false. ``dump`` maps a field
-    to the function that builds its JSON value; any other value is converted
-    by ``thaw``.
+
+def _plain(build: Callable[[Any], Any]) -> Loader:
+    """The loader of ``build(value)``, which names no path."""
+    return lambda value, at, error: build(value)
+
+
+@cache
+def _loader(hint: Any) -> Loader | None:
+    """The loader of a field annotated ``hint``, or None when the field holds
+    its JSON value as it is; a value of another shape is left to the
+    annotation check.
+
+    A record class loads through its ``from_json``: under the name it
+    declares, or else under its path, raising the error of the record that
+    holds it. A ``list[X]`` or ``tuple[X, ...]`` of records loads item by
+    item and a ``Mapping[str, X]`` value by value, each at its index or key
+    (a key that is not a str, as YAML allows, is a TypeError); a JSON list
+    for any tuple becomes a tuple."""
+    origin, args = get_origin(hint), get_args(hint)
+    if isinstance(hint, type) and issubclass(hint, Record):
+        from_json = hint.from_json
+        if "name" in hint._schema:
+            return lambda value, at, error: from_json(value) if type(value) is dict else value
+        return lambda value, at, error: (from_json(value, at, error) if type(value) is dict
+                                         else value)
+    if origin in (UnionType, Union):  # X | None
+        loaders = [loader for arg in args if (loader := _loader(arg)) is not None]
+        if len(loaders) > 1:
+            raise TypeError(f"no loader for the annotation {hint!r}")
+        return loaders[0] if loaders else None
+    if origin in (list, tuple):
+        item = _loader(args[0]) if args[1:] in ((), (...,)) else None
+        if item is None:
+            return None if origin is list else (
+                lambda value, at, error: tuple(value) if type(value) is list else value)
+        return lambda value, at, error: origin(
+            [item(v, f"{at}: {i}", error) for i, v in enumerate(value)]
+        ) if type(value) is list else value
+    if origin in (dict, abc.Mapping) and (item := _loader(args[1])) is not None:
+        def load(value: Any, at: str, error: type) -> Any:
+            if type(value) is not dict:
+                return value
+            if not all(type(key) is str for key in value):
+                raise TypeError(f"keys {list(value)} are not all str")
+            return {key: item(v, f"{at}: {key}", error) for key, v in value.items()}
+        return load
+    return None
+
+
+class _Codec:
+    """The JSON form of one record class (a dataclass or a ``TypedDict``):
+    its keys, loaders and annotation tests, bound once.
+
+    The keys are the fields, each written as its value (``thaw``), plus
+    ``pinned`` keys, written first with one value (a schema version), plus
+    ``written`` keys, which a hand-written writer adds and nothing reads. An
+    ``optional`` key may be absent and is left out when empty or false; a
+    ``defaulted`` key, which a user's file may leave out, may be absent and
+    is always written. An absent field takes its default. ``dump`` and
+    ``load`` map a field to the function that builds its JSON value and its
+    value; any other field loads by its annotation (``_loader``). ``name``
+    names the record in load errors, unless a record holding it names it by
+    its path, and ``error`` is the class they raise.
     """
-    d = dict(pinned)
-    for name in type_tests(type(obj)):
-        value = getattr(obj, name)
-        if not value and name in optional:
-            continue
-        if name in dump:
-            d[name] = dump[name](value)
-        else:
-            d[name] = value if type(value) in _SCALARS else thaw(value)
-    return d
+
+    def __init__(self, cls: type, *, name: str | None = None,
+                 error: type[TuneforgeError] = AnalysisError, optional: tuple[str, ...] = (),
+                 defaulted: tuple[str, ...] = (), pinned: Mapping[str, Any] = MappingProxyType({}),
+                 written: tuple[str, ...] = (),
+                 dump: Mapping[str, Callable[[Any], Any]] = MappingProxyType({}),
+                 load: Mapping[str, Callable[[Any], Any]] = MappingProxyType({})):
+        self.cls, self.name, self.error = cls, name, error
+        self.tests = type_tests(cls)
+        self.kinds = {name: kinds for name, (kinds, _) in self.tests.items()}
+        names = frozenset(self.tests)
+        self.pinned = tuple(pinned.items())
+        self.keys = names | frozenset(written) | frozenset(pinned)
+        self.required = self.keys - frozenset(optional) - frozenset(defaulted)
+        self.unread = tuple(self.keys - names)
+        self.loaders = {**_loaders(cls), **{key: _plain(build) for key, build in load.items()}}
+        self.fields = tuple((name, dump.get(name), name in optional) for name in self.tests)
+
+    def dump(self, obj: Any) -> dict:
+        d = dict(self.pinned)
+        for name, build, optional in self.fields:
+            value = getattr(obj, name)
+            if optional and not value:
+                continue
+            d[name] = (build(value) if build is not None else
+                       value if type(value) in _SCALARS else thaw(value))
+        return d
+
+    def wrong(self, values: dict) -> str | None:
+        """Why the first of ``values`` that its field's test refuses fails,
+        after its key; None when each passes."""
+        kinds, tests = self.kinds, self.tests
+        for key, value in values.items():
+            if type(value) not in kinds[key] and (reason := tests[key][1](value)) is not None:
+                return f"{key}: {reason}"
+        return None
+
+    def load(self, d: Any, what: str, error: type[TuneforgeError],
+             loaders: dict[str, Loader]) -> Any:
+        got = d.keys() if type(d) is dict else frozenset()
+        for key, value in self.pinned:
+            if key in got and (type(d[key]) is not type(value) or d[key] != value):
+                raise error(f"unsupported {what} {key} {d[key]!r}")
+        if got != self.keys and got != self.required:
+            missing, unknown = self.required - got, got - self.keys
+            if missing or unknown:
+                raise error(f"{what}: missing keys {sorted(missing)}, unknown keys "
+                            f"{sorted(unknown, key=str)}")  # a YAML key need not be a str
+        values = dict(d)
+        for key in self.unread:
+            values.pop(key, None)  # an optional key may be absent
+        for key, build in loaders.items():
+            if key in values:
+                try:
+                    values[key] = build(values[key], f"{what}: {key}", error)
+                except (TypeError, ValueError) as e:  # a value of the wrong type
+                    raise error(f"{what}: {key}: {e}") from None
+        reason = self.wrong(values)
+        if reason is not None:
+            raise error(f"{what}: {reason}")
+        try:
+            return self.cls(**values)
+        except TuneforgeError as e:  # a class that checks its fields when built
+            raise error(f"{what}: {e}") from None
+
+
+@cache
+def _loaders(cls: type) -> dict[str, Loader]:
+    """Field -> loader of each field of ``cls`` whose annotation has one."""
+    hints = get_type_hints(cls)
+    return {name: loader for name in type_tests(cls)
+            if (loader := _loader(hints[name])) is not None}
+
+
+@cache
+def _codec(cls: type) -> _Codec:
+    """The codec of the schema ``cls`` declares, built on first use."""
+    return _Codec(cls, **getattr(cls, "_schema", {}))
+
+
+def load_fields(cls: type, d: Any, what: str | None = None, *,
+                error: type[TuneforgeError] | None = None, optional: tuple[str, ...] | None = None,
+                defaulted: tuple[str, ...] | None = None,
+                pinned: Mapping[str, Any] | None = None, written: tuple[str, ...] | None = None,
+                **load: Callable[[Any], Any]) -> Any:
+    """The record ``cls`` built from ``d``, a JSON object holding exactly the
+    keys its ``to_json`` writes, or the load error naming the keys that differ.
+
+    Every record loads here. ``what`` (by default the name ``cls`` declares)
+    names it in load errors, which raise ``error`` (by default the class
+    ``cls`` declares). The keywords stand in for those ``cls`` declares (see
+    ``_Codec``), and ``load`` maps a field to the function that builds it from
+    its JSON value. A TypeError or ValueError a loader raises, a built value
+    its annotation refuses, and an error ``cls`` raises when it checks its
+    values become the load error.
+    """
+    if optional is None and defaulted is None and pinned is None and written is None:
+        codec = _codec(cls)
+    else:
+        codec = _Codec(cls, **{**getattr(cls, "_schema", {}), **{
+            key: value for key, value in (("optional", optional), ("defaulted", defaulted),
+                                          ("pinned", pinned), ("written", written))
+            if value is not None}})
+    loaders = codec.loaders if not load else {
+        **codec.loaders, **{key: _plain(build) for key, build in load.items()}}
+    return codec.load(d, what or codec.name, error or codec.error, loaders)
 
 
 class Record:
-    """A dataclass written with one key per field (``dump_fields``)."""
+    """A dataclass whose JSON form is one key per field, written by
+    ``to_json`` and read by ``from_json``.
+
+    A class declares the rest of its form once, by class keyword (those of
+    ``_Codec``): ``class Report(Record, name="report", pinned={...})``. A
+    subclass inherits each declaration, and may restate it.
+    """
 
     __slots__ = ()  # so that a record declared with slots has no __dict__
+    _schema = MappingProxyType({})
+
+    def __init_subclass__(cls, **schema: Any):
+        super().__init_subclass__()
+        cls._schema = {**cls._schema, **schema}
 
     def to_json(self) -> dict:
-        return dump_fields(self)
+        return _codec(type(self)).dump(self)
 
-
-def each(build: Callable[[int, Any], Any]) -> Callable[[Any], Any]:
-    """A loader of ``build(i, item)`` for each item of a list, leaving any other
-    value to the annotation check."""
-    return lambda value: ([build(i, item) for i, item in enumerate(value)]
-                          if type(value) is list else value)
-
-
-def values(build: Callable[[str, Any], Any]) -> Callable[[Any], Any]:
-    """A loader of ``build(key, item)`` for each item of an object, leaving any
-    other value to the annotation check; a key that is not a str (YAML allows
-    one) is a TypeError."""
-    def load(value: Any) -> Any:
-        if type(value) is not dict:
-            return value
-        if not all(type(key) is str for key in value):
-            raise TypeError(f"keys {list(value)} are not all str")
-        return {key: build(key, item) for key, item in value.items()}
-    return load
-
-
-def record(build: Callable[[dict], Any]) -> Callable[[Any], Any]:
-    """A loader of ``build(value)`` for an object, leaving any other value to
-    the annotation check."""
-    return lambda value: build(value) if type(value) is dict else value
+    @classmethod
+    def from_json(cls, d: Any, what: str | None = None,
+                  error: type[TuneforgeError] | None = None) -> Any:
+        """The record ``to_json`` wrote, or its load error; ``what`` and
+        ``error`` are those of the record that holds it, for a record that
+        declares no name."""
+        return load_fields(cls, d, what, error=error)
 
 
 def finite_floats(value: Any) -> dict[str, float]:
@@ -373,10 +453,7 @@ def write_text(path: str, text: str) -> None:
 
 
 class JsonArtifact(Record):
-    """``save``/``load``/``serialize`` for a class with ``to_json``/``from_json``."""
-
-    # Raised by ``load`` for a file that is not JSON.
-    load_error = AnalysisError
+    """``save``/``load``/``serialize`` for a record kept in a file of its own."""
 
     def serialize(self) -> str:
         """The exact text ``save`` writes."""
@@ -387,9 +464,14 @@ class JsonArtifact(Record):
 
     @classmethod
     def load(cls, path: str):
-        with open(path, encoding="utf-8") as fh:
-            try:
+        """The record in the file at ``path``; the class's load error for a
+        file that cannot be read or is not JSON."""
+        error = cls._schema.get("error", AnalysisError)
+        try:
+            with open(path, encoding="utf-8") as fh:
                 d = json.load(fh)
-            except ValueError as e:
-                raise cls.load_error(f"{path} is not valid JSON: {e}") from e
+        except OSError as e:
+            raise error(f"{path}: cannot read the file: {e.strerror}") from None
+        except ValueError as e:
+            raise error(f"{path} is not valid JSON: {e}") from e
         return cls.from_json(d)

@@ -19,8 +19,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_CRASH, OUTCOME_OK, OUTCOME_TIMEOUT, Measurement, PlanEntry
-from .jsonfile import (JsonArtifact, Record, dump_fields, each, finite_floats, load_fields,
-                       record)
+from .jsonfile import JsonArtifact, Record, finite_floats
 from .space import (Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, closest_index,
                     level_grid)
 
@@ -59,7 +58,7 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class SafeRange:
+class SafeRange(Record, name="safe range"):
     """Contiguous safe span; numeric domains use (lo, hi), enums a value list
     (a tuple in a document, which cannot be widened in place)."""
 
@@ -86,7 +85,7 @@ class SafeRange:
 
 
 @dataclass
-class SensitivityProfile(Record):
+class SensitivityProfile(Record, name="sensitivity profile"):
     parameter: str
     cv_per_workload: dict[str, float]
     aggregate_cv: float
@@ -97,15 +96,12 @@ class SensitivityProfile(Record):
     best_level: dict[str, Any] = field(default_factory=dict)  # per-workload argbest level
     warnings: list[str] = field(default_factory=list)
 
-    @classmethod
-    def from_json(cls, d: dict) -> "SensitivityProfile":
-        """The profile ``to_json`` wrote, or AnalysisError."""
-        return load_fields(cls, d, "sensitivity profile", safe_range=record(SafeRange.from_json))
-
 
 @dataclass
-class SensitivityReport(JsonArtifact):
-    """Stage-1 output: one record per swept parameter, plus campaign identity."""
+class SensitivityReport(JsonArtifact, name="sensitivity report", optional=("excluded",),
+                        pinned={"schema_version": 1}, load={"baseline_means": finite_floats}):
+    """Stage-1 output: one record per swept parameter, plus campaign identity;
+    ``excluded`` is left out when empty."""
 
     campaign_id: str
     space_hash: str
@@ -123,17 +119,6 @@ class SensitivityReport(JsonArtifact):
 
     def top_k(self) -> list[SensitivityProfile]:
         return [p for p in self.profiles if p.selected]
-
-    def to_json(self) -> dict:
-        return dump_fields(self, optional=("excluded",), pinned={"schema_version": 1})
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SensitivityReport":
-        """The report ``to_json`` wrote, or AnalysisError; ``excluded`` may be
-        absent, as it is when empty."""
-        return load_fields(cls, d, "sensitivity report", optional=("excluded",),
-                           pinned={"schema_version": 1}, baseline_means=finite_floats,
-                           profiles=each(lambda i, p: SensitivityProfile.from_json(p)))
 
 
 def degraded(value: float, baseline: float, direction: str) -> bool:

@@ -8,9 +8,10 @@ where each f_i is a named response shape over the parameter's normalized
 position, each g_ij is a bilinear coupling reaching ``1 + strength`` at the
 high-high corner, and noise is multiplicative lognormal. Because every term
 has a closed form, analyses downstream (CV, Int%, eta squared, grid optima)
-can be checked against hand-evaluated values. The model file loads through
-``jsonfile.load_fields``, no value converted; its writer is hand-written, as a
-response writes its shape's keys and the model sorts its maps.
+can be checked against hand-evaluated values. The model file loads as the
+schema each record class declares (``jsonfile.Record``), no value converted;
+its writer is hand-written, as a response writes its shape's keys and the
+model sorts its maps.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from .errors import CrashError, ParameterError
-from .jsonfile import Record, each, load_fields, values, write_text
+from .jsonfile import Record, write_text
 from .space import Configuration, ParameterSpace, WorkloadSpec, dump_yaml, load_yaml
 
 SHAPES = ("linear-up", "linear-down", "quadratic-peak", "step", "flat")
 
 
 @dataclass(frozen=True)
-class Response:
+class Response(Record, defaulted=("strength", "peak", "threshold", "low_mult", "high_mult")):
     """Per-parameter multiplier over the normalized position n in [0, 1].
 
     linear-up        1 + strength * n
@@ -74,12 +75,6 @@ class Response:
         if self.shape == "step":
             d.update(threshold=self.threshold, low_mult=self.low_mult, high_mult=self.high_mult)
         return d
-
-    @classmethod
-    def from_json(cls, d: dict, what: str) -> "Response":
-        """A missing key other than ``shape`` takes its default."""
-        return load_fields(cls, d, what, error=ParameterError,
-                           optional=("strength", "peak", "threshold", "low_mult", "high_mult"))
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,9 @@ class _WorkloadTable:
 
 
 @dataclass(frozen=True)
-class SimulatorModel:
+class SimulatorModel(Record, name="model", error=ParameterError, pinned={"schema_version": 1},
+                     defaulted=("schema_version", "sigma", "responses", "couplings", "crashes",
+                                "overrides")):
     """Planted ground-truth model for one parameter space.
 
     ``overrides`` substitutes per-workload response functions, letting
@@ -180,6 +177,9 @@ class SimulatorModel:
     lazily into one table per (space, workload) and evaluates a configuration
     in time proportional to its assignments, the non-flat responses and the
     couplings rather than to the size of the space.
+
+    Its file may leave out every key but ``base_rate``, and a response every
+    key but ``shape``: a missing key takes its default.
     """
 
     base_rate: float
@@ -286,22 +286,6 @@ class SimulatorModel:
             "overrides": {w: {k: v.to_json() for k, v in sorted(m.items())}
                           for w, m in sorted(self.overrides.items())},
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SimulatorModel":
-        """The model of schema_version 1, which may be left out, as may every
-        key but ``base_rate``: a missing key takes its default."""
-        return load_fields(
-            cls, d, "model", pinned={"schema_version": 1},
-            optional=("schema_version", "sigma", "responses", "couplings", "crashes", "overrides"),
-            error=ParameterError,
-            responses=values(lambda k, v: Response.from_json(v, f"model: responses: {k}")),
-            couplings=each(lambda i, c: load_fields(Coupling, c, f"model: couplings: {i}",
-                                                    error=ParameterError)),
-            crashes=values(lambda k, v: load_fields(CrashRegion, v, f"model: crashes: {k}",
-                                                    error=ParameterError)),
-            overrides=values(lambda w, m: values(lambda k, v: Response.from_json(
-                v, f"model: overrides: {w}: {k}"))(m)))
 
     def save(self, path: str) -> None:
         write_text(path, dump_yaml(self.to_json()))

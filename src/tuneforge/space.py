@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterator, TypedDict
 import yaml
 
 from .errors import ParameterError
-from .jsonfile import Record, dump_fields, each, load_fields, record
+from .jsonfile import Record, load_fields
 
 SCHEMA_VERSION = 1
 _PINNED = {"schema_version": SCHEMA_VERSION}
@@ -45,7 +45,7 @@ DomainKind = str  # "continuous" | "integer" | "enum" | "boolean"
 
 
 @dataclass(frozen=True)
-class Domain:
+class Domain(Record, defaulted=("lo", "hi", "values")):
     """Value domain of one parameter.
 
     * continuous(lo, hi): closed real interval, lo < hi
@@ -128,19 +128,19 @@ class Domain:
         return d
 
     @classmethod
-    def from_json(cls, d: dict, what: str) -> "Domain":
+    def from_json(cls, d: dict, what: str | None = None,
+                  error: type[ParameterError] = ParameterError) -> "Domain":
         """The domain ``d`` declares: the one tagged union, so the keys of the
         kind its ``type`` names are checked here, and the values by the table."""
         kind = d.get("type")
         keys = _DOMAIN_KEYS.get(kind) if type(kind) is str else None
         if d.keys() != keys:
-            raise ParameterError(
+            raise error(
                 f"{what}: keys {sorted(d, key=str)}, but a domain of type {kind!r} holds "
                 f"{sorted(keys) if keys else 'none; the types are ' + ', '.join(_DOMAIN_KEYS)}")
         values = dict(d)
         values["kind"] = values.pop("type")
-        return load_fields(cls, values, what, optional=("lo", "hi", "values"),
-                           error=ParameterError)
+        return load_fields(cls, values, what, error=error)
 
 
 # The keys of each domain kind.
@@ -149,7 +149,7 @@ _DOMAIN_KEYS = {"continuous": {"type", "lo", "hi"}, "integer": {"type", "lo", "h
 
 
 @dataclass(frozen=True)
-class ParameterSpec(Record):
+class ParameterSpec(Record, defaulted=("unit", "restart_required", "scale")):
     """One tunable parameter: its domain, default, and metadata."""
 
     name: str
@@ -171,16 +171,12 @@ class ParameterSpec(Record):
             if self.domain.kind not in ("continuous", "integer") or self.domain.lo <= 0:
                 raise ParameterError(f"log scale on {self.name!r} requires a numeric domain with lo > 0")
 
-    @classmethod
-    def from_json(cls, d: dict, what: str) -> "ParameterSpec":
-        return load_fields(cls, d, what, optional=("unit", "restart_required", "scale"),
-                           error=ParameterError,
-                           domain=record(lambda v: Domain.from_json(v, f"{what}: domain")))
-
 
 @dataclass(frozen=True)
-class ParameterSpace:
-    """Ordered collection of parameter specs with unique names."""
+class ParameterSpace(Record, name="declaration", error=ParameterError, pinned=_PINNED,
+                     written=("workloads",), optional=("workloads",)):
+    """Ordered collection of parameter specs with unique names: the
+    ``parameters`` of a declaration, which may also hold ``workloads``."""
 
     parameters: tuple[ParameterSpec, ...]
 
@@ -236,17 +232,6 @@ class ParameterSpace:
         blob = json.dumps([p.to_json() for p in self.parameters], sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def to_json(self) -> dict:
-        return dump_fields(self, pinned=_PINNED)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ParameterSpace":
-        """The ``parameters`` of a declaration, which may also hold ``workloads``."""
-        return load_fields(
-            cls, d, "declaration", written=("workloads",), optional=("workloads",),
-            pinned=_PINNED, error=ParameterError, parameters=each(
-                lambda i, p: ParameterSpec.from_json(p, f"declaration: parameters: {i}")))
-
 
 def json_scalar(v: Any) -> str:
     """``json.dumps(v, sort_keys=True)``, without building an encoder for the
@@ -300,7 +285,7 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec(Record):
+class WorkloadSpec(Record, defaulted=("metric_name", "direction")):
     """One benchmark workload and the metric it optimizes."""
 
     id: str
@@ -432,9 +417,7 @@ def dump_yaml(doc: Any) -> str:
 def _workloads(doc: Any) -> list[WorkloadSpec]:
     workloads = load_fields(
         _Workloads, doc, "declaration", written=("parameters",), optional=("parameters",),
-        pinned=_PINNED, error=ParameterError, workloads=each(lambda i, w: load_fields(
-            WorkloadSpec, w, f"declaration: workloads: {i}", optional=("metric_name", "direction"),
-            error=ParameterError)))["workloads"]
+        pinned=_PINNED, error=ParameterError)["workloads"]
     ids = [w.id for w in workloads]
     if len(set(ids)) != len(ids):
         raise ParameterError("declaration: duplicate workload ids")

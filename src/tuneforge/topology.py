@@ -18,8 +18,7 @@ from typing import Any, TypedDict
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, Adapter, CampaignStore, Measurement, PlanEntry, run_plan
 from .interaction import InteractionReport, stage_b_levels
-from .jsonfile import (JsonArtifact, Record, dump_fields, each, finite_floats, load_fields,
-                       record)
+from .jsonfile import JsonArtifact, Record, finite_floats
 from .sensitivity import SensitivityReport
 from .space import Configuration, ParameterSpace, WorkloadSpec
 
@@ -53,7 +52,7 @@ class UnionFind:
 
 
 @dataclass(frozen=True)
-class GraphEdge(Record):
+class GraphEdge(Record, name="graph edge"):
     """One confirmed interaction: endpoints, effect size, and test statistics."""
 
     a: str
@@ -62,13 +61,9 @@ class GraphEdge(Record):
     p_value: float | None = None
     q_value: float | None = None
 
-    @classmethod
-    def from_json(cls, d: dict) -> "GraphEdge":
-        return load_fields(cls, d, "graph edge")
-
 
 @dataclass
-class CorrelationGraph(Record):
+class CorrelationGraph(Record, name="correlation graph"):
     """Weighted interaction graph plus its connected-component partition."""
 
     nodes: list[str]
@@ -80,11 +75,6 @@ class CorrelationGraph(Record):
 
     def isolates(self) -> list[str]:
         return [c[0] for c in self.components if len(c) == 1]
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CorrelationGraph":
-        return load_fields(cls, d, "correlation graph",
-                           edges=each(lambda i, e: GraphEdge.from_json(e)))
 
 
 def build_graph(top_k: list[str], report: InteractionReport) -> CorrelationGraph:
@@ -151,8 +141,11 @@ class JointSearchPlan:
 
 
 @dataclass
-class JointOptimum:
-    """Best grid point of one component under one workload."""
+class JointOptimum(Record, name="joint optimum",
+                   dump={"best_config": lambda config: config.assignments},
+                   load={"best_config": lambda d: Configuration(d) if type(d) is dict else d}):
+    """Best grid point of one component under one workload; `best_config` is
+    written as its assignments."""
 
     component: list[str]
     workload_id: str
@@ -160,20 +153,17 @@ class JointOptimum:
     best_metric: float
     improvement_vs_default: float
 
-    def to_json(self) -> dict:
-        return dump_fields(self, best_config=lambda config: config.assignments)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "JointOptimum":
-        return load_fields(cls, d, "joint optimum", best_config=record(Configuration))
-
 
 # A component the joint stage rejected rather than searched, and why.
 Rejection = TypedDict("Rejection", {"component": list[str], "reason": str})
 
 
 @dataclass
-class OptimaReport(JsonArtifact):
+class OptimaReport(JsonArtifact, name="optima report", optional=("rejected",),
+                   pinned={"schema_version": 1}, load={"baseline_means": finite_floats}):
+    """Stage-3 output: the correlation graph, each searched component's optima
+    and the components rejected; ``rejected`` is left out when empty."""
+
     campaign_id: str
     space_hash: str
     graph: CorrelationGraph
@@ -181,19 +171,6 @@ class OptimaReport(JsonArtifact):
     baseline_means: dict[str, float]
     runs_used: int = 0
     rejected: list[Rejection] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return dump_fields(self, optional=("rejected",), pinned={"schema_version": 1})
-
-    @classmethod
-    def from_json(cls, d: dict) -> "OptimaReport":
-        """The report ``to_json`` wrote, or AnalysisError; ``rejected`` may be
-        absent, as it is when empty."""
-        return load_fields(cls, d, "optima report", optional=("rejected",),
-                           pinned={"schema_version": 1},
-                           graph=record(CorrelationGraph.from_json),
-                           optima=each(lambda i, o: JointOptimum.from_json(o)),
-                           baseline_means=finite_floats)
 
 
 def rejection_reason(component: list[str]) -> str | None:

@@ -442,6 +442,31 @@ class TestFullPipeline:
         assert len(errors) == 1
         assert errors[0].startswith(f"analysis error: {path} is not valid JSON: ")
 
+    def test_missing_report_exits_with_analysis_code(self, decls, capsys):
+        # Once raised FileNotFoundError out of the CLI.
+        campaign = str(decls["dir"] / "missing_report")
+        assert run_cli(decls, campaign, "profile") == 0
+        path = os.path.join(campaign, SENSITIVITY_REPORT)
+        os.remove(path)
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "screen") == 2
+        err = capsys.readouterr().err
+        assert err == (f"analysis error: {path}: cannot read the file: "
+                       f"No such file or directory\n")
+
+    def test_export_into_a_missing_directory_is_usage_error(self, decls, capsys):
+        # Once raised FileNotFoundError naming a temporary file out of the CLI.
+        campaign = str(decls["dir"] / "export_nowhere")
+        for cmd in ("profile", "screen", "joint", "compile"):
+            assert run_cli(decls, campaign, cmd) == 0
+        out = str(decls["dir"] / "nowhere" / "x.json")
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "export", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: --out {out}: cannot write the file: "
+                       f"No such file or directory\n")
+        assert not os.path.exists(os.path.dirname(out))
+
     def test_lock_file_released_after_command(self, decls):
         campaign = str(decls["dir"] / "locked")
         assert run_cli(decls, campaign, "profile") == 0

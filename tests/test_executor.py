@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -344,6 +345,21 @@ class TestReplay:
         lines[0] = json.dumps(header, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(AnalysisError, match=rf"^trace header: {named}$"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda lines: [], 1),
+        (lambda lines: ["{"] + lines[1:], 1),
+        (lambda lines: lines[:2] + ["{not json"] + lines[3:], 3),
+    ], ids=["empty", "header-not-json", "event-not-json"])
+    def test_trace_that_is_not_json_lines_fails_the_load(self, pipeline, tmp_path, edit, line):
+        # Once raised json.JSONDecodeError out of load_trace.
+        session = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=13)
+        path = tmp_path / "trace.jsonl"
+        session.save_trace(str(path))
+        path.write_text("".join(text + "\n" for text in edit(path.read_text().splitlines())))
+        with pytest.raises(AnalysisError, match=rf"^{re.escape(str(path))}: line {line} "
+                                                rf"is not valid JSON: "):
             load_trace(str(path))
 
     def test_fingerprint_mismatch_rejected(self, pipeline):

@@ -3,8 +3,11 @@ indent=2)`` plus a newline, for every value, with the same error where
 ``json.dumps`` has one; and the annotation table every loaded field is
 checked against."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import re
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -17,6 +20,7 @@ from hypothesis import HealthCheck, example, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.errors import NoSuchExample
 
+import tuneforge
 from test_fail_closed import WRITERS
 from tuneforge import jsonfile
 from tuneforge.docgen import BenchmarkStep, Fingerprint
@@ -190,10 +194,34 @@ def test_an_optional_key_that_is_not_read_may_be_left_out(keyword, d):
     assert jsonfile.load_fields(Named, d, "x", optional=("version",), **extra) == Named("a")
 
 
-def test_values_builds_each_item_of_an_object_under_its_key():
-    load = jsonfile.values(lambda key, item: (key, item))
-    assert load({"a": 1, "b": [2]}) == {"a": ("a", 1), "b": ("b", [2])}
-    for other in ([["a", 1]], "ab", None):
-        assert load(other) is other
-    with pytest.raises(TypeError, match=r"^keys \['a', 1\] are not all str$"):
-        load({"a": 1, 1: 2})
+# The only classes that write or read their JSON by hand, and why: the
+# journal's hot path; a safe range's two shapes; a domain's and a response's
+# keys, which depend on its kind or shape, and the model's sorted maps; the
+# key a step, a document and an interaction report add to their fields; and a
+# skill, named in load errors by its id. Every other record class declares its
+# schema and inherits `jsonfile.Record`'s `to_json` and `from_json`.
+HAND_WRITTEN_CODECS = {
+    "Measurement": {"to_json", "from_json"},
+    "SafeRange": {"to_json", "from_json"},
+    "Domain": {"to_json", "from_json"},
+    "Response": {"to_json"},
+    "SimulatorModel": {"to_json"},
+    "_Step": {"to_json"},
+    "ProceduralDocument": {"to_json"},
+    "InteractionReport": {"to_json"},
+    "Skill": {"from_json"},
+}
+
+
+def test_only_the_hand_written_formats_define_their_own_codec():
+    defined = {}
+    for info in pkgutil.iter_modules(tuneforge.__path__):
+        module = importlib.import_module(f"tuneforge.{info.name}")
+        if module is jsonfile:
+            continue
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                own = {name for name in ("to_json", "from_json") if name in vars(cls)}
+                if own:
+                    defined[cls.__name__] = own
+    assert defined == HAND_WRITTEN_CODECS
