@@ -305,9 +305,10 @@ class CampaignStore:
     Each stage appends its fresh runs to its own journal, one unbuffered
     line per run as it completes; no journal is ever rewritten. The store
     reads each journal once, later only the bytes another process appended
-    since (``refresh``), and answers ``has``/``get``/``cell`` across all
-    stages under one (canonical configuration, workload, repetition)
-    identity, the first record of a key winning. Equal configurations built separately
+    since (``refresh``), and answers ``has``/``get`` across all stages under
+    one (canonical configuration, workload, repetition) identity, the first
+    record of a key winning. A reader asks for each key it needs; the store
+    cannot be iterated or scanned. Equal configurations built separately
     share one entry; ``{"a": 1}``, ``{"a": 1.0}`` and ``{"a": True}`` are three.
     It is the campaign's only index of measurements and keeps one dict entry
     per record. ``journaled(stage)`` counts the records that stage's journal
@@ -326,7 +327,6 @@ class CampaignStore:
 
     def _reset(self) -> None:
         self._records: dict[tuple[str, str, int], Measurement] = {}
-        self._reps = 0                            # one past the highest repetition
         self._configs: dict[str, Configuration] = {}
         self._offset = dict.fromkeys(self.journals, 0)   # bytes read or written
         self._headed = dict.fromkeys(self.journals, False)
@@ -345,19 +345,10 @@ class CampaignStore:
     def has(self, config: Configuration, workload_id: str, repetition: int) -> bool:
         return (config.canonical(), workload_id, repetition) in self._records
 
-    def cell(self, config: Configuration, workload_id: str) -> tuple[Measurement, ...]:
-        """Every record of one (configuration, workload), in repetition order."""
-        text = config.canonical()
-        found = (self._records.get((text, workload_id, rep)) for rep in range(self._reps))
-        return tuple(m for m in found if m is not None)
-
     def _index(self, records: Iterable[Measurement]) -> None:
-        setdefault, top = self._records.setdefault, self._reps - 1
+        setdefault = self._records.setdefault
         for m in records:
             setdefault(m._key, m)
-            if m.repetition > top:
-                top = m.repetition
-        self._reps = top + 1
 
     def begin(self, stage: str) -> None:
         """Send the fresh runs of the following plans to ``stage``'s journal."""

@@ -238,13 +238,26 @@ def table_from_log(store: CampaignStore, grid: PairGrid, workload_id: str,
     """Assemble the factorial table for one (pair, workload) from the
     campaign store.
 
-    Only repetition indices below ``repetitions`` are collected, so a store
-    holding both the 1-rep stage-A corners and the 3-rep stage-B grid yields
-    a clean table for either stage.
+    Each cell reads its planned repetitions ``0 .. repetitions - 1`` by their
+    exact keys, built from the grid's own configurations, and keeps the ok
+    values, sorted. A store holding both the 1-rep stage-A corners and the
+    3-rep stage-B grid thus yields a clean table for either stage, and no
+    read depends on how many repetitions the store holds elsewhere.
     """
-    cells = [[sorted(m.metric_value for m in store.cell(config, workload_id)
-                     if m.outcome == OUTCOME_OK and m.repetition < repetitions)
-              for config in row] for row in grid.configs]
+    get, reps = store.get, range(repetitions)
+    cells = []
+    for row in grid.configs:
+        row_cells = []
+        for config in row:
+            text = config.canonical()
+            values = []
+            for rep in reps:
+                m = get((text, workload_id, rep))
+                if m is not None and m.outcome == OUTCOME_OK:
+                    values.append(m.metric_value)
+            values.sort()
+            row_cells.append(values)
+        cells.append(row_cells)
     return FactorialTable(pair=grid.pair, levels_a=grid.levels_a, levels_b=grid.levels_b,
                           cells=cells, workload_id=workload_id)
 

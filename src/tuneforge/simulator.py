@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import CrashError, ParameterError
 from .jsonfile import Record, write_text
@@ -114,6 +114,8 @@ class CrashRegion(Record):
 
 # Fallback for parameters the model leaves unplanted.
 _FLAT = Response()
+# cell_truth's last cell of a workload before its first: (space, text, truth, diagnostic).
+_NO_CELL = (None, None, 0.0, None)
 
 
 class _WorkloadTable:
@@ -122,41 +124,42 @@ class _WorkloadTable:
     ``defaults`` maps every parameter to its normalized default. ``factors``
     lists the model's multipliers at the defaults: first the non-flat
     responses in space order, then the couplings whose members are both in
-    the space, in declaration order. ``terms`` maps a parameter to its
-    response and its index in ``factors``; ``couplings`` maps a parameter to
-    the indices and couplings it is a member of. Skipping the flat factors is
+    the space, in declaration order. ``entries`` maps each parameter of the
+    space to one entry: its response's index in ``factors``, its domain's
+    ``normalize``, its response's ``multiplier`` (index -1 and None when the
+    response is flat), and the couplings it is a member of, each as
+    ``(index in factors, a, b, strength)``. Skipping the flat factors is
     exact: ``x * 1.0 == x`` for every float. ``crash_defaults`` holds the
     declared default of each crash-region parameter in the space.
-
-    ``last`` memoizes the last configuration evaluated against the table as
-    one tuple (canonical text, truth, crash diagnostic or None), written and
-    read whole so that a thread never pairs one configuration's text with
-    another's result.
     """
 
-    __slots__ = ("space", "position", "defaults", "factors", "terms", "couplings",
-                 "crash_defaults", "last")
+    __slots__ = ("space", "position", "defaults", "factors", "entries", "crash_defaults")
 
     def __init__(self, model: "SimulatorModel", space: ParameterSpace, workload_id: str):
         self.space = space
         self.position = {spec.name: i for i, spec in enumerate(space)}
         self.defaults = {spec.name: spec.domain.normalize(spec.default) for spec in space}
         self.factors: list[float] = []
-        self.terms: dict[str, tuple[int, Response]] = {}
+        responses: dict[str, tuple[int, Callable[[float], float]]] = {}
         for spec in space:
             response = model.response_for(spec.name, workload_id)
             if response.shape != "flat":
-                self.terms[spec.name] = (len(self.factors), response)
+                responses[spec.name] = (len(self.factors), response.multiplier)
                 self.factors.append(response.multiplier(self.defaults[spec.name]))
-        self.couplings: dict[str, list[tuple[int, Coupling]]] = {}
+        couplings: dict[str, list[tuple[int, str, str, float]]] = {}
         for c in model.couplings:
             if c.a in self.defaults and c.b in self.defaults:
+                term = (len(self.factors), c.a, c.b, c.strength)
                 for name in {c.a, c.b}:
-                    self.couplings.setdefault(name, []).append((len(self.factors), c))
+                    couplings.setdefault(name, []).append(term)
                 self.factors.append(c.multiplier(self.defaults[c.a], self.defaults[c.b]))
+        self.entries: dict[str, tuple] = {}
+        for spec in space:
+            index, multiplier = responses.get(spec.name, (-1, None))
+            self.entries[spec.name] = (index, spec.domain.normalize, multiplier,
+                                       tuple(couplings.get(spec.name, ())))
         self.crash_defaults = {name: space.get(name).default
                                for name in model.crashes if name in self.position}
-        self.last: tuple[str | None, float, str | None] = (None, 0.0, None)
 
     def order(self, name: str) -> int:
         """Space position; names outside the space sort last, as resolve() puts them."""
@@ -200,6 +203,7 @@ class SimulatorModel(Record, name="model", error=ParameterError, pinned={"schema
         object.__setattr__(self, "overrides", MappingProxyType(
             {w: MappingProxyType(dict(m)) for w, m in self.overrides.items()}))
         object.__setattr__(self, "_tables", {})  # workload id -> _WorkloadTable
+        object.__setattr__(self, "_last", {})    # workload id -> last cell (see cell_truth)
 
     def response_for(self, param: str, workload_id: str) -> Response:
         over = self.overrides.get(workload_id, {})
@@ -217,38 +221,43 @@ class SimulatorModel(Record, name="model", error=ParameterError, pinned={"schema
 
     def cell_truth(self, space: ParameterSpace, config: Configuration, workload_id: str) -> float:
         """``true_metric``, evaluated once for consecutive calls on one cell
-        (configuration, workload): the table of the cell's workload keeps the
-        last cell's truth or crash diagnostic, and a crash cell raises
-        CrashError with the same diagnostic again."""
-        table = self._table(space, workload_id)
+        (configuration, workload): the model keeps, per workload, the last
+        cell's space, canonical text and truth or crash diagnostic as one
+        tuple, written and read whole so that a thread never pairs one
+        configuration's text with another's result. A crash cell raises
+        CrashError with the same diagnostic again. Only a fresh cell looks its
+        table up, once, in ``true_metric``."""
         text = config.canonical()
-        last = table.last
-        if last[0] != text:
+        last = self._last.get(workload_id, _NO_CELL)
+        if last[1] != text or last[0] is not space:
             try:
-                last = (text, self.true_metric(space, config, workload_id), None)
+                last = (space, text, self.true_metric(space, config, workload_id), None)
             except CrashError as e:
-                last = (text, 0.0, e.diagnostic)
-            table.last = last
-        if last[2] is not None:
-            raise CrashError(last[2])
-        return last[1]
+                last = (space, text, 0.0, e.diagnostic)
+            self._last[workload_id] = last
+        if last[3] is not None:
+            raise CrashError(last[3])
+        return last[2]
 
     def true_metric(self, space: ParameterSpace, config: Configuration, workload_id: str) -> float:
         """Noise-free metric; raises CrashError inside a planted crash region.
 
-        The compiled table's at-default factors are copied, the factors of the
+        Each assigned value is normalized through its parameter's compiled
+        entry. The table's at-default factors are copied, the factors of the
         assigned parameters and of the couplings they touch are replaced, and
         ``math.prod`` multiplies them left to right onto ``base_rate``: the
         same float operations, in the same order, as multiplying every
         response and then every coupling in turn.
         """
         table = self._table(space, workload_id)
+        entries = table.entries
         assigned = config.assignments
         # Factors are replaced by index, so the order names are normalized in
         # cannot change the value; it only decides which error is raised.
+        norms = {}
         try:
-            norms = {name: space.get(name).domain.normalize(value)
-                     for name, value in assigned.items()}
+            for name, value in assigned.items():
+                norms[name] = entries[name][1](value)
         except Exception:
             for name in sorted(assigned, key=table.order):  # the first in space order
                 space.get(name).domain.normalize(assigned[name])
@@ -264,15 +273,14 @@ class SimulatorModel(Record, name="model", error=ParameterError, pinned={"schema
             if region.contains(value):
                 raise CrashError(f"planted crash region hit: {name}={value!r}")
         factors = table.factors.copy()
-        touched: dict[int, Coupling] = {}
-        for name, n in norms.items():
-            term = table.terms.get(name)
-            if term is not None:
-                factors[term[0]] = term[1].multiplier(n)
-            touched.update(table.couplings.get(name, ()))
         defaults = table.defaults
-        for i, c in touched.items():
-            factors[i] = c.multiplier(norms.get(c.a, defaults[c.a]), norms.get(c.b, defaults[c.b]))
+        for name, n in norms.items():
+            index, _, multiplier, couplings = entries[name]
+            if multiplier is not None:
+                factors[index] = multiplier(n)
+            # A coupling of two assigned members is written twice, equally.
+            for i, a, b, strength in couplings:
+                factors[i] = 1.0 + strength * norms.get(a, defaults[a]) * norms.get(b, defaults[b])
         return math.prod(factors, start=self.base_rate)
 
     def to_json(self) -> dict:

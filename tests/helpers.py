@@ -173,6 +173,15 @@ def store_of(records):
     return store
 
 
+def stored_cell(store, config, workload_id, repetitions=64):
+    """The records ``store`` holds for one (configuration, workload) at
+    repetitions below ``repetitions``, in repetition order, each read by its
+    exact key through ``store.get``."""
+    text = config.canonical()
+    found = (store.get((text, workload_id, rep)) for rep in range(repetitions))
+    return tuple(m for m in found if m is not None)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force grid optimizer over the true (noise-free) simulator model.
 # ---------------------------------------------------------------------------

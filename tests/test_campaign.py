@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from helpers import one_workload, store_of, unit_space
+from helpers import one_workload, store_of, stored_cell, unit_space
 from tuneforge import campaign as campaign_mod
 from tuneforge.campaign import (DOCUMENT_FILE, LOCK_FILE, SCREEN_LOG, SENSITIVITY_REPORT,
                                 STATE_FILE, SWEEP_LOG, Campaign, CampaignState)
@@ -632,7 +632,7 @@ class TestCampaignStore:
         counting = InterruptingAdapter(p["adapter"])
         (opt,) = campaign.joint(counting, repetitions=2).optima
         assert counting.keys == []
-        cell = campaign.store.cell(opt.best_config, "w0")
+        cell = stored_cell(campaign.store, opt.best_config, "w0")
         assert len(cell) == 3
         assert opt.best_metric == (cell[0].metric_value + cell[1].metric_value) / 2
 
@@ -743,8 +743,8 @@ class TestJointEffectiveConfigurations:
         (opt,) = campaign.joint(counting, repetitions=3).optima
         assert counting.keys == []
         assert opt.best_config.assignments == {"pa": pytest.approx(2 / 3), "pb": 0.0}
-        assert campaign.store.cell(space.effective(opt.best_config), "w0") == ()
-        cell = campaign.store.cell(opt.best_config, "w0")
+        assert stored_cell(campaign.store, space.effective(opt.best_config), "w0") == ()
+        cell = stored_cell(campaign.store, opt.best_config, "w0")
         assert len(cell) == 3
         assert opt.best_metric == sum(m.metric_value for m in cell) / 3
 

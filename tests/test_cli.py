@@ -3,10 +3,16 @@
 import fcntl
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 import yaml
 
+import tuneforge
 from helpers import SMALL_NAMES, small_model
 from tuneforge.campaign import (DOCUMENT_FILE, INTERACTION_REPORT,
                                 OPTIMA_REPORT, SENSITIVITY_REPORT)
@@ -574,3 +580,61 @@ class TestAdapterContract:
         state = json.load(open(tmp_path / "c" / "state.json"))
         assert state["runs_used"]["sensitivity"] == state["budgets"]["sensitivity"] == 12
         assert self.runs(tmp_path) == 1 + 12
+
+
+# A benchmark whose metric depends on the configuration and on the run seed,
+# so a resumed run that re-measured a key, or measured one with another seed,
+# would change the report.
+AWK_BENCH = ("shell:awk 'BEGIN { print \"METRIC \" (1000 + 3 * ENVIRON[\"cache_mb\"]"
+             " + 7 * length(ENVIRON[\"sync_mode\"])"
+             " + substr(ENVIRON[\"TF_SEED\"], 1, 3) / 100) }'")
+WALL_TIME = re.compile(rb'"wall_time": [^,}]*, ')
+
+
+class TestRealKill:
+    """The CLI profile stage, SIGKILLed as a child process whenever its
+    journal reaches a chosen line count and then resumed, ends with the report
+    and journal of a run never killed. A SIGKILL runs no ``finally`` block,
+    context manager or exit handler. One child runs at a time."""
+
+    KILL_AT = (5, 15, 30)   # journal lines, header included
+
+    def profile(self, campaign, kill_at=None):
+        """Run the stage in a child process; with ``kill_at``, SIGKILL it once
+        the sweep journal holds that many lines. Returns the exit status."""
+        argv = [sys.executable, "-m", "tuneforge.cli", "profile",
+                "--space", SHELL_SPACE, "--workloads", SHELL_SPACE,
+                "--campaign", str(campaign), "--seed", "3", "--levels", "5",
+                "--repetitions", "3", "--adapter", AWK_BENCH]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tuneforge.__file__))}
+        journal = campaign / "sweep_log.jsonl"
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.DEVNULL)
+        try:
+            while kill_at is not None and child.poll() is None:
+                if journal.exists() and journal.read_bytes().count(b"\n") >= kill_at:
+                    child.send_signal(signal.SIGKILL)
+                    break
+                time.sleep(0.001)
+            return child.wait(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+
+    def test_killed_and_resumed_profile_matches_an_unkilled_run(self, tmp_path):
+        reference = tmp_path / "reference"
+        assert self.profile(reference) == 0
+        want_journal = (reference / "sweep_log.jsonl").read_bytes()
+        assert want_journal.count(b"\n") > self.KILL_AT[-1] + 5
+        killed = tmp_path / "killed"
+        for lines in self.KILL_AT:
+            assert self.profile(killed, kill_at=lines) == -signal.SIGKILL
+            assert (killed / "sweep_log.jsonl").read_bytes().count(b"\n") >= lines
+            assert not (killed / SENSITIVITY_REPORT).exists()
+        assert self.profile(killed) == 0
+        for name in (SENSITIVITY_REPORT, "state.json"):
+            assert (killed / name).read_bytes() == (reference / name).read_bytes(), name
+        got_journal = (killed / "sweep_log.jsonl").read_bytes()
+        assert WALL_TIME.sub(b"", got_journal) == WALL_TIME.sub(b"", want_journal)
+        assert b"wall_time" not in WALL_TIME.sub(b"", want_journal)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import one_workload, random_log, unit_space
+from helpers import one_workload, random_log, stored_cell, unit_space
 from tuneforge.errors import AdapterError, CrashError, ParameterError
 from tuneforge.harness import (CampaignStore, Measurement, MeasurementLog, ShellAdapter,
                                campaign_mix, cell_prefix, cell_seed, mix_seed,
@@ -55,7 +55,7 @@ def assert_index_matches(store, records):
     for m in records:
         cells.setdefault((m.config.canonical(), m.workload_id), []).append(m)
     for cell in cells.values():
-        assert store.cell(cell[0].config, cell[0].workload_id) == \
+        assert stored_cell(store, cell[0].config, cell[0].workload_id) == \
             tuple(sorted(cell, key=lambda m: m.repetition))
 
 
@@ -442,7 +442,7 @@ class TestCrashRecovery:
         store = journal_store(journal, 0, self.space)
         assert len(store) == 4
         assert_index_matches(store, recovered)
-        assert store.cell(Configuration({"p": 0.9}), "w0") == ()
+        assert stored_cell(store, Configuration({"p": 0.9}), "w0") == ()
         # and the resumed run completes the plan without tripping on the tear
         full = run_plan(adapter, self.plan, seed=0, store=journal_store(journal, 0, self.space))
         assert len(full) == 10
@@ -481,7 +481,7 @@ class TestCrashRecovery:
         with open(journal, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(line) + "\n")
         store = journal_store(journal, 0, self.space)
-        assert len(store) == 4 and store.cell(Configuration({"p": 0.9}), "w0") == ()
+        assert len(store) == 4 and stored_cell(store, Configuration({"p": 0.9}), "w0") == ()
         calls = count_calls(adapter)
         assert len(run_plan(adapter, self.plan, seed=0, store=store)) == 10
         assert len(calls) == 6
@@ -551,7 +551,7 @@ class TestCrashRecovery:
         store = journal_store(tmp_path / "log.jsonl", 4, self.space)
         records = run_plan(adapter, plan, parallelism=8, seed=4, store=store)
         assert [m.repetition for m in records] == list(reversed(range(40)))
-        assert [m.repetition for m in store.cell(config, "w0")] == list(range(40))
+        assert [m.repetition for m in stored_cell(store, config, "w0")] == list(range(40))
         assert store.has(config, "w0", 39) and not store.has(config, "w0", 40)
 
     def test_interrupted_plan_indexes_what_it_journaled(self, tmp_path):
@@ -596,7 +596,7 @@ class TestConfigurationIdentity:
         assert len({m.key() for m in records}) == 3
         assert len(store) == 3 and store.journaled("sweep") == 3
         for c, m in zip(configs, records):
-            assert store.cell(c, self.w.id) == (m,)
+            assert stored_cell(store, c, self.w.id) == (m,)
             assert store.has(c, self.w.id, 0)
 
     def test_equal_configurations_built_separately_share_one_entry(self, tmp_path):

@@ -387,22 +387,24 @@ class TestTableFromLogIndex:
         assert multi_value_cells > 0
 
     def test_reads_no_full_scan(self):
-        # the store cannot be iterated, and a table reads one cell per entry
+        # the store cannot be iterated, and a table reads one exact key per
+        # grid cell and planned repetition
         store = store_of(random_log(random.Random(1))[0])
         with pytest.raises(TypeError):
             iter(store)
         reads = []
 
-        def counting_cell(config, workload_id, cell=store.cell):
-            reads.append(config)
-            return cell(config, workload_id)
+        def counting_get(key, get=store.get):
+            reads.append(key)
+            return get(key)
 
-        store.cell = counting_cell
+        store.get = counting_get
         for levels_a, levels_b, reps in TABLE_SHAPES:
             reads.clear()
             grid = PairGrid(("a", "b"), levels_a, levels_b)
             table_from_log(store, grid, "w0", repetitions=reps)
-            assert len(reads) == len(levels_a) * len(levels_b)
-            # the table reads through the grid's own configurations
-            assert all(read is config for read, config in
-                       zip(reads, (c for row in grid.configs for c in row)))
+            want = [(c.canonical(), "w0", rep) for row in grid.configs for c in row
+                    for rep in range(reps)]
+            assert reads == want
+            # the keys carry the grid's own configurations' canonical text
+            assert all(read[0] is key[0] for read, key in zip(reads, want))

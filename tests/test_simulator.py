@@ -394,6 +394,13 @@ def outcome(fn, *args):
         return (type(e), str(e))
 
 
+def measured_outcomes(adapter, config):
+    """``outcome`` of the adapter's measure on every workload, twice over with
+    the workloads interleaved: each cell fresh, then as the model remembers it."""
+    return [outcome(adapter.measure, config, WorkloadSpec(id=w), seed)
+            for seed in range(2) for w in WORKLOAD_IDS]
+
+
 class TestCompiledTable:
     def test_matches_reference_on_random_models(self):
         rng = random.Random(12)
@@ -401,14 +408,19 @@ class TestCompiledTable:
         for _ in range(200):
             space = random_space(rng)
             model = random_model(rng, space)
+            assert model.sigma == 0.0  # the adapter measures the truth itself
+            adapter = SimulatorAdapter(space, model)
             for _ in range(12):
                 config = random_config(rng, space)
+                wants = []
                 for w in WORKLOAD_IDS:
                     want = outcome(reference_true_metric, model, space, config, w)
                     got = outcome(model.true_metric, space, config, w)
                     assert got == want, (model, space, config, w)
+                    wants.append(want)
                     evaluations += 1
                     errors += isinstance(want, tuple)
+                assert measured_outcomes(adapter, config) == wants * 2, (model, space, config)
         assert evaluations == 7200
         assert 0 < errors < evaluations  # both paths are exercised
 
@@ -423,13 +435,17 @@ class TestCompiledTable:
         assert sum(bool(m.overrides) for m in models) > 2
         evaluations = errors = 0
         for space, model in zip(spaces, models):
+            adapter = SimulatorAdapter(space, model)
             for _ in range(25):
                 config = random_config(rng, space)
+                wants = []
                 for w in WORKLOAD_IDS:
                     want = outcome(reference_true_metric, model, space, config, w)
                     assert outcome(model.true_metric, space, config, w) == want
+                    wants.append(want)
                     evaluations += 1
                     errors += isinstance(want, tuple)
+                assert measured_outcomes(adapter, config) == wants * 2
         assert errors > 0 and evaluations - errors > 150  # metrics and errors both compared
 
     def test_one_assignment_normalizes_once_and_builds_no_response(self, monkeypatch):
@@ -440,7 +456,6 @@ class TestCompiledTable:
             couplings=[Coupling("p03", "p07", 0.2)],
             overrides={"w0": {"p07": Response(shape="linear-down", strength=0.1)}})
         config = Configuration({"p03": 0.8})
-        model.true_metric(space, config, "w0")  # compiles the table
         calls = {"normalize": 0, "response": 0}
         normalize, post_init = Domain.normalize, Response.__post_init__
 
@@ -452,8 +467,13 @@ class TestCompiledTable:
             calls["response"] += 1
             post_init(self)
 
+        # patched before the table is compiled, as the table keeps each
+        # domain's normalize bound
         monkeypatch.setattr(Domain, "normalize", counting_normalize)
         monkeypatch.setattr(Response, "__post_init__", counting_post_init)
+        model.true_metric(space, config, "w0")  # compiles the table
+        assert calls["normalize"] == len(names) + 1  # every default, then p03
+        calls.update(normalize=0, response=0)
         got = model.true_metric(space, config, "w0")
         assert calls == {"normalize": 1, "response": 0}
         monkeypatch.undo()
