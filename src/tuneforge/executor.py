@@ -5,9 +5,9 @@ steps execute in order, branches jump within a skill, each skill names the
 skill that follows it (`next`), and postcondition violations route through
 the skill's declared adaptation edge or abort. The root skill's
 postconditions are the convergence criteria, evaluated at the end of each
-pass. Every predicate evaluation is recorded with the symbol values it used,
-so a trace can be replayed and checked offline. The budget counts the trials
-the system ran; a repeated effective configuration reads its first measurement.
+pass. Every predicate evaluation is recorded with the symbol values it used.
+The budget counts the trials the system ran; a repeated effective
+configuration reads its first measurement.
 
 What every session would redo on the same document is done once per
 document and space (`ProceduralDocument.prepared`). Each precondition,
@@ -22,6 +22,10 @@ so a session reads its signals and looks the run up.
 The interpreter resolves everything from the document itself. The
 ``step_resolver`` hook lets an external agent override a skill's `next`;
 without it, or when it returns None, the session follows `next`.
+
+`replay_session` checks a trace by running its session again on the
+document and the space it ran on. The recorded measurements and resolver
+decisions are its inputs; every other event must come out as recorded.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, TypedDict
 
 from . import expr as expr_mod
@@ -41,7 +46,7 @@ from .errors import AnalysisError, DocumentError, ExpressionError, ParameterErro
 from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_prefix, repetition_seed,
                       run_valid_experiment)
 from .jsonfile import Record, check, thaw, write_text
-from .space import Configuration, WorkloadSpec, validate_configuration
+from .space import Configuration, ParameterSpace, WorkloadSpec, validate_configuration
 
 STATUS_RUNNING = "running"
 STATUS_CONVERGED = "converged"
@@ -159,8 +164,8 @@ class SessionRunner:
         self.incumbent: tuple[Configuration, float] | None = None
         self._seq = 0
         self._benchmarks_this_pass = 0
-        # (effective config, workload, repetitions) -> (seq, outcomes, ok metrics)
-        self._measured: dict[tuple[Configuration, str, int], tuple[int, list, list]] = {}
+        # (effective config, workload, repetitions) -> (seq, outcomes, mean)
+        self._measured: dict[tuple[Configuration, str, int], tuple[int, list, float | None]] = {}
 
     # -- tracing -------------------------------------------------------
 
@@ -174,9 +179,8 @@ class SessionRunner:
         return event
 
     def _eval_predicate(self, parsed: expr_mod.Expr, skill: Skill) -> tuple[bool, dict]:
-        """Evaluate one prepared predicate on the environment the trace
-        records, as ``replay_session`` does; an evaluation error aborts the
-        session.
+        """Evaluate one prepared predicate, recording the symbol values it read;
+        an evaluation error aborts the session.
 
         A validated document can still read a declared signal that was never
         set, e.g. when a branch skipped the step that computes it.
@@ -241,32 +245,38 @@ class SessionRunner:
                   "repetitions": step.repetitions}
         key = (effective, workload.id, step.repetitions)
         if key in self._measured:
-            inputs["reused_from"], outcomes, metrics = self._measured[key]
+            inputs["reused_from"], outcomes, mean = self._measured[key]
         else:
             if self.session.trials_used + 1 > self.session.trial_budget:
                 raise _Abort("trial budget exhausted")
-            outcomes, metrics = [], []
-            prefix = cell_prefix(self.mix, effective.canonical(), workload.id)
-            for rep in range(step.repetitions):
-                m = run_valid_experiment(self.adapter, effective, workload, rep,
-                                         repetition_seed(prefix, rep))
-                outcomes.append(m.outcome)
-                if m.outcome == OUTCOME_OK:
-                    metrics.append(m.metric_value)
+            outcomes, mean = self._measure(effective, workload, step)
             self.session.trials_used += 1
             self._benchmarks_this_pass += 1
-            self._measured[key] = (self._seq, outcomes, metrics)
+            self._measured[key] = (self._seq, outcomes, mean)
         outputs: dict[str, Any] = {"outcomes": list(outcomes)}
-        if metrics:
-            mean = sum(metrics) / len(metrics)
+        if mean is not None:
             self.session.signals[step.out] = mean
             outputs[step.out] = mean
             if step.adopt:
                 self._adopt(config, mean, workload)
         self._event(skill.id, step.action, step=index, inputs=inputs, outputs=outputs)
-        if not metrics:
+        if mean is None:
             raise _Abort(f"{skill.id}: step {index} benchmark produced no ok repetition "
                          f"({outcomes})")
+
+    def _measure(self, effective: Configuration, workload: WorkloadSpec,
+                 step: BenchmarkStep) -> tuple[list[str], float | None]:
+        """One trial: the outcome of each repetition of the step, and the mean
+        of the ok ones' metrics (None when none is ok)."""
+        outcomes, metrics = [], []
+        prefix = cell_prefix(self.mix, effective.canonical(), workload.id)
+        for rep in range(step.repetitions):
+            m = run_valid_experiment(self.adapter, effective, workload, rep,
+                                     repetition_seed(prefix, rep))
+            outcomes.append(m.outcome)
+            if m.outcome == OUTCOME_OK:
+                metrics.append(m.metric_value)
+        return outcomes, sum(metrics) / len(metrics) if metrics else None
 
     def _adopt(self, config: Configuration, metric: float, workload: WorkloadSpec) -> None:
         if workload.id != self.doc.primary_workload:
@@ -412,65 +422,54 @@ class ReplayResult:
     mismatches: list[dict]
 
 
-def replay_session(header: TraceHeader, events: list[TraceEvent],
-                   doc: ProceduralDocument) -> ReplayResult:
-    """Re-evaluate every recorded predicate and compute step, in trace order.
+class _Replay(SessionRunner):
+    """A session run again, reading its inputs from the recorded trace."""
 
-    Predicates are evaluated in their recorded environment. Signals are
-    rebuilt from the benchmark and compute outputs as recorded, and each
-    compute step's expression, read from the document, must give its recorded
-    output again. A benchmark event that reused a measurement must name an
-    earlier one that ran it, with the same workload, repetitions, outcomes and
-    mean. Rejects traces whose fingerprint or document hash does not match the
-    document. A mismatch on any verdict or computed value marks the trace as
-    tampered or nondeterministic.
+    def __init__(self, header: TraceHeader, events: list[TraceEvent],
+                 doc: ProceduralDocument, space: ParameterSpace):
+        self.recorded = dict(enumerate(e.outputs for e in events))  # position -> outputs
+        # an adapter that is never asked to measure
+        super().__init__(doc, SimpleNamespace(space=space), header["trial_budget"],
+                         header["seed"], self._recorded_decision)
+
+    def _measure(self, effective: Configuration, workload: WorkloadSpec,
+                 step: BenchmarkStep) -> tuple[list[str], float | None]:
+        """The recorded outcomes and mean; none, which aborts the session, where
+        the recorded event holds no measurement of the step."""
+        outputs = self.recorded.get(self._seq, {})
+        outcomes, mean = outputs.get("outcomes"), outputs.get(step.out)
+        try:
+            check(tuple[list[str], float | None], (outcomes, mean), "measurement")
+        except AnalysisError:
+            return [], None
+        measured = len(outcomes) == step.repetitions and (mean is None) != (OUTCOME_OK in outcomes)
+        return (outcomes, mean) if measured else ([], None)
+
+    def _recorded_decision(self, skill: Skill, signals: dict) -> str | None:
+        outputs = self.recorded.get(self._seq, {})
+        target = outputs.get("target")
+        return target if outputs.get("resolver") is True and isinstance(target, str) else None
+
+
+def replay_session(header: TraceHeader, events: list[TraceEvent], doc: ProceduralDocument,
+                   space: ParameterSpace) -> ReplayResult:
+    """Run a recorded session again on the document and the space it ran on,
+    and report the first position where the two traces differ.
+
+    A benchmark step that would run reads the outcomes and mean recorded at
+    its position, and a step resolver's decision follows the recorded one.
+    Every other event (predicates, computed values, configurations run or
+    reused, adaptations, decisions, passes, the final status) must come out
+    as recorded; after the first that does not, nothing lines up. Rejects
+    traces whose fingerprint or document hash does not match the document.
     """
     if header.get("fingerprint") != doc.fingerprint or \
             header.get("document_hash") != doc.hash:
         raise DocumentError("trace fingerprint does not match this document")
-    skills = {s.id: s for s in doc.skills}
-    signals: dict[str, Any] = {}
-    ran: dict[int, tuple] = {}  # seq -> what a benchmark event that ran measured
-    mismatches = []
-    for event in events:
-        for pred in event.predicates:
-            try:
-                verdict = expr_mod.evaluate_predicate(pred["expr"], pred["env"], {})
-            except ExpressionError:
-                verdict = None
-            if verdict is not pred["verdict"]:
-                mismatches.append({"seq": event.seq, "skill": event.skill,
-                                   "expr": pred["expr"], "recorded": pred["verdict"],
-                                   "replayed": verdict})
-        if event.action not in (BenchmarkStep.action, ComputeStep.action):
-            continue
-        skill = skills.get(event.skill)
-        procedure = skill.procedure if skill is not None else []
-        step = procedure[event.step] \
-            if isinstance(event.step, int) and 0 <= event.step < len(procedure) else None
-        if step is None or step.action != event.action:
-            mismatches.append({"seq": event.seq, "skill": event.skill, "expr": None,
-                               "recorded": event.action, "replayed": None})
-            continue
-        if isinstance(step, BenchmarkStep):
-            measured = (event.inputs.get("workload_id"), event.inputs.get("repetitions"),
-                        event.outputs.get("outcomes"), event.outputs.get(step.out))
-            source = event.inputs.get("reused_from")
-            if "reused_from" not in event.inputs:
-                ran[event.seq] = measured
-            elif not isinstance(source, int) or ran.get(source) != measured:
-                mismatches.append({"seq": event.seq, "skill": event.skill, "expr": None,
-                                   "recorded": source, "replayed": None})
-            if step.out in event.outputs:
-                signals[step.out] = event.outputs[step.out]
-            continue
-        recorded = event.outputs.get(step.out)
-        try:
-            replayed = expr_mod.evaluate(step.expr, signals, skill.reference_data)
-        except ExpressionError:
-            replayed = None
-        if replayed != recorded:
-            mismatches.append({"seq": event.seq, "skill": event.skill, "expr": step.expr,
-                               "recorded": recorded, "replayed": replayed})
-        signals[step.out] = recorded
-    return ReplayResult(ok=not mismatches, mismatches=mismatches)
+    replayed = _Replay(header, events, doc, space).run().trace
+    for seq in range(max(len(events), len(replayed))):
+        pair = [trace[seq].to_json() if seq < len(trace) else None for trace in (events, replayed)]
+        # compared as written: True is not 1, and a NaN equals itself
+        if json.dumps(pair[0], sort_keys=True) != json.dumps(pair[1], sort_keys=True):
+            return ReplayResult(False, [{"seq": seq, "recorded": pair[0], "replayed": pair[1]}])
+    return ReplayResult(True, [])

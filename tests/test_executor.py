@@ -177,7 +177,7 @@ class TestReplay:
         session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
         path = tmp_path / "trace.jsonl"
         session.save_trace(str(path))
-        result = replay_session(*load_trace(str(path)), doc)
+        result = replay_session(*load_trace(str(path)), doc, pipeline["space"])
         assert result.ok and result.mismatches == []
 
     def test_flipped_verdict_detected_at_that_event(self, pipeline):
@@ -187,7 +187,7 @@ class TestReplay:
         victims = [e for e in events if e.predicates]
         victim = victims[len(victims) // 2]
         victim.predicates[0]["verdict"] = not victim.predicates[0]["verdict"]
-        result = replay_session(session.trace_header(), events, doc)
+        result = replay_session(session.trace_header(), events, doc, pipeline["space"])
         assert not result.ok
         assert result.mismatches[0]["seq"] == victim.seq
 
@@ -195,16 +195,17 @@ class TestReplay:
         doc = pipeline["doc"]
         adapter = SimulatorAdapter(pipeline["space"], shifted_small_model())
         session = run_session(doc, adapter, budget=120, seed=11)
-        assert replay_session(session.trace_header(), session.trace, doc).ok
+        assert replay_session(session.trace_header(), session.trace, doc,
+                              pipeline["space"]).ok
         events = copy.deepcopy(session.trace)
         victim = next(e for e in events if e.skill == "resweep_pc"
                       and e.action == "compute" and "best_pc_idx" in e.outputs)
         recorded = victim.outputs["best_pc_idx"]
         victim.outputs["best_pc_idx"] = (recorded + 1) % len(doc.grids["pc"])
-        result = replay_session(session.trace_header(), events, doc)
+        result = replay_session(session.trace_header(), events, doc, pipeline["space"])
         assert not result.ok
         assert result.mismatches[0]["seq"] == victim.seq
-        assert result.mismatches[0]["replayed"] == recorded
+        assert result.mismatches[0]["replayed"]["outputs"]["best_pc_idx"] == recorded
 
     @pytest.mark.parametrize("tamper", ["mean", "outcomes", "names-a-compute-event",
                                         "names-a-later-event", "names-no-event", "names-a-list"])
@@ -228,9 +229,102 @@ class TestReplay:
             victim.inputs["reused_from"] = 10_000
         else:
             victim.inputs["reused_from"] = [victim.inputs["reused_from"]]
-        result = replay_session(session.trace_header(), events, doc)
+        result = replay_session(session.trace_header(), events, doc, pipeline["space"])
         assert not result.ok
         assert result.mismatches[0]["seq"] == victim.seq
+
+    @staticmethod
+    def tamper(events, kind):
+        """Edit ``events`` in place; return the position replay must name: the
+        edited event, or the first position the two traces do not share."""
+        def first(action, test=lambda e: True):
+            return next(e for e in events if e.action == action and test(e))
+
+        if kind == "failed-postcondition-rewritten":
+            victim = first("postconditions", lambda e: not all(p["verdict"] for p in e.predicates))
+            next(p for p in victim.predicates if not p["verdict"]).update(
+                expr="1", env={}, verdict=True)
+        elif kind == "benchmark-config-changed":
+            victim = first("benchmark", lambda e: e.inputs["config"])
+            config = victim.inputs["config"]
+            param = next(iter(config))
+            config[param] = 0.5 if config[param] != 0.5 else 0.25
+        elif kind == "final-config-changed":
+            victim = events[-1]
+            victim.outputs["final_config"]["pc"] = 0.5
+        elif kind == "final-metric-changed":
+            victim = events[-1]
+            victim.outputs["final_metric"] *= 1.01
+        elif kind == "adaptation-deleted":
+            victim = first("adaptation")
+            events.remove(victim)
+            for e in events[victim.seq:]:
+                e.seq -= 1
+        elif kind == "decision-routed-to-end":
+            victim = first("decision", lambda e: e.outputs["target"] != "end")
+            victim.outputs["target"] = "end"
+        elif kind == "pass-predicates-removed":
+            victim = first("pass")
+            victim.predicates.clear()
+        elif kind == "event-after-status":
+            victim = replace(copy.deepcopy(events[-2]), seq=len(events))
+            events.append(victim)
+        else:  # cut-before-status
+            victim = events.pop()
+        return victim.seq
+
+    @pytest.mark.parametrize("kind", [
+        "failed-postcondition-rewritten", "benchmark-config-changed", "final-config-changed",
+        "final-metric-changed", "adaptation-deleted", "decision-routed-to-end",
+        "pass-predicates-removed", "event-after-status", "cut-before-status"])
+    def test_tamper_census(self, pipeline, kind):
+        # a shifted session (adaptations, two passes) replays clean, and
+        # each tamper is caught at its position
+        doc, space = pipeline["doc"], pipeline["space"]
+        session = run_session(doc, SimulatorAdapter(space, shifted_small_model()),
+                              budget=120, seed=11)
+        assert session.status == "converged" and len(session.trace) == 140
+        assert replay_session(session.trace_header(), session.trace, doc, space).ok
+        events = copy.deepcopy(session.trace)
+        position = self.tamper(events, kind)
+        result = replay_session(session.trace_header(), events, doc, space)
+        assert not result.ok
+        assert result.mismatches[0]["seq"] == position
+
+    def test_resolver_decisions_replay_as_recorded(self, pipeline):
+        # a resolver's decision is an input of the session: the replay
+        # follows the recorded target, and the trace parts right after it
+        doc, space = pipeline["doc"], pipeline["space"]
+
+        def skip_joint(skill, signals):
+            return "verify_candidate" if skill.id == "verify_pb" else None
+
+        session = run_session(doc, pipeline["adapter"], budget=30, seed=13,
+                              step_resolver=skip_joint)
+        assert not any(e.skill == "joint_c1" for e in session.trace)
+        assert replay_session(session.trace_header(), session.trace, doc, space).ok
+        events = copy.deepcopy(session.trace)
+        victim = next(e for e in events if e.outputs.get("resolver"))
+        victim.outputs["target"] = "joint_c1"
+        result = replay_session(session.trace_header(), events, doc, space)
+        assert not result.ok
+        assert result.mismatches[0]["seq"] == victim.seq + 1
+
+    def test_replay_runs_on_the_sessions_space(self, pipeline):
+        # verify_pc probes pc = 1.0, which the narrowed domain refuses: the
+        # session aborts there, and only its own space replays that
+        narrowed = ParameterSpace(tuple(
+            replace(p, domain=Domain("continuous", 0.0, 0.5)) if p.name == "pc" else p
+            for p in pipeline["space"]))
+        doc = fresh_copy(pipeline["doc"])
+        session = run_session(doc, SimulatorAdapter(narrowed, small_model()), budget=120,
+                              seed=10)
+        assert session.status == "aborted" and session.diagnostic.startswith("verify_pc: ")
+        header = session.trace_header()
+        assert replay_session(header, session.trace, doc, narrowed).ok
+        result = replay_session(header, session.trace, doc, pipeline["space"])
+        assert not result.ok
+        assert result.mismatches[0]["recorded"]["action"] == "status"
 
     def test_event_naming_no_document_step_is_a_mismatch(self, pipeline):
         doc = pipeline["doc"]
@@ -238,7 +332,7 @@ class TestReplay:
         events = copy.deepcopy(session.trace)
         victim = next(e for e in events if e.action == "compute")
         victim.step = 10_000
-        result = replay_session(session.trace_header(), events, doc)
+        result = replay_session(session.trace_header(), events, doc, pipeline["space"])
         assert not result.ok
         assert result.mismatches[0]["seq"] == victim.seq
 
@@ -367,14 +461,14 @@ class TestReplay:
         session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
         other = empty_doc()
         with pytest.raises(DocumentError):
-            replay_session(session.trace_header(), session.trace, other)
+            replay_session(session.trace_header(), session.trace, other, pipeline["space"])
 
     def test_edited_document_rejected_by_hash(self, pipeline):
         doc = pipeline["doc"]
         session = run_session(doc, pipeline["adapter"], budget=30, seed=13)
         edited = edit_document(doc, lambda d: d["skills"][1]["reference_data"].update(cv=0.999))
         with pytest.raises(DocumentError):
-            replay_session(session.trace_header(), session.trace, edited)
+            replay_session(session.trace_header(), session.trace, edited, pipeline["space"])
 
 
 class TestWarmPath:
@@ -537,7 +631,7 @@ class TestPreparedSteps:
             assert texts[0] == texts[1], f"session {n} differs from its fresh copy"
             assert outcome(sessions[0]) == outcome(sessions[1])
             header, events = load_trace(path)
-            assert replay_session(header, events, doc).ok
+            assert replay_session(header, events, doc, adapter.space).ok
             statuses.append(events[-1].outputs["status"])
         assert statuses == ["converged"] * 10 + ["aborted"] + ["converged"] * 10
 
