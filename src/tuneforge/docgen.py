@@ -53,7 +53,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import product
+from itertools import combinations, product
 from types import MappingProxyType
 from typing import Any, ClassVar, Mapping, TypedDict
 
@@ -83,6 +83,27 @@ ONLINE_REPETITIONS = 3       # repetitions of every benchmark step
 ACCEPT_FRACTION = 0.5        # share of documented improvement that accepts
 MIN_TOP_K = 1                # anomaly threshold on the selected set size
 CROSS_WORKLOAD_FLOOR = 0.5   # candidate must keep half the baseline elsewhere
+
+# The policy a document records (the operation `docgen.policy`).
+POLICY = {"cv_tolerance": CV_TOLERANCE, "convergence_ratio": CONVERGENCE_RATIO,
+          "online_repetitions": ONLINE_REPETITIONS, "accept_fraction": ACCEPT_FRACTION,
+          "grid_levels": GRID_LEVELS, "min_top_k": MIN_TOP_K,
+          "cross_workload_floor": CROSS_WORKLOAD_FLOOR}
+
+# The analysis operation behind each reference datum, by the datum's key; a
+# key this table does not hold goes by its prefix: `cv_<workload>`, a
+# workload's CV, and `eta2_<a>_<b>` and `eta2_max`, eta^2 values.
+OPERATIONS = {
+    **dict.fromkeys(["top_k_count", "tau_s", "rank"], "sensitivity.select_top_k"),
+    **dict.fromkeys(["cv", "aggregate_cv", "cv_"], "sensitivity.compute_cv"),
+    "shape": "sensitivity.classify_shape",
+    **dict.fromkeys(["safe_lo", "safe_hi"], "sensitivity.extract_safe_range"),
+    "eta2_": "interaction.two_way_anova",
+    "joint_threshold": "interaction.thresholds",
+    "expected_improvement": "topology.optimize_component",
+    **dict.fromkeys(["convergence_ratio", "cv_tolerance", "safety_floor", "accept_fraction",
+                     "cross_floor"], "docgen.policy"),
+}
 
 
 _CONTAINERS = (dict, MappingProxyType, list, tuple)
@@ -424,6 +445,21 @@ def best_index_signal(param: str) -> str:
     return f"best_{signal_name(param)}_idx"
 
 
+def eta2_key(a: str, b: str) -> str:
+    """The key of the reference datum holding the eta^2 of the pair (a, b)."""
+    return f"eta2_{signal_name(a)}_{signal_name(b)}"
+
+
+def _unique_signals(kind: str, names: list[str]) -> None:
+    """Refuse two names that one signal name would name."""
+    first_of: dict[str, str] = {}
+    for name in names:
+        first = first_of.setdefault(signal_name(name), name)
+        if first != name:
+            raise CompileError(f"{kind} {first!r} and {name!r} share the signal name "
+                               f"{signal_name(name)!r}")
+
+
 class _Proc:
     """Procedure builder with forward-branch patching."""
 
@@ -473,38 +509,30 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
 
     Both reports must come from one campaign; `Campaign` checks that where
     it reads them. The correlation graph and the joint optima are the optima
-    report's. Raises CompileError on inconsistent inputs, on two workloads or
-    reference data that one key would name, or if the generated skill graph
-    fails validation.
+    report's; a datum's provenance is the operation its key names
+    (`OPERATIONS`). Raises CompileError on inconsistent inputs; on two
+    workloads or two selected parameters of one signal name; on reference
+    data of one key (a workload's CV and a verify datum, two pairs' eta^2);
+    or if the generated skill graph fails validation.
     """
     if not workloads:
         raise CompileError("at least one workload is required")
-    by_signal: dict[str, str] = {}
-    for w in workloads:
-        first = by_signal.setdefault(signal_name(w.id), w.id)
-        if first != w.id:
-            raise CompileError(f"workloads {first!r} and {w.id!r} share the signal name "
-                               f"{signal_name(w.id)!r}")
+    _unique_signals("workloads", [w.id for w in workloads])
     graph, rejected = optima_report.graph, [r["component"] for r in optima_report.rejected]
     w0 = workloads[0]
     campaign = profiles.campaign_id
     direction = w0.direction
     argbest = "argmax" if direction == "maximize" else "argmin"
 
-    top = [p for p in profiles.profiles if p.selected]
-    top_sorted = sorted(top, key=lambda p: p.rank)
-    top_names = [p.parameter for p in top_sorted]
+    top_names = [p.parameter for p in sorted(profiles.top_k(), key=lambda p: p.rank)]
+    _unique_signals("parameters", top_names)
     for name in graph.nodes:
         if name not in top_names:
             raise CompileError(f"graph node {name!r} is not a selected parameter")
 
-    grids: dict[str, list[Any]] = {}
-    safe_ranges: dict[str, dict] = {}
-    for p in profiles.profiles:
-        safe_ranges[p.parameter] = p.safe_range.to_json()
-    for name in top_names:
-        prof = profiles.profile(name)
-        grids[name] = stage_b_levels(space.get(name), prof.safe_range, factorial=False)
+    safe_ranges = {p.parameter: p.safe_range.to_json() for p in profiles.profiles}
+    grids = {name: stage_b_levels(space.get(name), profiles.profile(name).safe_range,
+                                  factorial=False) for name in top_names}
 
     # A component the joint stage rejected has no joint optimum; its members
     # are verified and re-swept one by one.
@@ -512,11 +540,11 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
     optima_by_key = {(tuple(o.component), o.workload_id): o for o in optima_report.optima}
 
     sig = signal_name
-    provenance: dict[str, dict] = {}
     skills: list[Skill] = []
 
-    def prov(skill_id: str, key: str, operation: str) -> None:
-        provenance[f"{skill_id}.{key}"] = {"campaign": campaign, "operation": operation}
+    def bench(template: dict, out: str, workload_id: str = w0.id, **flags) -> BenchmarkStep:
+        return BenchmarkStep(template=template, workload_id=workload_id,
+                             repetitions=ONLINE_REPETITIONS, out=out, **flags)
 
     # ---- chain layout -------------------------------------------------
     verify_ids = [f"verify_{sig(n)}" for n in top_names]
@@ -530,26 +558,19 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
     # ---- orchestration root -------------------------------------------
     orch = _Proc()
     orch.branch_to_label("defined(tf_initialized)", "after_init")
-    init_pairs: list[tuple[str, str]] = [("0", "pass_count")]
+    orch.add(ComputeStep(expr="0", out="pass_count"))
     for name in top_names:
-        s = sig(name)
-        init_pairs.append(("0", f"verify_done_{s}"))
-        prof = profiles.profile(name)
-        best = prof.best_level.get(w0.id, grids[name][0])
-        init_pairs.append((str(_grid_index(grids, space, name, best)),
-                           best_index_signal(name)))
-    for cid in comp_ids:
-        init_pairs.append(("0", f"done_{cid}"))
-    init_pairs.append(("0", "baseline_done"))
-    init_pairs.append(("0", "crosscheck_done"))
-    init_pairs.append(("1", "tf_initialized"))
-    for expr_text, out in init_pairs:
-        orch.add(ComputeStep(expr=expr_text, out=out))
+        orch.add(ComputeStep(expr="0", out=f"verify_done_{sig(name)}"))
+        best = profiles.profile(name).best_level.get(w0.id, grids[name][0])
+        orch.add(ComputeStep(expr=str(_grid_index(grids, space, name, best)),
+                             out=best_index_signal(name)))
+    for out in [f"done_{cid}" for cid in comp_ids] + ["baseline_done", "crosscheck_done"]:
+        orch.add(ComputeStep(expr="0", out=out))
+    orch.add(ComputeStep(expr="1", out="tf_initialized"))
     labels = {"after_init": orch.here()}
     orch.add(ComputeStep(expr="pass_count + 1", out="pass_count"))
     orch.branch_to_label("baseline_done >= 1", "skip_baseline")
-    orch.add(BenchmarkStep(template={}, workload_id=w0.id,
-                           repetitions=ONLINE_REPETITIONS, out="baseline_mean", adopt=True))
+    orch.add(bench({}, "baseline_mean", adopt=True))
     orch.add(ComputeStep(expr="baseline_mean", out="incumbent_best"))
     orch.add(ComputeStep(expr="0", out="pass_gain"))
     orch.add(ComputeStep(expr="1", out="baseline_done"))
@@ -571,9 +592,6 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
             "convergence_ratio": CONVERGENCE_RATIO,
         },
     )
-    prov(orchestration.id, "top_k_count", "sensitivity.select_top_k")
-    prov(orchestration.id, "tau_s", "sensitivity.select_top_k")
-    prov(orchestration.id, "convergence_ratio", "docgen.policy")
     skills.append(orchestration)
 
     # ---- per-parameter verification + adaptation skills ----------------
@@ -581,15 +599,12 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
         prof = profiles.profile(name)
         s = sig(name)
         grid = grids[name]
-        cv_ref = prof.cv_per_workload.get(w0.id, prof.aggregate_cv)
         directional = prof.shape in ("monotonic-up", "monotonic-down", "step-function")
 
         proc = _Proc()
         proc.branch_to_label(f"verify_done_{s} >= 1", "exit")
-        proc.add(BenchmarkStep(template={name: grid[0]}, workload_id=w0.id,
-                               repetitions=ONLINE_REPETITIONS, out=f"{s}_lo_metric"))
-        proc.add(BenchmarkStep(template={name: grid[-1]}, workload_id=w0.id,
-                               repetitions=ONLINE_REPETITIONS, out=f"{s}_hi_metric"))
+        proc.add(bench({name: grid[0]}, f"{s}_lo_metric"))
+        proc.add(bench({name: grid[-1]}, f"{s}_hi_metric"))
         proc.add(ComputeStep(
             expr=f"(max({s}_lo_metric, {s}_hi_metric) - min({s}_lo_metric, {s}_hi_metric))"
                  f" / baseline_mean",
@@ -619,10 +634,9 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
         proc.add(ComputeStep(expr=f"{s}_cv_ok and {s}_shape_ok",
                              out=f"{s}_verify_ok"))
         proc.add(ComputeStep(expr="1", out=f"verify_done_{s}"))
-        steps = proc.resolve({"exit": proc.here()})
 
         ref: dict[str, Any] = {
-            "cv": cv_ref,
+            "cv": prof.cv_per_workload.get(w0.id, prof.aggregate_cv),
             "aggregate_cv": prof.aggregate_cv,
             "cv_tolerance": CV_TOLERANCE,
             "safety_floor": CROSS_WORKLOAD_FLOOR,
@@ -640,30 +654,17 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
             id=verify_id, kind=KIND_PER_PARAMETER,
             title=f"Verify documented sensitivity of {name}",
             preconditions=["baseline_done >= 1"],
-            procedure=steps,
+            procedure=proc.resolve({"exit": proc.here()}),
             next=next_of[verify_id],
             postconditions=[f"{s}_verify_ok >= 1"],
             reference_data=ref,
             adaptation_target=resweep_id,
         )
-        for key, op in (("cv", "sensitivity.compute_cv"),
-                        ("aggregate_cv", "sensitivity.compute_cv"),
-                        ("rank", "sensitivity.select_top_k"),
-                        ("shape", "sensitivity.classify_shape"),
-                        ("safe_lo", "sensitivity.extract_safe_range"),
-                        ("safe_hi", "sensitivity.extract_safe_range"),
-                        ("cv_tolerance", "docgen.policy"),
-                        ("safety_floor", "docgen.policy")):
-            prov(verify_id, key, op)
-        for wid in sorted(prof.cv_per_workload):
-            prov(verify_id, f"cv_{sig(wid)}", "sensitivity.compute_cv")
         skills.append(verify)
 
         # Adaptation: sweep the documented grid afresh and adopt its argbest.
         metrics = ", ".join(f"{s}_rs_m{i}" for i in range(len(grid)))
-        rs = [BenchmarkStep(template={name: level}, workload_id=w0.id,
-                            repetitions=ONLINE_REPETITIONS, out=f"{s}_rs_m{i}", adopt=True)
-              for i, level in enumerate(grid)]
+        rs = [bench({name: level}, f"{s}_rs_m{i}", adopt=True) for i, level in enumerate(grid)]
         rs.append(ComputeStep(
             expr=f"(max({metrics}) - min({metrics})) / baseline_mean",
             out=f"{s}_cv_obs"))
@@ -678,34 +679,30 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
             postconditions=[f"{s}_verify_ok >= 1"],
             reference_data={"rank": prof.rank},
         )
-        prov(resweep_id, "rank", "sensitivity.select_top_k")
         skills.append(resweep)
 
     # ---- per-component joint skills ------------------------------------
-    for comp_index, component in enumerate(multi):
-        cid = comp_ids[comp_index]
+    for cid, component in zip(comp_ids, multi):
         members = sorted(component)
-        comp_edges = [e for e in graph.edges
-                      if e.a in component and e.b in component]
-        eta_max = max(e.eta_squared for e in comp_edges)
+        comp_edges = [e for e in graph.edges if e.a in component and e.b in component]
         opt = optima_by_key.get((tuple(members), w0.id))
         if opt is None:
             raise CompileError(f"no joint optimum recorded for component {members} on {w0.id}")
 
         ref = {
-            "eta2_max": eta_max,
+            "eta2_max": max(e.eta_squared for e in comp_edges),
             "joint_threshold": ETA2_MIN,
             "expected_improvement": opt.improvement_vs_default,
             "accept_fraction": ACCEPT_FRACTION,
         }
-        prov(cid, "eta2_max", "interaction.two_way_anova")
-        prov(cid, "joint_threshold", "interaction.thresholds")
-        prov(cid, "expected_improvement", "topology.optimize_component")
-        prov(cid, "accept_fraction", "docgen.policy")
+        pair_of: dict[str, tuple[str, str]] = {}
         for e in comp_edges:
-            key = f"eta2_{sig(e.a)}_{sig(e.b)}"
+            key = eta2_key(e.a, e.b)
+            first = pair_of.setdefault(key, (e.a, e.b))
+            if first != (e.a, e.b):
+                raise CompileError(f"pair {(e.a, e.b)} names its eta^2 {key}, which {cid} "
+                                   f"already holds for pair {first}")
             ref[key] = e.eta_squared
-            prov(cid, key, "interaction.two_way_anova")
 
         proc = _Proc()
         proc.branch_to_label(f"done_{cid} >= 1", "exit")
@@ -713,9 +710,7 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
         # Joint and candidate benchmarks pin every other selected parameter at
         # its current best level.
         doc_best_template = {m: opt.best_config.assignments[m] for m in members}
-        proc.add(BenchmarkStep(template=doc_best_template, workload_id=w0.id,
-                               repetitions=ONLINE_REPETITIONS, out=f"{cid}_doc_metric",
-                               adopt=True, pin_best=True))
+        proc.add(bench(doc_best_template, f"{cid}_doc_metric", adopt=True, pin_best=True))
         proc.add(ComputeStep(
             expr=_gain_expr(f"{cid}_doc_metric", "baseline_mean", direction),
             out=f"{cid}_doc_gain"))
@@ -727,9 +722,7 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
         cells = [(combo, {m: grids[m][i] for m, i in zip(members, combo)}) for combo in combos]
         cells.sort(key=lambda cell: json.dumps(cell[1], sort_keys=True))
         for j, (_, template) in enumerate(cells):
-            proc.add(BenchmarkStep(template=template,
-                                   workload_id=w0.id, repetitions=ONLINE_REPETITIONS,
-                                   out=f"{cid}_cell_{j}", adopt=True, pin_best=True))
+            proc.add(bench(template, f"{cid}_cell_{j}", adopt=True, pin_best=True))
         metrics = ", ".join(f"{cid}_cell_{j}" for j in range(len(cells)))
         proc.add(ComputeStep(expr=f"{argbest}({metrics})", out=f"{cid}_best_cell"))
         for k, m in enumerate(members):
@@ -759,9 +752,7 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
 
     # ---- candidate assembly and cross-workload verification ------------
     cand = _Proc()
-    cand.add(BenchmarkStep(template={}, workload_id=w0.id,
-                           repetitions=ONLINE_REPETITIONS, out="cand_metric", adopt=True,
-                           pin_best=True))
+    cand.add(bench({}, "cand_metric", adopt=True, pin_best=True))
     better = "max" if direction == "maximize" else "min"
     cand.add(ComputeStep(expr=f"{better}(cand_metric, incumbent_best)",
                          out="tf_new_best"))
@@ -769,16 +760,12 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
         expr=_gain_expr("tf_new_best", "incumbent_best", direction),
         out="pass_gain"))
     cand.add(ComputeStep(expr="tf_new_best", out="incumbent_best"))
-    cand_labels: dict[str, int] = {}
     cand.branch_to_label("crosscheck_done >= 1", "skip_cross")
     cross_post = []
     for w in workloads[1:]:
         ws = sig(w.id)
-        cand.add(BenchmarkStep(template={}, workload_id=w.id,
-                               repetitions=ONLINE_REPETITIONS, out=f"baseline_{ws}"))
-        cand.add(BenchmarkStep(template={}, workload_id=w.id,
-                               repetitions=ONLINE_REPETITIONS, out=f"cand_metric_{ws}",
-                               pin_best=True))
+        cand.add(bench({}, f"baseline_{ws}", w.id))
+        cand.add(bench({}, f"cand_metric_{ws}", w.id, pin_best=True))
         cand.add(ComputeStep(expr=f"cand_metric_{ws} / baseline_{ws}",
                              out=f"cand_ratio_{ws}"))
         if w.direction == "maximize":
@@ -786,20 +773,22 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
         else:
             cross_post.append(f"cand_ratio_{ws} <= 1 / cross_floor")
     cand.add(ComputeStep(expr="1", out="crosscheck_done"))
-    cand_labels["skip_cross"] = cand.here()
 
     candidate = Skill(
         id=candidate_id, kind=KIND_PER_COMPONENT,
         title="Assemble and verify the candidate configuration",
         preconditions=[f"verify_done_{sig(n)} >= 1" for n in top_names] or ["baseline_done >= 1"],
-        procedure=cand.resolve(cand_labels),
+        procedure=cand.resolve({"skip_cross": cand.here()}),
         next=TARGET_END,
         postconditions=["crosscheck_done >= 1"] + cross_post,
         reference_data={"cross_floor": CROSS_WORKLOAD_FLOOR},
     )
-    prov(candidate_id, "cross_floor", "docgen.policy")
     skills.append(candidate)
 
+    provenance = {
+        f"{skill.id}.{key}": {"campaign": campaign, "operation": OPERATIONS[
+            key if key in OPERATIONS else key.partition("_")[0] + "_"]}
+        for skill in skills for key in skill.reference_data}
     doc = ProceduralDocument(
         fingerprint={"space_hash": profiles.space_hash, "campaign_id": campaign},
         root="orchestrate",
@@ -809,10 +798,7 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
         grids=grids,
         safe_ranges=safe_ranges,
         provenance=provenance,
-        policy={"cv_tolerance": CV_TOLERANCE, "convergence_ratio": CONVERGENCE_RATIO,
-                "online_repetitions": ONLINE_REPETITIONS, "accept_fraction": ACCEPT_FRACTION,
-                "grid_levels": GRID_LEVELS, "min_top_k": MIN_TOP_K,
-                "cross_workload_floor": CROSS_WORKLOAD_FLOOR},
+        policy=POLICY,
     )
     if doc.violations:
         raise CompileError("compiled document failed validation: " + "; ".join(doc.violations))
@@ -956,12 +942,17 @@ def export_knowledge(doc: ProceduralDocument) -> KnowledgeExport:
                   and s.id.startswith("joint_")}
     for cid in sorted(components):
         skill = components[cid]
-        names = _component_members(doc, skill)
+        members = _component_members(doc, skill)
+        pair_of: dict[str, tuple[str, str]] = {}
+        for pair in combinations(members, 2):
+            pair_of.setdefault(eta2_key(*pair), pair)
         for key, value in sorted(skill.reference_data.items()):
             if key.startswith("eta2_") and key != "eta2_max":
-                pair = _pair_of_edge_key(key, names)
+                if key not in pair_of:
+                    raise DocumentError(
+                        f"cannot resolve edge key {key!r} against members {members}")
                 interactions.append({
-                    "pair": list(pair),
+                    "pair": list(pair_of[key]),
                     "eta_squared": value,
                     "component": cid,
                 })
@@ -982,15 +973,6 @@ def _component_members(doc: ProceduralDocument, skill: Skill) -> list[str]:
         if isinstance(step, BenchmarkStep) and step.template:
             members.update(step.template)
     return sorted(members)
-
-
-def _pair_of_edge_key(key: str, members: list[str]) -> tuple[str, str]:
-    body = key[len("eta2_"):]
-    for a in members:
-        for b in members:
-            if a < b and body == f"{signal_name(a)}_{signal_name(b)}":
-                return (a, b)
-    raise DocumentError(f"cannot resolve edge key {key!r} against members {members}")
 
 
 def render_text(doc: ProceduralDocument) -> str:

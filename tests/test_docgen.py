@@ -13,8 +13,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from helpers import (edit_document, load_perfbench_workloads, run_small_pipeline,
-                     shifted_small_model, skill_json)
+from helpers import (edit_document, load_perfbench_workloads, one_workload, run_small_pipeline,
+                     shifted_small_model, skill_json, unit_space)
 from tuneforge import expr as expr_mod
 from tuneforge.campaign import OPTIMA_REPORT, Campaign
 from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, KnowledgeExport,
@@ -22,13 +22,37 @@ from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, KnowledgeE
                               render_text, step_from_json, thaw, validate_document)
 from tuneforge.errors import AnalysisError, CompileError, DocumentError
 from tuneforge.executor import run_session
+from tuneforge.sensitivity import SafeRange, SensitivityProfile, SensitivityReport
 from tuneforge.simulator import SimulatorAdapter
-from tuneforge.space import WorkloadSpec
+from tuneforge.space import Configuration, WorkloadSpec
+from tuneforge.topology import CorrelationGraph, GraphEdge, JointOptimum, OptimaReport
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     return run_small_pipeline(tmp_path_factory.mktemp("campaign"))
+
+
+def synthetic_reports(names, edges=()):
+    """Sensitivity and optima reports of campaign c0 selecting ``names``,
+    ranked in order, on w0; the ``edges``, ``(a, b, eta^2)``, join their
+    endpoints into one component with a joint optimum."""
+    profiles = [SensitivityProfile(parameter=n, cv_per_workload={"w0": 0.2}, aggregate_cv=0.2,
+                                   shape="monotonic-up", safe_range=SafeRange(0.0, 1.0),
+                                   rank=i + 1, selected=True, best_level={"w0": 1.0})
+                for i, n in enumerate(names)]
+    sens = SensitivityReport(campaign_id="c0", space_hash="h0", tau_s=0.05,
+                             baseline_means={"w0": 1000.0}, profiles=profiles)
+    members = sorted({n for a, b, _ in edges for n in (a, b)})
+    singles = [[n] for n in names if n not in members]
+    graph = CorrelationGraph(nodes=sorted(names),
+                             components=sorted(singles + ([members] if members else [])),
+                             edges=[GraphEdge(a=a, b=b, eta_squared=eta) for a, b, eta in edges])
+    optima = [JointOptimum(component=members, workload_id="w0",
+                           best_config=Configuration({m: 1.0 for m in members}),
+                           best_metric=1100.0, improvement_vs_default=0.1)] if members else []
+    return sens, OptimaReport(campaign_id="c0", space_hash="h0", graph=graph, optima=optima,
+                              baseline_means={"w0": 1000.0})
 
 
 class TestCompile:
@@ -180,6 +204,29 @@ class TestCompile:
         workloads = [WorkloadSpec(id=wid) for wid in ids]
         with pytest.raises(CompileError, match=re.escape(named)):
             compile_document(sens, p["optima"], p["space"], workloads)
+
+    def test_parameters_that_share_a_signal_name_are_refused(self):
+        names = ["p-1", "p_1"]
+        sens, optima = synthetic_reports(names)
+        with pytest.raises(CompileError, match=re.escape(
+                "parameters 'p-1' and 'p_1' share the signal name 'p_1'")):
+            compile_document(sens, optima, unit_space(names), one_workload())
+
+    def test_eta2_keys_that_collide_are_refused(self):
+        # (a, b_c) and (a_b, c) both join to eta2_a_b_c; neither value may be lost
+        names = ["a", "a_b", "b_c", "c"]
+        sens, optima = synthetic_reports(
+            names, [("a", "a_b", 0.30), ("a", "b_c", 0.40), ("a_b", "c", 0.20)])
+        with pytest.raises(CompileError, match=re.escape(
+                "pair ('a_b', 'c') names its eta^2 eta2_a_b_c, which joint_c1 already holds "
+                "for pair ('a', 'b_c')")):
+            compile_document(sens, optima, unit_space(names), one_workload())
+        # without the colliding edge the component compiles and exports each pair
+        sens, optima = synthetic_reports(names, [("a", "a_b", 0.30), ("a", "b_c", 0.40)])
+        export = export_knowledge(compile_document(sens, optima, unit_space(names),
+                                                   one_workload()))
+        assert [(d["pair"], d["eta_squared"]) for d in export.interactions] == \
+            [(["a", "a_b"], 0.30), (["a", "b_c"], 0.40)]
 
     def test_render_text_mentions_every_skill(self, pipeline):
         text = render_text(pipeline["doc"])
@@ -522,10 +569,66 @@ class TestImmutable:
 
 
 @pytest.fixture(scope="module")
-def both_directions(tmp_path_factory):
-    """The small pipeline's documents, maximizing and minimizing."""
-    return [run_small_pipeline(tmp_path_factory.mktemp(direction), direction=direction)["doc"]
+def both_pipelines(tmp_path_factory):
+    """The small pipeline, maximizing and minimizing."""
+    return [run_small_pipeline(tmp_path_factory.mktemp(direction), direction=direction)
             for direction in ("maximize", "minimize")]
+
+
+@pytest.fixture(scope="module")
+def both_directions(both_pipelines):
+    """The small pipeline's documents, maximizing and minimizing."""
+    return [p["doc"] for p in both_pipelines]
+
+
+# The analysis operation behind each reference datum, by skill and key; the
+# cv_<workload> and eta2_<a>_<b> families are added per workload and edge.
+VERIFY_OPERATIONS = {
+    "cv": "sensitivity.compute_cv", "aggregate_cv": "sensitivity.compute_cv",
+    "rank": "sensitivity.select_top_k", "shape": "sensitivity.classify_shape",
+    "safe_lo": "sensitivity.extract_safe_range", "safe_hi": "sensitivity.extract_safe_range",
+    "cv_tolerance": "docgen.policy", "safety_floor": "docgen.policy"}
+JOINT_OPERATIONS = {
+    "eta2_max": "interaction.two_way_anova", "joint_threshold": "interaction.thresholds",
+    "expected_improvement": "topology.optimize_component", "accept_fraction": "docgen.policy"}
+
+
+def expected_provenance(sens, optima):
+    """Every provenance entry a document compiled from these reports holds."""
+    ops = {"orchestrate.top_k_count": "sensitivity.select_top_k",
+           "orchestrate.tau_s": "sensitivity.select_top_k",
+           "orchestrate.convergence_ratio": "docgen.policy",
+           "verify_candidate.cross_floor": "docgen.policy"}
+    for profile in sens.top_k():
+        verify = f"verify_{profile.parameter}"
+        ops.update({f"{verify}.{key}": op for key, op in VERIFY_OPERATIONS.items()})
+        ops.update({f"{verify}.cv_{w}": "sensitivity.compute_cv" for w in profile.cv_per_workload})
+        ops[f"resweep_{profile.parameter}.rank"] = "sensitivity.select_top_k"
+    for i, component in enumerate(optima.graph.multi_components()):
+        joint = f"joint_c{i + 1}"
+        ops.update({f"{joint}.{key}": op for key, op in JOINT_OPERATIONS.items()})
+        ops.update({f"{joint}.eta2_{e.a}_{e.b}": "interaction.two_way_anova"
+                    for e in optima.graph.edges if e.a in component and e.b in component})
+    return {key: {"campaign": sens.campaign_id, "operation": op} for key, op in ops.items()}
+
+
+class TestProvenanceCensus:
+    def test_each_datum_has_its_operation_and_nothing_else_has_one(self, both_pipelines):
+        p = both_pipelines[0]
+        sens = copy.deepcopy(p["sensitivity"])
+        for profile in sens.profiles:
+            profile.cv_per_workload["w1"] = 0.1
+        two = compile_document(sens, p["optima"], p["space"],
+                               p["workloads"] + [WorkloadSpec(id="w1")])
+        assert p["optima"].graph.multi_components() and not p["optima"].rejected
+        for doc, sens in [(q["doc"], q["sensitivity"]) for q in both_pipelines] + [(two, sens)]:
+            assert thaw(doc.provenance) == expected_provenance(sens, p["optima"])
+        assert "verify_pc.cv_w1" in two.provenance
+        assert "joint_c1.eta2_pa_pb" in two.provenance
+
+    def test_small_pipeline_documents_are_pinned(self, both_directions):
+        # a change to what the compiler writes shows here first
+        assert [doc.hash for doc in both_directions] == ["6cb1d019b9213b08", "375bb85d33b7e0ad"]
 
 
 class TestGrammarCensus:
