@@ -374,9 +374,9 @@ class ProceduralDocument(_Part, JsonArtifact, name="document", written=("edges",
         """The document prepared for sessions on `space`: what every session
         would otherwise redo. Each expression is parsed here, so the document
         must be valid. Each benchmark step's run is resolved by the first
-        session that reaches the step at one tuple of grid levels, and kept in
-        `runs`: so the runs kept are bounded by the (step, index tuple) pairs
-        the sessions reached.
+        session that reaches the step with one tuple of grid indexes, and
+        kept in `runs`: so the runs kept are bounded by the (step, grid
+        indexes) pairs the sessions reached.
 
         Built on first use and kept with the space sessions last ran on, which
         is checked by identity; a session on another space builds it again,
@@ -511,7 +511,8 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
     it reads them. The correlation graph and the joint optima are the optima
     report's; a datum's provenance is the operation its key names
     (`OPERATIONS`). Raises CompileError on inconsistent inputs; on two
-    workloads or two selected parameters of one signal name; on reference
+    workloads or two selected parameters of one signal name; on a selected
+    parameter whose verify skill id is the candidate check's; on reference
     data of one key (a workload's CV and a verify datum, two pairs' eta^2);
     or if the generated skill graph fails validation.
     """
@@ -551,6 +552,9 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
     resweep_ids = [f"resweep_{sig(n)}" for n in top_names]
     comp_ids = [f"joint_c{i + 1}" for i in range(len(multi))]
     candidate_id = "verify_candidate"
+    if candidate_id in verify_ids:
+        raise CompileError(f"parameter {top_names[verify_ids.index(candidate_id)]!r} names its "
+                           f"skill {candidate_id}, which is the candidate check's id")
     chain = verify_ids + comp_ids + [candidate_id]
     next_of = {skill_id: chain[i + 1] if i + 1 < len(chain) else TARGET_END
                for i, skill_id in enumerate(chain)}

@@ -16,8 +16,13 @@ to its place, so a session evaluates it without looking its text up. Each
 `pin_best` step's open grid parameters are listed with their index signals.
 A benchmark step's configuration at the grid levels its signals name, its
 effective configuration and its safety verdict are resolved by the first
-session that reaches the step at those levels and kept for the later ones,
-so a session reads its signals and looks the run up.
+session that reaches the step with those signal values and kept for the
+later ones, so a session reads its signals and looks the run up.
+
+Each trace event is built by one positional constructor, and each step
+dispatches on its exact class. Each repetition of a trial goes through the
+harness's outcome classifier (`run_repetition`); a session journals nothing,
+so it builds no journal record.
 
 The interpreter resolves everything from the document itself. The
 ``step_resolver`` hook lets an external agent override a skill's `next`;
@@ -33,8 +38,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Any, Callable, TypedDict
+from types import MappingProxyType, SimpleNamespace
+from typing import Any, Callable, Mapping, TypedDict
 
 from . import expr as expr_mod
 from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, Fingerprint, LiteralRun, Pins,
@@ -44,13 +49,17 @@ from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, Fingerprint, Litera
 from .docgen import validate_document  # noqa: F401
 from .errors import AnalysisError, DocumentError, ExpressionError, ParameterError
 from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_prefix, repetition_seed,
-                      run_valid_experiment)
+                      run_repetition)
 from .jsonfile import Record, check, thaw, write_text
 from .space import Configuration, ParameterSpace, WorkloadSpec, validate_configuration
 
 STATUS_RUNNING = "running"
 STATUS_CONVERGED = "converged"
 STATUS_ABORTED = "aborted"
+
+# The reference data of a predicate's evaluation: none, since its environment
+# holds every value it reads. One shared, read-only mapping.
+_NO_REFERENCE: Mapping[str, Any] = MappingProxyType({})
 
 
 # One predicate evaluation, as `_eval_predicate` records it: `env` maps each
@@ -162,21 +171,19 @@ class SessionRunner:
             seed=seed,
         )
         self.incumbent: tuple[Configuration, float] | None = None
-        self._seq = 0
         self._benchmarks_this_pass = 0
         # (effective config, workload, repetitions) -> (seq, outcomes, mean)
         self._measured: dict[tuple[Configuration, str, int], tuple[int, list, float | None]] = {}
+        trace = self.session.trace
+        append = trace.append
+
+        def event(skill: str, action: str, step: int | None, inputs: dict, outputs: dict,
+                  predicates: list) -> None:
+            """Record one trace event, given every field but its seq: its position."""
+            append(TraceEvent(len(trace), skill, action, step, inputs, outputs, predicates))
+        self._event = event
 
     # -- tracing -------------------------------------------------------
-
-    def _event(self, skill: str, action: str, step: int | None = None,
-               inputs: dict | None = None, outputs: dict | None = None,
-               predicates: list[dict] | None = None) -> TraceEvent:
-        event = TraceEvent(self._seq, skill, action, step, inputs or {}, outputs or {},
-                           predicates or [])
-        self._seq += 1
-        self.session.trace.append(event)
-        return event
 
     def _eval_predicate(self, parsed: expr_mod.Expr, skill: Skill) -> tuple[bool, dict]:
         """Evaluate one prepared predicate, recording the symbol values it read;
@@ -194,7 +201,7 @@ class SessionRunner:
             elif symbol in reference:
                 env[symbol] = reference[symbol]
         try:
-            verdict = expr_mod.evaluate_predicate(parsed, env, {})
+            verdict = expr_mod.evaluate_predicate(parsed, env, _NO_REFERENCE)
         except ExpressionError as e:
             raise _Abort(f"{skill.id}: predicate {text!r} failed: {e}")
         return verdict, {"expr": text, "env": env, "verdict": verdict}
@@ -203,9 +210,20 @@ class SessionRunner:
 
     def _step_run(self, skill: Skill, index: int, step: BenchmarkStep, pins: Pins) -> LiteralRun:
         """A benchmark step's run: its template with every pinned parameter at
-        the level its best-index signal names, resolved and checked on the
-        space by the first session that reaches the step at those levels."""
-        signals = self.session.signals
+        the grid level its best-index signal names, resolved and checked on the
+        space by the first session that reaches the step with those levels.
+
+        Runs are kept by (skill, step, grid index of each pin) and first looked
+        up by the raw signal values, which hit when the values are integral
+        (an argmax output is); other values are rounded first, so the runs
+        kept are bounded by the grid levels reached."""
+        signals, runs = self.session.signals, self.prepared.runs
+        try:
+            run = runs.get((skill.id, index, *[signals[signal] for _, signal, _ in pins]))
+        except KeyError:
+            run = None  # a signal is unset, and the checks below name it
+        if run is not None:
+            return run
         indexes = []
         for param, signal, grid in pins:
             if signal not in signals:
@@ -217,14 +235,14 @@ class SessionRunner:
                 raise _Abort(f"{skill.id}: grid index {idx} out of range for {param!r}")
             indexes.append(idx)
         key = (skill.id, index, *indexes)
-        run = self.prepared.runs.get(key)
+        run = runs.get(key)
         if run is None:  # no lock: threads racing here resolve equal runs
             resolved = thaw(step.template)
             for (param, _, grid), idx in zip(pins, indexes):
                 resolved[param] = grid[idx]
             config, space = Configuration(resolved), self.adapter.space
             refusal = self.doc.refusal(space, config)
-            run = self.prepared.runs[key] = LiteralRun(
+            run = runs[key] = LiteralRun(
                 config, None if refusal else space.effective(config), refusal)
         return run
 
@@ -252,30 +270,31 @@ class SessionRunner:
             outcomes, mean = self._measure(effective, workload, step)
             self.session.trials_used += 1
             self._benchmarks_this_pass += 1
-            self._measured[key] = (self._seq, outcomes, mean)
+            self._measured[key] = (len(self.session.trace), outcomes, mean)
         outputs: dict[str, Any] = {"outcomes": list(outcomes)}
         if mean is not None:
             self.session.signals[step.out] = mean
             outputs[step.out] = mean
             if step.adopt:
                 self._adopt(config, mean, workload)
-        self._event(skill.id, step.action, step=index, inputs=inputs, outputs=outputs)
+        self._event(skill.id, step.action, index, inputs, outputs, [])
         if mean is None:
             raise _Abort(f"{skill.id}: step {index} benchmark produced no ok repetition "
                          f"({outcomes})")
 
     def _measure(self, effective: Configuration, workload: WorkloadSpec,
                  step: BenchmarkStep) -> tuple[list[str], float | None]:
-        """One trial: the outcome of each repetition of the step, and the mean
-        of the ok ones' metrics (None when none is ok)."""
+        """One trial: the outcome of each repetition of the step, as the
+        harness classifies it, and the mean of the ok ones' metrics (None when
+        none is ok). A session journals nothing, so no record is built."""
         outcomes, metrics = [], []
-        prefix = cell_prefix(self.mix, effective.canonical(), workload.id)
+        adapter, prefix = self.adapter, cell_prefix(self.mix, effective.canonical(), workload.id)
         for rep in range(step.repetitions):
-            m = run_valid_experiment(self.adapter, effective, workload, rep,
-                                     repetition_seed(prefix, rep))
-            outcomes.append(m.outcome)
-            if m.outcome == OUTCOME_OK:
-                metrics.append(m.metric_value)
+            outcome, metric, _ = run_repetition(adapter, effective, workload,
+                                                repetition_seed(prefix, rep))
+            outcomes.append(outcome)
+            if metric is not None:
+                metrics.append(metric)
         return outcomes, sum(metrics) / len(metrics) if metrics else None
 
     def _adopt(self, config: Configuration, metric: float, workload: WorkloadSpec) -> None:
@@ -286,64 +305,63 @@ class SessionRunner:
 
     def _run_skill(self, skill: Skill) -> str:
         """Execute one skill; returns the skill to run next, or TARGET_END."""
-        prepared = self.prepared.skills[skill.id]
+        event, skill_id = self._event, skill.id
+        prepared = self.prepared.skills[skill_id]
         preds = []
         for parsed in prepared.preconditions:
             verdict, record = self._eval_predicate(parsed, skill)
             preds.append(record)
             if not verdict:
-                self._event(skill.id, "preconditions", predicates=preds)
-                raise _Abort(f"{skill.id}: precondition failed: {parsed.text}")
+                event(skill_id, "preconditions", None, {}, {}, preds)
+                raise _Abort(f"{skill_id}: precondition failed: {parsed.text}")
         if preds:
-            self._event(skill.id, "preconditions", predicates=preds)
+            event(skill_id, "preconditions", None, {}, {}, preds)
 
         i = 0
         steps, entries = skill.procedure, prepared.steps
+        signals, reference = self.session.signals, skill.reference_data
         while i < len(steps):
-            step, entry = steps[i], entries[i]
-            if isinstance(step, BenchmarkStep):
-                self._run_benchmark(skill, i, step, self._step_run(skill, i, step, entry))
-            elif isinstance(step, ComputeStep):
+            step = steps[i]
+            if type(step) is ComputeStep:
                 try:
-                    value = entry.evaluate(self.session.signals, skill.reference_data)
+                    value = signals[step.out] = entries[i].evaluate(signals, reference)
                 except ExpressionError as e:
-                    raise _Abort(f"{skill.id}: step {i} compute failed: {e}")
-                self.session.signals[step.out] = value
-                self._event(skill.id, step.action, step=i,
-                            inputs={"expr": step.expr}, outputs={step.out: value})
+                    raise _Abort(f"{skill_id}: step {i} compute failed: {e}")
+                event(skill_id, step.action, i, {"expr": step.expr}, {step.out: value}, [])
+            elif type(step) is BenchmarkStep:
+                self._run_benchmark(skill, i, step, self._step_run(skill, i, step, entries[i]))
             else:  # a BranchStep; loading admits no other step class
-                verdict, record = self._eval_predicate(entry, skill)
-                self._event(skill.id, step.action, step=i,
-                            inputs={"cond": step.cond, "target": step.target},
-                            predicates=[record])
+                verdict, record = self._eval_predicate(entries[i], skill)
+                event(skill_id, step.action, i, {"cond": step.cond, "target": step.target}, {},
+                      [record])
                 if verdict:
                     i = step.target
                     continue
             i += 1
 
-        if skill.id != self.doc.root and skill.postconditions:
+        if skill_id != self.doc.root and skill.postconditions:
             preds = []
             ok = True
             for parsed in prepared.postconditions:
                 verdict, record = self._eval_predicate(parsed, skill)
                 preds.append(record)
                 ok = ok and verdict
-            self._event(skill.id, "postconditions", predicates=preds)
+            event(skill_id, "postconditions", None, {}, {}, preds)
             if not ok:
                 if skill.adaptation_target is not None:
-                    self._event(skill.id, "adaptation",
-                                outputs={"target": skill.adaptation_target})
+                    event(skill_id, "adaptation", None, {}, {"target": skill.adaptation_target},
+                          [])
                     return skill.adaptation_target
                 failed = [p["expr"] for p in preds if not p["verdict"]]
-                raise _Abort(f"{skill.id}: postcondition violated with no adaptation edge: "
+                raise _Abort(f"{skill_id}: postcondition violated with no adaptation edge: "
                              + "; ".join(failed))
 
         if self.step_resolver is not None:
-            resolved = self.step_resolver(skill, dict(self.session.signals))
+            resolved = self.step_resolver(skill, dict(signals))
             if resolved is not None:
-                self._event(skill.id, "decision", outputs={"target": resolved, "resolver": True})
+                event(skill_id, "decision", None, {}, {"target": resolved, "resolver": True}, [])
                 return resolved
-        self._event(skill.id, "decision", outputs={"target": skill.next})
+        event(skill_id, "decision", None, {}, {"target": skill.next}, [])
         return skill.next
 
     # -- session loop ----------------------------------------------------
@@ -369,9 +387,8 @@ class SessionRunner:
                     verdict, record = self._eval_predicate(parsed, root)
                     preds.append(record)
                     converged = converged and verdict
-                self._event(root.id, "pass",
-                            outputs={"pass": self.session.passes, "converged": converged},
-                            predicates=preds)
+                self._event(root.id, "pass", None, {},
+                            {"pass": self.session.passes, "converged": converged}, preds)
                 if converged:
                     self._finish_converged()
                     return self.session
@@ -380,8 +397,8 @@ class SessionRunner:
         except _Abort as e:
             self.session.status = STATUS_ABORTED
             self.session.diagnostic = e.diagnostic
-            self._event("session", "status",
-                        outputs={"status": STATUS_ABORTED, "diagnostic": e.diagnostic})
+            self._event("session", "status", None, {},
+                        {"status": STATUS_ABORTED, "diagnostic": e.diagnostic}, [])
             return self.session
 
     def _finish_converged(self) -> None:
@@ -397,10 +414,9 @@ class SessionRunner:
         self.session.status = STATUS_CONVERGED
         self.session.final_config = config
         self.session.final_metric = metric
-        self._event("session", "status",
-                    outputs={"status": STATUS_CONVERGED,
-                             "final_config": config.assignments,
-                             "final_metric": metric})
+        self._event("session", "status", None, {},
+                    {"status": STATUS_CONVERGED, "final_config": config.assignments,
+                     "final_metric": metric}, [])
 
 
 def run_session(doc: ProceduralDocument, adapter: Adapter, budget: int, seed: int,
@@ -436,7 +452,7 @@ class _Replay(SessionRunner):
                  step: BenchmarkStep) -> tuple[list[str], float | None]:
         """The recorded outcomes and mean; none, which aborts the session, where
         the recorded event holds no measurement of the step."""
-        outputs = self.recorded.get(self._seq, {})
+        outputs = self.recorded.get(len(self.session.trace), {})
         outcomes, mean = outputs.get("outcomes"), outputs.get(step.out)
         try:
             check(tuple[list[str], float | None], (outcomes, mean), "measurement")
@@ -446,7 +462,7 @@ class _Replay(SessionRunner):
         return (outcomes, mean) if measured else ([], None)
 
     def _recorded_decision(self, skill: Skill, signals: dict) -> str | None:
-        outputs = self.recorded.get(self._seq, {})
+        outputs = self.recorded.get(len(self.session.trace), {})
         target = outputs.get("target")
         return target if outputs.get("resolver") is True and isinstance(target, str) else None
 

@@ -66,12 +66,15 @@ class Expr:
     are never mutated after construction.
     """
 
-    __slots__ = ("text", "sorted_symbols", "_evaluate")
+    __slots__ = ("text", "sorted_symbols", "evaluate")
 
     def __init__(self, text: str, ast: tuple):
         self.text = text
         found: set[str] = set()
-        self._evaluate = _compile(ast, text, found)
+        # evaluate(signals, reference): the value against the signal store,
+        # then the reference data; signals shadow reference data of one name.
+        # The compiled evaluator itself, so that a call costs no method frame.
+        self.evaluate: Evaluator = _compile(ast, text, found)
         # The symbols in sorted order: the order a trace records them in.
         self.sorted_symbols: tuple[str, ...] = tuple(sorted(found))
 
@@ -81,13 +84,6 @@ class Expr:
     def symbols(self) -> frozenset[str]:
         """Every symbol the expression references, defined() arguments included."""
         return frozenset(self.sorted_symbols)
-
-    def evaluate(self, signals: Mapping[str, Any], reference: Mapping[str, Any]) -> float:
-        """Evaluate against the signal store, then reference data.
-
-        Signals shadow reference data of the same name.
-        """
-        return self._evaluate(signals, reference)
 
 
 def _compile(node: tuple, text: str, found: set[str]) -> Evaluator:

@@ -527,33 +527,42 @@ def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSp
                                 mix_seed(seed, config, workload.id, repetition))
 
 
-def run_valid_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
-                         repetition: int, run_seed: int) -> Measurement:
+def run_repetition(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
+                   run_seed: int) -> tuple[str, float | None, str | None]:
     """Execute one repetition of a valid configuration with its run seed
-    (``mix_seed``) and wrap the outcome.
+    (``mix_seed``); the (outcome, metric, diagnostic) it comes to. This is
+    the harness's one outcome classifier, for campaign runs and session
+    trials alike.
 
-    Adapter crashes and timeouts become crash/timeout outcomes with the
-    diagnostic attached, and a metric that is not finite (NaN or infinite)
-    becomes a crash; they never abort the caller. An AdapterError means the
-    adapter broke its contract rather than the system crashing, so it is
-    raised: recording it would poison every later resume.
+    A finite metric is ok. Adapter crashes and timeouts become crash/timeout
+    outcomes with the diagnostic attached, and a metric that is not finite
+    (NaN or infinite) becomes a crash, as does any other exception of the
+    adapter's (an I/O failure); they never abort the caller. An AdapterError
+    means the adapter broke its contract rather than the system crashing, so
+    it is raised: recording it would poison every later resume.
     """
-    start = time.perf_counter()
     try:
         value = float(adapter.measure(config, workload, run_seed))
-        if not math.isfinite(value):
-            raise CrashError(f"non-finite metric {value}")
-        outcome, metric, diag = OUTCOME_OK, value, None
     except CrashError as e:
-        outcome, metric, diag = OUTCOME_CRASH, None, e.diagnostic
+        return OUTCOME_CRASH, None, e.diagnostic
     except TimeoutError as e:
-        outcome, metric, diag = OUTCOME_TIMEOUT, None, str(e)
+        return OUTCOME_TIMEOUT, None, str(e)
     except AdapterError:
         raise
     except Exception as e:  # adapter I/O failure counts as a crash, not an abort
-        outcome, metric, diag = OUTCOME_CRASH, None, f"{type(e).__name__}: {e}"
-    wall = time.perf_counter() - start
-    return Measurement(config, workload.id, repetition, metric, outcome, wall, diag)
+        return OUTCOME_CRASH, None, f"{type(e).__name__}: {e}"
+    if -_INF < value < _INF:
+        return OUTCOME_OK, value, None
+    return OUTCOME_CRASH, None, f"non-finite metric {value}"
+
+
+def run_valid_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
+                         repetition: int, run_seed: int) -> Measurement:
+    """``run_repetition``'s outcome as a record, with its wall time."""
+    start = time.perf_counter()
+    outcome, metric, diag = run_repetition(adapter, config, workload, run_seed)
+    return Measurement(config, workload.id, repetition, metric, outcome,
+                       time.perf_counter() - start, diag)
 
 
 PlanEntry = tuple[Configuration, WorkloadSpec, int]

@@ -228,6 +228,15 @@ class TestCompile:
         assert [(d["pair"], d["eta_squared"]) for d in export.interactions] == \
             [(["a", "a_b"], 0.30), (["a", "b_c"], 0.40)]
 
+    def test_a_parameter_named_like_a_fixed_skill_is_refused(self):
+        # verify_<p> of a parameter named candidate is the candidate check's id
+        names = ["candidate", "x"]
+        sens, optima = synthetic_reports(names)
+        with pytest.raises(CompileError, match=re.escape(
+                "parameter 'candidate' names its skill verify_candidate, which is the "
+                "candidate check's id")):
+            compile_document(sens, optima, unit_space(names), one_workload())
+
     def test_render_text_mentions_every_skill(self, pipeline):
         text = render_text(pipeline["doc"])
         for skill in pipeline["doc"].skills:

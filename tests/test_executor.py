@@ -1,7 +1,9 @@
 """Session execution: convergence, adaptation, budget and safety invariants."""
 
 import copy
+import hashlib
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -17,10 +19,11 @@ from tuneforge import executor
 from tuneforge import expr as expr_mod
 from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, ProceduralDocument, Skill,
                               compile_document)
-from tuneforge.errors import AnalysisError, DocumentError, ExpressionError
+from tuneforge.errors import (AdapterError, AnalysisError, CrashError, DocumentError,
+                              ExpressionError)
 from tuneforge.executor import load_trace, replay_session, run_session
 from tuneforge.expr import evaluate_predicate
-from tuneforge.harness import mix_seed
+from tuneforge.harness import mix_seed, run_experiment
 from tuneforge.simulator import SimulatorAdapter
 from tuneforge.space import Configuration, Domain, ParameterSpace, WorkloadSpec
 
@@ -710,6 +713,33 @@ class TestPreparedSteps:
             assert [c.assignments for c, _ in session.benchmarked_configs()] == \
                 [{"q": 1.0, "p": 0.5}, {"q": 0.0, "p": 0.5}]
 
+    def test_index_signals_rounding_to_one_level_keep_one_run(self):
+        # best_p_idx is 1 plus a small part of a noisy measurement: a new value
+        # in each session, always grid level 1
+        from tuneforge.simulator import SimulatorModel
+        orch = Skill(id="root", kind="orchestration", next="end", procedure=[
+            BenchmarkStep(template={}, workload_id="w0", repetitions=1, out="m0"),
+            ComputeStep(expr="1 + m0 / 1000000", out="best_p_idx"),
+            ComputeStep(expr="0", out="best_q_idx"),
+            BenchmarkStep(template={"q": 1.0}, workload_id="w0", repetitions=1, out="m",
+                          pin_best=True)])
+        doc = ProceduralDocument(
+            fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
+            skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
+            grids={"p": [0.0, 0.5, 1.0], "q": [0.0, 1.0]},
+            safe_ranges={"p": {"lo": 0.0, "hi": 1.0}, "q": {"lo": 0.0, "hi": 1.0}},
+            provenance={}, policy={})
+        space = unit_space(["p", "q"])
+        adapter = SimulatorAdapter(space, SimulatorModel(base_rate=100.0, sigma=0.05))
+        indexes = set()
+        for seed in range(5):
+            session = run_session(doc, adapter, budget=5, seed=seed)
+            assert session.status == "converged"
+            assert session.benchmarked_configs()[-1][0].assignments == {"q": 1.0, "p": 0.5}
+            indexes.add(session.signals["best_p_idx"])
+        assert len(indexes) == 5
+        assert sorted(doc.prepared(space).runs) == [("root", 0), ("root", 3, 1)]
+
     def test_prepared_steps_are_kept_per_space(self, pipeline):
         doc, space = fresh_copy(pipeline["doc"]), pipeline["space"]
         prepared = doc.prepared(space)
@@ -1008,3 +1038,152 @@ class TestArgbestSkills:
         assert set(pairs) == {"resweep_pa", "resweep_pb", "resweep_pc", "resweep_pd",
                               "joint_c1:pa", "joint_c1:pb"}
         assert all(pair == (0, 0) for pair in pairs.values()), pairs
+
+
+@pytest.fixture(scope="module")
+def minimizing(tmp_path_factory):
+    return run_small_pipeline(tmp_path_factory.mktemp("minimize"), direction="minimize")
+
+
+def census_sessions(pipeline, minimizing):
+    """Name -> session of every session the trace census pins, each run on a
+    document that earlier census sessions have already run."""
+    narrowed = ParameterSpace(tuple(
+        replace(p, domain=Domain("continuous", 0.0, 0.5)) if p.name == "pc" else p
+        for p in pipeline["space"]))
+    runs = {}
+    for p in (pipeline, minimizing):
+        for label, model in (("matched", small_model()), ("shifted", shifted_small_model())):
+            adapter = SimulatorAdapter(p["space"], model)
+            for seed in range(5):
+                name = f"{p['workloads'][0].direction}-{label}-{seed}"
+                runs[name] = (p["doc"], adapter, 120, seed, None)
+    runs["narrowed"] = (pipeline["doc"], SimulatorAdapter(narrowed, small_model()), 30, 4, None)
+    runs["resolver"] = (pipeline["doc"], pipeline["adapter"], 30, 2,
+                        lambda skill, signals: ("verify_candidate"
+                                                if skill.kind == "orchestration" else None))
+    return {name: (run_session(*args), args[0], args[1].space) for name, args in runs.items()}
+
+
+class TestTraceCensus:
+    """What the interpreter records, pinned: a change to what any session of
+    the small pipelines does or writes shows here first."""
+
+    # name -> (sha256 of the trace's JSON, final configuration)
+    PINNED = {
+        "maximize-matched-0": ("b09a540dd077b43bb5c7b6db4ccdbfd3813673558715c429140e1f3bbb0657e3",
+                              {"pa": 1.0, "pb": 1.0, "pc": 1.0, "pd": 0.0}),
+        "maximize-matched-1": ("50893d7fb49596f849d42a61aa59f78f7e23767346eeddfb0b3ce6dbe688eb99",
+                              {"pa": 1.0, "pb": 1.0, "pc": 1.0, "pd": 0.0}),
+        "maximize-matched-2": ("edbd0e0d234c1d13b7c5e2a6d4adeae1973b2d6b1c6bf4ecdc068cdb6a9beb81",
+                              {"pa": 1.0, "pb": 1.0, "pc": 1.0, "pd": 0.0}),
+        "maximize-matched-3": ("ee94651d7ed4a8ed9e8b39210ee1b5f06dd92ae7e923d535a599d8d3b775b0e0",
+                              {"pa": 1.0, "pb": 1.0, "pc": 1.0, "pd": 0.0}),
+        "maximize-matched-4": ("1f7543977bc3f778fb910b4e93353698f4629496b0376342c439f6a2bc3197a9",
+                              {"pa": 1.0, "pb": 1.0, "pc": 1.0, "pd": 0.0}),
+        "maximize-shifted-0": ("ad66ab0ee58292b333360529e0003963f2c0c6a3b41decfacfeb98810bb267e8",
+                              {"pa": 1.0, "pb": 1.0, "pc": 0.0, "pd": 1.0}),
+        "maximize-shifted-1": ("690dc6a1cc0b60d76e349b17e02fd443b926d0d1f1b98f8969ee067c95653b79",
+                              {"pa": 1.0, "pb": 1.0, "pc": 0.0, "pd": 1.0}),
+        "maximize-shifted-2": ("3d2057343f2a52682452f5e4e03bf908d068c12903cd13757903dcc9adf620de",
+                              {"pa": 1.0, "pb": 1.0, "pc": 0.0, "pd": 1.0}),
+        "maximize-shifted-3": ("f3bd7a0943cd7c74faefb39377ae2246ce3aa807604647cdd0426649a931c6d8",
+                              {"pa": 1.0, "pb": 1.0, "pc": 0.0, "pd": 1.0}),
+        "maximize-shifted-4": ("3bb76bd51be5bd40d2679053716b5a4810c0e54ed011b56d7c63fbcbeb77d61e",
+                              {"pa": 1.0, "pb": 1.0, "pc": 0.0, "pd": 1.0}),
+        "minimize-matched-0": ("8dabe0e9435b75a3e3599fd372f5d09ebb65b8468a1bbf48ef2d975087c33467",
+                              {"pa": 0.0, "pb": 0.0, "pc": 0.0, "pd": 1.0}),
+        "minimize-matched-1": ("559ea48243fb62b7fb978a6456d4b396bd0fd31e6b84b172efc96b350aa5aa42",
+                              {"pa": 0.0, "pb": 0.0, "pc": 0.0, "pd": 1.0}),
+        "minimize-matched-2": ("4828a165354b492a59debafeacb6bfc633bd5e59ea3f37ae2116faab91508976",
+                              {"pa": 0.0, "pb": 0.0, "pc": 0.0, "pd": 1.0}),
+        "minimize-matched-3": ("96685e2af03aa7ad2a47f7449ed377724e660306a9bcb433dac2fd34fc460a5c",
+                              {"pa": 0.0, "pb": 0.0, "pc": 0.0, "pd": 1.0}),
+        "minimize-matched-4": ("35aee953167ed47c4b63a0bcf312f5c92c7ff70e012d607ff796f0030a919c5d",
+                              {"pa": 0.0, "pb": 0.0, "pc": 0.0, "pd": 1.0}),
+        "minimize-shifted-0": ("eb4a2b53c235b66eb71c29aeffa71b447c10cccb9d5a1fed978ecb380dd2566e",
+                              {"pc": 1.0}),
+        "minimize-shifted-1": ("6b0263fddcad89150859ba256a93a7825fd6397f8a31e16201744b909b75eaaf",
+                              {"pc": 1.0}),
+        "minimize-shifted-2": ("ffaedefb0a4b4f20edced061dfb35b82260b3db4e5a5c2edae9baea024931cda",
+                              {"pc": 1.0}),
+        "minimize-shifted-3": ("f791d4a10dd8f735bbe66b53755d49c82a3b291158548bd8776ce3d2d07c5343",
+                              {"pc": 1.0}),
+        "minimize-shifted-4": ("a86f08f6a1235d5d6660c6cd557d654d02504c1bb9deb1943c48c9a36f3bba64",
+                              {"pc": 1.0}),
+        "narrowed": ("d74d5cdc9fbd86ff34ac16083aaa16edda1d603bda09d63d3d5ce99480adfa28",
+                    None),
+        "resolver": ("c2651eb878e8fd56320eb5c5c8180f76a58aa8fc09623a5a4403352f4792ad00",
+                    None),
+    }
+
+    def test_session_traces_are_pinned(self, pipeline, minimizing):
+        got = {}
+        for name, (session, doc, space) in census_sessions(pipeline, minimizing).items():
+            assert replay_session(session.trace_header(), session.trace, doc, space).ok, name
+            text = json.dumps([e.to_json() for e in session.trace], sort_keys=True)
+            final = session.final_config and session.final_config.assignments
+            got[name] = (hashlib.sha256(text.encode()).hexdigest(), final)
+        assert got == self.PINNED
+
+
+class Scripted:
+    """An adapter whose every measurement does what ``act`` does."""
+
+    max_concurrency = 1
+
+    def __init__(self, act):
+        self.space = unit_space(["p"])
+        self.act = act
+
+    def measure(self, config, workload, seed):
+        return self.act()
+
+
+def _raise(error):
+    raise error
+
+
+class TestClassifierCensus:
+    """A session repetition and a campaign run classify one adapter result
+    the same way."""
+
+    # adapter result -> (outcome, metric, diagnostic) of its record
+    CASES = {
+        "float": (lambda: 123.5, ("ok", 123.5, None)),
+        "int": (lambda: 7, ("ok", 7.0, None)),
+        "nan": (lambda: math.nan, ("crash", None, "non-finite metric nan")),
+        "inf": (lambda: math.inf, ("crash", None, "non-finite metric inf")),
+        "-inf": (lambda: -math.inf, ("crash", None, "non-finite metric -inf")),
+        "crash": (lambda: _raise(CrashError("segfault")), ("crash", None, "segfault")),
+        "timeout": (lambda: _raise(TimeoutError("slow")), ("timeout", None, "slow")),
+        "io": (lambda: _raise(OSError("disk gone")), ("crash", None, "OSError: disk gone")),
+    }
+
+    @staticmethod
+    def one_step_session(adapter):
+        orch = Skill(id="root", kind="orchestration", next="end", procedure=[
+            BenchmarkStep(template={"p": 0.5}, workload_id="w0", repetitions=2, out="m")])
+        doc = ProceduralDocument(
+            fingerprint={"space_hash": "h", "campaign_id": "c"}, root="root",
+            skills=[orch], workloads=[WorkloadSpec(id="w0")], primary_workload="w0",
+            grids={"p": [0.0, 0.5, 1.0]}, safe_ranges={"p": {"lo": 0.0, "hi": 1.0}},
+            provenance={}, policy={})
+        return run_session(doc, adapter, budget=5, seed=0)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_session_measures_what_a_run_records(self, case):
+        act, (outcome, metric, diagnostic) = self.CASES[case]
+        adapter = Scripted(act)
+        m = run_experiment(adapter, Configuration({"p": 0.5}), WorkloadSpec(id="w0"), 0, 0)
+        assert (m.outcome, m.metric_value, m.diagnostic) == (outcome, metric, diagnostic)
+        (event,) = [e for e in self.one_step_session(adapter).trace if e.action == "benchmark"]
+        assert event.outputs["outcomes"] == [outcome, outcome]
+        assert event.outputs.get("m") == metric
+
+    def test_an_adapter_error_propagates_from_both(self):
+        adapter = Scripted(lambda: _raise(AdapterError("no METRIC line")))
+        with pytest.raises(AdapterError, match="no METRIC line"):
+            run_experiment(adapter, Configuration({"p": 0.5}), WorkloadSpec(id="w0"), 0, 0)
+        with pytest.raises(AdapterError, match="no METRIC line"):
+            self.one_step_session(adapter)

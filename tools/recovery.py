@@ -47,6 +47,8 @@ effective configuration and true metrics.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import json
 import os
 import shutil
@@ -59,6 +61,7 @@ import types
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
+import tuneforge  # noqa: E402
 from tuneforge import (Configuration, SimulatorAdapter, export_knowledge,  # noqa: E402
                        run_session)
 from tuneforge.campaign import Campaign  # noqa: E402
@@ -115,28 +118,46 @@ def campaign_runs(campaign: Campaign) -> dict:
     return counts
 
 
-def campaign_sessions(w, campaign_seed: int, sessions: int
-                      ) -> tuple[dict, list[dict], list[float]]:
-    """One campaign of workload ``w``: its runs row, the records of its
-    sessions and each session's wall time in seconds."""
-    directory = tempfile.mkdtemp(prefix="recovery-")
+@contextlib.contextmanager
+def run_campaign(tf, w, campaign_seed: int):
+    """One campaign of workload ``w`` run by package ``tf`` (``tuneforge``, or
+    a copy of it under another name), with the stage settings of
+    ``perfbench/run.py``; ``w``'s space, workloads and models are ``tf``'s
+    own. Yields the campaign and its compiled document, and removes the
+    campaign's directory on exit."""
+    directory = tempfile.mkdtemp(prefix="campaign-")
     try:
-        campaign = Campaign(directory, w.space, w.workloads, campaign_seed)
-        adapter = SimulatorAdapter(w.space, w.model)
+        campaign = importlib.import_module(tf.__name__ + ".campaign").Campaign(
+            directory, w.space, w.workloads, campaign_seed)
+        adapter = tf.SimulatorAdapter(w.space, w.model)
         campaign.profile(adapter, levels_per_param=w.levels_per_param, repetitions=3,
                          tau_s=0.05)
         campaign.screen(adapter)
         campaign.joint(adapter, repetitions=3)
-        doc = campaign.compile()
-        runs = campaign_runs(campaign)
+        yield campaign, campaign.compile()
     finally:
         shutil.rmtree(directory)
+
+
+def session_model(w, index: int) -> tuple[str, object]:
+    """The model session ``index`` runs against, by name: the shifted model on
+    the odd sessions of a workload that has one, as in ``perfbench/run.py``."""
+    if w.shifted is not None and index % 2 == 1:
+        return "shifted", w.shifted
+    return "matched", w.model
+
+
+def campaign_sessions(w, campaign_seed: int, sessions: int
+                      ) -> tuple[dict, list[dict], list[float]]:
+    """One campaign of workload ``w``: its runs row, the records of its
+    sessions and each session's wall time in seconds."""
+    with run_campaign(tuneforge, w, campaign_seed) as (campaign, doc):
+        runs = campaign_runs(campaign)
     primary = next(spec for spec in w.workloads if spec.id == doc.primary_workload)
     static = static_config(export_knowledge(doc), primary.direction == "maximize")
     records, wall = [], []
     for index in range(sessions):
-        shifted = w.shifted is not None and index % 2 == 1
-        model = w.shifted if shifted else w.model
+        name, model = session_model(w, index)
         adapter = SimulatorAdapter(w.space, model)
         start = time.perf_counter()
         s = run_session(doc, adapter, SESSION_BUDGET, SESSION_SEED + index)
@@ -144,7 +165,7 @@ def campaign_sessions(w, campaign_seed: int, sessions: int
         final = s.final_config if s.final_config is not None else Configuration({})
         records.append({
             "campaign_seed": campaign_seed, "session_seed": SESSION_SEED + index,
-            "model": "shifted" if shifted else "matched", "status": s.status,
+            "model": name, "status": s.status,
             "trials": s.trials_used,
             "reused": sum("reused_from" in e.inputs for e in s.trace),
             "adapted": any(e.action == "adaptation" for e in s.trace),
