@@ -40,9 +40,10 @@ values included. Loading checks each part's keys and field types
 document parses its safe ranges; `validate_document` checks how the parts
 refer to each other. The hash and the violations are computed on first use
 and kept, so running many sessions on one document validates and hashes it
-once. Its parsed expressions and the benchmark runs its sessions resolved,
-for the space sessions last ran on (`ProceduralDocument.prepared`), are
-kept the same way.
+once. Its skills and workloads by id, its parsed expressions, and the
+benchmark runs its sessions resolved and the cell hashes of the runs they
+measured, for the space sessions last ran on (`ProceduralDocument.prepared`),
+are kept the same way.
 """
 
 from __future__ import annotations
@@ -274,10 +275,11 @@ Pins = tuple[tuple[str, str, tuple[Any, ...]], ...]
 
 @dataclass(frozen=True, slots=True)
 class PreparedSkill:
-    """A skill's pre- and postconditions parsed, and per step of its
+    """A skill, its pre- and postconditions parsed, and per step of its
     procedure the `Pins` of a benchmark step or the parsed expression or
     condition of a compute or branch step."""
 
+    skill: Skill
     preconditions: tuple[expr_mod.Expr, ...]
     steps: tuple[Pins | expr_mod.Expr, ...]
     postconditions: tuple[expr_mod.Expr, ...]
@@ -285,16 +287,21 @@ class PreparedSkill:
 
 @dataclass(frozen=True, slots=True)
 class PreparedDocument:
-    """A document prepared for sessions on `space`: each skill prepared, by
-    id, and `runs`, the `LiteralRun` of each benchmark step a session has
-    reached, by (skill id, step index, grid index of each pin).
+    """A document prepared for sessions on `space`: each skill prepared and
+    each workload, by id; `runs`, the `LiteralRun` of each benchmark step a
+    session has reached, by (skill id, step index, grid index of each pin);
+    and `cells`, the `harness.cell_hash` of each cell (canonical effective
+    configuration, workload id) a session has measured, so the cells kept
+    are bounded by the distinct cells of the kept runs.
 
-    No lock: threads racing on `runs` resolve equal runs for one key, and
-    each session runs the one it got."""
+    No lock: threads racing on `runs` or `cells` compute equal values for
+    one key, and each session uses the one it got."""
 
     space: ParameterSpace
     skills: Mapping[str, PreparedSkill]
+    workloads: Mapping[str, WorkloadSpec]
     runs: dict[tuple, LiteralRun]
+    cells: dict[tuple[str, str], int]
 
 
 def _workloads(value: Any) -> Any:
@@ -372,11 +379,13 @@ class ProceduralDocument(_Part, JsonArtifact, name="document", written=("edges",
 
     def prepared(self, space: ParameterSpace) -> PreparedDocument:
         """The document prepared for sessions on `space`: what every session
-        would otherwise redo. Each expression is parsed here, so the document
-        must be valid. Each benchmark step's run is resolved by the first
-        session that reaches the step with one tuple of grid indexes, and
-        kept in `runs`: so the runs kept are bounded by the (step, grid
-        indexes) pairs the sessions reached.
+        would otherwise redo. The skill and workload tables are built and each
+        expression is parsed here, so the document must be valid. Each
+        benchmark step's run is resolved by the first session that reaches
+        the step with one tuple of grid indexes, and kept in `runs`: so the
+        runs kept are bounded by the (step, grid indexes) pairs the sessions
+        reached. Each cell's hash is kept in `cells` by the first session
+        that measures the cell.
 
         Built on first use and kept with the space sessions last ran on, which
         is checked by identity; a session on another space builds it again,
@@ -402,10 +411,12 @@ class ProceduralDocument(_Part, JsonArtifact, name="document", written=("edges",
             return pins[named]
 
         prepared = PreparedDocument(space, MappingProxyType({skill.id: PreparedSkill(
+            skill,
             tuple([expr_mod.parse(text) for text in skill.preconditions]),
             tuple([prepare(step) for step in skill.procedure]),
             tuple([expr_mod.parse(text) for text in skill.postconditions]))
-            for skill in self.skills}), {})
+            for skill in self.skills}), MappingProxyType({w.id: w for w in self.workloads}),
+            {}, {})
         object.__setattr__(self, "_prepared", prepared)
         return prepared
 

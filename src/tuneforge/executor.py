@@ -6,18 +6,23 @@ skill that follows it (`next`), and postcondition violations route through
 the skill's declared adaptation edge or abort. The root skill's
 postconditions are the convergence criteria, evaluated at the end of each
 pass. Every predicate evaluation is recorded with the symbol values it used.
-The budget counts the trials the system ran; a repeated effective
-configuration reads its first measurement.
+The budget counts the trials the system ran; a trial is keyed by its
+effective configuration's canonical text, its workload and its repetitions,
+and a repeated key reads its first measurement.
 
 What every session would redo on the same document is done once per
-document and space (`ProceduralDocument.prepared`). Each precondition,
-postcondition, branch condition and compute expression is parsed and bound
-to its place, so a session evaluates it without looking its text up. Each
-`pin_best` step's open grid parameters are listed with their index signals.
-A benchmark step's configuration at the grid levels its signals name, its
-effective configuration and its safety verdict are resolved by the first
-session that reaches the step with those signal values and kept for the
-later ones, so a session reads its signals and looks the run up.
+document and space (`ProceduralDocument.prepared`). The skills and workloads
+are tabled by id. Each precondition, postcondition, branch condition and
+compute expression is parsed and bound to its place, so a session evaluates
+it without looking its text up. Each `pin_best` step's open grid parameters
+are listed with their index signals. A benchmark step's configuration at the
+grid levels its signals name, its effective configuration and its safety
+verdict are resolved by the first session that reaches the step with those
+signal values and kept for the later ones, so a session reads its signals
+and looks the run up; an unpinned step's run is looked up by (skill, step).
+The sha256 part of each measured cell's run seeds (`harness.cell_hash`) is
+computed by the first session that measures the cell and kept, so a later
+trial on it mixes in the session seed with one splitmix64 round.
 
 Each trace event is built by one positional constructor, and each step
 dispatches on its exact class. Each repetition of a trial goes through the
@@ -43,13 +48,13 @@ from typing import Any, Callable, Mapping, TypedDict
 
 from . import expr as expr_mod
 from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, Fingerprint, LiteralRun, Pins,
-                     ProceduralDocument, Skill)
+                     PreparedSkill, ProceduralDocument, Skill)
 # Bound here as well, where perfbench/tracing.py times the session path's
 # validation; a document validates through `ProceduralDocument.violations`.
 from .docgen import validate_document  # noqa: F401
 from .errors import AnalysisError, DocumentError, ExpressionError, ParameterError
-from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_prefix, repetition_seed,
-                      run_repetition)
+from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_hash, repetition_seed,
+                      run_repetition, splitmix64)
 from .jsonfile import Record, check, thaw, write_text
 from .space import Configuration, ParameterSpace, WorkloadSpec, validate_configuration
 
@@ -159,10 +164,8 @@ class SessionRunner:
         self.seed = seed
         self.mix = campaign_mix(seed)
         self.step_resolver = step_resolver
-        self.skills = {s.id: s for s in doc.skills}
         self.prepared = doc.prepared(adapter.space)
-        self.workloads = {w.id: w for w in doc.workloads}
-        self.direction = self.workloads[doc.primary_workload].direction
+        self.skills, self.workloads = self.prepared.skills, self.prepared.workloads
         self.session = TuningSession(
             fingerprint=dict(doc.fingerprint),
             document_hash=doc.hash,
@@ -172,8 +175,8 @@ class SessionRunner:
         )
         self.incumbent: tuple[Configuration, float] | None = None
         self._benchmarks_this_pass = 0
-        # (effective config, workload, repetitions) -> (seq, outcomes, mean)
-        self._measured: dict[tuple[Configuration, str, int], tuple[int, list, float | None]] = {}
+        # (canonical effective config, workload, repetitions) -> (seq, outcomes, mean)
+        self._measured: dict[tuple[str, str, int], tuple[int, list, float | None]] = {}
         trace = self.session.trace
         append = trace.append
 
@@ -213,15 +216,19 @@ class SessionRunner:
         the grid level its best-index signal names, resolved and checked on the
         space by the first session that reaches the step with those levels.
 
-        Runs are kept by (skill, step, grid index of each pin) and first looked
-        up by the raw signal values, which hit when the values are integral
-        (an argmax output is); other values are rounded first, so the runs
-        kept are bounded by the grid levels reached."""
+        Runs are kept by (skill, step, grid index of each pin), so an unpinned
+        step's by (skill, step). A pinned step's is first looked up by the raw
+        signal values, which hit when the values are integral (an argmax
+        output is); other values are rounded first, so the runs kept are
+        bounded by the grid levels reached."""
         signals, runs = self.session.signals, self.prepared.runs
-        try:
-            run = runs.get((skill.id, index, *[signals[signal] for _, signal, _ in pins]))
-        except KeyError:
-            run = None  # a signal is unset, and the checks below name it
+        if not pins:
+            run = runs.get((skill.id, index))
+        else:
+            try:
+                run = runs.get((skill.id, index, *[signals[signal] for _, signal, _ in pins]))
+            except KeyError:
+                run = None  # a signal is unset, and the checks below name it
         if run is not None:
             return run
         indexes = []
@@ -250,8 +257,8 @@ class SessionRunner:
                        run: LiteralRun) -> None:
         """Run one benchmark step's effective configuration; no ok repetition
         aborts the session. A step repeating an earlier step's (effective config,
-        workload, repetitions) reads its measurement, names its event in
-        ``reused_from`` and costs no trial.
+        workload, repetitions), the config by its canonical text, reads its
+        measurement, names its event in ``reused_from`` and costs no trial.
 
         Hard containment: a configuration outside the space's domains or the
         documented safe ranges aborts the session before it runs."""
@@ -261,9 +268,10 @@ class SessionRunner:
         workload = self.workloads[step.workload_id]
         inputs = {"config": dict(config.assignments), "workload_id": workload.id,
                   "repetitions": step.repetitions}
-        key = (effective, workload.id, step.repetitions)
-        if key in self._measured:
-            inputs["reused_from"], outcomes, mean = self._measured[key]
+        key = (effective.canonical(), workload.id, step.repetitions)
+        measured = self._measured.get(key)
+        if measured is not None:
+            inputs["reused_from"], outcomes, mean = measured
         else:
             if self.session.trials_used + 1 > self.session.trial_budget:
                 raise _Abort("trial budget exhausted")
@@ -288,7 +296,11 @@ class SessionRunner:
         harness classifies it, and the mean of the ok ones' metrics (None when
         none is ok). A session journals nothing, so no record is built."""
         outcomes, metrics = [], []
-        adapter, prefix = self.adapter, cell_prefix(self.mix, effective.canonical(), workload.id)
+        cells, cell = self.prepared.cells, (effective.canonical(), workload.id)
+        digest = cells.get(cell)
+        if digest is None:
+            digest = cells[cell] = cell_hash(*cell)
+        adapter, prefix = self.adapter, splitmix64(self.mix ^ digest)
         for rep in range(step.repetitions):
             outcome, metric, _ = run_repetition(adapter, effective, workload,
                                                 repetition_seed(prefix, rep))
@@ -303,10 +315,10 @@ class SessionRunner:
         if self.incumbent is None or workload.better(metric, self.incumbent[1]):
             self.incumbent = (config, metric)
 
-    def _run_skill(self, skill: Skill) -> str:
-        """Execute one skill; returns the skill to run next, or TARGET_END."""
-        event, skill_id = self._event, skill.id
-        prepared = self.prepared.skills[skill_id]
+    def _run_skill(self, prepared: PreparedSkill) -> str:
+        """Execute one prepared skill; returns the skill to run next, or TARGET_END."""
+        event, skill = self._event, prepared.skill
+        skill_id = skill.id
         preds = []
         for parsed in prepared.preconditions:
             verdict, record = self._eval_predicate(parsed, skill)
@@ -367,8 +379,8 @@ class SessionRunner:
     # -- session loop ----------------------------------------------------
 
     def run(self) -> TuningSession:
-        root = self.skills[self.doc.root]
-        convergence = self.prepared.skills[root.id].postconditions
+        prepared_root = self.skills[self.doc.root]
+        root, convergence = prepared_root.skill, prepared_root.postconditions
         try:
             while True:
                 self.session.passes += 1

@@ -7,14 +7,15 @@ canonical text (``Configuration.canonical``). Every run's randomness derives
 from a 64-bit mix of (campaign seed, canonical configuration, workload id,
 repetition), so measurements are reproducible regardless of worker scheduling.
 The mix is the campaign seed's own mix (``campaign_mix``), computed once per
-plan or session; a per-cell prefix over it, the canonical configuration and
-the workload id (``cell_prefix``), computed once per cell of a plan or
-benchmark step; and one splitmix64 round for the repetition. A plan also
-builds the fixed head of a cell's journal lines (``Measurement.journal_head``)
-once per cell and the tail (``journal_tail``) once per workload, so each run
-formats only its own fields and its record is built by one checked
-constructor. Each journal line is written with one ``write()`` call on an
-unbuffered file, so it has reached the kernel before the next run starts.
+plan or session; a per-cell prefix (``cell_prefix``), which mixes it with the
+sha256 of the canonical configuration and the workload id (``cell_hash``),
+computed once per cell of a plan or benchmark step; and one splitmix64 round
+for the repetition. A plan also builds the fixed head of a cell's journal
+lines (``Measurement.journal_head``) once per cell and the tail
+(``journal_tail``) once per workload, so each run formats only its own fields
+and its record is built by one checked constructor. Each journal line is
+written with one ``write()`` call on an unbuffered file, so it has reached the
+kernel before the next run starts.
 """
 
 from __future__ import annotations
@@ -57,13 +58,18 @@ def campaign_mix(campaign_seed: int) -> int:
     return splitmix64(campaign_seed & 0xFFFFFFFFFFFFFFFF)
 
 
-def cell_prefix(mix: int, canonical: str, workload_id: str) -> int:
-    """The part of a run seed that one cell (canonical configuration,
-    workload) shares across its repetitions, from the campaign's
-    ``campaign_mix``."""
-    h = int.from_bytes(hashlib.sha256(
+def cell_hash(canonical: str, workload_id: str) -> int:
+    """The part of a run seed that only one cell (canonical configuration,
+    workload) decides, whatever the campaign seed: the first 8 bytes of a
+    sha256, which a session keeps per cell of its prepared document."""
+    return int.from_bytes(hashlib.sha256(
         (canonical + "\x1f" + workload_id).encode()).digest()[:8], "big")
-    return splitmix64(mix ^ h)
+
+
+def cell_prefix(mix: int, canonical: str, workload_id: str) -> int:
+    """The part of a run seed that one cell shares across its repetitions:
+    its ``cell_hash`` mixed with the campaign's ``campaign_mix``."""
+    return splitmix64(mix ^ cell_hash(canonical, workload_id))
 
 
 def cell_seed(campaign_seed: int, config: Configuration, workload_id: str) -> int:

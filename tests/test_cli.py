@@ -4,6 +4,7 @@ import fcntl
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -588,26 +589,38 @@ class TestAdapterContract:
 AWK_BENCH = ("shell:awk 'BEGIN { print \"METRIC \" (1000 + 3 * ENVIRON[\"cache_mb\"]"
              " + 7 * length(ENVIRON[\"sync_mode\"])"
              " + substr(ENVIRON[\"TF_SEED\"], 1, 3) / 100) }'")
+# The same, with both parameters sensitive and interacting: cache_mb's effect
+# changes sign with sync_mode (relaxed 1, normal 2, strict 3), so the screen
+# confirms the pair and the joint stage searches it.
+AWK_PAIR_BENCH = ("shell:awk 'BEGIN { s = index(\"rns\", substr(ENVIRON[\"sync_mode\"], 1, 1));"
+                  " print \"METRIC \" (2000 + 6 * (s - 1.5) * ENVIRON[\"cache_mb\"]"
+                  " + substr(ENVIRON[\"TF_SEED\"], 1, 3) / 100) }'")
 WALL_TIME = re.compile(rb'"wall_time": [^,}]*, ')
 
 
 class TestRealKill:
-    """The CLI profile stage, SIGKILLed as a child process whenever its
-    journal reaches a chosen line count and then resumed, ends with the report
-    and journal of a run never killed. A SIGKILL runs no ``finally`` block,
+    """A CLI stage, SIGKILLed as a child process whenever its journal reaches
+    a chosen line count and then resumed, ends with the report, state and
+    journal of a run never killed. A SIGKILL runs no ``finally`` block,
     context manager or exit handler. One child runs at a time."""
 
     KILL_AT = (5, 15, 30)   # journal lines, header included
+    # per stage: its journal, its report and its options
+    STAGES = {"profile": ("sweep_log.jsonl", SENSITIVITY_REPORT,
+                          ("--levels", "5", "--repetitions", "3")),
+              "screen": ("screen_log.jsonl", INTERACTION_REPORT, ()),
+              "joint": ("joint_log.jsonl", OPTIMA_REPORT, ("--repetitions", "5"))}
 
-    def profile(self, campaign, kill_at=None):
-        """Run the stage in a child process; with ``kill_at``, SIGKILL it once
-        the sweep journal holds that many lines. Returns the exit status."""
-        argv = [sys.executable, "-m", "tuneforge.cli", "profile",
+    def stage(self, name, campaign, bench, kill_at=None):
+        """Run stage ``name`` in a child process; with ``kill_at``, SIGKILL it
+        once the stage's journal holds that many lines. Returns the exit
+        status."""
+        log, _, options = self.STAGES[name]
+        argv = [sys.executable, "-m", "tuneforge.cli", name,
                 "--space", SHELL_SPACE, "--workloads", SHELL_SPACE,
-                "--campaign", str(campaign), "--seed", "3", "--levels", "5",
-                "--repetitions", "3", "--adapter", AWK_BENCH]
+                "--campaign", str(campaign), "--seed", "3", *options, "--adapter", bench]
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tuneforge.__file__))}
-        journal = campaign / "sweep_log.jsonl"
+        journal = campaign / log
         child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
                                  stderr=subprocess.DEVNULL)
         try:
@@ -622,19 +635,41 @@ class TestRealKill:
                 child.kill()
                 child.wait()
 
-    def test_killed_and_resumed_profile_matches_an_unkilled_run(self, tmp_path):
-        reference = tmp_path / "reference"
-        assert self.profile(reference) == 0
-        want_journal = (reference / "sweep_log.jsonl").read_bytes()
+    def kill_and_resume(self, name, reference, killed, bench):
+        """Run stage ``name`` unkilled in ``reference``, and killed at each
+        of ``KILL_AT`` and then resumed in ``killed``, two campaigns at the
+        same earlier stage; their files must come out equal. Returns the
+        reference report."""
+        log, report, _ = self.STAGES[name]
+        assert self.stage(name, reference, bench) == 0
+        want_journal = (reference / log).read_bytes()
         assert want_journal.count(b"\n") > self.KILL_AT[-1] + 5
-        killed = tmp_path / "killed"
         for lines in self.KILL_AT:
-            assert self.profile(killed, kill_at=lines) == -signal.SIGKILL
-            assert (killed / "sweep_log.jsonl").read_bytes().count(b"\n") >= lines
-            assert not (killed / SENSITIVITY_REPORT).exists()
-        assert self.profile(killed) == 0
-        for name in (SENSITIVITY_REPORT, "state.json"):
-            assert (killed / name).read_bytes() == (reference / name).read_bytes(), name
-        got_journal = (killed / "sweep_log.jsonl").read_bytes()
+            assert self.stage(name, killed, bench, kill_at=lines) == -signal.SIGKILL
+            assert (killed / log).read_bytes().count(b"\n") >= lines
+            assert not (killed / report).exists()
+        assert self.stage(name, killed, bench) == 0
+        for file in (report, "state.json"):
+            assert (killed / file).read_bytes() == (reference / file).read_bytes(), file
+        got_journal = (killed / log).read_bytes()
         assert WALL_TIME.sub(b"", got_journal) == WALL_TIME.sub(b"", want_journal)
         assert b"wall_time" not in WALL_TIME.sub(b"", want_journal)
+        return json.loads((reference / report).read_bytes())
+
+    def test_killed_and_resumed_profile_matches_an_unkilled_run(self, tmp_path):
+        self.kill_and_resume("profile", tmp_path / "reference", tmp_path / "killed", AWK_BENCH)
+
+    @pytest.mark.parametrize("name", ["screen", "joint"])
+    def test_killed_and_resumed_later_stage_matches_an_unkilled_run(self, tmp_path, name):
+        earlier = tmp_path / "earlier"
+        for stage in list(self.STAGES)[:list(self.STAGES).index(name)]:
+            assert self.stage(stage, earlier, AWK_PAIR_BENCH) == 0
+        reference, killed = tmp_path / "reference", tmp_path / "killed"
+        shutil.copytree(earlier, reference)
+        shutil.copytree(earlier, killed)
+        report = self.kill_and_resume(name, reference, killed, AWK_PAIR_BENCH)
+        if name == "screen":
+            assert {tuple(r["pair"]) for r in report["records"] if r["confirmed"]} == \
+                {("cache_mb", "sync_mode")}
+        else:
+            assert report["graph"]["components"] == [["cache_mb", "sync_mode"]]

@@ -17,6 +17,7 @@ from helpers import (SMALL_NAMES, edit_document, global_grid_argmax, run_small_p
 from tuneforge import docgen
 from tuneforge import executor
 from tuneforge import expr as expr_mod
+from tuneforge import harness
 from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, ProceduralDocument, Skill,
                               compile_document)
 from tuneforge.errors import (AdapterError, AnalysisError, CrashError, DocumentError,
@@ -476,14 +477,29 @@ class TestReplay:
 
 class TestWarmPath:
     def test_second_session_reuses_document_hash_and_parses(self, pipeline, monkeypatch):
-        doc, adapter = pipeline["doc"], pipeline["adapter"]
+        # the first session on a fresh copy hashes each cell it measures once;
+        # the second one re-serializes, parses, hashes and tables nothing
+        doc, adapter = fresh_copy(pipeline["doc"]), pipeline["adapter"]
+        hashed = Counter()
+
+        def counted(canonical, workload_id):
+            hashed[canonical, workload_id] += 1
+            return harness.cell_hash(canonical, workload_id)
+
+        monkeypatch.setattr(executor, "cell_hash", counted)
         first = run_session(doc, adapter, budget=30, seed=101)
+        assert hashed == Counter((adapter.space.effective(config).canonical(), workload_id)
+                                 for config, workload_id in first.benchmarked_configs())
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the warm path re-serialized or re-parsed")
+            raise AssertionError("the warm path re-serialized, re-parsed, hashed a cell "
+                                 "or rebuilt a table")
 
         monkeypatch.setattr(ProceduralDocument, "serialize", refuse)
         monkeypatch.setattr(expr_mod, "_Parser", refuse)
+        monkeypatch.setattr(executor, "cell_hash", refuse)
+        monkeypatch.setattr(docgen, "PreparedDocument", refuse)
+        monkeypatch.setattr(docgen, "PreparedSkill", refuse)
         second = run_session(doc, adapter, budget=30, seed=101)
         assert first.status == second.status == "converged"
         assert second.trace_header() == first.trace_header()
@@ -670,6 +686,23 @@ class TestPreparedSteps:
             calls.clear()
             run_session(doc, adapters[seed % 2], budget=120, seed=seed)
             assert calls == Counter()
+
+    def test_kept_cell_hashes_are_the_measured_cells_of_kept_runs(self, pipeline):
+        doc, space = fresh_copy(pipeline["doc"]), pipeline["space"]
+        adapters = [SimulatorAdapter(space, small_model()),
+                    SimulatorAdapter(space, shifted_small_model())]
+        measured = set()
+        for seed in range(8):
+            session = run_session(doc, adapters[seed % 2], budget=120, seed=seed)
+            measured |= {(space.effective(c).canonical(), w)
+                         for c, w in session.benchmarked_configs()}
+        prepared = doc.prepared(space)
+        steps = {skill.id: skill.procedure for skill in doc.skills}
+        run_cells = {(run.effective.canonical(), steps[skill_id][index].workload_id)
+                     for (skill_id, index, *_), run in prepared.runs.items()
+                     if run.effective is not None}
+        assert set(prepared.cells) == measured <= run_cells
+        assert prepared.cells == {cell: harness.cell_hash(*cell) for cell in measured}
 
     def test_threads_sharing_one_document_give_the_serial_sessions(self, pipeline):
         # more threads than cores, switching often, while no run is resolved

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from helpers import one_workload, random_log, stored_cell, unit_space
 from tuneforge.errors import AdapterError, CrashError, ParameterError
 from tuneforge.harness import (CampaignStore, Measurement, MeasurementLog, ShellAdapter,
-                               campaign_mix, cell_prefix, cell_seed, mix_seed,
+                               campaign_mix, cell_hash, cell_prefix, cell_seed, mix_seed,
                                repetition_seed, run_experiment, run_plan, splitmix64)
 from tuneforge.simulator import (CrashRegion, Response, SimulatorAdapter,
-                                 SimulatorModel)
+                                 SimulatorModel, standard_normal)
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
 
 
@@ -81,6 +81,41 @@ class TestSeeds:
             prefix = cell_seed(seed, config, workload_id)
             assert mix_seed(seed, config, workload_id, rep) == \
                 repetition_seed(prefix, rep) == splitmix64(prefix ^ rep)
+
+    # (campaign seed, assignments, workload id, repetition) and their cell_hash,
+    # cell_prefix and mix_seed as literals: the relations above hold for any
+    # consistent change of every seed, which would change every journal
+    GOLDEN_CELLS = (
+        (0, {}, "w0", 0,
+         3475099393725177279, 2836266150311136192, 12452243919524766134),
+        (7, {"p": 0.1}, "w0", 2,
+         15138153969955343127, 7956893758539163044, 17840467056066144851),
+        (2**64 + 7, {"p": 0.1, "q": "xé"}, "w\"1", 5,
+         3821569190554968033, 9387303984617863269, 4776337384222005164),
+        (123456789, {"cache_mb": 64, "sync_mode": "strict"}, "heavy", 1,
+         6634035408266179670, 9738616390414571990, 8046717257858842400),
+        (-1, {"a": True, "b": None, "c": 1e-300}, "", 2**40,
+         14516677287813982445, 9464997634655849533, 2461166302080061737),
+    )
+
+    def test_run_seeds_are_pinned(self):
+        for seed, assignments, workload_id, rep, _, prefix, run_seed in self.GOLDEN_CELLS:
+            config = Configuration(assignments)
+            assert cell_prefix(campaign_mix(seed), config.canonical(), workload_id) == prefix
+            assert mix_seed(seed, config, workload_id, rep) == run_seed
+
+    def test_cell_hash_is_pinned_and_mixed_into_the_cell_prefix(self):
+        for seed, assignments, workload_id, _, digest, prefix, _ in self.GOLDEN_CELLS:
+            canonical = Configuration(assignments).canonical()
+            assert cell_hash(canonical, workload_id) == digest
+            assert splitmix64(campaign_mix(seed) ^ digest) == prefix
+
+    def test_standard_normal_is_pinned(self):
+        for seed, z in ((0, -0.452757740217458), (1, -0.028249746095854695),
+                        (2**63, 0.17296665463814775), (2**64 - 1, 0.4038981710442082),
+                        (16294208416658607535, -0.2788749225862045),
+                        (123456789, -1.9881494154350863)):
+            assert standard_normal(seed) == z
 
     def test_cell_seed_is_the_campaign_mix_and_the_cell_prefix(self):
         config = Configuration({"p": 0.1, "q": "x\u00e9"})

@@ -38,14 +38,35 @@ def declared(session_ab, tmp_path_factory):
 
 def test_equal_packages_give_one_ratio_per_timed_session(session_ab, declared, capsys):
     w, paths = declared
-    ratios = session_ab.compare(tuneforge, tuneforge, paths, w, 1000, "same",
-                                sessions=3, rounds=2)
-    assert len(ratios) == 6 and all(r > 0 for r in ratios)
+    warm, cold = session_ab.compare(tuneforge, tuneforge, paths, w, 1000, "same",
+                                    sessions=3, rounds=2)
+    assert len(warm) == len(cold) == 6 and all(r > 0 for r in warm + cold)
     out = capsys.readouterr()
     assert re.sub(NUMBER, "T", out.out) == (
         "campaign seed 1000: 3 sessions equal; median session T ms at same, T ms here; "
+        "median paired ratio T\n"
+        "campaign seed 1000: cold first sessions; median session T ms at same, T ms here; "
         "median paired ratio T\n")
     assert out.err == ""
+
+
+def test_a_cold_session_runs_first_on_a_freshly_loaded_copy(session_ab, declared):
+    # every cold session gets a document of its own, loaded from the side's
+    # text; a warm one gets the side's document
+    w, paths = declared
+    side = session_ab.Side(tuneforge, paths, w, 1000, 2)
+    docs = []
+
+    def recording(doc, adapter, budget, seed):
+        docs.append(doc)
+        return tuneforge.run_session(doc, adapter, budget, seed)
+
+    side.run_session = recording
+    for index in (0, 1, 1):
+        assert side.timed(index, cold=True) > 0
+    assert side.timed(0, cold=False) > 0
+    assert len({id(doc) for doc in docs}) == 4 and docs[3] is side.doc
+    assert all(doc.serialize() == side.text for doc in docs)
 
 
 def test_differing_sessions_are_named_and_not_timed(session_ab, declared, capsys):

@@ -16,11 +16,17 @@ session's trace and final configuration are equal.
 
 Then it times the sessions in 4 rounds, each package running each session once
 per round, in alternating order: ref first on even pairs, checkout first on
-odd ones. Each pair gives the ratio checkout / ref. It prints each seed's
-median session time per package and median paired ratio, then the median over
-all pairs; a ratio below 1 means the checkout is faster. The first sessions on
-each document, run for the equality check, are not timed, so the timings
-exclude the per-document warm-up.
+odd ones. Each pair gives the ratio checkout / ref. The first sessions on each
+document, run for the equality check, are not timed, so these warm timings
+exclude the per-document warm-up. It then times cold first sessions the same
+way: each session of each round runs as its package's first session on a
+freshly loaded copy of its document, so the time includes what a session
+prepares once per document (validation, hash, prepared steps). Loading the
+copy is not timed.
+
+It prints each seed's median warm session time per package and median paired
+ratio, and the same for the cold first sessions, then the median over all warm
+pairs and over all cold pairs; a ratio below 1 means the checkout is faster.
 
 Nothing is written under the repository.
 """
@@ -79,7 +85,8 @@ def declare(w, directory: str) -> dict[str, str]:
 
 
 class Side:
-    """One package's campaign document and session adapters for one seed."""
+    """One package's campaign document, its text, and session adapters for
+    one seed."""
 
     def __init__(self, tf, paths: dict[str, str], w, seed: int, sessions: int):
         w = types.SimpleNamespace(
@@ -89,17 +96,22 @@ class Side:
             levels_per_param=w.levels_per_param)
         with run_campaign(tf, w, seed) as (_, doc):
             self.doc = doc
+        self.text = doc.serialize()
+        self.load = tf.ProceduralDocument.from_json
         self.run_session = tf.run_session
         self.adapters = [tf.SimulatorAdapter(w.space, session_model(w, i)[1])
                          for i in range(sessions)]
 
-    def session(self, index: int):
-        return self.run_session(self.doc, self.adapters[index], SESSION_BUDGET,
-                                SESSION_SEED + index)
+    def session(self, index: int, doc=None):
+        return self.run_session(self.doc if doc is None else doc, self.adapters[index],
+                                SESSION_BUDGET, SESSION_SEED + index)
 
-    def timed(self, index: int) -> float:
+    def timed(self, index: int, cold: bool) -> float:
+        """Session ``index``'s wall time: on the document, or when ``cold`` as
+        the first session on a freshly loaded copy of it."""
+        doc = self.load(json.loads(self.text)) if cold else self.doc
         start = time.perf_counter()
-        self.session(index)
+        self.session(index, doc)
         return time.perf_counter() - start
 
 
@@ -110,10 +122,11 @@ def outcome(session) -> str:
 
 
 def compare(ref_tf, tf, paths: dict[str, str], w, seed: int, ref: str,
-            sessions: int = SESSIONS, rounds: int = ROUNDS) -> list[float] | None:
-    """Campaign seed ``seed``'s paired ratios, ``tf`` / ``ref_tf``, after its
-    documents and sessions were found equal; None, with the difference on
-    standard error, when they are not."""
+            sessions: int = SESSIONS, rounds: int = ROUNDS
+            ) -> tuple[list[float], list[float]] | None:
+    """Campaign seed ``seed``'s paired ratios, ``tf`` / ``ref_tf``, of warm
+    and of cold first sessions, after its documents and sessions were found
+    equal; None, with the difference on standard error, when they are not."""
     ref_side, new = (Side(package, paths, w, seed, sessions) for package in (ref_tf, tf))
     if ref_side.doc.serialize() != new.doc.serialize():
         print(f"campaign seed {seed}: the documents differ", file=sys.stderr)
@@ -123,21 +136,24 @@ def compare(ref_tf, tf, paths: dict[str, str], w, seed: int, ref: str,
     if differ:
         print(f"campaign seed {seed}: sessions {differ} differ", file=sys.stderr)
         return None
-    times, ratios = {"ref": [], "new": []}, []
-    for r in range(rounds):
-        for i in range(sessions):
-            if (r * sessions + i) % 2:
-                new_s, ref_s = new.timed(i), ref_side.timed(i)
-            else:
-                ref_s, new_s = ref_side.timed(i), new.timed(i)
-            times["ref"].append(ref_s)
-            times["new"].append(new_s)
-            ratios.append(new_s / ref_s)
-    med = statistics.median
-    print(f"campaign seed {seed}: {sessions} sessions equal; median session "
-          f"{med(times['ref']) * 1e3:.3f} ms at {ref}, {med(times['new']) * 1e3:.3f} ms here; "
-          f"median paired ratio {med(ratios):.3f}")
-    return ratios
+    med, out = statistics.median, []
+    for cold in (False, True):
+        times, ratios = {"ref": [], "new": []}, []
+        for r in range(rounds):
+            for i in range(sessions):
+                if (r * sessions + i) % 2:
+                    new_s, ref_s = new.timed(i, cold), ref_side.timed(i, cold)
+                else:
+                    ref_s, new_s = ref_side.timed(i, cold), new.timed(i, cold)
+                times["ref"].append(ref_s)
+                times["new"].append(new_s)
+                ratios.append(new_s / ref_s)
+        head = (f"campaign seed {seed}: cold first sessions" if cold else
+                f"campaign seed {seed}: {sessions} sessions equal")
+        print(f"{head}; median session {med(times['ref']) * 1e3:.3f} ms at {ref}, "
+              f"{med(times['new']) * 1e3:.3f} ms here; median paired ratio {med(ratios):.3f}")
+        out.append(ratios)
+    return out[0], out[1]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -155,14 +171,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ref_tf = unpack_ref(args.ref, scratch)
         paths = declare(w, scratch)
-        ratios, failed = [], False
+        warm, cold, failed = [], [], False
         for seed in args.seeds:
             seed_ratios = compare(ref_tf, tuneforge, paths, w, seed, args.ref)
             failed |= seed_ratios is None
-            ratios += seed_ratios or []
-        if ratios:
-            print(f"{args.workload}: {len(ratios)} paired sessions, median ratio "
-                  f"{statistics.median(ratios):.3f} (checkout / {args.ref})")
+            if seed_ratios is not None:
+                warm += seed_ratios[0]
+                cold += seed_ratios[1]
+        if warm:
+            print(f"{args.workload}: {len(warm)} paired sessions, median ratio "
+                  f"{statistics.median(warm):.3f} (checkout / {args.ref})")
+            print(f"{args.workload}: {len(cold)} paired cold first sessions, median ratio "
+                  f"{statistics.median(cold):.3f} (checkout / {args.ref})")
     finally:
         shutil.rmtree(scratch)
     return 1 if failed else 0
