@@ -295,6 +295,7 @@ class _Codec:
                  dump: Mapping[str, Callable[[Any], Any]] = MappingProxyType({}),
                  load: Mapping[str, Callable[[Any], Any]] = MappingProxyType({})):
         self.cls, self.name, self.error = cls, name, error
+        pinned = dict(pinned)  # a mapping or its (key, value) pairs
         self.tests = type_tests(cls)
         self.kinds = {name: kinds for name, (kinds, _) in self.tests.items()}
         names = frozenset(self.tests)
@@ -362,9 +363,11 @@ def _loaders(cls: type) -> dict[str, Loader]:
 
 
 @cache
-def _codec(cls: type) -> _Codec:
-    """The codec of the schema ``cls`` declares, built on first use."""
-    return _Codec(cls, **getattr(cls, "_schema", {}))
+def _codec(cls: type, keywords: tuple[tuple[str, Any], ...] = ()) -> _Codec:
+    """The codec of the schema ``cls`` declares, with the (keyword, value)
+    pairs of ``keywords`` standing in for its own: built once per class and
+    keywords, on first use."""
+    return _Codec(cls, **{**getattr(cls, "_schema", {}), **dict(keywords)})
 
 
 def load_fields(cls: type, d: Any, what: str | None = None, *,
@@ -378,18 +381,18 @@ def load_fields(cls: type, d: Any, what: str | None = None, *,
     Every record loads here. ``what`` (by default the name ``cls`` declares)
     names it in load errors, which raise ``error`` (by default the class
     ``cls`` declares). The keywords stand in for those ``cls`` declares (see
-    ``_Codec``), and ``load`` maps a field to the function that builds it from
-    its JSON value. A TypeError or ValueError a loader raises, a built value
-    its annotation refuses, and an error ``cls`` raises when it checks its
-    values become the load error.
+    ``_Codec``; one codec is built per class and keywords), and ``load`` maps
+    a field to the function that builds it from its JSON value. A TypeError
+    or ValueError a loader raises, a built value its annotation refuses, and
+    an error ``cls`` raises when it checks its values become the load error.
     """
     if optional is None and defaulted is None and pinned is None and written is None:
         codec = _codec(cls)
     else:
-        codec = _Codec(cls, **{**getattr(cls, "_schema", {}), **{
-            key: value for key, value in (("optional", optional), ("defaulted", defaulted),
-                                          ("pinned", pinned), ("written", written))
-            if value is not None}})
+        codec = _codec(cls, tuple((key, value) for key, value in (
+            ("optional", optional), ("defaulted", defaulted),
+            ("pinned", None if pinned is None else tuple(pinned.items())), ("written", written))
+            if value is not None))
     loaders = codec.loaders if not load else {
         **codec.loaders, **{key: _plain(build) for key, build in load.items()}}
     return codec.load(d, what or codec.name, error or codec.error, loaders)
@@ -465,13 +468,16 @@ class JsonArtifact(Record):
     @classmethod
     def load(cls, path: str):
         """The record in the file at ``path``; the class's load error for a
-        file that cannot be read or is not JSON."""
+        file that cannot be read, is not JSON or nests too deep."""
         error = cls._schema.get("error", AnalysisError)
         try:
-            with open(path, encoding="utf-8") as fh:
-                d = json.load(fh)
-        except OSError as e:
-            raise error(f"{path}: cannot read the file: {e.strerror}") from None
-        except ValueError as e:
-            raise error(f"{path} is not valid JSON: {e}") from e
-        return cls.from_json(d)
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    d = json.load(fh)
+            except OSError as e:
+                raise error(f"{path}: cannot read the file: {e.strerror}") from None
+            except ValueError as e:
+                raise error(f"{path} is not valid JSON: {e}") from e
+            return cls.from_json(d)
+        except RecursionError:
+            raise error(f"{path}: the document nests too deep") from None

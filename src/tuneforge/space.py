@@ -9,10 +9,12 @@ A domain, the one tagged union, checks the keys of its ``type`` itself.
 
 Every YAML file the package reads or writes (declarations and simulator
 models) goes through one reader, :func:`load_yaml`, and one writer,
-:func:`dump_yaml`. They use PyYAML's libyaml classes when PyYAML was built
-with them and its pure-Python safe classes otherwise; both share the safe
-resolver and constructor, so a file gives the same objects and a document the
-same text either way.
+:func:`dump_yaml`. The writer builds a plain document's text itself and hands
+any other to PyYAML; the reader has PyYAML compose the nodes and builds plain
+ones itself, leaving any other document to PyYAML's constructor. PyYAML's
+libyaml classes are used when PyYAML was built with them and its pure-Python
+safe classes otherwise; either way a document gives the text, and a file the
+objects or the error, that those classes give.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape_json
 from typing import Any, Callable, Iterator, TypedDict
 
@@ -33,9 +37,10 @@ from .jsonfile import Record, load_fields
 SCHEMA_VERSION = 1
 _PINNED = {"schema_version": SCHEMA_VERSION}
 
-# The parser and emitter of every YAML read and write: libyaml's where PyYAML
-# has it. The pure-Python ones take most of a command's set-up time on a
-# large declaration.
+# The parser and emitter of every YAML read and write, and the classes of the
+# documents the one-pass writer and the plain reader leave to PyYAML:
+# libyaml's where PyYAML has it. The pure-Python ones take most of a
+# command's set-up time on a large declaration.
 if yaml.__with_libyaml__:
     YAML_LOADER, YAML_DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
 else:
@@ -392,26 +397,187 @@ def snap_to_domain(spec: ParameterSpec, value: float) -> Any:
     raise ParameterError(f"cannot snap into {dom.kind} domain")
 
 
-def load_yaml(path: str, build: Callable[[Any], Any]) -> Any:
-    """``build`` applied to the YAML document in the file at ``path``. A file
-    that cannot be read or is not YAML, and the ParameterError of a document
-    ``build`` refuses, raise ParameterError naming the file."""
-    try:
-        with open(path, "rb") as fh:  # bytes: a bad encoding is a YAMLError
-            doc = yaml.load(fh, Loader=YAML_LOADER)
-    except OSError as e:
-        raise ParameterError(f"{path}: cannot read the file: {e.strerror}") from None
-    except yaml.YAMLError as e:
-        raise ParameterError(f"{path}: not a YAML file: {e}") from None
-    try:
-        return build(doc)
-    except ParameterError as e:
-        raise ParameterError(f"{path}: {e}") from None
+class _NotPlain(Exception):
+    """A document the one-pass writer, or a node the plain reader, leaves to
+    PyYAML's own classes."""
+
+
+_STR, _MAP, _SEQ = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "map", "seq"))
+# The scalar tags the reader constructs through the loader; any other tag
+# (a merge key, ``=``, ``!!binary``, an application tag) goes to PyYAML.
+_CONSTRUCTED = frozenset(f"tag:yaml.org,2002:{kind}"
+                         for kind in ("null", "bool", "int", "float", "timestamp"))
+# The strings the writer writes itself: no indicator, space, quote, line
+# break or non-ASCII character, so the emitter writes each plain unless the
+# resolver reads it as another type.
+_WORD = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./-]*").fullmatch
+_RESOLVERS = YAML_DUMPER.yaml_implicit_resolvers
+# The longest key PyYAML's pure-Python emitter writes as a simple key (it
+# counts the implicit ``!!str`` tag); libyaml's allows 128 characters.
+_SIMPLE_KEY = 122
+
+
+def _str_text(value: str) -> str:
+    """SafeDumper's text of the string ``value``: plain when the resolver
+    reads it back as a string, else single-quoted; _NotPlain for a string
+    outside the writer's class."""
+    if _WORD(value) is None:
+        if value:
+            raise _NotPlain
+        return "''"
+    for _, regexp in _RESOLVERS.get(value[0], ()):
+        if regexp.match(value):
+            return f"'{value}'"
+    return value
+
+
+def _key_text(key: Any) -> str:
+    """SafeDumper's text of a simple mapping key, colon included."""
+    if type(key) is not str or not key or len(key) > _SIMPLE_KEY:
+        raise _NotPlain
+    return _str_text(key) + ":"
+
+
+def _block(obj: Any, first: str, following: str, append: Callable[[str], None],
+           texts: dict[str, str], keys: dict[str, str], seen: set[int]) -> None:
+    """Append the block text of the non-empty dict or list ``obj`` as
+    SafeDumper writes it: ``first`` before its first entry, ``following``
+    (a line break and the entries' indent) before each other. A mapping's
+    list value is not indented; a list's mapping item starts on its ``- ``
+    line. ``texts`` and ``keys`` keep each string's text, ``seen`` the id of
+    each container; raise _NotPlain for what PyYAML writes otherwise, such as
+    a container reached twice (an anchor) or a list in a list."""
+    inner = following + "  "
+    if type(obj) is dict:
+        heads = []
+        for key in obj:
+            text = keys.get(key) if type(key) is str else None
+            if text is None:
+                text = keys[key] = _key_text(key)
+            heads.append(text)
+        values, mapping_first, list_first = obj.values(), inner, following
+    else:
+        heads, values, mapping_first, list_first = repeat("-"), obj, " ", None
+    separator = first
+    for head, value in zip(heads, values):
+        append(separator + head)
+        separator = following
+        kind = type(value)
+        if kind is str:
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = _str_text(value)
+            append(" " + text)
+        elif kind is float:
+            if value - value == 0.0:
+                text = float.__repr__(value)
+                append(" " + text if "." in text else " " + text.replace("e", ".0e", 1))
+            else:
+                append(" .nan" if value != value else " .inf" if value > 0 else " -.inf")
+        elif kind is int:
+            append(" " + int.__repr__(value))
+        elif kind is bool:
+            append(" true" if value else " false")
+        elif value is None:
+            append(" null")
+        elif (kind is dict or kind is list) and id(value) not in seen:
+            seen.add(id(value))
+            if not value:
+                append(" {}" if kind is dict else " []")
+            elif kind is dict:
+                _block(value, mapping_first, inner, append, texts, keys, seen)
+            elif list_first is not None:
+                _block(value, list_first, following, append, texts, keys, seen)
+            else:
+                raise _NotPlain
+        else:
+            raise _NotPlain
 
 
 def dump_yaml(doc: Any) -> str:
-    """The YAML text of ``doc``, keys in insertion order."""
-    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
+    """The YAML text of ``doc``, keys in insertion order: the text of
+    ``yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)``. A document of
+    dicts, lists, short word-like strings, ints, floats, bools and None is
+    written here in one pass; any other goes to that call."""
+    chunks: list[str] = []
+    try:
+        if type(doc) not in (dict, list):
+            raise _NotPlain
+        if doc:
+            _block(doc, "", "\n", chunks.append, {}, {}, {id(doc)})
+        else:
+            chunks.append("{}" if type(doc) is dict else "[]")
+    except (_NotPlain, RecursionError):
+        return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _build(node: yaml.Node, loader: Any, seen: set[yaml.Node]) -> Any:
+    """The plain value of ``node``: a dict for a mapping whose keys are all
+    strings, a list for a sequence, a string scalar's text, and any other
+    standard scalar through ``loader.construct_object``; raise _NotPlain for
+    anything else, such as a node reached twice (an alias)."""
+    kind, tag = type(node), node.tag
+    if kind is yaml.ScalarNode:
+        if tag == _STR:
+            return node.value
+        if tag in _CONSTRUCTED:
+            return loader.construct_object(node)
+        raise _NotPlain
+    if node in seen:
+        raise _NotPlain
+    seen.add(node)
+    if kind is yaml.MappingNode and tag == _MAP:
+        d = {}
+        for key, value in node.value:
+            if type(key) is not yaml.ScalarNode or key.tag != _STR:
+                raise _NotPlain
+            d[key.value] = _build(value, loader, seen)
+        return d
+    if kind is yaml.SequenceNode and tag == _SEQ:
+        return [_build(item, loader, seen) for item in node.value]
+    raise _NotPlain
+
+
+def _read_yaml(fh: Any) -> Any:
+    """The document in the binary stream ``fh``, as ``yaml.load(fh,
+    Loader=YAML_LOADER)`` gives it: composed by the loader, then built here
+    when it is plain, else by the loader's ``construct_document``, so the
+    objects and every error are PyYAML's."""
+    loader = YAML_LOADER(fh)
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        try:
+            return _build(node, loader, set())
+        except Exception:  # _NotPlain, a RecursionError, or a scalar PyYAML refuses
+            loader.constructed_objects, loader.recursive_objects = {}, {}
+            return loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
+def load_yaml(path: str, build: Callable[[Any], Any]) -> Any:
+    """``build`` applied to the YAML document in the file at ``path``. A file
+    that cannot be read or is not YAML, a document that nests too deep, and
+    the ParameterError of a document ``build`` refuses raise ParameterError
+    naming the file."""
+    try:
+        try:
+            with open(path, "rb") as fh:  # bytes: a bad encoding is a YAMLError
+                doc = _read_yaml(fh)
+        except OSError as e:
+            raise ParameterError(f"{path}: cannot read the file: {e.strerror}") from None
+        except yaml.YAMLError as e:
+            raise ParameterError(f"{path}: not a YAML file: {e}") from None
+        try:
+            return build(doc)
+        except ParameterError as e:
+            raise ParameterError(f"{path}: {e}") from None
+    except RecursionError:
+        raise ParameterError(f"{path}: the document nests too deep") from None
 
 
 def _workloads(doc: Any) -> list[WorkloadSpec]:

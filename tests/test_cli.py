@@ -101,6 +101,14 @@ class TestStageGating:
         assert run_cli(decls, str(decls["dir"] / "c5"), "profile") == 1
         assert capsys.readouterr().err.startswith(f"usage error: {path}: {named}")
 
+    def test_declaration_nested_too_deep_is_usage_error(self, decls, capsys):
+        # it parses, and the refusal of its parameters would repr the value
+        with open(decls["space"], "w") as fh:
+            fh.write("schema_version: 1\nparameters: " + "[" * 1200 + "]" * 1200 + "\n")
+        assert run_cli(decls, str(decls["dir"] / "c8"), "status") == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {decls['space']}: the document nests too deep\n")
+
     @pytest.mark.parametrize("split, parses", [(False, 1), (True, 2)],
                              ids=["one-file", "two-files"])
     def test_each_declaration_file_is_parsed_once(self, decls, monkeypatch, split, parses):
@@ -110,13 +118,20 @@ class TestStageGating:
             workloads = str(decls["dir"] / "workloads.yaml")
             with open(decls["space"]) as src, open(workloads, "w") as dst:
                 dst.write(src.read())
-        calls, real = [], space_mod.yaml.load
+        calls = []
 
-        def load(stream, Loader):
-            calls.append(stream.name)
-            return real(stream, Loader)
+        class Counting(space_mod.YAML_LOADER):
+            """The chosen loader, recording the file of each parse."""
 
-        monkeypatch.setattr(space_mod.yaml, "load", load)
+            def __init__(self, stream):
+                self.path = stream.name
+                super().__init__(stream)
+
+            def get_single_node(self):
+                calls.append(self.path)
+                return super().get_single_node()
+
+        monkeypatch.setattr(space_mod, "YAML_LOADER", Counting)
         assert main(["status", "--space", decls["space"], "--workloads", workloads,
                      "--campaign", str(decls["dir"] / "c7")]) == 0
         assert len(calls) == parses

@@ -21,14 +21,16 @@ from hypothesis import strategies as st
 from hypothesis.errors import NoSuchExample
 
 import tuneforge
+from helpers import run_small_pipeline
 from test_fail_closed import WRITERS
 from tuneforge import jsonfile
-from tuneforge.docgen import BenchmarkStep, Fingerprint
-from tuneforge.errors import AnalysisError
+from tuneforge.docgen import BenchmarkStep, Fingerprint, ProceduralDocument
+from tuneforge.errors import AnalysisError, DocumentError
 from tuneforge.executor import Predicate, TraceHeader
 from tuneforge.jsonfile import canonical_json
+from tuneforge.sensitivity import SensitivityReport
 from tuneforge.simulator import Response, SimulatorModel
-from tuneforge.space import Configuration, Domain
+from tuneforge.space import Configuration, Domain, dump_space, load_space, load_workloads
 from tuneforge.topology import Rejection
 
 
@@ -225,3 +227,40 @@ def test_only_the_hand_written_formats_define_their_own_codec():
                 if own:
                     defined[cls.__name__] = own
     assert defined == HAND_WRITTEN_CODECS
+
+
+@pytest.mark.parametrize("cls, error", [(ProceduralDocument, DocumentError),
+                                        (SensitivityReport, AnalysisError)],
+                         ids=["document", "sensitivity-report"])
+def test_a_file_nested_too_deep_raises_the_load_error_naming_it(tmp_path, cls, error):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+    with pytest.raises(error) as raised:
+        cls.load(str(path))
+    assert type(raised.value) is error
+    assert str(raised.value) == f"{path}: the document nests too deep"
+
+
+def test_a_second_load_builds_no_codec(tmp_path, monkeypatch):
+    # a declaration's workloads and a document's load through schemas their
+    # loaders state by keyword; each is built once, not once per read
+    p = run_small_pipeline(tmp_path / "campaign")
+    declaration, document = str(tmp_path / "space.yaml"), str(tmp_path / "doc.json")
+    with open(declaration, "w", encoding="utf-8") as fh:
+        fh.write(dump_space(p["space"], p["workloads"]))
+    p["doc"].save(document)
+
+    def load_all():
+        return load_space(declaration), load_workloads(declaration), ProceduralDocument.load(
+            document)
+
+    first, built = load_all(), []
+
+    class Counting(jsonfile._Codec):
+        def __init__(self, cls, **schema):
+            built.append(cls)
+            super().__init__(cls, **schema)
+
+    monkeypatch.setattr(jsonfile, "_Codec", Counting)
+    assert load_all() == first
+    assert built == []

@@ -1,5 +1,6 @@
 """Parameter space, configuration validation, and level grids."""
 
+import gc
 import glob
 import json
 import os
@@ -347,6 +348,180 @@ class TestYamlCensus:
         path.write_text(dump_space(EDGE_SPACE, EDGE_WORKLOADS), encoding="utf-8")
         assert load_space(str(path)).to_json() == EDGE_SPACE.to_json()
         assert load_workloads(str(path)) == EDGE_WORKLOADS
+
+
+# Strings a YAML 1.1 resolver reads as other types, or that need quotes,
+# escapes or line breaks, for the writer's and the reader's property test.
+LOOKALIKES = ["yes", "No", "null", "~", "0x1F", "1_000", "1e3", ".5", "12:30", "2001-12-14",
+              "", "a b", "a: b", "a:b", "#c", "a #c", "caf\u00e9", "\u2603", "two\nlines",
+              "on", "-", "---x", "...", "=", "<<", "p-1", "a.b", "x/y", "0", "+1", ".inf",
+              "'", "true"]
+yaml_floats = st.one_of(st.floats(), st.sampled_from([1e-05, 1e16, -0.0, float("inf"),
+                                                      float("nan")]))
+# (no control character or line separator: PyYAML's two emitters quote them
+# differently)
+yaml_strings = st.one_of(st.sampled_from(LOOKALIKES), st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6),
+                         st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_./-]{0,12}", fullmatch=True))
+yaml_keys = yaml_strings.filter(bool)  # PyYAML's two emitters differ on an empty key
+yaml_scalars = st.one_of(st.integers(-2**70, 2**70), yaml_floats, st.booleans(), st.none(),
+                         yaml_strings)
+yaml_documents = st.recursive(
+    yaml_scalars, lambda children: st.one_of(st.lists(children, max_size=4),
+                                             st.dictionaries(yaml_keys, children, max_size=4)),
+    max_leaves=20).filter(lambda doc: type(doc) in (dict, list))
+
+# Hand-written files whose objects or error come from PyYAML's own layers.
+HAND_WRITTEN_YAML = {
+    "anchor-and-alias": "a: &x [1, {b: 2}]\nb: *x\n",
+    "recursive-alias": "a: &x [1, *x]\n",
+    "merge-key": "base: &b {x: 1, y: 2}\nderived:\n  <<: *b\n  y: 3\n",
+    "tagged-str": "a: !!str 1\nb: 1\n",
+    "timestamp": "t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\n",
+    "bad-timestamp": "d: 2002-02-30\n",
+    "duplicate-keys": "a: 1\nb: [2]\na: {c: 3}\n",
+    "bom": "\ufeffa: 1\n",
+    "two-documents": "a: 1\n---\nb: 2\n",
+    "tab-indented": "a:\n\tb: 1\n",
+    "int-key": "1: a\n",
+    "unhashable-key": "? [1]\n: a\n",
+    "value-key": "=: a\n",
+    "set": "!!set {a, b}\n",
+    "binary": "b: !!binary aGk=\n",
+    "unknown-tag": "a: !thing 1\n",
+    "empty": "",
+    "top-level-scalar": "3\n",
+}
+
+
+def _outcome(read):
+    """``("value", repr(value))`` of a read, or its error's class and text."""
+    try:
+        return "value", repr(read())
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+class TestYamlExactness:
+    """``dump_yaml`` and ``load_yaml`` against PyYAML's classes: the chosen
+    ones, which they replace, and the pure-Python ones, the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=yaml_documents, shared=st.booleans())
+    def test_random_documents(self, tmp_path_factory, doc, shared):
+        if shared:  # PyYAML writes a container reached twice with an anchor
+            sub = [1, "x"]
+            doc = {"a": sub, "b": [sub, []], "c": doc}
+        text = yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
+        assert dump_yaml(doc) == text
+        assert yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False) == text
+        path = tmp_path_factory.mktemp("doc") / "doc.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert repr(load_yaml(str(path), lambda d: d)) == repr(
+            yaml.load(text, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("name", HAND_WRITTEN_YAML)
+    def test_hand_written_files(self, tmp_path, name):
+        path = tmp_path / "file.yaml"
+        path.write_bytes(HAND_WRITTEN_YAML[name].encode("utf-8"))
+
+        def reference(loader):
+            """The outcome of ``yaml.load`` with ``loader``, a YAMLError as
+            ``load_yaml`` reports it."""
+            with open(path, "rb") as fh:
+                try:
+                    return yaml.load(fh, Loader=loader)
+                except yaml.YAMLError as e:
+                    raise ParameterError(f"{path}: not a YAML file: {e}") from None
+
+        got = _outcome(lambda: load_yaml(str(path), lambda d: d))
+        assert got == _outcome(lambda: reference(YAML_LOADER))
+        pure = _outcome(lambda: reference(yaml.SafeLoader))
+        # the parsers' error texts differ; their values and error classes not
+        assert got[0] == pure[0] and (got[0] != "value" or got == pure)
+
+    def test_an_alias_gives_the_same_object(self, tmp_path):
+        path = tmp_path / "alias.yaml"
+        path.write_text(HAND_WRITTEN_YAML["anchor-and-alias"], encoding="utf-8")
+        doc = load_yaml(str(path), lambda d: d)
+        assert doc["a"] is doc["b"]
+
+    @pytest.mark.parametrize("length", [122, 123, 128, 129])
+    def test_long_keys_keep_the_chosen_emitters_text(self, length):
+        # the pure-Python emitter writes a key of more than 122 characters as
+        # a complex key, libyaml's one of more than 128
+        doc = {"k" * length: 1}
+        assert dump_yaml(doc) == yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
+
+    @pytest.mark.parametrize("doc", [0, "x", None, 1.5, (1, 2), {"a": (1,)}, [[1]]],
+                             ids=["int", "str", "none", "float", "tuple", "inner-tuple",
+                                  "list-in-list"])
+    def test_other_documents_keep_the_chosen_emitters_text_or_error(self, doc):
+        assert _outcome(lambda: dump_yaml(doc)) == _outcome(
+            lambda: yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False))
+
+    def test_benchmark_files_are_written_and_read_without_pyyamls_own_layers(
+            self, tmp_path, monkeypatch):
+        # the declarations and models perfbench writes are plain documents
+        from tuneforge import space as space_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("PyYAML's representer or constructor was used")
+
+        monkeypatch.setattr(space_mod.yaml, "dump", refuse)
+        monkeypatch.setattr(YAML_LOADER, "construct_document", refuse)
+        path = str(tmp_path / "file.yaml")
+        for build in load_perfbench_workloads().BUILDERS.values():
+            w = build()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(dump_space(w.space, w.workloads))
+            assert load_space(path).to_json() == w.space.to_json()
+            assert load_workloads(path) == w.workloads
+            for model in (w.model, w.shifted):
+                if model is not None:
+                    model.save(path)
+                    assert SimulatorModel.load(path).to_json() == model.to_json()
+
+
+class TestDeepNesting:
+    def test_a_declaration_nested_too_deep_raises_parameter_error(self, tmp_path):
+        path = tmp_path / "space.yaml"
+        path.write_text("schema_version: 1\nparameters: " + "[" * 1200 + "]" * 1200 + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParameterError) as raised:
+            load_space(str(path))
+        assert str(raised.value) == f"{path}: the document nests too deep"
+
+    def test_a_deep_list_still_parses(self, tmp_path):
+        path = tmp_path / "deep.yaml"
+        path.write_text("[" * 5000 + "]" * 5000 + "\n", encoding="utf-8")
+        doc = load_yaml(str(path), lambda d: d)
+        depth = 0
+        while doc:
+            doc, depth = doc[0], depth + 1
+        assert depth == 4999
+
+
+def test_reads_and_writes_leave_no_reference_cycle(tmp_path):
+    # a cycle would keep a loader and its node tree until a full collection
+    w = load_perfbench_workloads().BUILDERS["planted-116"]()
+    space_path, model_path = str(tmp_path / "space.yaml"), str(tmp_path / "model.yaml")
+    with open(space_path, "w", encoding="utf-8") as fh:
+        fh.write(dump_space(w.space, w.workloads))
+    w.model.save(model_path)
+    steps = {"load_space": lambda: load_space(space_path),
+             "load_workloads": lambda: load_workloads(space_path),
+             "SimulatorModel.load": lambda: SimulatorModel.load(model_path),
+             "dump_space": lambda: dump_space(w.space, w.workloads),
+             "SimulatorModel.save": lambda: w.model.save(model_path)}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, step in steps.items():
+            step()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 class TestConfiguration:
