@@ -1,8 +1,10 @@
 """Stage-gated profiling campaigns over a single on-disk directory.
 
-A campaign directory owns all state: the declaration files' hashes, stage
-progress, measurement journals, analysis reports, the compiled document, and
-tuning traces. Stages advance monotonically (sweep, screen, joint, compile).
+A campaign directory owns all state: the parameter declaration's hash and
+the declared workloads, which a campaign built on the directory must match,
+stage progress, measurement journals, analysis reports, the compiled
+document, and tuning traces. Stages advance monotonically (sweep, screen,
+joint, compile).
 Each measuring stage appends its fresh runs to its own journal, and one
 ``CampaignStore`` per ``Campaign`` object reads every journal at most once and
 answers each stage's plans from all of them: a stage resumes from whatever
@@ -55,7 +57,11 @@ REFERENCE_BUDGET_SHAPE = {"sensitivity": 57, "screen": 32, "joint": 11}
 
 
 @dataclass
-class CampaignState(JsonArtifact, name="campaign state"):
+class CampaignState(JsonArtifact, name="campaign state", defaulted=("workloads",)):
+    """A campaign's identity and progress. ``workloads`` is the declaration
+    the campaign was created with, in order (the first is the document's
+    primary); a state written before it was recorded loads without it."""
+
     stage: str
     seed: int
     space_hash: str
@@ -63,9 +69,29 @@ class CampaignState(JsonArtifact, name="campaign state"):
     budgets: dict[str, int] = field(default_factory=dict)     # planned entries per stage
     # runs each stage's journal holds, so a killed invocation's runs count too
     runs_used: dict[str, int] = field(default_factory=dict)
+    workloads: list[WorkloadSpec] | None = None
 
     def stage_index(self) -> int:
         return STAGES.index(self.stage)
+
+
+def workload_drift(recorded: list[WorkloadSpec], declared: list[WorkloadSpec]) -> list[str]:
+    """Each change from the ``recorded`` workload declaration to ``declared``:
+    a workload removed or added, a changed metric name or direction, and a
+    changed order of the workloads both hold."""
+    old, new = {w.id: w for w in recorded}, {w.id: w for w in declared}
+    drift = [f"workload {wid!r} removed" for wid in old if wid not in new]
+    drift += [f"workload {wid!r} added" for wid in new if wid not in old]
+    for wid, was in old.items():
+        now = new.get(wid)
+        if now is not None and now.metric_name != was.metric_name:
+            drift.append(f"workload {wid!r} metric {was.metric_name!r} -> {now.metric_name!r}")
+        if now is not None and now.direction != was.direction:
+            drift.append(f"workload {wid!r} direction {was.direction} -> {now.direction}")
+    kept = [wid for wid in old if wid in new], [wid for wid in new if wid in old]
+    if kept[0] != kept[1]:
+        drift.append(f"workload order {kept[0]} -> {kept[1]}")
+    return drift
 
 
 class Campaign:
@@ -102,10 +128,18 @@ class Campaign:
             if state.seed != self.seed:
                 raise ParameterError(
                     f"campaign directory was created with seed {state.seed}, not {self.seed}")
+            if state.workloads is None:
+                state.workloads = list(self.workloads)
+                state.save(path)
+            drift = workload_drift(state.workloads, self.workloads)
+            if drift:
+                raise ParameterError("campaign directory was created for other workloads: "
+                                     + "; ".join(drift))
             return state
         state = CampaignState(stage="planned", seed=self.seed,
                               space_hash=space_hash,
-                              campaign_id=campaign_id_for(self.seed, space_hash))
+                              campaign_id=campaign_id_for(self.seed, space_hash),
+                              workloads=list(self.workloads))
         state.save(path)
         return state
 
@@ -185,7 +219,8 @@ class Campaign:
         records = run_plan(adapter, plan, parallelism=parallelism, seed=self.seed,
                            store=self.store)
         report = analyze_sensitivity(records, self.space, self.workloads, levels_per_param,
-                                     tau_s=tau_s, campaign_id=self.state.campaign_id)
+                                     repetitions, tau_s=tau_s,
+                                     campaign_id=self.state.campaign_id)
         self._save(SENSITIVITY_REPORT, report)
         self.state.budgets["sensitivity"] = len(plan)
         self.state.runs_used["sensitivity"] = self.store.journaled("sweep")

@@ -8,6 +8,10 @@ others at defaults) and scores it by the coefficient of variation
 per workload, aggregated as the max over workloads. Parameters whose
 aggregate CV exceeds the selection threshold form the top-k set that the
 interaction stage screens.
+
+``sweep_levels`` is the one definition of the sweep's table: the plan runs
+its grid, and the analysis reads each planned cell of that grid back by its
+exact key, so no level is ever inferred from a recorded configuration.
 """
 
 from __future__ import annotations
@@ -39,7 +43,13 @@ SHAPE_LABELS = ("monotonic-up", "monotonic-down", "non-monotonic", "step-functio
 
 @dataclass
 class SweepResult:
-    """Per-(parameter, workload) sweep observations grouped by level."""
+    """One (parameter, workload) sweep: its grid levels and, per level, the ok
+    metric values and the excluded runs' counts by outcome.
+
+    Each level's mean (None when it has no ok value) and the usable levels
+    (those with one) are computed once, when the sweep is built; the CV, the
+    shape, the best level and the safe range all read them.
+    """
 
     parameter: str
     workload_id: str
@@ -47,14 +57,12 @@ class SweepResult:
     values: list[list[float]]          # ok metric values per level
     excluded: list[dict[str, int]]     # per-level crash/timeout/degraded counts
     direction: str = "maximize"        # the workload's metric direction
+    means: list[float | None] = field(init=False, repr=False)
+    usable: list[int] = field(init=False, repr=False)
 
-    def mean(self, i: int) -> float | None:
-        v = self.values[i]
-        return sum(v) / len(v) if v else None
-
-    def usable(self) -> list[int]:
-        """Indices of levels with at least one ok repetition."""
-        return [i for i, v in enumerate(self.values) if v]
+    def __post_init__(self):
+        self.means = [sum(v) / len(v) if v else None for v in self.values]
+        self.usable = [i for i, v in enumerate(self.values) if v]
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,8 @@ def sweep_levels(spec: ParameterSpec, levels_per_param: int) -> tuple[list[Any],
 
     Enum and boolean grids are capped at the domain's cardinality, and no
     grid has fewer than 2 levels. The index is None when the default is not a
-    grid level. Planning and analysis both decide the default level here.
+    grid level. Planning and analysis both take a parameter's levels, and its
+    default level, from here alone.
     """
     count = levels_per_param
     if spec.domain.kind in ("enum", "boolean"):
@@ -180,88 +189,75 @@ def plan_sweep(space: ParameterSpace, workloads: list[WorkloadSpec],
 
 
 def build_sweep_results(records: Iterable[Measurement], space: ParameterSpace,
-                        workloads: list[WorkloadSpec],
-                        levels_per_param: int) -> tuple[dict, dict[str, float]]:
-    """Group sweep records into SweepResults and per-workload baseline means.
+                        workloads: list[WorkloadSpec], levels_per_param: int,
+                        repetitions: int) -> tuple[dict, dict[str, float], int]:
+    """The sweep plan's table: a SweepResult per (parameter, workload), the
+    per-workload baseline means, and the number of failed baseline runs.
 
-    Levels are recovered from the recorded configurations (each sweep config
-    assigns exactly one parameter), so analysis replayed from a persisted
-    journal equals analysis of the live run. Where a parameter's default is a grid
-    level, that level of every swept (parameter, workload) pair is the
-    workload's ok all-defaults records; a record assigning the default
-    explicitly (as logs of older plans hold) is not read. The baseline's
+    Each parameter's levels are its ``sweep_levels`` grid, and each planned
+    cell is read by its exact (canonical configuration, workload, repetition)
+    key, repetitions ``0 .. repetitions - 1``, the first record of a key
+    winning. So the table is the plan's, however many other records
+    ``records`` holds, and analysis replayed from a persisted journal equals
+    analysis of the live run. The default level of each swept pair is the
+    workload's all-defaults cell, and holds its ok runs only: the baseline's
     crash and timeout runs count against no parameter, as they never did
-    against the CV denominator: one transient failure of the configuration
-    every sweep shares must not make every parameter unsafe at its default.
-    A workload whose baseline has no ok run has no baseline mean, which
-    analysis refuses. An ok run that is ``degraded`` against its workload's
-    baseline mean counts as excluded under ``OUTCOME_DEGRADED``.
+    against the CV denominator, since one transient failure of the
+    configuration every sweep shares must not make every parameter unsafe at
+    its default. A workload whose baseline has no ok run has no baseline
+    mean, which analysis refuses. An ok run that is ``degraded`` against its
+    workload's baseline mean counts as excluded under ``OUTCOME_DEGRADED``.
     """
-    directions = {w.id: w.direction for w in workloads}
-    default_level: dict[str, Any] = {}
-    for spec in space:
-        grid, default_idx = sweep_levels(spec, levels_per_param)
-        if default_idx is not None:
-            default_level[spec.name] = grid[default_idx]
-    per_level: dict[tuple[str, str], dict[Any, list]] = {}
-    baselines: dict[str, list[Measurement]] = {w.id: [] for w in workloads}
+    runs: dict[tuple[str, str, int], Measurement] = {}
     for m in records:
-        if m.workload_id not in directions:
-            continue
-        if m.config.is_default():
-            if m.outcome == OUTCOME_OK:
-                baselines[m.workload_id].append(m)
-            continue
-        if len(m.config.assignments) != 1:
-            continue  # not a one-at-a-time entry
-        (param, value), = m.config.assignments.items()
-        per_level.setdefault((param, m.workload_id), {}).setdefault(value, []).append(m)
+        runs.setdefault(m.key(), m)
+    get, reps = runs.get, range(repetitions)
 
-    for (param, wid), by_value in per_level.items():
-        if param in default_level:
-            by_value[default_level[param]] = baselines[wid]  # replaces explicit records
-    baseline_means = {w: sum(m.metric_value for m in ms) / len(ms)
-                      for w, ms in baselines.items() if ms}
+    def cell(text: str, w: WorkloadSpec, base: float | None
+             ) -> tuple[list[float], dict[str, int]]:
+        """A planned cell's ok values and excluded counts by outcome; with no
+        ``base`` no run is degraded."""
+        ok: list[float] = []
+        counts: dict[str, int] = {}
+        for rep in reps:
+            m = get((text, w.id, rep))
+            if m is None:
+                continue
+            tag = m.outcome
+            if tag == OUTCOME_OK:
+                if base is None or not degraded(m.metric_value, base, w.direction):
+                    ok.append(m.metric_value)
+                    continue
+                tag = OUTCOME_DEGRADED
+            counts[tag] = counts.get(tag, 0) + 1
+        return ok, counts
 
-    def level_sort_key(param: str, value: Any):
-        dom = space.get(param).domain
-        if dom.kind in ("enum", "boolean"):
-            return dom.ordinal(value)
-        return float(value)
-
-    def outcome(m: Measurement) -> str:
-        base = baseline_means.get(m.workload_id)
-        if (m.outcome == OUTCOME_OK and base is not None and not m.config.is_default()
-                and degraded(m.metric_value, base, directions[m.workload_id])):
-            return OUTCOME_DEGRADED
-        return m.outcome
+    default_text = Configuration({}).canonical()
+    baselines = {w.id: cell(default_text, w, None) for w in workloads}
+    baseline_means = {wid: sum(ok) / len(ok) for wid, (ok, _) in baselines.items() if ok}
+    failed_baselines = sum(n for _, counts in baselines.values() for n in counts.values())
 
     sweeps: dict[tuple[str, str], SweepResult] = {}
-    for (param, wid), by_value in per_level.items():
-        levels = sorted(by_value, key=lambda v: level_sort_key(param, v))
-        values, excluded = [], []
-        for v in levels:
-            ok: list[float] = []
-            counts: dict[str, int] = {}
-            for m in by_value[v]:
-                tag = outcome(m)
-                if tag == OUTCOME_OK:
-                    ok.append(m.metric_value)
-                else:
-                    counts[tag] = counts.get(tag, 0) + 1
-            values.append(ok)
-            excluded.append(counts)
-        sweeps[(param, wid)] = SweepResult(
-            parameter=param, workload_id=wid, levels=levels, values=values,
-            excluded=excluded, direction=directions[wid])
-    return sweeps, baseline_means
+    for spec in space:
+        grid, default_idx = sweep_levels(spec, levels_per_param)
+        texts = [None if i == default_idx else Configuration({spec.name: value}).canonical()
+                 for i, value in enumerate(grid)]
+        for w in workloads:
+            base = baseline_means.get(w.id)
+            cells = [(baselines[w.id][0], {}) if text is None else cell(text, w, base)
+                     for text in texts]
+            sweeps[(spec.name, w.id)] = SweepResult(
+                parameter=spec.name, workload_id=w.id, levels=grid,
+                values=[ok for ok, _ in cells], excluded=[counts for _, counts in cells],
+                direction=w.direction)
+    return sweeps, baseline_means, failed_baselines
 
 
 def compute_cv(sweep: SweepResult, baseline_mean: float) -> float:
     """Coefficient of variation: (max level mean - min level mean) / baseline."""
     if baseline_mean <= 0:
         raise AnalysisError(f"{sweep.parameter}: baseline mean must be positive, got {baseline_mean}")
-    means = [sweep.mean(i) for i in sweep.usable()]
+    means = [sweep.means[i] for i in sweep.usable]
     if len(means) < 2:
         raise AnalysisError(
             f"{sweep.parameter}: fewer than 2 usable levels on workload {sweep.workload_id}")
@@ -275,11 +271,10 @@ def _pooled_noise_tol(sweep: SweepResult, baseline_mean: float) -> float:
     tolerance falls back to FLAT_TOL * baseline.
     """
     ss, dof, ns = 0.0, 0, []
-    for i in sweep.usable():
-        v = sweep.values[i]
+    for i in sweep.usable:
+        v, mean = sweep.values[i], sweep.means[i]
         ns.append(len(v))
         if len(v) >= 2:
-            mean = sum(v) / len(v)
             ss += sum((x - mean) ** 2 for x in v)
             dof += len(v) - 1
     if dof == 0:
@@ -297,8 +292,7 @@ def classify_shape(sweep: SweepResult, baseline_mean: float) -> str:
     jump is deliberately a step-function, not monotonic. Fewer than 3 usable
     levels cannot be classified and fall back to flat (callers flag this).
     """
-    usable = sweep.usable()
-    means = [sweep.mean(i) for i in usable]
+    means = [sweep.means[i] for i in sweep.usable]
     if len(means) < 3:
         return "flat"
     rng = max(means) - min(means)
@@ -337,7 +331,7 @@ def extract_safe_range(sweep: SweepResult, baseline_mean: float,
         counts = sweep.excluded[i]
         if counts.get(OUTCOME_CRASH, 0) or counts.get(OUTCOME_TIMEOUT, 0):
             return False
-        mean = sweep.mean(i)
+        mean = sweep.means[i]
         return mean is not None and not degraded(mean, baseline_mean, sweep.direction)
 
     spec = space.get(sweep.parameter)
@@ -388,8 +382,8 @@ def select_top_k(profiles: list[SensitivityProfile], tau_s: float) -> list[Sensi
 
 def _profile_parameter(param: str, sweeps: dict, baseline_means: dict[str, float],
                        space: ParameterSpace,
-                       workloads: list[WorkloadSpec]) -> SensitivityProfile | None:
-    """One parameter's profile across workloads; None when it was never swept.
+                       workloads: list[WorkloadSpec]) -> SensitivityProfile:
+    """One parameter's profile across workloads.
 
     Raises AnalysisError when the parameter cannot be profiled, e.g. when it
     is unsafe at its default level.
@@ -400,71 +394,61 @@ def _profile_parameter(param: str, sweeps: dict, baseline_means: dict[str, float
     safe: SafeRange | None = None
     agg_wid = None
     for w in workloads:
-        sweep = sweeps.get((param, w.id))
-        if sweep is None:
-            continue
+        sweep = sweeps[(param, w.id)]
         base = baseline_means[w.id]
         cvs[w.id] = compute_cv(sweep, base)
-        usable = sweep.usable()
-        if len(usable) < 3:
-            warnings.append(f"{w.id}: only {len(usable)} usable levels")
-        means = {i: sweep.mean(i) for i in usable}
-        best_i = (max if w.direction == "maximize" else min)(means, key=lambda i: means[i])
+        if len(sweep.usable) < 3:
+            warnings.append(f"{w.id}: only {len(sweep.usable)} usable levels")
+        best_i = (max if w.direction == "maximize" else min)(sweep.usable,
+                                                             key=sweep.means.__getitem__)
         best_level[w.id] = sweep.levels[best_i]
         rng = extract_safe_range(sweep, base, space)
         safe = rng if safe is None else _intersect_ranges(safe, rng, space, param)
         if agg_wid is None or cvs[w.id] > cvs[agg_wid]:
             agg_wid = w.id
-    if not cvs or safe is None:
-        return None
-    agg_sweep = sweeps[(param, agg_wid)]
     return SensitivityProfile(
         parameter=param,
         cv_per_workload=cvs,
         aggregate_cv=max(cvs.values()),
-        shape=classify_shape(agg_sweep, baseline_means[agg_wid]),
+        shape=classify_shape(sweeps[(param, agg_wid)], baseline_means[agg_wid]),
         safe_range=safe,
         best_level=best_level,
         warnings=warnings,
     )
 
 
-def analyze_sensitivity(records: Sequence[Measurement], space: ParameterSpace,
+def analyze_sensitivity(records: Iterable[Measurement], space: ParameterSpace,
                         workloads: list[WorkloadSpec], levels_per_param: int,
-                        tau_s: float = DEFAULT_TAU_S,
+                        repetitions: int, tau_s: float = DEFAULT_TAU_S,
                         campaign_id: str = "") -> SensitivityReport:
     """Full stage-1 analysis of a sweep plan's records into a SensitivityReport.
 
-    ``levels_per_param`` is the one the sweep was planned with; it says which
-    grid level the all-defaults baseline stands for. The report carries
-    ``campaign_id`` and the space's hash.
+    ``levels_per_param`` and ``repetitions`` are those the sweep was planned
+    with: they name the cells its table reads (``build_sweep_results``). The
+    report carries ``campaign_id`` and the space's hash.
 
     Per-parameter CVs are computed per workload and aggregated by max; the
     shape label and per-workload best levels come from the sweeps; safe
     ranges are intersected across workloads so every downstream probe is safe
-    everywhere.
+    everywhere. ``excluded_runs`` counts the runs left out of the analysis:
+    failed baseline runs, and every crashed, timed-out or degraded sweep run.
     """
-    sweeps, baseline_means = build_sweep_results(records, space, workloads, levels_per_param)
+    sweeps, baseline_means, excluded_runs = build_sweep_results(
+        records, space, workloads, levels_per_param, repetitions)
     for w in workloads:
         if w.id not in baseline_means:
             raise AnalysisError(f"no usable baseline measurements for workload {w.id!r}")
 
-    params = sorted({param for (param, _) in sweeps})
     profiles: list[SensitivityProfile] = []
     excluded: dict[str, str] = {}
-    # runs left out of the analysis: failed baseline runs, and every crashed,
-    # timed-out or degraded sweep run
-    excluded_runs = sum(1 for m in records if m.config.is_default() and m.outcome != OUTCOME_OK)
     excluded_runs += sum(n for sweep in sweeps.values() for counts in sweep.excluded
                          for n in counts.values())
-    for param in params:
+    for spec in space:
         try:
-            profile = _profile_parameter(param, sweeps, baseline_means, space, workloads)
+            profiles.append(_profile_parameter(spec.name, sweeps, baseline_means, space,
+                                               workloads))
         except AnalysisError as e:
-            excluded[param] = str(e)  # one bad parameter must not sink the stage
-            continue
-        if profile is not None:
-            profiles.append(profile)
+            excluded[spec.name] = str(e)  # one bad parameter must not sink the stage
 
     profiles.sort(key=lambda p: (-p.aggregate_cv, p.parameter))
     selected = {p.parameter for p in select_top_k(profiles, tau_s)}
@@ -481,4 +465,3 @@ def analyze_sensitivity(records: Sequence[Measurement], space: ParameterSpace,
         excluded_runs=excluded_runs,
         excluded=excluded,
     )
-

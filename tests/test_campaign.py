@@ -155,6 +155,47 @@ class TestCampaignGuards:
         assert report.records == []
 
 
+TWO_WORKLOADS = [WorkloadSpec(id="w0", metric_name="tps"),
+                 WorkloadSpec(id="w1", metric_name="tps")]
+
+
+class TestWorkloadDrift:
+    """A campaign directory records its workload declaration, in order (the
+    first workload is the document's primary). A campaign built on it with
+    another declaration is refused, naming each change, before any run."""
+
+    @pytest.mark.parametrize("declared, named", [
+        ([TWO_WORKLOADS[0], WorkloadSpec(id="w1", metric_name="tps", direction="minimize")],
+         r"workload 'w1' direction maximize -> minimize$"),
+        (TWO_WORKLOADS[:1], r"workload 'w1' removed$"),
+        (TWO_WORKLOADS + [WorkloadSpec(id="w2")], r"workload 'w2' added$"),
+        (TWO_WORKLOADS[::-1], r"workload order \['w0', 'w1'\] -> \['w1', 'w0'\]$"),
+    ], ids=["flip", "remove", "add", "reverse"])
+    def test_changed_declaration_is_refused_before_any_run(self, tmp_path, declared, named):
+        from helpers import SMALL_NAMES, small_model
+        space = unit_space(SMALL_NAMES)
+        adapter = SimulatorAdapter(space, small_model())
+        run_stage(Campaign(str(tmp_path), space, TWO_WORKLOADS, seed=42), "profile", adapter)
+        counting = InterruptingAdapter(adapter)
+        with pytest.raises(ParameterError, match=named):
+            campaign = Campaign(str(tmp_path), space, declared, seed=42)
+            for stage in ("screen", "joint", "compile"):
+                run_stage(campaign, stage, counting)
+        assert counting.keys == []
+
+    def test_state_written_before_the_field_records_the_declaration(self, tmp_path):
+        campaign, adapter = small_campaign(tmp_path)
+        run_stage(campaign, "profile", adapter)
+        path = tmp_path / STATE_FILE
+        data = json.loads(path.read_text())
+        assert data.pop("workloads") == [w.to_json() for w in one_workload()]
+        path.write_text(json.dumps(data))
+        campaign, adapter = small_campaign(tmp_path)
+        assert campaign.state.workloads == one_workload()
+        assert json.loads(path.read_text())["workloads"] == [w.to_json() for w in one_workload()]
+        run_stage(campaign, "screen", adapter)
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("failure", ["unserializable", "rename"])
     @pytest.mark.parametrize("artifact", ["state", "sensitivity", "interaction", "optima",

@@ -9,7 +9,7 @@ import sys
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 COLUMNS = ("seed", "model", "sessions", "converged", "trials", "reused", "adapted",
-           "vs_static_min", "vs_static_p50", "vs_defaults_p50")
+           "vs_static_min", "vs_static_p50", "vs_best_min", "vs_best_p50", "vs_defaults_p50")
 RUN_COLUMNS = ("seed", "runs_sensitivity", "runs_screen", "runs_joint", "repeats_screen",
                "repeats_joint")
 
@@ -34,6 +34,7 @@ def test_two_seeds_print_their_rows_and_records(tmp_path):
         assert float(cells["trials"]) > 0
         assert cells["adapted"] == ("1.00" if cells["model"] == "shifted" else "0.00")
         assert float(cells["vs_static_min"]) <= float(cells["vs_static_p50"])
+        assert 0.0 < float(cells["vs_best_min"]) <= float(cells["vs_best_p50"]) <= 1.0
         assert float(cells["vs_defaults_p50"]) > 1.0
     assert [re.sub(r"[0-9]+[.][0-9]{2}", "T", line) for line in done.stderr.splitlines()] == \
         [f"campaign seed {seed}: T s, median session T ms" for seed in (1000, 1001)]
@@ -58,6 +59,10 @@ def test_two_seeds_print_their_rows_and_records(tmp_path):
     static = {f"p{i:03d}": 1.0 for i in range(1, 16)}
     for s in sessions:
         assert s["status"] == "converged"
+        # both searches start where the session or the static configuration
+        # ended, and planted-116 maximizes: nothing beats the best metric
+        assert s["direction"] == "maximize"
+        assert max(s["true_metric"], s["static_metric"]) <= s["best_metric"]
         assert s["trials"] <= 120 and s["reused"] > 0
         if s["model"] == "matched":
             assert s["final_effective"] == static

@@ -56,7 +56,7 @@ class TestPlanSweep:
         assert len(sweep_entries) == 116 * 5 * 3 * 3
         assert len(plan) == 5229
         log = run_plan(SimulatorAdapter(space, SimulatorModel(base_rate=100.0)), plan, seed=0)
-        sweeps, _ = build_sweep_results(log, space, workloads, 6)
+        sweeps, _, _ = build_sweep_results(log, space, workloads, 6, 3)
         assert len(sweeps) == 116 * 3
         for sweep in sweeps.values():
             assert len(sweep.levels) == 6
@@ -86,7 +86,7 @@ class TestPlanSweep:
         assert sweep_levels(space.get("off"), 5) == ([0.0, 0.25, 0.5, 0.75, 1.0], None)
         assert planned["off"] == {0.0, 0.25, 0.5, 0.75, 1.0}
         log = run_plan(SimulatorAdapter(space, SimulatorModel(base_rate=100.0)), plan, seed=0)
-        sweeps, _ = build_sweep_results(log, space, one_workload(), 5)
+        sweeps, _, _ = build_sweep_results(log, space, one_workload(), 5, 1)
         assert sweeps[("off", "w0")].levels == [0.0, 0.25, 0.5, 0.75, 1.0]
         # On-grid defaults: one level fewer planned, the full grid analysed.
         assert len(planned["cont"]) == 4 and len(sweeps[("cont", "w0")].levels) == 5
@@ -115,12 +115,12 @@ class TestDefaultLevel:
             log.append(Measurement(Configuration({"p": 1.0}), "w0", rep, hi, "ok"))
         # an explicit default-level record, as logs of earlier plans hold
         log.append(Measurement(Configuration({"p": 0.0}), "w0", 0, 999.0, "ok"))
-        sweeps, baseline_means = build_sweep_results(log, space, one_workload(), 3)
+        sweeps, baseline_means, failed = build_sweep_results(log, space, one_workload(), 3, 3)
         sweep = sweeps[("p", "w0")]
         assert sweep.levels == [0.0, 0.5, 1.0]
         assert sweep.values[0] == [100.0, 104.0]
         assert sweep.excluded == [{}, {}, {}]  # the baseline's crash counts against no one
-        assert baseline_means == {"w0": 102.0}
+        assert baseline_means == {"w0": 102.0} and failed == 1
 
     def test_baseline_failure_excludes_no_parameter(self):
         space = unit_space(["p", "q"])  # grids [0, 0.5, 1], defaults 0.0
@@ -136,7 +136,7 @@ class TestDefaultLevel:
         log.append(Measurement(Configuration({"q": 1.0}), "w0", 0, None, "crash"))
         log.append(Measurement(Configuration({"q": 1.0}), "w0", 1, 102.0, "ok"))
         log.append(Measurement(Configuration({"q": 1.0}), "w0", 2, 102.0, "ok"))
-        report = analyze_sensitivity(log, space, one_workload(), 3)
+        report = analyze_sensitivity(log, space, one_workload(), 3, 3)
         assert report.excluded == {}
         assert report.excluded_runs == 2
         assert report.profile("p").safe_range.to_json() == {"lo": 0.0, "hi": 1.0}
@@ -150,7 +150,7 @@ class TestDefaultLevel:
             "mode": Response(shape="quadratic-peak", strength=0.2, peak=0.5)})
         plan = plan_sweep(space, workloads, levels_per_param=5, repetitions=3)
         log = run_plan(SimulatorAdapter(space, model), plan, seed=6)
-        sweeps, _ = build_sweep_results(log, space, workloads, 5)
+        sweeps, _, _ = build_sweep_results(log, space, workloads, 5, 3)
         assert len(sweeps) == 5 * 2
         for (param, wid), sweep in sweeps.items():
             spec = space.get(param)
@@ -162,6 +162,26 @@ class TestDefaultLevel:
                 assert sweep.values[default_idx] == baseline
             else:
                 assert baseline not in sweep.values
+
+
+class TestSweepReads:
+    def test_records_off_the_plan_leave_the_report_unchanged(self):
+        # The table is the plan's grid, read by exact key: a further
+        # repetition, an explicit default, a two-parameter record and an
+        # off-grid level are all left unread.
+        space = unit_space(["p", "q"])  # grids [0, 0.25, 0.5, 0.75, 1], defaults 0.0
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, sigma=0.02,
+            responses={"p": Response(shape="linear-up", strength=0.3),
+                       "q": Response(shape="quadratic-peak", strength=0.2, peak=0.5)}))
+        plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=2)
+        planned = run_plan(adapter, plan, seed=3)
+        extra = [Measurement(Configuration({"p": 0.5}), "w0", 2, 400.0, "ok"),
+                 Measurement(Configuration({"p": 0.0}), "w0", 0, 999.0, "ok"),
+                 Measurement(Configuration({"p": 0.5, "q": 0.5}), "w0", 0, 10.0, "ok"),
+                 Measurement(Configuration({"q": 0.6}), "w0", 0, 700.0, "ok")]
+        alone = analyze_sensitivity(planned, space, one_workload(), 5, 2)
+        assert analyze_sensitivity(planned + extra, space, one_workload(), 5, 2) == alone
 
 
 class TestComputeCv:
@@ -179,7 +199,7 @@ class TestComputeCv:
             base_rate=1000.0, responses={"p": Response(shape="linear-up", strength=0.2)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=1)
         log = run_plan(adapter, plan, seed=0)
-        report = analyze_sensitivity(log, space, one_workload(), 5)
+        report = analyze_sensitivity(log, space, one_workload(), 5, 1)
         assert report.profile("p").aggregate_cv == pytest.approx(0.2 / 1.1, rel=1e-9)
 
     def test_oracle_equivalence_from_raw_log(self):
@@ -190,7 +210,7 @@ class TestComputeCv:
                        "q": Response(shape="quadratic-peak", strength=0.15, peak=0.3)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=3)
         log = run_plan(adapter, plan, seed=4)
-        report = analyze_sensitivity(log, space, one_workload(), 5)
+        report = analyze_sensitivity(log, space, one_workload(), 5, 3)
         for param in ("p", "q"):
             assert report.profile(param).cv_per_workload["w0"] == pytest.approx(
                 cv_oracle(log, param, "w0"), rel=1e-12)
@@ -262,7 +282,7 @@ class TestExtractSafeRange:
             base_rate=100.0, crashes={"p": CrashRegion(8.0, 10.0)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=2)
         log = run_plan(adapter, plan, seed=0)
-        report = analyze_sensitivity(log, space, one_workload(), 5)
+        report = analyze_sensitivity(log, space, one_workload(), 5, 2)
         safe = report.profile("p").safe_range
         assert safe.hi == 7.5  # grid [0, 2.5, 5, 7.5, 10]; 10 crashed
 
@@ -278,8 +298,8 @@ class TestDegradation:
         adapter = SimulatorAdapter(space, SimulatorModel(base_rate=100.0, responses={
             "p": Response(shape="step", threshold=0.9, low_mult=1.0, high_mult=high_mult)}))
         log = run_plan(adapter, plan_sweep(space, workloads, 5, 3), seed=0)
-        sweeps, _ = build_sweep_results(log, space, workloads, 5)
-        return sweeps[("p", "w0")], analyze_sensitivity(log, space, workloads, 5)
+        sweeps, _, _ = build_sweep_results(log, space, workloads, 5, 3)
+        return sweeps[("p", "w0")], analyze_sensitivity(log, space, workloads, 5, 3)
 
     def test_runs_below_half_a_maximized_baseline_are_degraded(self):
         sweep, report = self.sweep("maximize", 0.3)
@@ -318,7 +338,7 @@ class TestUnsafeDefaultExclusion:
             crashes={"p": CrashRegion(2.2, 3.0)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=2)
         log = run_plan(adapter, plan, seed=0)
-        report = analyze_sensitivity(log, space, one_workload(), 5)
+        report = analyze_sensitivity(log, space, one_workload(), 5, 2)
         assert [p.parameter for p in report.profiles] == ["q"]
         assert report.profile("q").selected
         assert report.excluded == {"p": "p: unsafe at default level 2.5 on workload w0"}
@@ -331,7 +351,7 @@ class TestUnsafeDefaultExclusion:
         adapter = SimulatorAdapter(space, SimulatorModel(
             base_rate=100.0, responses={"p": Response(shape="linear-up", strength=0.4)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=1)
-        report = analyze_sensitivity(run_plan(adapter, plan, seed=0), space, one_workload(), 3)
+        report = analyze_sensitivity(run_plan(adapter, plan, seed=0), space, one_workload(), 3, 1)
         assert report.excluded == {}
         assert "excluded" not in report.to_json()
         assert SensitivityReport.from_json(report.to_json()).excluded == {}
@@ -365,7 +385,7 @@ class TestSelectTopK:
             base_rate=1000.0, sigma=0.01, responses=responses))
         plan = plan_sweep(space, one_workload(), levels_per_param=5, repetitions=3)
         log = run_plan(adapter, plan, parallelism=8, seed=13)
-        report = analyze_sensitivity(log, space, one_workload(), 5, tau_s=0.05)
+        report = analyze_sensitivity(log, space, one_workload(), 5, 3, tau_s=0.05)
         selected = {p.parameter for p in report.top_k()}
         assert selected == {"p00", "p05", "p11", "p17"}  # precision = recall = 1
 
@@ -382,7 +402,7 @@ class TestSelectTopK:
                 base_rate=base, responses=responses))
             plan = plan_sweep(space, workloads, levels_per_param=5, repetitions=1)
             log = run_plan(adapter, plan, seed=2)
-            reports.append(analyze_sensitivity(log, space, workloads, 5))
+            reports.append(analyze_sensitivity(log, space, workloads, 5, 1))
         for a, b in zip(reports[0].profiles, reports[1].profiles):
             assert a.parameter == b.parameter
             assert a.aggregate_cv == pytest.approx(b.aggregate_cv, rel=1e-12)
@@ -405,8 +425,8 @@ class TestLogReplay:
             journal.append(m)
         journal.save(str(path))
         replayed = list(MeasurementLog.load(str(path)))
-        a = analyze_sensitivity(live, space, one_workload(), 5)
-        b = analyze_sensitivity(replayed, space, one_workload(), 5)
+        a = analyze_sensitivity(live, space, one_workload(), 5, 3)
+        b = analyze_sensitivity(replayed, space, one_workload(), 5, 3)
         assert a.to_json() == b.to_json()
 
 
@@ -417,7 +437,7 @@ class TestReport:
             base_rate=100.0, responses={"p": Response(shape="linear-up", strength=0.4)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=1)
         log = run_plan(adapter, plan, seed=0)
-        report = analyze_sensitivity(log, space, one_workload(), 3)
+        report = analyze_sensitivity(log, space, one_workload(), 3, 1)
         path = tmp_path / "report.json"
         report.save(str(path))
         from tuneforge.sensitivity import SensitivityReport
@@ -433,7 +453,7 @@ class TestReport:
             base_rate=100.0, responses={"p": Response(shape="linear-up", strength=0.4)}))
         plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=1)
         data = analyze_sensitivity(run_plan(adapter, plan, seed=0), space, one_workload(),
-                                   3).to_json()
+                                   3, 1).to_json()
         profile = data["profiles"][0]
         profile[renamed] = profile.pop(key)
         path = tmp_path / "report.json"
