@@ -22,7 +22,7 @@ signal values and kept for the later ones, so a session reads its signals
 and looks the run up; an unpinned step's run is looked up by (skill, step).
 The sha256 part of each measured cell's run seeds (`harness.cell_hash`) is
 computed by the first session that measures the cell and kept, so a later
-trial on it mixes in the session seed with one splitmix64 round.
+trial on it only mixes in the session seed (`harness.cell_prefix`).
 
 Each trace event is built by one positional constructor, and each step
 dispatches on its exact class. Each repetition of a trial goes through the
@@ -53,8 +53,8 @@ from .docgen import (TARGET_END, BenchmarkStep, ComputeStep, Fingerprint, Litera
 # validation; a document validates through `ProceduralDocument.violations`.
 from .docgen import validate_document  # noqa: F401
 from .errors import AnalysisError, DocumentError, ExpressionError, ParameterError
-from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_hash, repetition_seed,
-                      run_repetition, splitmix64)
+from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_hash, cell_prefix,
+                      repetition_seed, run_repetition)
 from .jsonfile import Record, check, thaw, write_text
 from .space import Configuration, ParameterSpace, WorkloadSpec, validate_configuration
 
@@ -300,7 +300,7 @@ class SessionRunner:
         digest = cells.get(cell)
         if digest is None:
             digest = cells[cell] = cell_hash(*cell)
-        adapter, prefix = self.adapter, splitmix64(self.mix ^ digest)
+        adapter, prefix = self.adapter, cell_prefix(self.mix, digest)
         for rep in range(step.repetitions):
             outcome, metric, _ = run_repetition(adapter, effective, workload,
                                                 repetition_seed(prefix, rep))

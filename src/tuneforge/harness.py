@@ -6,14 +6,17 @@ and records outcomes in append-only, line-delimited journals that one
 canonical text (``Configuration.canonical``). Every run's randomness derives
 from a 64-bit mix of (campaign seed, canonical configuration, workload id,
 repetition), so measurements are reproducible regardless of worker scheduling.
-The mix is the campaign seed's own mix (``campaign_mix``), computed once per
-plan or session; a per-cell prefix (``cell_prefix``), which mixes it with the
-sha256 of the canonical configuration and the workload id (``cell_hash``),
-computed once per cell of a plan or benchmark step; and one splitmix64 round
-for the repetition. A plan also builds the fixed head of a cell's journal
-lines (``Measurement.journal_head``) once per cell and the tail
-(``journal_tail``) once per workload, so each run formats only its own fields
-and its record is built by one checked constructor. Each journal line is
+The mix has three parts: the campaign seed's own mix (``campaign_mix``),
+computed once per plan or session; the cell's part, the sha256 of the
+canonical configuration and the workload id (``cell_hash``), which a session
+keeps per cell of its prepared document; and one splitmix64 round for the
+repetition (``repetition_seed``). One function, ``cell_prefix``, mixes the
+first two for campaign runs and session trials alike, once per cell of a plan
+or benchmark step; ``mix_seed`` writes the composition out for one run. A
+plan also builds the fixed head of a cell's journal lines
+(``Measurement.journal_head``) once per cell and the tail (``journal_tail``)
+once per workload, so each run formats only its own fields and its record is
+built by one checked constructor. Each journal line is
 written with one ``write()`` call on an unbuffered file, so it has reached the
 kernel before the next run starts.
 """
@@ -66,25 +69,21 @@ def cell_hash(canonical: str, workload_id: str) -> int:
         (canonical + "\x1f" + workload_id).encode()).digest()[:8], "big")
 
 
-def cell_prefix(mix: int, canonical: str, workload_id: str) -> int:
+def cell_prefix(mix: int, digest: int) -> int:
     """The part of a run seed that one cell shares across its repetitions:
-    its ``cell_hash`` mixed with the campaign's ``campaign_mix``."""
-    return splitmix64(mix ^ cell_hash(canonical, workload_id))
-
-
-def cell_seed(campaign_seed: int, config: Configuration, workload_id: str) -> int:
-    """``cell_prefix`` of one cell, from the campaign seed itself."""
-    return cell_prefix(campaign_mix(campaign_seed), config.canonical(), workload_id)
+    the cell's ``cell_hash`` ``digest`` mixed with the campaign's ``campaign_mix``."""
+    return splitmix64(mix ^ digest)
 
 
 def repetition_seed(prefix: int, repetition: int) -> int:
-    """The run seed of one repetition of the cell whose ``cell_seed`` is ``prefix``."""
+    """The run seed of one repetition of the cell whose ``cell_prefix`` is ``prefix``."""
     return splitmix64(prefix ^ repetition)
 
 
 def mix_seed(campaign_seed: int, config: Configuration, workload_id: str, repetition: int) -> int:
     """Derive the per-run 64-bit seed; order-free and collision-resistant."""
-    return repetition_seed(cell_seed(campaign_seed, config, workload_id), repetition)
+    return repetition_seed(cell_prefix(campaign_mix(campaign_seed),
+                                       cell_hash(config.canonical(), workload_id)), repetition)
 
 
 _INF = math.inf
@@ -520,17 +519,9 @@ class ShellAdapter:
 
 def run_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
                    repetition: int, seed: int) -> Measurement:
-    """Validate the configuration, then execute one benchmark repetition.
-
-    An invalid configuration raises ParameterError before anything runs.
-    ``run_plan`` validates a plan's configurations once, up front, and then
-    measures through ``run_valid_experiment``.
-    """
-    violations = validate_configuration(adapter.space, config)
-    if violations:
-        raise ParameterError("invalid configuration: " + "; ".join(violations))
-    return run_valid_experiment(adapter, config, workload, repetition,
-                                mix_seed(seed, config, workload.id, repetition))
+    """One benchmark repetition: ``run_plan`` of its one entry, so an invalid
+    configuration raises ParameterError before anything runs."""
+    return run_plan(adapter, [(config, workload, repetition)], seed=seed)[0]
 
 
 def run_repetition(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
@@ -560,15 +551,6 @@ def run_repetition(adapter: Adapter, config: Configuration, workload: WorkloadSp
     if -_INF < value < _INF:
         return OUTCOME_OK, value, None
     return OUTCOME_CRASH, None, f"non-finite metric {value}"
-
-
-def run_valid_experiment(adapter: Adapter, config: Configuration, workload: WorkloadSpec,
-                         repetition: int, run_seed: int) -> Measurement:
-    """``run_repetition``'s outcome as a record, with its wall time."""
-    start = time.perf_counter()
-    outcome, metric, diag = run_repetition(adapter, config, workload, run_seed)
-    return Measurement(config, workload.id, repetition, metric, outcome,
-                       time.perf_counter() - start, diag)
 
 
 PlanEntry = tuple[Configuration, WorkloadSpec, int]
@@ -622,7 +604,7 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
         if m is None:
             if text != cell_text or workload_id != cell_workload:
                 cell_text, cell_workload = text, workload_id
-                prefix = cell_prefix(mix, text, workload_id)
+                prefix = cell_prefix(mix, cell_hash(text, workload_id))
                 tail = tails.get(workload_id)
                 if tail is None:
                     tail = tails[workload_id] = Measurement.journal_tail(workload_id)
@@ -642,7 +624,10 @@ def run_plan(adapter: Adapter, plan: list[PlanEntry], parallelism: int = 1,
 
     def work(i: int, run_seed: int, journal: tuple[str, str]) -> None:
         config, workload, rep = plan[i]
-        m = run_valid_experiment(adapter, config, workload, rep, run_seed)
+        start = time.perf_counter()
+        outcome, metric, diag = run_repetition(adapter, config, workload, run_seed)
+        m = Measurement(config, workload.id, rep, metric, outcome,
+                        time.perf_counter() - start, diag)
         if store is not None:
             store.append(m, journal)
         results[i] = m

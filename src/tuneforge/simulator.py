@@ -8,10 +8,12 @@ where each f_i is a named response shape over the parameter's normalized
 position, each g_ij is a bilinear coupling reaching ``1 + strength`` at the
 high-high corner, and noise is multiplicative lognormal. Because every term
 has a closed form, analyses downstream (CV, Int%, eta squared, grid optima)
-can be checked against hand-evaluated values. The model file loads as the
-schema each record class declares (``jsonfile.Record``), no value converted;
-its writer is hand-written, as a response writes its shape's keys and the
-model sorts its maps.
+can be checked against hand-evaluated values. The model file is the schema
+each record class declares (``jsonfile.Record``), read with no value
+converted and written by ``Record.to_json``: the model declares its fields in
+file order and sorts its maps when it is built, so a model and its saved file
+check crash regions in one order. A response writes the keys of its shape
+(``_SHAPE_KEYS``), the one table its shapes and its strength check read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,11 @@ from .errors import CrashError, ParameterError
 from .jsonfile import Record, write_text
 from .space import Configuration, ParameterSpace, WorkloadSpec, dump_yaml, load_yaml
 
-SHAPES = ("linear-up", "linear-down", "quadratic-peak", "step", "flat")
+# The keys a response of each shape writes.
+_SHAPE_KEYS = {"linear-up": ("shape", "strength"), "linear-down": ("shape", "strength"),
+               "quadratic-peak": ("shape", "strength", "peak"),
+               "step": ("shape", "threshold", "low_mult", "high_mult"), "flat": ("shape",)}
+SHAPES = tuple(_SHAPE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class Response(Record, defaulted=("strength", "peak", "threshold", "low_mult", "
             raise ParameterError(f"unknown response shape {self.shape!r}")
         if self.shape == "step" and (self.low_mult <= 0 or self.high_mult <= 0):
             raise ParameterError("step multipliers must be positive")
-        if self.shape in ("linear-up", "linear-down", "quadratic-peak") and self.strength <= -1:
+        if "strength" in _SHAPE_KEYS[self.shape] and self.strength <= -1:
             raise ParameterError("strength must keep multipliers positive")
 
     def multiplier(self, n: float) -> float:
@@ -67,14 +73,7 @@ class Response(Record, defaulted=("strength", "peak", "threshold", "low_mult", "
         return self.low_mult if n < self.threshold else self.high_mult
 
     def to_json(self) -> dict:
-        d: dict[str, Any] = {"shape": self.shape}
-        if self.shape in ("linear-up", "linear-down", "quadratic-peak"):
-            d["strength"] = self.strength
-        if self.shape == "quadratic-peak":
-            d["peak"] = self.peak
-        if self.shape == "step":
-            d.update(threshold=self.threshold, low_mult=self.low_mult, high_mult=self.high_mult)
-        return d
+        return {key: getattr(self, key) for key in _SHAPE_KEYS[self.shape]}
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,11 @@ class CrashRegion(Record):
         except (TypeError, ValueError):
             return False
         return self.lo < v <= self.hi
+
+
+def _sorted(mapping: Mapping[str, Any]) -> MappingProxyType:
+    """A read-only copy of ``mapping``, its keys sorted."""
+    return MappingProxyType(dict(sorted(mapping.items())))
 
 
 # Fallback for parameters the model leaves unplanted.
@@ -182,14 +186,16 @@ class SimulatorModel(Record, name="model", error=ParameterError, pinned={"schema
     couplings rather than to the size of the space.
 
     Its file may leave out every key but ``base_rate``, and a response every
-    key but ``shape``: a missing key takes its default.
+    key but ``shape``: a missing key takes its default. The fields are
+    declared in file order, and the maps are sorted by key when the model is
+    built, so crash regions are checked in the order the saved file has.
     """
 
     base_rate: float
+    sigma: float = 0.0
     responses: Mapping[str, Response] = field(default_factory=dict)
     couplings: tuple[Coupling, ...] = ()
     crashes: Mapping[str, CrashRegion] = field(default_factory=dict)
-    sigma: float = 0.0
     overrides: Mapping[str, Mapping[str, Response]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -197,11 +203,11 @@ class SimulatorModel(Record, name="model", error=ParameterError, pinned={"schema
             raise ParameterError("base_rate must be positive")
         if self.sigma < 0:
             raise ParameterError("sigma must be >= 0")
-        object.__setattr__(self, "responses", MappingProxyType(dict(self.responses)))
+        object.__setattr__(self, "responses", _sorted(self.responses))
         object.__setattr__(self, "couplings", tuple(self.couplings))
-        object.__setattr__(self, "crashes", MappingProxyType(dict(self.crashes)))
+        object.__setattr__(self, "crashes", _sorted(self.crashes))
         object.__setattr__(self, "overrides", MappingProxyType(
-            {w: MappingProxyType(dict(m)) for w, m in self.overrides.items()}))
+            {w: _sorted(m) for w, m in sorted(self.overrides.items())}))
         object.__setattr__(self, "_tables", {})  # workload id -> _WorkloadTable
         object.__setattr__(self, "_last", {})    # workload id -> last cell (see cell_truth)
 
@@ -282,18 +288,6 @@ class SimulatorModel(Record, name="model", error=ParameterError, pinned={"schema
             for i, a, b, strength in couplings:
                 factors[i] = 1.0 + strength * norms.get(a, defaults[a]) * norms.get(b, defaults[b])
         return math.prod(factors, start=self.base_rate)
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "base_rate": self.base_rate,
-            "sigma": self.sigma,
-            "responses": {k: v.to_json() for k, v in sorted(self.responses.items())},
-            "couplings": [c.to_json() for c in self.couplings],
-            "crashes": {k: v.to_json() for k, v in sorted(self.crashes.items())},
-            "overrides": {w: {k: v.to_json() for k, v in sorted(m.items())}
-                          for w, m in sorted(self.overrides.items())},
-        }
 
     def save(self, path: str) -> None:
         write_text(path, dump_yaml(self.to_json()))

@@ -5,7 +5,8 @@ is a sparse assignment over it (unassigned parameters are implicitly at their
 defaults). Spaces and workloads load from a single human-editable YAML file
 with a ``schema_version`` field, through ``jsonfile.load_fields``: exactly
 the keys of each record, each value of its field's type and none converted.
-A domain, the one tagged union, checks the keys of its ``type`` itself.
+A domain, the one tagged union, checks and writes the keys of its ``type``
+from one table (``_DOMAIN_KEYS``).
 
 Every YAML file the package reads or writes (declarations and simulator
 models) goes through one reader, :func:`load_yaml`, and one writer,
@@ -32,7 +33,7 @@ from typing import Any, Callable, Iterator, TypedDict
 import yaml
 
 from .errors import ParameterError
-from .jsonfile import Record, load_fields
+from .jsonfile import Record, load_fields, thaw
 
 SCHEMA_VERSION = 1
 _PINNED = {"schema_version": SCHEMA_VERSION}
@@ -124,12 +125,9 @@ class Domain(Record, defaulted=("lo", "hi", "values")):
         return f"{self.kind}{list(self.values)}"
 
     def to_json(self) -> dict:
-        d: dict[str, Any] = {"type": self.kind}
-        if self.kind in ("continuous", "integer"):
-            d["lo"] = self.lo
-            d["hi"] = self.hi
-        elif self.kind == "enum":
-            d["values"] = list(self.values)
+        d = {"type": self.kind}
+        for key in _DOMAIN_KEYS[self.kind][1:]:
+            d[key] = thaw(getattr(self, key))
         return d
 
     @classmethod
@@ -139,7 +137,7 @@ class Domain(Record, defaulted=("lo", "hi", "values")):
         kind its ``type`` names are checked here, and the values by the table."""
         kind = d.get("type")
         keys = _DOMAIN_KEYS.get(kind) if type(kind) is str else None
-        if d.keys() != keys:
+        if keys is None or d.keys() != set(keys):
             raise error(
                 f"{what}: keys {sorted(d, key=str)}, but a domain of type {kind!r} holds "
                 f"{sorted(keys) if keys else 'none; the types are ' + ', '.join(_DOMAIN_KEYS)}")
@@ -148,9 +146,9 @@ class Domain(Record, defaulted=("lo", "hi", "values")):
         return load_fields(cls, values, what, error=error)
 
 
-# The keys of each domain kind.
-_DOMAIN_KEYS = {"continuous": {"type", "lo", "hi"}, "integer": {"type", "lo", "hi"},
-                "enum": {"type", "values"}, "boolean": {"type"}}
+# The keys of each domain kind, in the order its file has them.
+_DOMAIN_KEYS = {"continuous": ("type", "lo", "hi"), "integer": ("type", "lo", "hi"),
+                "enum": ("type", "values"), "boolean": ("type",)}
 
 
 @dataclass(frozen=True)

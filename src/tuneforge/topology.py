@@ -25,32 +25,6 @@ from .space import Configuration, ParameterSpace, WorkloadSpec
 COMPONENT_CAP = 5
 
 
-class UnionFind:
-    """Disjoint sets over hashable items with path compression."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def groups(self) -> list[list]:
-        by_root: dict[Any, list] = {}
-        for x in self.parent:
-            by_root.setdefault(self.find(x), []).append(x)
-        return [sorted(g) for g in by_root.values()]
-
-
 @dataclass(frozen=True)
 class GraphEdge(Record, name="graph edge"):
     """One confirmed interaction: endpoints, effect size, and test statistics."""
@@ -93,10 +67,14 @@ def build_graph(top_k: list[str], report: InteractionReport) -> CorrelationGraph
             raise AnalysisError(f"confirmed pair ({a}, {b}) outside the top-k node set")
         edges.append(GraphEdge(a=a, b=b, eta_squared=rec.eta_squared,
                                p_value=rec.p_value, q_value=rec.q_value))
-    uf = UnionFind(nodes)
+    component = {node: [node] for node in nodes}  # node -> the members of its component
     for e in edges:
-        uf.union(e.a, e.b)
-    components = sorted(uf.groups(), key=lambda c: c[0])
+        merged, absorbed = component[e.a], component[e.b]
+        if merged is not absorbed:
+            merged += absorbed
+            for node in absorbed:
+                component[node] = merged
+    components = sorted({id(c): sorted(c) for c in component.values()}.values())
     return CorrelationGraph(nodes=nodes, edges=edges, components=components)
 
 

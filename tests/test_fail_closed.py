@@ -347,6 +347,7 @@ WRITERS = {
     WorkloadSpec: ((), ()),
     ParameterSpace: (("schema_version",), ()),
     ParameterSpec: ((), ()),
+    SimulatorModel: (("schema_version",), ()),
     Coupling: ((), ()),
     CrashRegion: ((), ()),
     BenchmarkStep: (("action",), ("adopt", "pin_best")),
@@ -358,8 +359,8 @@ WRITERS = {
 
 # Record classes that declare their schema and load through load_fields like
 # every other, but whose writers stay hand-written: a domain's keys depend on
-# its kind, a response's on its shape, and a model sorts its maps.
-HAND_WRITTEN = {Domain, Response, SimulatorModel}
+# its kind and a response's on its shape.
+HAND_WRITTEN = {Domain, Response}
 
 
 @pytest.fixture(scope="module")

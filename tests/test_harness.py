@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from helpers import one_workload, random_log, stored_cell, unit_space
 from tuneforge.errors import AdapterError, CrashError, ParameterError
 from tuneforge.harness import (CampaignStore, Measurement, MeasurementLog, ShellAdapter,
-                               campaign_mix, cell_hash, cell_prefix, cell_seed, mix_seed,
+                               campaign_mix, cell_hash, cell_prefix, mix_seed,
                                repetition_seed, run_experiment, run_plan, splitmix64)
 from tuneforge.simulator import (CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel, standard_normal)
@@ -77,8 +77,11 @@ class TestSeeds:
 
     def test_mix_seed_is_the_cell_prefix_and_one_repetition_round(self):
         config = Configuration({"p": 0.1})
-        for seed, workload_id, rep in ((7, "w0", 0), (2**64 + 7, "w1", 5), (0, "", 2**40)):
-            prefix = cell_seed(seed, config, workload_id)
+        for seed, workload_id, rep in ((7, "w0", 0), (2**64 + 7, "w1", 5), (0, "", 2**40),
+                                       (-1, "w\"1", 3)):
+            mix = campaign_mix(seed)
+            assert mix == splitmix64(seed & (2**64 - 1))
+            prefix = cell_prefix(mix, cell_hash(config.canonical(), workload_id))
             assert mix_seed(seed, config, workload_id, rep) == \
                 repetition_seed(prefix, rep) == splitmix64(prefix ^ rep)
 
@@ -101,14 +104,16 @@ class TestSeeds:
     def test_run_seeds_are_pinned(self):
         for seed, assignments, workload_id, rep, _, prefix, run_seed in self.GOLDEN_CELLS:
             config = Configuration(assignments)
-            assert cell_prefix(campaign_mix(seed), config.canonical(), workload_id) == prefix
+            digest = cell_hash(config.canonical(), workload_id)
+            assert cell_prefix(campaign_mix(seed), digest) == prefix
             assert mix_seed(seed, config, workload_id, rep) == run_seed
 
     def test_cell_hash_is_pinned_and_mixed_into_the_cell_prefix(self):
         for seed, assignments, workload_id, _, digest, prefix, _ in self.GOLDEN_CELLS:
             canonical = Configuration(assignments).canonical()
             assert cell_hash(canonical, workload_id) == digest
-            assert splitmix64(campaign_mix(seed) ^ digest) == prefix
+            assert cell_prefix(campaign_mix(seed), digest) == \
+                splitmix64(campaign_mix(seed) ^ digest) == prefix
 
     def test_standard_normal_is_pinned(self):
         for seed, z in ((0, -0.452757740217458), (1, -0.028249746095854695),
@@ -116,15 +121,6 @@ class TestSeeds:
                         (16294208416658607535, -0.2788749225862045),
                         (123456789, -1.9881494154350863)):
             assert standard_normal(seed) == z
-
-    def test_cell_seed_is_the_campaign_mix_and_the_cell_prefix(self):
-        config = Configuration({"p": 0.1, "q": "x\u00e9"})
-        for seed in (0, 7, 2**64 - 1, 2**64 + 7, -1):
-            mix = campaign_mix(seed)
-            assert mix == splitmix64(seed & (2**64 - 1))
-            for workload_id in ("w0", "w\"1", ""):
-                assert cell_seed(seed, config, workload_id) == \
-                    cell_prefix(mix, config.canonical(), workload_id)
 
 
 class RecordingAdapter:

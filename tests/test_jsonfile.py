@@ -198,8 +198,8 @@ def test_an_optional_key_that_is_not_read_may_be_left_out(keyword, d):
 
 # The only classes that write or read their JSON by hand, and why: the
 # journal's hot path; a safe range's two shapes; a domain's and a response's
-# keys, which depend on its kind or shape, and the model's sorted maps; the
-# key a step, a document and an interaction report add to their fields; and a
+# keys, which depend on its kind or shape (each read from one table); the key
+# a step, a document and an interaction report add to their fields; and a
 # skill, named in load errors by its id. Every other record class declares its
 # schema and inherits `jsonfile.Record`'s `to_json` and `from_json`.
 HAND_WRITTEN_CODECS = {
@@ -207,7 +207,6 @@ HAND_WRITTEN_CODECS = {
     "SafeRange": {"to_json", "from_json"},
     "Domain": {"to_json", "from_json"},
     "Response": {"to_json"},
-    "SimulatorModel": {"to_json"},
     "_Step": {"to_json"},
     "ProceduralDocument": {"to_json"},
     "InteractionReport": {"to_json"},

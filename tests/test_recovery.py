@@ -6,12 +6,16 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 COLUMNS = ("seed", "model", "sessions", "converged", "trials", "reused", "adapted",
            "vs_static_min", "vs_static_p50", "vs_best_min", "vs_best_p50", "vs_defaults_p50")
 RUN_COLUMNS = ("seed", "runs_sensitivity", "runs_screen", "runs_joint", "repeats_screen",
                "repeats_joint")
+RECOVERY_COLUMNS = ("seed", "topk_recall", "topk_precision", "pairs_recall", "pairs_precision",
+                    "cv_planted_min", "cv_unplanted_max", "eta2_planted_min",
+                    "eta2_unplanted_max")
 
 
 def test_two_seeds_print_their_rows_and_records(tmp_path):
@@ -21,7 +25,7 @@ def test_two_seeds_print_their_rows_and_records(tmp_path):
          "--seeds", "1000-1001", "--sessions", "4", "--json", str(records)],
         cwd=REPO, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    sessions_table, runs_table = done.stdout.split("\n\n")
+    sessions_table, runs_table, recovery_table = done.stdout.split("\n\n")
     rows = [line.split() for line in sessions_table.splitlines()]
     assert rows[0] == list(COLUMNS)
     assert [row[:3] for row in rows[1:]] == [
@@ -51,6 +55,29 @@ def test_two_seeds_print_their_rows_and_records(tmp_path):
         # sweep and the screen ran it in
         assert c["repeats_joint"] == 0
 
+    # planted-116's 15 parameters and 4 strong pairs are recovered exactly, each
+    # with a margin on both sides of the selection (0.05) and confirmation
+    # (0.15) thresholds
+    recovery = [line.split() for line in recovery_table.splitlines()]
+    assert recovery[0] == list(RECOVERY_COLUMNS)
+    assert [row[0] for row in recovery[1:]] == ["1000", "1001", "min", "p10", "p50", "max"]
+    for row in recovery[1:]:
+        cells = dict(zip(RECOVERY_COLUMNS, row))
+        for key in RECOVERY_COLUMNS[1:5]:
+            assert cells[key] == "1.00"
+        assert float(cells["cv_planted_min"]) > 0.05 > float(cells["cv_unplanted_max"])
+        assert float(cells["eta2_planted_min"]) > 0.15 > float(cells["eta2_unplanted_max"])
+    for c, row in zip(campaigns, recovery[1:3]):
+        assert [f"{c[k]:.2f}" for k in RECOVERY_COLUMNS[1:5]] + \
+            [f"{c[k]:.4f}" for k in RECOVERY_COLUMNS[5:]] == row[1:]
+    summary = {row[0]: dict(zip(RECOVERY_COLUMNS, row)) for row in recovery[3:]}
+    for key in RECOVERY_COLUMNS[5:]:
+        values = [c[key] for c in campaigns]
+        assert summary["min"][key] == f"{min(values):.4f}"
+        assert summary["max"][key] == f"{max(values):.4f}"
+        assert min(values) <= float(summary["p10"][key]) <= float(summary["p50"][key]) \
+            <= max(values)
+
     sessions = json.loads(records.read_text())["sessions"]
     assert [(s["campaign_seed"], s["session_seed"], s["model"]) for s in sessions] == [
         (seed, 100_000 + i, ("matched", "shifted")[i % 2])
@@ -67,3 +94,26 @@ def test_two_seeds_print_their_rows_and_records(tmp_path):
         if s["model"] == "matched":
             assert s["final_effective"] == static
             assert s["true_metric"] == s["static_metric"]
+
+
+def test_static_config_takes_the_favoured_end_of_every_safe_range_shape():
+    tool = os.path.join(REPO, "tools", "recovery.py")
+    module = types.ModuleType("recovery")
+    module.__file__ = tool
+    saved = sys.path[:]
+    try:
+        with open(tool, encoding="utf-8") as fh:
+            exec(compile(fh.read(), tool, "exec"), module.__dict__)
+    finally:
+        sys.path[:] = saved
+    export = types.SimpleNamespace(
+        top_k=[{"name": "mode", "shape": "monotonic-up"},
+               {"name": "cache", "shape": "monotonic-down"},
+               {"name": "fsync", "shape": "monotonic-down"},
+               {"name": "peak", "shape": "non-monotonic"}],
+        safe_ranges={"mode": {"values": ["low", "mid", "high"]}, "cache": {"lo": 2, "hi": 64},
+                     "fsync": {"values": [False, True]}, "peak": {"lo": 0.0, "hi": 1.0}})
+    assert module.static_config(export, maximize=True).assignments == {
+        "mode": "high", "cache": 2, "fsync": False}
+    assert module.static_config(export, maximize=False).assignments == {
+        "mode": "low", "cache": 64, "fsync": True}

@@ -94,6 +94,22 @@ class TestModel:
         model.save(str(path))
         assert SimulatorModel.load(str(path)).to_json() == model.to_json()
 
+    def test_a_configuration_in_two_crash_regions_crashes_alike_after_a_round_trip(
+            self, tmp_path):
+        # regions declared b then a: the saved file lists them sorted, and the
+        # model checks them in that order whether it was built or loaded
+        model = SimulatorModel(base_rate=1.0, crashes={"b": CrashRegion(0.0, 1.0),
+                                                       "a": CrashRegion(0.0, 1.0)})
+        path = tmp_path / "model.yaml"
+        model.save(str(path))
+        config = Configuration({"a": 0.5, "b": 0.5})
+        diagnostics = []
+        for m in (model, SimulatorModel.load(str(path))):
+            with pytest.raises(CrashError) as e:
+                m.true_metric(self.space, config, "w0")
+            diagnostics.append(e.value.diagnostic)
+        assert diagnostics == ["planted crash region hit: a=0.5"] * 2
+
     # Each level of the model file holds only the keys its constructor takes,
     # each holding a value of its field's type, which is not converted.
     @pytest.mark.parametrize("edit, named", [

@@ -11,7 +11,7 @@ from tuneforge.interaction import InteractionRecord, InteractionReport
 from tuneforge.sensitivity import SafeRange, SensitivityProfile, SensitivityReport
 from tuneforge.simulator import Coupling, Response, SimulatorAdapter, SimulatorModel
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec
-from tuneforge.topology import (CorrelationGraph, JointSearchPlan, UnionFind, _grid_means,
+from tuneforge.topology import (CorrelationGraph, JointSearchPlan, _grid_means,
                                 build_graph, independent_baseline, measure_baselines,
                                 optimize_component, plan_joint_search)
 
@@ -35,20 +35,6 @@ def sens_report(names, safe=(0.0, 1.0), best=1.0):
                 for i, n in enumerate(names)]
     return SensitivityReport(campaign_id="c0", space_hash="h0", tau_s=0.05,
                              baseline_means={"w0": 1000.0}, profiles=profiles)
-
-
-class TestUnionFind:
-    def test_groups(self):
-        uf = UnionFind("abcde")
-        uf.union("a", "b")
-        uf.union("b", "c")
-        assert sorted(uf.groups()) == [["a", "b", "c"], ["d"], ["e"]]
-
-    def test_idempotent_unions(self):
-        uf = UnionFind([1, 2])
-        uf.union(1, 2)
-        uf.union(2, 1)
-        assert uf.find(1) == uf.find(2)
 
 
 class TestBuildGraph:
@@ -78,6 +64,9 @@ class TestBuildGraph:
         g = build_graph(nodes, make_report(confirmed, nodes))
         flattened = sorted(x for comp in g.components for x in comp)
         assert flattened == sorted(nodes)  # disjoint cover, no repeats
+        # n00 joins n03's component through n07: members sorted, components by
+        # their first member
+        assert g.multi_components() == [["n00", "n03", "n07"], ["n05", "n09"]]
         assert all(0.15 < e.eta_squared <= 1.0 for e in g.edges)
         for e in g.edges:
             assert any(e.a in comp and e.b in comp for comp in g.components)

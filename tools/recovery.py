@@ -11,7 +11,7 @@ document, with session seeds 100000, 100001, ... and a budget of 120 trials.
 On a workload with a shifted model the odd sessions run against it, as in
 ``perfbench/run.py``.
 
-It prints two tables, separated by a blank line. The first has one row per
+It prints three tables, separated by blank lines. The first has one row per
 campaign seed and model (matched, shifted), then one summary row per model
 over all seeds:
 
@@ -44,10 +44,29 @@ journals before its directory is removed:
   repetition an earlier journaled record of the campaign already holds. The
   system runs such a run again although the campaign has its result.
 
+The third table has one row per campaign seed, read from the campaign's
+sensitivity and interaction reports before its directory is removed, then the
+rows ``min``, ``p10``, ``p50`` and ``max`` over the seeds (quantiles
+interpolated linearly between ranks):
+
+- ``topk_recall`` and ``topk_precision``: the selected parameters against the
+  workload's ``expected_top_k``; ``pairs_recall`` and ``pairs_precision``: the
+  confirmed pairs against its ``expected_confirmed``. An empty set scores 1.0;
+- ``cv_planted_min`` and ``cv_unplanted_max``: the weakest ``aggregate_cv`` of
+  an expected top-k parameter and the strongest of any other profiled one,
+  the margins around the selection threshold ``tau_s``;
+- ``eta2_planted_min`` and ``eta2_unplanted_max``: the same for a pair's eta
+  squared, its largest over the workloads where stage B gave one, around the
+  confirmation threshold ``ETA2_MIN``.
+
+A planted parameter or pair without a value counts as 0.0, and so does the
+strongest unplanted one when there is none.
+
 Standard output depends on the seeds only. The wall time of each campaign seed,
 and the median wall time of its sessions, go to standard error. ``--json``
-writes each campaign seed's runs row and every session's record: trials, final
-effective configuration, true metrics and the best metric of the searches.
+writes each campaign seed's runs and recovery row and every session's record:
+trials, final effective configuration, true metrics and the best metric of the
+searches.
 """
 
 from __future__ import annotations
@@ -70,9 +89,12 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 import tuneforge  # noqa: E402
 from tuneforge import (Configuration, SimulatorAdapter, export_knowledge,  # noqa: E402
                        run_session)
-from tuneforge.campaign import Campaign  # noqa: E402
+from tuneforge.campaign import (INTERACTION_REPORT, SENSITIVITY_REPORT,  # noqa: E402
+                                Campaign)
 from tuneforge.errors import CrashError  # noqa: E402
 from tuneforge.harness import read_journal  # noqa: E402
+from tuneforge.interaction import InteractionReport  # noqa: E402
+from tuneforge.sensitivity import SafeRange, SensitivityReport  # noqa: E402
 
 SESSION_SEED = 100_000
 SESSION_BUDGET = 120
@@ -80,6 +102,9 @@ COLUMNS = ("seed", "model", "sessions", "converged", "trials", "reused", "adapte
            "vs_static_min", "vs_static_p50", "vs_best_min", "vs_best_p50", "vs_defaults_p50")
 RUN_COLUMNS = ("seed", "runs_sensitivity", "runs_screen", "runs_joint", "repeats_screen",
                "repeats_joint")
+RECOVERY_COLUMNS = ("seed", "topk_recall", "topk_precision", "pairs_recall", "pairs_precision",
+                    "cv_planted_min", "cv_unplanted_max", "eta2_planted_min",
+                    "eta2_unplanted_max")
 
 
 def load_workloads():
@@ -97,14 +122,15 @@ def load_workloads():
 
 
 def static_config(export, maximize: bool) -> Configuration:
-    """Each exported top-k parameter at the safe-range end its shape favours."""
+    """Each exported top-k parameter at the safe-range end its shape favours:
+    a numeric range's bound, or an enum range's first or last value."""
     assignments = {}
     for entry in export.top_k:
         if entry["shape"] not in ("monotonic-up", "monotonic-down"):
             continue
-        safe = export.safe_ranges[entry["name"]]
+        safe = SafeRange.from_json(export.safe_ranges[entry["name"]])
         rises = entry["shape"] == "monotonic-up"
-        assignments[entry["name"]] = safe["hi"] if rises == maximize else safe["lo"]
+        assignments[entry["name"]] = safe.hi if rises == maximize else safe.lo
     return Configuration(assignments)
 
 
@@ -151,6 +177,30 @@ def campaign_runs(campaign: Campaign) -> dict:
     return counts
 
 
+def campaign_recovery(w, campaign: Campaign) -> dict:
+    """Recall, precision and margins of one campaign of workload ``w``
+    against its planted truth, from the campaign's reports."""
+    sensitivity = SensitivityReport.load(campaign.path(SENSITIVITY_REPORT))
+    interaction = InteractionReport.load(campaign.path(INTERACTION_REPORT))
+    cv = {p.parameter: p.aggregate_cv for p in sensitivity.profiles}
+    eta2: dict[tuple[str, str], float] = {}  # pair (sorted, as screened) -> its largest
+    for rec in interaction.records:
+        if rec.eta_squared is not None:
+            eta2[rec.pair] = max(rec.eta_squared, eta2.get(rec.pair, 0.0))
+    counts = {}
+    for name, margin, found, expected, values in (
+            ("topk", "cv", {p.parameter for p in sensitivity.top_k()}, w.expected_top_k, cv),
+            ("pairs", "eta2", set(interaction.confirmed_pairs()), w.expected_confirmed, eta2)):
+        hits = len(found & expected)
+        counts[f"{name}_recall"] = hits / len(expected) if expected else 1.0
+        counts[f"{name}_precision"] = hits / len(found) if found else 1.0
+        counts[f"{margin}_planted_min"] = min((values.get(k, 0.0) for k in expected),
+                                              default=0.0)
+        counts[f"{margin}_unplanted_max"] = max(
+            (v for k, v in values.items() if k not in expected), default=0.0)
+    return counts
+
+
 @contextlib.contextmanager
 def run_campaign(tf, w, campaign_seed: int):
     """One campaign of workload ``w`` run by package ``tf`` (``tuneforge``, or
@@ -185,7 +235,7 @@ def campaign_sessions(w, campaign_seed: int, sessions: int
     """One campaign of workload ``w``: its runs row, the records of its
     sessions and each session's wall time in seconds."""
     with run_campaign(tuneforge, w, campaign_seed) as (campaign, doc):
-        runs = campaign_runs(campaign)
+        runs = {**campaign_runs(campaign), **campaign_recovery(w, campaign)}
     primary = next(spec for spec in w.workloads if spec.id == doc.primary_workload)
     static = static_config(export_knowledge(doc), primary.direction == "maximize")
     searched: dict[tuple[str, str], float] = {}  # (model, start) -> its search's best
@@ -236,6 +286,28 @@ def row(seed: str, model: str, records: list[dict]) -> list[str]:
             f"{statistics.median(vs_defaults):.4f}"]
 
 
+def quantile(values: list[float], q: float) -> float:
+    """The ``q`` quantile of ``values``, interpolated linearly between ranks."""
+    ordered = sorted(values)
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
+
+
+def recovery_rows(campaigns: list[dict]) -> list[list[str]]:
+    """The third table: one row per campaign, then min, p10, p50 and max."""
+    def cells(values: dict) -> list[str]:
+        return [f"{values[k]:.2f}" if k.endswith(("recall", "precision")) else
+                f"{values[k]:.4f}" for k in RECOVERY_COLUMNS[1:]]
+
+    rows = [list(RECOVERY_COLUMNS)] + [[str(c["seed"])] + cells(c) for c in campaigns]
+    for label, q in (("min", 0.0), ("p10", 0.1), ("p50", 0.5), ("max", 1.0)):
+        rows.append([label] + cells({k: quantile([c[k] for c in campaigns], q)
+                                     for k in RECOVERY_COLUMNS[1:]}))
+    return rows
+
+
 def print_table(rows: list[list[str]]) -> None:
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
@@ -279,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     print_table(rows)
     print()
     print_table([list(RUN_COLUMNS)] + [[str(c[k]) for k in RUN_COLUMNS] for c in campaigns])
+    print()
+    print_table(recovery_rows(campaigns))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"workload": args.workload, "campaigns": campaigns,
