@@ -56,7 +56,7 @@ from .errors import AnalysisError, DocumentError, ExpressionError, ParameterErro
 from .harness import (OUTCOME_OK, Adapter, campaign_mix, cell_hash, cell_prefix,
                       repetition_seed, run_repetition)
 from .jsonfile import Record, check, thaw, write_text
-from .space import Configuration, ParameterSpace, WorkloadSpec, validate_configuration
+from .space import Configuration, ParameterSpace, WorkloadSpec
 
 STATUS_RUNNING = "running"
 STATUS_CONVERGED = "converged"
@@ -420,9 +420,6 @@ class SessionRunner:
             config, metric = Configuration({}), None
         # a copy: the adopted configuration may be one every session shares
         config = Configuration(config.assignments)
-        violations = validate_configuration(self.adapter.space, config)
-        if violations:
-            raise _Abort("incumbent configuration failed validation: " + "; ".join(violations))
         self.session.status = STATUS_CONVERGED
         self.session.final_config = config
         self.session.final_metric = metric
@@ -455,10 +452,19 @@ class _Replay(SessionRunner):
 
     def __init__(self, header: TraceHeader, events: list[TraceEvent],
                  doc: ProceduralDocument, space: ParameterSpace):
-        self.recorded = dict(enumerate(e.outputs for e in events))  # position -> outputs
+        # position -> outputs
+        recorded = self.recorded = dict(enumerate(e.outputs for e in events))
         # an adapter that is never asked to measure
         super().__init__(doc, SimpleNamespace(space=space), header["trial_budget"],
-                         header["seed"], self._recorded_decision)
+                         header["seed"])
+        trace = self.session.trace
+
+        def recorded_decision(skill: Skill, signals: dict) -> str | None:
+            # closes over the trace, not the runner, so that no cycle holds the runner
+            outputs = recorded.get(len(trace), {})
+            target = outputs.get("target")
+            return target if outputs.get("resolver") is True and isinstance(target, str) else None
+        self.step_resolver = recorded_decision
 
     def _measure(self, effective: Configuration, workload: WorkloadSpec,
                  step: BenchmarkStep) -> tuple[list[str], float | None]:
@@ -472,11 +478,6 @@ class _Replay(SessionRunner):
             return [], None
         measured = len(outcomes) == step.repetitions and (mean is None) != (OUTCOME_OK in outcomes)
         return (outcomes, mean) if measured else ([], None)
-
-    def _recorded_decision(self, skill: Skill, signals: dict) -> str | None:
-        outputs = self.recorded.get(len(self.session.trace), {})
-        target = outputs.get("target")
-        return target if outputs.get("resolver") is True and isinstance(target, str) else None
 
 
 def replay_session(header: TraceHeader, events: list[TraceEvent], doc: ProceduralDocument,

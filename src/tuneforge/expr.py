@@ -4,9 +4,11 @@ The grammar is exactly the forms the compiler writes: numeric literals,
 symbols (runtime signals and reference data), arithmetic (+ - * /) and
 parentheses, the comparisons <= and >=, the conjunction `and`, and the
 functions abs/min/max, argmax/argmin (the index of the first best argument),
-pick(i, v0, ...) (the value v_i) and defined(symbol). A hand-edited document
-may use only these forms; any other (`or`, `not`, `<`, `>`, `=`, `==`, `!=`,
-a leading minus) is a parse error, so validation refuses the document.
+pick(i, v0, ...) (the value v_i) and defined(symbol). Python's parser reads
+the text, and each node must be one of these forms (`_tree`), spelled as the
+compiler spells it: any other (`or`, `not`, `<`, `>`, `==`, `!=`, a leading
+minus, a keyword such as `None` as a symbol, `01`, `1_0`, `0x1`) is a parse
+error, so validation refuses a hand-edited document that uses it.
 Comparisons and `and` yield 1.0 / 0.0. Unknown symbols raise, never silently
 evaluate false; defined() tests for a signal's presence, and because `and`
 short-circuits, "defined(x) and x >= 1" is a safe guarded reference.
@@ -19,18 +21,12 @@ operand raises the error the source order gives.
 
 from __future__ import annotations
 
+import ast
 import functools
 import re
 from typing import Any, Callable, Mapping
 
 from .errors import ExpressionError
-
-_TOKEN_RE = re.compile(r"""
-    (?P<num>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+(?:[eE][-+]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|[+\-*/(),])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
 
 # Parsed expressions are memoized by text. One compiled document holds about
 # 150-300 distinct predicate texts; the bound sits well above that, so an
@@ -39,21 +35,6 @@ _PARSE_CACHE_SIZE = 2048
 
 # Function name -> fewest arguments; abs() and defined() take exactly one.
 _FUNCTIONS = {"abs": 1, "min": 1, "max": 1, "argmax": 1, "argmin": 1, "pick": 2, "defined": 1}
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ExpressionError(f"bad character at {pos} in {text!r}")
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        tokens.append((m.lastgroup, m.group()))
-    tokens.append(("end", ""))
-    return tokens
 
 
 Evaluator = Callable[[Mapping[str, Any], Mapping[str, Any]], float]
@@ -68,13 +49,13 @@ class Expr:
 
     __slots__ = ("text", "sorted_symbols", "evaluate")
 
-    def __init__(self, text: str, ast: tuple):
+    def __init__(self, text: str, tree: tuple):
         self.text = text
         found: set[str] = set()
         # evaluate(signals, reference): the value against the signal store,
         # then the reference data; signals shadow reference data of one name.
         # The compiled evaluator itself, so that a call costs no method frame.
-        self.evaluate: Evaluator = _compile(ast, text, found)
+        self.evaluate: Evaluator = _compile(tree, text, found)
         # The symbols in sorted order: the order a trace records them in.
         self.sorted_symbols: tuple[str, ...] = tuple(sorted(found))
 
@@ -176,91 +157,63 @@ _BINARY: dict[str, Callable[[Evaluator, Evaluator, str], Evaluator]] = {
 }
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+# A number as the grammar spells it; Python's parser also reads 1_0, 0x1 and 1j.
+_NUMBER_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
+# Python's operator class -> the grammar's operator, as `_compile` reads it.
+# Python's parse already puts `and` only in a BoolOp, a comparison only in a
+# Compare and arithmetic only in a BinOp.
+_OPERATORS: dict[type, str] = {ast.And: "and", ast.LtE: "<=", ast.GtE: ">=",
+                               ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
-    def next(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, value: str) -> None:
-        kind, tok = self.next()
-        if tok != value:
-            raise ExpressionError(f"expected {value!r}, got {tok!r} in {self.text!r}")
+def _tree(node: ast.AST, text: str) -> tuple:
+    """The syntax tree `_compile` reads of one node of Python's parse of
+    `text`; refuses every node outside the grammar's forms."""
+    kind = type(node)
+    spelled = text[node.col_offset:node.end_col_offset]
+    if kind is ast.Constant:
+        # not glued to a name either, as in `1and 2`, which Python 3.11 reads
+        follower = text[node.end_col_offset:node.end_col_offset + 1]
+        if _NUMBER_RE.fullmatch(spelled) and not (follower.isalnum() or follower == "_"):
+            return ("num", float(spelled))
+    if kind is ast.Name:
+        return ("sym", node.id)
+    if kind is ast.Call:
+        return _call(node, spelled, text)
+    if kind is ast.BinOp and type(node.op) in _OPERATORS:
+        left, right = _tree(node.left, text), _tree(node.right, text)
+        return ("bin", _OPERATORS[type(node.op)], left, right)
+    if kind is ast.Compare and len(node.ops) == 1 and type(node.ops[0]) in _OPERATORS:
+        left, right = _tree(node.left, text), _tree(node.comparators[0], text)
+        return ("bin", _OPERATORS[type(node.ops[0])], left, right)
+    if kind is ast.BoolOp and type(node.op) in _OPERATORS:
+        # a run of `and` associates to the left, as it evaluates
+        tree = _tree(node.values[0], text)
+        for operand in node.values[1:]:
+            tree = ("bin", "and", tree, _tree(operand, text))
+        return tree
+    raise ExpressionError(f"{spelled!r} is outside the grammar")
 
-    def parse(self) -> tuple:
-        node = self.parse_and()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input {self.peek()[1]!r} in {self.text!r}")
-        return node
 
-    def parse_and(self) -> tuple:
-        node = self.parse_cmp()
-        while self.peek() == ("name", "and"):
-            self.next()
-            node = ("bin", "and", node, self.parse_cmp())
-        return node
-
-    def parse_cmp(self) -> tuple:
-        node = self.parse_sum()
-        kind, tok = self.peek()
-        if kind == "op" and tok in ("<=", ">="):
-            self.next()
-            node = ("bin", tok, node, self.parse_sum())
-        return node
-
-    def parse_sum(self) -> tuple:
-        node = self.parse_term()
-        while self.peek()[0] == "op" and self.peek()[1] in ("+", "-"):
-            _, op = self.next()
-            node = ("bin", op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> tuple:
-        node = self.parse_atom()
-        while self.peek()[0] == "op" and self.peek()[1] in ("*", "/"):
-            _, op = self.next()
-            node = ("bin", op, node, self.parse_atom())
-        return node
-
-    def parse_atom(self) -> tuple:
-        kind, tok = self.next()
-        if kind == "num":
-            return ("num", float(tok))
-        if kind == "op" and tok == "(":
-            node = self.parse_and()
-            self.expect(")")
-            return node
-        if kind == "name":
-            if tok == "and":
-                raise ExpressionError(f"misplaced keyword {tok!r} in {self.text!r}")
-            if self.peek() == ("op", "("):
-                if tok not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {tok!r} in {self.text!r}")
-                self.next()
-                args = []
-                if self.peek() != ("op", ")"):
-                    args.append(self.parse_and())
-                    while self.peek() == ("op", ","):
-                        self.next()
-                        args.append(self.parse_and())
-                self.expect(")")
-                if tok == "defined":
-                    if len(args) != 1 or args[0][0] != "sym":
-                        raise ExpressionError("defined() takes exactly one symbol argument")
-                    return ("defined", args[0][1])
-                if len(args) < _FUNCTIONS[tok] or (tok == "abs" and len(args) > 1):
-                    raise ExpressionError(f"wrong number of arguments to {tok}() in {self.text!r}")
-                return ("call", tok, args)
-            return ("sym", tok)
-        raise ExpressionError(f"unexpected token {tok!r} in {self.text!r}")
+def _call(node: ast.Call, spelled: str, text: str) -> tuple:
+    """The syntax tree of a call of one of `_FUNCTIONS`."""
+    func = node.func
+    if type(func) is not ast.Name or func.id not in _FUNCTIONS:
+        raise ExpressionError(f"unknown function {text[func.col_offset:func.end_col_offset]!r}")
+    # Python also reads `(max)(a)`, `max(a=1)` and `max(a,)`
+    last = node.args[-1].end_col_offset if node.args else node.end_col_offset
+    if func.col_offset != node.col_offset or node.keywords or "," in text[last:node.end_col_offset]:
+        raise ExpressionError(f"{spelled!r} is outside the grammar")
+    fn = func.id
+    args = [_tree(arg, text) for arg in node.args]
+    if fn == "defined":
+        if len(args) != 1 or args[0][0] != "sym":
+            raise ExpressionError("wrong arguments to defined()")
+        return ("defined", args[0][1])
+    if len(args) < _FUNCTIONS[fn] or (fn == "abs" and len(args) > 1):
+        raise ExpressionError(f"wrong arguments to {fn}()")
+    return ("call", fn, args)
 
 
 def parse(text: str) -> Expr:
@@ -275,7 +228,15 @@ def parse(text: str) -> Expr:
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def _parse_text(text: str) -> Expr:
-    return Expr(text, _Parser(text).parse())
+    flat = " ".join(text.split())  # no token of the grammar holds whitespace
+    try:
+        if not flat.isascii() or "#" in flat or "\\" in flat:
+            raise ExpressionError("bad character")
+        tree = _tree(ast.parse(flat, mode="eval").body, flat)
+    except (ExpressionError, SyntaxError, ValueError, RecursionError, MemoryError) as e:
+        reason = getattr(e, "msg", None) or str(e) or type(e).__name__
+        raise ExpressionError(f"{reason} in {text!r}") from None
+    return Expr(text, tree)
 
 
 def evaluate(text: str, signals: Mapping[str, Any], reference: Mapping[str, Any]) -> float:

@@ -1,5 +1,6 @@
 """Document compilation, validation, serialization, and knowledge export."""
 
+import ast
 import copy
 import hashlib
 import json
@@ -8,7 +9,6 @@ import operator
 import random
 import re
 import shutil
-import string
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -642,20 +642,19 @@ class TestProvenanceCensus:
 
 class TestGrammarCensus:
     def test_compiled_documents_use_exactly_the_grammar(self, both_directions):
-        # the grammar's operator tokens, read off its tokenizer
-        pairs = [a + b for a in string.punctuation for b in string.punctuation]
-        operators = {t for t in [*string.punctuation, *pairs]
-                     if (m := expr_mod._TOKEN_RE.fullmatch(t)) and m.lastgroup == "op"}
-        grammar = operators | {"and"} | set(expr_mod._FUNCTIONS)
-        used = set()
+        # every operator and function of the grammar, read off its tables; a
+        # number and a symbol are in every document
+        operators, functions = set(), set()
         for doc in both_directions:
             for text in (t for skill in doc.skills for t in skill.predicates()):
                 expr_mod.parse(text)
-                tokens = expr_mod._tokenize(text)
-                for (kind, tok), (_, after) in zip(tokens, tokens[1:]):
-                    if kind == "op" or tok == "and" or (kind == "name" and after == "("):
-                        used.add(tok)
-        assert used == grammar
+                for node in ast.walk(ast.parse(text, mode="eval").body):
+                    if isinstance(node, (ast.boolop, ast.cmpop, ast.operator)):
+                        operators.add(type(node))
+                    if isinstance(node, ast.Call):
+                        functions.add(node.func.id)
+        assert operators == set(expr_mod._OPERATORS)
+        assert functions == set(expr_mod._FUNCTIONS)
 
 
 class TestStepFieldCensus:

@@ -1,6 +1,7 @@
 """Session execution: convergence, adaptation, budget and safety invariants."""
 
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -12,12 +13,13 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import (SMALL_NAMES, edit_document, global_grid_argmax, run_small_pipeline,
-                     shifted_small_model, skill_json, small_model, unit_space)
+from helpers import (SMALL_NAMES, edit_document, global_grid_argmax, one_workload,
+                     run_small_pipeline, shifted_small_model, skill_json, small_model, unit_space)
 from tuneforge import docgen
 from tuneforge import executor
 from tuneforge import expr as expr_mod
 from tuneforge import harness
+from tuneforge.campaign import Campaign
 from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, ProceduralDocument, Skill,
                               compile_document)
 from tuneforge.errors import (AdapterError, AnalysisError, CrashError, DocumentError,
@@ -496,7 +498,7 @@ class TestWarmPath:
                                  "or rebuilt a table")
 
         monkeypatch.setattr(ProceduralDocument, "serialize", refuse)
-        monkeypatch.setattr(expr_mod, "_Parser", refuse)
+        monkeypatch.setattr(expr_mod, "_tree", refuse)
         monkeypatch.setattr(executor, "cell_hash", refuse)
         monkeypatch.setattr(docgen, "PreparedDocument", refuse)
         monkeypatch.setattr(docgen, "PreparedSkill", refuse)
@@ -504,6 +506,45 @@ class TestWarmPath:
         assert first.status == second.status == "converged"
         assert second.trace_header() == first.trace_header()
         assert [e.to_json() for e in second.trace] == [e.to_json() for e in first.trace]
+
+
+def test_pipelines_sessions_and_replays_leave_no_reference_cycle(tmp_path):
+    # a cycle keeps what it holds, such as a runner and its whole trace, until
+    # a full collection
+    space = unit_space(SMALL_NAMES)
+    matched = SimulatorAdapter(space, small_model())
+    shifted = SimulatorAdapter(space, shifted_small_model())
+    campaign = Campaign(str(tmp_path), space, one_workload(), seed=42)
+    done = {}
+    steps = {
+        "profile": lambda: campaign.profile(matched, levels_per_param=5, repetitions=3,
+                                            tau_s=0.05),
+        "screen": lambda: campaign.screen(matched),
+        "joint": lambda: campaign.joint(matched, repetitions=3),
+        "compile": lambda: done.update(doc=campaign.compile()),
+        "matched session": lambda: done.update(
+            matched=run_session(done["doc"], matched, budget=30, seed=101)),
+        "shifted session": lambda: done.update(
+            shifted=run_session(done["doc"], shifted, budget=120, seed=11)),
+        "aborted session": lambda: done.update(
+            aborted=run_session(done["doc"], matched, budget=3, seed=7)),
+        "replay": lambda: done.update(replay=replay_session(
+            done["shifted"].trace_header(), done["shifted"].trace, done["doc"], space)),
+    }
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, step in steps.items():
+            step()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
+    assert done["matched"].status == done["shifted"].status == "converged"
+    assert any(e.action == "adaptation" for e in done["shifted"].trace)
+    assert done["aborted"].status == "aborted" and "budget" in done["aborted"].diagnostic
+    assert done["replay"].ok
 
 
 class TestBenchmarkSeeds:

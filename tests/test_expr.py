@@ -1,6 +1,9 @@
 """Predicate/compute expression grammar: parsing, evaluation, symbol closure."""
 
 import math
+import re
+import threading
+import warnings
 
 import pytest
 from helpers import expr_oracle, expr_text
@@ -84,11 +87,50 @@ class TestParsing:
             parse(bad)
 
     # Forms the compiler never writes are outside the grammar.
-    @pytest.mark.parametrize("removed", ["a or b", "not a", "a < b", "a > b", "a = b", "a == b",
-                                         "a != b", "-1"])
+    @pytest.mark.filterwarnings("ignore:invalid decimal literal:SyntaxWarning")
+    @pytest.mark.parametrize("removed", [
+        "a or b", "not a", "a < b", "a > b", "a = b", "a == b", "a != b", "-1",
+        # Python's parser reads these spellings; the grammar does not
+        "1_0", "0x1", "1j", "(max)(a)", "max(a,)", "max(a, b , )", "max(a=1)", "a + \u00e9",
+        "a + \u0661", "a # b", "a \\\n + b", "1and 2",
+        # a keyword is no symbol, and an integer has no leading zero
+        "None", "True", "in", "lambda", "a + None", "01", "01 + a"])
     def test_removed_forms_are_parse_errors(self, removed):
         with pytest.raises(ExpressionError):
             parse(removed)
+
+    def test_whitespace_separates_tokens_and_errors_quote_the_text(self):
+        # a run of whitespace, a line break or a non-ASCII space among it, is one space
+        text = "max(a,\n\t b)\u00a0/  c"
+        assert evaluate(text, {"a": 1, "b": 4, "c": 2}, {}) == 2.0
+        with pytest.raises(ExpressionError, match=re.escape(repr(text))):
+            evaluate(text, {"a": 1, "b": 4, "c": 0}, {})
+
+    @pytest.mark.filterwarnings("ignore:invalid decimal literal:SyntaxWarning")
+    def test_cold_parses_from_threads_leave_the_warning_filters_alone(self):
+        # the process-wide warning filters are no parser state; Python 3.11
+        # reads `1and 2` with a warning
+        filters = list(warnings.filters)
+        texts = [f"max(a{i}, {j}) >= b" for i in range(4) for j in range(200)] + ["1and 2"] * 4
+        start = threading.Barrier(4)
+        refused = []
+
+        def parse_all(i):
+            start.wait()
+            for text in texts[i::4]:
+                try:
+                    parse(text)
+                except ExpressionError:
+                    refused.append(text)
+
+        expr_mod._parse_text.cache_clear()
+        threads = [threading.Thread(target=parse_all, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert warnings.filters == filters
+        assert refused == ["1and 2"] * 4
 
     def test_malformed_text_raises_on_every_call(self):
         for bad in ("1 +", "foo(1)", "a $ b"):
