@@ -36,10 +36,11 @@ from .interaction import (STAGE_B_REPS, InteractionRecord, InteractionReport, Pa
                           attach_stage_b, choose_pair_levels, finalize_records,
                           plan_pair_table, plan_pairs, stage_a_record, table_from_log)
 from .jsonfile import JsonArtifact, write_text
-from .sensitivity import DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, plan_sweep
+from .sensitivity import (DEFAULT_TAU_S, SensitivityReport, analyze_sensitivity, check_tau_s,
+                          plan_sweep)
 from .space import ParameterSpace, WorkloadSpec
-from .topology import (CorrelationGraph, OptimaReport, build_graph, measure_baselines,
-                       optimize_component, plan_joint_search, rejection_reason)
+from .topology import (OptimaReport, build_graph, measure_baselines, optimize_component,
+                       plan_joint_search, rejection_reason)
 
 STAGES = ("planned", "sweep-done", "screen-done", "joint-done", "compiled")
 
@@ -214,6 +215,7 @@ class Campaign:
 
     def profile(self, adapter: Adapter, levels_per_param: int = 5, repetitions: int = 3,
                 tau_s: float = DEFAULT_TAU_S, parallelism: int = 1) -> SensitivityReport:
+        check_tau_s(tau_s)  # before any run, not after the sweep
         plan = plan_sweep(self.space, self.workloads, levels_per_param, repetitions)
         self.store.begin("sweep")
         records = run_plan(adapter, plan, parallelism=parallelism, seed=self.seed,
@@ -289,8 +291,7 @@ class Campaign:
         sens = self._report(SensitivityReport, SENSITIVITY_REPORT)
         inter = self._report(InteractionReport, INTERACTION_REPORT)
         top_names = [p.parameter for p in sens.top_k()]
-        graph = build_graph(top_names, inter) if top_names else \
-            CorrelationGraph(nodes=[], edges=[], components=[])
+        graph = build_graph(top_names, inter)
 
         self.store.begin("joint")
         baselines, base_records = measure_baselines(adapter, self.workloads, repetitions,

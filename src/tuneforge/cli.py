@@ -169,21 +169,19 @@ def run_command(args: argparse.Namespace) -> int:
         print(f"diagnostic: {session.diagnostic}", file=sys.stderr)
         return EXIT_ANALYSIS
 
-    if args.command == "export":
-        campaign.require_stage("compiled", "export")
-        export = export_knowledge(campaign.document())
-        out = args.out or campaign.path(f"export_{EXPORT_FORMAT}.json")
-        try:
-            export.save(out)
-        except OSError as e:
-            if args.out is None:
-                raise
-            raise ParameterError(f"--out {out}: cannot write the file: {e.strerror}") from None
-        print(f"wrote {out} ({len(export.top_k)} parameters, "
-              f"{len(export.interactions)} interaction annotations)")
-        return EXIT_OK
-
-    raise ParameterError(f"unknown command {args.command!r}")
+    # export: the parser admits no other command
+    campaign.require_stage("compiled", "export")
+    export = export_knowledge(campaign.document())
+    out = args.out or campaign.path(f"export_{EXPORT_FORMAT}.json")
+    try:
+        export.save(out)
+    except OSError as e:
+        if args.out is None:
+            raise
+        raise ParameterError(f"--out {out}: cannot write the file: {e.strerror}") from None
+    print(f"wrote {out} ({len(export.top_k)} parameters, "
+          f"{len(export.interactions)} interaction annotations)")
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

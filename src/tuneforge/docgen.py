@@ -111,14 +111,12 @@ _CONTAINERS = (dict, MappingProxyType, list, tuple)
 
 
 def freeze(value: Any) -> Any:
-    """A read-only copy of a JSON value: mappings become read-only proxies and
-    lists tuples, at every depth."""
+    """A read-only copy of a JSON container (one of ``_CONTAINERS``): mappings
+    become read-only proxies and lists tuples, at every depth."""
     if isinstance(value, (dict, MappingProxyType)):
         return MappingProxyType({k: freeze(v) if isinstance(v, _CONTAINERS) else v
                                  for k, v in value.items()})
-    if isinstance(value, (list, tuple)):
-        return tuple([freeze(v) if isinstance(v, _CONTAINERS) else v for v in value])
-    return value
+    return tuple([freeze(v) if isinstance(v, _CONTAINERS) else v for v in value])
 
 
 # The campaign a document was compiled from.
@@ -442,6 +440,11 @@ class ProceduralDocument(_Part, JsonArtifact, name="document", written=("edges",
         """`validate_document`'s findings, computed on first use and kept."""
         return tuple(validate_document(self))
 
+    def require_valid(self) -> None:
+        """Raise DocumentError naming every violation, if there is one."""
+        if self.violations:
+            raise DocumentError("document rejected: " + "; ".join(self.violations))
+
 
 def signal_name(raw: str) -> str:
     """Mangle arbitrary parameter names into expression-safe identifiers."""
@@ -492,8 +495,6 @@ class _Proc:
 
     def resolve(self, labels: dict[str, int]) -> list[_Step]:
         for idx, label in self._holes:
-            if label not in labels:
-                raise CompileError(f"unresolved procedure label {label!r}")
             self.steps[idx] = replace(self.steps[idx], target=labels[label])
         return self.steps
 
@@ -936,8 +937,9 @@ def export_knowledge(doc: ProceduralDocument) -> KnowledgeExport:
     """Extract the advisory payload: top-k list, safe ranges, interactions.
 
     Values are copied bit-identically from the document's reference data;
-    nothing is recomputed.
+    nothing is recomputed. A document that fails validation is refused.
     """
+    doc.require_valid()
     top_k = []
     for skill in doc.skills:
         if skill.kind != KIND_PER_PARAMETER or not skill.id.startswith("verify_"):

@@ -157,8 +157,7 @@ class SessionRunner:
                  step_resolver: Callable[[Skill, dict], str | None] | None = None):
         if budget < 1:
             raise ParameterError("trial budget must be >= 1")
-        if doc.violations:
-            raise DocumentError("document rejected: " + "; ".join(doc.violations))
+        doc.require_valid()
         self.doc = doc
         self.adapter = adapter
         self.seed = seed

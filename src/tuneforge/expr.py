@@ -59,9 +59,6 @@ class Expr:
         # The symbols in sorted order: the order a trace records them in.
         self.sorted_symbols: tuple[str, ...] = tuple(sorted(found))
 
-    def __repr__(self):
-        return f"Expr({self.text!r})"
-
     def symbols(self) -> frozenset[str]:
         """Every symbol the expression references, defined() arguments included."""
         return frozenset(self.sorted_symbols)

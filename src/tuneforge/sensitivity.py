@@ -353,19 +353,22 @@ def extract_safe_range(sweep: SweepResult, baseline_mean: float,
 
 
 def _intersect_ranges(a: SafeRange, b: SafeRange, space: ParameterSpace, param: str) -> SafeRange:
-    """Intersection of two safe ranges for the same parameter."""
+    """Intersection of two safe ranges for the same parameter, never empty: both
+    hold the default's level of its one ``sweep_levels`` grid (``extract_safe_range``)."""
     if a.values is not None and b.values is not None:
         common = [v for v in a.values if v in b.values]
-        if not common:
-            raise AnalysisError(f"{param}: safe ranges across workloads do not intersect")
         return SafeRange(lo=common[0], hi=common[-1], values=common)
     lo = max(float(a.lo), float(b.lo))
     hi = min(float(a.hi), float(b.hi))
-    if lo > hi:
-        raise AnalysisError(f"{param}: safe ranges across workloads do not intersect")
     if space.get(param).domain.kind == "integer":
         return SafeRange(lo=int(lo), hi=int(hi))
     return SafeRange(lo=lo, hi=hi)
+
+
+def check_tau_s(tau_s: float) -> None:
+    """Refuse a selection threshold that is negative, NaN or infinite."""
+    if not 0 <= tau_s < math.inf:
+        raise ParameterError(f"tau_s must be finite and >= 0, got {tau_s}")
 
 
 def select_top_k(profiles: list[SensitivityProfile], tau_s: float) -> list[SensitivityProfile]:
@@ -374,8 +377,7 @@ def select_top_k(profiles: list[SensitivityProfile], tau_s: float) -> list[Sensi
     Ties break lexicographically by parameter name. An empty result is legal
     and surfaces as an anomaly downstream rather than an error here.
     """
-    if tau_s < 0:
-        raise ParameterError("tau_s must be >= 0")
+    check_tau_s(tau_s)
     chosen = [p for p in profiles if p.aggregate_cv > tau_s]
     return sorted(chosen, key=lambda p: (-p.aggregate_cv, p.parameter))
 

@@ -386,13 +386,11 @@ def closest_index(spec: ParameterSpec, levels: list[Any], value: Any) -> int:
 
 
 def snap_to_domain(spec: ParameterSpec, value: float) -> Any:
-    """Clamp and round a raw numeric into a legal domain value."""
+    """Clamp and round a raw numeric into a legal continuous or integer domain value."""
     dom = spec.domain
     if dom.kind == "integer":
         return int(min(dom.hi, max(dom.lo, round(value))))
-    if dom.kind == "continuous":
-        return float(min(dom.hi, max(dom.lo, value)))
-    raise ParameterError(f"cannot snap into {dom.kind} domain")
+    return float(min(dom.hi, max(dom.lo, value)))
 
 
 class _NotPlain(Exception):

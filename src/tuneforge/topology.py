@@ -219,6 +219,8 @@ def measure_baselines(adapter: Adapter, workloads: list[WorkloadSpec],
     With a ``store``, the all-defaults runs it already holds (a campaign's
     sweep measured them under the same keys) answer the plan unmeasured.
     """
+    if repetitions < 1:
+        raise ParameterError("repetitions must be >= 1")
     defaults = adapter.space.defaults()
     plan: list[PlanEntry] = [(defaults, w, rep) for w in workloads for rep in range(repetitions)]
     records = run_plan(adapter, plan, parallelism=parallelism, seed=seed, store=store)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -21,7 +22,8 @@ from tuneforge.executor import run_session
 from tuneforge.interaction import PairGrid, choose_pair_levels, stage_a_record, table_from_log
 from tuneforge.harness import CampaignStore, Measurement, MeasurementLog, run_plan
 from tuneforge.sensitivity import SafeRange, plan_sweep
-from tuneforge.simulator import (Coupling, Response, SimulatorAdapter, SimulatorModel)
+from tuneforge.simulator import (Coupling, CrashRegion, Response, SimulatorAdapter,
+                                 SimulatorModel)
 from tuneforge.space import Configuration, WorkloadSpec, json_scalar, level_grid
 
 
@@ -170,7 +172,9 @@ class TestWorkloadDrift:
         (TWO_WORKLOADS[:1], r"workload 'w1' removed$"),
         (TWO_WORKLOADS + [WorkloadSpec(id="w2")], r"workload 'w2' added$"),
         (TWO_WORKLOADS[::-1], r"workload order \['w0', 'w1'\] -> \['w1', 'w0'\]$"),
-    ], ids=["flip", "remove", "add", "reverse"])
+        ([TWO_WORKLOADS[0], WorkloadSpec(id="w1", metric_name="latency")],
+         r"workload 'w1' metric 'tps' -> 'latency'$"),
+    ], ids=["flip", "remove", "add", "reverse", "metric"])
     def test_changed_declaration_is_refused_before_any_run(self, tmp_path, declared, named):
         from helpers import SMALL_NAMES, small_model
         space = unit_space(SMALL_NAMES)
@@ -408,6 +412,25 @@ class TestUnsafeToScreen:
         assert levels[("px", "py")] is None and levels[("pw", "px")] is None
         assert levels[("py", "pz")].stage_a == ([0.0, 1.0], [0.0, 1.0])
 
+    def test_a_collapsed_member_makes_its_pair_unsafe_on_every_workload_unmeasured(
+            self, tmp_path):
+        # grid [0, 0.25, 0.5, 0.75, 1] from the default 0.0: pa crashes at
+        # 0.25 only, so its safe range is its default alone while its CV,
+        # read from the other levels, selects it
+        space = unit_space(["pa", "pb"])
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, responses={"pa": Response(shape="linear-up", strength=0.4),
+                                        "pb": Response(shape="linear-up", strength=0.3)},
+            crashes={"pa": CrashRegion(0.2, 0.3)}))
+        campaign = Campaign(str(tmp_path), space, TWO_WORKLOADS, seed=3)
+        sens = campaign.profile(adapter, levels_per_param=5, repetitions=1)
+        assert sens.profile("pa").safe_range == SafeRange(lo=0.0, hi=0.0)
+        assert {p.parameter for p in sens.top_k()} == {"pa", "pb"}
+        inter = campaign.screen(adapter)
+        assert sorted((r.pair, r.workload_id, r.unsafe_to_screen) for r in inter.records) == \
+            [(("pa", "pb"), "w0", True), (("pa", "pb"), "w1", True)]
+        assert campaign.state.runs_used["screen"] == 0
+
     def test_interior_levels_avoid_safe_range_endpoints(self, two_workload_setup):
         setup = two_workload_setup
         pl = choose_pair_levels([("px", "py")], setup["sens"], setup["space"],
@@ -624,6 +647,50 @@ def run_stage(campaign, stage, adapter):
 
 STAGE_NAMES = ("profile", "screen", "joint", "compile")
 JOURNALS = (SWEEP_LOG, SCREEN_LOG, campaign_mod.JOINT_LOG)
+
+
+class TestRefusedBeforeAnyRun:
+    """A stage argument that no run can use is refused before the stage's
+    first run, so its journal stays empty."""
+
+    @pytest.mark.parametrize("tau_s", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_a_negative_or_not_finite_tau_s(self, tmp_path, tau_s):
+        campaign, adapter = small_campaign(tmp_path)
+        counting = InterruptingAdapter(adapter)
+        with pytest.raises(ParameterError, match=f"^tau_s must be finite and >= 0, got {tau_s}$"):
+            campaign.profile(counting, levels_per_param=5, repetitions=3, tau_s=tau_s)
+        assert counting.keys == []
+        assert not os.path.exists(campaign.path(SWEEP_LOG))
+        assert campaign.state.stage == "planned"
+
+    def test_a_joint_stage_of_no_repetition(self, tmp_path):
+        campaign, adapter = small_campaign(tmp_path)
+        for stage in ("profile", "screen"):
+            run_stage(campaign, stage, adapter)
+        counting = InterruptingAdapter(adapter)
+        with pytest.raises(ParameterError, match="^repetitions must be >= 1$"):
+            campaign.joint(counting, repetitions=0)
+        assert counting.keys == []
+        assert not os.path.exists(campaign.path(campaign_mod.JOINT_LOG))
+        assert campaign.state.stage == "screen-done"
+
+
+class TestNothingSelected:
+    def test_a_campaign_selecting_nothing_compiles_and_its_session_aborts(self, tmp_path):
+        # tau_s above every CV: the empty selection is an anomaly that the
+        # document's root precondition reports, not a stage error
+        campaign, adapter = small_campaign(tmp_path)
+        sens = campaign.profile(adapter, levels_per_param=5, repetitions=3, tau_s=10.0)
+        assert sens.profiles and sens.top_k() == []
+        assert campaign.screen(adapter).records == []
+        optima = campaign.joint(adapter, repetitions=3)
+        assert optima.graph == CorrelationGraph(nodes=[], edges=[], components=[])
+        assert optima.optima == [] and optima.rejected == []
+        doc = campaign.compile()
+        assert [s.id for s in doc.skills] == ["orchestrate", "verify_candidate"]
+        session = campaign.tune(adapter, budget=30)
+        assert session.status == "aborted" and session.trials_used == 0
+        assert session.diagnostic == "orchestrate: precondition failed: top_k_count >= 1"
 
 
 class TestCampaignStore:

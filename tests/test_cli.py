@@ -15,9 +15,10 @@ import yaml
 
 import tuneforge
 from helpers import SMALL_NAMES, small_model
-from tuneforge.campaign import (DOCUMENT_FILE, INTERACTION_REPORT,
-                                OPTIMA_REPORT, SENSITIVITY_REPORT)
+from tuneforge.campaign import (DOCUMENT_FILE, INTERACTION_REPORT, JOINT_LOG,
+                                OPTIMA_REPORT, SENSITIVITY_REPORT, SWEEP_LOG)
 from tuneforge.cli import main
+from tuneforge.docgen import ProceduralDocument, render_text
 
 
 @pytest.fixture()
@@ -488,6 +489,62 @@ class TestFullPipeline:
         assert err == (f"usage error: --out {out}: cannot write the file: "
                        f"No such file or directory\n")
         assert not os.path.exists(os.path.dirname(out))
+
+    def test_export_into_the_campaign_directory_raises_its_os_error(self, decls):
+        # the campaign directory is the program's own, not an argument
+        campaign = str(decls["dir"] / "export_blocked")
+        for cmd in ("profile", "screen", "joint", "compile"):
+            assert run_cli(decls, campaign, cmd) == 0
+        os.mkdir(os.path.join(campaign, "export_optimizer-json.json"))
+        with pytest.raises(IsADirectoryError):
+            run_cli(decls, campaign, "export")
+
+    def test_compile_print_renders_the_document(self, decls, capsys):
+        campaign = str(decls["dir"] / "print")
+        for cmd in ("profile", "screen", "joint"):
+            assert run_cli(decls, campaign, cmd) == 0
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "compile", "--print") == 0
+        doc = ProceduralDocument.load(os.path.join(campaign, DOCUMENT_FILE))
+        assert capsys.readouterr().out.endswith("\n" + render_text(doc) + "\n")
+
+    @pytest.mark.parametrize("tau_s", ["-1", "nan", "inf"])
+    def test_negative_or_not_finite_tau_s_is_usage_error_before_any_run(self, decls, capsys,
+                                                                          tau_s):
+        campaign = str(decls["dir"] / "bad_tau_s")
+        assert run_cli(decls, campaign, "profile", "--tau-s", tau_s) == 1
+        assert capsys.readouterr().err == \
+            f"usage error: tau_s must be finite and >= 0, got {float(tau_s)}\n"
+        assert not os.path.exists(os.path.join(campaign, SWEEP_LOG))
+
+    def test_joint_of_no_repetition_is_usage_error_before_any_run(self, decls, capsys):
+        campaign = str(decls["dir"] / "joint_zero")
+        for cmd in ("profile", "screen"):
+            assert run_cli(decls, campaign, cmd) == 0
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "joint", "--repetitions", "0") == 1
+        assert capsys.readouterr().err == "usage error: repetitions must be >= 1\n"
+        assert not os.path.exists(os.path.join(campaign, JOINT_LOG))
+
+    def test_export_of_a_document_failing_validation_exits_and_writes_nothing(self, decls,
+                                                                              capsys):
+        # as tune refuses it
+        campaign = str(decls["dir"] / "invalid")
+        for cmd in ("profile", "screen", "joint", "compile"):
+            assert run_cli(decls, campaign, cmd) == 0
+        path = os.path.join(campaign, DOCUMENT_FILE)
+        with open(path) as fh:
+            doc = json.load(fh)
+        next(s for s in doc["skills"] if s["id"] == "verify_pc")["next"] = "nowhere"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        before = sorted(os.listdir(campaign))
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "export") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: document rejected: ")
+        assert "verify_pc: unresolved skill id 'nowhere'" in err
+        assert sorted(os.listdir(campaign)) == before
 
     def test_lock_file_released_after_command(self, decls):
         campaign = str(decls["dir"] / "locked")

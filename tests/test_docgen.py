@@ -237,6 +237,39 @@ class TestCompile:
                 "candidate check's id")):
             compile_document(sens, optima, unit_space(names), one_workload())
 
+    @pytest.mark.parametrize("case, named", [
+        ("no-workload", "at least one workload is required"),
+        ("unselected-node", "graph node 'z' is not a selected parameter"),
+        ("no-joint-optimum", "no joint optimum recorded for component ['a', 'b'] on w0")])
+    def test_inconsistent_inputs_are_refused(self, case, named):
+        names = ["a", "b"]
+        sens, optima = synthetic_reports(names, [("a", "b", 0.3)])
+        workloads = [] if case == "no-workload" else one_workload()
+        if case == "unselected-node":
+            optima = replace(optima, graph=replace(optima.graph, nodes=["a", "b", "z"]))
+        if case == "no-joint-optimum":
+            optima = replace(optima, optima=[])
+        with pytest.raises(CompileError, match=f"^{re.escape(named)}$"):
+            compile_document(sens, optima, unit_space(names), workloads)
+
+    def test_a_name_starting_with_a_digit_gets_a_prefixed_signal(self):
+        names = ["2x", "y"]
+        sens, optima = synthetic_reports(names)
+        doc = compile_document(sens, optima, unit_space(names), one_workload())
+        assert {"verify_p_2x", "resweep_p_2x", "verify_y"} <= {s.id for s in doc.skills}
+        assert "best_p_2x_idx" in {s.out for s in doc.skill("orchestrate").procedure
+                                   if isinstance(s, ComputeStep)}
+
+    def test_a_minimizing_secondary_workload_is_bounded_from_above(self):
+        names = ["a", "b"]
+        sens, optima = synthetic_reports(names)
+        workloads = [WorkloadSpec(id="w0"), WorkloadSpec(id="w1", direction="minimize"),
+                     WorkloadSpec(id="w2")]
+        doc = compile_document(sens, optima, unit_space(names), workloads)
+        assert doc.skill("verify_candidate").postconditions == (
+            "crosscheck_done >= 1", "cand_ratio_w1 <= 1 / cross_floor",
+            "cand_ratio_w2 >= cross_floor")
+
     def test_render_text_mentions_every_skill(self, pipeline):
         text = render_text(pipeline["doc"])
         for skill in pipeline["doc"].skills:
@@ -409,6 +442,26 @@ class TestValidate:
         # a step declares `done`, so the expression reads the signal
         doc = self.edited(lambda d: d["skills"][0].update(reference_data={"done": "yes"}))
         assert not any("not a number" in v for v in validate_document(doc))
+
+    @pytest.mark.parametrize("edit, violation", [
+        (lambda d: d["skills"].append(d["skills"][0]), "duplicate skill ids"),
+        (lambda d: d.update(root="ghost"), "root skill 'ghost' not found"),
+        (lambda d: d.update(root="leaf", skills=d["skills"] + [
+            Skill(id="leaf", kind="per-parameter", next="end").to_json()]),
+         "root skill 'leaf' is not an orchestration skill"),
+        (lambda d: d["skills"][0]["procedure"].append(BenchmarkStep(
+            template={}, workload_id="w9", repetitions=1, out="m").to_json()),
+         "root: benchmark at step 1 names unknown workload 'w9'"),
+        (lambda d: d["skills"][0].update(adaptation_target="ghost"),
+         "root: unresolved adaptation target 'ghost'"),
+    ], ids=["duplicate-id", "missing-root", "root-kind", "unknown-workload",
+            "adaptation-target"])
+    def test_each_reference_check_names_its_violation(self, edit, violation):
+        assert violation in validate_document(self.edited(edit))
+
+    def test_an_unknown_skill_id_is_a_document_error(self):
+        with pytest.raises(DocumentError, match="^no skill with id 'ghost'$"):
+            self.minimal_doc().skill("ghost")
 
     def test_violation_list_is_exhaustive_not_first_failure(self):
         doc = self.edited(lambda d: d["skills"][0].update(
@@ -717,6 +770,27 @@ class TestExport:
         export = export_knowledge(doc)
         assert export.interactions == []
         assert "interactions" in export.to_json()
+
+    def test_a_verify_skill_benchmarking_no_parameter_is_refused(self, pipeline):
+        def edit(d):
+            for step in skill_json(d, "verify_pc")["procedure"]:
+                if step["action"] == "benchmark":
+                    step["template"] = {}
+        doc = edit_document(pipeline["doc"], edit)
+        assert doc.violations == ()
+        with pytest.raises(DocumentError,
+                           match="^verify_pc: cannot determine verified parameter$"):
+            export_knowledge(doc)
+
+    def test_an_eta2_datum_naming_no_member_pair_is_refused(self, pipeline):
+        def edit(d):
+            skill_json(d, "joint_c1")["reference_data"]["eta2_pa_pz"] = 0.5
+            d["provenance"]["joint_c1.eta2_pa_pz"] = d["provenance"]["joint_c1.eta2_max"]
+        doc = edit_document(pipeline["doc"], edit)
+        assert doc.violations == ()
+        with pytest.raises(DocumentError, match=re.escape(
+                "cannot resolve edge key 'eta2_pa_pz' against members ['pa', 'pb']")):
+            export_knowledge(doc)
 
     def test_export_is_json_parseable(self, pipeline, tmp_path):
         path = tmp_path / "e.json"

@@ -23,11 +23,11 @@ from tuneforge.campaign import Campaign
 from tuneforge.docgen import (BenchmarkStep, BranchStep, ComputeStep, ProceduralDocument, Skill,
                               compile_document)
 from tuneforge.errors import (AdapterError, AnalysisError, CrashError, DocumentError,
-                              ExpressionError)
+                              ExpressionError, ParameterError)
 from tuneforge.executor import load_trace, replay_session, run_session
 from tuneforge.expr import evaluate_predicate
 from tuneforge.harness import mix_seed, run_experiment
-from tuneforge.simulator import SimulatorAdapter
+from tuneforge.simulator import Response, SimulatorAdapter, SimulatorModel
 from tuneforge.space import Configuration, Domain, ParameterSpace, WorkloadSpec
 
 
@@ -860,6 +860,62 @@ class TestPreparedSteps:
                                       run_session(fresh_copy(doc), adapter, 5, 0).trace]
 
 
+def small_doc(*skills, workloads=("w0",), safe=("p",)):
+    """A document of ``skills``, the first its root, on ``workloads``, the
+    first its primary, whose parameters ``safe`` are safe across [0, 1]."""
+    return ProceduralDocument(
+        fingerprint={"space_hash": "h", "campaign_id": "c"}, root=skills[0].id,
+        skills=list(skills), workloads=[WorkloadSpec(id=w) for w in workloads],
+        primary_workload=workloads[0], grids={p: [0.0, 1.0] for p in safe},
+        safe_ranges={p: {"lo": 0.0, "hi": 1.0} for p in safe}, provenance={}, policy={})
+
+
+def rising_adapter():
+    """A noise-free model on one parameter ``p`` whose metric rises with it."""
+    model = SimulatorModel(base_rate=100.0, sigma=0.0,
+                           responses={"p": Response(shape="linear-up", strength=0.5)})
+    return SimulatorAdapter(unit_space(["p"]), model)
+
+
+class TestSessionArguments:
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_a_budget_below_one_is_refused(self, budget):
+        with pytest.raises(ParameterError, match="^trial budget must be >= 1$"):
+            run_session(empty_doc(), rising_adapter(), budget=budget, seed=0)
+
+    def test_a_benchmark_on_a_secondary_workload_never_becomes_the_incumbent(self):
+        steps = [BenchmarkStep(template={}, workload_id="w0", repetitions=1, out="m0",
+                               adopt=True),
+                 BenchmarkStep(template={"p": 1.0}, workload_id="w1", repetitions=1, out="m1",
+                               adopt=True)]
+        doc = small_doc(Skill(id="root", kind="orchestration", procedure=steps, next="end"),
+                        workloads=("w0", "w1"))
+        session = run_session(doc, rising_adapter(), budget=5, seed=0)
+        assert session.status == "converged"
+        assert session.signals["m1"] > session.signals["m0"]
+        assert session.final_config == Configuration({})
+        assert session.final_metric == session.signals["m0"]
+
+    def test_a_violated_postcondition_without_an_adaptation_edge_aborts(self):
+        check = Skill(id="check", kind="per-parameter", next="end",
+                      procedure=[ComputeStep(expr="0", out="x")],
+                      postconditions=["x >= 1", "x <= 1"])
+        doc = small_doc(Skill(id="root", kind="orchestration", next="check"), check)
+        session = run_session(doc, rising_adapter(), budget=5, seed=0)
+        assert session.status == "aborted"
+        assert session.diagnostic == \
+            "check: postcondition violated with no adaptation edge: x >= 1"
+
+    def test_a_parameter_without_a_documented_safe_range_aborts(self):
+        step = BenchmarkStep(template={"p": 0.5}, workload_id="w0", repetitions=1, out="m")
+        doc = small_doc(Skill(id="root", kind="orchestration", procedure=[step], next="end"),
+                        safe=())
+        session = run_session(doc, rising_adapter(), budget=5, seed=0)
+        assert session.status == "aborted"
+        assert session.diagnostic == "root: parameter 'p' has no documented safe range"
+        assert session.trials_used == 0
+
+
 class TestAnomalyFloor:
     def test_selected_set_below_floor_aborts_before_benchmarking(self, pipeline):
         from tuneforge.docgen import compile_document
@@ -900,6 +956,13 @@ class TestStepResolverHook:
                                  if e.skill == "orchestrate"
                                  else {"target": doc.skill(e.skill).next})
             assert e.predicates == []
+
+
+    def test_a_resolver_routing_to_an_unknown_skill_aborts(self, pipeline):
+        session = run_session(pipeline["doc"], pipeline["adapter"], budget=30, seed=2,
+                              step_resolver=lambda skill, signals: "nowhere")
+        assert session.status == "aborted"
+        assert session.diagnostic == "orchestrate: decision routed to unknown skill 'nowhere'"
 
 
 class TestErrorPaths:

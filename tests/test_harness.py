@@ -845,6 +845,64 @@ class TestMeasurementLog:
         assert naming == ["__init__.py", "harness.py"]
 
 
+class TestStoreMisuse:
+    def test_a_log_without_a_header_is_refused(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text("")
+        with pytest.raises(ParameterError,
+                           match=f"^{re.escape(str(path))} has no measurement log header$"):
+            MeasurementLog.load(str(path))
+
+    def test_a_stage_without_a_journal_is_refused(self, tmp_path):
+        store = CampaignStore(0, "h", {"sweep": str(tmp_path / "sweep.jsonl")})
+        with pytest.raises(ParameterError, match="^no journal for stage 'screen'$"):
+            store.begin("screen")
+
+    def test_a_run_before_any_stage_is_refused(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        store = CampaignStore(0, "h", {"sweep": str(path)})
+        with pytest.raises(ParameterError,
+                           match=r"^no stage begun: call begin\(\) before running a plan$"):
+            store.append(Measurement(Configuration({"p": 1}), "w0", 0, 1.0, "ok"))
+        assert not path.exists()
+
+    def test_a_short_header_write_closes_the_journal_and_the_next_open_starts_over(
+            self, tmp_path, monkeypatch):
+        from tuneforge import harness
+
+        class ShortWrites:
+            """A journal file whose every write stops one byte short."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                return self.fh.write(data[:-1])
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        opened = []
+
+        def short_open(*args, **kwargs):
+            opened.append(ShortWrites(open(*args, **kwargs)))
+            return opened[-1]
+
+        monkeypatch.setattr(harness, "open", short_open, raising=False)
+        path = tmp_path / "sweep.jsonl"
+        store = CampaignStore(0, "h", {"sweep": str(path)})
+        store.begin("sweep")
+        m = Measurement(Configuration({"p": 1}), "w0", 0, 1.0, "ok")
+        with pytest.raises(OSError, match=r"^short journal write: \d+ of \d+ bytes$"):
+            store.append(m)
+        assert [fh.closed for fh in opened] == [True]
+        assert path.stat().st_size > 0  # the partial header
+        monkeypatch.undo()
+        store.append(m)
+        store.commit([m])
+        assert [r.to_json() for r in MeasurementLog.load(str(path))] == [m.to_json()]
+
+
 class TestShellAdapter:
     def make_script(self, tmp_path, body):
         path = tmp_path / "bench.sh"
@@ -858,6 +916,12 @@ class TestShellAdapter:
         adapter = ShellAdapter(space, script)
         m = run_experiment(adapter, Configuration({"knob": 0.75}), one_workload()[0], 0, 1)
         assert m.outcome == "ok" and m.metric_value == 0.75
+
+    def test_a_command_past_its_timeout_is_a_timeout(self):
+        adapter = ShellAdapter(unit_space(["knob"]), "sleep 5", timeout_s=0.2)
+        m = run_experiment(adapter, Configuration({}), one_workload()[0], 0, 1)
+        assert (m.outcome, m.metric_value, m.diagnostic) == \
+            ("timeout", None, "command exceeded 0.2s")
 
     def test_defaults_resolved_into_env(self, tmp_path):
         space = unit_space(["knob"], default=0.25)

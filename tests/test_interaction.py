@@ -10,7 +10,7 @@ import pytest
 
 from helpers import (INDEX_LEVELS, INDEX_PARAMS, anova_oracle, one_workload, random_log,
                      store_of, unit_space)
-from tuneforge.errors import AnalysisError
+from tuneforge.errors import AnalysisError, ParameterError
 from tuneforge.harness import run_plan
 from tuneforge.interaction import (AnovaDecomposition, FactorialTable, InteractionRecord,
                                    InteractionReport, PairGrid, attach_stage_b,
@@ -63,6 +63,25 @@ class TestPlanPairs:
     def test_fewer_than_two_is_an_error(self):
         with pytest.raises(AnalysisError):
             plan_pairs(["only"])
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call, error, named", [
+        (lambda: plan_pairs(["a", "b", "a"]), ParameterError,
+         "top_k parameter names must be unique"),
+        (lambda: stage_a_int_pct(table_from_grid([[1.0] * 3] * 2, reps=1)), AnalysisError,
+         "('a', 'b'): stage A requires a 2x2 table, got (2, 3)"),
+        (lambda: stage_a_int_pct(table_2x2([1.0, -1.0, -1.0, 1.0])), AnalysisError,
+         "('a', 'b'): zero grand mean in stage A table"),
+        (lambda: two_way_anova(table_from_grid([[1.0, 2.0]], reps=2), 2), AnalysisError,
+         "('a', 'b'): factorial needs at least 2 levels per factor"),
+        # one repetition leaves no error term, unless a value is not finite
+        (lambda: two_way_anova(table_from_grid([[1.0, 2.0], [3.0, math.inf]], reps=1), 1),
+         AnalysisError, "('a', 'b'): no error degrees of freedom (r=1)"),
+    ], ids=["duplicate-name", "not-2x2", "zero-grand-mean", "one-level", "r1-not-finite"])
+    def test_each_check_names_its_input(self, call, error, named):
+        with pytest.raises(error, match=f"^{re.escape(named)}$"):
+            call()
 
 
 class TestStageA:
@@ -233,6 +252,11 @@ class TestEtaSquared:
     def test_zero_interaction(self):
         d = two_way_anova(table_from_grid([[float(i) for _ in range(4)] for i in range(4)]), 3)
         assert eta_squared(d) == 0.0
+
+    def test_partial_variant_of_a_constant_table_is_zero(self):
+        d = two_way_anova(table_from_grid([[5.0] * 4 for _ in range(4)]), 3)
+        assert d.ss_interaction == d.ss_error == 0.0
+        assert partial_eta_squared(d) == 0.0
 
     def test_partial_variant_exposed(self):
         rng = np.random.default_rng(3)

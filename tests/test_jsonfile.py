@@ -28,10 +28,10 @@ from tuneforge.docgen import BenchmarkStep, Fingerprint, ProceduralDocument
 from tuneforge.errors import AnalysisError, DocumentError
 from tuneforge.executor import Predicate, TraceHeader
 from tuneforge.jsonfile import canonical_json
-from tuneforge.sensitivity import SensitivityReport
+from tuneforge.sensitivity import SafeRange, SensitivityReport
 from tuneforge.simulator import Response, SimulatorModel
 from tuneforge.space import Configuration, Domain, dump_space, load_space, load_workloads
-from tuneforge.topology import Rejection
+from tuneforge.topology import GraphEdge, Rejection
 
 
 def outcome(encode, value):
@@ -181,6 +181,16 @@ def test_an_annotation_without_a_test_raises_when_its_table_is_built(hint):
 
     with pytest.raises(TypeError, match="^no test for the annotation "):
         jsonfile.type_tests(Odd)
+
+
+def test_a_union_of_two_records_raises_when_its_loaders_are_built():
+    # which record's loader reads a dict is ambiguous
+    @dataclass
+    class Either(jsonfile.Record):
+        either: SafeRange | GraphEdge
+
+    with pytest.raises(TypeError, match="^no loader for the annotation "):
+        Either.from_json({"either": {"lo": 0.0, "hi": 1.0}})
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Sweep planning, CV computation, shape classification, safe ranges, top-k."""
 
 import json
+import re
 
 import pytest
 
@@ -9,8 +10,8 @@ from tuneforge.errors import AnalysisError, ParameterError
 from tuneforge.harness import Measurement, MeasurementLog, run_plan
 from tuneforge.sensitivity import (SensitivityProfile, SensitivityReport, SafeRange,
                                    SweepResult, analyze_sensitivity, build_sweep_results,
-                                   classify_shape, compute_cv, extract_safe_range, plan_sweep,
-                                   select_top_k, sweep_levels)
+                                   classify_shape, compute_cv, degraded, extract_safe_range,
+                                   plan_sweep, select_top_k, sweep_levels)
 from tuneforge.simulator import (CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel)
 from tuneforge.space import (Configuration, Domain, ParameterSpace, ParameterSpec,
@@ -184,6 +185,55 @@ class TestSweepReads:
         assert analyze_sensitivity(planned + extra, space, one_workload(), 5, 2) == alone
 
 
+    def test_a_planned_run_missing_from_the_records_leaves_its_cell_short(self):
+        space = unit_space(["p"])  # grid [0, 0.5, 1], default 0.0
+        adapter = SimulatorAdapter(space, SimulatorModel(base_rate=100.0))
+        planned = run_plan(adapter, plan_sweep(space, one_workload(), 3, 2), seed=0)
+        kept = [m for m in planned if (m.config.assignments, m.repetition) != ({"p": 1.0}, 1)]
+        sweeps, _, _ = build_sweep_results(kept, space, one_workload(), 3, 2)
+        assert [len(v) for v in sweeps[("p", "w0")].values] == [2, 2, 1]
+        assert sweeps[("p", "w0")].excluded == [{}, {}, {}]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call, error, named", [
+        (lambda: plan_sweep(unit_space(["p"]), one_workload(), 3, 0), ParameterError,
+         "repetitions must be >= 1"),
+        (lambda: classify_shape(sweep_of([100, 110, 120]), 0.0), AnalysisError,
+         "p: baseline mean must be positive"),
+        (lambda: extract_safe_range(sweep_of([]), 100.0, unit_space(["p"])), AnalysisError,
+         "p: empty sweep"),
+        (lambda: extract_safe_range(sweep_of([100]), -1.0, unit_space(["p"])), AnalysisError,
+         "p: baseline mean must be positive"),
+        (lambda: SensitivityReport(campaign_id="c", space_hash="h", tau_s=0.05,
+                                   baseline_means={}, profiles=[]).profile("p"),
+         ParameterError, "no profile for parameter 'p'"),
+    ], ids=["no-repetition", "shape-baseline", "empty-sweep", "range-baseline", "no-profile"])
+    def test_each_check_names_its_input(self, call, error, named):
+        with pytest.raises(error, match=f"^{re.escape(named)}$"):
+            call()
+
+    def test_a_workload_without_an_ok_baseline_run_is_refused(self):
+        space = unit_space(["p"], default=1.0)  # the default crashes
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, crashes={"p": CrashRegion(0.9, 1.0)}))
+        log = run_plan(adapter, plan_sweep(space, one_workload(), 3, 1), seed=0)
+        with pytest.raises(AnalysisError,
+                           match="^no usable baseline measurements for workload 'w0'$"):
+            analyze_sensitivity(log, space, one_workload(), 3, 1)
+
+    def test_two_usable_levels_are_profiled_with_a_warning(self):
+        space = unit_space(["p"])  # grid [0, 0.5, 1]; 1 crashes
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, responses={"p": Response(shape="linear-up", strength=0.2)},
+            crashes={"p": CrashRegion(0.9, 1.0)}))
+        log = run_plan(adapter, plan_sweep(space, one_workload(), 3, 1), seed=0)
+        profile = analyze_sensitivity(log, space, one_workload(), 3, 1).profile("p")
+        assert profile.warnings == ["w0: only 2 usable levels"]
+        assert profile.shape == "flat"  # too few levels to classify
+        assert profile.aggregate_cv > 0
+
+
 class TestComputeCv:
     def test_constant_response_is_zero(self):
         assert compute_cv(sweep_of([100, 100, 100]), 100.0) == 0.0
@@ -325,6 +375,13 @@ class TestDegradation:
         sweep.direction = "minimize"
         safe = extract_safe_range(sweep, 100.0, unit_space(["p"]))
         assert (safe.lo, safe.hi) == (0, 2)
+
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_a_baseline_that_is_not_positive_degrades_nothing(self, direction):
+        for baseline in (0.0, -5.0):
+            assert not degraded(-1e9, baseline, direction)
+            assert not degraded(1e9, baseline, direction)
 
 
 class TestUnsafeDefaultExclusion:

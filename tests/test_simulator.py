@@ -47,6 +47,16 @@ class TestResponses:
         with pytest.raises(ParameterError):
             Response(shape="cubic")
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"shape": "step", "low_mult": 0.0}, "step multipliers must be positive"),
+        ({"shape": "step", "high_mult": -1.0}, "step multipliers must be positive"),
+        ({"shape": "linear-up", "strength": -1.0}, "strength must keep multipliers positive"),
+        ({"shape": "quadratic-peak", "strength": -2.0},
+         "strength must keep multipliers positive")])
+    def test_multipliers_that_are_not_positive_are_refused(self, fields, named):
+        with pytest.raises(ParameterError, match=f"^{named}$"):
+            Response(**fields)
+
 
 class TestModel:
     def setup_method(self):

@@ -3,6 +3,7 @@
 import gc
 import glob
 import json
+import math
 import os
 
 import pytest
@@ -17,7 +18,7 @@ from tuneforge.harness import mix_seed
 from tuneforge.simulator import Coupling, CrashRegion, Response, SimulatorModel
 from tuneforge.space import (YAML_DUMPER, YAML_LOADER, Configuration, Domain, ParameterSpace,
                              ParameterSpec, WorkloadSpec, closest_index, dump_space, dump_yaml,
-                             level_grid, load_space, load_workloads, load_yaml,
+                             level_grid, load_space, load_workloads, load_yaml, snap_to_domain,
                              validate_configuration)
 
 
@@ -77,6 +78,26 @@ class TestDomains:
     def test_log_scale_requires_positive_lo(self):
         with pytest.raises(ParameterError):
             spec_cont(lo=0.0, hi=8.0, default=1.0, scale="log")
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: Domain("cubic"), "unknown domain kind 'cubic'"),
+        (lambda: Domain("continuous", 0.0, 1.0).ordered_values,
+         "continuous domain has no enumerated values"),
+    ], ids=["unknown-kind", "no-enumerated-values"])
+    def test_each_domain_check_names_its_input(self, call, named):
+        with pytest.raises(ParameterError, match=f"^{named}$"):
+            call()
+
+    def test_lists_given_to_the_constructors_are_kept_as_tuples(self):
+        domain = Domain("enum", values=["a", "b"])
+        assert domain.values == ("a", "b")
+        space = ParameterSpace([ParameterSpec(name="m", domain=domain, default="a")])
+        assert type(space.parameters) is tuple and space.get("m").domain is domain
+
+    @pytest.mark.parametrize("raw, snapped", [(4.4, 4), (4.6, 5), (-3.0, 1), (99.0, 10)])
+    def test_snap_rounds_and_clamps_into_an_integer_domain(self, raw, snapped):
+        value = snap_to_domain(spec_int(lo=1, hi=10), raw)
+        assert value == snapped and type(value) is int
 
 
 class TestValidateConfiguration:
@@ -229,6 +250,11 @@ DECLARATION_PROBES = {
                          "workloads: 0: metric_name: None is not str"),
     "keys-of-mixed-types": ("workloads", {"id": "w0", 1: "a", None: "b"},
                             "unknown keys [1, None]"),
+    "parameter-name-empty": ("parameters", {"name": "", "domain": CONTINUOUS, "default": 1.0},
+                             "parameter name must not be empty"),
+    "scale-unknown": ("parameters", {"name": "p", "domain": CONTINUOUS, "default": 1.0,
+                                     "scale": "cubic"}, "scale must be linear or log, got 'cubic'"),
+    "workload-id-empty": ("workloads", {"id": ""}, "workload id must not be empty"),
 }
 
 
@@ -242,6 +268,14 @@ class TestMalformedDeclaration:
         with pytest.raises(ParameterError) as e:
             load(str(path))
         assert str(e.value).startswith(f"{path}: ") and named in str(e.value)
+
+    def test_two_workloads_of_one_id_are_a_parameter_error(self, tmp_path):
+        path = tmp_path / "space.yaml"
+        path.write_text(yaml.safe_dump({"schema_version": 1, "workloads": [
+            {"id": "w0"}, {"id": "w0", "direction": "minimize"}]}))
+        with pytest.raises(ParameterError,
+                           match=f"^{path}: declaration: duplicate workload ids$"):
+            load_workloads(str(path))
 
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
@@ -453,9 +487,10 @@ class TestYamlExactness:
         doc = {"k" * length: 1}
         assert dump_yaml(doc) == yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
 
-    @pytest.mark.parametrize("doc", [0, "x", None, 1.5, (1, 2), {"a": (1,)}, [[1]]],
+    @pytest.mark.parametrize("doc", [0, "x", None, 1.5, (1, 2), {"a": (1,)}, [[1]],
+                                     {"a": [math.nan, math.inf, -math.inf]}],
                              ids=["int", "str", "none", "float", "tuple", "inner-tuple",
-                                  "list-in-list"])
+                                  "list-in-list", "not-finite"])
     def test_other_documents_keep_the_chosen_emitters_text_or_error(self, doc):
         assert _outcome(lambda: dump_yaml(doc)) == _outcome(
             lambda: yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False))

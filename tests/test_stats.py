@@ -51,6 +51,15 @@ class TestFUpperTail:
 
 
 class TestIncompleteBeta:
+    @pytest.mark.parametrize("a, b, x, named", [
+        (0.0, 1.0, 0.5, r"beta parameters must be positive"),
+        (1.0, -2.0, 0.5, r"beta parameters must be positive"),
+        (1.0, 1.0, 1.5, r"x must lie in \[0, 1\], got 1.5"),
+        (1.0, 1.0, -0.1, r"x must lie in \[0, 1\], got -0.1")])
+    def test_arguments_outside_the_domain_are_refused(self, a, b, x, named):
+        with pytest.raises(ParameterError, match=f"^{named}$"):
+            regularized_incomplete_beta(a, b, x)
+
     def test_endpoints(self):
         assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
         assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0

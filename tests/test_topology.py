@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 
 from helpers import global_grid_argmax, one_workload, random_log, unit_space
-from tuneforge.errors import AnalysisError, ParameterError
+from tuneforge.errors import AnalysisError, CrashError, ParameterError
 from tuneforge.interaction import InteractionRecord, InteractionReport
 from tuneforge.sensitivity import SafeRange, SensitivityProfile, SensitivityReport
-from tuneforge.simulator import Coupling, Response, SimulatorAdapter, SimulatorModel
+from tuneforge.simulator import Coupling, CrashRegion, Response, SimulatorAdapter, SimulatorModel
 from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec
 from tuneforge.topology import (CorrelationGraph, JointSearchPlan, _grid_means,
                                 build_graph, independent_baseline, measure_baselines,
@@ -87,6 +87,58 @@ class TestBuildGraph:
     def test_round_trip(self):
         g = build_graph(["a", "b"], make_report({("a", "b"): 0.3}, ["a", "b"]))
         assert CorrelationGraph.from_json(g.to_json()).to_json() == g.to_json()
+
+
+class BothSetCrashes:
+    """Measures through ``inner``, but crashes when ``a`` and ``b`` are both set."""
+
+    max_concurrency = 1
+
+    def __init__(self, inner):
+        self.space = inner.space
+        self.inner = inner
+
+    def measure(self, config, workload, seed):
+        if {"a", "b"} <= config.assignments.keys():
+            raise CrashError("a and b together")
+        return self.inner.measure(config, workload, seed)
+
+
+class TestArgumentChecks:
+    def test_a_confirmed_pair_outside_the_top_k_is_refused(self):
+        with pytest.raises(AnalysisError,
+                           match=r"^confirmed pair \(a, z\) outside the top-k node set$"):
+            build_graph(["a", "b"], make_report({("a", "z"): 0.3}, ["a", "b"]))
+
+    def test_a_baseline_without_an_ok_run_is_refused(self):
+        space = unit_space(["a"], default=1.0)  # the default crashes
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, crashes={"a": CrashRegion(0.9, 1.0)}))
+        with pytest.raises(AnalysisError, match="^baseline measurement failed on workload w0$"):
+            measure_baselines(adapter, one_workload(), 2, seed=0)
+
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_baselines_of_no_repetition_are_refused(self, repetitions):
+        adapter = SimulatorAdapter(unit_space(["a"]), SimulatorModel(base_rate=100.0))
+        with pytest.raises(ParameterError, match="^repetitions must be >= 1$"):
+            measure_baselines(adapter, one_workload(), repetitions, seed=0)
+
+    def test_an_empty_component_is_refused(self):
+        space = unit_space(["a"])
+        adapter = SimulatorAdapter(space, SimulatorModel(base_rate=100.0))
+        with pytest.raises(ParameterError, match="^component must be non-empty$"):
+            independent_baseline(adapter, [], sens_report(["a"]), space, one_workload()[0],
+                                 repetitions=1, seed=0)
+
+    def test_a_combination_without_an_ok_run_is_refused(self):
+        space = unit_space(["a", "b"])
+        adapter = BothSetCrashes(SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, responses={"a": Response(shape="linear-up", strength=0.2),
+                                        "b": Response(shape="linear-up", strength=0.2)})))
+        with pytest.raises(AnalysisError,
+                           match="^independent combination failed on workload w0$"):
+            independent_baseline(adapter, ["a", "b"], sens_report(["a", "b"]), space,
+                                 one_workload()[0], repetitions=2, seed=0)
 
 
 class TestPlanJointSearch:
