@@ -51,6 +51,7 @@ SENSITIVITY_REPORT = "sensitivity_report.json"
 INTERACTION_REPORT = "interaction_report.json"
 OPTIMA_REPORT = "optima_report.json"
 DOCUMENT_FILE = "document.json"
+TRACE_FILE = "trace.jsonl"
 STATE_FILE = "state.json"
 LOCK_FILE = ".lock"
 
@@ -333,12 +334,11 @@ class Campaign:
 
     # -- stage 5: online tuning -------------------------------------------
 
-    def tune(self, adapter: Adapter, budget: int, seed: int | None = None,
-             trace_name: str = "trace.jsonl") -> TuningSession:
+    def tune(self, adapter: Adapter, budget: int, seed: int | None = None) -> TuningSession:
         self.require_stage("compiled", "tune")
         doc = self.document()
         session = run_session(doc, adapter, budget, self.seed if seed is None else seed)
-        session.save_trace(self.path(trace_name))
+        session.save_trace(self.path(TRACE_FILE))
         if session.final_config is not None:
             resolved = self.space.resolve(session.final_config)
             write_text(self.path("final_config.properties"),

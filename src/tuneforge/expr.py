@@ -13,10 +13,11 @@ Comparisons and `and` yield 1.0 / 0.0. Unknown symbols raise, never silently
 evaluate false; defined() tests for a signal's presence, and because `and`
 short-circuits, "defined(x) and x >= 1" is a safe guarded reference.
 
-Parsing compiles an expression once into a tree of closures, one per syntax
-node, and caches it by text; evaluating it is then a single call. Operands
-evaluate left to right and call arguments before the call, so a failing
-operand raises the error the source order gives.
+Parsing compiles an expression once: one pass over Python's parse (`_tree`)
+turns each node into its closure and collects the symbols. The result is
+cached by text; evaluating it is then a single call. Operands evaluate left to
+right and call arguments before the call, so a failing operand raises the
+error the source order gives.
 """
 
 from __future__ import annotations
@@ -43,43 +44,25 @@ Evaluator = Callable[[Mapping[str, Any], Mapping[str, Any]], float]
 class Expr:
     """A parsed expression: evaluatable, and statically inspectable.
 
-    Instances are shared between callers through the parse cache, so they
-    are never mutated after construction.
+    Built in the one pass of `_tree` over Python's parse: its evaluator and
+    the symbols it reads. Instances are shared between callers through the
+    parse cache, so they are never mutated after construction.
     """
 
     __slots__ = ("text", "sorted_symbols", "evaluate")
 
-    def __init__(self, text: str, tree: tuple):
+    def __init__(self, text: str, evaluate: Evaluator, symbols: set[str]):
         self.text = text
-        found: set[str] = set()
         # evaluate(signals, reference): the value against the signal store,
         # then the reference data; signals shadow reference data of one name.
         # The compiled evaluator itself, so that a call costs no method frame.
-        self.evaluate: Evaluator = _compile(tree, text, found)
+        self.evaluate = evaluate
         # The symbols in sorted order: the order a trace records them in.
-        self.sorted_symbols: tuple[str, ...] = tuple(sorted(found))
+        self.sorted_symbols: tuple[str, ...] = tuple(sorted(symbols))
 
     def symbols(self) -> frozenset[str]:
         """Every symbol the expression references, defined() arguments included."""
         return frozenset(self.sorted_symbols)
-
-
-def _compile(node: tuple, text: str, found: set[str]) -> Evaluator:
-    """The evaluator of one syntax-tree node; adds the symbols it reads to `found`."""
-    kind = node[0]
-    if kind == "num":
-        return _literal(node[1])
-    if kind == "sym":
-        found.add(node[1])
-        return _symbol(node[1])
-    if kind == "defined":
-        name = node[1]
-        found.add(name)
-        return lambda s, r: 1.0 if (name in s or name in r) else 0.0
-    if kind == "call":
-        return _CALLS[node[1]]([_compile(a, text, found) for a in node[2]], text)
-    left = _compile(node[2], text, found)
-    return _BINARY[node[1]](left, _compile(node[3], text, found), text)
 
 
 # Leaves are shared by every expression that holds them, so that a cached
@@ -141,76 +124,76 @@ _CALLS: dict[str, Callable[[list[Evaluator], str], Evaluator]] = {
     "pick": _pick,
 }
 
-# Operator -> the builder of its evaluator from its operands' evaluators.
-_BINARY: dict[str, Callable[[Evaluator, Evaluator, str], Evaluator]] = {
-    "and": lambda left, right, text: (
+# Python's operator class -> the builder of its evaluator from its operands'
+# evaluators. Python's parse already puts `and` only in a BoolOp, a comparison
+# only in a Compare and arithmetic only in a BinOp.
+_OPERATORS: dict[type, Callable[[Evaluator, Evaluator, str], Evaluator]] = {
+    ast.And: lambda left, right, text: (
         lambda s, r: 1.0 if left(s, r) != 0.0 and right(s, r) != 0.0 else 0.0),
-    "+": lambda left, right, text: lambda s, r: left(s, r) + right(s, r),
-    "-": lambda left, right, text: lambda s, r: left(s, r) - right(s, r),
-    "*": lambda left, right, text: lambda s, r: left(s, r) * right(s, r),
-    "/": _divide,
-    "<=": lambda left, right, text: lambda s, r: 1.0 if left(s, r) <= right(s, r) else 0.0,
-    ">=": lambda left, right, text: lambda s, r: 1.0 if left(s, r) >= right(s, r) else 0.0,
+    ast.Add: lambda left, right, text: lambda s, r: left(s, r) + right(s, r),
+    ast.Sub: lambda left, right, text: lambda s, r: left(s, r) - right(s, r),
+    ast.Mult: lambda left, right, text: lambda s, r: left(s, r) * right(s, r),
+    ast.Div: _divide,
+    ast.LtE: lambda left, right, text: lambda s, r: 1.0 if left(s, r) <= right(s, r) else 0.0,
+    ast.GtE: lambda left, right, text: lambda s, r: 1.0 if left(s, r) >= right(s, r) else 0.0,
 }
-
 
 # A number as the grammar spells it; Python's parser also reads 1_0, 0x1 and 1j.
 _NUMBER_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
-# Python's operator class -> the grammar's operator, as `_compile` reads it.
-# Python's parse already puts `and` only in a BoolOp, a comparison only in a
-# Compare and arithmetic only in a BinOp.
-_OPERATORS: dict[type, str] = {ast.And: "and", ast.LtE: "<=", ast.GtE: ">=",
-                               ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
-
-def _tree(node: ast.AST, text: str) -> tuple:
-    """The syntax tree `_compile` reads of one node of Python's parse of
-    `text`; refuses every node outside the grammar's forms."""
+def _tree(node: ast.AST, flat: str, text: str, found: set[str]) -> Evaluator:
+    """The evaluator of one node of Python's parse of `flat`, built from its
+    operands' evaluators in one pass; adds the symbols it reads to `found`.
+    Refuses every node outside the grammar's forms. Spans are read from
+    `flat`; evaluation errors quote `text`, the expression as written."""
     kind = type(node)
-    spelled = text[node.col_offset:node.end_col_offset]
+    spelled = flat[node.col_offset:node.end_col_offset]
     if kind is ast.Constant:
         # not glued to a name either, as in `1and 2`, which Python 3.11 reads
-        follower = text[node.end_col_offset:node.end_col_offset + 1]
+        follower = flat[node.end_col_offset:node.end_col_offset + 1]
         if _NUMBER_RE.fullmatch(spelled) and not (follower.isalnum() or follower == "_"):
-            return ("num", float(spelled))
+            return _literal(float(spelled))
     if kind is ast.Name:
-        return ("sym", node.id)
+        found.add(node.id)
+        return _symbol(node.id)
     if kind is ast.Call:
-        return _call(node, spelled, text)
+        return _call(node, spelled, flat, text, found)
     if kind is ast.BinOp and type(node.op) in _OPERATORS:
-        left, right = _tree(node.left, text), _tree(node.right, text)
-        return ("bin", _OPERATORS[type(node.op)], left, right)
+        left = _tree(node.left, flat, text, found)
+        return _OPERATORS[type(node.op)](left, _tree(node.right, flat, text, found), text)
     if kind is ast.Compare and len(node.ops) == 1 and type(node.ops[0]) in _OPERATORS:
-        left, right = _tree(node.left, text), _tree(node.comparators[0], text)
-        return ("bin", _OPERATORS[type(node.ops[0])], left, right)
+        left = _tree(node.left, flat, text, found)
+        right = _tree(node.comparators[0], flat, text, found)
+        return _OPERATORS[type(node.ops[0])](left, right, text)
     if kind is ast.BoolOp and type(node.op) in _OPERATORS:
         # a run of `and` associates to the left, as it evaluates
-        tree = _tree(node.values[0], text)
+        evaluate = _tree(node.values[0], flat, text, found)
         for operand in node.values[1:]:
-            tree = ("bin", "and", tree, _tree(operand, text))
-        return tree
+            evaluate = _OPERATORS[ast.And](evaluate, _tree(operand, flat, text, found), text)
+        return evaluate
     raise ExpressionError(f"{spelled!r} is outside the grammar")
 
 
-def _call(node: ast.Call, spelled: str, text: str) -> tuple:
-    """The syntax tree of a call of one of `_FUNCTIONS`."""
+def _call(node: ast.Call, spelled: str, flat: str, text: str, found: set[str]) -> Evaluator:
+    """The evaluator of a call of one of `_FUNCTIONS`."""
     func = node.func
     if type(func) is not ast.Name or func.id not in _FUNCTIONS:
-        raise ExpressionError(f"unknown function {text[func.col_offset:func.end_col_offset]!r}")
+        raise ExpressionError(f"unknown function {flat[func.col_offset:func.end_col_offset]!r}")
     # Python also reads `(max)(a)`, `max(a=1)` and `max(a,)`
     last = node.args[-1].end_col_offset if node.args else node.end_col_offset
-    if func.col_offset != node.col_offset or node.keywords or "," in text[last:node.end_col_offset]:
+    if func.col_offset != node.col_offset or node.keywords or "," in flat[last:node.end_col_offset]:
         raise ExpressionError(f"{spelled!r} is outside the grammar")
     fn = func.id
-    args = [_tree(arg, text) for arg in node.args]
+    args = [_tree(arg, flat, text, found) for arg in node.args]
     if fn == "defined":
-        if len(args) != 1 or args[0][0] != "sym":
+        if len(args) != 1 or type(node.args[0]) is not ast.Name:
             raise ExpressionError("wrong arguments to defined()")
-        return ("defined", args[0][1])
+        name = node.args[0].id
+        return lambda s, r: 1.0 if (name in s or name in r) else 0.0
     if len(args) < _FUNCTIONS[fn] or (fn == "abs" and len(args) > 1):
         raise ExpressionError(f"wrong arguments to {fn}()")
-    return ("call", fn, args)
+    return _CALLS[fn](args, text)
 
 
 def parse(text: str) -> Expr:
@@ -229,11 +212,12 @@ def _parse_text(text: str) -> Expr:
     try:
         if not flat.isascii() or "#" in flat or "\\" in flat:
             raise ExpressionError("bad character")
-        tree = _tree(ast.parse(flat, mode="eval").body, flat)
+        found: set[str] = set()
+        evaluate = _tree(ast.parse(flat, mode="eval").body, flat, text, found)
     except (ExpressionError, SyntaxError, ValueError, RecursionError, MemoryError) as e:
         reason = getattr(e, "msg", None) or str(e) or type(e).__name__
         raise ExpressionError(f"{reason} in {text!r}") from None
-    return Expr(text, tree)
+    return Expr(text, evaluate, found)
 
 
 def evaluate(text: str, signals: Mapping[str, Any], reference: Mapping[str, Any]) -> float:

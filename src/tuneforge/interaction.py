@@ -156,7 +156,8 @@ def plan_pairs(top_k: list[str]) -> list[tuple[str, str]]:
 
 
 def _span_points(spec: ParameterSpec, safe: SafeRange, fracs: list[float]) -> list[Any]:
-    """Values at the given fractional positions of the safe span, deduplicated."""
+    """Values at the given fractional positions of the safe span (its
+    logarithm for ``scale: log``), deduplicated."""
     dom = spec.domain
     if dom.kind in ("enum", "boolean"):
         vals = safe.values if safe.values is not None else list(dom.ordered_values)
@@ -168,9 +169,14 @@ def _span_points(spec: ParameterSpec, safe: SafeRange, fracs: list[float]) -> li
                 idxs.append(i)
         return [vals[i] for i in sorted(idxs)]
     lo, hi = float(safe.lo), float(safe.hi)
+    if spec.scale == "log":
+        # spaced geometrically, as `level_grid` spaces the sweep; the ends exactly
+        raw = [lo if f == 0.0 else hi if f == 1.0 else lo * (hi / lo) ** f for f in fracs]
+    else:
+        raw = [lo + f * (hi - lo) for f in fracs]
     out: list[Any] = []
-    for f in fracs:
-        v = snap_to_domain(spec, lo + f * (hi - lo))
+    for r in raw:
+        v = snap_to_domain(spec, r)
         if v not in out:
             out.append(v)
     return out
@@ -321,6 +327,10 @@ def two_way_anova(table: FactorialTable, repetitions: int) -> AnovaDecomposition
     df_a, df_b = a - 1, b - 1
     df_ab = df_a * df_b
     df_e = a * b * (repetitions - 1)
+    if df_e == 0:
+        # one repetition: every cell mean is its one value, so SS_E is 0 and
+        # says nothing about noise
+        raise AnalysisError(f"{table.pair}: no error degrees of freedom (r=1)")
 
     if ss_e == 0.0:
         if ss_ab == 0.0:
@@ -328,8 +338,6 @@ def two_way_anova(table: FactorialTable, repetitions: int) -> AnovaDecomposition
         else:
             f_stat, p = math.inf, 0.0
     else:
-        if df_e == 0:
-            raise AnalysisError(f"{table.pair}: no error degrees of freedom (r=1)")
         f_stat = (ss_ab / df_ab) / (ss_e / df_e)
         p = f_upper_tail_p(f_stat, df_ab, df_e)
 

@@ -1145,9 +1145,12 @@ class TestArgbestSkills:
         for skill_id, events in _skill_runs(session.trace):
             benchmarks = [e for e in events if e.action == "benchmark"]
             if skill_id.startswith("resweep_"):
-                (param,) = benchmarks[0].inputs["config"]
+                # the swept parameter is the one its steps set; the benchmarked
+                # configuration may also hold the parameters a step pins
+                steps = doc.skill(skill_id).procedure
+                (param,) = steps[benchmarks[0].step].template
                 grid = doc.grids[param]
-                levels = [grid.index(e.inputs["config"][param]) for e in benchmarks]
+                levels = [grid.index(steps[e.step].template[param]) for e in benchmarks]
                 best = levels[first_best([_metric(e) for e in benchmarks])]
                 pairs[skill_id] = (best, _last_set(events, f"best_{param}_idx"))
             elif skill_id == "joint_c1":

@@ -16,10 +16,12 @@ from tuneforge.interaction import (AnovaDecomposition, FactorialTable, Interacti
                                    InteractionReport, PairGrid, attach_stage_b,
                                    eta_squared, finalize_records,
                                    partial_eta_squared, plan_pair_table, plan_pairs,
-                                   stage_a_int_pct, stage_a_record, stage_a_verdict,
-                                   table_from_log, two_way_anova)
+                                   stage_a_int_pct, stage_a_levels, stage_a_record,
+                                   stage_a_verdict, stage_b_levels, table_from_log,
+                                   two_way_anova)
+from tuneforge.sensitivity import SafeRange
 from tuneforge.simulator import Coupling, Response, SimulatorAdapter, SimulatorModel
-from tuneforge.space import Configuration
+from tuneforge.space import Configuration, Domain, ParameterSpec, level_grid
 
 
 def table_2x2(means, reps=1):
@@ -75,10 +77,16 @@ class TestArgumentChecks:
          "('a', 'b'): zero grand mean in stage A table"),
         (lambda: two_way_anova(table_from_grid([[1.0, 2.0]], reps=2), 2), AnalysisError,
          "('a', 'b'): factorial needs at least 2 levels per factor"),
-        # one repetition leaves no error term, unless a value is not finite
+        # one repetition leaves no error term (each cell is its own mean, so
+        # SS_E is 0), whatever the values
         (lambda: two_way_anova(table_from_grid([[1.0, 2.0], [3.0, math.inf]], reps=1), 1),
          AnalysisError, "('a', 'b'): no error degrees of freedom (r=1)"),
-    ], ids=["duplicate-name", "not-2x2", "zero-grand-mean", "one-level", "r1-not-finite"])
+        (lambda: two_way_anova(table_2x2([1.0, 2.0, 3.0, 4.1]), 1), AnalysisError,
+         "('a', 'b'): no error degrees of freedom (r=1)"),
+        (lambda: two_way_anova(table_2x2([1.0, 2.0, 3.0, 4.0]), 1), AnalysisError,
+         "('a', 'b'): no error degrees of freedom (r=1)"),
+    ], ids=["duplicate-name", "not-2x2", "zero-grand-mean", "one-level", "r1-not-finite",
+            "r1-not-additive", "r1-additive"])
     def test_each_check_names_its_input(self, call, error, named):
         with pytest.raises(error, match=f"^{re.escape(named)}$"):
             call()
@@ -240,6 +248,30 @@ class TestTwoWayAnova:
         t.cells[2][2] = t.cells[2][2][:2]
         with pytest.raises(AnalysisError):
             two_way_anova(t, 3)
+
+
+class TestLogScaleLevels:
+    # demo/space.yaml's buffer_mb, whose sweep probes 16, 64, 256, 1024, 4096,
+    # over a safe range of [16, 2048]
+    SPEC = ParameterSpec(name="buffer_mb", domain=Domain("integer", 16, 4096), default=64,
+                         scale="log")
+    SAFE = SafeRange(lo=16, hi=2048)
+
+    def test_levels_are_spaced_geometrically_like_the_sweep(self):
+        assert level_grid(self.SPEC, 5) == [16, 64, 256, 1024, 4096]
+        assert stage_b_levels(self.SPEC, self.SAFE) == [16, 81, 406, 2048]
+        assert stage_b_levels(self.SPEC, self.SAFE, factorial=False) == [16, 81, 406, 2048]
+        assert stage_b_levels(self.SPEC, self.SAFE, interior=True) == [29, 99, 332, 1117]
+        assert stage_a_levels(self.SPEC, self.SAFE) == [16, 2048]
+        assert stage_a_levels(self.SPEC, self.SAFE, interior=True) == [54, 609]
+
+    def test_continuous_levels_keep_the_ends_exact(self):
+        # 0.764 * (13.89 / 0.764) is not 13.89 in floating point
+        spec = ParameterSpec(name="p", domain=Domain("continuous", 0.5, 20.0), default=1.0,
+                             scale="log")
+        levels = stage_b_levels(spec, SafeRange(lo=0.764, hi=13.89), factorial=False)
+        assert levels[0] == 0.764 and levels[-1] == 13.89
+        assert levels == pytest.approx([0.764 * (13.89 / 0.764) ** (k / 3) for k in range(4)])
 
 
 class TestEtaSquared:
