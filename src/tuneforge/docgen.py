@@ -60,10 +60,10 @@ from typing import Any, ClassVar, Mapping, TypedDict
 
 from . import expr as expr_mod
 from .errors import AnalysisError, CompileError, DocumentError, ParameterError
-from .interaction import ETA2_MIN, GRID_LEVELS, stage_b_levels
+from .interaction import ETA2_MIN, GRID_LEVELS
 from .jsonfile import JsonArtifact, Record, load_fields, thaw, type_tests
 from .sensitivity import SafeRange, SensitivityReport
-from .space import (Configuration, ParameterSpace, WorkloadSpec, closest_index,
+from .space import (Configuration, ParameterSpace, WorkloadSpec, closest_index, span_levels,
                     validate_configuration)
 from .topology import OptimaReport
 
@@ -544,8 +544,8 @@ def compile_document(profiles: SensitivityReport, optima_report: OptimaReport,
             raise CompileError(f"graph node {name!r} is not a selected parameter")
 
     safe_ranges = {p.parameter: p.safe_range.to_json() for p in profiles.profiles}
-    grids = {name: stage_b_levels(space.get(name), profiles.profile(name).safe_range,
-                                  factorial=False) for name in top_names}
+    grids = {name: span_levels(space.get(name), profiles.profile(name).safe_range, GRID_LEVELS)
+             for name in top_names}
 
     # A component the joint stage rejected has no joint optimum; its members
     # are verified and re-swept one by one.

@@ -26,7 +26,7 @@ from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, CampaignStore, PlanEntry
 from .jsonfile import JsonArtifact, Record
 from .sensitivity import SafeRange, SensitivityReport
-from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, snap_to_domain
+from .space import Configuration, ParameterSpace, ParameterSpec, WorkloadSpec, span_levels
 from .stats import benjamini_hochberg, f_upper_tail_p
 
 VERDICT_ADVANCE = "advance"
@@ -155,60 +155,20 @@ def plan_pairs(top_k: list[str]) -> list[tuple[str, str]]:
     return sorted(tuple(sorted(pair)) for pair in combinations(top_k, 2))
 
 
-def _span_points(spec: ParameterSpec, safe: SafeRange, fracs: list[float]) -> list[Any]:
-    """Values at the given fractional positions of the safe span (its
-    logarithm for ``scale: log``), deduplicated."""
-    dom = spec.domain
-    if dom.kind in ("enum", "boolean"):
-        vals = safe.values if safe.values is not None else list(dom.ordered_values)
-        n = len(vals)
-        idxs: list[int] = []
-        for f in fracs:
-            i = round(f * (n - 1))
-            if i not in idxs:
-                idxs.append(i)
-        return [vals[i] for i in sorted(idxs)]
-    lo, hi = float(safe.lo), float(safe.hi)
-    if spec.scale == "log":
-        # spaced geometrically, as `level_grid` spaces the sweep; the ends exactly
-        raw = [lo if f == 0.0 else hi if f == 1.0 else lo * (hi / lo) ** f for f in fracs]
-    else:
-        raw = [lo + f * (hi - lo) for f in fracs]
-    out: list[Any] = []
-    for r in raw:
-        v = snap_to_domain(spec, r)
-        if v not in out:
-            out.append(v)
-    return out
-
-
 def stage_a_levels(spec: ParameterSpec, safe: SafeRange, interior: bool = False) -> list[Any]:
     """Two factor levels: the safe-range extremes (or interior fallback points)."""
-    fracs = [0.25, 0.75] if interior else [0.0, 1.0]
-    return _span_points(spec, safe, fracs)
+    return span_levels(spec, safe, 2, interior)
 
 
-def stage_b_levels(spec: ParameterSpec, safe: SafeRange, interior: bool = False,
-                   factorial: bool = True) -> list[Any]:
-    """`GRID_LEVELS` probe points spread across the safe range.
-
-    With ``factorial=True`` (ANOVA tables), domains too coarse for
-    `GRID_LEVELS` distinct values fall back to 2 (the extremes), keeping the
-    factorial shape in {2, GRID_LEVELS}. Grid consumers (joint search,
-    document grids) pass ``factorial=False`` and keep every distinct level,
-    e.g. all 3 values of a ternary enum.
+def stage_b_levels(spec: ParameterSpec, safe: SafeRange, interior: bool = False) -> list[Any]:
+    """The stage-B table's levels: the `GRID_LEVELS` levels `span_levels`
+    spreads across the safe range, keeping the table's shape in
+    {2, GRID_LEVELS}. A span with more than 2 but fewer than `GRID_LEVELS`
+    distinct levels falls back to its two ends; one of 1 or 2 levels is
+    returned as it is.
     """
-    count = GRID_LEVELS
-    if interior:
-        fracs = [(2 * k + 1) / (2 * count) for k in range(count)]
-    else:
-        fracs = [k / (count - 1) for k in range(count)]
-    levels = _span_points(spec, safe, fracs)
-    if len(levels) >= count:
-        return levels[:count]
-    if factorial and len(levels) > 2:
-        return [levels[0], levels[-1]]
-    return levels
+    levels = span_levels(spec, safe, GRID_LEVELS, interior)
+    return [levels[0], levels[-1]] if 2 < len(levels) < GRID_LEVELS else levels
 
 
 @dataclass(frozen=True)

@@ -144,15 +144,19 @@ def sweep_levels(spec: ParameterSpec, levels_per_param: int) -> tuple[list[Any],
     """A parameter's sweep grid and the index of its default on it.
 
     Enum and boolean grids are capped at the domain's cardinality, and no
-    grid has fewer than 2 levels. The index is None when the default is not a
-    grid level. Planning and analysis both take a parameter's levels, and its
-    default level, from here alone.
+    grid has fewer than 2 levels. The default's level is the one equal to it,
+    and on an enum or boolean grid also of its type, as ``Domain.contains``
+    matches values (``0`` is not ``False``); the index is None when the
+    default is not a grid level. Planning and analysis both take a
+    parameter's levels, and its default level, from here alone.
     """
-    count = levels_per_param
-    if spec.domain.kind in ("enum", "boolean"):
+    count, default = levels_per_param, spec.default
+    typed = spec.domain.kind in ("enum", "boolean")
+    if typed:
         count = min(count, len(spec.domain.ordered_values))
     grid = level_grid(spec, max(2, count))
-    return grid, next((i for i, v in enumerate(grid) if v == spec.default), None)
+    return grid, next((i for i, v in enumerate(grid)
+                       if v == default and (not typed or type(v) is type(default))), None)
 
 
 def plan_sweep(space: ParameterSpace, workloads: list[WorkloadSpec],

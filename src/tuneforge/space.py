@@ -6,7 +6,9 @@ defaults). Spaces and workloads load from a single human-editable YAML file
 with a ``schema_version`` field, through ``jsonfile.load_fields``: exactly
 the keys of each record, each value of its field's type and none converted.
 A domain, the one tagged union, checks and writes the keys of its ``type``
-from one table (``_DOMAIN_KEYS``).
+from one table (``_DOMAIN_KEYS``). One function, :func:`span_levels`, spaces
+the levels of every grid, the sweep's across a domain and every later one
+across a safe range, with both ends exact.
 
 Every YAML file the package reads or writes (declarations and simulator
 models) goes through one reader, :func:`load_yaml`, and one writer,
@@ -326,43 +328,43 @@ def validate_configuration(space: ParameterSpace, config: Configuration) -> list
     return violations
 
 
-def level_grid(spec: ParameterSpec, count: int) -> list[Any]:
-    """Ordered probe values spread across a parameter's domain.
+def span_levels(spec: ParameterSpec, span: Any, count: int, interior: bool = False) -> list[Any]:
+    """The levels of every grid: ``count`` positions across ``span``, the
+    domain or a safe range inside it (anything with ``lo``, ``hi`` and
+    ``values``), position k at k/(count-1), or at (2k+1)/(2*count) with
+    ``interior``: over the span's values for an enum or boolean (the
+    domain's when the span lists none), over the span's logarithm for
+    ``scale: log``, and over the span itself otherwise. Without ``interior``
+    the ends are the span's own, exactly; integer levels are rounded, and
+    each value appears once, in order."""
+    ks = [2 * k + 1 for k in range(count)] if interior else range(count)
+    den = 2 * count if interior else count - 1
+    dom = spec.domain
+    if dom.kind in ("enum", "boolean"):
+        vals = span.values or dom.values
+        return [vals[i] for i in sorted({round(k * (len(vals) - 1) / den) for k in ks})]
+    lo, hi = float(span.lo), float(span.hi)
+    if spec.scale == "log":
+        raw = [lo * (hi / lo) ** (k / den) for k in ks]
+    else:
+        raw = [lo + k * (hi - lo) / den for k in ks]
+    if not interior:
+        raw[0], raw[-1] = lo, hi  # endpoints exactly, no float drift
+    if dom.kind == "integer":
+        raw = [round(v) for v in raw]
+    return list(dict.fromkeys(raw))
 
-    Continuous/integer grids include both endpoints and space levels uniformly
-    (geometrically for ``scale: log``); integer grids deduplicate after
-    rounding and may shrink, but never below 2 values. Enum grids pick evenly
-    spaced positions in declaration order.
-    """
+
+def level_grid(spec: ParameterSpec, count: int) -> list[Any]:
+    """The sweep's ``count`` levels across a parameter's domain, by
+    `span_levels`: at least 2, and for an enum no more than it has."""
     if not 2 <= count <= 9:
         raise ParameterError(f"level count must be in [2, 9], got {count}")
     dom = spec.domain
-    if dom.kind in ("enum", "boolean"):
-        n = len(dom.ordered_values)
-        if count > n:
-            raise ParameterError(
-                f"level count {count} exceeds cardinality {n} of {spec.name!r}")
-        if count == n:
-            return list(dom.ordered_values)
-        idxs = sorted({round(k * (n - 1) / (count - 1)) for k in range(count)})
-        return [dom.ordered_values[i] for i in idxs]
-
-    lo, hi = float(dom.lo), float(dom.hi)
-    if spec.scale == "log":
-        ratio = hi / lo
-        raw = [lo * ratio ** (k / (count - 1)) for k in range(count)]
-    else:
-        raw = [lo + k * (hi - lo) / (count - 1) for k in range(count)]
-    raw[0], raw[-1] = lo, hi  # endpoints exactly, no float drift
-
-    if dom.kind == "integer":
-        ints: list[int] = []
-        for v in raw:
-            r = int(round(v))
-            if r not in ints:
-                ints.append(r)
-        return ints
-    return raw
+    if dom.kind in ("enum", "boolean") and count > len(dom.values):
+        raise ParameterError(
+            f"level count {count} exceeds cardinality {len(dom.values)} of {spec.name!r}")
+    return span_levels(spec, dom, count)
 
 
 def closest_index(spec: ParameterSpec, levels: list[Any], value: Any) -> int:
@@ -383,14 +385,6 @@ def closest_index(spec: ParameterSpec, levels: list[Any], value: Any) -> int:
         raise ParameterError(
             f"{spec.name}: value {value!r} is not comparable with levels {levels!r}") from None
     return dist.index(min(dist))
-
-
-def snap_to_domain(spec: ParameterSpec, value: float) -> Any:
-    """Clamp and round a raw numeric into a legal continuous or integer domain value."""
-    dom = spec.domain
-    if dom.kind == "integer":
-        return int(min(dom.hi, max(dom.lo, round(value))))
-    return float(min(dom.hi, max(dom.lo, value)))
 
 
 class _NotPlain(Exception):

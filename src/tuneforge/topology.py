@@ -3,9 +3,9 @@
 Confirmed interactions become edges of a weighted undirected graph over the
 top-k parameters; its connected components are the groups that must be tuned
 jointly. Each multi-parameter component gets a full-factorial grid search
-over its members' stage-B levels, with everything else pinned at defaults.
-Each grid point is looked up as its effective configuration and as its
-screened pair's stage-B cell, so a campaign store answers the points the
+over its members' safe-range grid levels, with everything else pinned at
+defaults. Each grid point is looked up as its effective configuration and as
+its screened pair's stage-B cell, so a campaign store answers the points the
 sweep and the screen already ran; the optima name the full grid points.
 """
 
@@ -17,10 +17,10 @@ from typing import Any, TypedDict
 
 from .errors import AnalysisError, ParameterError
 from .harness import OUTCOME_OK, Adapter, CampaignStore, Measurement, PlanEntry, run_plan
-from .interaction import InteractionReport, stage_b_levels
+from .interaction import GRID_LEVELS, InteractionReport
 from .jsonfile import JsonArtifact, Record, finite_floats
 from .sensitivity import SensitivityReport
-from .space import Configuration, ParameterSpace, WorkloadSpec
+from .space import Configuration, ParameterSpace, WorkloadSpec, span_levels
 
 COMPONENT_CAP = 5
 
@@ -166,7 +166,7 @@ def rejection_reason(component: list[str]) -> str | None:
 def plan_joint_search(component: list[str], report: SensitivityReport,
                       space: ParameterSpace, workloads: list[WorkloadSpec],
                       repetitions: int = 3) -> JointSearchPlan:
-    """Grid plan over a component, reusing the stage-B level choice.
+    """Grid plan over a component: each member's `GRID_LEVELS` safe-range levels.
 
     A component with a `rejection_reason` raises AnalysisError.
     """
@@ -178,7 +178,7 @@ def plan_joint_search(component: list[str], report: SensitivityReport,
     grid = {}
     for name in component:
         profile = report.profile(name)
-        grid[name] = stage_b_levels(space.get(name), profile.safe_range, factorial=False)
+        grid[name] = span_levels(space.get(name), profile.safe_range, GRID_LEVELS)
     return JointSearchPlan(component=sorted(component), grid=grid,
                            repetitions=repetitions, workloads=list(workloads))
 
@@ -279,8 +279,7 @@ def independent_baseline(adapter: Adapter, component: list[str],
     per_param_levels: dict[str, list[Any]] = {}
     for name in sorted(component):
         profile = report.profile(name)
-        per_param_levels[name] = stage_b_levels(space.get(name), profile.safe_range,
-                                                factorial=False)
+        per_param_levels[name] = span_levels(space.get(name), profile.safe_range, GRID_LEVELS)
         for v in per_param_levels[name]:
             for rep in range(repetitions):
                 plan.append((Configuration({name: v}), workload, rep))

@@ -24,7 +24,8 @@ from tuneforge.harness import CampaignStore, Measurement, MeasurementLog, run_pl
 from tuneforge.sensitivity import SafeRange, plan_sweep
 from tuneforge.simulator import (Coupling, CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel)
-from tuneforge.space import Configuration, WorkloadSpec, json_scalar, level_grid
+from tuneforge.space import (Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec,
+                             json_scalar, level_grid)
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +391,29 @@ class TestEnumParameters:
         assert session.status == "converged"
         assert session.final_config.assignments["mode"] == "b"
         assert session.final_config.assignments["gain"] == 1.0
+
+
+class TestGridEnds:
+    def test_a_safe_range_whose_ends_do_not_add_back_exactly_converges(self, tmp_path):
+        # sweep levels 3.4, 19.75, 36.1, 52.45, 68.8, each lo + k*(hi - lo)/4:
+        # 3.4 is degraded and 68.8 crashes, so the safe range spans two
+        # sweep levels, and its lo + (hi - lo) lies one ulp above its hi
+        space = ParameterSpace((ParameterSpec(name="p", domain=Domain("continuous", 3.4, 68.8),
+                                              default=36.1),))
+        adapter = SimulatorAdapter(space, SimulatorModel(
+            base_rate=100.0, responses={"p": Response(shape="linear-up", strength=4.0)},
+            crashes={"p": CrashRegion(60.0, 70.0)}))
+        campaign = Campaign(str(tmp_path), space, one_workload(), seed=7)
+        safe = campaign.profile(adapter, levels_per_param=5, repetitions=3).profile(
+            "p").safe_range
+        assert (safe.lo, safe.hi) == (19.749999999999996, 52.449999999999996)
+        campaign.screen(adapter)
+        campaign.joint(adapter, repetitions=3)
+        grid = campaign.compile().grids["p"]
+        assert grid[0] == safe.lo and grid[-1] == safe.hi
+        session = campaign.tune(adapter, budget=30)
+        assert session.status == "converged", session.diagnostic
+        assert session.final_config.assignments == {"p": safe.hi}
 
 
 class TestUnsafeToScreen:

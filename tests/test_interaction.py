@@ -12,8 +12,8 @@ from helpers import (INDEX_LEVELS, INDEX_PARAMS, anova_oracle, one_workload, ran
                      store_of, unit_space)
 from tuneforge.errors import AnalysisError, ParameterError
 from tuneforge.harness import run_plan
-from tuneforge.interaction import (AnovaDecomposition, FactorialTable, InteractionRecord,
-                                   InteractionReport, PairGrid, attach_stage_b,
+from tuneforge.interaction import (GRID_LEVELS, AnovaDecomposition, FactorialTable,
+                                   InteractionRecord, InteractionReport, PairGrid, attach_stage_b,
                                    eta_squared, finalize_records,
                                    partial_eta_squared, plan_pair_table, plan_pairs,
                                    stage_a_int_pct, stage_a_levels, stage_a_record,
@@ -21,7 +21,7 @@ from tuneforge.interaction import (AnovaDecomposition, FactorialTable, Interacti
                                    two_way_anova)
 from tuneforge.sensitivity import SafeRange
 from tuneforge.simulator import Coupling, Response, SimulatorAdapter, SimulatorModel
-from tuneforge.space import Configuration, Domain, ParameterSpec, level_grid
+from tuneforge.space import Configuration, Domain, ParameterSpec, level_grid, span_levels
 
 
 def table_2x2(means, reps=1):
@@ -260,18 +260,25 @@ class TestLogScaleLevels:
     def test_levels_are_spaced_geometrically_like_the_sweep(self):
         assert level_grid(self.SPEC, 5) == [16, 64, 256, 1024, 4096]
         assert stage_b_levels(self.SPEC, self.SAFE) == [16, 81, 406, 2048]
-        assert stage_b_levels(self.SPEC, self.SAFE, factorial=False) == [16, 81, 406, 2048]
+        assert span_levels(self.SPEC, self.SAFE, GRID_LEVELS) == [16, 81, 406, 2048]
         assert stage_b_levels(self.SPEC, self.SAFE, interior=True) == [29, 99, 332, 1117]
         assert stage_a_levels(self.SPEC, self.SAFE) == [16, 2048]
         assert stage_a_levels(self.SPEC, self.SAFE, interior=True) == [54, 609]
 
-    def test_continuous_levels_keep_the_ends_exact(self):
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    @pytest.mark.parametrize("domain, default, lo, hi", [
         # 0.764 * (13.89 / 0.764) is not 13.89 in floating point
-        spec = ParameterSpec(name="p", domain=Domain("continuous", 0.5, 20.0), default=1.0,
-                             scale="log")
-        levels = stage_b_levels(spec, SafeRange(lo=0.764, hi=13.89), factorial=False)
-        assert levels[0] == 0.764 and levels[-1] == 13.89
-        assert levels == pytest.approx([0.764 * (13.89 / 0.764) ** (k / 3) for k in range(4)])
+        ((0.5, 20.0), 1.0, 0.764, 13.89),
+        # a safe range of sweep levels: lo + (hi - lo) is 52.45, one ulp above hi
+        ((3.4, 68.8), 36.1, 19.749999999999996, 52.449999999999996),
+    ], ids=["0.764-13.89", "19.75-52.45"])
+    def test_continuous_levels_keep_the_ends_exact(self, scale, domain, default, lo, hi):
+        spec = ParameterSpec(name="p", domain=Domain("continuous", *domain), default=default,
+                             scale=scale)
+        levels = span_levels(spec, SafeRange(lo=lo, hi=hi), GRID_LEVELS)
+        assert levels[0] == lo and levels[-1] == hi
+        assert levels == pytest.approx([lo * (hi / lo) ** (k / 3) if scale == "log"
+                                        else lo + k * (hi - lo) / 3 for k in range(4)])
 
 
 class TestEtaSquared:

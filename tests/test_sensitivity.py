@@ -123,6 +123,34 @@ class TestDefaultLevel:
         assert sweep.excluded == [{}, {}, {}]  # the baseline's crash counts against no one
         assert baseline_means == {"w0": 102.0} and failed == 1
 
+    @pytest.mark.parametrize("domain, default, grid, index", [
+        (Domain("continuous", 0.0, 1.0), 0, [0.0, 0.25, 0.5, 0.75, 1.0], 0),
+        (Domain("continuous", 0.0, 1.0), 0.3, [0.0, 0.25, 0.5, 0.75, 1.0], None),
+        (Domain("enum", values=("a", "b", "c")), "b", ["a", "b", "c"], 1),
+        (Domain("enum", values=(0, False, "auto")), False, [0, False, "auto"], 1),
+        (Domain("enum", values=(1, True)), True, [1, True], 1),
+    ], ids=["int-default-on-a-real-level", "off-grid", "enum", "0-is-not-False",
+            "1-is-not-True"])
+    def test_sweep_levels_finds_the_default_level(self, domain, default, grid, index):
+        # an enum level is the default only when it has the default's type,
+        # as Domain.contains matches values; a numeric one by value alone
+        levels, default_idx = sweep_levels(
+            ParameterSpec(name="m", domain=domain, default=default), 5)
+        assert [(type(v), v) for v in levels] == [(type(v), v) for v in grid]
+        assert default_idx == index
+
+    def test_a_mixed_type_enum_sweeps_each_level_but_its_default(self):
+        space = ParameterSpace((ParameterSpec(
+            name="m", domain=Domain("enum", values=(0, False, "auto")), default=False),))
+        plan = plan_sweep(space, one_workload(), levels_per_param=3, repetitions=1)
+        assert [c.canonical() for c, _, _ in plan] == ['{}', '{"m": 0}', '{"m": "auto"}']
+        model = SimulatorModel(base_rate=100.0,
+                               responses={"m": Response(shape="linear-up", strength=1.0)})
+        log = run_plan(SimulatorAdapter(space, model), plan, seed=0)
+        sweeps, _, _ = build_sweep_results(log, space, one_workload(), 3, 1)
+        # level 0's cell is its own run, level False's the baseline
+        assert sweeps[("m", "w0")].values == [[100.0], [150.0], [200.0]]
+
     def test_baseline_failure_excludes_no_parameter(self):
         space = unit_space(["p", "q"])  # grids [0, 0.5, 1], defaults 0.0
         log = MeasurementLog(seed=0, space_hash="x")

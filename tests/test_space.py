@@ -18,7 +18,7 @@ from tuneforge.harness import mix_seed
 from tuneforge.simulator import Coupling, CrashRegion, Response, SimulatorModel
 from tuneforge.space import (YAML_DUMPER, YAML_LOADER, Configuration, Domain, ParameterSpace,
                              ParameterSpec, WorkloadSpec, closest_index, dump_space, dump_yaml,
-                             level_grid, load_space, load_workloads, load_yaml, snap_to_domain,
+                             level_grid, load_space, load_workloads, load_yaml,
                              validate_configuration)
 
 
@@ -93,11 +93,6 @@ class TestDomains:
         assert domain.values == ("a", "b")
         space = ParameterSpace([ParameterSpec(name="m", domain=domain, default="a")])
         assert type(space.parameters) is tuple and space.get("m").domain is domain
-
-    @pytest.mark.parametrize("raw, snapped", [(4.4, 4), (4.6, 5), (-3.0, 1), (99.0, 10)])
-    def test_snap_rounds_and_clamps_into_an_integer_domain(self, raw, snapped):
-        value = snap_to_domain(spec_int(lo=1, hi=10), raw)
-        assert value == snapped and type(value) is int
 
 
 class TestValidateConfiguration:
