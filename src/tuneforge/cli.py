@@ -176,9 +176,8 @@ def run_command(args: argparse.Namespace) -> int:
     try:
         export.save(out)
     except OSError as e:
-        if args.out is None:
-            raise
-        raise ParameterError(f"--out {out}: cannot write the file: {e.strerror}") from None
+        named = f"--out {out}" if args.out else out
+        raise ParameterError(f"{named}: cannot write the file: {e.strerror}") from None
     print(f"wrote {out} ({len(export.top_k)} parameters, "
           f"{len(export.interactions)} interaction annotations)")
     return EXIT_OK

@@ -12,12 +12,13 @@ across a safe range, with both ends exact.
 
 Every YAML file the package reads or writes (declarations and simulator
 models) goes through one reader, :func:`load_yaml`, and one writer,
-:func:`dump_yaml`. The writer builds a plain document's text itself and hands
-any other to PyYAML; the reader has PyYAML compose the nodes and builds plain
-ones itself, leaving any other document to PyYAML's constructor. PyYAML's
-libyaml classes are used when PyYAML was built with them and its pure-Python
-safe classes otherwise; either way a document gives the text, and a file the
-objects or the error, that those classes give.
+:func:`dump_yaml`. For every document, on every host, the writer's text is
+that of ``yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)``: it builds
+a plain document's text itself and hands any other to that call. The reader
+has PyYAML compose the nodes, with libyaml's parser where PyYAML has it, and
+builds plain ones itself, leaving any other document to PyYAML's constructor:
+a file gives the objects and the error classes of PyYAML's safe classes, and
+an error's message is that of the parser that read it.
 """
 
 from __future__ import annotations
@@ -40,14 +41,10 @@ from .jsonfile import Record, load_fields, thaw
 SCHEMA_VERSION = 1
 _PINNED = {"schema_version": SCHEMA_VERSION}
 
-# The parser and emitter of every YAML read and write, and the classes of the
-# documents the one-pass writer and the plain reader leave to PyYAML:
-# libyaml's where PyYAML has it. The pure-Python ones take most of a
-# command's set-up time on a large declaration.
-if yaml.__with_libyaml__:
-    YAML_LOADER, YAML_DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
-else:
-    YAML_LOADER, YAML_DUMPER = yaml.SafeLoader, yaml.SafeDumper
+# The parser of every YAML read, and the class of the documents the plain
+# reader leaves to PyYAML: libyaml's where PyYAML has it, which gives the
+# pure-Python class's objects and takes a fraction of its parse time.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 DomainKind = str  # "continuous" | "integer" | "enum" | "boolean"
 
@@ -401,9 +398,9 @@ _CONSTRUCTED = frozenset(f"tag:yaml.org,2002:{kind}"
 # break or non-ASCII character, so the emitter writes each plain unless the
 # resolver reads it as another type.
 _WORD = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./-]*").fullmatch
-_RESOLVERS = YAML_DUMPER.yaml_implicit_resolvers
-# The longest key PyYAML's pure-Python emitter writes as a simple key (it
-# counts the implicit ``!!str`` tag); libyaml's allows 128 characters.
+_RESOLVERS = yaml.SafeDumper.yaml_implicit_resolvers
+# The longest key SafeDumper writes as a simple key (it counts the implicit
+# ``!!str`` tag).
 _SIMPLE_KEY = 122
 
 
@@ -485,10 +482,11 @@ def _block(obj: Any, first: str, following: str, append: Callable[[str], None],
 
 
 def dump_yaml(doc: Any) -> str:
-    """The YAML text of ``doc``, keys in insertion order: the text of
-    ``yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)``. A document of
-    dicts, lists, short word-like strings, ints, floats, bools and None is
-    written here in one pass; any other goes to that call."""
+    """The YAML text of ``doc``, keys in insertion order: for every document,
+    on every host, the text of ``yaml.dump(doc, Dumper=yaml.SafeDumper,
+    sort_keys=False)``. A document of dicts, lists, short word-like strings,
+    ints, floats, bools and None is written here in one pass; any other goes
+    to that call."""
     chunks: list[str] = []
     try:
         if type(doc) not in (dict, list):
@@ -498,7 +496,7 @@ def dump_yaml(doc: Any) -> str:
         else:
             chunks.append("{}" if type(doc) is dict else "[]")
     except (_NotPlain, RecursionError):
-        return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
+        return yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
     chunks.append("\n")
     return "".join(chunks)
 

@@ -490,14 +490,19 @@ class TestFullPipeline:
                        f"No such file or directory\n")
         assert not os.path.exists(os.path.dirname(out))
 
-    def test_export_into_the_campaign_directory_raises_its_os_error(self, decls):
-        # the campaign directory is the program's own, not an argument
+    def test_export_into_the_campaign_directory_is_usage_error(self, decls, capsys):
+        # Once raised IsADirectoryError out of the CLI: the default path is
+        # reported as an unwritable --out is, naming the file.
         campaign = str(decls["dir"] / "export_blocked")
         for cmd in ("profile", "screen", "joint", "compile"):
             assert run_cli(decls, campaign, cmd) == 0
-        os.mkdir(os.path.join(campaign, "export_optimizer-json.json"))
-        with pytest.raises(IsADirectoryError):
-            run_cli(decls, campaign, "export")
+        path = os.path.join(campaign, "export_optimizer-json.json")
+        os.mkdir(path)
+        capsys.readouterr()
+        assert run_cli(decls, campaign, "export") == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: {path}: cannot write the file: Is a directory\n"
+        assert not [f for f in os.listdir(campaign) if f.endswith(".tmp")]
 
     def test_compile_print_renders_the_document(self, decls, capsys):
         campaign = str(decls["dir"] / "print")

@@ -9,6 +9,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import yaml
 
 from helpers import (SMALL_NAMES, load_perfbench_workloads, one_workload, reference_true_metric,
                      shifted_small_model, small_model, unit_space)
@@ -103,6 +104,18 @@ class TestModel:
         path = tmp_path / "model.yaml"
         model.save(str(path))
         assert SimulatorModel.load(str(path)).to_json() == model.to_json()
+
+    def test_a_long_parameter_name_is_saved_as_safedumpers_complex_key(self, tmp_path):
+        # SafeDumper writes a key of more than 122 characters as a complex
+        # key; libyaml's emitter writes one of up to 128 as a simple key
+        name = "p" * 125
+        model = SimulatorModel(base_rate=1.0, responses={name: Response("linear-up", 0.5)})
+        path = tmp_path / "model.yaml"
+        model.save(str(path))
+        text = path.read_text(encoding="utf-8")
+        assert text == yaml.dump(model.to_json(), Dumper=yaml.SafeDumper, sort_keys=False)
+        assert f"\n  ? {name}\n  : shape: linear-up\n" in text
+        assert SimulatorModel.load(str(path)) == model
 
     def test_a_configuration_in_two_crash_regions_crashes_alike_after_a_round_trip(
             self, tmp_path):
