@@ -15,15 +15,16 @@ models) goes through one reader, :func:`load_yaml`, and one writer,
 :func:`dump_yaml`. For every document, on every host, the writer's text is
 that of ``yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)``: it builds
 a plain document's text itself and hands any other to that call. The reader
-has PyYAML compose the nodes, with libyaml's parser where PyYAML has it, and
-builds plain ones itself, leaving any other document to PyYAML's constructor:
-a file gives the objects and the error classes of PyYAML's safe classes, and
-an error's message is that of the parser that read it.
+mirrors it: a text the writer builds itself is read here in one pass, and
+any other is handed to ``yaml.load`` with libyaml's parser where PyYAML has
+it. A file gives the objects and the error classes of PyYAML's safe classes,
+and an error's message is that of the parser that read it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -41,9 +42,9 @@ from .jsonfile import Record, load_fields, thaw
 SCHEMA_VERSION = 1
 _PINNED = {"schema_version": SCHEMA_VERSION}
 
-# The parser of every YAML read, and the class of the documents the plain
-# reader leaves to PyYAML: libyaml's where PyYAML has it, which gives the
-# pure-Python class's objects and takes a fraction of its parse time.
+# The loader of every text the one-pass reader leaves to PyYAML: libyaml's
+# where PyYAML has it, which gives the pure-Python class's objects and takes a
+# fraction of its parse time.
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 DomainKind = str  # "continuous" | "integer" | "enum" | "boolean"
@@ -385,15 +386,10 @@ def closest_index(spec: ParameterSpec, levels: list[Any], value: Any) -> int:
 
 
 class _NotPlain(Exception):
-    """A document the one-pass writer, or a node the plain reader, leaves to
-    PyYAML's own classes."""
+    """A document the one-pass writer, or a text the one-pass reader, leaves
+    to PyYAML."""
 
 
-_STR, _MAP, _SEQ = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "map", "seq"))
-# The scalar tags the reader constructs through the loader; any other tag
-# (a merge key, ``=``, ``!!binary``, an application tag) goes to PyYAML.
-_CONSTRUCTED = frozenset(f"tag:yaml.org,2002:{kind}"
-                         for kind in ("null", "bool", "int", "float", "timestamp"))
 # The strings the writer writes itself: no indicator, space, quote, line
 # break or non-ASCII character, so the emitter writes each plain unless the
 # resolver reads it as another type.
@@ -402,6 +398,23 @@ _RESOLVERS = yaml.SafeDumper.yaml_implicit_resolvers
 # The longest key SafeDumper writes as a simple key (it counts the implicit
 # ``!!str`` tag).
 _SIMPLE_KEY = 122
+# The writer's text of an int; a float's text with digits around its dot
+# (the writer's is ``repr``, with ``.0`` before an exponent that follows no
+# dot), each of which PyYAML reads as ``float`` does; and the objects PyYAML
+# gives for the words the writer writes for the empty string and the other
+# scalars.
+_INT = re.compile(r"0|-?[1-9][0-9]*").fullmatch
+_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?").fullmatch
+_SPELLED = {"''": "", "true": True, "false": False, "null": None,
+            ".nan": yaml.constructor.SafeConstructor.nan_value,
+            ".inf": yaml.constructor.SafeConstructor.inf_value,
+            "-.inf": -yaml.constructor.SafeConstructor.inf_value}
+
+
+def _resolved(word: str) -> bool:
+    """Whether PyYAML's resolver reads the plain ``word`` as another type
+    than a string."""
+    return any(regexp.match(word) for _, regexp in _RESOLVERS.get(word[0], ()))
 
 
 def _str_text(value: str) -> str:
@@ -412,10 +425,7 @@ def _str_text(value: str) -> str:
         if value:
             raise _NotPlain
         return "''"
-    for _, regexp in _RESOLVERS.get(value[0], ()):
-        if regexp.match(value):
-            return f"'{value}'"
-    return value
+    return f"'{value}'" if _resolved(value) else value
 
 
 def _key_text(key: Any) -> str:
@@ -501,57 +511,116 @@ def dump_yaml(doc: Any) -> str:
     return "".join(chunks)
 
 
-def _build(node: yaml.Node, loader: Any, seen: set[yaml.Node]) -> Any:
-    """The plain value of ``node``: a dict for a mapping whose keys are all
-    strings, a list for a sequence, a string scalar's text, and any other
-    standard scalar through ``loader.construct_object``; raise _NotPlain for
-    anything else, such as a node reached twice (an alias)."""
-    kind, tag = type(node), node.tag
-    if kind is yaml.ScalarNode:
-        if tag == _STR:
-            return node.value
-        if tag in _CONSTRUCTED:
-            return loader.construct_object(node)
-        raise _NotPlain
-    if node in seen:
-        raise _NotPlain
-    seen.add(node)
-    if kind is yaml.MappingNode and tag == _MAP:
-        d = {}
-        for key, value in node.value:
-            if type(key) is not yaml.ScalarNode or key.tag != _STR:
-                raise _NotPlain
-            d[key.value] = _build(value, loader, seen)
-        return d
-    if kind is yaml.SequenceNode and tag == _SEQ:
-        return [_build(item, loader, seen) for item in node.value]
+def _scalar(text: str) -> Any:
+    """The value of the scalar ``text`` in the writer's spelling: an int's
+    text, a float's text that `_FLOAT` matches, a word of `_SPELLED`, a word
+    the resolver reads as a string, or such a word quoted; _NotPlain for any
+    other text."""
+    if text in _SPELLED:
+        return _SPELLED[text]
+    if _INT(text):
+        return int(text)
+    if _FLOAT(text):  # -0.0 and an overflow to inf included
+        return float(text)
+    if text[:1] == "'" == text[-1:] and _WORD(text[1:-1]):
+        return text[1:-1]
+    if _WORD(text) and not _resolved(text):
+        return text
     raise _NotPlain
+
+
+def _value(text: str, scalars: dict[str, Any]) -> Any:
+    """The value of the text after a ``- `` or a key's ``: ``: a new empty
+    container for ``{}`` and ``[]``, else `_scalar`'s, read once per text
+    into ``scalars``."""
+    if text == "{}" or text == "[]":
+        return {} if text == "{}" else []
+    if text not in scalars:
+        scalars[text] = _scalar(text)
+    return scalars[text]
+
+
+def _read_plain(data: bytes) -> Any:
+    """The document in ``data`` when it has the form of a text ``dump_yaml``
+    writes in one pass, read one line at a time: ASCII, ending in a line break, a
+    mapping's entries at one column and its nested mapping two further, a
+    list at its key's column, a list's mapping starting on its ``- `` line,
+    each scalar as `_scalar` reads it. Raise _NotPlain for any other text."""
+    if not data.isascii():
+        raise _NotPlain
+    lines = data.decode("ascii").split("\n")
+    if lines.pop() or not lines:
+        raise _NotPlain
+    if lines == ["{}"] or lines == ["[]"]:
+        return _value(lines[0], {})
+    scalars: dict[str, Any] = {}
+    root: Any = [] if lines[0][:2] == "- " else {}
+    # (column, container) of each open container, innermost last, above a
+    # floor no line reaches
+    frames = [(-1, None), (0, root)]
+    waiting = None  # (mapping, key, the key's column) of a key whose value starts on the next line
+    for line in lines:
+        body = line.lstrip(" ")
+        column = len(line) - len(body)
+        item = body[:2] == "- "
+        if waiting is not None:
+            mapping, key, key_column = waiting
+            if column != (key_column if item else key_column + 2):
+                raise _NotPlain
+            mapping[key] = [] if item else {}
+            frames.append((column, mapping[key]))
+            waiting = None
+        top_column, top = frames[-1]
+        while top_column > column or (top_column == column and not item and type(top) is list):
+            frames.pop()
+            top_column, top = frames[-1]
+        if top_column != column or (type(top) is list) != item:
+            raise _NotPlain
+        if item:
+            body = body[2:]
+            if ":" not in body:
+                top.append(_value(body, scalars))
+                continue
+            top.append({})
+            top, column = top[-1], column + 2
+            frames.append((column, top))
+        text, colon, rest = body.partition(":")
+        key = _value(text, scalars)
+        if type(key) is not str or not 0 < len(key) <= _SIMPLE_KEY:
+            raise _NotPlain
+        if rest[:1] == " ":
+            top[key] = _value(rest[1:], scalars)
+        elif colon and not rest:
+            waiting = top, key, column
+        else:
+            raise _NotPlain
+    if waiting is not None:
+        raise _NotPlain
+    return root
 
 
 def _read_yaml(fh: Any) -> Any:
     """The document in the binary stream ``fh``, as ``yaml.load(fh,
-    Loader=YAML_LOADER)`` gives it: composed by the loader, then built here
-    when it is plain, else by the loader's ``construct_document``, so the
-    objects and every error are PyYAML's."""
-    loader = YAML_LOADER(fh)
+    Loader=YAML_LOADER)`` gives it: read here in one pass when it is a text
+    ``dump_yaml`` writes in one pass, else by PyYAML from the bytes read,
+    under the stream's name, so the objects and every error are PyYAML's
+    and an error names the file. (A pipe cannot be rewound.)"""
+    data = fh.read()
     try:
-        node = loader.get_single_node()
-        if node is None:
-            return None
-        try:
-            return _build(node, loader, set())
-        except Exception:  # _NotPlain, a RecursionError, or a scalar PyYAML refuses
-            loader.constructed_objects, loader.recursive_objects = {}, {}
-            return loader.construct_document(node)
-    finally:
-        loader.dispose()
+        return _read_plain(data)
+    except (_NotPlain, ValueError):  # ValueError: an int too long for int()
+        stream = io.BytesIO(data)
+        stream.name = fh.name
+        return yaml.load(stream, Loader=YAML_LOADER)
 
 
 def load_yaml(path: str, build: Callable[[Any], Any]) -> Any:
-    """``build`` applied to the YAML document in the file at ``path``. A file
-    that cannot be read or is not YAML, a document that nests too deep, and
-    the ParameterError of a document ``build`` refuses raise ParameterError
-    naming the file."""
+    """``build`` applied to the YAML document in the file at ``path``, which
+    is ``yaml.load(fh, Loader=YAML_LOADER)``'s: a text ``dump_yaml`` writes
+    in one pass is read in one pass, without PyYAML, and any other by that
+    call. A file that cannot be read or is not YAML, a document that nests
+    too deep, and the ParameterError of a document ``build`` refuses raise
+    ParameterError naming the file."""
     try:
         try:
             with open(path, "rb") as fh:  # bytes: a bad encoding is a YAMLError

@@ -120,19 +120,14 @@ class TestStageGating:
             with open(decls["space"]) as src, open(workloads, "w") as dst:
                 dst.write(src.read())
         calls = []
+        read = space_mod._read_yaml
 
-        class Counting(space_mod.YAML_LOADER):
-            """The chosen loader, recording the file of each parse."""
+        def counting(fh):
+            """The one reader of every YAML file, recording each file it reads."""
+            calls.append(fh.name)
+            return read(fh)
 
-            def __init__(self, stream):
-                self.path = stream.name
-                super().__init__(stream)
-
-            def get_single_node(self):
-                calls.append(self.path)
-                return super().get_single_node()
-
-        monkeypatch.setattr(space_mod, "YAML_LOADER", Counting)
+        monkeypatch.setattr(space_mod, "_read_yaml", counting)
         assert main(["status", "--space", decls["space"], "--workloads", workloads,
                      "--campaign", str(decls["dir"] / "c7")]) == 0
         assert len(calls) == parses

@@ -5,6 +5,7 @@ import glob
 import json
 import math
 import os
+import threading
 
 import pytest
 import yaml
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (SMALL_NAMES, load_perfbench_workloads, one_workload, shifted_small_model,
                      small_model, unit_space)
+from tuneforge import space as space_mod
 from tuneforge.errors import ParameterError
 from tuneforge.harness import mix_seed
 from tuneforge.simulator import Coupling, CrashRegion, Response, SimulatorModel
@@ -414,6 +416,26 @@ HAND_WRITTEN_YAML = {
     "unknown-tag": "a: !thing 1\n",
     "empty": "",
     "top-level-scalar": "3\n",
+    # near misses of the writer's own text, which the one-pass reader leaves
+    # to PyYAML
+    "octal": "a: 010\n",
+    "underscored-int": "a: 1_000\n",
+    "yes": "a: yes\n",
+    "tilde": "a: ~\n",
+    "capital-null": "a: Null\n",
+    "sexagesimal": "a: 1:20\n",
+    "capital-nan": "a: .NaN\n",
+    "long-key": "k" * 123 + ": 1\n",
+    "trailing-comment": "a: 1 # one\n",
+    "multi-line-plain": "a: b\n  c\n",
+    "key-then-sibling": "a:\nb: 1\n",
+    "key-at-the-end": "a: 1\nb:\n",
+    "empty-item": "a:\n- \n- 1\n",
+    "list-under-its-key": "a:\n  - 1\n  - 2\n",
+    "document-markers": "---\na: 1\n...\n",
+    "crlf": "a: 1\r\nb: 2\r\n",
+    "trailing-space": "a: 1 \nb: 2\n",
+    "int-past-the-digit-limit": "a: " + "1" * 5000 + "\n",
 }
 
 
@@ -427,8 +449,9 @@ def _outcome(read):
 
 class TestYamlExactness:
     """``dump_yaml`` against PyYAML's pure-Python SafeDumper, on every host;
-    ``load_yaml`` against the chosen loader, which it replaces, and the
-    pure-Python one, the reference."""
+    ``load_yaml`` against the chosen loader, which reads every text the
+    writer does not write in one pass, and the pure-Python one, the
+    reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(doc=yaml_documents, shared=st.booleans())
@@ -445,14 +468,23 @@ class TestYamlExactness:
             sub = [1, "x"]
             doc = {"a": sub, "b": [sub, []], "c": doc}
         text = yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
-        assert dump_yaml(doc) == text
+        dumped, loaders, dump = [], [], yaml.dump
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(space_mod.yaml, "dump", lambda *a, **k: dumped.append(1) or dump(*a, **k))
+            assert dump_yaml(doc) == text
         path = tmp_path_factory.mktemp("doc") / "doc.yaml"
         path.write_text(text, encoding="utf-8")
-        assert repr(load_yaml(str(path), lambda d: d)) == repr(
-            yaml.load(text, Loader=yaml.SafeLoader))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(space_mod, "YAML_LOADER",
+                          lambda stream: loaders.append(1) or YAML_LOADER(stream))
+            got = load_yaml(str(path), lambda d: d)
+        # the reader mirrors the writer: a text written in one pass is read
+        # in one pass, and any other by PyYAML
+        assert loaders == dumped
+        assert repr(got) == repr(yaml.load(text, Loader=yaml.SafeLoader))
 
     @pytest.mark.parametrize("name", HAND_WRITTEN_YAML)
-    def test_hand_written_files(self, tmp_path, name):
+    def test_hand_written_files(self, tmp_path, monkeypatch, name):
         path = tmp_path / "file.yaml"
         path.write_bytes(HAND_WRITTEN_YAML[name].encode("utf-8"))
 
@@ -465,11 +497,41 @@ class TestYamlExactness:
                 except yaml.YAMLError as e:
                     raise ParameterError(f"{path}: not a YAML file: {e}") from None
 
+        loaders = []
+        monkeypatch.setattr(space_mod, "YAML_LOADER",
+                            lambda stream: loaders.append(1) or YAML_LOADER(stream))
         got = _outcome(lambda: load_yaml(str(path), lambda d: d))
+        assert loaders == [1]  # none of these texts is the writer's: PyYAML reads each
         assert got == _outcome(lambda: reference(YAML_LOADER))
         pure = _outcome(lambda: reference(yaml.SafeLoader))
         # the parsers' error texts differ; their values and error classes not
         assert got[0] == pure[0] and (got[0] != "value" or got == pure)
+
+    @pytest.mark.parametrize("text", ["1.50", "01.5", "-0.0", "0.10e+2", "1.0e+999",
+                                      "-1.0e+999", "1.0e-999", "9" * 400 + ".0"])
+    def test_a_float_in_another_spelling_is_read_in_one_pass_as_pyyaml_reads_it(
+            self, tmp_path, monkeypatch, text):
+        path = tmp_path / "file.yaml"
+        path.write_text(f"a: {text}\n", encoding="utf-8")
+        monkeypatch.setattr(space_mod, "YAML_LOADER", None)  # not called
+        got = load_yaml(str(path), lambda d: d)
+        assert repr(got) == repr(yaml.load(f"a: {text}\n", Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("name", ["trailing-comment", "two-documents"])
+    def test_a_named_pipe_reads_as_a_file_does(self, tmp_path, name):
+        # PyYAML reads a text the one-pass reader refuses from the bytes
+        # already read: a pipe cannot be rewound
+        text = HAND_WRITTEN_YAML[name]
+        path, pipe = tmp_path / "file.yaml", tmp_path / "pipe.yaml"
+        path.write_text(text, encoding="utf-8")
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        got = _outcome(lambda: load_yaml(str(pipe), lambda d: d))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        expected = _outcome(lambda: load_yaml(str(path), lambda d: d))
+        assert got == tuple(part.replace(str(path), str(pipe)) for part in expected)
 
     def test_an_alias_gives_the_same_object(self, tmp_path):
         path = tmp_path / "alias.yaml"
@@ -494,14 +556,13 @@ class TestYamlExactness:
 
     def test_benchmark_files_are_written_and_read_without_pyyamls_own_layers(
             self, tmp_path, monkeypatch):
-        # the declarations and models perfbench writes are plain documents
-        from tuneforge import space as space_mod
-
+        # the declarations and models perfbench writes are plain documents,
+        # written and read in one pass
         def refuse(*args, **kwargs):
-            raise AssertionError("PyYAML's representer or constructor was used")
+            raise AssertionError("PyYAML's emitter or loader was used")
 
         monkeypatch.setattr(space_mod.yaml, "dump", refuse)
-        monkeypatch.setattr(YAML_LOADER, "construct_document", refuse)
+        monkeypatch.setattr(space_mod, "YAML_LOADER", refuse)
         path = str(tmp_path / "file.yaml")
         for build in load_perfbench_workloads().BUILDERS.values():
             w = build()
