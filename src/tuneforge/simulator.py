@@ -9,11 +9,13 @@ position, each g_ij is a bilinear coupling reaching ``1 + strength`` at the
 high-high corner, and noise is multiplicative lognormal. Because every term
 has a closed form, analyses downstream (CV, Int%, eta squared, grid optima)
 can be checked against hand-evaluated values. The model file is the schema
-each record class declares (``jsonfile.Record``), read with no value
-converted and written by ``Record.to_json``: the model declares its fields in
-file order and sorts its maps when it is built, so a model and its saved file
-check crash regions in one order. A response writes the keys of its shape
-(``_SHAPE_KEYS``), the one table its shapes and its strength check read.
+each record class declares (``jsonfile.Record``), read by ``space.load_yaml``
+with no value converted and saved as the canonical JSON of
+``Record.to_json``: the model sorts its maps when it is built, so a model and
+its saved file check crash regions in one order. A response writes the keys
+of its shape (``_SHAPE_KEYS``), the one table its shapes and its strength
+check read. Every number of a model is finite but a crash region's bound,
+which may be infinite to leave that side of the region open.
 """
 
 from __future__ import annotations
@@ -24,14 +26,22 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from .errors import CrashError, ParameterError
-from .jsonfile import Record, write_text
-from .space import Configuration, ParameterSpace, WorkloadSpec, dump_yaml, load_yaml
+from .jsonfile import Record, canonical_json, write_text
+from .space import Configuration, ParameterSpace, WorkloadSpec, finite, load_yaml
 
 # The keys a response of each shape writes.
 _SHAPE_KEYS = {"linear-up": ("shape", "strength"), "linear-down": ("shape", "strength"),
                "quadratic-peak": ("shape", "strength", "peak"),
                "step": ("shape", "threshold", "low_mult", "high_mult"), "flat": ("shape",)}
 SHAPES = tuple(_SHAPE_KEYS)
+
+
+def _check_finite(**numbers: float) -> None:
+    """ParameterError naming the first of ``numbers`` that is not finite: a
+    NaN passes every ``<=`` check, and would make every run's metric NaN."""
+    for name, value in numbers.items():
+        if not finite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,8 @@ class Response(Record, defaulted=("strength", "peak", "threshold", "low_mult", "
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ParameterError(f"unknown response shape {self.shape!r}")
+        _check_finite(strength=self.strength, peak=self.peak, threshold=self.threshold,
+                      low_mult=self.low_mult, high_mult=self.high_mult)
         if self.shape == "step" and (self.low_mult <= 0 or self.high_mult <= 0):
             raise ParameterError("step multipliers must be positive")
         if "strength" in _SHAPE_KEYS[self.shape] and self.strength <= -1:
@@ -89,6 +101,7 @@ class Coupling(Record):
     strength: float
 
     def __post_init__(self):
+        _check_finite(strength=self.strength)
         if self.strength <= -1:
             raise ParameterError("coupling strength must be > -1 to keep multipliers positive")
 
@@ -102,6 +115,10 @@ class CrashRegion(Record):
 
     lo: float
     hi: float
+
+    def __post_init__(self):
+        if self.lo != self.lo or self.hi != self.hi:
+            raise ParameterError(f"crash region bounds must not be NaN, got ({self.lo}, {self.hi})")
 
     def contains(self, value: Any) -> bool:
         try:
@@ -199,6 +216,7 @@ class SimulatorModel(Record, name="model", error=ParameterError, pinned={"schema
     overrides: Mapping[str, Mapping[str, Response]] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_finite(base_rate=self.base_rate, sigma=self.sigma)
         if self.base_rate <= 0:
             raise ParameterError("base_rate must be positive")
         if self.sigma < 0:
@@ -290,11 +308,12 @@ class SimulatorModel(Record, name="model", error=ParameterError, pinned={"schema
         return math.prod(factors, start=self.base_rate)
 
     def save(self, path: str) -> None:
-        write_text(path, dump_yaml(self.to_json()))
+        write_text(path, canonical_json(self.to_json()))
 
     @classmethod
     def load(cls, path: str) -> "SimulatorModel":
-        """The model in the YAML file at ``path``, or ParameterError naming it."""
+        """The model in the JSON or YAML file at ``path``, or ParameterError
+        naming it."""
         return load_yaml(path, cls.from_json)
 
 

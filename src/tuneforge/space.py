@@ -10,15 +10,14 @@ from one table (``_DOMAIN_KEYS``). One function, :func:`span_levels`, spaces
 the levels of every grid, the sweep's across a domain and every later one
 across a safe range, with both ends exact.
 
-Every YAML file the package reads or writes (declarations and simulator
-models) goes through one reader, :func:`load_yaml`, and one writer,
-:func:`dump_yaml`. For every document, on every host, the writer's text is
-that of ``yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)``: it builds
-a plain document's text itself and hands any other to that call. The reader
-mirrors it: a text the writer builds itself is read here in one pass, and
-any other is handed to ``yaml.load`` with libyaml's parser where PyYAML has
-it. A file gives the objects and the error classes of PyYAML's safe classes,
-and an error's message is that of the parser that read it.
+Every declaration and simulator model file goes through one reader,
+:func:`load_yaml`. The package writes its own files as canonical JSON
+(``jsonfile.canonical_json``, the writer of every other artifact), which is
+also YAML. The reader hands a file's bytes to ``json.loads`` first and, when
+they are not JSON, as a hand-written YAML file is not, to ``yaml.load`` with
+libyaml's parser where PyYAML has it. A YAML file gives the objects and the
+error classes of PyYAML's safe classes, and an error's message is that of the
+parser that read it.
 """
 
 from __future__ import annotations
@@ -28,26 +27,33 @@ import io
 import json
 import math
 import os
-import re
 from dataclasses import dataclass, field
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape_json
 from typing import Any, Callable, Iterator, TypedDict
 
 import yaml
 
 from .errors import ParameterError
-from .jsonfile import Record, load_fields, thaw
+from .jsonfile import Record, canonical_json, load_fields, thaw
 
 SCHEMA_VERSION = 1
 _PINNED = {"schema_version": SCHEMA_VERSION}
 
-# The loader of every text the one-pass reader leaves to PyYAML: libyaml's
-# where PyYAML has it, which gives the pure-Python class's objects and takes a
-# fraction of its parse time.
+# The loader of every file that is not JSON: libyaml's where PyYAML has it,
+# which gives the pure-Python class's objects and takes a fraction of its
+# parse time.
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 DomainKind = str  # "continuous" | "integer" | "enum" | "boolean"
+
+
+def finite(value: float) -> bool:
+    """Whether the number ``value`` is a finite float: not NaN, not infinite
+    and not an int past float's range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,9 @@ class Domain(Record, defaulted=("lo", "hi", "values")):
             if self.kind == "integer" and not type(self.lo) is type(self.hi) is int:
                 raise ParameterError(f"integer domain requires int bounds, got lo {self.lo!r}, "
                                      f"hi {self.hi!r}")
+            if self.kind == "continuous" and not (finite(self.lo) and finite(self.hi)):
+                raise ParameterError(f"continuous domain requires finite bounds, got "
+                                     f"({self.lo}, {self.hi})")
         elif self.kind == "enum":
             if isinstance(self.values, list):
                 object.__setattr__(self, "values", tuple(self.values))
@@ -79,6 +88,8 @@ class Domain(Record, defaulted=("lo", "hi", "values")):
                 raise ParameterError("enum domain requires a non-empty value list")
             if len(set(map(repr, self.values))) != len(self.values):
                 raise ParameterError("enum domain values must be unique")
+            if any(v != v for v in self.values):
+                raise ParameterError("enum domain values must not be NaN")
         elif self.kind == "boolean":
             object.__setattr__(self, "values", (False, True))
         else:
@@ -385,242 +396,30 @@ def closest_index(spec: ParameterSpec, levels: list[Any], value: Any) -> int:
     return dist.index(min(dist))
 
 
-class _NotPlain(Exception):
-    """A document the one-pass writer, or a text the one-pass reader, leaves
-    to PyYAML."""
-
-
-# The strings the writer writes itself: no indicator, space, quote, line
-# break or non-ASCII character, so the emitter writes each plain unless the
-# resolver reads it as another type.
-_WORD = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./-]*").fullmatch
-_RESOLVERS = yaml.SafeDumper.yaml_implicit_resolvers
-# The longest key SafeDumper writes as a simple key (it counts the implicit
-# ``!!str`` tag).
-_SIMPLE_KEY = 122
-# The writer's text of an int; a float's text with digits around its dot
-# (the writer's is ``repr``, with ``.0`` before an exponent that follows no
-# dot), each of which PyYAML reads as ``float`` does; and the objects PyYAML
-# gives for the words the writer writes for the empty string and the other
-# scalars.
-_INT = re.compile(r"0|-?[1-9][0-9]*").fullmatch
-_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?").fullmatch
-_SPELLED = {"''": "", "true": True, "false": False, "null": None,
-            ".nan": yaml.constructor.SafeConstructor.nan_value,
-            ".inf": yaml.constructor.SafeConstructor.inf_value,
-            "-.inf": -yaml.constructor.SafeConstructor.inf_value}
-
-
-def _resolved(word: str) -> bool:
-    """Whether PyYAML's resolver reads the plain ``word`` as another type
-    than a string."""
-    return any(regexp.match(word) for _, regexp in _RESOLVERS.get(word[0], ()))
-
-
-def _str_text(value: str) -> str:
-    """SafeDumper's text of the string ``value``: plain when the resolver
-    reads it back as a string, else single-quoted; _NotPlain for a string
-    outside the writer's class."""
-    if _WORD(value) is None:
-        if value:
-            raise _NotPlain
-        return "''"
-    return f"'{value}'" if _resolved(value) else value
-
-
-def _key_text(key: Any) -> str:
-    """SafeDumper's text of a simple mapping key, colon included."""
-    if type(key) is not str or not key or len(key) > _SIMPLE_KEY:
-        raise _NotPlain
-    return _str_text(key) + ":"
-
-
-def _block(obj: Any, first: str, following: str, append: Callable[[str], None],
-           texts: dict[str, str], keys: dict[str, str], seen: set[int]) -> None:
-    """Append the block text of the non-empty dict or list ``obj`` as
-    SafeDumper writes it: ``first`` before its first entry, ``following``
-    (a line break and the entries' indent) before each other. A mapping's
-    list value is not indented; a list's mapping item starts on its ``- ``
-    line. ``texts`` and ``keys`` keep each string's text, ``seen`` the id of
-    each container; raise _NotPlain for what PyYAML writes otherwise, such as
-    a container reached twice (an anchor) or a list in a list."""
-    inner = following + "  "
-    if type(obj) is dict:
-        heads = []
-        for key in obj:
-            text = keys.get(key) if type(key) is str else None
-            if text is None:
-                text = keys[key] = _key_text(key)
-            heads.append(text)
-        values, mapping_first, list_first = obj.values(), inner, following
-    else:
-        heads, values, mapping_first, list_first = repeat("-"), obj, " ", None
-    separator = first
-    for head, value in zip(heads, values):
-        append(separator + head)
-        separator = following
-        kind = type(value)
-        if kind is str:
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = _str_text(value)
-            append(" " + text)
-        elif kind is float:
-            if value - value == 0.0:
-                text = float.__repr__(value)
-                append(" " + text if "." in text else " " + text.replace("e", ".0e", 1))
-            else:
-                append(" .nan" if value != value else " .inf" if value > 0 else " -.inf")
-        elif kind is int:
-            append(" " + int.__repr__(value))
-        elif kind is bool:
-            append(" true" if value else " false")
-        elif value is None:
-            append(" null")
-        elif (kind is dict or kind is list) and id(value) not in seen:
-            seen.add(id(value))
-            if not value:
-                append(" {}" if kind is dict else " []")
-            elif kind is dict:
-                _block(value, mapping_first, inner, append, texts, keys, seen)
-            elif list_first is not None:
-                _block(value, list_first, following, append, texts, keys, seen)
-            else:
-                raise _NotPlain
-        else:
-            raise _NotPlain
-
-
-def dump_yaml(doc: Any) -> str:
-    """The YAML text of ``doc``, keys in insertion order: for every document,
-    on every host, the text of ``yaml.dump(doc, Dumper=yaml.SafeDumper,
-    sort_keys=False)``. A document of dicts, lists, short word-like strings,
-    ints, floats, bools and None is written here in one pass; any other goes
-    to that call."""
-    chunks: list[str] = []
-    try:
-        if type(doc) not in (dict, list):
-            raise _NotPlain
-        if doc:
-            _block(doc, "", "\n", chunks.append, {}, {}, {id(doc)})
-        else:
-            chunks.append("{}" if type(doc) is dict else "[]")
-    except (_NotPlain, RecursionError):
-        return yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
-    chunks.append("\n")
-    return "".join(chunks)
-
-
-def _scalar(text: str) -> Any:
-    """The value of the scalar ``text`` in the writer's spelling: an int's
-    text, a float's text that `_FLOAT` matches, a word of `_SPELLED`, a word
-    the resolver reads as a string, or such a word quoted; _NotPlain for any
-    other text."""
-    if text in _SPELLED:
-        return _SPELLED[text]
-    if _INT(text):
-        return int(text)
-    if _FLOAT(text):  # -0.0 and an overflow to inf included
-        return float(text)
-    if text[:1] == "'" == text[-1:] and _WORD(text[1:-1]):
-        return text[1:-1]
-    if _WORD(text) and not _resolved(text):
-        return text
-    raise _NotPlain
-
-
-def _value(text: str, scalars: dict[str, Any]) -> Any:
-    """The value of the text after a ``- `` or a key's ``: ``: a new empty
-    container for ``{}`` and ``[]``, else `_scalar`'s, read once per text
-    into ``scalars``."""
-    if text == "{}" or text == "[]":
-        return {} if text == "{}" else []
-    if text not in scalars:
-        scalars[text] = _scalar(text)
-    return scalars[text]
-
-
-def _read_plain(data: bytes) -> Any:
-    """The document in ``data`` when it has the form of a text ``dump_yaml``
-    writes in one pass, read one line at a time: ASCII, ending in a line break, a
-    mapping's entries at one column and its nested mapping two further, a
-    list at its key's column, a list's mapping starting on its ``- `` line,
-    each scalar as `_scalar` reads it. Raise _NotPlain for any other text."""
-    if not data.isascii():
-        raise _NotPlain
-    lines = data.decode("ascii").split("\n")
-    if lines.pop() or not lines:
-        raise _NotPlain
-    if lines == ["{}"] or lines == ["[]"]:
-        return _value(lines[0], {})
-    scalars: dict[str, Any] = {}
-    root: Any = [] if lines[0][:2] == "- " else {}
-    # (column, container) of each open container, innermost last, above a
-    # floor no line reaches
-    frames = [(-1, None), (0, root)]
-    waiting = None  # (mapping, key, the key's column) of a key whose value starts on the next line
-    for line in lines:
-        body = line.lstrip(" ")
-        column = len(line) - len(body)
-        item = body[:2] == "- "
-        if waiting is not None:
-            mapping, key, key_column = waiting
-            if column != (key_column if item else key_column + 2):
-                raise _NotPlain
-            mapping[key] = [] if item else {}
-            frames.append((column, mapping[key]))
-            waiting = None
-        top_column, top = frames[-1]
-        while top_column > column or (top_column == column and not item and type(top) is list):
-            frames.pop()
-            top_column, top = frames[-1]
-        if top_column != column or (type(top) is list) != item:
-            raise _NotPlain
-        if item:
-            body = body[2:]
-            if ":" not in body:
-                top.append(_value(body, scalars))
-                continue
-            top.append({})
-            top, column = top[-1], column + 2
-            frames.append((column, top))
-        text, colon, rest = body.partition(":")
-        key = _value(text, scalars)
-        if type(key) is not str or not 0 < len(key) <= _SIMPLE_KEY:
-            raise _NotPlain
-        if rest[:1] == " ":
-            top[key] = _value(rest[1:], scalars)
-        elif colon and not rest:
-            waiting = top, key, column
-        else:
-            raise _NotPlain
-    if waiting is not None:
-        raise _NotPlain
-    return root
-
-
 def _read_yaml(fh: Any) -> Any:
-    """The document in the binary stream ``fh``, as ``yaml.load(fh,
-    Loader=YAML_LOADER)`` gives it: read here in one pass when it is a text
-    ``dump_yaml`` writes in one pass, else by PyYAML from the bytes read,
-    under the stream's name, so the objects and every error are PyYAML's
-    and an error names the file. (A pipe cannot be rewound.)"""
+    """The document in the binary stream ``fh``: ``json.loads`` of its bytes
+    when they are JSON, as every file the package writes is, else ``yaml.load``
+    of the same bytes with ``YAML_LOADER``, under the stream's name, so the
+    objects and every error are PyYAML's and an error names the file. (A pipe
+    cannot be rewound.)"""
     data = fh.read()
     try:
-        return _read_plain(data)
-    except (_NotPlain, ValueError):  # ValueError: an int too long for int()
-        stream = io.BytesIO(data)
-        stream.name = fh.name
-        return yaml.load(stream, Loader=YAML_LOADER)
+        return json.loads(data)
+    except (ValueError, RecursionError):  # not JSON, or deeper than json's decoder goes
+        pass
+    stream = io.BytesIO(data)
+    stream.name = fh.name
+    return yaml.load(stream, Loader=YAML_LOADER)
 
 
 def load_yaml(path: str, build: Callable[[Any], Any]) -> Any:
-    """``build`` applied to the YAML document in the file at ``path``, which
-    is ``yaml.load(fh, Loader=YAML_LOADER)``'s: a text ``dump_yaml`` writes
-    in one pass is read in one pass, without PyYAML, and any other by that
-    call. A file that cannot be read or is not YAML, a document that nests
-    too deep, and the ParameterError of a document ``build`` refuses raise
-    ParameterError naming the file."""
+    """``build`` applied to the document in the file at ``path``: read by
+    ``json.loads`` when the file is JSON, as the files ``dump_space`` and
+    ``SimulatorModel.save`` write are, and otherwise by ``yaml.load(fh,
+    Loader=YAML_LOADER)``, as a hand-written YAML file is. A file that cannot
+    be read or is not YAML, a document that nests too deep, and the
+    ParameterError of a document ``build`` refuses raise ParameterError naming
+    the file."""
     try:
         try:
             with open(path, "rb") as fh:  # bytes: a bad encoding is a YAMLError
@@ -667,8 +466,9 @@ def load_declarations(space_path: str, workloads_path: str
 
 
 def dump_space(space: ParameterSpace, workloads: list[WorkloadSpec] | None = None) -> str:
-    """Serialize a space (and optionally workloads) back to YAML."""
+    """The declaration of a space (and optionally workloads) as canonical
+    JSON, which is YAML too: ``load_space`` and ``load_workloads`` read it."""
     doc = space.to_json()
     if workloads is not None:
         doc["workloads"] = [w.to_json() for w in workloads]
-    return dump_yaml(doc)
+    return canonical_json(doc)

@@ -39,8 +39,8 @@ from tuneforge.interaction import AnovaDecomposition, InteractionRecord, Interac
 from tuneforge.sensitivity import SensitivityProfile, SensitivityReport
 from tuneforge.simulator import (Coupling, CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel)
-from tuneforge.space import (Domain, ParameterSpace, ParameterSpec, WorkloadSpec,
-                             dump_yaml, load_space, load_workloads)
+from tuneforge.space import (Domain, ParameterSpace, ParameterSpec, WorkloadSpec, load_space,
+                             load_workloads)
 from tuneforge.topology import CorrelationGraph, GraphEdge, JointOptimum, OptimaReport
 
 DELETE = object()
@@ -154,11 +154,12 @@ class Declared:
 
 
 def from_file(path, read):
-    """A loader that writes a document to the YAML file ``path`` and reads it
-    back with ``read``. The document goes through JSON first, which writes a
-    ``Rename`` key as a plain string."""
+    """A loader that writes a document to the file ``path`` as the package
+    writes its own files, canonical JSON, and reads it back with ``read``. The
+    document goes through ``json.dumps`` first, which writes a ``Rename`` key
+    as a plain string."""
     def load(d):
-        path.write_text(dump_yaml(json.loads(json.dumps(d))), encoding="utf-8")
+        path.write_text(jsonfile.canonical_json(json.loads(json.dumps(d))), encoding="utf-8")
         return read(str(path))
     return load
 

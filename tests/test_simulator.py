@@ -17,10 +17,10 @@ from tuneforge.campaign import (DOCUMENT_FILE, INTERACTION_REPORT, OPTIMA_REPORT
                                 SENSITIVITY_REPORT, Campaign)
 from tuneforge.errors import CrashError, ParameterError
 from tuneforge.harness import mix_seed, run_experiment, run_plan, splitmix64
+from tuneforge.jsonfile import canonical_json
 from tuneforge.simulator import (SHAPES, Coupling, CrashRegion, Response, SimulatorAdapter,
                                  SimulatorModel, standard_normal)
-from tuneforge.space import (Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec,
-                             dump_yaml)
+from tuneforge.space import Configuration, Domain, ParameterSpace, ParameterSpec, WorkloadSpec
 
 
 class TestResponses:
@@ -105,16 +105,17 @@ class TestModel:
         model.save(str(path))
         assert SimulatorModel.load(str(path)).to_json() == model.to_json()
 
-    def test_a_long_parameter_name_is_saved_as_safedumpers_complex_key(self, tmp_path):
-        # SafeDumper writes a key of more than 122 characters as a complex
-        # key; libyaml's emitter writes one of up to 128 as a simple key
+    def test_a_saved_model_is_its_canonical_json_and_loads_back_equal(self, tmp_path):
+        # a long name, and a crash region open below, whose bound json writes
+        # as -Infinity and reads back as -inf
         name = "p" * 125
-        model = SimulatorModel(base_rate=1.0, responses={name: Response("linear-up", 0.5)})
+        model = SimulatorModel(base_rate=1.0, responses={name: Response("linear-up", 0.5)},
+                               crashes={name: CrashRegion(-math.inf, 0.1)})
         path = tmp_path / "model.yaml"
         model.save(str(path))
         text = path.read_text(encoding="utf-8")
-        assert text == yaml.dump(model.to_json(), Dumper=yaml.SafeDumper, sort_keys=False)
-        assert f"\n  ? {name}\n  : shape: linear-up\n" in text
+        assert text == canonical_json(model.to_json())
+        assert '"lo": -Infinity' in text
         assert SimulatorModel.load(str(path)) == model
 
     def test_a_configuration_in_two_crash_regions_crashes_alike_after_a_round_trip(
@@ -162,7 +163,7 @@ class TestModel:
                            overrides={"w1": {"b": Response("quadratic-peak", 0.1)}}).to_json()
         edit(d)
         path = tmp_path / "model.yaml"
-        path.write_text(dump_yaml(d))
+        path.write_text(yaml.safe_dump(d, sort_keys=False))
         with pytest.raises(ParameterError) as e:
             SimulatorModel.load(str(path))
         assert str(e.value).startswith(f"{path}: ") and named in str(e.value)
@@ -196,6 +197,32 @@ class TestModel:
             SimulatorModel(base_rate=1.0, sigma=-0.1)
         with pytest.raises(ParameterError):
             Coupling("a", "b", -1.0)
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda x: SimulatorModel(base_rate=x, sigma=0.01), "base_rate"),
+        (lambda x: SimulatorModel(base_rate=1.0, sigma=x), "sigma"),
+        (lambda x: Response("linear-up", strength=x), "strength"),
+        (lambda x: Response("quadratic-peak", 0.2, peak=x), "peak"),
+        (lambda x: Response("step", threshold=x), "threshold"),
+        (lambda x: Response("step", low_mult=x), "low_mult"),
+        (lambda x: Response("step", high_mult=x), "high_mult"),
+        (lambda x: Coupling("a", "b", x), "strength"),
+    ], ids=["base-rate", "sigma", "strength", "peak", "threshold", "low-mult", "high-mult",
+            "coupling-strength"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 10 ** 400], ids=["nan", "inf", "huge-int"])
+    def test_a_number_that_is_not_finite_is_refused(self, build, named, x):
+        # NaN passes every `<=` check, and every run of such a model would
+        # crash as a non-finite metric
+        with pytest.raises(ParameterError, match=f"^{named} must be finite, got "):
+            build(x)
+
+    def test_a_crash_region_may_be_unbounded_but_not_nan(self):
+        below = SimulatorModel(base_rate=1.0, crashes={"a": CrashRegion(-math.inf, 0.5)})
+        with pytest.raises(CrashError):
+            below.true_metric(self.space, Configuration({"a": 0.25}), "w0")
+        for lo, hi in [(math.nan, 0.5), (0.5, math.nan)]:
+            with pytest.raises(ParameterError, match="^crash region bounds must not be NaN, got "):
+                CrashRegion(lo, hi)
 
 
 # ---------------------------------------------------------------------------

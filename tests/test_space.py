@@ -9,7 +9,7 @@ import threading
 
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (SMALL_NAMES, load_perfbench_workloads, one_workload, shifted_small_model,
@@ -17,10 +17,12 @@ from helpers import (SMALL_NAMES, load_perfbench_workloads, one_workload, shifte
 from tuneforge import space as space_mod
 from tuneforge.errors import ParameterError
 from tuneforge.harness import mix_seed
+from tuneforge.jsonfile import canonical_json
 from tuneforge.simulator import Coupling, CrashRegion, Response, SimulatorModel
 from tuneforge.space import (YAML_LOADER, Configuration, Domain, ParameterSpace, ParameterSpec,
-                             WorkloadSpec, closest_index, dump_space, dump_yaml, level_grid,
-                             load_space, load_workloads, load_yaml, validate_configuration)
+                             WorkloadSpec, closest_index, dump_space, level_grid,
+                             load_declarations, load_space, load_workloads, load_yaml,
+                             validate_configuration)
 
 
 def spec_int(name="p", lo=1, hi=10, default=5):
@@ -44,6 +46,9 @@ class TestDomains:
             Domain("enum", values=("a", "a"))
         with pytest.raises(ParameterError):
             Domain("enum", values=())
+        # NaN equals no value, itself included: no configuration could hold it
+        with pytest.raises(ParameterError, match="^enum domain values must not be NaN$"):
+            Domain("enum", values=(1.0, math.nan))
 
     def test_boolean_is_ordered_false_true(self):
         d = Domain("boolean")
@@ -75,6 +80,13 @@ class TestDomains:
         assert d.normalize(0) == 0.0
         assert d.normalize(4) == 1.0
         assert d.normalize(2) == 0.5
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0),
+                                        (math.nan, 1.0), (0.0, math.nan), (0, 10 ** 400)])
+    def test_continuous_bounds_must_be_finite(self, lo, hi):
+        # an infinite bound would span infinite levels and normalize to NaN
+        with pytest.raises(ParameterError, match="^continuous domain requires"):
+            Domain("continuous", lo, hi)
 
     def test_log_scale_requires_positive_lo(self):
         with pytest.raises(ParameterError):
@@ -341,23 +353,24 @@ def census_documents():
 
 
 class TestYamlCensus:
-    """The writer and the chosen loader against PyYAML's pure-Python safe
-    classes, the reference: the same objects from every file, the same text
-    from every document."""
+    """The files the package writes against canonical JSON, and the chosen
+    loader against PyYAML's pure-Python safe loader, the reference, on
+    hand-written files: the same text from every document, the same objects
+    from every file."""
 
     def test_libyaml_is_chosen_whenever_pyyaml_has_it(self):
         assert YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
-    def test_writer_and_reader_match_the_pure_python_classes(self, tmp_path):
+    def test_written_files_are_canonical_json_and_read_back_equal(self, tmp_path):
         docs = census_documents()
         assert len(docs) == 14
         for name, doc in docs.items():
-            text = yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
-            assert dump_yaml(doc) == text, name
+            text = canonical_json(doc)
             path = tmp_path / "doc.yaml"
             path.write_text(text, encoding="utf-8")
+            got = load_yaml(str(path), lambda d: d)
             # repr tells True from 1 and 1.0 from 1, and keeps key order
-            assert repr(load_yaml(str(path), lambda d: d)) == repr(doc), name
+            assert repr(got) == repr(json.loads(text)) and got == doc, name
 
     def test_reader_matches_on_hand_written_files(self, tmp_path):
         path = tmp_path / "edge.yaml"
@@ -378,11 +391,11 @@ class TestYamlCensus:
 
 
 # Strings a YAML 1.1 resolver reads as other types, or that need quotes,
-# escapes or line breaks, for the writer's and the reader's property test.
+# escapes or line breaks, for the round trip's property test.
 LOOKALIKES = ["yes", "No", "null", "~", "0x1F", "1_000", "1e3", ".5", "12:30", "2001-12-14",
               "", "a b", "a: b", "a:b", "#c", "a #c", "caf\u00e9", "\u2603", "two\nlines",
               "on", "-", "---x", "...", "=", "<<", "p-1", "a.b", "x/y", "0", "+1", ".inf",
-              "'", "true"]
+              "'", "true", "NaN", "-Infinity"]
 yaml_floats = st.one_of(st.floats(), st.sampled_from([1e-05, 1e16, -0.0, float("inf"),
                                                       float("nan")]))
 # (no surrogate: UTF-8 cannot encode one)
@@ -415,9 +428,8 @@ HAND_WRITTEN_YAML = {
     "binary": "b: !!binary aGk=\n",
     "unknown-tag": "a: !thing 1\n",
     "empty": "",
-    "top-level-scalar": "3\n",
-    # near misses of the writer's own text, which the one-pass reader leaves
-    # to PyYAML
+    "top-level-scalar": "3\n",  # JSON too, which reads it alike
+    # scalars and layouts PyYAML reads by its own rules
     "octal": "a: 010\n",
     "underscored-int": "a: 1_000\n",
     "yes": "a: yes\n",
@@ -436,6 +448,8 @@ HAND_WRITTEN_YAML = {
     "crlf": "a: 1\r\nb: 2\r\n",
     "trailing-space": "a: 1 \nb: 2\n",
     "int-past-the-digit-limit": "a: " + "1" * 5000 + "\n",
+    "float-spellings": "a: [1.50, 01.5, -0.0, 0.10e+2, 1.0e+999, -1.0e+999, 1.0e-999, "
+                       + "9" * 400 + ".0]\n",
 }
 
 
@@ -448,40 +462,20 @@ def _outcome(read):
 
 
 class TestYamlExactness:
-    """``dump_yaml`` against PyYAML's pure-Python SafeDumper, on every host;
-    ``load_yaml`` against the chosen loader, which reads every text the
-    writer does not write in one pass, and the pure-Python one, the
-    reference."""
+    """``load_yaml`` against ``json.loads`` on the files the package writes,
+    and on hand-written files against the chosen loader and the pure-Python
+    one, the reference."""
 
     @settings(max_examples=300, deadline=None)
-    @given(doc=yaml_documents, shared=st.booleans())
-    # escaped strings past the fold column, which libyaml's emitter breaks
-    # elsewhere than SafeDumper
-    @example(doc={"yes": None, "No": {"yes": [], "No": {
-        "0\u0100\u0100\U00010000\U00010000\U00010000": "\u00a1\u0100\U00010000\U000100000"}}},
-             shared=False)
-    @example(doc=[{"0": None, "yes": {"0": [], "yes": {
-        "\u00a1\u0100\u0100\u0100\u0100\U00010000": "\u0100\u0100\u0100\u0100\U000100000"}}}],
-             shared=False)
-    def test_random_documents(self, tmp_path_factory, doc, shared):
-        if shared:  # PyYAML writes a container reached twice with an anchor
-            sub = [1, "x"]
-            doc = {"a": sub, "b": [sub, []], "c": doc}
-        text = yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
-        dumped, loaders, dump = [], [], yaml.dump
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(space_mod.yaml, "dump", lambda *a, **k: dumped.append(1) or dump(*a, **k))
-            assert dump_yaml(doc) == text
+    @given(doc=yaml_documents)
+    def test_random_documents(self, tmp_path_factory, doc):
+        text = canonical_json(doc)
         path = tmp_path_factory.mktemp("doc") / "doc.yaml"
         path.write_text(text, encoding="utf-8")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(space_mod, "YAML_LOADER",
-                          lambda stream: loaders.append(1) or YAML_LOADER(stream))
+            patch.setattr(space_mod, "YAML_LOADER", None)  # not called
             got = load_yaml(str(path), lambda d: d)
-        # the reader mirrors the writer: a text written in one pass is read
-        # in one pass, and any other by PyYAML
-        assert loaders == dumped
-        assert repr(got) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+        assert repr(got) == repr(json.loads(text))
 
     @pytest.mark.parametrize("name", HAND_WRITTEN_YAML)
     def test_hand_written_files(self, tmp_path, monkeypatch, name):
@@ -501,26 +495,17 @@ class TestYamlExactness:
         monkeypatch.setattr(space_mod, "YAML_LOADER",
                             lambda stream: loaders.append(1) or YAML_LOADER(stream))
         got = _outcome(lambda: load_yaml(str(path), lambda d: d))
-        assert loaders == [1]  # none of these texts is the writer's: PyYAML reads each
+        # PyYAML reads each text but the one that is JSON
+        assert loaders == ([] if name == "top-level-scalar" else [1])
         assert got == _outcome(lambda: reference(YAML_LOADER))
         pure = _outcome(lambda: reference(yaml.SafeLoader))
         # the parsers' error texts differ; their values and error classes not
         assert got[0] == pure[0] and (got[0] != "value" or got == pure)
 
-    @pytest.mark.parametrize("text", ["1.50", "01.5", "-0.0", "0.10e+2", "1.0e+999",
-                                      "-1.0e+999", "1.0e-999", "9" * 400 + ".0"])
-    def test_a_float_in_another_spelling_is_read_in_one_pass_as_pyyaml_reads_it(
-            self, tmp_path, monkeypatch, text):
-        path = tmp_path / "file.yaml"
-        path.write_text(f"a: {text}\n", encoding="utf-8")
-        monkeypatch.setattr(space_mod, "YAML_LOADER", None)  # not called
-        got = load_yaml(str(path), lambda d: d)
-        assert repr(got) == repr(yaml.load(f"a: {text}\n", Loader=yaml.SafeLoader))
-
-    @pytest.mark.parametrize("name", ["trailing-comment", "two-documents"])
+    @pytest.mark.parametrize("name", ["trailing-comment", "two-documents", "top-level-scalar"])
     def test_a_named_pipe_reads_as_a_file_does(self, tmp_path, name):
-        # PyYAML reads a text the one-pass reader refuses from the bytes
-        # already read: a pipe cannot be rewound
+        # PyYAML reads a text that is not JSON from the bytes json was given:
+        # a pipe cannot be rewound
         text = HAND_WRITTEN_YAML[name]
         path, pipe = tmp_path / "file.yaml", tmp_path / "pipe.yaml"
         path.write_text(text, encoding="utf-8")
@@ -539,25 +524,10 @@ class TestYamlExactness:
         doc = load_yaml(str(path), lambda d: d)
         assert doc["a"] is doc["b"]
 
-    @pytest.mark.parametrize("length", [122, 123, 128, 129])
-    def test_long_keys_keep_safedumpers_text(self, length):
-        # SafeDumper writes a key of more than 122 characters as a complex
-        # key, libyaml's emitter one of more than 128
-        doc = {"k" * length: 1}
-        assert dump_yaml(doc) == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
-
-    @pytest.mark.parametrize("doc", [0, "x", None, 1.5, (1, 2), {"a": (1,)}, [[1]],
-                                     {"a": [math.nan, math.inf, -math.inf]}],
-                             ids=["int", "str", "none", "float", "tuple", "inner-tuple",
-                                  "list-in-list", "not-finite"])
-    def test_other_documents_keep_safedumpers_text_or_error(self, doc):
-        assert _outcome(lambda: dump_yaml(doc)) == _outcome(
-            lambda: yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False))
-
     def test_benchmark_files_are_written_and_read_without_pyyamls_own_layers(
             self, tmp_path, monkeypatch):
-        # the declarations and models perfbench writes are plain documents,
-        # written and read in one pass
+        # the declarations and models perfbench writes are canonical JSON,
+        # written and read without PyYAML
         def refuse(*args, **kwargs):
             raise AssertionError("PyYAML's emitter or loader was used")
 
@@ -566,14 +536,59 @@ class TestYamlExactness:
         path = str(tmp_path / "file.yaml")
         for build in load_perfbench_workloads().BUILDERS.values():
             w = build()
+            text = dump_space(w.space, w.workloads)
+            assert text == canonical_json(_declaration(w.space, w.workloads))
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dump_space(w.space, w.workloads))
+                fh.write(text)
             assert load_space(path).to_json() == w.space.to_json()
             assert load_workloads(path) == w.workloads
             for model in (w.model, w.shifted):
                 if model is not None:
                     model.save(path)
+                    with open(path, encoding="utf-8") as fh:
+                        assert fh.read() == canonical_json(model.to_json())
                     assert SimulatorModel.load(path).to_json() == model.to_json()
+
+
+class TestReadPathsAgree:
+    """A hand-written file, read by PyYAML, and the JSON the package writes of
+    what it declares, read by json, load to equal records."""
+
+    @pytest.fixture
+    def loaders(self, monkeypatch):
+        """One entry per file PyYAML reads."""
+        calls = []
+        monkeypatch.setattr(space_mod, "YAML_LOADER",
+                            lambda stream: calls.append(1) or YAML_LOADER(stream))
+        return calls
+
+    def test_the_demo_declaration(self, tmp_path, loaders):
+        hand = os.path.join(DEMO, "space.yaml")
+        space, workloads = load_declarations(hand, hand)
+        path = str(tmp_path / "space.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_space(space, workloads))
+        written, written_workloads = load_declarations(path, path)
+        assert loaders == [1]
+        assert written == space and written.space_hash() == space.space_hash()
+        assert written_workloads == workloads
+
+    def test_the_demo_model(self, tmp_path, loaders):
+        model = SimulatorModel.load(os.path.join(DEMO, "model.yaml"))
+        path = str(tmp_path / "model.yaml")
+        model.save(path)
+        assert SimulatorModel.load(path) == model
+        assert loaders == [1]
+
+    def test_a_hand_written_json_file_is_read_by_jsons_rules(self, tmp_path, loaders):
+        # YAML 1.1 reads 1e5, with no dot, as a string, which a bound refuses
+        path = tmp_path / "space.yaml"
+        path.write_text('{"schema_version": 1, "parameters": [{"name": "rows", "default": 1e5, '
+                        '"domain": {"type": "continuous", "lo": 1e3, "hi": 1e6}}]}\n',
+                        encoding="utf-8")
+        spec = load_space(str(path)).get("rows")
+        assert (spec.default, spec.domain.lo, spec.domain.hi) == (1e5, 1e3, 1e6)
+        assert type(spec.domain.lo) is float and loaders == []
 
 
 class TestDeepNesting:
